@@ -33,7 +33,7 @@ from .calibrate import estimate_preferences
 from .decomp import change_of_measure, scalars_to_json, series_to_csv
 from .inference import bootstrap_ci, default_bandwidth, variance_entropy
 from .oracle import Ar1Design
-from .pipeline import bootstrap_statistic, decompose_panel
+from .pipeline import DISCARD_REASONS, bootstrap_statistic, decompose_panel
 from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import StatePanel
 from .simkit import McDesign, run_mc_study, write_mc_outputs
@@ -598,6 +598,9 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
                 "level": level,
                 "seed": seed,
                 "discarded": boot.discarded,
+                "discard_reasons": {
+                    r: boot.discard_reasons.get(r, 0) for r in DISCARD_REASONS
+                },
                 "fallback_point_estimate": res.sol.is_fallback,
             },
             fh,

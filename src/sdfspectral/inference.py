@@ -10,8 +10,9 @@ of transition pairs with geometric lengths and circular wraparound.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -145,13 +146,25 @@ def _replicate_rng(seed: int, r: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
 
 
+#: replicates handed to the statistic at once; bounds the (block x n)
+#: count matrix and the statistic's per-block stacks
+BOOTSTRAP_BLOCK = 128
+#: optional entry of a statistic's output: per-replicate discard reasons
+#: ("" where the replicate is kept)
+DISCARD_REASON = "discard_reason"
+
+
 class BootstrapUnstableError(RuntimeError):
     """More than half of the bootstrap replications failed."""
 
 
 @dataclass
 class BootstrapResult:
-    """Percentile confidence intervals from a stationary bootstrap."""
+    """Percentile confidence intervals from a stationary bootstrap.
+
+    ``discard_reasons`` counts the discarded replicates by the reason the
+    statistic gave; "non_finite" where it gave none.
+    """
 
     replicates: dict[str, np.ndarray]
     ci_lo: dict[str, float]
@@ -161,10 +174,11 @@ class BootstrapResult:
     discarded: int
     b_total: int = 0
     point: dict[str, float] = field(default_factory=dict)
+    discard_reasons: dict[str, int] = field(default_factory=dict)
 
 
 def bootstrap_ci(
-    statistic: Callable[[StatePanel], dict],
+    statistic: Callable[[StatePanel, np.ndarray], Mapping[str, np.ndarray]],
     panel: StatePanel,
     b: int,
     expected_block: float,
@@ -173,39 +187,56 @@ def bootstrap_ci(
 ) -> BootstrapResult:
     """Stationary-bootstrap percentile intervals for a panel statistic.
 
-    ``statistic`` maps a (resampled) panel to a mapping of scalar values;
-    replications that raise, or return non-finite values, are discarded
-    and counted. Replicate r draws from a substream keyed by (seed, r), so
-    the result does not depend on execution order. Errors out when more
-    than half the replications fail.
+    Replicate r draws its indices from a substream keyed by (seed, r), so
+    the result does not depend on execution order. The draws are turned
+    into count rows, row r holding how often each transition pair of
+    ``panel`` was drawn, and handed to ``statistic(panel, counts)`` in
+    blocks of BOOTSTRAP_BLOCK rows. The statistic returns one array per
+    scalar, with one entry per row; a non-finite entry discards that
+    replicate, and an optional DISCARD_REASON array says why. Exceptions
+    raised by the statistic propagate. Errors out when more than half the
+    replications are discarded.
     """
     if b < 1:
         raise ValueError("need at least one replication")
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
     n = panel.n
-    records: list[dict] = []
-    discarded = 0
-    for r in range(b):
-        idx = stationary_bootstrap_indices(n, expected_block, _replicate_rng(seed, r))
-        try:
-            rec = statistic(panel.resample(idx))
-        except Exception:
-            discarded += 1
-            continue
-        vals = {k: float(v) for k, v in rec.items()}
-        if any(not np.isfinite(v) for v in vals.values()):
-            discarded += 1
-            continue
-        records.append(vals)
+    values: dict[str, list[np.ndarray]] = {}
+    reasons: list[np.ndarray] = []
+    for lo in range(0, b, BOOTSTRAP_BLOCK):
+        rows = range(lo, min(lo + BOOTSTRAP_BLOCK, b))
+        counts = np.array([
+            np.bincount(
+                stationary_bootstrap_indices(n, expected_block, _replicate_rng(seed, r)),
+                minlength=n,
+            )
+            for r in rows
+        ])
+        out = dict(statistic(panel, counts))
+        why = out.pop(DISCARD_REASON, None)
+        reasons.append(np.full(len(rows), "", dtype=object) if why is None
+                       else np.asarray(why, dtype=object))
+        for key, v in out.items():
+            arr = np.asarray(v, dtype=float)
+            if arr.shape != (len(rows),):
+                raise ValueError(
+                    f"statistic returned shape {arr.shape} for {key!r}; expected ({len(rows)},)"
+                )
+            values.setdefault(key, []).append(arr)
+    values = {key: np.concatenate(v) for key, v in sorted(values.items())}
+    kept = np.ones(b, dtype=bool)
+    for arr in values.values():
+        kept &= np.isfinite(arr)
+    discarded = int(b - kept.sum())
+    dropped = np.concatenate(reasons)[~kept]
+    dropped[dropped == ""] = "non_finite"
+    discard_reasons = dict(sorted(Counter(dropped.tolist()).items()))
     if discarded > b / 2:
         raise BootstrapUnstableError(
-            f"bootstrap unstable: {discarded}/{b} replications failed"
+            f"bootstrap unstable: {discarded}/{b} replications failed ({discard_reasons})"
         )
-    keys = sorted({k for rec in records for k in rec})
-    replicates = {
-        k: np.array([rec[k] for rec in records if k in rec]) for k in keys
-    }
+    replicates = {key: arr[kept] for key, arr in values.items()}
     alpha = (1.0 - level) / 2.0
     ci_lo = {}
     ci_hi = {}
@@ -220,4 +251,5 @@ def bootstrap_ci(
         expected_block=expected_block,
         discarded=discarded,
         b_total=b,
+        discard_reasons=discard_reasons,
     )

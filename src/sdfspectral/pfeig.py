@@ -4,21 +4,25 @@ Solves M c = rho G c together with the adjoint problem c*' M = rho c*' G,
 selects the largest real positive eigenvalue, and normalizes scale and
 sign. When no real simple positive eigenvalue exists the solver falls
 back to the trivial pair (rho, phi, phi*) = (1, 1, 1), flagged so that
-downstream statistics can censor such fits.
+downstream statistics can censor such fits. One stacked solver, which
+whitens each pencil by the Cholesky factor of G, serves a single fit and
+every bootstrap replicate alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 #: relative threshold below which an imaginary part is rounding noise
 REALITY_TOL = 1e-8
 #: relative separation under which the top eigenvalue is treated as non-simple
 TIE_TOL = 1e-10
+#: the acceptance rules in the order they are checked; a rejected
+#: eigenpair records the first rule it failed as its fallback reason
+FALLBACK_REASONS = ("no_positive_real", "tie", "left_mismatch", "residual")
 
 
 class DefectivePairError(RuntimeError):
@@ -33,6 +37,7 @@ class EigenSolution:
     basis, ``left_coeffs`` those of the adjoint eigenfunction.
     ``const_coeffs`` records how the constant function is represented in
     the basis (used by the fallback and by the sign convention).
+    ``fallback_reason`` is the FALLBACK_REASONS entry of a fallback.
     """
 
     rho: float
@@ -43,32 +48,107 @@ class EigenSolution:
     spectral_gap: Optional[float]
     const_coeffs: Optional[np.ndarray] = None
     normalized: bool = False
+    fallback_reason: Optional[str] = None
 
 
 def _ensure_spd(G: np.ndarray) -> np.ndarray:
     """Return G, or G + eps*I after one ridge attempt; raise if still not SPD."""
     G = 0.5 * (G + G.T)
     try:
-        scipy.linalg.cholesky(G)
+        np.linalg.cholesky(G)
         return G
-    except scipy.linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         pass
     eps = 1e-10 * np.trace(G) / G.shape[0]
     Gr = G + eps * np.eye(G.shape[0])
     try:
-        scipy.linalg.cholesky(Gr)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(Gr)
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "Gram matrix not positive definite even after ridge"
         ) from exc
     return Gr
 
 
-def _real_candidates(vals: np.ndarray) -> np.ndarray:
-    """Indices of numerically real eigenvalues."""
-    return np.flatnonzero(
-        np.abs(vals.imag) <= REALITY_TOL * (1.0 + np.abs(vals.real))
+class _PencilStack(NamedTuple):
+    """Per-pencil results of :func:`_solve_stack`.
+
+    ``reason`` is "" for an accepted pencil and otherwise names the first
+    rule of FALLBACK_REASONS it failed; the other fields of a rejected
+    pencil are meaningless. ``gap`` is NaN with fewer than two real
+    eigenvalues.
+    """
+
+    rho: np.ndarray  # (S,)
+    right: np.ndarray  # (S, k), unit 2-norm
+    left: np.ndarray  # (S, k), unit 2-norm
+    residuals: np.ndarray  # (S, 2)
+    gap: np.ndarray  # (S,)
+    reason: np.ndarray  # (S,) str
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (A @ v[..., None])[..., 0]
+
+
+def _solve_stack(M: np.ndarray, G: np.ndarray) -> _PencilStack:
+    """Largest real positive eigenpair of each pencil in a (S, k, k) stack.
+
+    Each G gets the SPD ridge of :func:`_ensure_spd` on its own. With the
+    Cholesky factor G = L L', the pencil (M, G) has the eigenvalues of the
+    whitened matrix A = L^-1 M L^-'; A's eigenvectors v give the right
+    coefficients L^-' v and those of A' the adjoint ones. The acceptance
+    rules (reality, positivity, simplicity, adjoint match, residuals) are
+    applied to every pencil separately.
+    """
+    M = np.asarray(M, dtype=float)
+    G = np.asarray(G, dtype=float)
+    G = 0.5 * (G + np.swapaxes(G, -1, -2))
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        G = np.stack([_ensure_spd(g) for g in G])
+        L = np.linalg.cholesky(G)
+    Li = np.linalg.inv(L)
+    Lit = np.swapaxes(Li, -1, -2)
+    Mt = np.swapaxes(M, -1, -2)
+    vals, vecs = np.linalg.eig(Li @ M @ Lit)
+    vals_t, vecs_t = np.linalg.eig(Li @ Mt @ Lit)
+    s = np.arange(M.shape[0])
+
+    real = np.abs(vals.imag) <= REALITY_TOL * (1.0 + np.abs(vals.real))
+    pos = real & (vals.real > 0)
+    top = np.argmax(np.where(pos, vals.real, -np.inf), axis=1)
+    rho = vals.real[s, top]
+
+    # Simplicity: any other eigenvalue (real or complex) within TIE_TOL
+    # relative distance of rho triggers the fallback convention.
+    dist = np.abs(vals - rho[:, None])
+    dist[s, top] = np.inf
+    tie = dist.min(axis=1) <= TIE_TOL * np.abs(rho)
+
+    match = np.argmin(np.abs(vals_t - rho[:, None]), axis=1)
+    mismatch = np.abs(vals_t[s, match] - rho) > 1e-8 * (1.0 + np.abs(rho))
+
+    right = _matvec(Lit, vecs[s, :, top].real)
+    left = _matvec(Lit, vecs_t[s, :, match].real)
+    right /= np.linalg.norm(right, axis=1, keepdims=True)
+    left /= np.linalg.norm(left, axis=1, keepdims=True)
+
+    # spectral norms of M and G, from one batched SVD
+    sv = np.linalg.svd(np.stack([M, G], axis=1), compute_uv=False)[..., 0]
+    norm_scale = sv[:, 0] + rho * sv[:, 1]
+    res_r = np.linalg.norm(_matvec(M, right) - rho[:, None] * _matvec(G, right), axis=1)
+    res_l = np.linalg.norm(_matvec(Mt, left) - rho[:, None] * _matvec(G, left), axis=1)
+    bad_residual = ~((res_r < 1e-8 * norm_scale) & (res_l < 1e-8 * norm_scale))
+
+    real_sorted = np.sort(np.where(real, vals.real, -np.inf), axis=1)
+    second = real_sorted[:, -2] if real_sorted.shape[1] > 1 else np.nan
+    gap = np.where(real.sum(axis=1) >= 2, rho - second, np.nan)
+    reason = np.select(
+        [~pos.any(axis=1), tie, mismatch, bad_residual], FALLBACK_REASONS, default=""
     )
+    return _PencilStack(rho, right, left, np.column_stack([res_r, res_l]), gap, reason)
 
 
 def solve_generalized(
@@ -82,25 +162,19 @@ def solve_generalized(
     rounding, and selects the one with the largest (positive) real part.
     The adjoint eigenvector comes from the transposed problem, paired by
     eigenvalue proximity. Falls back to the constant solution with
-    rho = 1 when no real positive eigenvalue exists or the top one is not
-    simple.
+    rho = 1 when no real positive eigenvalue exists, the top one is not
+    simple, the adjoint problem has no matching eigenvalue, or the
+    residuals are too large; ``fallback_reason`` names the rule.
 
     ``const_coeffs`` is the basis representation of the constant function
     (defaults to a vector of ones); it determines the fallback
     coefficients and the sign convention applied by :func:`normalize`.
     """
     M = np.asarray(M, dtype=float)
-    G = _ensure_spd(np.asarray(G, dtype=float))
-    k = M.shape[0]
-    if const_coeffs is None:
-        const_coeffs = np.ones(k)
-
-    vals, vecs = scipy.linalg.eig(M, G)
-    real_idx = _real_candidates(vals)
-    pos_idx = real_idx[vals.real[real_idx] > 0]
-
-    def fallback() -> EigenSolution:
-        c = np.asarray(const_coeffs, dtype=float)
+    G = np.asarray(G, dtype=float)
+    c = np.ones(M.shape[0]) if const_coeffs is None else np.asarray(const_coeffs, dtype=float)
+    st = _solve_stack(M[None], G[None])
+    if st.reason[0]:
         return EigenSolution(
             rho=1.0,
             right_coeffs=c.copy(),
@@ -109,44 +183,17 @@ def solve_generalized(
             residuals=(np.nan, np.nan),
             spectral_gap=None,
             const_coeffs=c.copy(),
+            fallback_reason=str(st.reason[0]),
         )
-
-    if pos_idx.size == 0:
-        return fallback()
-    top = pos_idx[np.argmax(vals.real[pos_idx])]
-    rho = float(vals.real[top])
-
-    # Simplicity: any other eigenvalue (real or complex) within TIE_TOL
-    # relative distance of rho triggers the fallback convention.
-    others = np.delete(np.arange(k), top)
-    if others.size and np.min(np.abs(vals[others] - rho)) <= TIE_TOL * abs(rho):
-        return fallback()
-
-    right = vecs[:, top].real.copy()
-
-    vals_t, vecs_t = scipy.linalg.eig(M.T, G.T)
-    match = np.argmin(np.abs(vals_t - rho))
-    if abs(vals_t[match] - rho) > 1e-8 * (1.0 + abs(rho)):
-        return fallback()
-    left = vecs_t[:, match].real.copy()
-
-    norm_scale = scipy.linalg.norm(M, 2) + rho * scipy.linalg.norm(G, 2)
-    res_r = np.linalg.norm(M @ right - rho * (G @ right)) / np.linalg.norm(right)
-    res_l = np.linalg.norm(M.T @ left - rho * (G @ left)) / np.linalg.norm(left)
-    if not (res_r < 1e-8 * norm_scale and res_l < 1e-8 * norm_scale):
-        return fallback()
-
-    real_vals = np.sort(vals.real[real_idx])
-    gap = float(rho - real_vals[-2]) if real_vals.size >= 2 else None
-
+    gap = float(st.gap[0])
     return EigenSolution(
-        rho=rho,
-        right_coeffs=right,
-        left_coeffs=left,
+        rho=float(st.rho[0]),
+        right_coeffs=st.right[0],
+        left_coeffs=st.left[0],
         is_fallback=False,
-        residuals=(float(res_r), float(res_l)),
-        spectral_gap=gap,
-        const_coeffs=np.asarray(const_coeffs, dtype=float).copy(),
+        residuals=(float(st.residuals[0, 0]), float(st.residuals[0, 1])),
+        spectral_gap=None if np.isnan(gap) else gap,
+        const_coeffs=c.copy(),
     )
 
 

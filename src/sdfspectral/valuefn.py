@@ -149,5 +149,17 @@ def recursive_sdf_series(
             "eigenfunction not positive on sample; "
             "the value-recursion solution is unreliable here"
         )
-    gpow = np.exp(-gamma * np.log(panel.growth))
-    return (beta / solution.lam) * gpow * chi1**beta / chi0
+    return continuation_sdf(panel.growth, beta, gamma, solution.lam, chi0, chi1)
+
+
+def continuation_sdf(
+    growth: np.ndarray,
+    beta: float,
+    gamma: float,
+    lam: float,
+    chi0: np.ndarray,
+    chi1: np.ndarray,
+) -> np.ndarray:
+    """m_t = (beta/lam) G_{t+1}^{-gamma} chi(X_{t+1})^beta / chi(X_t) from positive chi values."""
+    gpow = np.exp(-gamma * np.log(growth))
+    return (beta / lam) * gpow * chi1**beta / chi0

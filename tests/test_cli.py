@@ -8,6 +8,7 @@ import pytest
 
 import sdfspectral as s
 from sdfspectral.cli import main, validate_summary_csv
+from sdfspectral.pipeline import DISCARD_REASONS
 
 
 def _write_panel_csv(path, states, growth=None, sdf=None, returns=None):
@@ -182,6 +183,8 @@ def test_bootstrap_deterministic_outputs(tmp_path, sim_panel):
     assert {"rho", "y", "L", "beta", "gamma"} <= names
     boot = json.loads((out1 / "bootstrap.json").read_text())
     assert boot["b"] == 100 and boot["expected_block"] == 6.0
+    assert list(boot["discard_reasons"]) == list(DISCARD_REASONS)
+    assert sum(boot["discard_reasons"].values()) == boot["discarded"]
     for r in rows:
         if r["statistic"] == "rho":
             assert r["ci_lo"] is not None and r["ci_lo"] <= r["ci_hi"]

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import sdfspectral as s
-from sdfspectral.inference import BootstrapUnstableError, _newey_west, _replicate_rng
+from sdfspectral.inference import (
+    BOOTSTRAP_BLOCK,
+    BootstrapUnstableError,
+    _newey_west,
+    _replicate_rng,
+)
 
 
 def _const_basis_fit(m):
@@ -168,7 +173,7 @@ def test_bootstrap_mean_block_length():
 
 def test_bootstrap_ci_constant_statistic(testbed):
     panel = s.simulate_ar1(testbed, 50, np.random.default_rng(9))
-    res = s.bootstrap_ci(lambda p: {"c": 3.25}, panel, 60, 6.0, 0.9, seed=5)
+    res = s.bootstrap_ci(lambda p, w: {"c": np.full(len(w), 3.25)}, panel, 60, 6.0, 0.9, seed=5)
     assert res.ci_lo["c"] == res.ci_hi["c"] == 3.25
     assert res.discarded == 0 and res.b_total == 60
 
@@ -176,8 +181,8 @@ def test_bootstrap_ci_constant_statistic(testbed):
 def test_bootstrap_ci_deterministic_and_order_free(testbed):
     panel = s.simulate_ar1(testbed, 120, np.random.default_rng(10))
 
-    def stat(p):
-        return {"mean_g": float(np.mean(p.growth))}
+    def stat(p, w):
+        return {"mean_g": w @ p.growth / p.n}
 
     a = s.bootstrap_ci(stat, panel, 80, 6.0, 0.9, seed=11)
     b = s.bootstrap_ci(stat, panel, 80, 6.0, 0.9, seed=11)
@@ -185,10 +190,30 @@ def test_bootstrap_ci_deterministic_and_order_free(testbed):
     assert a.ci_lo == b.ci_lo and a.ci_hi == b.ci_hi
 
 
+def test_bootstrap_ci_count_rows_are_the_replicate_draws(testbed):
+    # the count rows are the bincounts of replicate r's (seed, r) draws, in
+    # replicate order across block boundaries
+    panel = s.simulate_ar1(testbed, 90, np.random.default_rng(15))
+    b = BOOTSTRAP_BLOCK + 7
+    seen = []
+
+    def stat(p, w):
+        seen.append(w)
+        return {"r": np.arange(len(w), dtype=float)}
+
+    s.bootstrap_ci(stat, panel, b, 6.0, 0.9, seed=21)
+    assert [len(w) for w in seen] == [BOOTSTRAP_BLOCK, 7]
+    expected = [
+        np.bincount(s.stationary_bootstrap_indices(90, 6.0, _replicate_rng(21, r)), minlength=90)
+        for r in range(b)
+    ]
+    np.testing.assert_array_equal(np.concatenate(seen), expected)
+
+
 def test_bootstrap_ci_smoke_tiny_panel():
     panel = s.StatePanel.from_states(np.array([0.0, 1.0, 2.0]))
     res = s.bootstrap_ci(
-        lambda p: {"m": float(p.x0.mean())}, panel, 50, 2.0, 0.9, seed=1
+        lambda p, w: {"m": w @ p.x0[:, 0] / p.n}, panel, 50, 2.0, 0.9, seed=1
     )
     assert np.isfinite(res.ci_lo["m"]) and res.ci_lo["m"] <= res.ci_hi["m"]
 
@@ -196,21 +221,33 @@ def test_bootstrap_ci_smoke_tiny_panel():
 def test_bootstrap_ci_unstable_errors(testbed):
     panel = s.simulate_ar1(testbed, 40, np.random.default_rng(13))
 
-    def flaky(p):
-        raise RuntimeError("always fails")
+    def flaky(p, w):
+        return {"v": np.full(len(w), np.nan)}
 
     with pytest.raises(BootstrapUnstableError):
         s.bootstrap_ci(flaky, panel, 60, 6.0, 0.9, seed=3)
+
+
+def test_bootstrap_ci_propagates_statistic_errors(testbed):
+    panel = s.simulate_ar1(testbed, 40, np.random.default_rng(13))
+
+    def buggy(p, w):
+        return {"v": undefined_name}  # noqa: F821
+
+    with pytest.raises(NameError):
+        s.bootstrap_ci(buggy, panel, 10, 6.0, 0.9, seed=3)
 
 
 def test_bootstrap_ci_discards_nonfinite(testbed):
     panel = s.simulate_ar1(testbed, 60, np.random.default_rng(14))
     calls = {"k": 0}
 
-    def sometimes(p):
-        calls["k"] += 1
-        return {"v": math.nan if calls["k"] % 3 == 0 else 1.0}
+    def sometimes(p, w):
+        r = calls["k"] + 1 + np.arange(len(w))
+        calls["k"] += len(w)
+        return {"v": np.where(r % 3 == 0, math.nan, 1.0)}
 
     res = s.bootstrap_ci(sometimes, panel, 90, 6.0, 0.9, seed=4)
     assert res.discarded == 30
     assert res.replicates["v"].size == 60
+    assert res.discard_reasons == {"non_finite": 30}
