@@ -18,18 +18,18 @@ panel = s.simulate_ar1(design, n=1600, seed=5)
 
 basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
 m = s.power_utility_sdf_series(panel, BETA, GAMMA)
-panel = panel.with_sdf(m)
+sieve = s.Design(basis, panel)  # b(X_t) and b(X_{t+1}), evaluated once
 
-G = s.estimate_gram(basis, panel)
-M = s.estimate_pricing(basis, panel)
+G = s.estimate_gram(sieve)
+M = s.estimate_pricing(sieve, m)
 sol = s.normalize(s.solve_generalized(M, G, const_coeffs=basis.const_coeffs), G)
 
 truth = s.affine_power_utility_solution(design, BETA, GAMMA)
 print(f"estimated rho = {sol.rho:.5f}   (closed form {truth.rho:.5f})")
 print(f"long-run yield = {s.long_run_yield(sol.rho):.5f}")
 
-phi_t, phi_star_t = s.eigenfunction_values(sol, basis, panel.x0)
-phi_t1, _ = s.eigenfunction_values(sol, basis, panel.x1)
+phi_t = sieve.b0 @ sol.right_coeffs
+phi_t1 = sieve.b1 @ sol.right_coeffs
 series = s.pt_series(sol.rho, phi_t, phi_t1, m)
 
 print(f"entropy of the permanent component = {series.entropy_L:.5f} "

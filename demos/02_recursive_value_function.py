@@ -16,27 +16,27 @@ BETA, GAMMA = 0.994, 15.0
 design = s.Ar1Design(mu=0.005, kappa=0.6, sigma=0.01)
 panel = s.simulate_ar1(design, n=3200, seed=7)
 basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
+sieve = s.Design(basis, panel)  # b(X_t) and b(X_{t+1}), evaluated once
 
-fp = s.solve_value_fixed_point(basis, panel, BETA, GAMMA)
+fp = s.solve_value_fixed_point(sieve, BETA, GAMMA)
 oracle = s.quadrature_eig(design, s.RecursiveUtility(BETA, GAMMA), 80)
 print(f"lambda = {fp.lam:.5f}  (population value {oracle.lam:.5f}), "
       f"{fp.iterations} iterations, converged={fp.converged}")
 
-m = s.recursive_sdf_series(panel, BETA, GAMMA, fp, basis)
+m = s.recursive_sdf_series(sieve, fp)
 print(f"plug-in SDF increments: mean {m.mean():.4f}, min {m.min():.4f}, "
       f"max {m.max():.4f}")
 
-panel = panel.with_sdf(m)
-G = s.estimate_gram(basis, panel)
-M = s.estimate_pricing(basis, panel)
+G = s.estimate_gram(sieve)
+M = s.estimate_pricing(sieve, m)
 sol = s.normalize(s.solve_generalized(M, G, const_coeffs=basis.const_coeffs), G)
 print(f"rho = {sol.rho:.5f}  (population value {oracle.rho:.5f})")
 print(f"long-run yield = {-np.log(sol.rho):.5f}")
 
 # under recursive preferences phi is nearly flat, so the transitory
 # component barely moves: most SDF variation is permanent
-phi_t, _ = s.eigenfunction_values(sol, basis, panel.x0)
-phi_t1, _ = s.eigenfunction_values(sol, basis, panel.x1)
+phi_t = sieve.b0 @ sol.right_coeffs
+phi_t1 = sieve.b1 @ sol.right_coeffs
 series = s.pt_series(sol.rho, phi_t, phi_t1, m)
 print(f"sd(log m)       = {np.std(np.log(series.m)):.4f}")
 print(f"sd(log m_perm)  = {np.std(np.log(series.m_perm)):.4f}")

@@ -29,16 +29,17 @@ growth = np.exp(g[1:])
 solve_basis = s.BasisSpec(family="sparse", degree=4, cap=5).build(states)
 print(f"solve basis dimension: {solve_basis.dimension_k}")
 
-panel0 = s.StatePanel.from_states(states, growth=growth)
-fp = s.solve_value_fixed_point(solve_basis, panel0, BETA0, GAMMA0)
-m = s.recursive_sdf_series(panel0, BETA0, GAMMA0, fp, solve_basis)
+sieve0 = s.Design(solve_basis, s.StatePanel.from_states(states, growth=growth))
+fp = s.solve_value_fixed_point(sieve0, BETA0, GAMMA0)
+m = s.recursive_sdf_series(sieve0, fp)
 returns = np.column_stack([1.0 / m, 1.0 / m * np.exp(0.01 * rng.standard_normal(n))])
 panel = s.StatePanel.from_states(states, growth=growth, returns=returns)
 
 instruments = s.BasisSpec(family="sparse", degree=2, cap=3).build(states)
 print(f"instrument dimension: {instruments.dimension_k}")
 
-result = s.estimate_preferences(panel, instruments, solve_basis)
+# the solve and instrument designs are evaluated once, for every criterion call
+result = s.estimate_preferences(s.Design(solve_basis, panel), s.Design(instruments, panel))
 print(f"\nbeta-hat  = {result.beta_hat:.4f}   (generating value {BETA0})")
 print(f"gamma-hat = {result.gamma_hat:.3f}   (generating value {GAMMA0})")
 print(f"criterion at optimum = {result.criterion_value:.3e}")

@@ -16,20 +16,20 @@ BETA = 0.994
 
 design = s.Ar1Design(mu=0.005, kappa=0.6, sigma=0.01)
 panel = s.simulate_ar1(design, n=2000, seed=31)
-basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
+sieve = s.Design(s.BasisSpec(family="hermite", k=8).build(panel.states), panel)
 
 print(f"{'gamma':>6} {'lambda':>9} {'rho':>9} {'yield':>9} "
       f"{'cov(logP,logT)':>15} {'kendall':>8}")
 for gamma in (2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
     try:
-        res = decompose_panel(panel, basis, s.RecursiveUtility(beta=BETA, gamma=gamma))
+        res = decompose_panel(sieve, s.RecursiveUtility(beta=BETA, gamma=gamma))
     except (ValueError, RuntimeError) as exc:
         # very high risk aversion can push the estimated continuation value
         # through zero at extreme sample points; report and move on
         print(f"{gamma:>6.0f}   [no decomposition: {exc}]")
         continue
     stats = s.pt_association(res.series)
-    lam = res.fixed_point.lam
+    lam = res.fit.fixed_point.lam
     print(f"{gamma:>6.0f} {lam:>9.4f} {res.series.rho:>9.4f} "
           f"{res.series.yield_y:>+9.4f} {stats['cov_log']:>+15.2e} "
           f"{stats['kendall_tau']:>+8.3f}")

@@ -16,10 +16,9 @@ from .basis import (
     build_bspline_basis,
     build_hermite_basis,
     build_sparse_tensor,
-    evaluate,
     hermite_basis_from_moments,
 )
-from .calibrate import CalibrationResult, OptimizerConfig, criterion, estimate_preferences
+from .calibrate import CalibrationResult, criterion, estimate_preferences
 from .decomp import (
     DecompSeries,
     change_of_measure,
@@ -47,17 +46,15 @@ from .oracle import (
     quadrature_eig,
 )
 from .pfeig import EigenSolution, eigenfunction_values, normalize, solve_generalized
-from .pipeline import DecompositionResult, bootstrap_statistic, decompose_panel
+from .pipeline import DecompositionResult, Fit, bootstrap_statistic, decompose_panel, fit_panel
 from .preferences import PowerUtility, RecursiveUtility, power_utility_sdf_series
-from .sievemat import (
-    SieveMatrices,
-    StatePanel,
-    apply_nonlinear,
-    estimate_gram,
-    estimate_matrices,
-    estimate_pricing,
-)
+from .sievemat import Design, StatePanel, estimate_gram, estimate_pricing
 from .simkit import McDesign, McTable, l2_distance, run_mc_study, simulate_ar1
-from .valuefn import FixedPointSolution, recursive_sdf_series, solve_value_fixed_point
+from .valuefn import (
+    FixedPointSolution,
+    recursive_sdf_series,
+    solve_value_fixed_point,
+    value_map,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

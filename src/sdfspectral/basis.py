@@ -262,11 +262,6 @@ def build_sparse_tensor(bases: list[SieveBasis], total_degree_cap: int) -> Sieve
     )
 
 
-def evaluate(basis: SieveBasis, x) -> np.ndarray:
-    """Evaluate ``basis`` at a single point x (length state_dim)."""
-    return basis.evaluate(x)
-
-
 @dataclass(frozen=True)
 class BasisSpec:
     """Serializable basis specification (family, k, degree, cap).

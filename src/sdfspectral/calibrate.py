@@ -19,23 +19,16 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .basis import SieveBasis
-from .sievemat import StatePanel
+from .sievemat import Design
 from .valuefn import FixedPointSolution, recursive_sdf_series, solve_value_fixed_point
 
-#: singular values below this multiple of the largest are truncated in the
-#: pseudo-inverse weighting
-PINV_RCOND = 1e-10
-
 DEFAULT_BOUNDS = ((0.9, 0.9999), (1.0, 60.0))
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    grid_shape: tuple[int, int] = (11, 13)
-    xatol: float = 1e-5
-    fatol: float = 1e-12
-    max_iter: int = 500
+#: (beta, gamma) points of the coarse grid stage
+GRID_SHAPE = (11, 13)
+#: Nelder-Mead tolerances on the point and on the criterion, and its iteration cap
+XATOL = 1e-5
+FATOL = 1e-12
+MAX_ITER = 500
 
 
 @dataclass
@@ -48,52 +41,44 @@ class CalibrationResult:
     converged: bool = False
 
 
-def criterion(
-    panel: StatePanel,
-    beta: float,
-    gamma: float,
-    instrument_basis: SieveBasis,
-    solve_basis: SieveBasis,
-) -> float:
+def criterion(design: Design, instruments: Design, beta: float, gamma: float) -> float:
     """Instrumented Euler-equation criterion at fixed preferences.
 
-    Returns +inf when the inner value-recursion solve fails, so grid and
-    simplex stages treat such points as infeasible.
+    ``design`` is the panel's solve design and ``instruments`` the design
+    of the instrument basis on the same panel; the criterion weights the
+    instrumented moments by the pseudo-inverse of the instruments' Gram
+    matrix. Returns +inf when the inner value-recursion solve fails, so
+    grid and simplex stages treat such points as infeasible.
     """
+    panel = design.panel
     if panel.returns is None:
         raise ValueError("panel has no returns; the criterion needs asset returns")
-    if instrument_basis.dimension_k > solve_basis.dimension_k:
+    if instruments.basis.dimension_k > design.basis.dimension_k:
         raise ValueError("instrument basis dimension exceeds the solve basis dimension")
     if not (0 < beta < 1 and gamma >= 1):
         return math.inf
     try:
-        fp = solve_value_fixed_point(solve_basis, panel, beta, gamma)
+        fp = solve_value_fixed_point(design, beta, gamma)
         if not fp.converged:
             return math.inf
-        m = recursive_sdf_series(panel, beta, gamma, fp, solve_basis)
+        m = recursive_sdf_series(design, fp)
     except (ValueError, RuntimeError, np.linalg.LinAlgError):
         return math.inf
     resid = m[:, None] * panel.returns - 1.0
-    binst = instrument_basis.evaluate_many(panel.x0)
-    n = panel.n
-    A = binst.T @ resid / n
-    g_inst = binst.T @ binst / n
-    weight = np.linalg.pinv(g_inst, rcond=PINV_RCOND)
-    return float(np.trace(A.T @ weight @ A))
+    A = instruments.b0.T @ resid / panel.n
+    return float(np.trace(A.T @ instruments.gram_pinv @ A))
 
 
 def estimate_preferences(
-    panel: StatePanel,
-    instrument_basis: SieveBasis,
-    solve_basis: SieveBasis,
+    design: Design,
+    instruments: Design,
     bounds: tuple[tuple[float, float], tuple[float, float]] = DEFAULT_BOUNDS,
-    config: OptimizerConfig = OptimizerConfig(),
 ) -> CalibrationResult:
     """Minimize the criterion over (beta, gamma) in a box.
 
-    A coarse grid locates a feasible starting point; Nelder-Mead then
-    polishes within the bounds. Raises when every grid point is
-    infeasible (inner solver failed everywhere).
+    A coarse GRID_SHAPE grid locates a feasible starting point;
+    Nelder-Mead then polishes within the bounds. Raises when every grid
+    point is infeasible (inner solver failed everywhere).
     """
     (b_lo, b_hi), (g_lo, g_hi) = bounds
     if not (b_lo <= b_hi and g_lo <= g_hi):
@@ -102,11 +87,11 @@ def estimate_preferences(
 
     def objective(point) -> float:
         b, g = float(point[0]), float(point[1])
-        val = criterion(panel, b, g, instrument_basis, solve_basis)
+        val = criterion(design, instruments, b, g)
         trace.append((b, g, val))
         return val
 
-    nb, ng = config.grid_shape
+    nb, ng = GRID_SHAPE
     betas = np.linspace(b_lo, b_hi, nb)
     gammas = np.linspace(g_lo, g_hi, ng)
     best_val = math.inf
@@ -129,9 +114,9 @@ def estimate_preferences(
             method="Nelder-Mead",
             bounds=[(b_lo, b_hi), (g_lo, g_hi)],
             options={
-                "xatol": config.xatol,
-                "fatol": config.fatol,
-                "maxiter": config.max_iter,
+                "xatol": XATOL,
+                "fatol": FATOL,
+                "maxiter": MAX_ITER,
             },
         )
         beta_hat, gamma_hat = float(res.x[0]), float(res.x[1])
@@ -140,7 +125,7 @@ def estimate_preferences(
 
     inner = None
     if math.isfinite(crit_val):
-        fp = solve_value_fixed_point(solve_basis, panel, beta_hat, gamma_hat)
+        fp = solve_value_fixed_point(design, beta_hat, gamma_hat)
         inner = fp if fp.converged else None
     return CalibrationResult(
         beta_hat=beta_hat,

@@ -30,12 +30,13 @@ import numpy as np
 from . import __version__
 from .basis import BasisSpec
 from .calibrate import estimate_preferences
+from .csvout import write_csv
 from .decomp import change_of_measure, scalars_to_json, series_to_csv
 from .inference import bootstrap_ci, default_bandwidth, variance_entropy
 from .oracle import Ar1Design
 from .pipeline import DISCARD_REASONS, bootstrap_statistic, decompose_panel
 from .preferences import PowerUtility, RecursiveUtility
-from .sievemat import StatePanel
+from .sievemat import Design, StatePanel
 from .simkit import McDesign, run_mc_study, write_mc_outputs
 from .svgplot import heat_grid, line_plot
 from .valuefn import solve_value_fixed_point
@@ -326,16 +327,11 @@ def _write_eigenfunction_outputs(cfg, panel, basis, sol) -> None:
         phi = bg @ sol.right_coeffs
         phi_star = bg @ sol.left_coeffs
     com = change_of_measure(phi, phi_star)
-    path = os.path.join(cfg.out_dir, "eigenfunctions.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{d+1}" for d in range(panel.state_dim)]
-                        + ["phi", "phi_star", "change_of_measure"])
-        for i in range(grid.shape[0]):
-            writer.writerow(
-                [format(v, ".17g") for v in grid[i]]
-                + [format(phi[i], ".17g"), format(phi_star[i], ".17g"), format(com[i], ".17g")]
-            )
+    write_csv(
+        os.path.join(cfg.out_dir, "eigenfunctions.csv"),
+        [f"x{d+1}" for d in range(panel.state_dim)] + ["phi", "phi_star", "change_of_measure"],
+        np.column_stack([grid, phi, phi_star, com]),
+    )
     if panel.state_dim == 1:
         line_plot(
             os.path.join(cfg.out_dir, "eigenfunctions.svg"),
@@ -344,7 +340,7 @@ def _write_eigenfunction_outputs(cfg, panel, basis, sol) -> None:
             title="Eigenfunctions and change of measure",
             xlabel="state",
         )
-    else:
+    elif panel.state_dim == 2:
         side = int(round(math.sqrt(grid.shape[0])))
         xs = np.unique(grid[:, 0])
         ys = np.unique(grid[:, 1])
@@ -358,19 +354,11 @@ def _write_eigenfunction_outputs(cfg, panel, basis, sol) -> None:
 
 def _write_summary_csv(path, rows: list[dict], level: Optional[float]) -> None:
     """Table of point estimates and optional percentile CI columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["statistic"],
-                    format(row["estimate"], ".17g"),
-                    "" if row.get("ci_lo") is None else format(row["ci_lo"], ".17g"),
-                    "" if row.get("ci_hi") is None else format(row["ci_hi"], ".17g"),
-                    "" if row.get("ci_lo") is None or level is None else format(level, ".17g"),
-                ]
-            )
+    write_csv(path, SUMMARY_COLUMNS, [
+        [row["statistic"], row["estimate"], row.get("ci_lo"), row.get("ci_hi"),
+         None if row.get("ci_lo") is None else level]
+        for row in rows
+    ])
 
 
 def validate_summary_csv(path) -> list[dict]:
@@ -418,38 +406,29 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     if prefs is not None and panel.growth is None:
         raise CliError("preference-implied SDFs need a growth column")
     basis = _basis_spec(cfg).build(panel.states)
-    res = decompose_panel(panel, basis, None if prefs is None else prefs)
+    res = decompose_panel(Design(basis, panel), prefs)
+    fit = res.fit
 
     extra = {"n": panel.n, "basis": basis.family.value, "k": basis.dimension_k,
-             "fallback": res.sol.is_fallback}
-    if res.fixed_point is not None:
-        extra["lambda"] = res.fixed_point.lam
-    if res.influence is not None:
+             "fallback": fit.sol.is_fallback}
+    if fit.fixed_point is not None:
+        extra["lambda"] = fit.fixed_point.lam
+    if fit.influence is not None:
         bw = default_bandwidth(panel.n)
-        extra["se_rho"] = res.influence.se_rho()
-        extra["v_L"] = variance_entropy(res.influence, res.m, bw)
+        extra["se_rho"] = fit.influence.se_rho()
+        extra["v_L"] = variance_entropy(fit.influence, fit.m, bw)
         extra["nw_bandwidth"] = bw
     series_to_csv(res.series, os.path.join(cfg.out_dir, "series.csv"))
     scalars_to_json(res.series, os.path.join(cfg.out_dir, "scalars.json"),
                     association=res.association, extra=extra)
     # change of measure on the sample points (the grid version sits in
     # eigenfunctions.csv)
-    if not res.sol.is_fallback:
-        b0 = basis.evaluate_many(panel.x0)
-        phi_s = b0 @ res.sol.right_coeffs
-        phi_star_s = b0 @ res.sol.left_coeffs
-    else:
-        phi_s = np.ones(panel.n)
-        phi_star_s = np.ones(panel.n)
-    com_s = change_of_measure(phi_s, phi_star_s)
-    with open(os.path.join(cfg.out_dir, "change_of_measure_sample.csv"), "w",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "phi", "phi_star", "change_of_measure"])
-        for t in range(panel.n):
-            writer.writerow([t, format(phi_s[t], ".17g"),
-                             format(phi_star_s[t], ".17g"),
-                             format(com_s[t], ".17g")])
+    write_csv(
+        os.path.join(cfg.out_dir, "change_of_measure_sample.csv"),
+        ["t", "phi", "phi_star", "change_of_measure"],
+        zip(range(panel.n), fit.phi_t, fit.phi_star_t,
+            change_of_measure(fit.phi_t, fit.phi_star_t)),
+    )
     t = np.arange(panel.n)
     line_plot(
         os.path.join(cfg.out_dir, "series.svg"),
@@ -458,9 +437,9 @@ def _cmd_decompose(cfg: RunConfig) -> int:
         title="SDF and permanent/transitory increments",
         xlabel="t",
     )
-    _write_eigenfunction_outputs(cfg, panel, basis, res.sol)
-    _write_provenance(cfg, {"fallback": res.sol.is_fallback})
-    if res.sol.is_fallback:
+    _write_eigenfunction_outputs(cfg, panel, basis, fit.sol)
+    _write_provenance(cfg, {"fallback": fit.sol.is_fallback})
+    if fit.sol.is_fallback:
         print(
             "warning: no real simple positive eigenvalue; fell back to the "
             "constant solution (rho = 1)",
@@ -478,7 +457,7 @@ def _cmd_value(cfg: RunConfig) -> int:
     if not isinstance(prefs, RecursiveUtility):
         raise CliError("the value command needs --preferences recursive with beta and gamma")
     basis = _basis_spec(cfg).build(panel.states)
-    fp = solve_value_fixed_point(basis, panel, prefs.beta, prefs.gamma)
+    fp = solve_value_fixed_point(Design(basis, panel), prefs.beta, prefs.gamma)
     payload = {
         "lambda": fp.lam,
         "beta": fp.beta,
@@ -492,11 +471,11 @@ def _cmd_value(cfg: RunConfig) -> int:
         fh.write("\n")
     grid = _state_grid(panel, cfg.grid_points)
     chi = basis.evaluate_many(grid) @ fp.chi_coeffs
-    with open(os.path.join(cfg.out_dir, "value_function.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{d+1}" for d in range(panel.state_dim)] + ["chi"])
-        for i in range(grid.shape[0]):
-            writer.writerow([format(v, ".17g") for v in grid[i]] + [format(chi[i], ".17g")])
+    write_csv(
+        os.path.join(cfg.out_dir, "value_function.csv"),
+        [f"x{d+1}" for d in range(panel.state_dim)] + ["chi"],
+        np.column_stack([grid, chi]),
+    )
     if panel.state_dim == 1:
         line_plot(os.path.join(cfg.out_dir, "value_function.svg"), grid[:, 0],
                   {"chi": chi}, title="Continuation-value eigenfunction", xlabel="state")
@@ -529,7 +508,7 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
         raise CliError("calibrate needs a growth column")
     solve_basis = _basis_spec(cfg).build(panel.states)
     inst_basis = _instrument_basis(cfg, panel, solve_basis)
-    result = estimate_preferences(panel, inst_basis, solve_basis)
+    result = estimate_preferences(Design(solve_basis, panel), Design(inst_basis, panel))
     payload = {
         "beta_hat": result.beta_hat,
         "gamma_hat": result.gamma_hat,
@@ -541,11 +520,8 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
     with open(os.path.join(cfg.out_dir, "calibration.json"), "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    with open(os.path.join(cfg.out_dir, "trace.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "gamma", "criterion"])
-        for b, g, v in result.optimizer_trace:
-            writer.writerow([format(b, ".17g"), format(g, ".17g"), format(v, ".17g")])
+    write_csv(os.path.join(cfg.out_dir, "trace.csv"), ["beta", "gamma", "criterion"],
+              result.optimizer_trace)
     rows = [
         {"statistic": "beta", "estimate": result.beta_hat},
         {"statistic": "gamma", "estimate": result.gamma_hat},
@@ -565,13 +541,13 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
                        "fix beta and gamma")
     if prefs is None and panel.sdf_increments is None:
         raise CliError("no SDF column and no preferences; nothing to bootstrap")
-    basis = _basis_spec(cfg).build(panel.states)
-    res = decompose_panel(panel, basis, prefs)
+    design = Design(_basis_spec(cfg).build(panel.states), panel)
+    res = decompose_panel(design, prefs)
     b = int(cfg.bootstrap.get("b", 1000))
     block = float(cfg.bootstrap.get("expected_block", 6))
     level = float(cfg.bootstrap.get("level", 0.90))
     seed = int(cfg.bootstrap.get("seed", cfg.seed))
-    boot = bootstrap_ci(bootstrap_statistic(basis, prefs), panel, b, block, level, seed)
+    boot = bootstrap_ci(bootstrap_statistic(design, prefs), panel, b, block, level, seed)
 
     point = res.scalar_record()
     rows = []
@@ -601,14 +577,14 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
                 "discard_reasons": {
                     r: boot.discard_reasons.get(r, 0) for r in DISCARD_REASONS
                 },
-                "fallback_point_estimate": res.sol.is_fallback,
+                "fallback_point_estimate": res.fit.sol.is_fallback,
             },
             fh,
             indent=2,
         )
         fh.write("\n")
     _write_provenance(cfg, {"discarded": boot.discarded})
-    return 2 if res.sol.is_fallback else 0
+    return 2 if res.fit.sol.is_fallback else 0
 
 
 def _cmd_mc(cfg: RunConfig) -> int:

@@ -9,7 +9,6 @@ dependence are scalar functionals of the same objects.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -17,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 from scipy import stats
+
+from .csvout import write_csv
 
 
 @dataclass(frozen=True)
@@ -145,18 +146,11 @@ def scalars_dict(series: DecompSeries, association: Optional[dict] = None) -> di
 
 def series_to_csv(series: DecompSeries, path) -> None:
     """Write the tidy per-period series: columns (t, m, m_perm, m_trans)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "m", "m_perm", "m_trans"])
-        for t in range(series.m.size):
-            writer.writerow(
-                [
-                    t,
-                    format(series.m[t], ".17g"),
-                    format(series.m_perm[t], ".17g"),
-                    format(series.m_trans[t], ".17g"),
-                ]
-            )
+    write_csv(
+        path,
+        ["t", "m", "m_perm", "m_trans"],
+        zip(range(series.m.size), series.m, series.m_perm, series.m_trans),
+    )
 
 
 def scalars_to_json(series: DecompSeries, path, association: Optional[dict] = None, extra: Optional[dict] = None) -> None:

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .pfeig import EigenSolution
-from .sievemat import StatePanel
+from .sievemat import Design, StatePanel
 
 
 @dataclass
@@ -40,15 +40,7 @@ class InfluenceSeries:
         return math.sqrt(self.v_rho / self.n)
 
 
-def influence_rho(
-    sol: EigenSolution,
-    panel: StatePanel,
-    m: np.ndarray,
-    basis=None,
-    phi_t: Optional[np.ndarray] = None,
-    phi_star_t: Optional[np.ndarray] = None,
-    phi_t1: Optional[np.ndarray] = None,
-) -> InfluenceSeries:
+def influence_rho(sol: EigenSolution, design: Design, m: np.ndarray) -> InfluenceSeries:
     """Influence-function series of the eigenvalue estimator.
 
     psi_t = phi*(X_t) m_t phi(X_{t+1}) - rho phi*(X_t) phi(X_t), under the
@@ -56,21 +48,13 @@ def influence_rho(
     Its sample mean is zero by the eigenvalue first-order condition, and
     the plug-in variance of rho-hat is mean(psi^2)/n. The variance of the
     yield follows by the delta method for -log(rho).
-
-    Eigenfunction values may be passed directly (phi_t, phi_star_t,
-    phi_t1) or computed from ``basis`` and the panel.
     """
     if not sol.normalized:
         raise ValueError("influence functions require a normalized eigen solution")
     m = np.asarray(m, dtype=float)
-    if phi_t is None or phi_star_t is None or phi_t1 is None:
-        if basis is None:
-            raise ValueError("pass either a basis or precomputed eigenfunction values")
-        b0 = basis.evaluate_many(panel.x0)
-        b1 = basis.evaluate_many(panel.x1)
-        phi_t = b0 @ sol.right_coeffs
-        phi_star_t = b0 @ sol.left_coeffs
-        phi_t1 = b1 @ sol.right_coeffs
+    phi_t = design.b0 @ sol.right_coeffs
+    phi_star_t = design.b0 @ sol.left_coeffs
+    phi_t1 = design.b1 @ sol.right_coeffs
     psi = phi_star_t * m * phi_t1 - sol.rho * phi_star_t * phi_t
     v_rho = float(np.mean(psi**2))
     return InfluenceSeries(

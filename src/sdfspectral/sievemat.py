@@ -1,22 +1,27 @@
 """Sample moment matrices for the sieve-reduced operator problems.
 
-Given a state time series X_0..X_n, the Gram matrix averages outer
-products of the basis vector at X_t over t = 0..n-1; the pricing matrix
+Given a state time series X_0..X_n, a panel's design holds the basis
+vectors b(X_t) and b(X_{t+1}) of its n transition pairs. The Gram matrix
+averages outer products of b(X_t) over t = 0..n-1; the pricing matrix
 additionally weights by the discount-factor increment m_t and pairs X_t
-with X_{t+1}; the nonlinear map does the same for the value-recursion
-operator. All three are plain sample averages of the corresponding
-population moments.
+with X_{t+1}. Both are plain sample averages of the corresponding
+population moments, as is the value-recursion map in :mod:`valuefn`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .basis import SieveBasis
+
+#: singular values below this multiple of the largest are truncated in
+#: :attr:`Design.gram_pinv`
+PINV_RCOND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -107,91 +112,73 @@ class StatePanel:
         )
 
 
-@dataclass(frozen=True)
-class SieveMatrices:
-    """The k x k sample Gram and pricing matrices for one panel/basis."""
+class Design:
+    """One panel's sieve design: b0 = b(X_t) and b1 = b(X_{t+1}), evaluated once.
 
-    gram: np.ndarray
-    pricing: np.ndarray
-    k: int
-    n: int
+    Every sample object of the estimator is a moment of these two
+    matrices. Row t of ``b0``/``b1`` belongs to the panel's transition
+    pair t, so a pair resample is a row selection (:meth:`resample`). The
+    Gram matrix is formed, and condition-checked, on first use.
+    """
 
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.gram)) or not np.all(np.isfinite(self.pricing)):
-            raise ValueError("sample matrices must be finite")
-        asym = np.abs(self.gram - self.gram.T).max()
-        if asym > 1e-12 * max(1.0, np.abs(self.gram).max()):
-            raise ValueError("gram matrix is not symmetric")
+    def __init__(self, basis: SieveBasis, panel: StatePanel):
+        self.basis = basis
+        self.panel = panel
+        self.b0 = basis.evaluate_many(panel.x0)
+        self.b1 = basis.evaluate_many(panel.x1)
+
+    @property
+    def n(self) -> int:
+        return self.panel.n
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return estimate_gram(self)
+
+    @cached_property
+    def gram_pinv(self) -> np.ndarray:
+        """Pseudo-inverse of the Gram matrix, singular values below PINV_RCOND times the largest cut."""
+        return np.linalg.pinv(self.gram, rcond=PINV_RCOND)
+
+    def resample(self, idx: np.ndarray) -> "Design":
+        """Design of ``panel.resample(idx)``, by row selection instead of re-evaluation."""
+        idx = np.asarray(idx, dtype=int)
+        out = object.__new__(Design)
+        out.basis = self.basis
+        out.panel = self.panel.resample(idx)
+        out.b0 = self.b0[idx]
+        out.b1 = self.b1[idx]
+        return out
 
 
-def estimate_gram(basis: SieveBasis, panel: StatePanel) -> np.ndarray:
+def estimate_gram(design: Design) -> np.ndarray:
     """Sample Gram matrix (1/n) sum_t b(X_t) b(X_t)' over t = 0..n-1.
 
     The final observation X_n enters only the pricing matrix. Warns when
     n < k (underdetermined) or the result is numerically singular.
     """
-    if panel.n < basis.dimension_k:
+    n, k = design.b0.shape
+    if n < k:
         warnings.warn(
-            f"n={panel.n} below basis dimension k={basis.dimension_k}; "
-            "Gram matrix is singular",
+            f"n={n} below basis dimension k={k}; Gram matrix is singular",
             stacklevel=2,
         )
-    b0 = basis.evaluate_many(panel.x0)
-    gram = b0.T @ b0 / panel.n
+    gram = design.b0.T @ design.b0 / n
     gram = 0.5 * (gram + gram.T)
     if np.linalg.cond(gram) > 1e12:
         warnings.warn("Gram matrix numerically singular (condition > 1e12)", stacklevel=2)
     return gram
 
 
-def estimate_pricing(basis: SieveBasis, panel: StatePanel) -> np.ndarray:
+def estimate_pricing(design: Design, m: np.ndarray) -> np.ndarray:
     """Sample pricing matrix (1/n) sum_t b(X_t) m_t b(X_{t+1})'.
 
-    The panel must carry a realized SDF increment series m_t; whether m_t
-    comes from a known formula or a plug-in with estimated components is
-    the caller's concern.
+    ``m`` is the realized SDF increment series, one entry per transition
+    pair; whether it comes from an observed column, a known formula or a
+    plug-in with estimated components is the caller's concern.
     """
-    if panel.sdf_increments is None:
-        raise ValueError("panel has no sdf_increments; attach a realized SDF series")
-    m = panel.sdf_increments
-    b0 = basis.evaluate_many(panel.x0)
-    b1 = basis.evaluate_many(panel.x1)
-    return b0.T @ (m[:, None] * b1) / panel.n
-
-
-def apply_nonlinear(
-    basis: SieveBasis,
-    panel: StatePanel,
-    beta: float,
-    gamma: float,
-    v: np.ndarray,
-) -> np.ndarray:
-    """Sample value-recursion map (1/n) sum_t b(X_t) G_{t+1}^{1-gamma} |b(X_{t+1})'v|^beta.
-
-    Positively homogeneous of degree beta in v. G^{1-gamma} is computed as
-    exp((1-gamma) log G) so that large risk aversion does not overflow
-    before the log would.
-    """
-    if panel.growth is None:
-        raise ValueError("panel has no growth series")
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
-    with np.errstate(over="ignore"):
-        gw = np.exp((1.0 - gamma) * np.log(panel.growth))
-    if not np.all(np.isfinite(gw)):
-        t = int(np.argmax(~np.isfinite(gw)))
-        raise ValueError(f"G^(1-gamma) overflows at t={t}; gamma too extreme for the data")
-    b0 = basis.evaluate_many(panel.x0)
-    b1 = basis.evaluate_many(panel.x1)
-    inner = np.abs(b1 @ np.asarray(v, dtype=float)) ** beta
-    return b0.T @ (gw * inner) / panel.n
-
-
-def estimate_matrices(basis: SieveBasis, panel: StatePanel) -> SieveMatrices:
-    """Convenience bundle of the Gram and pricing matrices."""
-    return SieveMatrices(
-        gram=estimate_gram(basis, panel),
-        pricing=estimate_pricing(basis, panel),
-        k=basis.dimension_k,
-        n=panel.n,
-    )
+    n = design.n
+    if m is None or np.shape(m) != (n,):
+        raise ValueError(f"need the realized SDF increments m (sdf_increments) as a length-{n} series")
+    m = np.asarray(m, dtype=float)
+    return design.b0.T @ (m[:, None] * design.b1) / n

@@ -10,7 +10,6 @@ entry is the distance of the replicate-averaged function from the truth.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -23,14 +22,15 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .basis import BasisSpec
-from .inference import influence_rho
+from .csvout import write_csv
 from .oracle import Ar1Design, quadrature_eig
-from .pfeig import normalize, solve_generalized
-from .preferences import PowerUtility, RecursiveUtility, power_utility_sdf_series
-from .sievemat import StatePanel, estimate_gram, estimate_pricing
-from .valuefn import recursive_sdf_series, solve_value_fixed_point
+from .pipeline import FitFailedError, fit_panel
+from .preferences import PowerUtility, RecursiveUtility
+from .sievemat import Design, StatePanel
 
 WORKERS_ENV = "SDFSPECTRAL_THREADS"
+#: Gauss-Hermite nodes of the quadrature truth and of the function-valued scores
+ORACLE_NODES = 80
 
 
 def resolve_workers(requested: Optional[int] = None) -> int:
@@ -88,7 +88,6 @@ class McDesign:
     replications: int
     basis_spec: BasisSpec
     seed: int = 0
-    oracle_nodes: int = 80
 
     def __post_init__(self):
         if self.replications < 1:
@@ -123,26 +122,16 @@ class McTable:
         return self.cells[(n, stat)].rmse
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["design", "basis", "n", "statistic", "bias", "rmse",
-                 "replications", "excluded", "flagged"]
-            )
-            for (n, stat), cell in sorted(self.cells.items()):
-                writer.writerow(
-                    [
-                        self.design_kind,
-                        self.basis_family,
-                        n,
-                        stat,
-                        format(cell.bias, ".17g"),
-                        format(cell.rmse, ".17g"),
-                        self.replications,
-                        self.excluded.get(n, 0),
-                        int(cell.flagged),
-                    ]
-                )
+        write_csv(
+            path,
+            ["design", "basis", "n", "statistic", "bias", "rmse",
+             "replications", "excluded", "flagged"],
+            [
+                [self.design_kind, self.basis_family, n, stat, cell.bias, cell.rmse,
+                 self.replications, self.excluded.get(n, 0), int(cell.flagged)]
+                for (n, stat), cell in sorted(self.cells.items())
+            ],
+        )
 
     def metadata(self) -> dict:
         return {
@@ -168,48 +157,38 @@ def _replicate_rng(seed: int, n: int, rep: int) -> np.random.Generator:
     )
 
 
-def _one_replicate(
-    design: McDesign, n: int, rng: np.random.Generator, cache: dict
-) -> dict:
-    """Estimate one simulated sample, stage by stage.
+def _one_replicate(design: McDesign, n: int, rng: np.random.Generator, nodes: np.ndarray) -> dict:
+    """Estimate one simulated sample with :func:`pipeline.fit_panel`.
 
-    Each stage's statistics enter the record only when that stage
-    succeeds; a failed stage sets ``failed`` and skips its dependents,
-    but earlier-stage statistics are kept (censoring a first-stage
-    statistic on a later-stage failure would bias its distribution).
+    A failed fit sets ``failed``. The value-recursion statistics enter the
+    record whenever the value recursion converged, also when a later
+    stage failed (censoring a first-stage statistic on a later-stage
+    failure would bias its distribution); the eigen statistics only when
+    the whole fit succeeded.
     """
     panel = simulate_ar1(design.ar1, n, rng)
-    prefs = design.preferences
     out: dict = {}
+    fit = fp = None
     try:
-        basis = design.basis_spec.build(panel.states)
-        bn = basis.evaluate_many(cache["nodes"])
-        if isinstance(prefs, RecursiveUtility):
-            fp = solve_value_fixed_point(basis, panel, prefs.beta, prefs.gamma)
-            if not fp.converged:
-                out["failed"] = "value_stage"
-                return out
-            out["lambda"] = fp.lam
-            out["chi_vals"] = bn @ fp.chi_coeffs
-            m = recursive_sdf_series(panel, prefs.beta, prefs.gamma, fp, basis)
-        else:
-            m = power_utility_sdf_series(panel, prefs.beta, prefs.gamma)
-        panel = panel.with_sdf(m)
-        G = estimate_gram(basis, panel)
-        M = estimate_pricing(basis, panel)
-        sol = solve_generalized(M, G, const_coeffs=basis.const_coeffs)
-        if sol.is_fallback:
-            out["failed"] = "fallback"
-            return out
-        sol = normalize(sol, G)
+        sieve = Design(design.basis_spec.build(panel.states), panel)
+        bn = sieve.basis.evaluate_many(nodes)
+        fit = fit_panel(sieve, design.preferences)
+        fp = fit.fixed_point
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         out["failed"] = type(exc).__name__
+        if isinstance(exc, FitFailedError):
+            fp = exc.fixed_point
+    if fp is not None:
+        out["lambda"] = fp.lam
+        out["chi_vals"] = bn @ fp.chi_coeffs
+    if fit is None or fit.sol.is_fallback:
+        out.setdefault("failed", "fallback")
         return out
-
+    sol = fit.sol
     out["rho"] = sol.rho
     out["y"] = -math.log(sol.rho)
-    out["L"] = math.log(sol.rho) - float(np.mean(np.log(m)))
-    out["se_rho"] = influence_rho(sol, panel, m, basis=basis).se_rho()
+    out["L"] = math.log(sol.rho) - float(np.mean(np.log(fit.m)))
+    out["se_rho"] = fit.influence.se_rho()
     out["phi_vals"] = bn @ sol.right_coeffs
     out["phi_star_vals"] = bn @ sol.left_coeffs
     return out
@@ -228,9 +207,8 @@ def _run_block(args) -> dict:
         "dists": {s: [] for s in func_stats},
         "vals": {s: [] for s in func_stats},
     }
-    cache = {"nodes": nodes}
     for rep in range(rep_lo, rep_hi):
-        rec = _one_replicate(design, n, _replicate_rng(design.seed, n, rep), cache)
+        rec = _one_replicate(design, n, _replicate_rng(design.seed, n, rep), nodes)
         if "failed" in rec:
             acc["excluded"] += 1
         for s in acc["scalars"]:
@@ -256,7 +234,7 @@ def run_mc_study(design: McDesign, workers: Optional[int] = None) -> McTable:
     changing any numbers.
     """
     t_start = time.monotonic()
-    truth = quadrature_eig(design.ar1, design.preferences, design.oracle_nodes)
+    truth = quadrature_eig(design.ar1, design.preferences, ORACLE_NODES)
     recursive = isinstance(design.preferences, RecursiveUtility)
     scalar_stats = list(_SCALAR_STATS) + (["lambda"] if recursive else [])
     func_stats = list(_FUNC_STATS) + (["chi"] if recursive else [])
@@ -290,10 +268,10 @@ def run_mc_study(design: McDesign, workers: Optional[int] = None) -> McTable:
             raise ValueError(f"sample size {n} below twice the sieve dimension")
         blocks = _split_blocks(design.replications, nworkers)
         jobs = [(design, n, lo, hi, payload) for lo, hi in blocks]
-        if nworkers == 1:
+        if len(jobs) == 1:
             results = [_run_block(job) for job in jobs]
         else:
-            with ProcessPoolExecutor(max_workers=nworkers) as pool:
+            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
                 results = list(pool.map(_run_block, jobs))
 
         excluded = sum(r["excluded"] for r in results)

@@ -10,13 +10,13 @@ iteration insensitive to the scale of the starting vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-from .basis import SieveBasis
 from .pfeig import _ensure_spd
-from .sievemat import StatePanel, estimate_gram
+from .sievemat import Design
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,33 @@ class FixedPointSolution:
     final_step: float
 
 
+def value_map(design: Design, beta: float, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Sample value-recursion map v -> (1/n) sum_t b(X_t) G_{t+1}^{1-gamma} |b(X_{t+1})'v|^beta.
+
+    Positively homogeneous of degree beta in v. G^{1-gamma} is computed
+    once per map, as exp((1-gamma) log G) so that large risk aversion does
+    not overflow before the log would.
+    """
+    growth = design.panel.growth
+    if growth is None:
+        raise ValueError("panel has no growth series")
+    if not 0 < beta < 1:
+        raise ValueError("beta must lie in (0, 1)")
+    with np.errstate(over="ignore"):
+        gw = np.exp((1.0 - gamma) * np.log(growth))
+    if not np.all(np.isfinite(gw)):
+        t = int(np.argmax(~np.isfinite(gw)))
+        raise ValueError(f"G^(1-gamma) overflows at t={t}; gamma too extreme for the data")
+    b0, b1, n = design.b0, design.b1, design.n
+
+    def t_map(v: np.ndarray) -> np.ndarray:
+        return b0.T @ (gw * np.abs(b1 @ v) ** beta) / n
+
+    return t_map
+
+
 def solve_value_fixed_point(
-    basis: SieveBasis,
-    panel: StatePanel,
+    design: Design,
     beta: float,
     gamma: float,
     tol: float = 1e-10,
@@ -62,31 +86,16 @@ def solve_value_fixed_point(
     gamma = 1 is allowed as the degenerate log-utility case, for which the
     solution is the constant function with unit eigenvalue.
     """
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    if panel.growth is None:
-        raise ValueError("panel has no growth series")
-
-    G = _ensure_spd(estimate_gram(basis, panel))
+    t_map = value_map(design, beta, gamma)
+    G = _ensure_spd(design.gram)
     cho = scipy.linalg.cho_factor(G)
-    b0 = basis.evaluate_many(panel.x0)
-    b1 = basis.evaluate_many(panel.x1)
-    with np.errstate(over="ignore"):
-        gw = np.exp((1.0 - gamma) * np.log(panel.growth))
-    if not np.all(np.isfinite(gw)):
-        t = int(np.argmax(~np.isfinite(gw)))
-        raise ValueError(f"G^(1-gamma) overflows at t={t}")
-    n = panel.n
-
-    def t_map(v: np.ndarray) -> np.ndarray:
-        return b0.T @ (gw * np.abs(b1 @ v) ** beta) / n
 
     def g_norm(v: np.ndarray) -> float:
         return float(np.sqrt(v @ G @ v))
 
-    z = scipy.linalg.cho_solve(cho, b0.mean(axis=0)) if z0 is None else np.asarray(z0, float)
+    z = scipy.linalg.cho_solve(cho, design.b0.mean(axis=0)) if z0 is None else np.asarray(z0, float)
     y = None
     step = np.inf
     iterations = 0
@@ -108,7 +117,7 @@ def solve_value_fixed_point(
     # lam comes from the last pre-normalization iterate.
     z = scipy.linalg.cho_solve(cho, t_map(y))
     lam = g_norm(z)
-    const = basis.const_coeffs
+    const = design.basis.const_coeffs
     if const @ G @ y < 0:
         y = -y  # the map is sign-blind; report the positive representative
     # the unnormalized fixed-point scale lam^(1/(1-beta)) can overflow for
@@ -127,29 +136,24 @@ def solve_value_fixed_point(
     )
 
 
-def recursive_sdf_series(
-    panel: StatePanel,
-    beta: float,
-    gamma: float,
-    solution: FixedPointSolution,
-    basis: SieveBasis,
-) -> np.ndarray:
+def recursive_sdf_series(design: Design, solution: FixedPointSolution) -> np.ndarray:
     """SDF increment series implied by a solved continuation value.
 
     m_t = (beta/lam) G_{t+1}^{-gamma} chi(X_{t+1})^beta / chi(X_t),
     aligned with the panel's transition pairs. Requires the eigenfunction
     to be strictly positive at every sample point.
     """
-    if panel.growth is None:
+    growth = design.panel.growth
+    if growth is None:
         raise ValueError("panel has no growth series")
-    chi0 = basis.evaluate_many(panel.x0) @ solution.chi_coeffs
-    chi1 = basis.evaluate_many(panel.x1) @ solution.chi_coeffs
+    chi0 = design.b0 @ solution.chi_coeffs
+    chi1 = design.b1 @ solution.chi_coeffs
     if np.any(chi0 <= 0) or np.any(chi1 <= 0):
         raise ValueError(
             "eigenfunction not positive on sample; "
             "the value-recursion solution is unreliable here"
         )
-    return continuation_sdf(panel.growth, beta, gamma, solution.lam, chi0, chi1)
+    return continuation_sdf(growth, solution.beta, solution.gamma, solution.lam, chi0, chi1)
 
 
 def continuation_sdf(

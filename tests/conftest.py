@@ -40,11 +40,12 @@ def panel3200(testbed) -> s.StatePanel:
 
 @pytest.fixture(scope="session")
 def power_fit(panel3200, power_prefs):
-    """Basis, matrices, and normalized eigen solution for the power design."""
+    """Basis, design, matrices, and normalized eigen solution for the power design."""
     basis = s.BasisSpec(family="hermite", k=8).build(panel3200.states)
     m = s.power_utility_sdf_series(panel3200, power_prefs.beta, power_prefs.gamma)
     panel = panel3200.with_sdf(m)
-    G = s.estimate_gram(basis, panel)
-    M = s.estimate_pricing(basis, panel)
+    design = s.Design(basis, panel)
+    G = s.estimate_gram(design)
+    M = s.estimate_pricing(design, m)
     sol = s.normalize(s.solve_generalized(M, G, const_coeffs=basis.const_coeffs), G)
-    return {"basis": basis, "panel": panel, "G": G, "M": M, "sol": sol, "m": m}
+    return {"basis": basis, "panel": panel, "design": design, "G": G, "M": M, "sol": sol, "m": m}

@@ -138,12 +138,12 @@ def test_criterion_5_exact_identities(testbed):
     panel = s.simulate_ar1(testbed, 800, np.random.default_rng(5))
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
     m = s.power_utility_sdf_series(panel, 0.994, 15.0)
-    panel_m = panel.with_sdf(m)
-    G = s.estimate_gram(basis, panel_m)
-    M = s.estimate_pricing(basis, panel_m)
+    design = s.Design(basis, panel)
+    G = s.estimate_gram(design)
+    M = s.estimate_pricing(design, m)
     sol = s.normalize(s.solve_generalized(M, G, basis.const_coeffs), G)
-    phi_t = basis.evaluate_many(panel_m.x0) @ sol.right_coeffs
-    phi_t1 = basis.evaluate_many(panel_m.x1) @ sol.right_coeffs
+    phi_t = basis.evaluate_many(panel.x0) @ sol.right_coeffs
+    phi_t1 = basis.evaluate_many(panel.x1) @ sol.right_coeffs
     series = s.pt_series(sol.rho, phi_t, phi_t1, m)
     prod_err = np.max(np.abs(series.m_perm * series.m_trans / series.m - 1.0))
     tol_msgs.append(f"max|m_perm*m_trans/m - 1|={prod_err:.1e}")
@@ -153,14 +153,13 @@ def test_criterion_5_exact_identities(testbed):
     assert abs(ident) < 1e-10
 
     # (c) mean-zero influence function
-    psi = s.influence_rho(sol, panel_m, m, basis=basis).psi_rho
+    psi = s.influence_rho(sol, design, m).psi_rho
     tol_msgs.append(f"|mean psi_rho|={abs(psi.mean()):.1e}")
     assert abs(psi.mean()) < 1e-10
 
     # (d) unit SDF pins the unit eigenvalue when the constant is in span
-    panel_1 = panel.with_sdf(np.ones(panel.n))
     sol_1 = s.solve_generalized(
-        s.estimate_pricing(basis, panel_1), s.estimate_gram(basis, panel_1),
+        s.estimate_pricing(design, np.ones(panel.n)), s.estimate_gram(design),
         basis.const_coeffs,
     )
     tol_msgs.append(f"|rho(m=1)-1|={abs(sol_1.rho - 1):.1e}")
@@ -175,14 +174,15 @@ def test_criterion_5_exact_identities(testbed):
 
     # (f) homogeneity of the nonlinear map
     v = np.random.default_rng(6).normal(size=8)
-    lhs = s.apply_nonlinear(basis, panel, 0.994, 15.0, 2.0 * v)
-    rhs = 2.0**0.994 * s.apply_nonlinear(basis, panel, 0.994, 15.0, v)
+    t_map = s.value_map(design, 0.994, 15.0)
+    lhs = t_map(2.0 * v)
+    rhs = 2.0**0.994 * t_map(v)
     hom = np.max(np.abs(lhs / rhs - 1.0))
     tol_msgs.append(f"homogeneity err={hom:.1e}")
     assert hom < 1e-12
 
     # (g) log utility degenerates to the unit eigenpair
-    fp = s.solve_value_fixed_point(basis, panel, 0.994, 1.0)
+    fp = s.solve_value_fixed_point(design, 0.994, 1.0)
     chi = basis.evaluate_many(panel.x0) @ fp.chi_coeffs
     dev = max(abs(fp.lam - 1.0), np.max(np.abs(chi - 1.0)))
     tol_msgs.append(f"log-utility dev={dev:.1e}")
@@ -241,7 +241,7 @@ def test_criterion_7_bootstrap_contract(testbed, power_prefs):
         panel = s.simulate_ar1(testbed, 276, rng)
         basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
         boot = s.bootstrap_ci(
-            bootstrap_statistic(basis, power_prefs), panel,
+            bootstrap_statistic(s.Design(basis, panel), power_prefs), panel,
             b=200, expected_block=6.0, level=0.90, seed=9000 + i,
         )
         if boot.ci_lo["rho"] <= rho_true <= boot.ci_hi["rho"]:
@@ -272,15 +272,15 @@ def test_criterion_8_calibration_pipeline(tmp_path):
     states = np.column_stack([g, d])
     growth = np.exp(g[1:])
     basis = s.BasisSpec(family="sparse", degree=4, cap=5).build(states)
-    panel0 = s.StatePanel.from_states(states, growth=growth)
-    fp = s.solve_value_fixed_point(basis, panel0, beta0, gamma0)
+    design0 = s.Design(basis, s.StatePanel.from_states(states, growth=growth))
+    fp = s.solve_value_fixed_point(design0, beta0, gamma0)
     assert fp.converged
-    m = s.recursive_sdf_series(panel0, beta0, gamma0, fp, basis)
+    m = s.recursive_sdf_series(design0, fp)
     returns = np.column_stack([1.0 / m, 1.0 / m])
     panel = s.StatePanel.from_states(states, growth=growth, returns=returns)
 
     inst = s.BasisSpec(family="sparse", degree=2, cap=3).build(states)
-    res = s.estimate_preferences(panel, inst, basis)
+    res = s.estimate_preferences(s.Design(basis, panel), s.Design(inst, panel))
     beta_ok = abs(res.beta_hat - beta0) < 0.005
     gamma_ok = abs(res.gamma_hat - gamma0) < 2.0
 

@@ -120,6 +120,23 @@ def test_decompose_errors(tmp_path, sim_panel, capsys):
     assert "must be positive" in err and "row 4" in err
 
 
+def test_decompose_three_coordinate_state(tmp_path):
+    rng = np.random.default_rng(33)
+    states = 0.005 + 0.01 * rng.standard_normal((301, 3))
+    csv_path = _write_panel_csv(tmp_path / "p3.csv", states, growth=np.exp(states[1:, 0]))
+    out = tmp_path / "o"
+    status = main(["decompose", "--input", str(csv_path), "--state-cols", "x1,x2,x3",
+                   "--growth-col", "G", "--preferences", "power", "--beta", "0.994",
+                   "--gamma", "15", "--basis", "sparse", "--degree", "2", "--cap", "3",
+                   "--out", str(out)])
+    assert status == 0
+    assert (out / "provenance.json").exists()
+    rows = (out / "eigenfunctions.csv").read_text().splitlines()
+    assert rows[0] == "x1,x2,x3,phi,phi_star,change_of_measure" and len(rows) == 1 + 11**3
+    # heat maps are drawn for two-coordinate states only
+    assert not list(out.glob("eigenfunctions_*.svg"))
+
+
 def test_decompose_fallback_exit_code(tmp_path, sim_panel, monkeypatch, capsys):
     import sdfspectral.pipeline as pipeline_mod
 

@@ -166,7 +166,7 @@ def test_bivariate_recursive_pipeline_horizon_dependence():
     panel = s.StatePanel.from_states(states, growth=np.exp(g[1:]))
     basis = s.BasisSpec(family="sparse", degree=4, cap=5).build(states)
     assert basis.dimension_k == 15
-    res = decompose_panel(panel, basis, s.RecursiveUtility(beta=0.98, gamma=25.0))
+    res = decompose_panel(s.Design(basis, panel), s.RecursiveUtility(beta=0.98, gamma=25.0))
     series = res.series
     assert series.horizon_dependence == series.entropy_L - series.sdf_entropy
     assert 0 < series.horizon_dependence < 0.01

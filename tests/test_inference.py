@@ -17,25 +17,26 @@ def _const_basis_fit(m):
     states = np.linspace(0.0, 1.0, m.size + 1)
     panel = s.StatePanel.from_states(states, sdf_increments=m)
     basis = s.hermite_basis_from_moments([0.0], [1.0], 0)
-    G = s.estimate_gram(basis, panel)
-    M = s.estimate_pricing(basis, panel)
+    design = s.Design(basis, panel)
+    G = s.estimate_gram(design)
+    M = s.estimate_pricing(design, m)
     sol = s.normalize(s.solve_generalized(M, G, basis.const_coeffs), G)
-    return panel, basis, sol
+    return design, sol
 
 
 def test_influence_zero_for_constant_sdf():
     m = np.full(40, 0.93)
-    panel, basis, sol = _const_basis_fit(m)
-    infl = s.influence_rho(sol, panel, m, basis=basis)
+    design, sol = _const_basis_fit(m)
+    infl = s.influence_rho(sol, design, m)
     np.testing.assert_allclose(infl.psi_rho, 0.0, atol=1e-14)
     assert infl.v_rho == 0.0
 
 
 def test_influence_mean_zero_and_delta_method(power_fit):
-    sol, panel, m, basis = (
-        power_fit["sol"], power_fit["panel"], power_fit["m"], power_fit["basis"],
+    sol, panel, m, design = (
+        power_fit["sol"], power_fit["panel"], power_fit["m"], power_fit["design"],
     )
-    infl = s.influence_rho(sol, panel, m, basis=basis)
+    infl = s.influence_rho(sol, design, m)
     assert abs(infl.psi_rho.mean()) < 1e-10
     assert infl.v_y * sol.rho**2 == pytest.approx(infl.v_rho, rel=1e-14)
     assert infl.se_rho() == pytest.approx(math.sqrt(infl.v_rho / panel.n), rel=1e-14)
@@ -44,7 +45,7 @@ def test_influence_mean_zero_and_delta_method(power_fit):
 def test_influence_requires_normalized_solution(power_fit):
     raw = s.solve_generalized(power_fit["M"], power_fit["G"])
     with pytest.raises(ValueError, match="normalized"):
-        s.influence_rho(raw, power_fit["panel"], power_fit["m"], basis=power_fit["basis"])
+        s.influence_rho(raw, power_fit["design"], power_fit["m"])
 
 
 def test_plugin_se_estimates_asymptotic_variance(testbed, power_prefs):
@@ -72,12 +73,12 @@ def test_plugin_se_estimates_asymptotic_variance(testbed, power_prefs):
         panel = s.simulate_ar1(testbed, n, rng)
         basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
         m = s.power_utility_sdf_series(panel, power_prefs.beta, power_prefs.gamma)
-        panel = panel.with_sdf(m)
-        G = s.estimate_gram(basis, panel)
-        sol = s.solve_generalized(s.estimate_pricing(basis, panel), G, basis.const_coeffs)
+        design = s.Design(basis, panel)
+        G = s.estimate_gram(design)
+        sol = s.solve_generalized(s.estimate_pricing(design, m), G, basis.const_coeffs)
         if sol.is_fallback:
             continue
-        infl = s.influence_rho(s.normalize(sol, G), panel, m, basis=basis)
+        infl = s.influence_rho(s.normalize(sol, G), design, m)
         ses.append(infl.se_rho())
     median_se = float(np.median(ses))
     assert abs(median_se - math.sqrt(v_true / n)) / math.sqrt(v_true / n) < 0.15
@@ -85,12 +86,12 @@ def test_plugin_se_estimates_asymptotic_variance(testbed, power_prefs):
 
 def test_variance_entropy_trivial_and_bandwidth_zero(power_fit):
     m = np.full(60, 0.9)
-    panel, basis, sol = _const_basis_fit(m)
-    infl = s.influence_rho(sol, panel, m, basis=basis)
+    design, sol = _const_basis_fit(m)
+    infl = s.influence_rho(sol, design, m)
     assert s.variance_entropy(infl, m, 4) == pytest.approx(0.0, abs=1e-30)
     # bandwidth 0 degenerates to the sample variance of psi_L
-    sol_p, panel_p = power_fit["sol"], power_fit["panel"]
-    infl_p = s.influence_rho(sol_p, panel_p, power_fit["m"], basis=power_fit["basis"])
+    sol_p = power_fit["sol"]
+    infl_p = s.influence_rho(sol_p, power_fit["design"], power_fit["m"])
     v0 = s.variance_entropy(infl_p, power_fit["m"], 0)
     psi_l = infl_p.psi_rho / sol_p.rho - (
         np.log(power_fit["m"]) - np.mean(np.log(power_fit["m"]))
@@ -105,17 +106,15 @@ def test_variance_entropy_iid_lognormal_analytic():
     rng = np.random.default_rng(17)
     sigma = 0.4
     m = np.exp(rng.normal(-0.2, sigma, 40_000))
-    panel, basis, sol = _const_basis_fit(m)
-    infl = s.influence_rho(sol, panel, m, basis=basis)
+    design, sol = _const_basis_fit(m)
+    infl = s.influence_rho(sol, design, m)
     v = s.variance_entropy(infl, m, s.default_bandwidth(m.size))
     analytic = math.exp(sigma**2) - 1.0 - sigma**2
     assert abs(v - analytic) / analytic < 0.20
 
 
 def test_variance_entropy_bandwidth_validation(power_fit):
-    infl = s.influence_rho(
-        power_fit["sol"], power_fit["panel"], power_fit["m"], basis=power_fit["basis"]
-    )
+    infl = s.influence_rho(power_fit["sol"], power_fit["design"], power_fit["m"])
     with pytest.raises(ValueError):
         s.variance_entropy(infl, power_fit["m"], -1)
     with pytest.raises(ValueError):

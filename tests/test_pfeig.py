@@ -21,9 +21,9 @@ def test_diagonal_pair():
 def test_unit_sdf_gives_unit_eigenvalue(testbed):
     panel = s.simulate_ar1(testbed, 600, np.random.default_rng(1))
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
-    panel = panel.with_sdf(np.ones(panel.n))
-    G = s.estimate_gram(basis, panel)
-    M = s.estimate_pricing(basis, panel)
+    design = s.Design(basis, panel)
+    G = s.estimate_gram(design)
+    M = s.estimate_pricing(design, np.ones(panel.n))
     sol = s.normalize(s.solve_generalized(M, G, basis.const_coeffs), G)
     assert sol.rho == pytest.approx(1.0, abs=1e-10)
     vals = basis.evaluate_many(panel.x0) @ sol.right_coeffs

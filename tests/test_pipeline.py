@@ -12,23 +12,23 @@ LOG_SCALE = ("y", "L", "sdf_entropy", "horizon_dependence")
 def _reference_replicate(panel, basis, prefs, idx):
     """One replicate refitted on its resampled panel; None when discarded."""
     rp = panel.resample(idx)
+    design = s.Design(basis, rp)
     lam = None
     if prefs is None:
         m = rp.sdf_increments
     elif isinstance(prefs, s.PowerUtility):
         m = s.power_utility_sdf_series(rp, prefs.beta, prefs.gamma)
     else:
-        fp = s.solve_value_fixed_point(basis, rp, prefs.beta, prefs.gamma)
+        fp = s.solve_value_fixed_point(design, prefs.beta, prefs.gamma)
         if not fp.converged:
             return None
         try:
-            m = s.recursive_sdf_series(rp, prefs.beta, prefs.gamma, fp, basis)
+            m = s.recursive_sdf_series(design, fp)
         except ValueError:
             return None
         lam = fp.lam
-    rp = rp.with_sdf(m)
-    G = s.estimate_gram(basis, rp)
-    M = s.estimate_pricing(basis, rp)
+    G = s.estimate_gram(design)
+    M = s.estimate_pricing(design, m)
     sol = s.solve_generalized(M, G, basis.const_coeffs)
     if sol.is_fallback:
         return None
@@ -60,7 +60,7 @@ def _compare(panel, prefs, b, seed):
     n = panel.n
     draws = [s.stationary_bootstrap_indices(n, 6.0, _replicate_rng(seed, r)) for r in range(b)]
     counts = np.array([np.bincount(idx, minlength=n) for idx in draws])
-    stat = bootstrap_statistic(basis, prefs)
+    stat = bootstrap_statistic(s.Design(basis, panel), prefs)
     blocks = [stat(panel, counts[lo:lo + BOOTSTRAP_BLOCK]) for lo in range(0, b, BOOTSTRAP_BLOCK)]
     batched = {key: np.concatenate([blk[key] for blk in blocks]) for key in blocks[0]}
     refs = [_reference_replicate(panel, basis, prefs, idx) for idx in draws]

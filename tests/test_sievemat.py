@@ -18,12 +18,12 @@ def _const_basis():
 
 def test_gram_constant_basis():
     panel = s.StatePanel.from_states(np.array([0.3, -0.1, 0.7]))
-    np.testing.assert_allclose(s.estimate_gram(_const_basis(), panel), [[1.0]])
+    np.testing.assert_allclose(s.estimate_gram(s.Design(_const_basis(), panel)), [[1.0]])
 
 
 def test_gram_hand_sum():
     panel = s.StatePanel.from_states(np.array([0.0, 2.0, 5.0]))
-    G = s.estimate_gram(_linear_basis(), panel)
+    G = s.estimate_gram(s.Design(_linear_basis(), panel))
     np.testing.assert_allclose(G, [[1.0, 1.0], [1.0, 2.0]], atol=1e-14)
 
 
@@ -31,7 +31,7 @@ def test_gram_warns_when_underdetermined():
     panel = s.StatePanel.from_states(np.linspace(0.0, 1.0, 4))
     basis = s.hermite_basis_from_moments([0.5], [0.3], 4)
     with pytest.warns(UserWarning) as records:
-        s.estimate_gram(basis, panel)
+        s.estimate_gram(s.Design(basis, panel))
     messages = [str(r.message) for r in records]
     assert any("below basis dimension" in msg for msg in messages)
     assert any("numerically singular" in msg for msg in messages)
@@ -40,15 +40,16 @@ def test_gram_warns_when_underdetermined():
 def test_pricing_requires_sdf():
     panel = s.StatePanel.from_states(np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="sdf_increments"):
-        s.estimate_pricing(_linear_basis(), panel)
+        s.estimate_pricing(s.Design(_linear_basis(), panel), panel.sdf_increments)
 
 
 def test_pricing_constant_sdf_factors_out():
     states = np.random.default_rng(3).normal(size=12)
     base = s.StatePanel.from_states(states)
     m1 = np.ones(base.n)
-    M1 = s.estimate_pricing(_linear_basis(), base.with_sdf(m1))
-    M3 = s.estimate_pricing(_linear_basis(), base.with_sdf(3.0 * m1))
+    design = s.Design(_linear_basis(), base)
+    M1 = s.estimate_pricing(design, m1)
+    M3 = s.estimate_pricing(design, 3.0 * m1)
     np.testing.assert_allclose(M3, 3.0 * M1, rtol=1e-14)
 
 
@@ -57,7 +58,7 @@ def test_pricing_constant_basis_gives_mean():
     m = np.random.default_rng(5).uniform(0.5, 1.5, 8)
     panel = s.StatePanel.from_states(states, sdf_increments=m)
     np.testing.assert_allclose(
-        s.estimate_pricing(_const_basis(), panel), [[m.mean()]], rtol=1e-14
+        s.estimate_pricing(s.Design(_const_basis(), panel), m), [[m.mean()]], rtol=1e-14
     )
 
 
@@ -69,10 +70,9 @@ def test_pricing_linearity_exact():
     m2 = rng.uniform(0.5, 1.5, 39)
     a, b = 0.7, 1.9
     basis = s.hermite_basis_from_moments([0.0], [1.0], 3)
-    lhs = s.estimate_pricing(basis, base.with_sdf(a * m1 + b * m2))
-    rhs = a * s.estimate_pricing(basis, base.with_sdf(m1)) + b * s.estimate_pricing(
-        basis, base.with_sdf(m2)
-    )
+    design = s.Design(basis, base)
+    lhs = s.estimate_pricing(design, a * m1 + b * m2)
+    rhs = a * s.estimate_pricing(design, m1) + b * s.estimate_pricing(design, m2)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -86,9 +86,9 @@ def test_constant_span_identity(testbed):
     # m = 1 makes the pricing matrix act like the Gram on the constant
     panel = s.simulate_ar1(testbed, 500, np.random.default_rng(7))
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
-    panel = panel.with_sdf(np.ones(panel.n))
-    G = s.estimate_gram(basis, panel)
-    M = s.estimate_pricing(basis, panel)
+    design = s.Design(basis, panel)
+    G = s.estimate_gram(design)
+    M = s.estimate_pricing(design, np.ones(panel.n))
     c1 = basis.const_coeffs
     np.testing.assert_allclose(M @ c1, G @ c1, atol=1e-14)
 
@@ -102,15 +102,16 @@ def test_apply_nonlinear_homogeneity(a):
     basis = s.hermite_basis_from_moments([0.0], [1.0], 3)
     beta = 0.97
     v = rng.normal(size=4)
-    lhs = s.apply_nonlinear(basis, panel, beta, 5.0, a * v)
-    rhs = a**beta * s.apply_nonlinear(basis, panel, beta, 5.0, v)
+    t_map = s.value_map(s.Design(basis, panel), beta, 5.0)
+    lhs = t_map(a * v)
+    rhs = a**beta * t_map(v)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_apply_nonlinear_gamma_one_constant_direction(testbed):
     panel = s.simulate_ar1(testbed, 200, np.random.default_rng(9))
     basis = s.BasisSpec(family="hermite", k=6).build(panel.states)
-    out = s.apply_nonlinear(basis, panel, 0.9, 1.0, basis.const_coeffs)
+    out = s.value_map(s.Design(basis, panel), 0.9, 1.0)(basis.const_coeffs)
     b0 = basis.evaluate_many(panel.x0)
     np.testing.assert_allclose(out, b0.mean(axis=0), rtol=1e-12)
 
@@ -118,7 +119,7 @@ def test_apply_nonlinear_gamma_one_constant_direction(testbed):
 def test_apply_nonlinear_requires_growth():
     panel = s.StatePanel.from_states(np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError, match="growth"):
-        s.apply_nonlinear(_linear_basis(), panel, 0.9, 2.0, np.array([1.0, 0.0]))
+        s.value_map(s.Design(_linear_basis(), panel), 0.9, 2.0)(np.array([1.0, 0.0]))
 
 
 def test_large_sample_matches_quadrature_oracle(testbed, power_prefs, quad_power):
@@ -131,16 +132,16 @@ def test_large_sample_matches_quadrature_oracle(testbed, power_prefs, quad_power
         [testbed.mu], [testbed.stationary_std], 3
     )
     m = s.power_utility_sdf_series(panel, power_prefs.beta, power_prefs.gamma)
-    panel = panel.with_sdf(m)
-    G = s.estimate_gram(basis, panel)
-    M = s.estimate_pricing(basis, panel)
+    design = s.Design(basis, panel)
+    G = s.estimate_gram(design)
+    M = s.estimate_pricing(design, m)
     G_pop, M_pop = population_sieve_matrices(quad_power.operator, basis)
     np.testing.assert_allclose(G, G_pop, atol=0.02)
     np.testing.assert_allclose(M, M_pop, atol=0.05)
 
     t_map, _ = population_nonlinear_map(testbed, basis, 0.994, 15.0, 80)
     v = basis.const_coeffs + 0.05 * np.eye(4)[2]
-    sample_t = s.apply_nonlinear(basis, panel, 0.994, 15.0, v)
+    sample_t = s.value_map(design, 0.994, 15.0)(v)
     np.testing.assert_allclose(sample_t, t_map(v), atol=0.05)
 
 
@@ -163,6 +164,6 @@ def test_panel_validation_and_resample():
 def test_sieve_matrices_bundle(testbed):
     panel = s.simulate_ar1(testbed, 100, np.random.default_rng(11))
     basis = s.BasisSpec(family="hermite", k=5).build(panel.states)
-    mats = s.estimate_matrices(basis, panel.with_sdf(np.ones(panel.n)))
-    assert mats.k == 5 and mats.n == 100
-    np.testing.assert_allclose(mats.gram, mats.gram.T, atol=1e-15)
+    design = s.Design(basis, panel.with_sdf(np.ones(panel.n)))
+    assert design.b0.shape == design.b1.shape == (100, 5) and design.n == 100
+    np.testing.assert_allclose(design.gram, design.gram.T, atol=1e-15)

@@ -134,3 +134,33 @@ def test_mc_design_validation(testbed, power_prefs):
     )
     with pytest.raises(ValueError, match="twice the sieve dimension"):
         s.run_mc_study(tiny)
+
+
+def test_mc_pool_sized_by_jobs(testbed, power_prefs, monkeypatch):
+    # a pool that records its size and runs the jobs in this process
+    from sdfspectral import simkit
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(simkit, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv(simkit.WORKERS_ENV, "64")
+    design = s.McDesign(
+        ar1=testbed, preferences=power_prefs, sample_sizes=(400,), replications=2,
+        basis_spec=s.BasisSpec(family="hermite", k=8), seed=1,
+    )
+    table = s.run_mc_study(design)
+    assert sizes == [2]
+    assert table.cells == s.run_mc_study(design, workers=1).cells
