@@ -18,7 +18,7 @@ from .basis import (
     build_sparse_tensor,
     hermite_basis_from_moments,
 )
-from .calibrate import CalibrationResult, criterion, estimate_preferences
+from .calibrate import CalibrationResult, criterion, criterion_grid, estimate_preferences
 from .decomp import (
     DecompSeries,
     change_of_measure,
@@ -52,8 +52,10 @@ from .sievemat import Design, StatePanel, estimate_gram, estimate_pricing
 from .simkit import McDesign, McTable, l2_distance, run_mc_study, simulate_ar1
 from .valuefn import (
     FixedPointSolution,
+    FixedPointStack,
     recursive_sdf_series,
     solve_value_fixed_point,
+    solve_value_stack,
     value_map,
 )
 

@@ -13,6 +13,7 @@ silent divergence.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,53 +21,104 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .sievemat import Design
-from .valuefn import FixedPointSolution, recursive_sdf_series, solve_value_fixed_point
+from .valuefn import (
+    VALUE_FAILURES,
+    FixedPointSolution,
+    continuation_sdf,
+    solve_value_fixed_point,
+    solve_value_stack,
+)
 
 DEFAULT_BOUNDS = ((0.9, 0.9999), (1.0, 60.0))
 #: (beta, gamma) points of the coarse grid stage
 GRID_SHAPE = (11, 13)
+#: points whose SDF series and moments are formed at once; bounds the (n, points) arrays
+MOMENT_BLOCK = 16
 #: Nelder-Mead tolerances on the point and on the criterion, and its iteration cap
 XATOL = 1e-5
 FATOL = 1e-12
 MAX_ITER = 500
 
 
+#: why a (beta, gamma) point is infeasible: a failed value recursion
+#: (VALUE_FAILURES), or a continuation value that is not positive on the sample
+INFEASIBLE_REASONS = VALUE_FAILURES + ("nonpositive_continuation",)
+
+
 @dataclass
 class CalibrationResult:
+    """The estimate, its criterion and value recursion, and every evaluated point.
+
+    ``infeasible`` counts the infeasible evaluations, grid and simplex
+    alike, by their INFEASIBLE_REASONS entry.
+    """
+
     beta_hat: float
     gamma_hat: float
     criterion_value: float
     inner_solution: Optional[FixedPointSolution]
     optimizer_trace: list[tuple[float, float, float]] = field(default_factory=list)
     converged: bool = False
+    infeasible: dict[str, int] = field(default_factory=dict)
 
 
-def criterion(design: Design, instruments: Design, beta: float, gamma: float) -> float:
-    """Instrumented Euler-equation criterion at fixed preferences.
+def criterion_grid(
+    design: Design, instruments: Design, beta, gamma
+) -> tuple[np.ndarray, np.ndarray]:
+    """Criterion values at P (beta, gamma) points, from one stacked value-recursion solve.
 
-    ``design`` is the panel's solve design and ``instruments`` the design
-    of the instrument basis on the same panel; the criterion weights the
-    instrumented moments by the pseudo-inverse of the instruments' Gram
-    matrix. Returns +inf when the inner value-recursion solve fails, so
-    grid and simplex stages treat such points as infeasible.
+    Returns the values and each point's INFEASIBLE_REASONS entry ("" where
+    feasible); an infeasible point has value +inf. The SDF series and the
+    instrumented moments are formed as (n, points) arrays, MOMENT_BLOCK
+    points at a time.
     """
     panel = design.panel
     if panel.returns is None:
         raise ValueError("panel has no returns; the criterion needs asset returns")
     if instruments.basis.dimension_k > design.basis.dimension_k:
         raise ValueError("instrument basis dimension exceeds the solve basis dimension")
-    if not (0 < beta < 1 and gamma >= 1):
-        return math.inf
-    try:
-        fp = solve_value_fixed_point(design, beta, gamma)
-        if not fp.converged:
-            return math.inf
-        m = recursive_sdf_series(design, fp)
-    except (ValueError, RuntimeError, np.linalg.LinAlgError):
-        return math.inf
-    resid = m[:, None] * panel.returns - 1.0
-    A = instruments.b0.T @ resid / panel.n
-    return float(np.trace(A.T @ instruments.gram_pinv @ A))
+    st = solve_value_stack(design, beta, gamma)
+    reason = st.reason.copy()
+    values = np.full(st.lam.size, math.inf)
+    conv = np.flatnonzero(reason == "")
+    for lo in range(0, conv.size, MOMENT_BLOCK):
+        c = conv[lo:lo + MOMENT_BLOCK]
+        chi0 = design.b0 @ st.chi_coeffs[c].T
+        chi1 = design.b1 @ st.chi_coeffs[c].T
+        positive = np.all(chi0 > 0, axis=0) & np.all(chi1 > 0, axis=0)
+        reason[c[~positive]] = "nonpositive_continuation"
+        ok = c[positive]
+        m = continuation_sdf(
+            panel.growth[:, None], st.beta[ok], st.gamma[ok], st.lam[ok],
+            chi0[:, positive], chi1[:, positive],
+        )
+        resid = m[:, :, None] * panel.returns[:, None, :] - 1.0  # (n, points, returns)
+        A = np.tensordot(instruments.b0, resid, axes=(0, 0)) / panel.n
+        values[ok] = np.einsum("ipq,ij,jpq->p", A, instruments.gram_pinv, A)
+    return values, reason
+
+
+def criterion(
+    design: Design,
+    instruments: Design,
+    beta: float,
+    gamma: float,
+    infeasible: Optional[Counter] = None,
+) -> float:
+    """Instrumented Euler-equation criterion at fixed preferences.
+
+    ``design`` is the panel's solve design and ``instruments`` the design
+    of the instrument basis on the same panel; the criterion weights the
+    instrumented moments by the pseudo-inverse of the instruments' Gram
+    matrix. Returns +inf at an infeasible point, one whose value
+    recursion fails or whose continuation value is not positive on the
+    sample, and counts its reason into ``infeasible`` when given. This is
+    :func:`criterion_grid` at one point.
+    """
+    values, reason = criterion_grid(design, instruments, beta, gamma)
+    if infeasible is not None and reason[0]:
+        infeasible[reason[0]] += 1
+    return float(values[0])
 
 
 def estimate_preferences(
@@ -76,41 +128,46 @@ def estimate_preferences(
 ) -> CalibrationResult:
     """Minimize the criterion over (beta, gamma) in a box.
 
-    A coarse GRID_SHAPE grid locates a feasible starting point;
-    Nelder-Mead then polishes within the bounds. Raises when every grid
-    point is infeasible (inner solver failed everywhere).
+    A coarse GRID_SHAPE grid, evaluated in one :func:`criterion_grid`
+    call, locates a feasible starting point; Nelder-Mead then polishes
+    within the bounds, one :func:`criterion` call per point. A box
+    collapsed to one point is that point, evaluated once. Raises when
+    every grid point is infeasible (inner solver failed everywhere).
     """
     (b_lo, b_hi), (g_lo, g_hi) = bounds
     if not (b_lo <= b_hi and g_lo <= g_hi):
         raise ValueError("bounds must be ordered")
+    infeasible: Counter = Counter()
     trace: list[tuple[float, float, float]] = []
 
     def objective(point) -> float:
         b, g = float(point[0]), float(point[1])
-        val = criterion(design, instruments, b, g)
+        val = criterion(design, instruments, b, g, infeasible)
         trace.append((b, g, val))
         return val
 
-    nb, ng = GRID_SHAPE
-    betas = np.linspace(b_lo, b_hi, nb)
-    gammas = np.linspace(g_lo, g_hi, ng)
-    best_val = math.inf
-    best_point = None
-    for b in betas:
-        for g in gammas:
-            val = objective((b, g))
-            if val < best_val:
-                best_val, best_point = val, (b, g)
-    if best_point is None or not math.isfinite(best_val):
-        raise RuntimeError("all grid points infeasible; inner solver failed everywhere")
-
     if b_lo == b_hi and g_lo == g_hi:
-        beta_hat, gamma_hat, crit_val = b_lo, g_lo, best_val
+        beta_hat, gamma_hat, crit_val = b_lo, g_lo, objective((b_lo, g_lo))
+        if not math.isfinite(crit_val):
+            raise RuntimeError("the only point is infeasible; inner solver failed there")
         success = True
     else:
+        nb, ng = GRID_SHAPE
+        betas, gammas = (
+            a.ravel() for a in np.meshgrid(
+                np.linspace(b_lo, b_hi, nb), np.linspace(g_lo, g_hi, ng), indexing="ij"
+            )
+        )
+        values, reasons = criterion_grid(design, instruments, betas, gammas)
+        infeasible.update(reasons[reasons != ""].tolist())
+        trace.extend((float(b), float(g), float(v)) for b, g, v in zip(betas, gammas, values))
+        # the first grid point of least value; NaN never wins
+        best = int(np.argmin(np.where(np.isnan(values), math.inf, values)))
+        if not math.isfinite(values[best]):
+            raise RuntimeError("all grid points infeasible; inner solver failed everywhere")
         res = minimize(
             objective,
-            x0=np.array(best_point),
+            x0=np.array([betas[best], gammas[best]]),
             method="Nelder-Mead",
             bounds=[(b_lo, b_hi), (g_lo, g_hi)],
             options={
@@ -134,4 +191,5 @@ def estimate_preferences(
         inner_solution=inner,
         optimizer_trace=trace,
         converged=success,
+        infeasible=dict(sorted(infeasible.items())),
     )

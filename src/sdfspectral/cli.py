@@ -516,6 +516,7 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
         "converged": result.converged,
         "lambda": None if result.inner_solution is None else result.inner_solution.lam,
         "evaluations": len(result.optimizer_trace),
+        "infeasible": result.infeasible,
     }
     with open(os.path.join(cfg.out_dir, "calibration.json"), "w") as fh:
         json.dump(payload, fh, indent=2)

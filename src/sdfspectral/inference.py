@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .pfeig import EigenSolution
-from .sievemat import Design, StatePanel
+from .sievemat import StatePanel
 
 
 @dataclass
@@ -40,11 +40,19 @@ class InfluenceSeries:
         return math.sqrt(self.v_rho / self.n)
 
 
-def influence_rho(sol: EigenSolution, design: Design, m: np.ndarray) -> InfluenceSeries:
+def influence_rho(
+    sol: EigenSolution,
+    m: np.ndarray,
+    phi_t: np.ndarray,
+    phi_t1: np.ndarray,
+    phi_star_t: np.ndarray,
+) -> InfluenceSeries:
     """Influence-function series of the eigenvalue estimator.
 
     psi_t = phi*(X_t) m_t phi(X_{t+1}) - rho phi*(X_t) phi(X_t), under the
-    unit-norm / unit-inner-product normalization of the eigenfunctions.
+    unit-norm / unit-inner-product normalization of the eigenfunctions,
+    from the sample values phi(X_t), phi(X_{t+1}) and phi*(X_t) of the
+    normalized solution ``sol`` (as a :class:`pipeline.Fit` holds them).
     Its sample mean is zero by the eigenvalue first-order condition, and
     the plug-in variance of rho-hat is mean(psi^2)/n. The variance of the
     yield follows by the delta method for -log(rho).
@@ -52,9 +60,6 @@ def influence_rho(sol: EigenSolution, design: Design, m: np.ndarray) -> Influenc
     if not sol.normalized:
         raise ValueError("influence functions require a normalized eigen solution")
     m = np.asarray(m, dtype=float)
-    phi_t = design.b0 @ sol.right_coeffs
-    phi_star_t = design.b0 @ sol.left_coeffs
-    phi_t1 = design.b1 @ sol.right_coeffs
     psi = phi_star_t * m * phi_t1 - sol.rho * phi_star_t * phi_t
     v_rho = float(np.mean(psi**2))
     return InfluenceSeries(

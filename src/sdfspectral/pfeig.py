@@ -70,6 +70,20 @@ def _ensure_spd(G: np.ndarray) -> np.ndarray:
     return Gr
 
 
+def _cholesky_stack(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetrized (S, k, k) Gram stack and its Cholesky factors.
+
+    Each G gets the SPD ridge of :func:`_ensure_spd` on its own, if it needs one.
+    """
+    G = np.asarray(G, dtype=float)
+    G = 0.5 * (G + np.swapaxes(G, -1, -2))
+    try:
+        return G, np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        G = np.stack([_ensure_spd(g) for g in G])
+        return G, np.linalg.cholesky(G)
+
+
 class _PencilStack(NamedTuple):
     """Per-pencil results of :func:`_solve_stack`.
 
@@ -102,13 +116,7 @@ def _solve_stack(M: np.ndarray, G: np.ndarray) -> _PencilStack:
     applied to every pencil separately.
     """
     M = np.asarray(M, dtype=float)
-    G = np.asarray(G, dtype=float)
-    G = 0.5 * (G + np.swapaxes(G, -1, -2))
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        G = np.stack([_ensure_spd(g) for g in G])
-        L = np.linalg.cholesky(G)
+    G, L = _cholesky_stack(G)
     Li = np.linalg.inv(L)
     Lit = np.swapaxes(Li, -1, -2)
     Mt = np.swapaxes(M, -1, -2)

@@ -11,12 +11,13 @@ from .decomp import DecompSeries, pt_association, pt_series
 from .inference import DISCARD_REASON, InfluenceSeries, influence_rho
 from .pfeig import FALLBACK_REASONS, EigenSolution, _solve_stack, normalize, solve_generalized
 from .preferences import PowerUtility, RecursiveUtility, power_utility_sdf_series
-from .sievemat import Design, StatePanel, estimate_pricing
+from .sievemat import Design, StatePanel, estimate_pricing, gram_stack, rowwise_outer
 from .valuefn import (
     FixedPointSolution,
     continuation_sdf,
     recursive_sdf_series,
     solve_value_fixed_point,
+    solve_value_stack,
 )
 
 
@@ -120,14 +121,17 @@ def fit_panel(
         sol = normalize(sol, design.gram)
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         raise FitFailedError(str(exc), fp) from exc
+    phi_t = design.b0 @ sol.right_coeffs
+    phi_t1 = design.b1 @ sol.right_coeffs
+    phi_star_t = design.b0 @ sol.left_coeffs
     return Fit(
         m,
         sol,
-        phi_t=design.b0 @ sol.right_coeffs,
-        phi_t1=design.b1 @ sol.right_coeffs,
-        phi_star_t=design.b0 @ sol.left_coeffs,
+        phi_t=phi_t,
+        phi_t1=phi_t1,
+        phi_star_t=phi_star_t,
         fixed_point=fp,
-        influence=influence_rho(sol, design, m),
+        influence=influence_rho(sol, m, phi_t, phi_t1, phi_star_t),
     )
 
 
@@ -152,11 +156,6 @@ def decompose_panel(
 DISCARD_REASONS = FALLBACK_REASONS + ("unconverged_value_recursion", "nonpositive_continuation")
 
 
-def _rowwise_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, k*k) array whose row t is the flattened outer product a_t b_t'."""
-    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
-
-
 def bootstrap_statistic(
     design: Design,
     preferences: Optional[Union[PowerUtility, RecursiveUtility]],
@@ -170,21 +169,21 @@ def bootstrap_statistic(
     M_r = sum_t w_rt m_rt b(X_t) b(X_{t+1})'/n, with w_r the r-th row of
     the integer (replicates x n) ``counts``. They are moments of the
     design's rows, and each block of replicates is solved as one stack of
-    pencils.
+    pencils. Under recursive preferences the block's value recursions are
+    solved first, as one count-weighted :func:`solve_value_stack` call.
 
     Returns arrays of the eigenvalue, yield, the two entropies, horizon
     dependence, and the value-recursion eigenvalue when preferences are
     recursive. None of them needs the eigenfunction to stay positive on
     the resample. A replicate is discarded (NaN, with its DISCARD_REASONS
-    entry) for a fallback eigenpair, or for a value recursion, solved on
-    the replicate's rows of the design, that did not converge or whose
-    continuation value is not positive on the drawn pairs.
+    entry) for a fallback eigenpair, or for a value recursion that did not
+    converge or whose continuation value is not positive on the drawn
+    pairs.
     """
     recursive = isinstance(preferences, RecursiveUtility)
     b0, b1 = design.b0, design.b1
     n, k = b0.shape
-    p00 = _rowwise_outer(b0, b0)
-    p01 = _rowwise_outer(b0, b1)
+    p01 = rowwise_outer(b0, b1)
     m = None if recursive else realized_sdf(design, preferences)
 
     def stat(panel: StatePanel, counts: np.ndarray) -> dict:
@@ -195,28 +194,23 @@ def bootstrap_statistic(
         reason = np.full(n_rep, "", dtype=object)
         m_rep = m
         if recursive:
-            # m is needed only at drawn pairs; elsewhere any positive value will do
-            m_rep = np.ones((n_rep, n))
-            lam = np.full(n_rep, np.nan)
-            beta, gamma = preferences.beta, preferences.gamma
-            for r in range(n_rep):
-                fp = solve_value_fixed_point(
-                    design.resample(np.repeat(np.arange(n), counts[r])), beta, gamma
-                )
-                if not fp.converged:
-                    reason[r] = "unconverged_value_recursion"
-                    continue
-                drawn = counts[r] > 0
-                chi0 = b0[drawn] @ fp.chi_coeffs
-                chi1 = b1[drawn] @ fp.chi_coeffs
-                if np.any(chi0 <= 0) or np.any(chi1 <= 0):
-                    reason[r] = "nonpositive_continuation"
-                    continue
-                m_rep[r, drawn] = continuation_sdf(
-                    panel.growth[drawn], beta, gamma, fp.lam, chi0, chi1
-                )
-                lam[r] = fp.lam
-        G = (w @ p00 / n).reshape(n_rep, k, k)
+            fp = solve_value_stack(design, preferences.beta, preferences.gamma, counts=counts)
+            reason[:] = fp.reason
+            drawn = (counts > 0).T  # (n, replicates)
+            chi0 = b0 @ fp.chi_coeffs.T
+            chi1 = b1 @ fp.chi_coeffs.T
+            positive = np.all(((chi0 > 0) & (chi1 > 0)) | ~drawn, axis=0)
+            reason[(reason == "") & ~positive] = "nonpositive_continuation"
+            # m is needed only at drawn pairs of kept replicates; elsewhere any
+            # positive value will do
+            use = drawn & (reason == "")
+            m_use = continuation_sdf(
+                panel.growth[:, None], preferences.beta, preferences.gamma, fp.lam,
+                np.where(use, chi0, 1.0), np.where(use, chi1, 1.0),
+            )
+            m_rep = np.where(use, m_use, 1.0).T
+            lam = np.where(reason == "", fp.lam, np.nan)
+        G = gram_stack(design, w)
         M = ((w * m_rep) @ p01 / n).reshape(n_rep, k, k)
         eig = _solve_stack(M, G)
         reason = np.where(reason == "", eig.reason, reason)

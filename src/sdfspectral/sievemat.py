@@ -13,11 +13,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .basis import SieveBasis
+from .pfeig import _ensure_spd
 
 #: singular values below this multiple of the largest are truncated in
 #: :attr:`Design.gram_pinv`
@@ -112,13 +113,29 @@ class StatePanel:
         )
 
 
+class Whitening(NamedTuple):
+    """The Gram matrix's Cholesky factor G = L L' and the design rows in its coordinates.
+
+    A coefficient vector v has whitened coordinates u = L' v, in which the
+    G-norm sqrt(v'Gv) is the Euclidean norm of u; ``w0 = b0 L^-'`` and
+    ``w1 = b1 L^-'`` give the sample values b(X_t)'v = w0 u and
+    b(X_{t+1})'v = w1 u.
+    """
+
+    L: np.ndarray  # (k, k) lower triangular, of the SPD-ridged Gram matrix
+    Li: np.ndarray  # (k, k) its inverse
+    w0: np.ndarray  # (n, k)
+    w1: np.ndarray  # (n, k)
+
+
 class Design:
     """One panel's sieve design: b0 = b(X_t) and b1 = b(X_{t+1}), evaluated once.
 
     Every sample object of the estimator is a moment of these two
     matrices. Row t of ``b0``/``b1`` belongs to the panel's transition
     pair t, so a pair resample is a row selection (:meth:`resample`). The
-    Gram matrix is formed, and condition-checked, on first use.
+    Gram matrix is formed, and condition-checked, on first use, and so is
+    its whitening.
     """
 
     def __init__(self, basis: SieveBasis, panel: StatePanel):
@@ -139,6 +156,19 @@ class Design:
     def gram_pinv(self) -> np.ndarray:
         """Pseudo-inverse of the Gram matrix, singular values below PINV_RCOND times the largest cut."""
         return np.linalg.pinv(self.gram, rcond=PINV_RCOND)
+
+    @cached_property
+    def whitening(self) -> Whitening:
+        """Cholesky whitening of the Gram matrix (ridged as in :func:`pfeig._ensure_spd`)."""
+        L = np.linalg.cholesky(_ensure_spd(self.gram))
+        Li = np.linalg.inv(L)
+        # w1 is the transpose of a C-ordered (k, n) product: w1.T @ ... runs on contiguous rows
+        return Whitening(L, Li, self.b0 @ Li.T, (Li @ self.b1.T).T)
+
+    @cached_property
+    def gram_terms(self) -> np.ndarray:
+        """(n, k*k) array whose row t is the flattened outer product b(X_t) b(X_t)'."""
+        return rowwise_outer(self.b0, self.b0)
 
     def resample(self, idx: np.ndarray) -> "Design":
         """Design of ``panel.resample(idx)``, by row selection instead of re-evaluation."""
@@ -168,6 +198,22 @@ def estimate_gram(design: Design) -> np.ndarray:
     if np.linalg.cond(gram) > 1e12:
         warnings.warn("Gram matrix numerically singular (condition > 1e12)", stacklevel=2)
     return gram
+
+
+def rowwise_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, k*k) array whose row t is the flattened outer product a_t b_t'."""
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+
+
+def gram_stack(design: Design, counts: np.ndarray) -> np.ndarray:
+    """Gram matrices of count-weighted replicates, G_r = sum_t w_rt b(X_t) b(X_t)'/n.
+
+    ``counts`` is an (R, n) array; row r holds how often each transition
+    pair enters replicate r. Returns an (R, k, k) stack.
+    """
+    w = np.asarray(counts, dtype=float)
+    k = design.b0.shape[1]
+    return (w @ design.gram_terms / design.n).reshape(w.shape[0], k, k)
 
 
 def estimate_pricing(design: Design, m: np.ndarray) -> np.ndarray:

@@ -4,19 +4,24 @@ The scaled value function solves a nonlinear fixed point of the form
 h(x) = E[G'^{1-gamma} h(X')^beta | X = x]. Normalizing the unknown to
 unit empirical norm turns this into a nonlinear eigenproblem solved by a
 normalized power-type iteration; homogeneity of degree beta makes the
-iteration insensitive to the scale of the starting vector.
+iteration insensitive to the scale of the starting vector. The iteration
+runs in the coordinates that whiten the Gram matrix, stacked over
+columns that each carry their own (beta, gamma) and, optionally, their
+own count-weighted replicate of the sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
-from .pfeig import _ensure_spd
-from .sievemat import Design
+from .pfeig import _cholesky_stack, _matvec
+from .sievemat import Design, gram_stack
+
+#: why a column of :func:`solve_value_stack` has no solution ("" where it converged)
+VALUE_FAILURES = ("invalid_parameters", "growth_overflow", "unconverged_value_recursion")
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,36 @@ class FixedPointSolution:
     final_step: float
 
 
+@dataclass(frozen=True)
+class FixedPointStack:
+    """Per-column results of :func:`solve_value_stack`, P columns.
+
+    ``reason`` is "" for a converged column and otherwise its
+    VALUE_FAILURES entry. An unconverged column keeps its last iterate
+    and eigenvalue, as :class:`FixedPointSolution` does; a column whose
+    iterate degenerated (vanishing or non-finite G-norm) and the columns
+    of the other two reasons have NaN ``lam`` and ``chi_coeffs``.
+    """
+
+    lam: np.ndarray  # (P,)
+    chi_coeffs: np.ndarray  # (P, k)
+    beta: np.ndarray  # (P,)
+    gamma: np.ndarray  # (P,)
+    iterations: np.ndarray  # (P,) int
+    converged: np.ndarray  # (P,) bool
+    final_step: np.ndarray  # (P,)
+    reason: np.ndarray  # (P,) str
+
+
+def _growth_weights(growth: Optional[np.ndarray], gamma: np.ndarray) -> np.ndarray:
+    """G_{t+1}^{1-gamma}, as exp((1-gamma) log G), one row per gamma (inf where it overflows)."""
+    if growth is None:
+        raise ValueError("panel has no growth series")
+    g = np.multiply.outer(1.0 - gamma, np.log(growth))
+    with np.errstate(over="ignore"):
+        return np.exp(g, out=g)
+
+
 def value_map(design: Design, beta: float, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
     """Sample value-recursion map v -> (1/n) sum_t b(X_t) G_{t+1}^{1-gamma} |b(X_{t+1})'v|^beta.
 
@@ -45,13 +80,9 @@ def value_map(design: Design, beta: float, gamma: float) -> Callable[[np.ndarray
     once per map, as exp((1-gamma) log G) so that large risk aversion does
     not overflow before the log would.
     """
-    growth = design.panel.growth
-    if growth is None:
-        raise ValueError("panel has no growth series")
+    gw = _growth_weights(design.panel.growth, np.float64(gamma))
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
-    with np.errstate(over="ignore"):
-        gw = np.exp((1.0 - gamma) * np.log(growth))
     if not np.all(np.isfinite(gw)):
         t = int(np.argmax(~np.isfinite(gw)))
         raise ValueError(f"G^(1-gamma) overflows at t={t}; gamma too extreme for the data")
@@ -61,6 +92,144 @@ def value_map(design: Design, beta: float, gamma: float) -> Callable[[np.ndarray
         return b0.T @ (gw * np.abs(b1 @ v) ** beta) / n
 
     return t_map
+
+
+def solve_value_stack(
+    design: Design,
+    beta,
+    gamma,
+    counts: Optional[np.ndarray] = None,
+    tol: float = 1e-10,
+    max_iter: int = 10_000,
+    z0: Optional[np.ndarray] = None,
+) -> FixedPointStack:
+    """Solve the value recursion for P columns at once, each with its own (beta, gamma).
+
+    ``beta`` and ``gamma`` broadcast to P entries. With ``counts``, an
+    integer (P, n) array, column r solves the count-weighted recursion of
+    replicate r: its map and Gram matrix weight transition pair t by
+    counts[r, t], and its Gram matrix gets its own SPD ridge and Cholesky
+    factor. Without it every column uses the design's :attr:`whitening`.
+
+    Each column runs the iteration of :func:`solve_value_fixed_point` in
+    whitened coordinates u = L'z, where the G-norm is Euclidean and
+    G^-1 T(y) is L^-1 T(y), and stops on its own convergence test.
+    Columns with beta outside (0, 1) or gamma < 1, or whose G^(1-gamma)
+    overflows, are not iterated; their ``reason`` says why. Only
+    panel-level faults raise: a missing growth series, or a Gram matrix
+    that is not positive definite even after the ridge.
+    """
+    shape = np.broadcast_shapes(
+        np.shape(beta), np.shape(gamma), () if counts is None else (len(counts),)
+    )
+    beta, gamma = (np.broadcast_to(np.asarray(a, float), shape).ravel() for a in (beta, gamma))
+    p_cols, n, k = beta.size, design.n, design.b0.shape[1]
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    gw = _growth_weights(design.panel.growth, gamma)  # (P, n)
+    gw /= n
+    reason = np.full(p_cols, "", dtype=object)
+    reason[~np.all(np.isfinite(gw), axis=1)] = "growth_overflow"
+    reason[~((beta > 0) & (beta < 1) & (gamma >= 1))] = "invalid_parameters"
+    # rows z' of coefficient vectors map to whitened rows u' = z'L and back by
+    # z' = u'L^-1; Li holds per-column factors L^-1, None when the design's
+    # own whitening serves every column
+    if counts is None:
+        wh = design.whitening
+        r0, r1t, Li = wh.w0, wh.w1.T, None
+
+        def whiten(Z: np.ndarray) -> np.ndarray:
+            return Z @ wh.L
+
+        def unwhiten(U: np.ndarray) -> np.ndarray:
+            return U @ wh.Li
+
+        u0 = np.full(n, 1.0 / n) @ r0  # mean whitened row L^-1 mean b(X_t)
+    else:
+        w = np.asarray(counts, dtype=float)
+        if w.shape != (p_cols, n):
+            raise ValueError(f"counts must have shape ({p_cols}, {n})")
+        _, L = _cholesky_stack(gram_stack(design, w))
+        Li = np.linalg.inv(L)
+        Lt, Lit = np.swapaxes(L, -1, -2), np.swapaxes(Li, -1, -2)
+
+        def whiten(Z: np.ndarray) -> np.ndarray:
+            return _matvec(Lt, Z)
+
+        def unwhiten(U: np.ndarray) -> np.ndarray:
+            return _matvec(Lit, U)
+
+        r0, r1t = design.b0, np.ascontiguousarray(design.b1.T)
+        gw *= w
+        u0 = _matvec(Li, w @ r0 / n)
+    if z0 is not None:
+        u0 = whiten(np.asarray(z0, dtype=float))
+
+    def g_inv_t(U: np.ndarray, gw_c: np.ndarray, beta_c: np.ndarray, Li_c) -> np.ndarray:
+        """L^-1 T(v) of C columns, from their whitened iterates U (C, k)."""
+        V = U if Li_c is None else _matvec(np.swapaxes(Li_c, -1, -2), U)
+        A = V @ r1t
+        np.abs(A, out=A)
+        np.power(A, beta_c, out=A)
+        A *= gw_c
+        T = A @ r0
+        return T if Li_c is None else _matvec(Li_c, T)
+
+    lam = np.full(p_cols, np.nan)
+    Y = np.full((p_cols, k), np.nan)  # each column's last normalized iterate
+    iterations = np.zeros(p_cols, dtype=int)
+    step = np.full(p_cols, np.inf)
+    # the iterating columns and their data
+    cols = np.flatnonzero(reason == "")
+    if cols.size < p_cols:
+        gw = gw[cols]
+    beta_c, Li_c = beta[cols, None], None if Li is None else Li[cols]
+    U, Y_prev = np.broadcast_to(u0, (p_cols, k))[cols], None
+    flip = np.array([-1.0, 1.0])[:, None, None]
+    # a vanishing or non-finite G-norm makes a NaN step, which ends its column
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            nz = np.sqrt(np.einsum("pk,pk->p", U, U))
+            Y_new = U / nz[:, None]
+            if Y_prev is None:
+                s = np.where(np.isfinite(nz) & (nz > 0), np.inf, np.nan)
+            else:
+                D = Y_new + flip * Y_prev  # y_new - y and y_new + y
+                s = np.sqrt(np.einsum("spk,spk->sp", D, D).min(axis=0))
+            done = ~(s >= tol)
+            if it == max_iter:
+                done[:] = True
+            U = g_inv_t(Y_new, gw, beta_c, Li_c)
+            if done.any():
+                fin = cols[done]
+                bad = ~((nz > 0) & (nz < np.inf))
+                iterations[fin], step[fin] = it, s[done]
+                # lam is the G-norm of the last pre-normalization iterate
+                ok = done & ~bad
+                Y[cols[ok]], lam[cols[ok]] = Y_new[ok], np.sqrt(np.einsum("pk,pk->p", U[ok], U[ok]))
+                keep = ~done
+                cols, U, Y_new, gw, beta_c = (a[keep] for a in (cols, U, Y_new, gw, beta_c))
+                Li_c = None if Li_c is None else Li_c[keep]
+            if cols.size == 0:
+                break
+            Y_prev = Y_new
+
+    converged = (step < tol) & ~np.isnan(lam)
+    reason[(reason == "") & ~converged] = "unconverged_value_recursion"
+    # the map is sign-blind; report the positive representative,
+    # const'G chi = (L'const)'u >= 0
+    Y[np.sum(whiten(design.basis.const_coeffs) * Y, axis=1) < 0] *= -1.0
+    chi = unwhiten(Y)
+    return FixedPointStack(
+        lam=lam,
+        chi_coeffs=chi,
+        beta=beta,
+        gamma=gamma,
+        iterations=iterations,
+        converged=converged,
+        final_step=step,
+        reason=reason,
+    )
 
 
 def solve_value_fixed_point(
@@ -81,45 +250,20 @@ def solve_value_fixed_point(
     Convergence is declared when the G-norm change in y falls below
     ``tol``; non-convergence returns the best iterate flagged
     ``converged=False`` rather than raising, so simulation harnesses can
-    count and discard such fits.
+    count and discard such fits. This is :func:`solve_value_stack` with
+    one column.
 
     gamma = 1 is allowed as the degenerate log-utility case, for which the
     solution is the constant function with unit eigenvalue.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    t_map = value_map(design, beta, gamma)
-    G = _ensure_spd(design.gram)
-    cho = scipy.linalg.cho_factor(G)
-
-    def g_norm(v: np.ndarray) -> float:
-        return float(np.sqrt(v @ G @ v))
-
-    z = scipy.linalg.cho_solve(cho, design.b0.mean(axis=0)) if z0 is None else np.asarray(z0, float)
-    y = None
-    step = np.inf
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        nz = g_norm(z)
-        if nz <= 0 or not np.isfinite(nz):
-            raise RuntimeError("degenerate iterate: vanishing G-norm")
-        y_new = z / nz
-        if y is not None:
-            step = min(g_norm(y_new - y), g_norm(y_new + y))
-            if step < tol:
-                y = y_new
-                converged = True
-                break
-        y = y_new
-        z = scipy.linalg.cho_solve(cho, t_map(y))
-
-    # lam comes from the last pre-normalization iterate.
-    z = scipy.linalg.cho_solve(cho, t_map(y))
-    lam = g_norm(z)
-    const = design.basis.const_coeffs
-    if const @ G @ y < 0:
-        y = -y  # the map is sign-blind; report the positive representative
+    st = solve_value_stack(design, beta, gamma, tol=tol, max_iter=max_iter, z0=z0)
+    if st.reason[0] in ("invalid_parameters", "growth_overflow"):
+        value_map(design, beta, gamma)  # raises, naming the parameter or the overflowing period
+    lam, y = float(st.lam[0]), st.chi_coeffs[0]
+    if np.isnan(lam):
+        raise RuntimeError("degenerate iterate: vanishing G-norm")
     # the unnormalized fixed-point scale lam^(1/(1-beta)) can overflow for
     # beta near one; numpy semantics (inf) keep the eigenpair usable
     with np.errstate(over="ignore"):
@@ -130,9 +274,9 @@ def solve_value_fixed_point(
         h_coeffs=h,
         beta=beta,
         gamma=gamma,
-        iterations=iterations,
-        converged=converged,
-        final_step=float(step),
+        iterations=int(st.iterations[0]),
+        converged=bool(st.converged[0]),
+        final_step=float(st.final_step[0]),
     )
 
 
@@ -158,12 +302,16 @@ def recursive_sdf_series(design: Design, solution: FixedPointSolution) -> np.nda
 
 def continuation_sdf(
     growth: np.ndarray,
-    beta: float,
-    gamma: float,
-    lam: float,
+    beta,
+    gamma,
+    lam,
     chi0: np.ndarray,
     chi1: np.ndarray,
 ) -> np.ndarray:
-    """m_t = (beta/lam) G_{t+1}^{-gamma} chi(X_{t+1})^beta / chi(X_t) from positive chi values."""
+    """m_t = (beta/lam) G_{t+1}^{-gamma} chi(X_{t+1})^beta / chi(X_t) from positive chi values.
+
+    Broadcasts: with (n, 1) growth, (n, P) chi values and P-vectors of
+    beta, gamma and lam it gives one column per (beta, gamma, lam).
+    """
     gpow = np.exp(-gamma * np.log(growth))
     return (beta / lam) * gpow * chi1**beta / chi0

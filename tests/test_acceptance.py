@@ -153,7 +153,8 @@ def test_criterion_5_exact_identities(testbed):
     assert abs(ident) < 1e-10
 
     # (c) mean-zero influence function
-    psi = s.influence_rho(sol, design, m).psi_rho
+    phi_t, phi_t1 = design.b0 @ sol.right_coeffs, design.b1 @ sol.right_coeffs
+    psi = s.influence_rho(sol, m, phi_t, phi_t1, design.b0 @ sol.left_coeffs).psi_rho
     tol_msgs.append(f"|mean psi_rho|={abs(psi.mean()):.1e}")
     assert abs(psi.mean()) < 1e-10
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -126,3 +127,88 @@ def test_gamma_less_precise_than_beta(testbed, monkeypatch):
     rel_beta = np.std(betas) / np.mean(betas)
     rel_gamma = np.std(gammas) / np.mean(gammas)
     assert rel_gamma > rel_beta
+
+
+def _overflowing_panel(testbed):
+    """Euler-exact panel with one extreme growth period: G^(1-gamma) overflows once gamma > 48."""
+    panel, basis = _euler_exact_panel(testbed, 0.97, 10.0, n=300)
+    growth = panel.growth.copy()
+    growth[5] = math.exp(-15.0)
+    panel = s.StatePanel.from_states(panel.states, growth=growth, returns=panel.returns)
+    inst = s.BasisSpec(family="hermite", k=5).build(panel.states)
+    return s.Design(basis, panel), s.Design(inst, panel)
+
+
+def test_grid_values_equal_pointwise_criterion(testbed, monkeypatch):
+    panel, basis = _euler_exact_panel(testbed, 0.97, 10.0, n=300)
+    inst = s.BasisSpec(family="hermite", k=5).build(panel.states)
+    design, instruments = s.Design(basis, panel), s.Design(inst, panel)
+    monkeypatch.setattr(calibrate, "GRID_SHAPE", (4, 5))
+    res = s.estimate_preferences(design, instruments, bounds=((0.9, 0.9999), (1.0, 60.0)))
+    grid = res.optimizer_trace[:20]
+    pointwise = np.array([s.criterion(design, instruments, b, g) for b, g, _ in grid])
+    values = np.array([v for _, _, v in grid])
+    np.testing.assert_array_equal(np.isfinite(values), np.isfinite(pointwise))
+    assert not np.isfinite(values).all() and np.isfinite(values).any()
+    fin = np.isfinite(values)
+    np.testing.assert_allclose(values[fin], pointwise[fin], rtol=1e-10, atol=0)
+    # every infeasible evaluation, grid and simplex alike, is counted by its reason
+    n_inf = sum(not math.isfinite(v) for _, _, v in res.optimizer_trace)
+    assert sum(res.infeasible.values()) == n_inf
+    assert set(res.infeasible) <= set(calibrate.INFEASIBLE_REASONS)
+
+
+def test_criterion_counts_infeasible_reasons(testbed):
+    design, instruments = _overflowing_panel(testbed)
+    counts = Counter()
+    for beta, gamma in [(1.2, 5.0), (0.97, 55.0), (0.97, 40.0), (0.97, 10.0)]:
+        assert s.criterion(design, instruments, beta, gamma, counts) == math.inf
+    assert math.isfinite(s.criterion(design, instruments, 0.97, 1.0, counts))
+    assert counts == {
+        "invalid_parameters": 1, "growth_overflow": 1, "unconverged_value_recursion": 1,
+        "nonpositive_continuation": 1,
+    }
+    values, reasons = s.criterion_grid(design, instruments, [0.97, 1.0], [1.0, 55.0])
+    assert list(reasons) == ["", "invalid_parameters"] and values[1] == math.inf
+    assert set(calibrate.INFEASIBLE_REASONS) == {
+        "invalid_parameters", "growth_overflow", "unconverged_value_recursion",
+        "nonpositive_continuation",
+    }
+
+
+def test_grid_is_one_stacked_solve(testbed, monkeypatch):
+    panel, basis = _euler_exact_panel(testbed, 0.97, 10.0, n=300)
+    inst = s.BasisSpec(family="hermite", k=5).build(panel.states)
+    single, stacked = [], []
+    solve_single, solve_stack = calibrate.solve_value_fixed_point, calibrate.solve_value_stack
+
+    def counted_single(design, beta, gamma, **kw):
+        single.append((beta, gamma))
+        return solve_single(design, beta, gamma, **kw)
+
+    def counted_stack(design, beta, gamma, **kw):
+        stacked.append(np.size(beta))
+        return solve_stack(design, beta, gamma, **kw)
+
+    monkeypatch.setattr(calibrate, "solve_value_fixed_point", counted_single)
+    monkeypatch.setattr(calibrate, "solve_value_stack", counted_stack)
+    res = s.estimate_preferences(s.Design(basis, panel), s.Design(inst, panel))
+    nb, ng = calibrate.GRID_SHAPE
+    # one stacked solve for the grid, one column per simplex point, and the
+    # single solve of the reported value recursion
+    assert stacked[0] == nb * ng and stacked[1:] == [1] * (len(res.optimizer_trace) - nb * ng)
+    assert single == [(res.beta_hat, res.gamma_hat)]
+
+
+def test_errors_inside_the_criterion_propagate(testbed, monkeypatch):
+    panel, basis = _euler_exact_panel(testbed, 0.97, 10.0, n=300)
+    inst = s.BasisSpec(family="hermite", k=5).build(panel.states)
+
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(calibrate, "continuation_sdf", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        s.criterion(s.Design(basis, panel), s.Design(inst, panel), 0.97, 10.0)
+    with pytest.raises(ValueError, match="broadcast"):
+        s.estimate_preferences(s.Design(basis, panel), s.Design(inst, panel))

@@ -283,3 +283,22 @@ def test_console_script_entry_point(tmp_path, sim_panel):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "scalars.json").exists()
+
+
+def test_calibrate_reports_infeasible_counts(tmp_path, testbed, monkeypatch):
+    panel = s.simulate_ar1(testbed, 300, np.random.default_rng(41))
+    design = s.Design(s.BasisSpec(family="hermite", k=6).build(panel.states), panel)
+    m = s.recursive_sdf_series(design, s.solve_value_fixed_point(design, 0.97, 10.0))
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", panel.states, growth=panel.growth,
+                                returns=np.column_stack([1.0 / m, 1.0 / m]))
+    monkeypatch.setattr(s.calibrate, "GRID_SHAPE", (3, 4))
+    out = tmp_path / "cal"
+    main(["calibrate", "--input", str(csv_path), "--state-cols", "x1", "--growth-col", "G",
+          "--return-cols", "r1,r2", "--basis", "hermite", "--k", "6", "--out", str(out)])
+    payload = json.loads((out / "calibration.json").read_text())
+    trace = list(csv.DictReader((out / "trace.csv").open()))
+    assert payload["evaluations"] == len(trace)
+    # gamma = 60 leaves the continuation value non-positive somewhere on this panel
+    assert payload["infeasible"].get("nonpositive_continuation", 0) > 0
+    assert sum(payload["infeasible"].values()) == sum(r["criterion"] == "inf" for r in trace)
+    assert set(payload["infeasible"]) <= set(s.calibrate.INFEASIBLE_REASONS)

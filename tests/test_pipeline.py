@@ -49,13 +49,21 @@ def _reference_replicate(panel, basis, prefs, idx):
         "sdf_entropy": sdf_ent,
         "horizon_dependence": entropy_l - sdf_ent,
         "kappa": kappa,
+        "cond_gram": np.linalg.cond(G),
     }
     if lam is not None:
         rec["lambda"] = lam
     return rec
 
 
-def _compare(panel, prefs, b, seed):
+def _compare(panel, prefs, b, seed, lambda_cond=False):
+    """Batched statistic against per-replicate refits.
+
+    lambda is compared at 1e-12 relative, or, with ``lambda_cond``, at
+    eps * cond(G_r) where that is larger: at small n a replicate's Gram
+    matrix can be so ill-conditioned that two exact solvers' rounding
+    differs by more.
+    """
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
     n = panel.n
     draws = [s.stationary_bootstrap_indices(n, 6.0, _replicate_rng(seed, r)) for r in range(b)]
@@ -80,7 +88,8 @@ def _compare(panel, prefs, b, seed):
         for key in LOG_SCALE:
             assert batched[key][r] == pytest.approx(ref[key], rel=0, abs=2 * tol)
         if "lambda" in ref:
-            assert batched["lambda"][r] == pytest.approx(ref["lambda"], rel=1e-12, abs=0)
+            lam_tol = max(1e-12, EPS * ref["cond_gram"]) if lambda_cond else 1e-12
+            assert batched["lambda"][r] == pytest.approx(ref["lambda"], rel=lam_tol, abs=0)
     return batched, discarded
 
 
@@ -100,6 +109,14 @@ def test_batched_statistic_matches_refits_recursive(testbed, recursive_prefs):
     panel = s.simulate_ar1(testbed, 300, np.random.default_rng(33))
     batched, _ = _compare(panel, recursive_prefs, 40, seed=9)
     assert np.isfinite(batched["lambda"]).any()
+
+
+def test_batched_statistic_matches_refits_recursive_with_discards(testbed, recursive_prefs):
+    # at n = 60 some resamples' continuation values are not positive on the drawn pairs
+    panel = s.simulate_ar1(testbed, 60, np.random.default_rng(33))
+    batched, discarded = _compare(panel, recursive_prefs, 60, seed=9, lambda_cond=True)
+    assert discarded.any()
+    assert "nonpositive_continuation" in set(batched[DISCARD_REASON][discarded])
 
 
 def test_batched_statistic_matches_refits_with_fallbacks(testbed, power_prefs):

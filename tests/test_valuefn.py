@@ -139,5 +139,78 @@ def test_downstream_eigen_residual_with_plugin_sdf(recursive_fit, recursive_pref
     G = s.estimate_gram(design)
     M = s.estimate_pricing(design, m)
     sol = s.normalize(s.solve_generalized(M, G, basis.const_coeffs), G)
-    psi = s.influence_rho(sol, design, m).psi_rho
+    phi_t, phi_t1 = design.b0 @ sol.right_coeffs, design.b1 @ sol.right_coeffs
+    psi = s.influence_rho(sol, m, phi_t, phi_t1, design.b0 @ sol.left_coeffs).psi_rho
     assert abs(psi.mean()) < 1e-10
+
+
+def test_stacked_columns_equal_their_single_solves(testbed):
+    panel = s.simulate_ar1(testbed, 400, np.random.default_rng(23))
+    growth = panel.growth.copy()
+    growth[7] = math.exp(-15.0)  # G^(1-gamma) overflows at t = 7 for gamma = 60 only
+    panel = s.StatePanel.from_states(panel.states, growth=growth)
+    design = s.Design(s.BasisSpec(family="hermite", k=8).build(panel.states), panel)
+    betas, gammas = (a.ravel() for a in np.meshgrid([0.9, 0.97, 0.994], [1.0, 5.0, 15.0, 60.0]))
+    max_iter = 2  # gamma = 1 converges in two steps, the larger gammas do not
+    st = s.solve_value_stack(design, betas, gammas, max_iter=max_iter)
+    assert set(st.reason) == {"", "unconverged_value_recursion", "growth_overflow"}
+    for p, (beta, gamma) in enumerate(zip(betas, gammas)):
+        if gamma == 60.0:
+            assert st.reason[p] == "growth_overflow" and np.isnan(st.lam[p])
+            with pytest.raises(ValueError, match="overflows"):
+                s.solve_value_fixed_point(design, beta, gamma, max_iter=max_iter)
+            continue
+        fp = s.solve_value_fixed_point(design, beta, gamma, max_iter=max_iter)
+        assert st.iterations[p] == fp.iterations and st.converged[p] == fp.converged
+        assert st.lam[p] == pytest.approx(fp.lam, rel=1e-12, abs=0)
+        np.testing.assert_allclose(st.chi_coeffs[p], fp.chi_coeffs, rtol=0, atol=1e-10)
+        assert st.reason[p] == ("" if fp.converged else "unconverged_value_recursion")
+        if gamma == 1.0:
+            assert fp.converged and fp.iterations <= 2
+
+
+def test_stacked_count_rows_equal_resampled_solves(recursive_fit, recursive_prefs):
+    design = recursive_fit["design"]
+    n = design.n
+    rng = np.random.default_rng(8)
+    counts = np.array([np.bincount(s.stationary_bootstrap_indices(n, 6.0, rng), minlength=n)
+                       for _ in range(5)])
+    st = s.solve_value_stack(design, recursive_prefs.beta, recursive_prefs.gamma, counts=counts)
+    for r in range(len(counts)):
+        fp = s.solve_value_fixed_point(
+            design.resample(np.repeat(np.arange(n), counts[r])),
+            recursive_prefs.beta, recursive_prefs.gamma,
+        )
+        assert st.iterations[r] == fp.iterations and st.converged[r] == fp.converged
+        assert st.lam[r] == pytest.approx(fp.lam, rel=1e-12, abs=0)
+
+
+def test_stack_flags_invalid_parameters(recursive_fit):
+    st = s.solve_value_stack(recursive_fit["design"], [1.2, 0.99, 0.99], [5.0, 0.5, 5.0])
+    assert list(st.reason) == ["invalid_parameters", "invalid_parameters", ""]
+    assert np.isnan(st.lam[:2]).all() and not st.converged[:2].any()
+
+
+def test_degenerate_column_ends_without_stopping_the_stack(testbed):
+    # G^(1-gamma) is finite for gamma = 60, but the map's image overflows
+    panel = s.simulate_ar1(testbed, 300, np.random.default_rng(5))
+    panel = s.StatePanel.from_states(panel.states, growth=np.full(panel.n, math.exp(-12.02)))
+    design = s.Design(s.BasisSpec(family="hermite", k=8).build(panel.states), panel)
+    st = s.solve_value_stack(design, 0.99, [60.0, 5.0])
+    assert list(st.reason) == ["unconverged_value_recursion", ""]
+    assert np.isnan(st.lam[0]) and np.isnan(st.chi_coeffs[0]).all() and st.iterations[0] < 10
+    assert st.lam[1] == pytest.approx(s.solve_value_fixed_point(design, 0.99, 5.0).lam, rel=1e-12)
+    with pytest.raises(RuntimeError, match="degenerate"):
+        s.solve_value_fixed_point(design, 0.99, 60.0)
+
+
+def test_positive_representative_from_a_negative_start(recursive_fit, recursive_prefs):
+    # after one step from -z0 the iterate still points the negative way;
+    # the reported eigenfunction is the sign-flipped, positive-mean one
+    design = recursive_fit["design"]
+    G = s.estimate_gram(design)
+    z0 = -np.linalg.solve(G, design.b0.mean(axis=0))
+    fp = s.solve_value_fixed_point(
+        design, recursive_prefs.beta, recursive_prefs.gamma, max_iter=1, z0=z0
+    )
+    assert design.basis.const_coeffs @ G @ fp.chi_coeffs > 0
