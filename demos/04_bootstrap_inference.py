@@ -22,7 +22,7 @@ res = decompose_panel(sieve, prefs)
 point = res.scalar_record()
 
 boot = s.bootstrap_ci(
-    bootstrap_statistic(sieve, prefs), panel,
+    bootstrap_statistic(sieve, prefs), panel.n,
     b=1000, expected_block=6.0, level=0.90, seed=2024,
 )
 print(f"B = 1000 replications, {boot.discarded} discarded, "

@@ -313,4 +313,8 @@ class BasisSpec:
         unknown = set(d) - allowed
         if unknown:
             raise ValueError(f"unknown basis spec keys: {sorted(unknown)}")
+        for key in ("k", "degree", "cap"):
+            val = d.get(key)
+            if val is not None and (not isinstance(val, int) or isinstance(val, bool)):
+                raise TypeError(f"{key!r} must be an integer, got {val!r}")
         return cls(**d)

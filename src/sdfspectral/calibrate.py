@@ -24,7 +24,7 @@ from .sievemat import Design
 from .valuefn import (
     VALUE_FAILURES,
     FixedPointSolution,
-    continuation_sdf,
+    recursive_sdf_stack,
     solve_value_fixed_point,
     solve_value_stack,
 )
@@ -83,15 +83,11 @@ def criterion_grid(
     conv = np.flatnonzero(reason == "")
     for lo in range(0, conv.size, MOMENT_BLOCK):
         c = conv[lo:lo + MOMENT_BLOCK]
-        chi0 = design.b0 @ st.chi_coeffs[c].T
-        chi1 = design.b1 @ st.chi_coeffs[c].T
-        positive = np.all(chi0 > 0, axis=0) & np.all(chi1 > 0, axis=0)
-        reason[c[~positive]] = "nonpositive_continuation"
-        ok = c[positive]
-        m = continuation_sdf(
-            panel.growth[:, None], st.beta[ok], st.gamma[ok], st.lam[ok],
-            chi0[:, positive], chi1[:, positive],
+        m, usable = recursive_sdf_stack(
+            design, st.beta[c], st.gamma[c], st.lam[c], st.chi_coeffs[c]
         )
+        reason[c[~usable]] = "nonpositive_continuation"
+        ok, m = c[usable], m[:, usable]
         resid = m[:, :, None] * panel.returns[:, None, :] - 1.0  # (n, points, returns)
         A = np.tensordot(instruments.b0, resid, axes=(0, 0)) / panel.n
         values[ok] = np.einsum("ipq,ij,jpq->p", A, instruments.gram_pinv, A)

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -115,10 +116,31 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-_CONFIG_KEYS = {
-    "command", "input_csv", "state_cols", "growth_col", "return_cols", "sdf_col",
-    "basis", "preferences", "bootstrap", "mc", "out_dir", "seed", "grid_points",
-}
+#: RunConfig's fields and their types, which a config file's values must have
+_CONFIG_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value has type ``hint``; a bool is no number, an int is a float."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union:
+        return any(_has_type(value, h) for h in args)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_types(cfg: RunConfig) -> None:
+    """Reject a merged config value of the wrong type, naming its key."""
+    checks = [(key, getattr(cfg, key), hint) for key, hint in _CONFIG_TYPES.items()]
+    checks += [(f"preferences.{key}", cfg.preferences[key], float)
+               for key in ("beta", "gamma") if key in cfg.preferences]
+    for key, value, hint in checks:
+        if not _has_type(value, hint):
+            raise CliError(f"config key {key!r} has a value of the wrong type: {value!r}")
+    _basis_spec(cfg)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -132,11 +154,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise CliError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise CliError(f"config file is not valid JSON: {exc}")
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - set(_CONFIG_TYPES)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
     cfg = RunConfig(command=args.command)
-    for key in _CONFIG_KEYS - {"command"}:
+    for key in _CONFIG_TYPES.keys() - {"command"}:
         if key in raw:
             setattr(cfg, key, raw[key])
 
@@ -189,6 +211,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise CliError("an input CSV is required (--input or config input_csv)")
     elif cfg.input_csv is not None:
         raise CliError("the mc command takes a design, not an input CSV")
+    _check_types(cfg)
     return cfg
 
 
@@ -548,7 +571,7 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
     block = float(cfg.bootstrap.get("expected_block", 6))
     level = float(cfg.bootstrap.get("level", 0.90))
     seed = int(cfg.bootstrap.get("seed", cfg.seed))
-    boot = bootstrap_ci(bootstrap_statistic(design, prefs), panel, b, block, level, seed)
+    boot = bootstrap_ci(bootstrap_statistic(design, prefs), panel.n, b, block, level, seed)
 
     point = res.scalar_record()
     rows = []

@@ -17,7 +17,6 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .pfeig import EigenSolution
-from .sievemat import StatePanel
 
 
 @dataclass
@@ -167,30 +166,29 @@ class BootstrapResult:
 
 
 def bootstrap_ci(
-    statistic: Callable[[StatePanel, np.ndarray], Mapping[str, np.ndarray]],
-    panel: StatePanel,
+    statistic: Callable[[np.ndarray], Mapping[str, np.ndarray]],
+    n: int,
     b: int,
     expected_block: float,
     level: float,
     seed: int,
 ) -> BootstrapResult:
-    """Stationary-bootstrap percentile intervals for a panel statistic.
+    """Stationary-bootstrap percentile intervals for a statistic of n transition pairs.
 
     Replicate r draws its indices from a substream keyed by (seed, r), so
     the result does not depend on execution order. The draws are turned
-    into count rows, row r holding how often each transition pair of
-    ``panel`` was drawn, and handed to ``statistic(panel, counts)`` in
-    blocks of BOOTSTRAP_BLOCK rows. The statistic returns one array per
-    scalar, with one entry per row; a non-finite entry discards that
-    replicate, and an optional DISCARD_REASON array says why. Exceptions
-    raised by the statistic propagate. Errors out when more than half the
-    replications are discarded.
+    into count rows, row r holding how often each of the ``n`` transition
+    pairs was drawn, and handed to ``statistic(counts)`` in blocks of
+    BOOTSTRAP_BLOCK rows. The statistic returns one array per scalar, with
+    one entry per row; a non-finite entry discards that replicate, and an
+    optional DISCARD_REASON array says why. Exceptions raised by the
+    statistic propagate. Errors out when more than half the replications
+    are discarded.
     """
     if b < 1:
         raise ValueError("need at least one replication")
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
-    n = panel.n
     values: dict[str, list[np.ndarray]] = {}
     reasons: list[np.ndarray] = []
     for lo in range(0, b, BOOTSTRAP_BLOCK):
@@ -202,7 +200,7 @@ def bootstrap_ci(
             )
             for r in rows
         ])
-        out = dict(statistic(panel, counts))
+        out = dict(statistic(counts))
         why = out.pop(DISCARD_REASON, None)
         reasons.append(np.full(len(rows), "", dtype=object) if why is None
                        else np.asarray(why, dtype=object))

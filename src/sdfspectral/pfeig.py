@@ -51,37 +51,33 @@ class EigenSolution:
     fallback_reason: Optional[str] = None
 
 
-def _ensure_spd(G: np.ndarray) -> np.ndarray:
-    """Return G, or G + eps*I after one ridge attempt; raise if still not SPD."""
-    G = 0.5 * (G + G.T)
-    try:
-        np.linalg.cholesky(G)
-        return G
-    except np.linalg.LinAlgError:
-        pass
-    eps = 1e-10 * np.trace(G) / G.shape[0]
-    Gr = G + eps * np.eye(G.shape[0])
-    try:
-        np.linalg.cholesky(Gr)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "Gram matrix not positive definite even after ridge"
-        ) from exc
-    return Gr
-
-
 def _cholesky_stack(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The symmetrized (S, k, k) Gram stack and its Cholesky factors.
 
-    Each G gets the SPD ridge of :func:`_ensure_spd` on its own, if it needs one.
+    A G that is not positive definite gets one ridge of 1e-10 trace(G)/k
+    and is factored again; if it still fails, LinAlgError is raised. The
+    returned stack holds the ridged matrices.
     """
     G = np.asarray(G, dtype=float)
     G = 0.5 * (G + np.swapaxes(G, -1, -2))
     try:
         return G, np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        G = np.stack([_ensure_spd(g) for g in G])
-        return G, np.linalg.cholesky(G)
+        pass
+    # some pencil failed: factor each on its own, ridging the ones that fail
+    L = np.empty_like(G)
+    for g, out in zip(G, L):
+        try:
+            out[:] = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            g += 1e-10 * np.trace(g) / len(g) * np.eye(len(g))
+            try:
+                out[:] = np.linalg.cholesky(g)
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    "Gram matrix not positive definite even after ridge"
+                ) from exc
+    return G, L
 
 
 class _PencilStack(NamedTuple):
@@ -108,7 +104,7 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _solve_stack(M: np.ndarray, G: np.ndarray) -> _PencilStack:
     """Largest real positive eigenpair of each pencil in a (S, k, k) stack.
 
-    Each G gets the SPD ridge of :func:`_ensure_spd` on its own. With the
+    Each G gets the SPD ridge of :func:`_cholesky_stack` on its own. With the
     Cholesky factor G = L L', the pencil (M, G) has the eigenvalues of the
     whitened matrix A = L^-1 M L^-'; A's eigenvectors v give the right
     coefficients L^-' v and those of A' the adjoint ones. The acceptance

@@ -11,11 +11,11 @@ from .decomp import DecompSeries, pt_association, pt_series
 from .inference import DISCARD_REASON, InfluenceSeries, influence_rho
 from .pfeig import FALLBACK_REASONS, EigenSolution, _solve_stack, normalize, solve_generalized
 from .preferences import PowerUtility, RecursiveUtility, power_utility_sdf_series
-from .sievemat import Design, StatePanel, estimate_pricing, gram_stack, rowwise_outer
+from .sievemat import Design, estimate_pricing, gram_stack, rowwise_outer
 from .valuefn import (
     FixedPointSolution,
-    continuation_sdf,
     recursive_sdf_series,
+    recursive_sdf_stack,
     solve_value_fixed_point,
     solve_value_stack,
 )
@@ -181,14 +181,11 @@ def bootstrap_statistic(
     pairs.
     """
     recursive = isinstance(preferences, RecursiveUtility)
-    b0, b1 = design.b0, design.b1
-    n, k = b0.shape
-    p01 = rowwise_outer(b0, b1)
+    n, k = design.b0.shape
+    p01 = rowwise_outer(design.b0, design.b1)
     m = None if recursive else realized_sdf(design, preferences)
 
-    def stat(panel: StatePanel, counts: np.ndarray) -> dict:
-        if panel is not design.panel:
-            raise ValueError("the statistic is bound to the panel of its design")
+    def stat(counts: np.ndarray) -> dict:
         w = np.asarray(counts, dtype=float)
         n_rep = w.shape[0]
         reason = np.full(n_rep, "", dtype=object)
@@ -196,19 +193,13 @@ def bootstrap_statistic(
         if recursive:
             fp = solve_value_stack(design, preferences.beta, preferences.gamma, counts=counts)
             reason[:] = fp.reason
-            drawn = (counts > 0).T  # (n, replicates)
-            chi0 = b0 @ fp.chi_coeffs.T
-            chi1 = b1 @ fp.chi_coeffs.T
-            positive = np.all(((chi0 > 0) & (chi1 > 0)) | ~drawn, axis=0)
-            reason[(reason == "") & ~positive] = "nonpositive_continuation"
-            # m is needed only at drawn pairs of kept replicates; elsewhere any
-            # positive value will do
-            use = drawn & (reason == "")
-            m_use = continuation_sdf(
-                panel.growth[:, None], preferences.beta, preferences.gamma, fp.lam,
-                np.where(use, chi0, 1.0), np.where(use, chi1, 1.0),
+            # positivity counts on the drawn pairs of the solved replicates
+            m_pairs, usable = recursive_sdf_stack(
+                design, fp.beta, fp.gamma, fp.lam, fp.chi_coeffs,
+                drawn=(counts > 0).T & (fp.reason == ""),
             )
-            m_rep = np.where(use, m_use, 1.0).T
+            m_rep = m_pairs.T
+            reason[~usable] = "nonpositive_continuation"
             lam = np.where(reason == "", fp.lam, np.nan)
         G = gram_stack(design, w)
         M = ((w * m_rep) @ p01 / n).reshape(n_rep, k, k)

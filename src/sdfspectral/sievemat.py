@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .basis import SieveBasis
-from .pfeig import _ensure_spd
+from .pfeig import _cholesky_stack
 
 #: singular values below this multiple of the largest are truncated in
 #: :attr:`Design.gram_pinv`
@@ -32,7 +32,7 @@ class StatePanel:
     Row t of ``x0``/``x1`` holds the transition pair (X_t, X_{t+1});
     growth, sdf_increments and returns (when present) are aligned with it.
     ``states`` keeps the original X_0..X_n path when the panel was built
-    from one (it is None for pair-resampled panels, e.g. bootstrap draws).
+    from one.
     """
 
     x0: np.ndarray  # (n, d)
@@ -98,20 +98,6 @@ class StatePanel:
             states=self.states,
         )
 
-    def resample(self, idx: np.ndarray) -> "StatePanel":
-        """Panel of the transition pairs (and aligned series) at ``idx``."""
-        idx = np.asarray(idx, dtype=int)
-        return StatePanel(
-            x0=self.x0[idx],
-            x1=self.x1[idx],
-            growth=None if self.growth is None else self.growth[idx],
-            sdf_increments=None
-            if self.sdf_increments is None
-            else self.sdf_increments[idx],
-            returns=None if self.returns is None else self.returns[idx],
-            states=None,
-        )
-
 
 class Whitening(NamedTuple):
     """The Gram matrix's Cholesky factor G = L L' and the design rows in its coordinates.
@@ -133,8 +119,8 @@ class Design:
 
     Every sample object of the estimator is a moment of these two
     matrices. Row t of ``b0``/``b1`` belongs to the panel's transition
-    pair t, so a pair resample is a row selection (:meth:`resample`). The
-    Gram matrix is formed, and condition-checked, on first use, and so is
+    pair t, so a bootstrap replicate is a row weighting (:func:`gram_stack`).
+    The Gram matrix is formed, and condition-checked, on first use, and so is
     its whitening.
     """
 
@@ -159,8 +145,8 @@ class Design:
 
     @cached_property
     def whitening(self) -> Whitening:
-        """Cholesky whitening of the Gram matrix (ridged as in :func:`pfeig._ensure_spd`)."""
-        L = np.linalg.cholesky(_ensure_spd(self.gram))
+        """Cholesky whitening of the Gram matrix (ridged as in :func:`pfeig._cholesky_stack`)."""
+        L = _cholesky_stack(self.gram[None])[1][0]
         Li = np.linalg.inv(L)
         # w1 is the transpose of a C-ordered (k, n) product: w1.T @ ... runs on contiguous rows
         return Whitening(L, Li, self.b0 @ Li.T, (Li @ self.b1.T).T)
@@ -169,16 +155,6 @@ class Design:
     def gram_terms(self) -> np.ndarray:
         """(n, k*k) array whose row t is the flattened outer product b(X_t) b(X_t)'."""
         return rowwise_outer(self.b0, self.b0)
-
-    def resample(self, idx: np.ndarray) -> "Design":
-        """Design of ``panel.resample(idx)``, by row selection instead of re-evaluation."""
-        idx = np.asarray(idx, dtype=int)
-        out = object.__new__(Design)
-        out.basis = self.basis
-        out.panel = self.panel.resample(idx)
-        out.b0 = self.b0[idx]
-        out.b1 = self.b1[idx]
-        return out
 
 
 def estimate_gram(design: Design) -> np.ndarray:

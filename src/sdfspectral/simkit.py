@@ -11,7 +11,6 @@ entry is the distance of the replicate-averaged function from the truth.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +22,7 @@ from scipy.signal import lfilter
 
 from .basis import BasisSpec
 from .csvout import write_csv
+from .decomp import long_run_yield, permanent_entropy
 from .oracle import Ar1Design, quadrature_eig
 from .pipeline import FitFailedError, fit_panel
 from .preferences import PowerUtility, RecursiveUtility
@@ -64,18 +64,24 @@ def simulate_ar1(
     return StatePanel.from_states(states, growth=np.exp(states[1:]))
 
 
-def l2_distance(f_vals, g_vals, weights=None) -> float:
-    """Square root of the (weighted) mean squared difference of two value arrays."""
+def l2_distance(f_vals, g_vals, weights=None):
+    """Square root of the (weighted) mean squared difference of two value arrays.
+
+    Reduces over the last axis: a float for two vectors, one distance per
+    row when ``f_vals`` stacks several value arrays.
+    """
     f = np.asarray(f_vals, dtype=float)
     g = np.asarray(g_vals, dtype=float)
-    if f.shape != g.shape:
+    if f.shape[-1:] != g.shape:
         raise ValueError("value arrays must have matching shapes")
     if weights is None:
-        return float(np.sqrt(np.mean((f - g) ** 2)))
-    w = np.asarray(weights, dtype=float)
-    if w.shape != f.shape:
-        raise ValueError("weights must match the value arrays")
-    return float(np.sqrt(np.sum(w * (f - g) ** 2) / np.sum(w)))
+        d = np.sqrt(np.mean((f - g) ** 2, axis=-1))
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != g.shape:
+            raise ValueError("weights must match the value arrays")
+        d = np.sqrt(np.sum(w * (f - g) ** 2, axis=-1) / np.sum(w))
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)
@@ -145,8 +151,9 @@ class McTable:
         }
 
 
-_SCALAR_STATS = ("rho", "y", "L")
-_FUNC_STATS = ("phi", "phi_star")
+#: a replicate's record, in this order: its scalars, and its functions on the quadrature nodes
+_SCALARS = ("rho", "y", "L", "lambda", "se_rho")
+_FUNCS = ("phi", "phi_star", "chi")
 
 
 def _replicate_rng(seed: int, n: int, rep: int) -> np.random.Generator:
@@ -157,17 +164,21 @@ def _replicate_rng(seed: int, n: int, rep: int) -> np.random.Generator:
     )
 
 
-def _one_replicate(design: McDesign, n: int, rng: np.random.Generator, nodes: np.ndarray) -> dict:
+def _one_replicate(
+    design: McDesign, n: int, rng: np.random.Generator, nodes: np.ndarray
+) -> tuple[bool, np.ndarray, np.ndarray]:
     """Estimate one simulated sample with :func:`pipeline.fit_panel`.
 
-    A failed fit sets ``failed``. The value-recursion statistics enter the
-    record whenever the value recursion converged, also when a later
-    stage failed (censoring a first-stage statistic on a later-stage
-    failure would bias its distribution); the eigen statistics only when
-    the whole fit succeeded.
+    Returns whether the fit failed, the _SCALARS record and the (3, nodes)
+    _FUNCS record, NaN wherever a value is censored. The value-recursion
+    statistics are kept whenever the value recursion converged, also when
+    a later stage failed (censoring a first-stage statistic on a
+    later-stage failure would bias its distribution); the eigen statistics
+    only when the whole fit succeeded.
     """
     panel = simulate_ar1(design.ar1, n, rng)
-    out: dict = {}
+    rho = y = entropy_l = lam = se_rho = np.nan
+    phi = phi_star = chi = np.full(nodes.size, np.nan)
     fit = fp = None
     try:
         sieve = Design(design.basis_spec.build(panel.states), panel)
@@ -175,53 +186,35 @@ def _one_replicate(design: McDesign, n: int, rng: np.random.Generator, nodes: np
         fit = fit_panel(sieve, design.preferences)
         fp = fit.fixed_point
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
-        out["failed"] = type(exc).__name__
         if isinstance(exc, FitFailedError):
             fp = exc.fixed_point
     if fp is not None:
-        out["lambda"] = fp.lam
-        out["chi_vals"] = bn @ fp.chi_coeffs
-    if fit is None or fit.sol.is_fallback:
-        out.setdefault("failed", "fallback")
-        return out
-    sol = fit.sol
-    out["rho"] = sol.rho
-    out["y"] = -math.log(sol.rho)
-    out["L"] = math.log(sol.rho) - float(np.mean(np.log(fit.m)))
-    out["se_rho"] = fit.influence.se_rho()
-    out["phi_vals"] = bn @ sol.right_coeffs
-    out["phi_star_vals"] = bn @ sol.left_coeffs
-    return out
+        lam, chi = fp.lam, bn @ fp.chi_coeffs
+    failed = fit is None or fit.sol.is_fallback
+    if not failed:
+        sol = fit.sol
+        rho, y, entropy_l = sol.rho, long_run_yield(sol.rho), permanent_entropy(sol.rho, fit.m)
+        se_rho = fit.influence.se_rho()
+        phi, phi_star = bn @ sol.right_coeffs, bn @ sol.left_coeffs
+    return failed, np.array([rho, y, entropy_l, lam, se_rho]), np.stack([phi, phi_star, chi])
 
 
-def _run_block(args) -> dict:
-    """Accumulate one contiguous block of replicates (worker entry point)."""
-    design, n, rep_lo, rep_hi, truth_payload = args
-    nodes = truth_payload["nodes"]
-    weights = truth_payload["weights"]
-    func_stats = truth_payload["func_stats"]
-    acc = {
-        "excluded": 0,
-        "scalars": {s: [] for s in truth_payload["scalar_stats"]},
-        "se_rho": [],
-        "dists": {s: [] for s in func_stats},
-        "vals": {s: [] for s in func_stats},
-    }
-    for rep in range(rep_lo, rep_hi):
-        rec = _one_replicate(design, n, _replicate_rng(design.seed, n, rep), nodes)
-        if "failed" in rec:
-            acc["excluded"] += 1
-        for s in acc["scalars"]:
-            if s in rec:
-                acc["scalars"][s].append(rec[s])
-        if "se_rho" in rec:
-            acc["se_rho"].append(rec["se_rho"])
-        for s in func_stats:
-            key = f"{s}_vals"
-            if key in rec:
-                acc["dists"][s].append(l2_distance(rec[key], truth_payload[s], weights))
-                acc["vals"][s].append(rec[key])
-    return acc
+def _run_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked records of one block of replicates, in replicate order (worker entry point)."""
+    design, n, rep_lo, rep_hi, nodes = args
+    records = [
+        _one_replicate(design, n, _replicate_rng(design.seed, n, rep), nodes)
+        for rep in range(rep_lo, rep_hi)
+    ]
+    return tuple(np.array(field) for field in zip(*records))
+
+
+def _kept(values: np.ndarray) -> np.ndarray:
+    """The replicates' values of one statistic without the censored ones, in replicate order.
+
+    A censored scalar is NaN, and so is a censored function at every node.
+    """
+    return values[~np.isnan(values if values.ndim == 1 else values[:, 0])]
 
 
 def run_mc_study(design: McDesign, workers: Optional[int] = None) -> McTable:
@@ -236,23 +229,10 @@ def run_mc_study(design: McDesign, workers: Optional[int] = None) -> McTable:
     t_start = time.monotonic()
     truth = quadrature_eig(design.ar1, design.preferences, ORACLE_NODES)
     recursive = isinstance(design.preferences, RecursiveUtility)
-    scalar_stats = list(_SCALAR_STATS) + (["lambda"] if recursive else [])
-    func_stats = list(_FUNC_STATS) + (["chi"] if recursive else [])
-
-    payload = {
-        "nodes": truth.nodes,
-        "weights": truth.weights,
-        "scalar_stats": scalar_stats,
-        "func_stats": func_stats,
-        "phi": truth.phi,
-        "phi_star": truth.phi_star,
-    }
-    if recursive:
-        payload["chi"] = truth.chi
-
     truths = {"rho": truth.rho, "y": truth.yield_y, "L": truth.entropy_L}
     if recursive:
         truths["lambda"] = truth.lam
+    stats = ["rho", "y", "L", "phi", "phi_star"] + (["lambda", "chi"] if recursive else [])
 
     nworkers = resolve_workers(workers)
     table = McTable(
@@ -267,44 +247,33 @@ def run_mc_study(design: McDesign, workers: Optional[int] = None) -> McTable:
         if n < 2 * _basis_dim_hint(design.basis_spec):
             raise ValueError(f"sample size {n} below twice the sieve dimension")
         blocks = _split_blocks(design.replications, nworkers)
-        jobs = [(design, n, lo, hi, payload) for lo, hi in blocks]
+        jobs = [(design, n, lo, hi, truth.nodes) for lo, hi in blocks]
         if len(jobs) == 1:
             results = [_run_block(job) for job in jobs]
         else:
             with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
                 results = list(pool.map(_run_block, jobs))
+        failed, scalars, funcs = (np.concatenate(parts) for parts in zip(*results))
+        table.excluded[n] = int(failed.sum())
 
-        excluded = sum(r["excluded"] for r in results)
-        table.excluded[n] = excluded
-
-        for s in scalar_stats:
-            vals = np.concatenate([np.asarray(r["scalars"][s]) for r in results])
-            if vals.size == 0:
+        records = dict(zip(_SCALARS, scalars.T)) | dict(zip(_FUNCS, funcs.transpose(1, 0, 2)))
+        for s in stats:
+            vals = _kept(records[s])
+            if len(vals) == 0:
                 raise RuntimeError(f"all replicates failed for {s!r} at n={n}")
-            err = vals - truths[s]
+            if s in truths:
+                err = vals - truths[s]
+                bias, rmse = float(np.mean(err)), float(np.sqrt(np.mean(err**2)))
+            else:
+                f_true = getattr(truth, s)
+                bias = l2_distance(vals.mean(axis=0), f_true, truth.weights)
+                rmse = float(np.mean(l2_distance(vals, f_true, truth.weights)))
             table.cells[(n, s)] = McCell(
-                bias=float(np.mean(err)),
-                rmse=float(np.sqrt(np.mean(err**2))),
-                flagged=vals.size < 0.90 * design.replications,
+                bias=bias, rmse=rmse, flagged=len(vals) < 0.90 * design.replications
             )
-        for s in func_stats:
-            dists = np.concatenate([np.asarray(r["dists"][s]) for r in results])
-            vals = [v for r in results for v in r["vals"][s]]
-            if not vals:
-                raise RuntimeError(f"all replicates failed for {s!r} at n={n}")
-            # stack and reduce once, in replicate order, so the result does
-            # not depend on how replicates were blocked across workers
-            mean_fn = np.vstack(vals).mean(axis=0)
-            table.cells[(n, s)] = McCell(
-                bias=l2_distance(mean_fn, payload[s], truth.weights),
-                rmse=float(np.mean(dists)),
-                flagged=len(vals) < 0.90 * design.replications,
-            )
-        se_vals = np.concatenate([np.asarray(r["se_rho"]) for r in results])
-        rho_vals = np.concatenate([np.asarray(r["scalars"]["rho"]) for r in results])
         table.se_summary[n] = {
-            "median_plugin_se_rho": float(np.median(se_vals)),
-            "mc_sd_rho": float(np.std(rho_vals, ddof=1)),
+            "median_plugin_se_rho": float(np.median(_kept(records["se_rho"]))),
+            "mc_sd_rho": float(np.std(_kept(records["rho"]), ddof=1)),
         }
 
     table.elapsed_seconds = time.monotonic() - t_start

@@ -280,24 +280,56 @@ def solve_value_fixed_point(
     )
 
 
-def recursive_sdf_series(design: Design, solution: FixedPointSolution) -> np.ndarray:
-    """SDF increment series implied by a solved continuation value.
+def recursive_sdf_stack(
+    design: Design,
+    beta,
+    gamma,
+    lam,
+    chi_coeffs: np.ndarray,
+    drawn: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """SDF increments of P solved value-recursion columns, and which columns are usable.
 
-    m_t = (beta/lam) G_{t+1}^{-gamma} chi(X_{t+1})^beta / chi(X_t),
-    aligned with the panel's transition pairs. Requires the eigenfunction
-    to be strictly positive at every sample point.
+    Column p holds m_t = (beta/lam) G_{t+1}^{-gamma} chi(X_{t+1})^beta / chi(X_t)
+    with its own (beta, gamma, lam) and ``chi_coeffs[p]``. The plug-in
+    SDF exists only where chi is positive: a column is usable when chi > 0
+    at both states of every transition pair or, given an (n, P) boolean
+    ``drawn`` mask, of every pair it marks. Returns the (n, P) increments,
+    formed at those pairs of the usable columns and 1 elsewhere, and the
+    (P,) usable mask.
     """
     growth = design.panel.growth
     if growth is None:
         raise ValueError("panel has no growth series")
-    chi0 = design.b0 @ solution.chi_coeffs
-    chi1 = design.b1 @ solution.chi_coeffs
-    if np.any(chi0 <= 0) or np.any(chi1 <= 0):
+    chi0 = design.b0 @ chi_coeffs.T
+    chi1 = design.b1 @ chi_coeffs.T
+    positive = (chi0 > 0) & (chi1 > 0)
+    if drawn is not None:
+        positive |= ~drawn
+    usable = np.all(positive, axis=0)
+    use = usable if drawn is None else drawn & usable
+    m = continuation_sdf(
+        growth[:, None], beta, gamma, lam, np.where(use, chi0, 1.0), np.where(use, chi1, 1.0)
+    )
+    return np.where(use, m, 1.0), usable
+
+
+def recursive_sdf_series(design: Design, solution: FixedPointSolution) -> np.ndarray:
+    """SDF increment series implied by a solved continuation value.
+
+    :func:`recursive_sdf_stack` with one column, aligned with the panel's
+    transition pairs. Raises unless the eigenfunction is strictly positive
+    at every sample point.
+    """
+    m, usable = recursive_sdf_stack(
+        design, solution.beta, solution.gamma, solution.lam, solution.chi_coeffs[None]
+    )
+    if not usable[0]:
         raise ValueError(
             "eigenfunction not positive on sample; "
             "the value-recursion solution is unreliable here"
         )
-    return continuation_sdf(growth, solution.beta, solution.gamma, solution.lam, chi0, chi1)
+    return m[:, 0]
 
 
 def continuation_sdf(

@@ -242,7 +242,7 @@ def test_criterion_7_bootstrap_contract(testbed, power_prefs):
         panel = s.simulate_ar1(testbed, 276, rng)
         basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
         boot = s.bootstrap_ci(
-            bootstrap_statistic(s.Design(basis, panel), power_prefs), panel,
+            bootstrap_statistic(s.Design(basis, panel), power_prefs), panel.n,
             b=200, expected_block=6.0, level=0.90, seed=9000 + i,
         )
         if boot.ci_lo["rho"] <= rho_true <= boot.ci_hi["rho"]:

@@ -207,7 +207,7 @@ def test_errors_inside_the_criterion_propagate(testbed, monkeypatch):
     def broken(*args):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(calibrate, "continuation_sdf", broken)
+    monkeypatch.setattr(calibrate, "recursive_sdf_stack", broken)
     with pytest.raises(ValueError, match="broadcast"):
         s.criterion(s.Design(basis, panel), s.Design(inst, panel), 0.97, 10.0)
     with pytest.raises(ValueError, match="broadcast"):

@@ -184,6 +184,32 @@ def test_config_file_with_flag_override(tmp_path, sim_panel):
     assert main(["decompose", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("decompose", {"grid_points": "many"}, "grid_points"),
+        ("decompose", {"basis": {"family": "hermite", "k": "3"}}, "k"),
+        ("decompose", {"preferences": {"mode": "power", "beta": "0.994", "gamma": 15}},
+         "preferences.beta"),
+        ("mc", {"seed": "5"}, "seed"),
+    ],
+)
+def test_config_value_of_wrong_type(tmp_path, sim_panel, capsys, command, config, key):
+    out = tmp_path / "out"
+    cfg = {"out_dir": str(out), "mc": {"reps": 2, "sizes": [40]}}
+    if command == "decompose":
+        csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
+                                    growth=sim_panel.growth)
+        cfg.update(input_csv=str(csv_path), state_cols=["x1"], growth_col="G",
+                   preferences={"mode": "power", "beta": 0.994, "gamma": 15})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, **config}))
+    assert main([command, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_bootstrap_deterministic_outputs(tmp_path, sim_panel):
     csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
                                 growth=sim_panel.growth)

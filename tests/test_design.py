@@ -1,4 +1,4 @@
-"""The per-panel sieve design: row resampling, and one basis evaluation per point set."""
+"""The per-panel sieve design: one basis evaluation per point set."""
 
 import numpy as np
 import pytest
@@ -19,33 +19,6 @@ def evaluations(monkeypatch):
 
     monkeypatch.setattr(SieveBasis, "evaluate_many", counted)
     return calls
-
-
-@pytest.mark.parametrize(
-    "spec, dim",
-    [
-        (s.BasisSpec(family="hermite", k=8), 1),
-        (s.BasisSpec(family="bspline", k=7), 1),
-        (s.BasisSpec(family="sparse", degree=3, cap=4), 2),
-    ],
-)
-def test_resample_is_the_design_of_the_resampled_panel(spec, dim, evaluations):
-    rng = np.random.default_rng(12)
-    states = 0.005 + 0.01 * np.cumsum(rng.standard_normal((301, dim)), axis=0) / 3.0
-    panel = s.StatePanel.from_states(
-        states, growth=np.exp(states[1:, 0]), returns=np.exp(0.01 * rng.standard_normal((300, 2)))
-    )
-    design = s.Design(spec.build(panel.states), panel)
-    idx = s.stationary_bootstrap_indices(panel.n, 6.0, rng)
-    del evaluations[:]
-    rep = design.resample(idx)
-    assert evaluations == []  # rows are selected, not evaluated again
-    fresh = s.Design(design.basis, panel.resample(idx))
-    for name in ("b0", "b1", "gram"):
-        np.testing.assert_array_equal(getattr(rep, name), getattr(fresh, name))
-    for name in ("x0", "x1", "growth", "returns"):
-        np.testing.assert_array_equal(getattr(rep.panel, name), getattr(fresh.panel, name))
-    assert rep.n == fresh.n == panel.n and rep.basis is design.basis
 
 
 def test_recursive_decompose_evaluates_the_basis_once_per_point_set(testbed, evaluations):

@@ -178,7 +178,7 @@ def test_bootstrap_mean_block_length():
 
 def test_bootstrap_ci_constant_statistic(testbed):
     panel = s.simulate_ar1(testbed, 50, np.random.default_rng(9))
-    res = s.bootstrap_ci(lambda p, w: {"c": np.full(len(w), 3.25)}, panel, 60, 6.0, 0.9, seed=5)
+    res = s.bootstrap_ci(lambda w: {"c": np.full(len(w), 3.25)}, panel.n, 60, 6.0, 0.9, seed=5)
     assert res.ci_lo["c"] == res.ci_hi["c"] == 3.25
     assert res.discarded == 0 and res.b_total == 60
 
@@ -186,11 +186,11 @@ def test_bootstrap_ci_constant_statistic(testbed):
 def test_bootstrap_ci_deterministic_and_order_free(testbed):
     panel = s.simulate_ar1(testbed, 120, np.random.default_rng(10))
 
-    def stat(p, w):
-        return {"mean_g": w @ p.growth / p.n}
+    def stat(w):
+        return {"mean_g": w @ panel.growth / panel.n}
 
-    a = s.bootstrap_ci(stat, panel, 80, 6.0, 0.9, seed=11)
-    b = s.bootstrap_ci(stat, panel, 80, 6.0, 0.9, seed=11)
+    a = s.bootstrap_ci(stat, panel.n, 80, 6.0, 0.9, seed=11)
+    b = s.bootstrap_ci(stat, panel.n, 80, 6.0, 0.9, seed=11)
     np.testing.assert_array_equal(a.replicates["mean_g"], b.replicates["mean_g"])
     assert a.ci_lo == b.ci_lo and a.ci_hi == b.ci_hi
 
@@ -202,11 +202,11 @@ def test_bootstrap_ci_count_rows_are_the_replicate_draws(testbed):
     b = BOOTSTRAP_BLOCK + 7
     seen = []
 
-    def stat(p, w):
+    def stat(w):
         seen.append(w)
         return {"r": np.arange(len(w), dtype=float)}
 
-    s.bootstrap_ci(stat, panel, b, 6.0, 0.9, seed=21)
+    s.bootstrap_ci(stat, panel.n, b, 6.0, 0.9, seed=21)
     assert [len(w) for w in seen] == [BOOTSTRAP_BLOCK, 7]
     expected = [
         np.bincount(s.stationary_bootstrap_indices(90, 6.0, _replicate_rng(21, r)), minlength=90)
@@ -218,7 +218,7 @@ def test_bootstrap_ci_count_rows_are_the_replicate_draws(testbed):
 def test_bootstrap_ci_smoke_tiny_panel():
     panel = s.StatePanel.from_states(np.array([0.0, 1.0, 2.0]))
     res = s.bootstrap_ci(
-        lambda p, w: {"m": w @ p.x0[:, 0] / p.n}, panel, 50, 2.0, 0.9, seed=1
+        lambda w: {"m": w @ panel.x0[:, 0] / panel.n}, panel.n, 50, 2.0, 0.9, seed=1
     )
     assert np.isfinite(res.ci_lo["m"]) and res.ci_lo["m"] <= res.ci_hi["m"]
 
@@ -226,33 +226,33 @@ def test_bootstrap_ci_smoke_tiny_panel():
 def test_bootstrap_ci_unstable_errors(testbed):
     panel = s.simulate_ar1(testbed, 40, np.random.default_rng(13))
 
-    def flaky(p, w):
+    def flaky(w):
         return {"v": np.full(len(w), np.nan)}
 
     with pytest.raises(BootstrapUnstableError):
-        s.bootstrap_ci(flaky, panel, 60, 6.0, 0.9, seed=3)
+        s.bootstrap_ci(flaky, panel.n, 60, 6.0, 0.9, seed=3)
 
 
 def test_bootstrap_ci_propagates_statistic_errors(testbed):
     panel = s.simulate_ar1(testbed, 40, np.random.default_rng(13))
 
-    def buggy(p, w):
+    def buggy(w):
         return {"v": undefined_name}  # noqa: F821
 
     with pytest.raises(NameError):
-        s.bootstrap_ci(buggy, panel, 10, 6.0, 0.9, seed=3)
+        s.bootstrap_ci(buggy, panel.n, 10, 6.0, 0.9, seed=3)
 
 
 def test_bootstrap_ci_discards_nonfinite(testbed):
     panel = s.simulate_ar1(testbed, 60, np.random.default_rng(14))
     calls = {"k": 0}
 
-    def sometimes(p, w):
+    def sometimes(w):
         r = calls["k"] + 1 + np.arange(len(w))
         calls["k"] += len(w)
         return {"v": np.where(r % 3 == 0, math.nan, 1.0)}
 
-    res = s.bootstrap_ci(sometimes, panel, 90, 6.0, 0.9, seed=4)
+    res = s.bootstrap_ci(sometimes, panel.n, 90, 6.0, 0.9, seed=4)
     assert res.discarded == 30
     assert res.replicates["v"].size == 60
     assert res.discard_reasons == {"non_finite": 30}

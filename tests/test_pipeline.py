@@ -11,7 +11,12 @@ LOG_SCALE = ("y", "L", "sdf_entropy", "horizon_dependence")
 
 def _reference_replicate(panel, basis, prefs, idx):
     """One replicate refitted on its resampled panel; None when discarded."""
-    rp = panel.resample(idx)
+    rp = s.StatePanel(
+        x0=panel.x0[idx],
+        x1=panel.x1[idx],
+        growth=None if panel.growth is None else panel.growth[idx],
+        sdf_increments=None if panel.sdf_increments is None else panel.sdf_increments[idx],
+    )
     design = s.Design(basis, rp)
     lam = None
     if prefs is None:
@@ -69,7 +74,7 @@ def _compare(panel, prefs, b, seed, lambda_cond=False):
     draws = [s.stationary_bootstrap_indices(n, 6.0, _replicate_rng(seed, r)) for r in range(b)]
     counts = np.array([np.bincount(idx, minlength=n) for idx in draws])
     stat = bootstrap_statistic(s.Design(basis, panel), prefs)
-    blocks = [stat(panel, counts[lo:lo + BOOTSTRAP_BLOCK]) for lo in range(0, b, BOOTSTRAP_BLOCK)]
+    blocks = [stat(counts[lo:lo + BOOTSTRAP_BLOCK]) for lo in range(0, b, BOOTSTRAP_BLOCK)]
     batched = {key: np.concatenate([blk[key] for blk in blocks]) for key in blocks[0]}
     refs = [_reference_replicate(panel, basis, prefs, idx) for idx in draws]
 
@@ -125,3 +130,33 @@ def test_batched_statistic_matches_refits_with_fallbacks(testbed, power_prefs):
     batched, discarded = _compare(panel, power_prefs, 400, seed=3)
     assert discarded.any()
     assert set(batched[DISCARD_REASON][discarded]) <= set(s.pfeig.FALLBACK_REASONS)
+
+
+@pytest.mark.parametrize("gamma, positive", [(10.0, True), (40.0, False)])
+def test_one_positivity_rule_at_every_entry_point(testbed, gamma, positive):
+    # at gamma = 40 the continuation value of this n = 80 panel is about
+    # -0.15 at two sample points (its maximum is about 5.3), far beyond
+    # what rounding in the count-weighted solve could move
+    panel = s.simulate_ar1(testbed, 80, np.random.default_rng(1))
+    panel = s.StatePanel.from_states(
+        panel.states, growth=panel.growth, returns=1.0 / panel.growth[:, None]
+    )
+    design = s.Design(s.BasisSpec(family="hermite", k=8).build(panel.states), panel)
+    beta = 0.97
+    fp = s.solve_value_fixed_point(design, beta, gamma)
+    chi = np.concatenate([design.b0, design.b1]) @ fp.chi_coeffs
+    assert fp.converged and (chi.min() > 0.1 if positive else chi.min() < -0.1)
+    reason = "" if positive else "nonpositive_continuation"
+
+    if positive:
+        assert np.all(s.recursive_sdf_series(design, fp) > 0)
+    else:
+        with pytest.raises(ValueError, match="not positive on sample"):
+            s.recursive_sdf_series(design, fp)
+    instruments = s.Design(s.BasisSpec(family="hermite", k=4).build(panel.states), panel)
+    values, reasons = s.criterion_grid(design, instruments, beta, gamma)
+    assert list(reasons) == [reason] and np.isfinite(values[0]) == positive
+    stat = bootstrap_statistic(design, s.RecursiveUtility(beta=beta, gamma=gamma))
+    out = stat(np.ones((1, panel.n), dtype=int))
+    assert list(out[DISCARD_REASON]) == [reason]
+    assert np.isfinite(out["rho"][0]) == np.isfinite(out["lambda"][0]) == positive

@@ -151,14 +151,6 @@ def test_panel_validation_and_resample():
         s.StatePanel.from_states(np.array([0.0, np.inf, 1.0]))
     with pytest.raises(ValueError, match="length"):
         s.StatePanel.from_states(states, growth=np.ones(3))
-    panel = s.StatePanel.from_states(
-        states, growth=np.ones(5) * 1.01, returns=np.ones((5, 2))
-    )
-    sub = panel.resample(np.array([4, 0, 2]))
-    assert sub.n == 3 and sub.states is None
-    np.testing.assert_array_equal(sub.x0[:, 0], [4.0, 0.0, 2.0])
-    np.testing.assert_array_equal(sub.x1[:, 0], [5.0, 1.0, 3.0])
-    assert sub.returns.shape == (3, 2)
 
 
 def test_sieve_matrices_bundle(testbed):

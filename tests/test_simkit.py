@@ -35,6 +35,9 @@ def test_l2_distance_contract():
     assert s.l2_distance(f, f) == 0.0
     w = np.array([0.2, 0.5, 0.3])
     assert s.l2_distance(f, f - 0.7, w) == pytest.approx(0.7, rel=1e-14)
+    # stacked rows: one distance per row, each equal to the row's own
+    rows = np.stack([f, f - 0.7, f * 1.3])
+    np.testing.assert_array_equal(s.l2_distance(rows, f, w), [s.l2_distance(r, f, w) for r in rows])
     with pytest.raises(ValueError):
         s.l2_distance(f, np.ones(2))
     with pytest.raises(ValueError):
@@ -164,3 +167,34 @@ def test_mc_pool_sized_by_jobs(testbed, power_prefs, monkeypatch):
     table = s.run_mc_study(design)
     assert sizes == [2]
     assert table.cells == s.run_mc_study(design, workers=1).cells
+
+
+def test_mc_censors_failed_replicates_stage_wise(testbed, recursive_prefs, monkeypatch):
+    # every third fit fails after its value recursion converged: the
+    # replicate is excluded and loses its eigen statistics, but keeps lambda
+    from sdfspectral import simkit
+
+    fits, fit_panel = [], simkit.fit_panel
+
+    def fit_failing_every_third(design, preferences):
+        fit = fit_panel(design, preferences)
+        fits.append(fit)
+        if len(fits) % 3 == 0:
+            raise simkit.FitFailedError("injected", fit.fixed_point)
+        return fit
+
+    monkeypatch.setattr(simkit, "fit_panel", fit_failing_every_third)
+    design = s.McDesign(
+        ar1=testbed, preferences=recursive_prefs, sample_sizes=(200,), replications=9,
+        basis_spec=s.BasisSpec(family="hermite", k=6), seed=1,
+    )
+    table = s.run_mc_study(design, workers=1)
+    assert table.excluded == {200: 3} and len(fits) == 9
+    kept = [fit for i, fit in enumerate(fits) if i % 3 != 2]
+    rho = np.array([fit.sol.rho for fit in kept])
+    lam = np.array([fit.fixed_point.lam for fit in fits])
+    assert table.bias(200, "rho") == np.mean(rho - table.truths["rho"])
+    assert table.bias(200, "lambda") == np.mean(lam - table.truths["lambda"])
+    # 3 of 9 excluded is more than 10%, but only for the eigen statistics
+    assert all(table.cells[(200, st)].flagged for st in ("rho", "y", "L", "phi", "phi_star"))
+    assert not any(table.cells[(200, st)].flagged for st in ("lambda", "chi"))

@@ -177,9 +177,12 @@ def test_stacked_count_rows_equal_resampled_solves(recursive_fit, recursive_pref
                        for _ in range(5)])
     st = s.solve_value_stack(design, recursive_prefs.beta, recursive_prefs.gamma, counts=counts)
     for r in range(len(counts)):
+        idx = np.repeat(np.arange(n), counts[r])
+        panel = s.StatePanel(
+            x0=design.panel.x0[idx], x1=design.panel.x1[idx], growth=design.panel.growth[idx]
+        )
         fp = s.solve_value_fixed_point(
-            design.resample(np.repeat(np.arange(n), counts[r])),
-            recursive_prefs.beta, recursive_prefs.gamma,
+            s.Design(design.basis, panel), recursive_prefs.beta, recursive_prefs.gamma
         )
         assert st.iterations[r] == fp.iterations and st.converged[r] == fp.converged
         assert st.lam[r] == pytest.approx(fp.lam, rel=1e-12, abs=0)

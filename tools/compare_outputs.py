@@ -1,0 +1,126 @@
+"""Check that every CLI output of this checkout is byte-identical to that of a git revision.
+
+Usage: python3 tools/compare_outputs.py REV
+
+Copies REV's src/ to a temporary directory with ``git archive``, writes
+the benchmark inputs at seed 1 with the prepare functions of
+bench/workloads.py, and runs each argument vector below once per tree,
+each in a fresh ``python`` process writing to an empty output directory
+(the same path for both trees, as provenance.json records it). Exit
+statuses and every output file are compared by bytes; JSON files are
+compared after dropping the top-level ``elapsed_seconds`` key. Prints
+each difference and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
+
+SEED = 1
+#: one BLAS thread and one MC worker, as in the benchmark
+ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+       "SDFSPECTRAL_THREADS": "1"}
+
+
+def argument_vectors(work: Path) -> dict[str, list[str]]:
+    """Named argument vectors on the seed-1 benchmark inputs (without --out)."""
+
+    def prepared(name: str) -> list:
+        sub = work / name
+        sub.mkdir()
+        round_ = workloads.WORKLOADS[name][0](SEED, str(sub))
+        for p in round_:  # drop the workload's own --out
+            i = p.argv.index("--out")
+            del p.argv[i:i + 2]
+        return [p.argv for p in round_]
+
+    (decompose,), (bootstrap,), (mc,) = (prepared(w) for w in ("decompose", "bootstrap", "mc"))
+    cases = {"decompose": decompose, "bootstrap": bootstrap, "mc": mc}
+    cases.update({f"calibrate{j}": argv for j, argv in enumerate(prepared("calibrate"))})
+    # later occurrences of a flag override earlier ones
+    cases["value_recursive"] = ["value", *decompose[1:]]
+    cases["bootstrap_recursive"] = [*bootstrap, "--preferences", "recursive", "--k", "6",
+                                    "--boot-b", "200"]
+    cases["decompose_bspline"] = ["decompose", *bootstrap[1:], "--basis", "bspline", "--k", "7"]
+    cases["mc_recursive"] = [*mc, "--design", "recursive", "--k", "6", "--reps", "30",
+                             "--sizes", "300,600"]
+    return cases
+
+
+def run(src: Path, argv: list[str], out: Path) -> int:
+    env = {**os.environ, **ENV, "PYTHONPATH": str(src)}
+    cmd = [sys.executable, "-m", "sdfspectral.cli", *argv, "--out", str(out)]
+    return subprocess.run(cmd, env=env, cwd=out.parent, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def content(path: Path) -> bytes:
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        obj = json.loads(data)
+        if isinstance(obj, dict) and obj.pop("elapsed_seconds", None) is not None:
+            data = json.dumps(obj).encode()
+    return data
+
+
+def differences(name: str, status: tuple[int, int], outs: tuple[Path, Path]) -> list[str]:
+    diffs = []
+    if status[0] != status[1]:
+        diffs.append(f"{name}: exit status {status[0]} at REV, {status[1]} here")
+    files = [{p.relative_to(out) for p in out.rglob("*") if p.is_file()} for out in outs]
+    for f in sorted(files[0] ^ files[1]):
+        diffs.append(f"{name}: {f} written {'at REV only' if f in files[0] else 'here only'}")
+    for f in sorted(files[0] & files[1]):
+        if content(outs[0] / f) != content(outs[1] / f):
+            diffs.append(f"{name}: {f} differs")
+    return diffs
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare against")
+    rev = parser.parse_args().rev
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True,
+                                 check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive, check=True)
+        trees = (tmp / "src", ROOT / "src")
+        inputs = tmp / "inputs"
+        inputs.mkdir()
+        cases = argument_vectors(inputs)
+        diffs, n_files = [], 0
+        for name, argv in cases.items():
+            # both trees write to the same path, which provenance.json records
+            out = tmp / "out" / name
+            outs = (tmp / "rev" / name, tmp / "here" / name)
+            status = []
+            for src, dest in zip(trees, outs):
+                out.mkdir(parents=True)
+                status.append(run(src, argv, out))
+                dest.parent.mkdir(exist_ok=True)
+                out.rename(dest)
+            found = differences(name, tuple(status), outs)
+            n_files += sum(1 for p in outs[1].rglob("*") if p.is_file())
+            print(f"{name}: exit {status[1]}, {'differs' if found else 'identical'}", flush=True)
+            diffs += found
+    for d in diffs:
+        print(d)
+    print(f"{len(cases)} argument vectors, {n_files} output files: "
+          f"{len(diffs)} difference(s) against {rev}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
