@@ -29,19 +29,39 @@ class BasisFamily(Enum):
 
 
 def _hermite_table(z: np.ndarray, degree: int) -> np.ndarray:
-    """Columns He_j(z)/sqrt(j!) for j = 0..degree (probabilists' Hermite).
+    """Values He_j(z)/sqrt(j!) for j = 0..degree (probabilists' Hermite), on a new last axis.
 
+    ``z`` may have any shape; the table has shape z.shape + (degree + 1,).
     The sqrt(j!) scaling makes the functions orthonormal under N(0, 1).
     """
     z = np.asarray(z, dtype=float)
-    table = np.empty((z.size, degree + 1))
-    table[:, 0] = 1.0
+    # built degree-major, so that each step of the recurrence runs on contiguous values
+    table = np.empty((degree + 1,) + z.shape)
+    table[0] = 1.0
     if degree >= 1:
-        table[:, 1] = z
+        table[1] = z
     for j in range(1, degree):
-        table[:, j + 1] = z * table[:, j] - j * table[:, j - 1]
-    norms = np.array([math.sqrt(math.factorial(j)) for j in range(degree + 1)])
-    return table / norms
+        table[j + 1] = z * table[j] - j * table[j - 1]
+    for j in range(2, degree + 1):  # sqrt(0!) = sqrt(1!) = 1
+        table[j] /= math.sqrt(math.factorial(j))
+    return np.moveaxis(table, 0, -1)
+
+
+def _polynomial_values(z: np.ndarray, index_tuples) -> np.ndarray:
+    """Products of per-coordinate Hermite tables over the retained multi-indices.
+
+    ``z`` holds standardized points, coordinates on its last axis and any
+    leading shape; the result replaces that axis by one per multi-index.
+    """
+    tables = [
+        _hermite_table(z[..., d], max(t[d] for t in index_tuples)) for d in range(z.shape[-1])
+    ]
+    out = np.ones(z.shape[:-1] + (len(index_tuples),))
+    for col, idx in enumerate(index_tuples):
+        for d, j in enumerate(idx):
+            if j > 0:
+                out[..., col] *= tables[d][..., j]
+    return out
 
 
 def _graded_tuples(per_dim_sizes: list[int]) -> list[tuple[int, ...]]:
@@ -126,17 +146,8 @@ class SieveBasis:
 
         # Polynomial families: per-coordinate Hermite tables, then products
         # over the retained multi-indices.
-        tables = []
-        for d in range(self.state_dim):
-            mean, sd = self.standardization[d]
-            max_deg = max(t[d] for t in self.index_tuples)
-            tables.append(_hermite_table((pts[:, d] - mean) / sd, max_deg))
-        out = np.ones((pts.shape[0], self.dimension_k))
-        for col, idx in enumerate(self.index_tuples):
-            for d, j in enumerate(idx):
-                if j > 0:
-                    out[:, col] *= tables[d][:, j]
-        return out
+        means, sds = np.array(self.standardization).T
+        return _polynomial_values((pts - means) / sds, self.index_tuples)
 
     def evaluate(self, x) -> np.ndarray:
         """Evaluate all basis functions at a single point."""
@@ -299,6 +310,50 @@ class BasisSpec:
             comps = [build_hermite_basis(x[:, j], self.degree) for j in range(d)]
             return build_sparse_tensor(comps, self.cap)
         raise ValueError(f"unknown basis family {self.family!r}")
+
+    def evaluate_stack(
+        self, samples: np.ndarray, points: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fit the basis to each row of a stack of univariate samples; evaluate each there and at ``points``.
+
+        Row r of the (R, m) ``samples`` gets the basis ``build(samples[r])``.
+        Returns its values at samples[r] followed by those at the p shared
+        ``points``, an (R, m + p, k) array; the coefficients of the constant
+        function, which every row's basis shares; and an (R,) mask of the
+        rows whose basis could not be built (zero variance, tied knots),
+        which are NaN. Polynomial bases differ across rows only in their
+        standardization, so one Hermite table serves the whole stack;
+        B-spline knots are fitted and evaluated row by row.
+        """
+        samples = np.asarray(samples, dtype=float)
+        pts = np.concatenate(
+            [samples, np.broadcast_to(np.asarray(points, dtype=float), (len(samples), len(points)))],
+            axis=1,
+        )
+        if self.family == "bspline":
+            failed, rows, basis = np.zeros(len(samples), dtype=bool), [], None
+            for r, x in enumerate(samples):
+                try:
+                    basis = self.build(x)
+                except ValueError:
+                    failed[r] = True
+                    continue
+                rows.append(basis.evaluate_many(pts[r]))
+            if basis is None:
+                return np.full(pts.shape + (0,), np.nan), np.zeros(0), failed
+            values = np.full(pts.shape + (basis.dimension_k,), np.nan)
+            values[~failed] = rows
+            return values, basis.const_coeffs, failed
+        sds = samples.std(axis=1, ddof=1)
+        failed = sds <= 0
+        if failed.all():
+            return np.full(pts.shape + (0,), np.nan), np.zeros(0), failed
+        # every row's basis has the index tuples of the first one that builds
+        basis = self.build(samples[np.argmin(failed)])
+        z = (pts - samples.mean(axis=1)[:, None]) / np.where(failed, 1.0, sds)[:, None]
+        values = _polynomial_values(z[..., None], basis.index_tuples)
+        values[failed] = np.nan
+        return values, basis.const_coeffs, failed
 
     def to_dict(self) -> dict:
         out = {"family": self.family}

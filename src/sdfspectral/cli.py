@@ -118,6 +118,13 @@ def _parser() -> argparse.ArgumentParser:
 
 #: RunConfig's fields and their types, which a config file's values must have
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
+#: the types of the nested section keys that the commands read as numbers or lists
+_SECTION_TYPES = {
+    "preferences": {"beta": float, "gamma": float},
+    "bootstrap": {"b": int, "expected_block": float, "level": float, "seed": int},
+    "mc": {"design": str, "beta": float, "gamma": float, "mu": float, "kappa": float,
+           "sigma": float, "sizes": list[int], "reps": int},
+}
 
 
 def _has_type(value, hint) -> bool:
@@ -135,8 +142,9 @@ def _has_type(value, hint) -> bool:
 def _check_types(cfg: RunConfig) -> None:
     """Reject a merged config value of the wrong type, naming its key."""
     checks = [(key, getattr(cfg, key), hint) for key, hint in _CONFIG_TYPES.items()]
-    checks += [(f"preferences.{key}", cfg.preferences[key], float)
-               for key in ("beta", "gamma") if key in cfg.preferences]
+    checks += [(f"{section}.{key}", getattr(cfg, section)[key], hint)
+               for section, types in _SECTION_TYPES.items()
+               for key, hint in types.items() if key in getattr(cfg, section)]
     for key, value, hint in checks:
         if not _has_type(value, hint):
             raise CliError(f"config key {key!r} has a value of the wrong type: {value!r}")

@@ -58,12 +58,28 @@ def influence_rho(
     """
     if not sol.normalized:
         raise ValueError("influence functions require a normalized eigen solution")
-    m = np.asarray(m, dtype=float)
-    psi = phi_star_t * m * phi_t1 - sol.rho * phi_star_t * phi_t
-    v_rho = float(np.mean(psi**2))
+    psi, v_rho = influence_stack(np.float64(sol.rho), m, phi_t, phi_t1, phi_star_t)
+    v_rho = float(v_rho)
     return InfluenceSeries(
         psi_rho=psi, v_rho=v_rho, v_y=v_rho / sol.rho**2, rho=sol.rho
     )
+
+
+def influence_stack(
+    rho: np.ndarray,
+    m: np.ndarray,
+    phi_t: np.ndarray,
+    phi_t1: np.ndarray,
+    phi_star_t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Influence series psi of :func:`influence_rho` and the plug-in variance mean(psi^2).
+
+    Broadcasts over leading axes: with (R,) eigenvalues and (R, n) sample
+    series it gives the (R, n) series and (R,) variances of R fits.
+    """
+    m = np.asarray(m, dtype=float)
+    psi = phi_star_t * m * phi_t1 - np.asarray(rho)[..., None] * phi_star_t * phi_t
+    return psi, np.mean(psi**2, axis=-1)
 
 
 def default_bandwidth(n: int) -> int:
@@ -193,13 +209,12 @@ def bootstrap_ci(
     reasons: list[np.ndarray] = []
     for lo in range(0, b, BOOTSTRAP_BLOCK):
         rows = range(lo, min(lo + BOOTSTRAP_BLOCK, b))
-        counts = np.array([
-            np.bincount(
-                stationary_bootstrap_indices(n, expected_block, _replicate_rng(seed, r)),
-                minlength=n,
-            )
-            for r in rows
+        idx = np.array([
+            stationary_bootstrap_indices(n, expected_block, _replicate_rng(seed, r)) for r in rows
         ])
+        # row j of the block counts replicate j's draws: one bincount over j*n + index
+        flat = (np.arange(len(rows))[:, None] * n + idx).ravel()
+        counts = np.bincount(flat, minlength=len(rows) * n).reshape(len(rows), n)
         out = dict(statistic(counts))
         why = out.pop(DISCARD_REASON, None)
         reasons.append(np.full(len(rows), "", dtype=object) if why is None

@@ -80,6 +80,20 @@ def _cholesky_stack(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return G, L
 
 
+def _spd_mask(G: np.ndarray) -> np.ndarray:
+    """Which matrices of an (S, k, k) Gram stack :func:`_cholesky_stack` factors, ridge included."""
+    ok = np.ones(len(G), dtype=bool)
+    try:
+        _cholesky_stack(G)
+    except np.linalg.LinAlgError:
+        for s, g in enumerate(G):
+            try:
+                _cholesky_stack(g[None])
+            except np.linalg.LinAlgError:
+                ok[s] = False
+    return ok
+
+
 class _PencilStack(NamedTuple):
     """Per-pencil results of :func:`_solve_stack`.
 
@@ -99,6 +113,26 @@ class _PencilStack(NamedTuple):
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A @ v[..., None])[..., 0]
+
+
+def _unwhiten_rows(Li: np.ndarray, X: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Coefficients L^-' x of one eigenvector row x per pencil, from the (S, k) rows X.
+
+    eig returns real vectors for a pencil whose eigenvalues are all real,
+    but complex ones for the whole stack once one pencil has a complex
+    eigenvalue, and BLAS sums a strided real part in another order. Each
+    pencil's row is read in the layout its own solve returns, so its
+    coefficients do not depend on the other pencils of the stack.
+    """
+    cplx = np.any(vals.imag != 0, axis=1)
+    out = np.empty(X.shape)
+    for rows, contiguous in ((~cplx, True), (cplx, False)):
+        if rows.any():
+            x = X[rows].real  # a strided view where X is complex
+            out[rows] = _matvec(
+                np.swapaxes(Li[rows], -1, -2), np.ascontiguousarray(x) if contiguous else x
+            )
+    return out
 
 
 def _solve_stack(M: np.ndarray, G: np.ndarray) -> _PencilStack:
@@ -134,8 +168,8 @@ def _solve_stack(M: np.ndarray, G: np.ndarray) -> _PencilStack:
     match = np.argmin(np.abs(vals_t - rho[:, None]), axis=1)
     mismatch = np.abs(vals_t[s, match] - rho) > 1e-8 * (1.0 + np.abs(rho))
 
-    right = _matvec(Lit, vecs[s, :, top].real)
-    left = _matvec(Lit, vecs_t[s, :, match].real)
+    right = _unwhiten_rows(Li, vecs[s, :, top], vals)
+    left = _unwhiten_rows(Li, vecs_t[s, :, match], vals_t)
     right /= np.linalg.norm(right, axis=1, keepdims=True)
     left /= np.linalg.norm(left, axis=1, keepdims=True)
 
@@ -201,6 +235,31 @@ def solve_generalized(
     )
 
 
+def _normalize_stack(
+    right: np.ndarray, left: np.ndarray, G: np.ndarray, const: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The conventions of :func:`normalize` applied to (S, k) coefficient rows of S pencils.
+
+    Returns the normalized right and left rows, and two (S,) masks of the
+    defective rows: a right row with non-positive G-norm, and a left row
+    G-orthogonal to its right row. Those rows' results are meaningless.
+    """
+
+    def form(a, b):  # a_s' G_s b_s for every row s
+        return (a[:, None, :] @ G @ b[:, :, None])[:, 0, 0]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = form(right, right)
+        c = right / np.sqrt(scale)[:, None]
+        cross = form(left, c)
+        cs = left / cross[:, None]
+    # With the constant function in the basis span, const'Gc is exactly the
+    # sample mean of the eigenfunction.
+    flip = form(np.broadcast_to(const, c.shape), c) < 0
+    c[flip], cs[flip] = -c[flip], -cs[flip]
+    return c, cs, scale <= 0, cross == 0.0
+
+
 def normalize(sol: EigenSolution, G: np.ndarray) -> EigenSolution:
     """Impose the scale and sign conventions on an eigen solution.
 
@@ -211,23 +270,18 @@ def normalize(sol: EigenSolution, G: np.ndarray) -> EigenSolution:
     """
     if sol.is_fallback:
         raise ValueError("cannot normalize a fallback solution")
-    G = np.asarray(G, dtype=float)
-    c = sol.right_coeffs.astype(float)
-    scale = float(c @ G @ c)
-    if scale <= 0:
+    const = sol.const_coeffs if sol.const_coeffs is not None else np.ones(sol.right_coeffs.size)
+    c, cs, bad_norm, orthogonal = _normalize_stack(
+        sol.right_coeffs.astype(float)[None],
+        sol.left_coeffs.astype(float)[None],
+        np.asarray(G, dtype=float)[None],
+        const,
+    )
+    if bad_norm[0]:
         raise DefectivePairError("right eigenvector has non-positive G-norm")
-    c = c / np.sqrt(scale)
-    cs = sol.left_coeffs.astype(float)
-    cross = float(cs @ G @ c)
-    if cross == 0.0:
+    if orthogonal[0]:
         raise DefectivePairError("defective pair: left/right eigenvectors G-orthogonal")
-    cs = cs / cross
-    const = sol.const_coeffs if sol.const_coeffs is not None else np.ones(c.size)
-    # With the constant function in the basis span, const'Gc is exactly the
-    # sample mean of the eigenfunction.
-    if const @ G @ c < 0:
-        c, cs = -c, -cs
-    return replace(sol, right_coeffs=c, left_coeffs=cs, normalized=True)
+    return replace(sol, right_coeffs=c[0], left_coeffs=cs[0], normalized=True)
 
 
 def eigenfunction_values(

@@ -3,17 +3,31 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .decomp import DecompSeries, pt_association, pt_series
-from .inference import DISCARD_REASON, InfluenceSeries, influence_rho
-from .pfeig import FALLBACK_REASONS, EigenSolution, _solve_stack, normalize, solve_generalized
-from .preferences import PowerUtility, RecursiveUtility, power_utility_sdf_series
-from .sievemat import Design, estimate_pricing, gram_stack, rowwise_outer
+from .inference import DISCARD_REASON, InfluenceSeries, influence_rho, influence_stack
+from .pfeig import (
+    FALLBACK_REASONS,
+    EigenSolution,
+    _matvec,
+    _normalize_stack,
+    _solve_stack,
+    normalize,
+    solve_generalized,
+)
+from .preferences import (
+    PowerUtility,
+    RecursiveUtility,
+    power_utility_sdf,
+    power_utility_sdf_series,
+)
+from .sievemat import Design, DesignStack, estimate_pricing, gram_stack, rowwise_outer
 from .valuefn import (
     FixedPointSolution,
+    FixedPointStack,
     recursive_sdf_series,
     recursive_sdf_stack,
     solve_value_fixed_point,
@@ -133,6 +147,65 @@ def fit_panel(
         fixed_point=fp,
         influence=influence_rho(sol, m, phi_t, phi_t1, phi_star_t),
     )
+
+
+class FitStack(NamedTuple):
+    """Per-replicate results of :func:`fit_stack` on R panel designs.
+
+    ``failed`` marks the replicates without a usable eigen fit; their
+    ``rho``, ``right``, ``left`` and ``se_rho`` are NaN. ``fixed_point``
+    holds the value recursions under recursive preferences (else None);
+    those of its columns whose ``reason`` is not empty did not converge,
+    and such a replicate has failed as well.
+    """
+
+    failed: np.ndarray  # (R,) bool
+    m: np.ndarray  # (R, n) SDF increments, ones where they could not be formed
+    rho: np.ndarray  # (R,)
+    right: np.ndarray  # (R, k) normalized eigenfunction coefficients
+    left: np.ndarray  # (R, k) normalized adjoint coefficients
+    se_rho: np.ndarray  # (R,) plug-in standard error of rho
+    fixed_point: Optional[FixedPointStack]
+
+
+def fit_stack(
+    design: DesignStack, preferences: Union[PowerUtility, RecursiveUtility]
+) -> FitStack:
+    """Estimate the eigenpairs of R panel designs as one stack, stage by stage.
+
+    The stages of :func:`fit_panel`, each run once over the stack: the
+    value recursions (one :func:`solve_value_stack` call) under recursive
+    preferences, the SDF increments, the eigensolve of the pricing and
+    Gram stacks, the normalization, and the plug-in standard error of rho.
+    Each replicate is censored on its own, by the rule that fails
+    :func:`fit_panel`: an unconverged or degenerate value recursion, a
+    continuation value that is not positive on its sample, SDF increments
+    that are not finite and positive, a fallback eigenpair or a defective
+    pair. Every Gram matrix of the stack must factor
+    (:func:`pfeig._spd_mask`); otherwise LinAlgError is raised.
+    """
+    n = design.n
+    fp = None
+    if isinstance(preferences, RecursiveUtility):
+        fp = solve_value_stack(design, preferences.beta, preferences.gamma)
+        m, usable = recursive_sdf_stack(design, fp.beta, fp.gamma, fp.lam, fp.chi_coeffs)
+        m, ok = m.T, usable & (fp.reason == "")
+    else:
+        m = power_utility_sdf(design.growth, preferences.beta, preferences.gamma)
+        ok = np.ones(len(m), dtype=bool)
+    ok &= np.all(np.isfinite(m) & (m > 0), axis=1)
+    m = np.where(ok[:, None], m, 1.0)
+    G = design.gram
+    eig = _solve_stack(estimate_pricing(design, m), G)
+    right, left, bad_norm, orthogonal = _normalize_stack(
+        eig.right, eig.left, G, design.const_coeffs
+    )
+    failed = ~ok | (eig.reason != "") | bad_norm | orthogonal
+    rho = np.where(failed, np.nan, eig.rho)
+    right, left = (np.where(failed[:, None], np.nan, c) for c in (right, left))
+    phi_t, phi_t1 = _matvec(design.b0, right), _matvec(design.b1, right)
+    _, v_rho = influence_stack(rho, m, phi_t, phi_t1, _matvec(design.b0, left))
+    return FitStack(failed, m, rho, right, left, np.sqrt(v_rho / n), fp)
 
 
 def decompose_panel(

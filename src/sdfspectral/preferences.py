@@ -33,4 +33,9 @@ def power_utility_sdf_series(panel: StatePanel, beta: float, gamma: float) -> np
     """Realized power-utility SDF increments beta * G^(-gamma) from the panel growth."""
     if panel.growth is None:
         raise ValueError("panel has no growth series")
-    return beta * np.exp(-gamma * np.log(panel.growth))
+    return power_utility_sdf(panel.growth, beta, gamma)
+
+
+def power_utility_sdf(growth: np.ndarray, beta: float, gamma: float) -> np.ndarray:
+    """beta * G^(-gamma) of an array of gross growth rates."""
+    return beta * np.exp(-gamma * np.log(growth))

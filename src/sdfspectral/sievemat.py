@@ -105,7 +105,8 @@ class Whitening(NamedTuple):
     A coefficient vector v has whitened coordinates u = L' v, in which the
     G-norm sqrt(v'Gv) is the Euclidean norm of u; ``w0 = b0 L^-'`` and
     ``w1 = b1 L^-'`` give the sample values b(X_t)'v = w0 u and
-    b(X_{t+1})'v = w1 u.
+    b(X_{t+1})'v = w1 u. Of a :class:`DesignStack`, each field has a
+    leading replicate axis.
     """
 
     L: np.ndarray  # (k, k) lower triangular, of the SPD-ridged Gram matrix
@@ -134,6 +135,14 @@ class Design:
     def n(self) -> int:
         return self.panel.n
 
+    @property
+    def growth(self) -> Optional[np.ndarray]:
+        return self.panel.growth
+
+    @property
+    def const_coeffs(self) -> np.ndarray:
+        return self.basis.const_coeffs
+
     @cached_property
     def gram(self) -> np.ndarray:
         return estimate_gram(self)
@@ -146,10 +155,7 @@ class Design:
     @cached_property
     def whitening(self) -> Whitening:
         """Cholesky whitening of the Gram matrix (ridged as in :func:`pfeig._cholesky_stack`)."""
-        L = _cholesky_stack(self.gram[None])[1][0]
-        Li = np.linalg.inv(L)
-        # w1 is the transpose of a C-ordered (k, n) product: w1.T @ ... runs on contiguous rows
-        return Whitening(L, Li, self.b0 @ Li.T, (Li @ self.b1.T).T)
+        return _whitening(self)
 
     @cached_property
     def gram_terms(self) -> np.ndarray:
@@ -157,21 +163,62 @@ class Design:
         return rowwise_outer(self.b0, self.b0)
 
 
+class DesignStack:
+    """The sieve designs of R panels of one length: (R, n, k) row stacks b0 and b1.
+
+    Row r of ``b0``/``b1`` holds b_r(X_t) and b_r(X_{t+1}) of replicate r's
+    own basis and panel, and row r of the (R, n) ``growth`` its growth
+    series; the constant function has the coefficients ``const_coeffs`` in
+    every basis. The (R, k, k) Gram stack and its whitening are formed on
+    first use, each matrix as :class:`Design` forms its own.
+    """
+
+    def __init__(
+        self, b0: np.ndarray, b1: np.ndarray, growth: np.ndarray, const_coeffs: np.ndarray
+    ):
+        self.b0, self.b1, self.growth, self.const_coeffs = b0, b1, growth, const_coeffs
+
+    @property
+    def n(self) -> int:
+        return self.b0.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return estimate_gram(self)
+
+    @cached_property
+    def whitening(self) -> Whitening:
+        """Per-replicate Cholesky whitenings, each field stacked over a leading R axis."""
+        return _whitening(self)
+
+
+def _whitening(design) -> Whitening:
+    """Whitening of a design's Gram matrix, or of each one of a design stack."""
+    k = design.b0.shape[-1]
+    gram = design.gram
+    L = _cholesky_stack(gram.reshape(-1, k, k))[1].reshape(gram.shape)
+    Li = np.linalg.inv(L)
+    # w1 is the transpose of a C-ordered (k, n) product: w1.T @ ... runs on contiguous rows
+    w1t = Li @ np.swapaxes(design.b1, -1, -2)
+    return Whitening(L, Li, design.b0 @ np.swapaxes(Li, -1, -2), np.swapaxes(w1t, -1, -2))
+
+
 def estimate_gram(design: Design) -> np.ndarray:
     """Sample Gram matrix (1/n) sum_t b(X_t) b(X_t)' over t = 0..n-1.
 
     The final observation X_n enters only the pricing matrix. Warns when
-    n < k (underdetermined) or the result is numerically singular.
+    n < k (underdetermined) or the result is numerically singular. Of a
+    :class:`DesignStack`, returns the (R, k, k) stack of its Gram matrices.
     """
-    n, k = design.b0.shape
+    n, k = design.b0.shape[-2:]
     if n < k:
         warnings.warn(
             f"n={n} below basis dimension k={k}; Gram matrix is singular",
             stacklevel=2,
         )
-    gram = design.b0.T @ design.b0 / n
-    gram = 0.5 * (gram + gram.T)
-    if np.linalg.cond(gram) > 1e12:
+    gram = np.swapaxes(design.b0, -1, -2) @ design.b0 / n
+    gram = 0.5 * (gram + np.swapaxes(gram, -1, -2))
+    if np.any(np.linalg.cond(gram) > 1e12):
         warnings.warn("Gram matrix numerically singular (condition > 1e12)", stacklevel=2)
     return gram
 
@@ -197,10 +244,12 @@ def estimate_pricing(design: Design, m: np.ndarray) -> np.ndarray:
 
     ``m`` is the realized SDF increment series, one entry per transition
     pair; whether it comes from an observed column, a known formula or a
-    plug-in with estimated components is the caller's concern.
+    plug-in with estimated components is the caller's concern. Of a
+    :class:`DesignStack`, ``m`` has one row per replicate and the result is
+    the (R, k, k) stack of pricing matrices.
     """
     n = design.n
-    if m is None or np.shape(m) != (n,):
+    if m is None or np.shape(m) != design.b0.shape[:-1]:
         raise ValueError(f"need the realized SDF increments m (sdf_increments) as a length-{n} series")
     m = np.asarray(m, dtype=float)
-    return design.b0.T @ (m[:, None] * design.b1) / n
+    return np.swapaxes(design.b0, -1, -2) @ (m[..., None] * design.b1) / n

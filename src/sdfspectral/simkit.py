@@ -2,15 +2,20 @@
 
 Replicates are driven by per-replicate substreams keyed on (seed, size,
 replicate), so tables are bit-identical regardless of how replicates are
-scheduled across workers. Function-valued statistics are scored by their
-weighted L2 distance to the population truth on the quadrature grid:
-the per-replicate distances average into the RMSE entry, while the bias
-entry is the distance of the replicate-averaged function from the truth.
+scheduled across workers. Each block of replicates is simulated,
+evaluated on its sieve and fitted as one stack (:func:`pipeline.fit_stack`);
+every array operation on the stack acts on each replicate's rows alone,
+so the records do not depend on how replicates are grouped into blocks.
+Function-valued statistics are scored by their weighted L2 distance to
+the population truth on the quadrature grid: the per-replicate distances
+average into the RMSE entry, while the bias entry is the distance of the
+replicate-averaged function from the truth.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,15 +27,18 @@ from scipy.signal import lfilter
 
 from .basis import BasisSpec
 from .csvout import write_csv
-from .decomp import long_run_yield, permanent_entropy
 from .oracle import Ar1Design, quadrature_eig
-from .pipeline import FitFailedError, fit_panel
+from .pfeig import _matvec, _spd_mask
+from .pipeline import fit_stack
 from .preferences import PowerUtility, RecursiveUtility
-from .sievemat import Design, StatePanel
+from .sievemat import DesignStack, StatePanel
 
 WORKERS_ENV = "SDFSPECTRAL_THREADS"
 #: Gauss-Hermite nodes of the quadrature truth and of the function-valued scores
 ORACLE_NODES = 80
+#: float64 elements of one (replicates, n + 1, k) array of basis values; it
+#: sets how many replicates a block stacks, so peak memory stays flat in n and k
+MC_BLOCK_ELEMENTS = 2**17
 
 
 def resolve_workers(requested: Optional[int] = None) -> int:
@@ -56,12 +64,23 @@ def simulate_ar1(
     if n < 1:
         raise ValueError("need n >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    dev = np.empty(n + 1)
-    dev[0] = design.stationary_std * rng.standard_normal()
-    shocks = design.sigma * rng.standard_normal(n)
-    dev[1:] = lfilter([1.0], [1.0, -design.kappa], shocks, zi=[design.kappa * dev[0]])[0]
-    states = design.mu + dev
+    states = _ar1_paths(design, n, [rng])[0]
     return StatePanel.from_states(states, growth=np.exp(states[1:]))
+
+
+def _ar1_paths(design: Ar1Design, n: int, rngs) -> np.ndarray:
+    """(R, n + 1) AR(1) state paths, row r drawn by generator rngs[r] as :func:`simulate_ar1` draws."""
+    draws = np.empty((len(rngs), n + 1))
+    for row, rng in zip(draws, rngs):
+        row[0] = rng.standard_normal()
+        row[1:] = rng.standard_normal(n)
+    dev = np.empty_like(draws)
+    dev[:, 0] = design.stationary_std * draws[:, 0]
+    shocks = design.sigma * draws[:, 1:]
+    dev[:, 1:] = lfilter(
+        [1.0], [1.0, -design.kappa], shocks, axis=-1, zi=design.kappa * dev[:, :1]
+    )[0]
+    return design.mu + dev
 
 
 def l2_distance(f_vals, g_vals, weights=None):
@@ -164,49 +183,80 @@ def _replicate_rng(seed: int, n: int, rep: int) -> np.random.Generator:
     )
 
 
-def _one_replicate(
-    design: McDesign, n: int, rng: np.random.Generator, nodes: np.ndarray
-) -> tuple[bool, np.ndarray, np.ndarray]:
-    """Estimate one simulated sample with :func:`pipeline.fit_panel`.
+def _fit_block(
+    design: McDesign, n: int, reps: range, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Records of the replicates ``reps`` at sample size n, simulated and fitted as one stack.
 
-    Returns whether the fit failed, the _SCALARS record and the (3, nodes)
-    _FUNCS record, NaN wherever a value is censored. The value-recursion
-    statistics are kept whenever the value recursion converged, also when
-    a later stage failed (censoring a first-stage statistic on a
-    later-stage failure would bias its distribution); the eigen statistics
-    only when the whole fit succeeded.
+    Returns whether each fit failed, the (R, 5) _SCALARS and the
+    (R, 3, nodes) _FUNCS records, NaN wherever a value is censored. Each
+    replicate is censored on its own, stage by stage: a basis that cannot
+    be built (zero variance, tied knots) or a Gram matrix that is not
+    positive definite even after the ridge censors all of its values. The
+    value-recursion statistics are kept whenever the value recursion
+    converged, also when a later stage failed (censoring a first-stage
+    statistic on a later-stage failure would bias its distribution); the
+    eigen statistics only when the whole fit succeeded.
     """
-    panel = simulate_ar1(design.ar1, n, rng)
-    rho = y = entropy_l = lam = se_rho = np.nan
-    phi = phi_star = chi = np.full(nodes.size, np.nan)
-    fit = fp = None
-    try:
-        sieve = Design(design.basis_spec.build(panel.states), panel)
-        bn = sieve.basis.evaluate_many(nodes)
-        fit = fit_panel(sieve, design.preferences)
-        fp = fit.fixed_point
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
-        if isinstance(exc, FitFailedError):
-            fp = exc.fixed_point
-    if fp is not None:
-        lam, chi = fp.lam, bn @ fp.chi_coeffs
-    failed = fit is None or fit.sol.is_fallback
-    if not failed:
-        sol = fit.sol
-        rho, y, entropy_l = sol.rho, long_run_yield(sol.rho), permanent_entropy(sol.rho, fit.m)
-        se_rho = fit.influence.se_rho()
-        phi, phi_star = bn @ sol.right_coeffs, bn @ sol.left_coeffs
-    return failed, np.array([rho, y, entropy_l, lam, se_rho]), np.stack([phi, phi_star, chi])
+    states = _ar1_paths(design.ar1, n, [_replicate_rng(design.seed, n, rep) for rep in reps])
+    growth = np.exp(states[:, 1:])
+    if not np.all(np.isfinite(growth) & (growth > 0)):
+        raise ValueError("simulated growth is not finite and positive; the AR(1) law is too extreme")
+    failed = np.ones(len(reps), dtype=bool)
+    scalars = np.full((len(reps), len(_SCALARS)), np.nan)
+    funcs = np.full((len(reps), len(_FUNCS), nodes.size), np.nan)
+
+    values, const, no_basis = design.basis_spec.evaluate_stack(states, nodes)
+
+    def stack_of(rows: np.ndarray) -> tuple[DesignStack, np.ndarray]:
+        """The design stack of the given replicates, and their basis values at the nodes."""
+        b = values[rows]
+        return DesignStack(b[:, :n], b[:, 1:n + 1], growth[rows], const), b[:, n + 1:]
+
+    rows = np.flatnonzero(~no_basis)
+    if rows.size:
+        stack, b_nodes = stack_of(rows)
+        spd = _spd_mask(stack.gram)
+        if not spd.all():
+            rows = rows[spd]
+            stack, b_nodes = stack_of(rows)
+    if rows.size == 0:
+        return failed, scalars, funcs
+    fit = fit_stack(stack, design.preferences)
+
+    ok = ~fit.failed
+    kept = rows[ok]
+    failed[kept] = False
+    rho = fit.rho[ok]
+    # math.log, which decomp's long_run_yield and permanent_entropy use: the
+    # records then equal those of single fits bit for bit
+    log_rho = np.array([math.log(r) for r in rho])
+    scalars[kept, 0] = rho
+    scalars[kept, 1] = -log_rho
+    scalars[kept, 2] = log_rho - np.mean(np.log(fit.m[ok]), axis=1)
+    scalars[kept, 4] = fit.se_rho[ok]
+    funcs[kept, 0] = _matvec(b_nodes[ok], fit.right[ok])
+    funcs[kept, 1] = _matvec(b_nodes[ok], fit.left[ok])
+    if fit.fixed_point is not None:
+        solved = fit.fixed_point.reason == ""
+        scalars[rows[solved], 3] = fit.fixed_point.lam[solved]
+        funcs[rows[solved], 2] = _matvec(b_nodes[solved], fit.fixed_point.chi_coeffs[solved])
+    return failed, scalars, funcs
 
 
 def _run_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked records of one block of replicates, in replicate order (worker entry point)."""
+    """Stacked records of one range of replicates, in replicate order (worker entry point).
+
+    The range is fitted in blocks of as many replicates as keep one block's
+    basis values within MC_BLOCK_ELEMENTS.
+    """
     design, n, rep_lo, rep_hi, nodes = args
+    size = max(1, MC_BLOCK_ELEMENTS // ((n + 1) * _basis_dim_hint(design.basis_spec)))
     records = [
-        _one_replicate(design, n, _replicate_rng(design.seed, n, rep), nodes)
-        for rep in range(rep_lo, rep_hi)
+        _fit_block(design, n, range(lo, min(lo + size, rep_hi)), nodes)
+        for lo in range(rep_lo, rep_hi, size)
     ]
-    return tuple(np.array(field) for field in zip(*records))
+    return tuple(np.concatenate(field) for field in zip(*records))
 
 
 def _kept(values: np.ndarray) -> np.ndarray:

@@ -13,12 +13,12 @@ own count-weighted replicate of the sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .pfeig import _cholesky_stack, _matvec
-from .sievemat import Design, gram_stack
+from .sievemat import Design, DesignStack, gram_stack
 
 #: why a column of :func:`solve_value_stack` has no solution ("" where it converged)
 VALUE_FAILURES = ("invalid_parameters", "growth_overflow", "unconverged_value_recursion")
@@ -65,10 +65,13 @@ class FixedPointStack:
 
 
 def _growth_weights(growth: Optional[np.ndarray], gamma: np.ndarray) -> np.ndarray:
-    """G_{t+1}^{1-gamma}, as exp((1-gamma) log G), one row per gamma (inf where it overflows)."""
+    """G_{t+1}^{1-gamma}, as exp((1-gamma) log G), one row per gamma (inf where it overflows).
+
+    A growth stack (one row per gamma) gives row r from its own row r.
+    """
     if growth is None:
         raise ValueError("panel has no growth series")
-    g = np.multiply.outer(1.0 - gamma, np.log(growth))
+    g = np.asarray(1.0 - gamma)[..., None] * np.log(growth)
     with np.errstate(over="ignore"):
         return np.exp(g, out=g)
 
@@ -80,7 +83,7 @@ def value_map(design: Design, beta: float, gamma: float) -> Callable[[np.ndarray
     once per map, as exp((1-gamma) log G) so that large risk aversion does
     not overflow before the log would.
     """
-    gw = _growth_weights(design.panel.growth, np.float64(gamma))
+    gw = _growth_weights(design.growth, np.float64(gamma))
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
     if not np.all(np.isfinite(gw)):
@@ -94,8 +97,13 @@ def value_map(design: Design, beta: float, gamma: float) -> Callable[[np.ndarray
     return t_map
 
 
+def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows a_p' b_p of a stack of matrices b, one per row."""
+    return (a[..., None, :] @ b)[..., 0, :]
+
+
 def solve_value_stack(
-    design: Design,
+    design: Union[Design, DesignStack],
     beta,
     gamma,
     counts: Optional[np.ndarray] = None,
@@ -105,11 +113,16 @@ def solve_value_stack(
 ) -> FixedPointStack:
     """Solve the value recursion for P columns at once, each with its own (beta, gamma).
 
-    ``beta`` and ``gamma`` broadcast to P entries. With ``counts``, an
-    integer (P, n) array, column r solves the count-weighted recursion of
-    replicate r: its map and Gram matrix weight transition pair t by
-    counts[r, t], and its Gram matrix gets its own SPD ridge and Cholesky
-    factor. Without it every column uses the design's :attr:`whitening`.
+    ``beta`` and ``gamma`` broadcast to P entries. A column's rows are
+    either shared, its own count-weighted replicate, or its own design:
+
+    - of a :class:`Design`, every column uses the design's :attr:`whitening`;
+    - with ``counts``, an integer (P, n) array, column r solves the
+      count-weighted recursion of replicate r of the design: its map and
+      Gram matrix weight transition pair t by counts[r, t], and its Gram
+      matrix gets its own SPD ridge and Cholesky factor;
+    - of a :class:`DesignStack` of R designs, column r solves the recursion
+      of design r, on its whitened rows and growth series (P = R).
 
     Each column runs the iteration of :func:`solve_value_fixed_point` in
     whitened coordinates u = L'z, where the G-norm is Euclidean and
@@ -119,33 +132,41 @@ def solve_value_stack(
     panel-level faults raise: a missing growth series, or a Gram matrix
     that is not positive definite even after the ridge.
     """
+    stacked = isinstance(design, DesignStack)
     shape = np.broadcast_shapes(
-        np.shape(beta), np.shape(gamma), () if counts is None else (len(counts),)
+        np.shape(beta),
+        np.shape(gamma),
+        () if counts is None else (len(counts),),
+        (len(design.b0),) if stacked else (),
     )
     beta, gamma = (np.broadcast_to(np.asarray(a, float), shape).ravel() for a in (beta, gamma))
-    p_cols, n, k = beta.size, design.n, design.b0.shape[1]
+    p_cols, n, k = beta.size, design.n, design.b0.shape[-1]
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    gw = _growth_weights(design.panel.growth, gamma)  # (P, n)
+    gw = _growth_weights(design.growth, gamma)  # (P, n)
     gw /= n
     reason = np.full(p_cols, "", dtype=object)
     reason[~np.all(np.isfinite(gw), axis=1)] = "growth_overflow"
     reason[~((beta > 0) & (beta < 1) & (gamma >= 1))] = "invalid_parameters"
     # rows z' of coefficient vectors map to whitened rows u' = z'L and back by
-    # z' = u'L^-1; Li holds per-column factors L^-1, None when the design's
-    # own whitening serves every column
+    # z' = u'L^-1; Li holds per-column factors L^-1 of unwhitened count rows,
+    # None when the rows are whitened already
+    product = _row_product if stacked else np.matmul
     if counts is None:
         wh = design.whitening
-        r0, r1t, Li = wh.w0, wh.w1.T, None
+        # r1t is the C-ordered (k, n) transpose of w1, one per design of a stack
+        r0, r1t, Li = wh.w0, np.swapaxes(wh.w1, -1, -2), None
 
         def whiten(Z: np.ndarray) -> np.ndarray:
-            return Z @ wh.L
+            return product(Z, wh.L)
 
         def unwhiten(U: np.ndarray) -> np.ndarray:
-            return U @ wh.Li
+            return product(U, wh.Li)
 
         u0 = np.full(n, 1.0 / n) @ r0  # mean whitened row L^-1 mean b(X_t)
     else:
+        if stacked:
+            raise ValueError("count rows weight the pairs of one design, not of a design stack")
         w = np.asarray(counts, dtype=float)
         if w.shape != (p_cols, n):
             raise ValueError(f"counts must have shape ({p_cols}, {n})")
@@ -165,25 +186,27 @@ def solve_value_stack(
     if z0 is not None:
         u0 = whiten(np.asarray(z0, dtype=float))
 
-    def g_inv_t(U: np.ndarray, gw_c: np.ndarray, beta_c: np.ndarray, Li_c) -> np.ndarray:
+    def g_inv_t(U: np.ndarray, gw_c, beta_c, Li_c, r0_c, r1t_c) -> np.ndarray:
         """L^-1 T(v) of C columns, from their whitened iterates U (C, k)."""
         V = U if Li_c is None else _matvec(np.swapaxes(Li_c, -1, -2), U)
-        A = V @ r1t
+        A = product(V, r1t_c)
         np.abs(A, out=A)
         np.power(A, beta_c, out=A)
         A *= gw_c
-        T = A @ r0
+        T = product(A, r0_c)
         return T if Li_c is None else _matvec(Li_c, T)
 
     lam = np.full(p_cols, np.nan)
     Y = np.full((p_cols, k), np.nan)  # each column's last normalized iterate
     iterations = np.zeros(p_cols, dtype=int)
     step = np.full(p_cols, np.inf)
-    # the iterating columns and their data
+    # the iterating columns and their data: growth weights, beta, and where
+    # they differ across columns, L^-1 and the rows
     cols = np.flatnonzero(reason == "")
+    per_col = [gw, beta[:, None], Li, r0, r1t]
+    varies = [True, True, Li is not None, stacked, stacked]
     if cols.size < p_cols:
-        gw = gw[cols]
-    beta_c, Li_c = beta[cols, None], None if Li is None else Li[cols]
+        per_col = [a[cols] if v else a for a, v in zip(per_col, varies)]
     U, Y_prev = np.broadcast_to(u0, (p_cols, k))[cols], None
     flip = np.array([-1.0, 1.0])[:, None, None]
     # a vanishing or non-finite G-norm makes a NaN step, which ends its column
@@ -199,7 +222,7 @@ def solve_value_stack(
             done = ~(s >= tol)
             if it == max_iter:
                 done[:] = True
-            U = g_inv_t(Y_new, gw, beta_c, Li_c)
+            U = g_inv_t(Y_new, *per_col)
             if done.any():
                 fin = cols[done]
                 bad = ~((nz > 0) & (nz < np.inf))
@@ -208,8 +231,8 @@ def solve_value_stack(
                 ok = done & ~bad
                 Y[cols[ok]], lam[cols[ok]] = Y_new[ok], np.sqrt(np.einsum("pk,pk->p", U[ok], U[ok]))
                 keep = ~done
-                cols, U, Y_new, gw, beta_c = (a[keep] for a in (cols, U, Y_new, gw, beta_c))
-                Li_c = None if Li_c is None else Li_c[keep]
+                cols, U, Y_new = cols[keep], U[keep], Y_new[keep]
+                per_col = [a[keep] if v else a for a, v in zip(per_col, varies)]
             if cols.size == 0:
                 break
             Y_prev = Y_new
@@ -218,7 +241,7 @@ def solve_value_stack(
     reason[(reason == "") & ~converged] = "unconverged_value_recursion"
     # the map is sign-blind; report the positive representative,
     # const'G chi = (L'const)'u >= 0
-    Y[np.sum(whiten(design.basis.const_coeffs) * Y, axis=1) < 0] *= -1.0
+    Y[np.sum(whiten(design.const_coeffs) * Y, axis=1) < 0] *= -1.0
     chi = unwhiten(Y)
     return FixedPointStack(
         lam=lam,
@@ -291,25 +314,31 @@ def recursive_sdf_stack(
     """SDF increments of P solved value-recursion columns, and which columns are usable.
 
     Column p holds m_t = (beta/lam) G_{t+1}^{-gamma} chi(X_{t+1})^beta / chi(X_t)
-    with its own (beta, gamma, lam) and ``chi_coeffs[p]``. The plug-in
+    with its own (beta, gamma, lam) and ``chi_coeffs[p]``, on the design's
+    rows or, of a :class:`DesignStack`, on design p's own rows and growth. The plug-in
     SDF exists only where chi is positive: a column is usable when chi > 0
     at both states of every transition pair or, given an (n, P) boolean
     ``drawn`` mask, of every pair it marks. Returns the (n, P) increments,
     formed at those pairs of the usable columns and 1 elsewhere, and the
     (P,) usable mask.
     """
-    growth = design.panel.growth
+    growth = design.growth
     if growth is None:
         raise ValueError("panel has no growth series")
-    chi0 = design.b0 @ chi_coeffs.T
-    chi1 = design.b1 @ chi_coeffs.T
+    if isinstance(design, DesignStack):
+        # column r from design r's own rows and growth
+        chi0, chi1 = (_matvec(b, chi_coeffs).T for b in (design.b0, design.b1))
+        growth = growth.T
+    else:
+        chi0, chi1 = design.b0 @ chi_coeffs.T, design.b1 @ chi_coeffs.T
+        growth = growth[:, None]
     positive = (chi0 > 0) & (chi1 > 0)
     if drawn is not None:
         positive |= ~drawn
     usable = np.all(positive, axis=0)
     use = usable if drawn is None else drawn & usable
     m = continuation_sdf(
-        growth[:, None], beta, gamma, lam, np.where(use, chi0, 1.0), np.where(use, chi1, 1.0)
+        growth, beta, gamma, lam, np.where(use, chi0, 1.0), np.where(use, chi1, 1.0)
     )
     return np.where(use, m, 1.0), usable
 

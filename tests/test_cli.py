@@ -192,12 +192,15 @@ def test_config_file_with_flag_override(tmp_path, sim_panel):
         ("decompose", {"preferences": {"mode": "power", "beta": "0.994", "gamma": 15}},
          "preferences.beta"),
         ("mc", {"seed": "5"}, "seed"),
+        ("mc", {"mc": {"reps": 2, "sizes": "400"}}, "mc.sizes"),
+        ("mc", {"mc": {"reps": "3", "sizes": [40]}}, "mc.reps"),
+        ("bootstrap", {"bootstrap": {"b": "many"}}, "bootstrap.b"),
     ],
 )
 def test_config_value_of_wrong_type(tmp_path, sim_panel, capsys, command, config, key):
     out = tmp_path / "out"
     cfg = {"out_dir": str(out), "mc": {"reps": 2, "sizes": [40]}}
-    if command == "decompose":
+    if command != "mc":
         csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
                                     growth=sim_panel.growth)
         cfg.update(input_csv=str(csv_path), state_cols=["x1"], growth_col="G",

@@ -1,5 +1,7 @@
 """The per-panel sieve design: one basis evaluation per point set."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,15 +31,28 @@ def test_recursive_decompose_evaluates_the_basis_once_per_point_set(testbed, eva
     assert evaluations == [panel.n, panel.n]
 
 
-def test_mc_replicate_evaluates_the_basis_three_times(testbed, recursive_prefs, evaluations):
+def test_mc_block_evaluates_the_basis_once(testbed, recursive_prefs, evaluations, monkeypatch):
+    from sdfspectral import basis as basis_module
+
+    tables, hermite_table = [], basis_module._hermite_table
+
+    def counted_table(z, degree):
+        tables.append(np.shape(z))
+        return hermite_table(z, degree)
+
+    monkeypatch.setattr(basis_module, "_hermite_table", counted_table)
     design = s.McDesign(
         ar1=testbed, preferences=recursive_prefs, sample_sizes=(400,), replications=2,
         basis_spec=s.BasisSpec(family="hermite", k=8), seed=1,
     )
     table = s.run_mc_study(design, workers=1)
     assert table.excluded[400] == 0
-    # per replicate: the sample's X_t and X_{t+1}, then the quadrature nodes
-    assert evaluations == [400, 400, s.simkit.ORACLE_NODES] * 2
+    # one Hermite table over both replicates' states X_0..X_n and the quadrature nodes
+    assert tables == [(2, 401 + s.simkit.ORACLE_NODES)] and evaluations == []
+    # a B-spline basis is fitted and evaluated replicate by replicate, at once
+    # on the sample and the nodes
+    s.run_mc_study(replace(design, basis_spec=s.BasisSpec(family="bspline", k=8)), workers=1)
+    assert evaluations == [401 + s.simkit.ORACLE_NODES] * 2
 
 
 def test_estimate_preferences_evaluates_each_design_once(testbed, evaluations):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import sdfspectral as s
+from sdfspectral import simkit
 
 
 def test_simulate_stationary_moments(testbed):
@@ -170,31 +173,161 @@ def test_mc_pool_sized_by_jobs(testbed, power_prefs, monkeypatch):
 
 
 def test_mc_censors_failed_replicates_stage_wise(testbed, recursive_prefs, monkeypatch):
-    # every third fit fails after its value recursion converged: the
-    # replicate is excluded and loses its eigen statistics, but keeps lambda
-    from sdfspectral import simkit
+    # every third eigensolve of the stack is rejected after its value
+    # recursion converged: the replicate is excluded and loses its eigen
+    # statistics, but keeps lambda
+    from sdfspectral import pipeline
 
-    fits, fit_panel = [], simkit.fit_panel
+    fits, lams = [], []
+    solve_stack, solve_value_stack = pipeline._solve_stack, pipeline.solve_value_stack
 
-    def fit_failing_every_third(design, preferences):
-        fit = fit_panel(design, preferences)
-        fits.append(fit)
-        if len(fits) % 3 == 0:
-            raise simkit.FitFailedError("injected", fit.fixed_point)
-        return fit
+    def solve_failing_every_third(M, G):
+        st = solve_stack(M, G)
+        fits.extend(st.rho)
+        reason = st.reason.copy()
+        reason[2::3] = "residual"
+        return st._replace(reason=reason)
 
-    monkeypatch.setattr(simkit, "fit_panel", fit_failing_every_third)
+    def recorded_value_stack(*args, **kwargs):
+        fp = solve_value_stack(*args, **kwargs)
+        lams.extend(fp.lam)
+        return fp
+
+    monkeypatch.setattr(pipeline, "_solve_stack", solve_failing_every_third)
+    monkeypatch.setattr(pipeline, "solve_value_stack", recorded_value_stack)
     design = s.McDesign(
         ar1=testbed, preferences=recursive_prefs, sample_sizes=(200,), replications=9,
         basis_spec=s.BasisSpec(family="hermite", k=6), seed=1,
     )
     table = s.run_mc_study(design, workers=1)
     assert table.excluded == {200: 3} and len(fits) == 9
-    kept = [fit for i, fit in enumerate(fits) if i % 3 != 2]
-    rho = np.array([fit.sol.rho for fit in kept])
-    lam = np.array([fit.fixed_point.lam for fit in fits])
+    rho = np.array([r for i, r in enumerate(fits) if i % 3 != 2])
+    lam = np.array(lams)
     assert table.bias(200, "rho") == np.mean(rho - table.truths["rho"])
     assert table.bias(200, "lambda") == np.mean(lam - table.truths["lambda"])
     # 3 of 9 excluded is more than 10%, but only for the eigen statistics
     assert all(table.cells[(200, st)].flagged for st in ("rho", "y", "L", "phi", "phi_star"))
     assert not any(table.cells[(200, st)].flagged for st in ("lambda", "chi"))
+
+
+def _reference_record(design, n, rep, nodes):
+    """One replicate's record from its own panel, Design and pipeline.fit_panel."""
+    from sdfspectral.decomp import long_run_yield, permanent_entropy
+    from sdfspectral.pipeline import FitFailedError, fit_panel
+
+    panel = s.simulate_ar1(design.ar1, n, simkit._replicate_rng(design.seed, n, rep))
+    scalars, funcs = np.full(5, np.nan), np.full((3, nodes.size), np.nan)
+    fit = fp = None
+    try:
+        sieve = s.Design(design.basis_spec.build(panel.states), panel)
+        b_nodes = sieve.basis.evaluate_many(nodes)
+        fit = fit_panel(sieve, design.preferences)
+        fp = fit.fixed_point
+    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+        if isinstance(exc, FitFailedError):
+            fp = exc.fixed_point
+    if fp is not None:
+        scalars[3], funcs[2] = fp.lam, b_nodes @ fp.chi_coeffs
+    failed = fit is None or fit.sol.is_fallback
+    if not failed:
+        rho = fit.sol.rho
+        scalars[[0, 1, 2, 4]] = (rho, long_run_yield(rho), permanent_entropy(rho, fit.m),
+                                 fit.influence.se_rho())
+        funcs[0], funcs[1] = b_nodes @ fit.sol.right_coeffs, b_nodes @ fit.sol.left_coeffs
+    return failed, scalars, funcs
+
+
+#: (preferences, basis spec, n, replications, seed); the recursive case
+#: censors two replicates after their value recursion converged
+STACK_CASES = {
+    "power_hermite": ("power", s.BasisSpec(family="hermite", k=8), 400, 24, 1),
+    "recursive_hermite": ("recursive", s.BasisSpec(family="hermite", k=8), 300, 24, 3),
+    "power_bspline": ("power", s.BasisSpec(family="bspline", k=8), 400, 24, 11),
+    "power_sparse": ("power", s.BasisSpec(family="sparse", degree=6, cap=5), 400, 24, 2),
+}
+
+
+def _stack_case(name, testbed, power_prefs, recursive_prefs):
+    kind, spec, n, reps, seed = STACK_CASES[name]
+    prefs = power_prefs if kind == "power" else recursive_prefs
+    design = s.McDesign(ar1=testbed, preferences=prefs, sample_sizes=(n,), replications=reps,
+                        basis_spec=spec, seed=seed)
+    return design, n, reps, s.quadrature_eig(testbed, prefs, simkit.ORACLE_NODES).nodes
+
+
+@pytest.mark.parametrize("name", list(STACK_CASES))
+def test_stacked_records_equal_per_replicate_fits(name, testbed, power_prefs, recursive_prefs):
+    design, n, reps, nodes = _stack_case(name, testbed, power_prefs, recursive_prefs)
+    failed, scalars, funcs = simkit._run_block((design, n, 0, reps, nodes))
+    ref = [_reference_record(design, n, rep, nodes) for rep in range(reps)]
+    np.testing.assert_array_equal(failed, [r[0] for r in ref])
+    if name == "recursive_hermite":
+        assert failed.sum() == 2 and not np.isnan(scalars[:, 3]).any()
+    np.testing.assert_allclose(scalars, [r[1] for r in ref], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(funcs, [r[2] for r in ref], rtol=1e-12, atol=0)
+
+
+def test_mc_records_do_not_depend_on_blocks_or_workers(testbed, recursive_prefs, monkeypatch):
+    # k = 6 and n = 300: some pencils of a block have complex eigenvalues
+    design = s.McDesign(
+        ar1=testbed, preferences=recursive_prefs, sample_sizes=(300,), replications=30,
+        basis_spec=s.BasisSpec(family="hermite", k=6), seed=3,
+    )
+    nodes = s.quadrature_eig(testbed, recursive_prefs, simkit.ORACLE_NODES).nodes
+    whole = simkit._run_block((design, 300, 0, 30, nodes))
+    assert whole[0].any()
+    for block_elements in (1, 4 * 301 * 6, 7 * 301 * 6):
+        monkeypatch.setattr(simkit, "MC_BLOCK_ELEMENTS", block_elements)
+        for edges in ((0, 30), (0, 11, 30), (0, 1, 17, 30)):  # ranges of one worker each
+            parts = [simkit._run_block((design, 300, lo, hi, nodes))
+                     for lo, hi in zip(edges[:-1], edges[1:])]
+            for field, joined in zip(whole, (np.concatenate(p) for p in zip(*parts))):
+                np.testing.assert_array_equal(field, joined)
+
+
+@pytest.mark.parametrize("stage", ["basis", "gram", "value_recursion", "eigen"])
+def test_one_failing_replicate_is_censored_alone(stage, testbed, recursive_prefs, monkeypatch):
+    from sdfspectral import pipeline
+
+    design = s.McDesign(
+        ar1=testbed, preferences=recursive_prefs, sample_sizes=(300,), replications=6,
+        basis_spec=s.BasisSpec(family="hermite", k=8), seed=1,
+    )
+    nodes = s.quadrature_eig(testbed, recursive_prefs, simkit.ORACLE_NODES).nodes
+    clean = simkit._run_block((design, 300, 0, 6, nodes))
+    assert not clean[0].any()
+    bad = 2  # the replicate whose stage fails, in a block of all six
+    if stage == "basis":  # a constant state path has zero variance
+        paths = simkit._ar1_paths
+
+        def one_constant_path(ar1, n, rngs):
+            states = paths(ar1, n, rngs)
+            states[bad] = 0.0
+            return states
+
+        monkeypatch.setattr(simkit, "_ar1_paths", one_constant_path)
+    elif stage == "gram":  # not positive definite even after the ridge
+        spd_mask = simkit._spd_mask
+        monkeypatch.setattr(simkit, "_spd_mask", lambda G: spd_mask(G) & (np.arange(len(G)) != bad))
+    else:
+        owner, attr = ((pipeline, "solve_value_stack") if stage == "value_recursion"
+                       else (pipeline, "_solve_stack"))
+        original = getattr(owner, attr)
+        reject = "unconverged_value_recursion" if stage == "value_recursion" else "residual"
+
+        def failing_at_bad(*args, **kwargs):
+            st = original(*args, **kwargs)
+            reason = st.reason.copy()
+            reason[bad] = reject
+            return st._replace(reason=reason) if stage == "eigen" else replace(st, reason=reason)
+
+        monkeypatch.setattr(owner, attr, failing_at_bad)
+    failed, scalars, funcs = simkit._run_block((design, 300, 0, 6, nodes))
+    assert list(np.flatnonzero(failed)) == [bad]
+    others = np.arange(6) != bad
+    for field, ref in zip((failed, scalars, funcs), clean):
+        np.testing.assert_array_equal(field[others], ref[others])
+    # lambda and chi survive only a failure after the value recursion
+    kept = [3] if stage == "eigen" else []
+    assert list(np.flatnonzero(~np.isnan(scalars[bad]))) == kept
+    assert np.isnan(funcs[bad, :2]).all() and np.isnan(funcs[bad, 2]).all() != (stage == "eigen")

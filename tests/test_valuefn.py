@@ -217,3 +217,29 @@ def test_positive_representative_from_a_negative_start(recursive_fit, recursive_
         design, recursive_prefs.beta, recursive_prefs.gamma, max_iter=1, z0=z0
     )
     assert design.basis.const_coeffs @ G @ fp.chi_coeffs > 0
+
+
+def test_design_stack_columns_equal_their_own_designs(testbed, recursive_prefs):
+    # column r of a DesignStack solves design r's recursion and forms its SDF
+    # from design r's rows, exactly as the design alone does
+    designs = []
+    for seed in range(4):
+        panel = s.simulate_ar1(testbed, 300, np.random.default_rng(60 + seed))
+        designs.append(s.Design(s.BasisSpec(family="hermite", k=8).build(panel.states), panel))
+    stack = s.sievemat.DesignStack(
+        np.stack([d.b0 for d in designs]), np.stack([d.b1 for d in designs]),
+        np.stack([d.growth for d in designs]), designs[0].const_coeffs,
+    )
+    beta, gamma = recursive_prefs.beta, recursive_prefs.gamma
+    st = s.solve_value_stack(stack, beta, gamma)
+    m, usable = s.valuefn.recursive_sdf_stack(stack, st.beta, st.gamma, st.lam, st.chi_coeffs)
+    for r, design in enumerate(designs):
+        np.testing.assert_array_equal(stack.gram[r], design.gram)
+        fp = s.solve_value_fixed_point(design, beta, gamma)
+        assert st.iterations[r] == fp.iterations and st.reason[r] == ""
+        assert st.lam[r] == fp.lam
+        np.testing.assert_array_equal(st.chi_coeffs[r], fp.chi_coeffs)
+        assert usable[r]
+        np.testing.assert_array_equal(m[:, r], s.recursive_sdf_series(design, fp))
+    with pytest.raises(ValueError, match="design stack"):
+        s.solve_value_stack(stack, beta, gamma, counts=np.ones((4, 300), dtype=int))

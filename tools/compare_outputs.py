@@ -9,13 +9,17 @@ each in a fresh ``python`` process writing to an empty output directory
 (the same path for both trees, as provenance.json records it). Exit
 statuses and every output file are compared by bytes; JSON files are
 compared after dropping the top-level ``elapsed_seconds`` key. Prints
-each difference and exits 1 if there is any.
+each difference and exits 1 if there is any. For a CSV or JSON file that
+differs, it also prints the largest relative difference |a - b| / max(|a|, |b|)
+over the numeric fields, or says that the two files' layouts differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,6 +78,58 @@ def content(path: Path) -> bytes:
     return data
 
 
+def fields(path: Path) -> list[tuple[tuple, object]]:
+    """(position, value) of every field of a CSV file (a string) or JSON file (a leaf)."""
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            return [((i, j), cell) for i, row in enumerate(csv.reader(fh))
+                    for j, cell in enumerate(row)]
+    out = []
+
+    def walk(pos: tuple, obj) -> None:
+        if isinstance(obj, dict):
+            for key in sorted(obj):
+                walk(pos + (key,), obj[key])
+        elif isinstance(obj, list):
+            for j, item in enumerate(obj):
+                walk(pos + (j,), item)
+        else:
+            out.append((pos, obj))
+
+    obj = json.loads(path.read_bytes())
+    if isinstance(obj, dict):
+        obj.pop("elapsed_seconds", None)
+    walk((), obj)
+    return out
+
+
+def number(value) -> float | None:
+    """A field's numeric value, or None for text, booleans and nulls."""
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+def numeric_report(a: Path, b: Path) -> str:
+    """How two differing CSV or JSON files differ: their largest relative numeric difference."""
+    fa, fb = fields(a), fields(b)
+    if [pos for pos, _ in fa] != [pos for pos, _ in fb]:
+        return "layouts differ"
+    largest, text_differs = 0.0, False
+    for (_, va), (_, vb) in zip(fa, fb):
+        x, y = number(va), number(vb)
+        if x is None or y is None:
+            text_differs |= va != vb
+        elif x != y and not (math.isnan(x) and math.isnan(y)):
+            scale = max(abs(x), abs(y))
+            largest = max(largest, abs(x - y) / scale if math.isfinite(scale) else math.inf)
+    report = f"largest relative difference over numeric fields {largest:.3g}"
+    return report + ("; text fields differ" if text_differs else "")
+
+
 def differences(name: str, status: tuple[int, int], outs: tuple[Path, Path]) -> list[str]:
     diffs = []
     if status[0] != status[1]:
@@ -83,7 +139,9 @@ def differences(name: str, status: tuple[int, int], outs: tuple[Path, Path]) -> 
         diffs.append(f"{name}: {f} written {'at REV only' if f in files[0] else 'here only'}")
     for f in sorted(files[0] & files[1]):
         if content(outs[0] / f) != content(outs[1] / f):
-            diffs.append(f"{name}: {f} differs")
+            detail = (f" ({numeric_report(outs[0] / f, outs[1] / f)})"
+                      if f.suffix in (".csv", ".json") else "")
+            diffs.append(f"{name}: {f} differs{detail}")
     return diffs
 
 
