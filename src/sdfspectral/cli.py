@@ -120,7 +120,7 @@ def _parser() -> argparse.ArgumentParser:
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
 #: the types of the nested section keys that the commands read as numbers or lists
 _SECTION_TYPES = {
-    "preferences": {"beta": float, "gamma": float},
+    "preferences": {"beta": float, "gamma": float, "instrument_k": int},
     "bootstrap": {"b": int, "expected_block": float, "level": float, "seed": int},
     "mc": {"design": str, "beta": float, "gamma": float, "mu": float, "kappa": float,
            "sigma": float, "sizes": list[int], "reps": int},
@@ -516,9 +516,9 @@ def _cmd_value(cfg: RunConfig) -> int:
 
 def _instrument_basis(cfg: RunConfig, panel: StatePanel, solve_basis):
     k_inst = cfg.preferences.get("instrument_k", min(6, solve_basis.dimension_k))
-    degree = max(0, int(k_inst) - 1) if panel.state_dim == 1 else cfg.basis.get("degree", 2)
+    degree = max(0, k_inst - 1) if panel.state_dim == 1 else cfg.basis.get("degree", 2)
     if panel.state_dim == 1:
-        spec = BasisSpec(family="hermite", k=int(k_inst))
+        spec = BasisSpec(family="hermite", k=k_inst)
     else:
         # lower-order sparse instruments for multivariate states
         spec = BasisSpec(family="sparse", degree=min(2, degree), cap=3)
@@ -622,13 +622,12 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
 def _cmd_mc(cfg: RunConfig) -> int:
     mc = dict(cfg.mc)
     design_kind = mc.get("design", "power")
+    preferences = {"power": PowerUtility, "recursive": RecursiveUtility}.get(design_kind)
+    if preferences is None:
+        raise CliError(f"config key 'mc.design' is 'power' or 'recursive', not {design_kind!r}")
     beta = float(mc.get("beta", cfg.preferences.get("beta", 0.994)))
     gamma = float(mc.get("gamma", cfg.preferences.get("gamma", 15.0)))
-    prefs = (
-        PowerUtility(beta=beta, gamma=gamma)
-        if design_kind == "power"
-        else RecursiveUtility(beta=beta, gamma=gamma)
-    )
+    prefs = preferences(beta=beta, gamma=gamma)
     ar1 = Ar1Design(
         mu=float(mc.get("mu", 0.005)),
         kappa=float(mc.get("kappa", 0.6)),

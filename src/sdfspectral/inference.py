@@ -25,7 +25,6 @@ class InfluenceSeries:
 
     psi_rho: np.ndarray
     v_rho: float
-    v_y: float
     rho: float
     v_L: Optional[float] = None
     lr_bandwidth: Optional[int] = None
@@ -33,6 +32,11 @@ class InfluenceSeries:
     @property
     def n(self) -> int:
         return self.psi_rho.size
+
+    @property
+    def v_y(self) -> float:
+        """Variance of the yield -log(rho), by the delta method."""
+        return self.v_rho / self.rho**2
 
     def se_rho(self) -> float:
         """Plug-in standard error of the eigenvalue estimator."""
@@ -53,16 +57,12 @@ def influence_rho(
     from the sample values phi(X_t), phi(X_{t+1}) and phi*(X_t) of the
     normalized solution ``sol`` (as a :class:`pipeline.Fit` holds them).
     Its sample mean is zero by the eigenvalue first-order condition, and
-    the plug-in variance of rho-hat is mean(psi^2)/n. The variance of the
-    yield follows by the delta method for -log(rho).
+    the plug-in variance of rho-hat is mean(psi^2)/n.
     """
     if not sol.normalized:
         raise ValueError("influence functions require a normalized eigen solution")
     psi, v_rho = influence_stack(np.float64(sol.rho), m, phi_t, phi_t1, phi_star_t)
-    v_rho = float(v_rho)
-    return InfluenceSeries(
-        psi_rho=psi, v_rho=v_rho, v_y=v_rho / sol.rho**2, rho=sol.rho
-    )
+    return InfluenceSeries(psi_rho=psi, v_rho=float(v_rho), rho=sol.rho)
 
 
 def influence_stack(

@@ -189,6 +189,30 @@ def _solve_stack(M: np.ndarray, G: np.ndarray) -> _PencilStack:
     return _PencilStack(rho, right, left, np.column_stack([res_r, res_l]), gap, reason)
 
 
+def _solution(
+    st: _PencilStack, s: int, const_coeffs: np.ndarray, normalized: bool = False
+) -> EigenSolution:
+    """Pencil s of a stack as an :class:`EigenSolution`, the constant fallback where rejected.
+
+    ``normalized`` says whether the stack's coefficients carry the
+    conventions of :func:`normalize`.
+    """
+    c = np.asarray(const_coeffs, dtype=float)
+    if st.reason[s]:
+        return EigenSolution(
+            rho=1.0, right_coeffs=c.copy(), left_coeffs=c.copy(), is_fallback=True,
+            residuals=(np.nan, np.nan), spectral_gap=None, const_coeffs=c.copy(),
+            fallback_reason=str(st.reason[s]),
+        )
+    gap = float(st.gap[s])
+    return EigenSolution(
+        rho=float(st.rho[s]), right_coeffs=st.right[s], left_coeffs=st.left[s],
+        is_fallback=False, residuals=(float(st.residuals[s, 0]), float(st.residuals[s, 1])),
+        spectral_gap=None if np.isnan(gap) else gap, const_coeffs=c.copy(),
+        normalized=normalized,
+    )
+
+
 def solve_generalized(
     M: np.ndarray,
     G: np.ndarray,
@@ -210,29 +234,8 @@ def solve_generalized(
     """
     M = np.asarray(M, dtype=float)
     G = np.asarray(G, dtype=float)
-    c = np.ones(M.shape[0]) if const_coeffs is None else np.asarray(const_coeffs, dtype=float)
-    st = _solve_stack(M[None], G[None])
-    if st.reason[0]:
-        return EigenSolution(
-            rho=1.0,
-            right_coeffs=c.copy(),
-            left_coeffs=c.copy(),
-            is_fallback=True,
-            residuals=(np.nan, np.nan),
-            spectral_gap=None,
-            const_coeffs=c.copy(),
-            fallback_reason=str(st.reason[0]),
-        )
-    gap = float(st.gap[0])
-    return EigenSolution(
-        rho=float(st.rho[0]),
-        right_coeffs=st.right[0],
-        left_coeffs=st.left[0],
-        is_fallback=False,
-        residuals=(float(st.residuals[0, 0]), float(st.residuals[0, 1])),
-        spectral_gap=None if np.isnan(gap) else gap,
-        const_coeffs=c.copy(),
-    )
+    c = np.ones(M.shape[0]) if const_coeffs is None else const_coeffs
+    return _solution(_solve_stack(M[None], G[None]), 0, c)
 
 
 def _normalize_stack(

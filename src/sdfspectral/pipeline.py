@@ -1,4 +1,15 @@
-"""One fit path over a panel's sieve design, shared by the CLI, the bootstrap and the Monte Carlo harness."""
+"""One fit path over a panel's sieve design, shared by the CLI, the bootstrap and the Monte Carlo harness.
+
+:func:`fit_stack` runs each stage of the estimator once over R replicates
+in one of three row layouts: a :class:`Design` alone (a stack of one), a
+Design with (R, n) bootstrap count rows, or a :class:`DesignStack` of R
+Monte Carlo designs. A replicate's ``reason`` is "" where its fit is kept
+and otherwise the first stage that failed it, in stage order: a
+VALUE_FAILURES entry, "nonpositive_continuation", "nonpositive_sdf", a
+FALLBACK_REASONS entry or "defective_pair". :func:`fit_panel` reads a
+stack of one, :func:`bootstrap_statistic` stacks of count rows, and
+:func:`sample_values` gives the sample values of a fit on a sample's own rows.
+"""
 
 from __future__ import annotations
 
@@ -8,29 +19,23 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .decomp import DecompSeries, pt_association, pt_series
-from .inference import DISCARD_REASON, InfluenceSeries, influence_rho, influence_stack
+from .inference import DISCARD_REASON, InfluenceSeries, influence_stack
 from .pfeig import (
     FALLBACK_REASONS,
     EigenSolution,
     _matvec,
     _normalize_stack,
+    _PencilStack,
+    _solution,
     _solve_stack,
-    normalize,
-    solve_generalized,
 )
-from .preferences import (
-    PowerUtility,
-    RecursiveUtility,
-    power_utility_sdf,
-    power_utility_sdf_series,
-)
-from .sievemat import Design, DesignStack, estimate_pricing, gram_stack, rowwise_outer
+from .preferences import PowerUtility, RecursiveUtility, power_utility_sdf
+from .sievemat import Design, DesignStack, estimate_pricing, gram_stack, pricing_stack
 from .valuefn import (
+    VALUE_FAILURES,
     FixedPointSolution,
     FixedPointStack,
-    recursive_sdf_series,
     recursive_sdf_stack,
-    solve_value_fixed_point,
     solve_value_stack,
 )
 
@@ -86,126 +91,140 @@ class DecompositionResult:
         return out
 
 
-def realized_sdf(
-    design: Design,
-    preferences: Optional[Union[PowerUtility, RecursiveUtility]],
-    fixed_point: Optional[FixedPointSolution] = None,
-) -> np.ndarray:
-    """SDF increments of the panel: its observed column, the power-utility
-    formula, or, under recursive preferences, those implied by the solved
-    continuation value ``fixed_point``."""
-    panel = design.panel
-    if preferences is None:
-        if panel.sdf_increments is None:
+class FitStack(NamedTuple):
+    """Per-replicate results of :func:`fit_stack` on R replicates.
+
+    ``reason`` is the module's failure reason of each replicate. ``eig``
+    holds the eigensolve's per-pencil results with the normalized
+    coefficients; its ``rho``, ``right`` and ``left`` are NaN where
+    ``reason`` is not empty, and its own ``reason`` is that of the
+    eigensolve alone. ``fixed_point`` holds the value recursions under
+    recursive preferences (else None).
+    """
+
+    reason: np.ndarray  # (R,) str
+    m: np.ndarray  # (R, n) SDF increments, ones where they could not be formed
+    eig: _PencilStack
+    fixed_point: Optional[FixedPointStack]
+
+
+def fit_stack(
+    design: Union[Design, DesignStack],
+    preferences: Optional[Union[PowerUtility, RecursiveUtility]] = None,
+    counts: Optional[np.ndarray] = None,
+) -> FitStack:
+    """Estimate the eigenpairs of R replicates as one stack, stage by stage.
+
+    The replicates' rows are those that :func:`solve_value_stack` takes:
+    a :class:`Design` alone is the panel's own fit; with an integer (R, n)
+    ``counts`` array, replicate r weights the design's transition pair t
+    by counts[r, t] and needs a positive continuation value on its drawn
+    pairs only; a :class:`DesignStack` gives its R designs, each with its
+    own rows and growth.
+
+    The stages, each run once over the stack: the value recursions under
+    recursive preferences, the SDF increments (the panel's observed column
+    when ``preferences`` is None, the power-utility formula, or the
+    continuation SDF of the solved value recursions), their check, the
+    eigensolve of the Gram and pricing stacks, and the normalization. A
+    replicate that fails a stage keeps its first ``reason`` and is not
+    judged by the later stages; no other replicate is affected. Only
+    panel-level faults raise: a missing SDF column or growth series, or a
+    Gram matrix that is not positive definite even after the ridge
+    (LinAlgError).
+    """
+    size = len(design.b0) if isinstance(design, DesignStack) else 1
+    reason = np.full(size if counts is None else len(counts), "", dtype=object)
+    fp = None
+    if isinstance(preferences, RecursiveUtility):
+        fp = solve_value_stack(design, preferences.beta, preferences.gamma, counts=counts)
+        reason[:] = fp.reason
+        solved = fp.reason == ""
+        # a count row's continuation value needs to be positive on its drawn pairs only
+        drawn = None if counts is None else (counts > 0).T & solved
+        m, usable = recursive_sdf_stack(design, fp.beta, fp.gamma, fp.lam, fp.chi_coeffs, drawn)
+        m = m.T
+        reason[solved & ~usable] = "nonpositive_continuation"
+    elif isinstance(preferences, PowerUtility):
+        m = power_utility_sdf(design.growth, preferences.beta, preferences.gamma)
+    else:
+        m = design.panel.sdf_increments
+        if m is None:
             raise ValueError("panel has no SDF column and no preferences were given")
-        return panel.sdf_increments
-    if isinstance(preferences, PowerUtility):
-        return power_utility_sdf_series(panel, preferences.beta, preferences.gamma)
-    return recursive_sdf_series(design, fixed_point)
+    positive = np.all(np.isfinite(m) & (m > 0), axis=-1)
+    reason[(reason == "") & ~positive] = "nonpositive_sdf"
+    m = np.where((reason == "")[:, None], m, 1.0)
+
+    if counts is not None:
+        w = np.asarray(counts, dtype=float)
+        G, M = gram_stack(design, w), pricing_stack(design, w, m)
+    elif isinstance(design, DesignStack):
+        G, M = design.gram, estimate_pricing(design, m)
+    else:
+        G, M = design.gram[None], estimate_pricing(design, m[0])[None]
+    eig = _solve_stack(M, G)
+    right, left, bad_norm, orthogonal = _normalize_stack(
+        eig.right, eig.left, G, design.const_coeffs
+    )
+    reason = np.where(reason == "", eig.reason, reason)
+    reason[(reason == "") & (bad_norm | orthogonal)] = "defective_pair"
+    kept = reason == ""
+    rho = np.where(kept, eig.rho, np.nan)
+    right, left = (np.where(kept[:, None], c, np.nan) for c in (right, left))
+    return FitStack(reason, m, eig._replace(rho=rho, right=right, left=left), fp)
+
+
+class SampleValues(NamedTuple):
+    """The fitted eigenfunctions on the sample and the influence series of rho, per replicate."""
+
+    phi_t: np.ndarray  # (R, n) phi(X_t)
+    phi_t1: np.ndarray  # (R, n) phi(X_{t+1})
+    phi_star_t: np.ndarray  # (R, n) phi*(X_t)
+    psi_rho: np.ndarray  # (R, n) influence series of rho
+    v_rho: np.ndarray  # (R,) its plug-in variance mean(psi^2)
+    se_rho: np.ndarray  # (R,) plug-in standard error of rho
+
+
+def sample_values(design: Union[Design, DesignStack], fit: FitStack) -> SampleValues:
+    """Sample values of a :func:`fit_stack` fit on the design's own rows or on a design stack.
+
+    NaN for the replicates that failed. Count-weighted replicates have no
+    sample of their own and are not handled.
+    """
+    right = fit.eig.right
+    phi_t, phi_t1 = _matvec(design.b0, right), _matvec(design.b1, right)
+    phi_star_t = _matvec(design.b0, fit.eig.left)
+    psi, v_rho = influence_stack(fit.eig.rho, fit.m, phi_t, phi_t1, phi_star_t)
+    return SampleValues(phi_t, phi_t1, phi_star_t, psi, v_rho, np.sqrt(v_rho / design.n))
 
 
 def fit_panel(
     design: Design,
     preferences: Optional[Union[PowerUtility, RecursiveUtility]] = None,
 ) -> Fit:
-    """Estimate the eigenpair of one panel design, stage by stage.
+    """Estimate the eigenpair of one panel design: :func:`fit_stack` with a stack of one.
 
-    Under recursive preferences the value recursion is solved first; an
-    unconverged one raises FitFailedError. Then the SDF increments, the
-    generalized eigenproblem of the pricing and Gram matrices, the
-    normalization, the eigenfunctions on the sample and the influence
-    series follow. A failure in these later stages raises FitFailedError
-    carrying the converged value recursion. A fallback eigen-solution is
-    returned, not raised.
+    A fallback eigenpair is returned as the constant fallback Fit. Any
+    other failure raises FitFailedError, which carries the converged
+    value recursion of a fit that failed at a later stage.
     """
-    fp = None
-    if isinstance(preferences, RecursiveUtility):
-        fp = solve_value_fixed_point(design, preferences.beta, preferences.gamma)
-        if not fp.converged:
-            raise FitFailedError("value-recursion iteration did not converge")
     try:
-        m = realized_sdf(design, preferences, fp)
-        design.panel.with_sdf(m)  # rejects non-finite or non-positive increments
-        sol = solve_generalized(
-            estimate_pricing(design, m), design.gram, const_coeffs=design.basis.const_coeffs
-        )
-        if sol.is_fallback:
-            ones = np.ones(design.n)
-            return Fit(m, sol, ones, ones, ones, fp)
-        sol = normalize(sol, design.gram)
+        fit = fit_stack(design, preferences)
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
-        raise FitFailedError(str(exc), fp) from exc
-    phi_t = design.b0 @ sol.right_coeffs
-    phi_t1 = design.b1 @ sol.right_coeffs
-    phi_star_t = design.b0 @ sol.left_coeffs
-    return Fit(
-        m,
-        sol,
-        phi_t=phi_t,
-        phi_t1=phi_t1,
-        phi_star_t=phi_star_t,
-        fixed_point=fp,
-        influence=influence_rho(sol, m, phi_t, phi_t1, phi_star_t),
-    )
-
-
-class FitStack(NamedTuple):
-    """Per-replicate results of :func:`fit_stack` on R panel designs.
-
-    ``failed`` marks the replicates without a usable eigen fit; their
-    ``rho``, ``right``, ``left`` and ``se_rho`` are NaN. ``fixed_point``
-    holds the value recursions under recursive preferences (else None);
-    those of its columns whose ``reason`` is not empty did not converge,
-    and such a replicate has failed as well.
-    """
-
-    failed: np.ndarray  # (R,) bool
-    m: np.ndarray  # (R, n) SDF increments, ones where they could not be formed
-    rho: np.ndarray  # (R,)
-    right: np.ndarray  # (R, k) normalized eigenfunction coefficients
-    left: np.ndarray  # (R, k) normalized adjoint coefficients
-    se_rho: np.ndarray  # (R,) plug-in standard error of rho
-    fixed_point: Optional[FixedPointStack]
-
-
-def fit_stack(
-    design: DesignStack, preferences: Union[PowerUtility, RecursiveUtility]
-) -> FitStack:
-    """Estimate the eigenpairs of R panel designs as one stack, stage by stage.
-
-    The stages of :func:`fit_panel`, each run once over the stack: the
-    value recursions (one :func:`solve_value_stack` call) under recursive
-    preferences, the SDF increments, the eigensolve of the pricing and
-    Gram stacks, the normalization, and the plug-in standard error of rho.
-    Each replicate is censored on its own, by the rule that fails
-    :func:`fit_panel`: an unconverged or degenerate value recursion, a
-    continuation value that is not positive on its sample, SDF increments
-    that are not finite and positive, a fallback eigenpair or a defective
-    pair. Every Gram matrix of the stack must factor
-    (:func:`pfeig._spd_mask`); otherwise LinAlgError is raised.
-    """
-    n = design.n
+        raise FitFailedError(str(exc)) from exc
+    reason = fit.reason[0]
     fp = None
-    if isinstance(preferences, RecursiveUtility):
-        fp = solve_value_stack(design, preferences.beta, preferences.gamma)
-        m, usable = recursive_sdf_stack(design, fp.beta, fp.gamma, fp.lam, fp.chi_coeffs)
-        m, ok = m.T, usable & (fp.reason == "")
-    else:
-        m = power_utility_sdf(design.growth, preferences.beta, preferences.gamma)
-        ok = np.ones(len(m), dtype=bool)
-    ok &= np.all(np.isfinite(m) & (m > 0), axis=1)
-    m = np.where(ok[:, None], m, 1.0)
-    G = design.gram
-    eig = _solve_stack(estimate_pricing(design, m), G)
-    right, left, bad_norm, orthogonal = _normalize_stack(
-        eig.right, eig.left, G, design.const_coeffs
-    )
-    failed = ~ok | (eig.reason != "") | bad_norm | orthogonal
-    rho = np.where(failed, np.nan, eig.rho)
-    right, left = (np.where(failed[:, None], np.nan, c) for c in (right, left))
-    phi_t, phi_t1 = _matvec(design.b0, right), _matvec(design.b1, right)
-    _, v_rho = influence_stack(rho, m, phi_t, phi_t1, _matvec(design.b0, left))
-    return FitStack(failed, m, rho, right, left, np.sqrt(v_rho / n), fp)
+    if fit.fixed_point is not None and reason not in VALUE_FAILURES:
+        fp = fit.fixed_point.column(0)
+    if reason and reason not in FALLBACK_REASONS:
+        raise FitFailedError(f"no usable fit: {reason}", fp)
+    sol = _solution(fit.eig, 0, design.const_coeffs, normalized=True)
+    if sol.is_fallback:
+        ones = np.ones(design.n)
+        return Fit(fit.m[0], sol, ones, ones, ones, fp)
+    on = sample_values(design, fit)
+    influence = InfluenceSeries(psi_rho=on.psi_rho[0], v_rho=float(on.v_rho[0]), rho=sol.rho)
+    return Fit(fit.m[0], sol, on.phi_t[0], on.phi_t1[0], on.phi_star_t[0], fp, influence)
 
 
 def decompose_panel(
@@ -222,10 +241,8 @@ def decompose_panel(
     return DecompositionResult(fit=fit, series=series, association=pt_association(series))
 
 
-#: why a bootstrap replicate is discarded: a fallback eigenpair (one entry
-#: per acceptance rule of the eigensolve), or, under recursive preferences,
-#: a value recursion that did not converge or a continuation value that is
-#: not positive on the drawn pairs
+#: the discard reasons that ``bootstrap`` reports: a fallback eigenpair, or under
+#: recursive preferences an unconverged value recursion or a nonpositive continuation value
 DISCARD_REASONS = FALLBACK_REASONS + ("unconverged_value_recursion", "nonpositive_continuation")
 
 
@@ -236,51 +253,22 @@ def bootstrap_statistic(
     """Statistic for :func:`bootstrap_ci` on ``design.panel``, mapping count rows to the scalar functionals.
 
     The basis (sieve dimension, standardization, knots) is held fixed
-    across replicates, so replicate r's Gram and pricing matrices are
-    count-weighted sums over the panel's transition pairs,
-    G_r = sum_t w_rt b(X_t) b(X_t)'/n and
-    M_r = sum_t w_rt m_rt b(X_t) b(X_{t+1})'/n, with w_r the r-th row of
-    the integer (replicates x n) ``counts``. They are moments of the
-    design's rows, and each block of replicates is solved as one stack of
-    pencils. Under recursive preferences the block's value recursions are
-    solved first, as one count-weighted :func:`solve_value_stack` call.
-
-    Returns arrays of the eigenvalue, yield, the two entropies, horizon
-    dependence, and the value-recursion eigenvalue when preferences are
-    recursive. None of them needs the eigenfunction to stay positive on
-    the resample. A replicate is discarded (NaN, with its DISCARD_REASONS
-    entry) for a fallback eigenpair, or for a value recursion that did not
-    converge or whose continuation value is not positive on the drawn
-    pairs.
+    across replicates, so each block of count rows is one :func:`fit_stack`
+    call on the design, whose replicate r weights transition pair t by
+    counts[r, t]. Returns arrays of the eigenvalue, yield, the two
+    entropies, horizon dependence, and the value-recursion eigenvalue when
+    preferences are recursive; none of them needs the eigenfunction's
+    sample values. A replicate that :func:`fit_stack` does not keep is
+    discarded (NaN), with its reason as the DISCARD_REASON entry.
     """
-    recursive = isinstance(preferences, RecursiveUtility)
-    n, k = design.b0.shape
-    p01 = rowwise_outer(design.b0, design.b1)
-    m = None if recursive else realized_sdf(design, preferences)
+    n = design.n
 
     def stat(counts: np.ndarray) -> dict:
+        fit = fit_stack(design, preferences, counts)
         w = np.asarray(counts, dtype=float)
-        n_rep = w.shape[0]
-        reason = np.full(n_rep, "", dtype=object)
-        m_rep = m
-        if recursive:
-            fp = solve_value_stack(design, preferences.beta, preferences.gamma, counts=counts)
-            reason[:] = fp.reason
-            # positivity counts on the drawn pairs of the solved replicates
-            m_pairs, usable = recursive_sdf_stack(
-                design, fp.beta, fp.gamma, fp.lam, fp.chi_coeffs,
-                drawn=(counts > 0).T & (fp.reason == ""),
-            )
-            m_rep = m_pairs.T
-            reason[~usable] = "nonpositive_continuation"
-            lam = np.where(reason == "", fp.lam, np.nan)
-        G = gram_stack(design, w)
-        M = ((w * m_rep) @ p01 / n).reshape(n_rep, k, k)
-        eig = _solve_stack(M, G)
-        reason = np.where(reason == "", eig.reason, reason)
-        rho = np.where(reason == "", eig.rho, np.nan)
-        mean_log_m = (w * np.log(m_rep)).sum(axis=1) / n
-        sdf_ent = np.log((w * m_rep).sum(axis=1) / n) - mean_log_m
+        rho = fit.eig.rho
+        mean_log_m = (w * np.log(fit.m)).sum(axis=1) / n
+        sdf_ent = np.log((w * fit.m).sum(axis=1) / n) - mean_log_m
         entropy_l = np.log(rho) - mean_log_m
         out = {
             "rho": rho,
@@ -288,10 +276,10 @@ def bootstrap_statistic(
             "L": entropy_l,
             "sdf_entropy": sdf_ent,
             "horizon_dependence": entropy_l - sdf_ent,
-            DISCARD_REASON: reason,
+            DISCARD_REASON: fit.reason,
         }
-        if recursive:
-            out["lambda"] = lam
+        if fit.fixed_point is not None:
+            out["lambda"] = np.where(fit.reason == "", fit.fixed_point.lam, np.nan)
         return out
 
     return stat

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -31,11 +32,11 @@ class RecursiveUtility:
 
 def power_utility_sdf_series(panel: StatePanel, beta: float, gamma: float) -> np.ndarray:
     """Realized power-utility SDF increments beta * G^(-gamma) from the panel growth."""
-    if panel.growth is None:
-        raise ValueError("panel has no growth series")
     return power_utility_sdf(panel.growth, beta, gamma)
 
 
-def power_utility_sdf(growth: np.ndarray, beta: float, gamma: float) -> np.ndarray:
+def power_utility_sdf(growth: Optional[np.ndarray], beta: float, gamma: float) -> np.ndarray:
     """beta * G^(-gamma) of an array of gross growth rates."""
+    if growth is None:
+        raise ValueError("panel has no growth series")
     return beta * np.exp(-gamma * np.log(growth))

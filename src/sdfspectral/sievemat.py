@@ -120,7 +120,8 @@ class Design:
 
     Every sample object of the estimator is a moment of these two
     matrices. Row t of ``b0``/``b1`` belongs to the panel's transition
-    pair t, so a bootstrap replicate is a row weighting (:func:`gram_stack`).
+    pair t, so a bootstrap replicate is a row weighting (:func:`gram_stack`,
+    :func:`pricing_stack`).
     The Gram matrix is formed, and condition-checked, on first use, and so is
     its whitening.
     """
@@ -161,6 +162,11 @@ class Design:
     def gram_terms(self) -> np.ndarray:
         """(n, k*k) array whose row t is the flattened outer product b(X_t) b(X_t)'."""
         return rowwise_outer(self.b0, self.b0)
+
+    @cached_property
+    def pricing_terms(self) -> np.ndarray:
+        """(n, k*k) array whose row t is the flattened outer product b(X_t) b(X_{t+1})'."""
+        return rowwise_outer(self.b0, self.b1)
 
 
 class DesignStack:
@@ -237,6 +243,17 @@ def gram_stack(design: Design, counts: np.ndarray) -> np.ndarray:
     w = np.asarray(counts, dtype=float)
     k = design.b0.shape[1]
     return (w @ design.gram_terms / design.n).reshape(w.shape[0], k, k)
+
+
+def pricing_stack(design: Design, counts: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Pricing matrices of count-weighted replicates, M_r = sum_t w_rt m_rt b(X_t) b(X_{t+1})'/n.
+
+    ``counts`` is the (R, n) array of :func:`gram_stack`, and row r of the
+    (R, n) ``m`` holds replicate r's SDF increments. Returns an (R, k, k) stack.
+    """
+    w = np.asarray(counts, dtype=float)
+    k = design.b0.shape[1]
+    return ((w * m) @ design.pricing_terms / design.n).reshape(w.shape[0], k, k)
 
 
 def estimate_pricing(design: Design, m: np.ndarray) -> np.ndarray:

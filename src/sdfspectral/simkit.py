@@ -29,7 +29,7 @@ from .basis import BasisSpec
 from .csvout import write_csv
 from .oracle import Ar1Design, quadrature_eig
 from .pfeig import _matvec, _spd_mask
-from .pipeline import fit_stack
+from .pipeline import fit_stack, sample_values
 from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import DesignStack, StatePanel
 
@@ -224,19 +224,19 @@ def _fit_block(
         return failed, scalars, funcs
     fit = fit_stack(stack, design.preferences)
 
-    ok = ~fit.failed
+    ok = fit.reason == ""
     kept = rows[ok]
     failed[kept] = False
-    rho = fit.rho[ok]
+    rho = fit.eig.rho[ok]
     # math.log, which decomp's long_run_yield and permanent_entropy use: the
     # records then equal those of single fits bit for bit
     log_rho = np.array([math.log(r) for r in rho])
     scalars[kept, 0] = rho
     scalars[kept, 1] = -log_rho
     scalars[kept, 2] = log_rho - np.mean(np.log(fit.m[ok]), axis=1)
-    scalars[kept, 4] = fit.se_rho[ok]
-    funcs[kept, 0] = _matvec(b_nodes[ok], fit.right[ok])
-    funcs[kept, 1] = _matvec(b_nodes[ok], fit.left[ok])
+    scalars[kept, 4] = sample_values(stack, fit).se_rho[ok]
+    funcs[kept, 0] = _matvec(b_nodes[ok], fit.eig.right[ok])
+    funcs[kept, 1] = _matvec(b_nodes[ok], fit.eig.left[ok])
     if fit.fixed_point is not None:
         solved = fit.fixed_point.reason == ""
         scalars[rows[solved], 3] = fit.fixed_point.lam[solved]

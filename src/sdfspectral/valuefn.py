@@ -12,7 +12,7 @@ own count-weighted replicate of the sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -62,6 +62,19 @@ class FixedPointStack:
     converged: np.ndarray  # (P,) bool
     final_step: np.ndarray  # (P,)
     reason: np.ndarray  # (P,) str
+
+    def column(self, p: int) -> FixedPointSolution:
+        """Column p as a :class:`FixedPointSolution`."""
+        lam, beta = float(self.lam[p]), float(self.beta[p])
+        # the unnormalized fixed-point scale lam^(1/(1-beta)) can overflow for
+        # beta near one; numpy semantics (inf) keep the eigenpair usable
+        with np.errstate(over="ignore"):
+            h = np.power(np.float64(lam), 1.0 / (1.0 - beta)) * self.chi_coeffs[p]
+        return FixedPointSolution(
+            lam=lam, chi_coeffs=self.chi_coeffs[p], h_coeffs=h, beta=beta,
+            gamma=float(self.gamma[p]), iterations=int(self.iterations[p]),
+            converged=bool(self.converged[p]), final_step=float(self.final_step[p]),
+        )
 
 
 def _growth_weights(growth: Optional[np.ndarray], gamma: np.ndarray) -> np.ndarray:
@@ -284,23 +297,10 @@ def solve_value_fixed_point(
     st = solve_value_stack(design, beta, gamma, tol=tol, max_iter=max_iter, z0=z0)
     if st.reason[0] in ("invalid_parameters", "growth_overflow"):
         value_map(design, beta, gamma)  # raises, naming the parameter or the overflowing period
-    lam, y = float(st.lam[0]), st.chi_coeffs[0]
-    if np.isnan(lam):
+    if np.isnan(st.lam[0]):
         raise RuntimeError("degenerate iterate: vanishing G-norm")
-    # the unnormalized fixed-point scale lam^(1/(1-beta)) can overflow for
-    # beta near one; numpy semantics (inf) keep the eigenpair usable
-    with np.errstate(over="ignore"):
-        h = np.power(np.float64(lam), 1.0 / (1.0 - beta)) * y
-    return FixedPointSolution(
-        lam=lam,
-        chi_coeffs=y,
-        h_coeffs=h,
-        beta=beta,
-        gamma=gamma,
-        iterations=int(st.iterations[0]),
-        converged=bool(st.converged[0]),
-        final_step=float(st.final_step[0]),
-    )
+    # beta and gamma as given, which value.json records
+    return replace(st.column(0), beta=beta, gamma=gamma)
 
 
 def recursive_sdf_stack(
@@ -337,9 +337,8 @@ def recursive_sdf_stack(
         positive |= ~drawn
     usable = np.all(positive, axis=0)
     use = usable if drawn is None else drawn & usable
-    m = continuation_sdf(
-        growth, beta, gamma, lam, np.where(use, chi0, 1.0), np.where(use, chi1, 1.0)
-    )
+    chi0, chi1 = np.where(use, chi0, 1.0), np.where(use, chi1, 1.0)
+    m = (beta / lam) * np.exp(-gamma * np.log(growth)) * chi1**beta / chi0
     return np.where(use, m, 1.0), usable
 
 
@@ -360,19 +359,3 @@ def recursive_sdf_series(design: Design, solution: FixedPointSolution) -> np.nda
         )
     return m[:, 0]
 
-
-def continuation_sdf(
-    growth: np.ndarray,
-    beta,
-    gamma,
-    lam,
-    chi0: np.ndarray,
-    chi1: np.ndarray,
-) -> np.ndarray:
-    """m_t = (beta/lam) G_{t+1}^{-gamma} chi(X_{t+1})^beta / chi(X_t) from positive chi values.
-
-    Broadcasts: with (n, 1) growth, (n, P) chi values and P-vectors of
-    beta, gamma and lam it gives one column per (beta, gamma, lam).
-    """
-    gpow = np.exp(-gamma * np.log(growth))
-    return (beta / lam) * gpow * chi1**beta / chi0

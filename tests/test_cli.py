@@ -140,18 +140,13 @@ def test_decompose_three_coordinate_state(tmp_path):
 def test_decompose_fallback_exit_code(tmp_path, sim_panel, monkeypatch, capsys):
     import sdfspectral.pipeline as pipeline_mod
 
-    def always_fallback(M, G, const_coeffs=None):
-        k = M.shape[0]
-        c = np.ones(k) if const_coeffs is None else np.asarray(const_coeffs)
-        from sdfspectral.pfeig import EigenSolution
+    solve_stack = pipeline_mod._solve_stack
 
-        return EigenSolution(
-            rho=1.0, right_coeffs=c.copy(), left_coeffs=c.copy(),
-            is_fallback=True, residuals=(np.nan, np.nan), spectral_gap=None,
-            const_coeffs=c.copy(),
-        )
+    def always_fallback(M, G):
+        st = solve_stack(M, G)
+        return st._replace(reason=np.full(len(st.reason), "no_positive_real", dtype=object))
 
-    monkeypatch.setattr(pipeline_mod, "solve_generalized", always_fallback)
+    monkeypatch.setattr(pipeline_mod, "_solve_stack", always_fallback)
     csv_path = _write_panel_csv(tmp_path / "p.csv", sim_panel.states,
                                 sdf=np.ones(sim_panel.n))
     status = main(["decompose", "--input", str(csv_path), "--state-cols", "x1",
@@ -195,6 +190,9 @@ def test_config_file_with_flag_override(tmp_path, sim_panel):
         ("mc", {"mc": {"reps": 2, "sizes": "400"}}, "mc.sizes"),
         ("mc", {"mc": {"reps": "3", "sizes": [40]}}, "mc.reps"),
         ("bootstrap", {"bootstrap": {"b": "many"}}, "bootstrap.b"),
+        ("mc", {"mc": {"design": "Power", "reps": 2, "sizes": [40]}}, "mc.design"),
+        ("calibrate", {"preferences": {"instrument_k": 6.5}}, "preferences.instrument_k"),
+        ("calibrate", {"preferences": {"instrument_k": "x"}}, "preferences.instrument_k"),
     ],
 )
 def test_config_value_of_wrong_type(tmp_path, sim_panel, capsys, command, config, key):

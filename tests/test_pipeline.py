@@ -1,9 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import sdfspectral as s
+from sdfspectral import pipeline
+from sdfspectral.cli import main
 from sdfspectral.inference import BOOTSTRAP_BLOCK, DISCARD_REASON, _replicate_rng
-from sdfspectral.pipeline import DISCARD_REASONS, bootstrap_statistic
+from sdfspectral.pfeig import FALLBACK_REASONS
+from sdfspectral.pipeline import DISCARD_REASONS, FitFailedError, bootstrap_statistic, fit_stack
+from sdfspectral.sievemat import DesignStack
+from sdfspectral.valuefn import VALUE_FAILURES
 
 EPS = np.finfo(float).eps
 LOG_SCALE = ("y", "L", "sdf_entropy", "horizon_dependence")
@@ -160,3 +167,95 @@ def test_one_positivity_rule_at_every_entry_point(testbed, gamma, positive):
     out = stat(np.ones((1, panel.n), dtype=int))
     assert list(out[DISCARD_REASON]) == [reason]
     assert np.isfinite(out["rho"][0]) == np.isfinite(out["lambda"][0]) == positive
+
+
+#: every reason of fit_stack, in stage order
+FIT_REASONS = (VALUE_FAILURES + ("nonpositive_continuation", "nonpositive_sdf")
+               + FALLBACK_REASONS + ("defective_pair",))
+
+
+def _fail_at(monkeypatch, reason, bad):
+    """Make replicate ``bad`` of every fit_stack call fail at the stage that ``reason`` names."""
+    if reason in VALUE_FAILURES or reason in FALLBACK_REASONS:
+        attr = "solve_value_stack" if reason in VALUE_FAILURES else "_solve_stack"
+
+        def mark(st):
+            why = st.reason.astype(object)
+            why[bad] = reason
+            return replace(st, reason=why) if reason in VALUE_FAILURES else st._replace(reason=why)
+    elif reason == "defective_pair":
+        attr = "_normalize_stack"
+
+        def mark(out):
+            right, left, bad_norm, orthogonal = out
+            orthogonal = orthogonal.copy()
+            orthogonal[bad] = True
+            return right, left, bad_norm, orthogonal
+    else:  # the continuation value is not positive, or its SDF increments are not
+        attr = "recursive_sdf_stack"
+
+        def mark(out):
+            m, usable = (a.copy() for a in out)
+            if reason == "nonpositive_continuation":
+                usable[bad] = False
+            else:
+                m[:, bad] = 0.0
+            return m, usable
+
+    original = getattr(pipeline, attr)
+    monkeypatch.setattr(pipeline, attr, lambda *args, **kwargs: mark(original(*args, **kwargs)))
+
+
+@pytest.mark.parametrize("reason", FIT_REASONS)
+def test_each_fit_failure(reason, testbed, recursive_prefs, monkeypatch, tmp_path, capsys):
+    n, bad = 300, 2
+    panels = [s.simulate_ar1(testbed, n, np.random.default_rng(60 + r)) for r in range(4)]
+    spec = s.BasisSpec(family="hermite", k=6)
+    designs = [s.Design(spec.build(p.states), p) for p in panels]
+    stack = DesignStack(np.stack([d.b0 for d in designs]), np.stack([d.b1 for d in designs]),
+                        np.stack([p.growth for p in panels]), designs[0].const_coeffs)
+    draws = [s.stationary_bootstrap_indices(n, 6.0, _replicate_rng(5, r)) for r in range(4)]
+    counts = np.array([np.bincount(idx, minlength=n) for idx in draws])
+    layouts = [(stack, None), (designs[0], counts)]  # Monte Carlo designs, bootstrap rows
+    clean = [fit_stack(d, recursive_prefs, c) for d, c in layouts]
+
+    # inside a larger stack, the replicate fails alone
+    _fail_at(monkeypatch, reason, bad)
+    others = np.arange(4) != bad
+    for (design, c), ref in zip(layouts, clean):
+        assert list(ref.reason) == [""] * 4
+        fit = fit_stack(design, recursive_prefs, c)
+        assert list(fit.reason) == ["", "", reason, ""]
+        assert np.isnan(fit.eig.rho[bad]) and np.isnan(fit.eig.right[bad]).all()
+        np.testing.assert_array_equal(fit.eig.rho[others], ref.eig.rho[others])
+        np.testing.assert_array_equal(fit.m[others], ref.m[others])
+
+    # the single fit: the fallback Fit, or FitFailedError with the converged recursion
+    monkeypatch.undo()
+    _fail_at(monkeypatch, reason, 0)
+    if reason in FALLBACK_REASONS:
+        fit = pipeline.fit_panel(designs[0], recursive_prefs)
+        assert fit.sol.is_fallback and fit.sol.fallback_reason == reason and fit.sol.rho == 1.0
+        assert fit.fixed_point.converged and fit.influence is None
+        np.testing.assert_array_equal(fit.phi_t, np.ones(n))
+    else:
+        with pytest.raises(FitFailedError, match=reason) as exc:
+            pipeline.fit_panel(designs[0], recursive_prefs)
+        fp = exc.value.fixed_point
+        assert fp is None if reason in VALUE_FAILURES else fp.converged
+
+    # the decompose command exits 2 on a fallback and 1 on any other failure
+    csv_path = tmp_path / "panel.csv"
+    states = panels[0].states[:, 0]
+    csv_path.write_text("\n".join(
+        ["x1,G", format(states[0], ".17g") + ","]
+        + [f"{x:.17g},{g:.17g}" for x, g in zip(states[1:], panels[0].growth)]) + "\n")
+    status = main(["decompose", "--input", str(csv_path), "--state-cols", "x1",
+                   "--growth-col", "G", "--preferences", "recursive",
+                   "--beta", str(recursive_prefs.beta), "--gamma", str(recursive_prefs.gamma),
+                   "--basis", "hermite", "--k", "6", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if reason in FALLBACK_REASONS:
+        assert status == 2 and "fell back" in err
+    else:
+        assert status == 1 and err.startswith("error:") and reason in err

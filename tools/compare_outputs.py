@@ -4,7 +4,8 @@ Usage: python3 tools/compare_outputs.py REV
 
 Copies REV's src/ to a temporary directory with ``git archive``, writes
 the benchmark inputs at seed 1 with the prepare functions of
-bench/workloads.py, and runs each argument vector below once per tree,
+bench/workloads.py, and a copy of the bootstrap panel with an observed
+SDF column m = beta G^(-gamma), and runs each argument vector below once per tree,
 each in a fresh ``python`` process writing to an empty output directory
 (the same path for both trees, as provenance.json records it). Exit
 statuses and every output file are compared by bytes; JSON files are
@@ -49,6 +50,24 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
             del p.argv[i:i + 2]
         return [p.argv for p in round_]
 
+    def observed_sdf(argv: list[str]) -> list[str]:
+        """argv without preferences, on a copy of its panel with the SDF column they imply."""
+        opts = dict(zip(argv[1::2], argv[2::2]))  # the command, then flag/value pairs
+        beta, gamma = float(opts.pop("--beta")), float(opts.pop("--gamma"))
+        del opts["--preferences"]
+        src = Path(opts["--input"])
+        with open(src, newline="") as fh:
+            rows = list(csv.reader(fh))
+        g = rows[0].index(opts["--growth-col"])
+        rows[0].append("m")
+        for row in rows[1:]:  # flow columns leave row 0 blank
+            row.append(row[g] and format(beta * float(row[g]) ** -gamma, ".17g"))
+        dest = src.with_name("panel_sdf.csv")
+        with open(dest, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        opts.update({"--input": str(dest), "--sdf-col": "m"})
+        return [argv[0], *(x for pair in opts.items() for x in pair)]
+
     (decompose,), (bootstrap,), (mc,) = (prepared(w) for w in ("decompose", "bootstrap", "mc"))
     cases = {"decompose": decompose, "bootstrap": bootstrap, "mc": mc}
     cases.update({f"calibrate{j}": argv for j, argv in enumerate(prepared("calibrate"))})
@@ -57,6 +76,9 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     cases["bootstrap_recursive"] = [*bootstrap, "--preferences", "recursive", "--k", "6",
                                     "--boot-b", "200"]
     cases["decompose_bspline"] = ["decompose", *bootstrap[1:], "--basis", "bspline", "--k", "7"]
+    cases["decompose_power"] = ["decompose", *bootstrap[1:]]
+    cases["bootstrap_sdf"] = observed_sdf(bootstrap)
+    cases["decompose_sdf"] = ["decompose", *cases["bootstrap_sdf"][1:]]
     cases["mc_recursive"] = [*mc, "--design", "recursive", "--k", "6", "--reps", "30",
                              "--sizes", "300,600"]
     return cases
