@@ -24,18 +24,18 @@ import os
 import sys
 import typing
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from .basis import BasisSpec
 from .calibrate import estimate_preferences
-from .csvout import write_csv
-from .decomp import change_of_measure, scalars_to_json, series_to_csv
+from .csvout import write_csv, write_json
+from .decomp import change_of_measure, long_run_scalars, positive_on_sample, scalars_to_json, series_to_csv
 from .inference import bootstrap_ci, default_bandwidth, variance_entropy
 from .oracle import Ar1Design
-from .pipeline import DISCARD_REASONS, bootstrap_statistic, decompose_panel
+from .pipeline import DISCARD_REASONS, Fit, bootstrap_statistic, decompose_panel, fit_panel
 from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import Design, StatePanel
 from .simkit import McDesign, run_mc_study, write_mc_outputs
@@ -75,8 +75,75 @@ class RunConfig:
 # ----------------------------------------------------------------- config
 
 
+class Setting(NamedTuple):
+    """One setting of the command line and the config file.
+
+    ``key`` is a RunConfig field or "section.name" in a dict field, ``kind``
+    a type hint or a tuple of choices, ``flag`` None for a config-only
+    setting, and ``default`` what a command uses in its absence.
+    """
+
+    flag: Optional[str]
+    key: str
+    kind: object
+    default: object = None
+    help: Optional[str] = None
+
+
+#: every setting, flags in the order that --help lists them
+SETTINGS = (
+    Setting("--input", "input_csv", Optional[str], help="input panel CSV"),
+    Setting("--state-cols", "state_cols", list[str], help="comma-separated state column names"),
+    Setting("--growth-col", "growth_col", Optional[str], help="growth column name"),
+    Setting("--return-cols", "return_cols", list[str], help="comma-separated return column names"),
+    Setting("--sdf-col", "sdf_col", Optional[str], help="observable SDF increment column name"),
+    Setting("--basis", "basis.family", ("hermite", "bspline", "sparse")),
+    Setting("--k", "basis.k", int, help="sieve dimension (per coordinate for hermite)"),
+    Setting("--degree", "basis.degree", int, help="polynomial degree (hermite/sparse)"),
+    Setting("--cap", "basis.cap", int, help="total-degree cap (sparse)"),
+    Setting("--beta", "preferences.beta", float),
+    Setting("--gamma", "preferences.gamma", float),
+    Setting("--preferences", "preferences.mode", ("power", "recursive", "estimate")),
+    Setting("--instrument-k", "preferences.instrument_k", int, help="instrument basis dimension"),
+    Setting("--boot-b", "bootstrap.b", int, 1000, "bootstrap replications"),
+    Setting("--block", "bootstrap.expected_block", float, 6.0, "expected bootstrap block length"),
+    Setting("--level", "bootstrap.level", float, 0.90, "confidence level, e.g. 0.90"),
+    Setting(None, "bootstrap.seed", int, help="resampling seed; seed when absent"),
+    Setting("--seed", "seed", int),
+    Setting("--out", "out_dir", str, help="output directory"),
+    Setting("--reps", "mc.reps", int, 2000, "MC replications"),
+    Setting("--sizes", "mc.sizes", list[int], (400, 800, 1600, 3200), "comma-separated MC sample sizes"),
+    Setting("--design", "mc.design", ("power", "recursive"), "power", "MC design"),
+    Setting(None, "mc.beta", float, 0.994, "MC beta; preferences.beta when present"),
+    Setting(None, "mc.gamma", float, 15.0, "MC gamma; preferences.gamma when present"),
+    Setting(None, "mc.mu", float, 0.005, "MC mean of the AR(1) state"),
+    Setting(None, "mc.kappa", float, 0.6, "MC persistence of the AR(1) state"),
+    Setting(None, "mc.sigma", float, 0.01, "MC shock standard deviation of the AR(1) state"),
+    Setting("--grid-points", "grid_points", int, help="eigenfunction grid resolution"),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as CliError; status 2 flags a fit."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
+def _flag_type(kind):
+    """How argparse reads a flag: a comma-separated list, a number, or the text itself."""
+    if typing.get_origin(kind) is not list:
+        return kind if kind in (int, float) else None
+    item = typing.get_args(kind)[0]
+
+    def comma_separated_list(text: str) -> list:  # argparse names it in a usage error
+        return [item(v) for v in text.split(",") if v]
+
+    return comma_separated_list
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="sdfspectral",
         description="Long-run spectral decomposition of stochastic discount factors",
     )
@@ -90,45 +157,27 @@ def _parser() -> argparse.ArgumentParser:
     ]:
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("--config", help="JSON config file; flags override it")
-        sp.add_argument("--input", help="input panel CSV")
-        sp.add_argument("--state-cols", help="comma-separated state column names")
-        sp.add_argument("--growth-col", help="growth column name")
-        sp.add_argument("--return-cols", help="comma-separated return column names")
-        sp.add_argument("--sdf-col", help="observable SDF increment column name")
-        sp.add_argument("--basis", choices=["hermite", "bspline", "sparse"])
-        sp.add_argument("--k", type=int, help="sieve dimension (per coordinate for hermite)")
-        sp.add_argument("--degree", type=int, help="polynomial degree (hermite/sparse)")
-        sp.add_argument("--cap", type=int, help="total-degree cap (sparse)")
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--gamma", type=float)
-        sp.add_argument("--preferences", choices=["power", "recursive", "estimate"],
-                        dest="pref_mode")
-        sp.add_argument("--instrument-k", type=int, help="instrument basis dimension")
-        sp.add_argument("--boot-b", type=int, help="bootstrap replications")
-        sp.add_argument("--block", type=float, help="expected bootstrap block length")
-        sp.add_argument("--level", type=float, help="confidence level, e.g. 0.90")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--reps", type=int, help="MC replications")
-        sp.add_argument("--sizes", help="comma-separated MC sample sizes")
-        sp.add_argument("--design", choices=["power", "recursive"], help="MC design")
-        sp.add_argument("--grid-points", type=int, help="eigenfunction grid resolution")
+        for s in SETTINGS:
+            if s.flag is not None:
+                choices = s.kind if isinstance(s.kind, tuple) else None
+                sp.add_argument(s.flag, type=_flag_type(s.kind), choices=choices, help=s.help)
     return p
 
 
 #: RunConfig's fields and their types, which a config file's values must have
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
-#: the types of the nested section keys that the commands read as numbers or lists
-_SECTION_TYPES = {
-    "preferences": {"beta": float, "gamma": float, "instrument_k": int},
-    "bootstrap": {"b": int, "expected_block": float, "level": float, "seed": int},
-    "mc": {"design": str, "beta": float, "gamma": float, "mu": float, "kappa": float,
-           "sigma": float, "sizes": list[int], "reps": int},
-}
+
+
+def _slot(cfg: RunConfig, key: str) -> tuple[dict, str]:
+    """The dict of ``cfg`` that holds a setting's value, and the setting's name in it."""
+    section, _, name = key.rpartition(".")
+    return (getattr(cfg, section) if section else vars(cfg)), name
 
 
 def _has_type(value, hint) -> bool:
-    """Whether a JSON value has type ``hint``; a bool is no number, an int is a float."""
+    """Whether a JSON value has type ``hint``: a choice is text, a bool no number, an int a float."""
+    if isinstance(hint, tuple):
+        return isinstance(value, str)
     args = typing.get_args(hint)
     if typing.get_origin(hint) is typing.Union:
         return any(_has_type(value, h) for h in args)
@@ -139,16 +188,12 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _check_types(cfg: RunConfig) -> None:
-    """Reject a merged config value of the wrong type, naming its key."""
-    checks = [(key, getattr(cfg, key), hint) for key, hint in _CONFIG_TYPES.items()]
-    checks += [(f"{section}.{key}", getattr(cfg, section)[key], hint)
-               for section, types in _SECTION_TYPES.items()
-               for key, hint in types.items() if key in getattr(cfg, section)]
-    for key, value, hint in checks:
-        if not _has_type(value, hint):
-            raise CliError(f"config key {key!r} has a value of the wrong type: {value!r}")
-    _basis_spec(cfg)
+def _check_types(cfg: RunConfig, checks) -> None:
+    """Reject a config value of the wrong type, naming its key; ``checks`` holds (key, type)."""
+    for key, hint in checks:
+        values, name = _slot(cfg, key)
+        if name in values and not _has_type(values[name], hint):
+            raise CliError(f"config key {key!r} has a value of the wrong type: {values[name]!r}")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -165,62 +210,32 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(raw) - set(_CONFIG_TYPES)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
-    cfg = RunConfig(command=args.command)
-    for key in _CONFIG_TYPES.keys() - {"command"}:
-        if key in raw:
-            setattr(cfg, key, raw[key])
-
-    if args.input is not None:
-        cfg.input_csv = args.input
-    if args.state_cols is not None:
-        cfg.state_cols = [c for c in args.state_cols.split(",") if c]
-    if args.growth_col is not None:
-        cfg.growth_col = args.growth_col
-    if args.return_cols is not None:
-        cfg.return_cols = [c for c in args.return_cols.split(",") if c]
-    if args.sdf_col is not None:
-        cfg.sdf_col = args.sdf_col
-    for key in ("basis", "k", "degree", "cap"):
-        val = getattr(args, key if key != "basis" else "basis")
-        if val is not None:
-            if key == "basis":
-                cfg.basis["family"] = val
-            else:
-                cfg.basis[key] = val
-    if args.pref_mode is not None:
-        cfg.preferences["mode"] = args.pref_mode
-    if args.beta is not None:
-        cfg.preferences["beta"] = args.beta
-    if args.gamma is not None:
-        cfg.preferences["gamma"] = args.gamma
-    if args.instrument_k is not None:
-        cfg.preferences["instrument_k"] = args.instrument_k
-    if args.boot_b is not None:
-        cfg.bootstrap["b"] = args.boot_b
-    if args.block is not None:
-        cfg.bootstrap["expected_block"] = args.block
-    if args.level is not None:
-        cfg.bootstrap["level"] = args.level
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.reps is not None:
-        cfg.mc["reps"] = args.reps
-    if args.sizes is not None:
-        cfg.mc["sizes"] = [int(s) for s in args.sizes.split(",") if s]
-    if args.design is not None:
-        cfg.mc["design"] = args.design
-    if args.grid_points is not None:
-        cfg.grid_points = args.grid_points
+    cfg = RunConfig(**{**raw, "command": args.command})
+    # flags set keys inside the sections, which must be objects
+    _check_types(cfg, [(key, dict) for key, hint in _CONFIG_TYPES.items() if hint is dict])
+    for s in SETTINGS:
+        value = None if s.flag is None else getattr(args, s.flag[2:].replace("-", "_"))
+        if value is not None:
+            values, name = _slot(cfg, s.key)
+            values[name] = value
 
     if cfg.command != "mc":
         if cfg.input_csv is None:
             raise CliError("an input CSV is required (--input or config input_csv)")
     elif cfg.input_csv is not None:
         raise CliError("the mc command takes a design, not an input CSV")
-    _check_types(cfg)
+    _basis_spec(cfg)  # checks the basis section first, naming its keys its own way
+    _check_types(cfg, [(s.key, s.kind) for s in SETTINGS])
+    if cfg.grid_points < 1:
+        raise CliError(f"config key 'grid_points' must be at least 1, not {cfg.grid_points}")
     return cfg
+
+
+def _value(cfg: RunConfig, key: str, fallback=None):
+    """A setting as configured; else ``fallback`` if given, else the table's default."""
+    values, name = _slot(cfg, key)
+    default = fallback if fallback is not None else next(s.default for s in SETTINGS if s.key == key)
+    return values.get(name, default)
 
 
 # ----------------------------------------------------------------- ingest
@@ -332,9 +347,7 @@ def _write_provenance(cfg: RunConfig, extra: Optional[dict] = None) -> None:
     }
     if extra:
         payload.update(extra)
-    with open(os.path.join(cfg.out_dir, "provenance.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(cfg.out_dir, "provenance.json"), payload)
 
 
 def _state_grid(panel: StatePanel, points: int) -> np.ndarray:
@@ -427,6 +440,18 @@ def validate_summary_csv(path) -> list[dict]:
 # ----------------------------------------------------------------- commands
 
 
+def _exit_status(fit: Fit) -> int:
+    """Exit status of a command whose outputs are written: 2, with a warning, for a flagged fit."""
+    if fit.sol.is_fallback:
+        why = "no real simple positive eigenvalue; fell back to the constant solution (rho = 1)"
+    elif not positive_on_sample(fit.phi_t, fit.phi_t1):
+        why = "eigenfunction not positive on sample; results are emitted but flagged"
+    else:
+        return 0
+    print(f"warning: {why}", file=sys.stderr)
+    return 2
+
+
 def _cmd_decompose(cfg: RunConfig) -> int:
     panel = read_panel_csv(cfg)
     prefs = _preferences(cfg)
@@ -470,14 +495,7 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     )
     _write_eigenfunction_outputs(cfg, panel, basis, fit.sol)
     _write_provenance(cfg, {"fallback": fit.sol.is_fallback})
-    if fit.sol.is_fallback:
-        print(
-            "warning: no real simple positive eigenvalue; fell back to the "
-            "constant solution (rho = 1)",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _exit_status(fit)
 
 
 def _cmd_value(cfg: RunConfig) -> int:
@@ -497,9 +515,7 @@ def _cmd_value(cfg: RunConfig) -> int:
         "converged": fp.converged,
         "final_step": fp.final_step,
     }
-    with open(os.path.join(cfg.out_dir, "value.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(cfg.out_dir, "value.json"), payload)
     grid = _state_grid(panel, cfg.grid_points)
     chi = basis.evaluate_many(grid) @ fp.chi_coeffs
     write_csv(
@@ -515,7 +531,7 @@ def _cmd_value(cfg: RunConfig) -> int:
 
 
 def _instrument_basis(cfg: RunConfig, panel: StatePanel, solve_basis):
-    k_inst = cfg.preferences.get("instrument_k", min(6, solve_basis.dimension_k))
+    k_inst = _value(cfg, "preferences.instrument_k", min(6, solve_basis.dimension_k))
     degree = max(0, k_inst - 1) if panel.state_dim == 1 else cfg.basis.get("degree", 2)
     if panel.state_dim == 1:
         spec = BasisSpec(family="hermite", k=k_inst)
@@ -549,9 +565,7 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
         "evaluations": len(result.optimizer_trace),
         "infeasible": result.infeasible,
     }
-    with open(os.path.join(cfg.out_dir, "calibration.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(cfg.out_dir, "calibration.json"), payload)
     write_csv(os.path.join(cfg.out_dir, "trace.csv"), ["beta", "gamma", "criterion"],
               result.optimizer_trace)
     rows = [
@@ -574,70 +588,44 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
     if prefs is None and panel.sdf_increments is None:
         raise CliError("no SDF column and no preferences; nothing to bootstrap")
     design = Design(_basis_spec(cfg).build(panel.states), panel)
-    res = decompose_panel(design, prefs)
-    b = int(cfg.bootstrap.get("b", 1000))
-    block = float(cfg.bootstrap.get("expected_block", 6))
-    level = float(cfg.bootstrap.get("level", 0.90))
-    seed = int(cfg.bootstrap.get("seed", cfg.seed))
+    fit = fit_panel(design, prefs)
+    b = int(_value(cfg, "bootstrap.b"))
+    block = float(_value(cfg, "bootstrap.expected_block"))
+    level = float(_value(cfg, "bootstrap.level"))
+    seed = int(_value(cfg, "bootstrap.seed", cfg.seed))
     boot = bootstrap_ci(bootstrap_statistic(design, prefs), panel.n, b, block, level, seed)
 
-    point = res.scalar_record()
-    rows = []
-    for stat in ("rho", "y", "L", "sdf_entropy", "horizon_dependence", "lambda"):
-        if stat not in point:
-            continue
-        rows.append(
-            {
-                "statistic": stat,
-                "estimate": point[stat],
-                "ci_lo": boot.ci_lo.get(stat),
-                "ci_hi": boot.ci_hi.get(stat),
-            }
-        )
+    point = long_run_scalars(fit.sol.rho, fit.m)
+    if fit.fixed_point is not None:
+        point["lambda"] = fit.fixed_point.lam
     if isinstance(prefs, (PowerUtility, RecursiveUtility)):
-        rows.append({"statistic": "beta", "estimate": prefs.beta})
-        rows.append({"statistic": "gamma", "estimate": prefs.gamma})
+        point.update(beta=prefs.beta, gamma=prefs.gamma)
+    rows = [{"statistic": stat, "estimate": estimate, "ci_lo": boot.ci_lo.get(stat),
+             "ci_hi": boot.ci_hi.get(stat)} for stat, estimate in point.items()]
     _write_summary_csv(os.path.join(cfg.out_dir, "summary.csv"), rows, level=level)
-    with open(os.path.join(cfg.out_dir, "bootstrap.json"), "w") as fh:
-        json.dump(
-            {
-                "b": b,
-                "expected_block": block,
-                "level": level,
-                "seed": seed,
-                "discarded": boot.discarded,
-                "discard_reasons": {
-                    r: boot.discard_reasons.get(r, 0) for r in DISCARD_REASONS
-                },
-                "fallback_point_estimate": res.fit.sol.is_fallback,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(os.path.join(cfg.out_dir, "bootstrap.json"), {
+        "b": b, "expected_block": block, "level": level, "seed": seed,
+        "discarded": boot.discarded,
+        "discard_reasons": {r: boot.discard_reasons.get(r, 0) for r in DISCARD_REASONS},
+        "fallback_point_estimate": fit.sol.is_fallback,
+    })
     _write_provenance(cfg, {"discarded": boot.discarded})
-    return 2 if res.fit.sol.is_fallback else 0
+    return _exit_status(fit)
 
 
 def _cmd_mc(cfg: RunConfig) -> int:
-    mc = dict(cfg.mc)
-    design_kind = mc.get("design", "power")
+    design_kind = _value(cfg, "mc.design")
     preferences = {"power": PowerUtility, "recursive": RecursiveUtility}.get(design_kind)
     if preferences is None:
         raise CliError(f"config key 'mc.design' is 'power' or 'recursive', not {design_kind!r}")
-    beta = float(mc.get("beta", cfg.preferences.get("beta", 0.994)))
-    gamma = float(mc.get("gamma", cfg.preferences.get("gamma", 15.0)))
-    prefs = preferences(beta=beta, gamma=gamma)
-    ar1 = Ar1Design(
-        mu=float(mc.get("mu", 0.005)),
-        kappa=float(mc.get("kappa", 0.6)),
-        sigma=float(mc.get("sigma", 0.01)),
-    )
+    beta = float(_value(cfg, "mc.beta", cfg.preferences.get("beta")))
+    gamma = float(_value(cfg, "mc.gamma", cfg.preferences.get("gamma")))
+    ar1 = Ar1Design(**{k: float(_value(cfg, f"mc.{k}")) for k in ("mu", "kappa", "sigma")})
     design = McDesign(
         ar1=ar1,
-        preferences=prefs,
-        sample_sizes=tuple(mc.get("sizes", (400, 800, 1600, 3200))),
-        replications=int(mc.get("reps", 2000)),
+        preferences=preferences(beta=beta, gamma=gamma),
+        sample_sizes=tuple(_value(cfg, "mc.sizes")),
+        replications=int(_value(cfg, "mc.reps")),
         basis_spec=_basis_spec(cfg),
         seed=cfg.seed,
     )
@@ -663,10 +651,8 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        cfg = build_config(args)
-        return run(cfg)
+        return run(build_config(_parser().parse_args(argv)))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

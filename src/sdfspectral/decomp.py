@@ -9,7 +9,6 @@ dependence are scalar functionals of the same objects.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -17,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy import stats
 
-from .csvout import write_csv
+from .csvout import write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,22 @@ def sdf_entropy(m: np.ndarray) -> float:
     return math.log(float(np.mean(m))) - float(np.mean(np.log(m)))
 
 
+def long_run_scalars(rho: float, m: np.ndarray) -> dict:
+    """The scalar functionals of rho and the SDF increments m, which need no eigenfunction values.
+
+    Keys: rho, y (the long-run yield), L (the permanent entropy),
+    sdf_entropy, and horizon_dependence = L - sdf_entropy.
+    """
+    entropy_l, sdf_ent = permanent_entropy(rho, m), sdf_entropy(m)
+    return {"rho": float(rho), "y": long_run_yield(rho), "L": entropy_l, "sdf_entropy": sdf_ent,
+            "horizon_dependence": entropy_l - sdf_ent}
+
+
+def positive_on_sample(phi_t: np.ndarray, phi_t1: np.ndarray) -> bool:
+    """Whether no value phi(X_t) or phi(X_{t+1}) is zero or negative, as :func:`pt_series` needs."""
+    return not (np.any(np.asarray(phi_t) <= 0) or np.any(np.asarray(phi_t1) <= 0))
+
+
 def pt_series(
     rho: float,
     phi_t: np.ndarray,
@@ -80,23 +95,22 @@ def pt_series(
     m = np.asarray(m, dtype=float)
     if phi_t.shape != m.shape or phi_t1.shape != m.shape:
         raise ValueError("phi values and m must be aligned length-n series")
-    if np.any(phi_t <= 0) or np.any(phi_t1 <= 0):
+    if not positive_on_sample(phi_t, phi_t1):
         raise ValueError("eigenfunction not positive on sample")
     if np.any(m <= 0):
         raise ValueError("SDF increments must be strictly positive")
     m_perm = m * phi_t1 / (rho * phi_t)
     m_trans = rho * phi_t / phi_t1
-    ent = permanent_entropy(rho, m)
-    sent = sdf_entropy(m)
+    scalars = long_run_scalars(rho, m)
     return DecompSeries(
         m=m,
         m_perm=m_perm,
         m_trans=m_trans,
-        rho=float(rho),
-        yield_y=long_run_yield(rho),
-        entropy_L=ent,
-        sdf_entropy=sent,
-        horizon_dependence=ent - sent,
+        rho=scalars["rho"],
+        yield_y=scalars["y"],
+        entropy_L=scalars["L"],
+        sdf_entropy=scalars["sdf_entropy"],
+        horizon_dependence=scalars["horizon_dependence"],
     )
 
 
@@ -158,6 +172,4 @@ def scalars_to_json(series: DecompSeries, path, association: Optional[dict] = No
     payload = scalars_dict(series, association)
     if extra:
         payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)

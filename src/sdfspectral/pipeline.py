@@ -77,19 +77,6 @@ class DecompositionResult:
     series: DecompSeries
     association: dict
 
-    def scalar_record(self) -> dict:
-        """Flat record of the headline scalars."""
-        out = {
-            "rho": self.series.rho,
-            "y": self.series.yield_y,
-            "L": self.series.entropy_L,
-            "sdf_entropy": self.series.sdf_entropy,
-            "horizon_dependence": self.series.horizon_dependence,
-        }
-        if self.fit.fixed_point is not None:
-            out["lambda"] = self.fit.fixed_point.lam
-        return out
-
 
 class FitStack(NamedTuple):
     """Per-replicate results of :func:`fit_stack` on R replicates.

@@ -14,7 +14,6 @@ replicate-averaged function from the truth.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -26,7 +25,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .basis import BasisSpec
-from .csvout import write_csv
+from .csvout import write_csv, write_json
 from .oracle import Ar1Design, quadrature_eig
 from .pfeig import _matvec, _spd_mask
 from .pipeline import fit_stack, sample_values
@@ -349,6 +348,4 @@ def write_mc_outputs(table: McTable, out_dir, stem: str = "mc_table") -> None:
     """Write the table CSV and a metadata JSON sidecar."""
     os.makedirs(out_dir, exist_ok=True)
     table.to_csv(os.path.join(out_dir, f"{stem}.csv"))
-    with open(os.path.join(out_dir, f"{stem}_meta.json"), "w") as fh:
-        json.dump(table.metadata(), fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, f"{stem}_meta.json"), table.metadata())

@@ -2,12 +2,13 @@ import csv
 import json
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
 
 import sdfspectral as s
-from sdfspectral.cli import main, validate_summary_csv
+from sdfspectral.cli import SETTINGS, RunConfig, _parser, build_config, main, validate_summary_csv
 from sdfspectral.pipeline import DISCARD_REASONS
 
 
@@ -209,6 +210,100 @@ def test_config_value_of_wrong_type(tmp_path, sim_panel, capsys, command, config
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def _setting_values(setting):
+    """A valid value of the setting's kind, its flag text, and a value of the wrong type."""
+    kind = setting.kind
+    if isinstance(kind, tuple):
+        return kind[-1], kind[-1], 5
+    if kind is int:
+        return 3, "3", "3"
+    if kind is float:
+        return 0.5, "0.5", "x"
+    if kind == list[int]:
+        return [40, 80], "40,80", "40"
+    if kind == list[str]:
+        return ["a", "b"], "a,b", "a"
+    assert str in typing.get_args(kind) or kind is str
+    return "other.csv", "other.csv", 5
+
+
+@pytest.mark.parametrize("setting", SETTINGS, ids=[s.key for s in SETTINGS])
+def test_each_setting_from_flag_or_file(tmp_path, capsys, setting):
+    value, text, wrong = _setting_values(setting)
+    section, _, name = setting.key.rpartition(".")
+    base = {"input_csv": "panel.csv"}
+
+    def from_file(value) -> dict:
+        if not section:
+            return {**base, name: value}
+        # a file gives the whole section, while a flag sets one key of it
+        return {**base, section: {**getattr(RunConfig(command="decompose"), section), name: value}}
+
+    def argv(config: dict) -> list[str]:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        return ["decompose", "--config", str(path)]
+
+    by_file = build_config(_parser().parse_args(argv(from_file(value))))
+    assert (getattr(by_file, section) if section else vars(by_file))[name] == value
+    if setting.flag is not None:
+        assert build_config(_parser().parse_args(argv(base) + [setting.flag, text])) == by_file
+
+    out = tmp_path / "out"
+    assert main(argv({"out_dir": str(out), **from_file(wrong)})) == 1
+    err = capsys.readouterr().err
+    # BasisSpec names the basis keys it checks without their section
+    shown = name if section == "basis" and setting.kind is int else setting.key
+    assert err.startswith("error:") and repr(shown) in err
+    if section and setting.flag is not None:  # a flag sets a key in a section that is no object
+        assert main(argv({**base, "out_dir": str(out), section: [1]}) + [setting.flag, text]) == 1
+        assert f"config key {section!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["mc", "--k", "x"], "--k"),
+    (["mc", "--sizes", "400,x"], "--sizes"),
+    (["mc", "--design", "Power"], "--design"),
+])
+def test_usage_error_exits_1_naming_the_flag(capsys, argv, flag):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command, points", [("decompose", "0"), ("value", "-3")])
+def test_grid_points_below_one(tmp_path, sim_panel, capsys, command, points):
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
+                                growth=sim_panel.growth)
+    out = tmp_path / "out"
+    assert main([command, "--input", str(csv_path), "--state-cols", "x1", "--growth-col", "G",
+                 "--preferences", "recursive", "--beta", "0.994", "--gamma", "15",
+                 "--grid-points", points, "--out", str(out)]) == 1
+    assert "'grid_points'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bootstrap_sign_changing_eigenfunction(tmp_path, testbed, capsys):
+    # on this panel the fitted eigenfunction is negative at two sample points
+    panel = s.simulate_ar1(testbed, 400, np.random.default_rng(177))
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", panel.states, growth=panel.growth)
+    out = tmp_path / "b"
+    status = main(["bootstrap", "--input", str(csv_path), "--state-cols", "x1",
+                   "--growth-col", "G", "--basis", "hermite", "--k", "8",
+                   "--preferences", "power", "--beta", "0.994", "--gamma", "15",
+                   "--boot-b", "50", "--seed", "3", "--out", str(out)])
+    assert status == 2
+    assert "warning: eigenfunction not positive on sample;" in capsys.readouterr().err
+    rows = {r["statistic"]: r for r in validate_summary_csv(out / "summary.csv")}
+    assert rows["rho"]["estimate"] > 1
+    assert not json.loads((out / "bootstrap.json").read_text())["fallback_point_estimate"]
+    assert (out / "provenance.json").exists()
 
 
 def test_bootstrap_deterministic_outputs(tmp_path, sim_panel):

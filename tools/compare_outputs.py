@@ -4,8 +4,9 @@ Usage: python3 tools/compare_outputs.py REV
 
 Copies REV's src/ to a temporary directory with ``git archive``, writes
 the benchmark inputs at seed 1 with the prepare functions of
-bench/workloads.py, and a copy of the bootstrap panel with an observed
-SDF column m = beta G^(-gamma), and runs each argument vector below once per tree,
+bench/workloads.py, a copy of the bootstrap panel with an observed SDF
+column m = beta G^(-gamma), and the decompose settings as a JSON config
+file, and runs each argument vector below once per tree,
 each in a fresh ``python`` process writing to an empty output directory
 (the same path for both trees, as provenance.json records it). Exit
 statuses and every output file are compared by bytes; JSON files are
@@ -68,6 +69,22 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
         opts.update({"--input": str(dest), "--sdf-col": "m"})
         return [argv[0], *(x for pair in opts.items() for x in pair)]
 
+    def config_file(argv: list[str]) -> list[str]:
+        """A decompose argv's settings as a JSON config file, with --cap overriding the file's cap."""
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        config = {
+            "input_csv": opts["--input"],
+            "state_cols": opts["--state-cols"].split(","),
+            "growth_col": opts["--growth-col"],
+            "basis": {"family": opts["--basis"], "degree": int(opts["--degree"]),
+                      "cap": int(opts["--cap"]) + 1},
+            "preferences": {"mode": opts["--preferences"], "beta": float(opts["--beta"]),
+                            "gamma": float(opts["--gamma"])},
+        }
+        dest = Path(opts["--input"]).with_name("config.json")
+        dest.write_text(json.dumps(config))
+        return [argv[0], "--config", str(dest), "--cap", opts["--cap"]]
+
     (decompose,), (bootstrap,), (mc,) = (prepared(w) for w in ("decompose", "bootstrap", "mc"))
     cases = {"decompose": decompose, "bootstrap": bootstrap, "mc": mc}
     cases.update({f"calibrate{j}": argv for j, argv in enumerate(prepared("calibrate"))})
@@ -77,6 +94,7 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
                                     "--boot-b", "200"]
     cases["decompose_bspline"] = ["decompose", *bootstrap[1:], "--basis", "bspline", "--k", "7"]
     cases["decompose_power"] = ["decompose", *bootstrap[1:]]
+    cases["decompose_config"] = config_file(decompose)
     cases["bootstrap_sdf"] = observed_sdf(bootstrap)
     cases["decompose_sdf"] = ["decompose", *cases["bootstrap_sdf"][1:]]
     cases["mc_recursive"] = [*mc, "--design", "recursive", "--k", "6", "--reps", "30",
