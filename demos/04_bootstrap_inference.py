@@ -9,7 +9,6 @@ standard errors from the influence function are shown alongside.
 import numpy as np
 
 import sdfspectral as s
-from sdfspectral.decomp import long_run_scalars
 from sdfspectral.pipeline import bootstrap_statistic, decompose_panel
 
 BETA, GAMMA = 0.994, 15.0
@@ -20,7 +19,7 @@ panel = s.simulate_ar1(design, n=276, seed=137)  # quarterly-panel scale
 sieve = s.Design(s.BasisSpec(family="hermite", k=8).build(panel.states), panel)
 
 res = decompose_panel(sieve, prefs)
-point = long_run_scalars(res.fit.sol.rho, res.fit.m)
+point = s.long_run_stack(res.fit.sol.rho, res.fit.m)
 
 boot = s.bootstrap_ci(
     bootstrap_statistic(sieve, prefs), panel.n,

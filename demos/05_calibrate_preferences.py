@@ -30,8 +30,7 @@ solve_basis = s.BasisSpec(family="sparse", degree=4, cap=5).build(states)
 print(f"solve basis dimension: {solve_basis.dimension_k}")
 
 sieve0 = s.Design(solve_basis, s.StatePanel.from_states(states, growth=growth))
-fp = s.solve_value_fixed_point(sieve0, BETA0, GAMMA0)
-m = s.recursive_sdf_series(sieve0, fp)
+m = s.fit_panel(sieve0, s.RecursiveUtility(BETA0, GAMMA0)).m  # the generating SDF
 returns = np.column_stack([1.0 / m, 1.0 / m * np.exp(0.01 * rng.standard_normal(n))])
 panel = s.StatePanel.from_states(states, growth=growth, returns=returns)
 

@@ -22,18 +22,15 @@ from .calibrate import CalibrationResult, criterion, criterion_grid, estimate_pr
 from .decomp import (
     DecompSeries,
     change_of_measure,
-    long_run_yield,
-    permanent_entropy,
+    long_run_stack,
     pt_association,
     pt_series,
-    sdf_entropy,
 )
 from .inference import (
     BootstrapResult,
     InfluenceSeries,
     bootstrap_ci,
     default_bandwidth,
-    influence_rho,
     stationary_bootstrap_indices,
     variance_entropy,
 )
@@ -45,7 +42,7 @@ from .oracle import (
     affine_power_utility_solution,
     quadrature_eig,
 )
-from .pfeig import EigenSolution, eigenfunction_values, normalize, solve_generalized
+from .pfeig import EigenSolution
 from .pipeline import DecompositionResult, Fit, bootstrap_statistic, decompose_panel, fit_panel
 from .preferences import PowerUtility, RecursiveUtility, power_utility_sdf_series
 from .sievemat import Design, StatePanel, estimate_gram, estimate_pricing
@@ -53,7 +50,6 @@ from .simkit import McDesign, McTable, l2_distance, run_mc_study, simulate_ar1
 from .valuefn import (
     FixedPointSolution,
     FixedPointStack,
-    recursive_sdf_series,
     solve_value_fixed_point,
     solve_value_stack,
     value_map,

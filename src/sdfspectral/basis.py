@@ -149,10 +149,6 @@ class SieveBasis:
         means, sds = np.array(self.standardization).T
         return _polynomial_values((pts - means) / sds, self.index_tuples)
 
-    def evaluate(self, x) -> np.ndarray:
-        """Evaluate all basis functions at a single point."""
-        return self.evaluate_many(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0]
-
 
 def hermite_basis_from_moments(
     means, sds, degree_per_dim: int

@@ -32,7 +32,7 @@ from . import __version__
 from .basis import BasisSpec
 from .calibrate import estimate_preferences
 from .csvout import write_csv, write_json
-from .decomp import change_of_measure, long_run_scalars, positive_on_sample, scalars_to_json, series_to_csv
+from .decomp import change_of_measure, long_run_stack, positive_on_sample, scalars_to_json, series_to_csv
 from .inference import bootstrap_ci, default_bandwidth, variance_entropy
 from .oracle import Ar1Design
 from .pipeline import DISCARD_REASONS, Fit, bootstrap_statistic, decompose_panel, fit_panel
@@ -175,9 +175,9 @@ def _slot(cfg: RunConfig, key: str) -> tuple[dict, str]:
 
 
 def _has_type(value, hint) -> bool:
-    """Whether a JSON value has type ``hint``: a choice is text, a bool no number, an int a float."""
+    """Whether a JSON value has type ``hint``: one of its choices, a bool no number, an int a float."""
     if isinstance(hint, tuple):
-        return isinstance(value, str)
+        return value in hint
     args = typing.get_args(hint)
     if typing.get_origin(hint) is typing.Union:
         return any(_has_type(value, h) for h in args)
@@ -192,8 +192,11 @@ def _check_types(cfg: RunConfig, checks) -> None:
     """Reject a config value of the wrong type, naming its key; ``checks`` holds (key, type)."""
     for key, hint in checks:
         values, name = _slot(cfg, key)
-        if name in values and not _has_type(values[name], hint):
-            raise CliError(f"config key {key!r} has a value of the wrong type: {values[name]!r}")
+        if name not in values or _has_type(values[name], hint):
+            continue
+        if isinstance(hint, tuple):
+            raise CliError(f"config key {key!r} is one of {', '.join(hint)}, not {values[name]!r}")
+        raise CliError(f"config key {key!r} has a value of the wrong type: {values[name]!r}")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -225,6 +228,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     elif cfg.input_csv is not None:
         raise CliError("the mc command takes a design, not an input CSV")
     _basis_spec(cfg)  # checks the basis section first, naming its keys its own way
+    # a section holds the settings of the table and nothing else
+    keys = {s.key for s in SETTINGS}
+    unknown = [f"{section}.{name}" for section, hint in _CONFIG_TYPES.items() if hint is dict
+               for name in getattr(cfg, section) if f"{section}.{name}" not in keys]
+    if unknown:
+        raise CliError(f"unknown config keys: {sorted(unknown)}")
     _check_types(cfg, [(s.key, s.kind) for s in SETTINGS])
     if cfg.grid_points < 1:
         raise CliError(f"config key 'grid_points' must be at least 1, not {cfg.grid_points}")
@@ -308,19 +317,14 @@ def read_panel_csv(cfg: RunConfig) -> StatePanel:
 
 def _preferences(cfg: RunConfig):
     mode = cfg.preferences.get("mode")
-    if mode in (None, "none"):
-        return None
-    if mode == "estimate":
-        return "estimate"
+    if mode in (None, "estimate"):
+        return mode
     beta = cfg.preferences.get("beta")
     gamma = cfg.preferences.get("gamma")
     if beta is None or gamma is None:
         raise CliError(f"preferences mode {mode!r} needs beta and gamma")
-    if mode == "power":
-        return PowerUtility(beta=beta, gamma=gamma)
-    if mode == "recursive":
-        return RecursiveUtility(beta=beta, gamma=gamma)
-    raise CliError(f"unknown preferences mode {mode!r}")
+    utility = PowerUtility if mode == "power" else RecursiveUtility
+    return utility(beta=beta, gamma=gamma)
 
 
 def _basis_spec(cfg: RunConfig) -> BasisSpec:
@@ -475,7 +479,7 @@ def _cmd_decompose(cfg: RunConfig) -> int:
         extra["v_L"] = variance_entropy(fit.influence, fit.m, bw)
         extra["nw_bandwidth"] = bw
     series_to_csv(res.series, os.path.join(cfg.out_dir, "series.csv"))
-    scalars_to_json(res.series, os.path.join(cfg.out_dir, "scalars.json"),
+    scalars_to_json(fit.sol.rho, fit.m, os.path.join(cfg.out_dir, "scalars.json"),
                     association=res.association, extra=extra)
     # change of measure on the sample points (the grid version sits in
     # eigenfunctions.csv)
@@ -595,7 +599,7 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
     seed = int(_value(cfg, "bootstrap.seed", cfg.seed))
     boot = bootstrap_ci(bootstrap_statistic(design, prefs), panel.n, b, block, level, seed)
 
-    point = long_run_scalars(fit.sol.rho, fit.m)
+    point = {stat: float(v) for stat, v in long_run_stack(fit.sol.rho, fit.m).items()}
     if fit.fixed_point is not None:
         point["lambda"] = fit.fixed_point.lam
     if isinstance(prefs, (PowerUtility, RecursiveUtility)):
@@ -614,10 +618,7 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
 
 
 def _cmd_mc(cfg: RunConfig) -> int:
-    design_kind = _value(cfg, "mc.design")
-    preferences = {"power": PowerUtility, "recursive": RecursiveUtility}.get(design_kind)
-    if preferences is None:
-        raise CliError(f"config key 'mc.design' is 'power' or 'recursive', not {design_kind!r}")
+    preferences = PowerUtility if _value(cfg, "mc.design") == "power" else RecursiveUtility
     beta = float(_value(cfg, "mc.beta", cfg.preferences.get("beta")))
     gamma = float(_value(cfg, "mc.gamma", cfg.preferences.get("gamma")))
     ar1 = Ar1Design(**{k: float(_value(cfg, f"mc.{k}")) for k in ("mu", "kappa", "sigma")})

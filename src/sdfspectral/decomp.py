@@ -4,12 +4,12 @@ Given the largest eigenvalue rho and positive eigenfunction values along
 the sample, the SDF increment factors exactly into a martingale
 (permanent) increment and a transitory increment. Long-run yield, entropy
 of the permanent component, one-period SDF entropy, and horizon
-dependence are scalar functionals of the same objects.
+dependence are scalar functionals of rho and the SDF increments alone,
+written once in :func:`long_run_stack` for one fit or a stack of them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,51 +23,40 @@ from .csvout import write_csv, write_json
 class DecompSeries:
     """Per-period increments of the SDF and its two components.
 
-    Satisfies m[t] = m_perm[t] * m_trans[t] for every t; the scalar
-    functionals are carried alongside for serialization.
+    Satisfies m[t] = m_perm[t] * m_trans[t] for every t.
     """
 
     m: np.ndarray
     m_perm: np.ndarray
     m_trans: np.ndarray
-    rho: float
-    yield_y: float
-    entropy_L: float
-    sdf_entropy: float
-    horizon_dependence: float
 
 
-def long_run_yield(rho: float) -> float:
-    """Long-run discount-bond yield, -log(rho)."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return -math.log(rho)
+def long_run_stack(rho, m: np.ndarray, counts: Optional[np.ndarray] = None) -> dict:
+    """The long-run scalars of eigenvalues rho and their positive SDF increments m.
 
-
-def permanent_entropy(rho: float, m: np.ndarray) -> float:
-    """Entropy of the permanent component: log(rho) - mean(log m)."""
-    m = np.asarray(m, dtype=float)
-    if np.any(m <= 0):
-        raise ValueError("SDF increments must be strictly positive")
-    return math.log(rho) - float(np.mean(np.log(m)))
-
-
-def sdf_entropy(m: np.ndarray) -> float:
-    """One-period SDF entropy: log(mean m) - mean(log m). Zero iff m constant."""
-    m = np.asarray(m, dtype=float)
-    if np.any(m <= 0):
-        raise ValueError("SDF increments must be strictly positive")
-    return math.log(float(np.mean(m))) - float(np.mean(np.log(m)))
-
-
-def long_run_scalars(rho: float, m: np.ndarray) -> dict:
-    """The scalar functionals of rho and the SDF increments m, which need no eigenfunction values.
-
-    Keys: rho, y (the long-run yield), L (the permanent entropy),
-    sdf_entropy, and horizon_dependence = L - sdf_entropy.
+    Row r of the (R, n) increments m belongs to eigenvalue rho[r]; a
+    single series m of length n to a single rho. Keys: rho, y = -log(rho)
+    (the long-run yield), L = log(rho) - mean(log m) (the entropy of the
+    permanent component), sdf_entropy = log(mean m) - mean(log m) (the
+    one-period SDF entropy, zero iff m is constant) and
+    horizon_dependence = L - sdf_entropy; each holds one value per row.
+    With an (R, n) ``counts`` array, row r's means weight pair t by
+    counts[r, t] / n, as a bootstrap replicate drawn with those counts does.
+    A NaN eigenvalue, of a discarded replicate, gives NaN scalars.
     """
-    entropy_l, sdf_ent = permanent_entropy(rho, m), sdf_entropy(m)
-    return {"rho": float(rho), "y": long_run_yield(rho), "L": entropy_l, "sdf_entropy": sdf_ent,
+    rho = np.asarray(rho, dtype=float)
+    m = np.asarray(m, dtype=float)
+    if np.any(rho <= 0) or np.any(m <= 0):
+        raise ValueError("rho and the SDF increments must be positive")
+    if counts is None:
+        mean_m, mean_log_m = np.mean(m, axis=-1), np.mean(np.log(m), axis=-1)
+    else:
+        w, n = np.asarray(counts, dtype=float), m.shape[-1]
+        mean_m, mean_log_m = (w * m).sum(axis=-1) / n, (w * np.log(m)).sum(axis=-1) / n
+    log_rho = np.log(rho)
+    entropy_l = log_rho - mean_log_m
+    sdf_ent = np.log(mean_m) - mean_log_m
+    return {"rho": rho, "y": -log_rho, "L": entropy_l, "sdf_entropy": sdf_ent,
             "horizon_dependence": entropy_l - sdf_ent}
 
 
@@ -99,19 +88,7 @@ def pt_series(
         raise ValueError("eigenfunction not positive on sample")
     if np.any(m <= 0):
         raise ValueError("SDF increments must be strictly positive")
-    m_perm = m * phi_t1 / (rho * phi_t)
-    m_trans = rho * phi_t / phi_t1
-    scalars = long_run_scalars(rho, m)
-    return DecompSeries(
-        m=m,
-        m_perm=m_perm,
-        m_trans=m_trans,
-        rho=scalars["rho"],
-        yield_y=scalars["y"],
-        entropy_L=scalars["L"],
-        sdf_entropy=scalars["sdf_entropy"],
-        horizon_dependence=scalars["horizon_dependence"],
-    )
+    return DecompSeries(m=m, m_perm=m * phi_t1 / (rho * phi_t), m_trans=rho * phi_t / phi_t1)
 
 
 def change_of_measure(phi_vals: np.ndarray, phi_star_vals: np.ndarray) -> np.ndarray:
@@ -144,20 +121,6 @@ def pt_association(series: DecompSeries) -> dict:
     return {"cov_log": cov, "corr_log": corr, "kendall_tau": tau, "spearman_rho": rho_s}
 
 
-def scalars_dict(series: DecompSeries, association: Optional[dict] = None) -> dict:
-    """Scalar functionals (and optional association stats) as one mapping."""
-    out = {
-        "rho": series.rho,
-        "yield_y": series.yield_y,
-        "entropy_L": series.entropy_L,
-        "sdf_entropy": series.sdf_entropy,
-        "horizon_dependence": series.horizon_dependence,
-    }
-    if association is not None:
-        out["association"] = association
-    return out
-
-
 def series_to_csv(series: DecompSeries, path) -> None:
     """Write the tidy per-period series: columns (t, m, m_perm, m_trans)."""
     write_csv(
@@ -167,9 +130,17 @@ def series_to_csv(series: DecompSeries, path) -> None:
     )
 
 
-def scalars_to_json(series: DecompSeries, path, association: Optional[dict] = None, extra: Optional[dict] = None) -> None:
-    """Write the scalar sidecar JSON next to the series CSV."""
-    payload = scalars_dict(series, association)
+def scalars_to_json(
+    rho: float, m: np.ndarray, path, association: Optional[dict] = None,
+    extra: Optional[dict] = None,
+) -> None:
+    """Write the long-run scalars of rho and m (and optional association stats) as sidecar JSON."""
+    lr = long_run_stack(rho, m)
+    payload = {"rho": float(lr["rho"]), "yield_y": float(lr["y"]), "entropy_L": float(lr["L"]),
+               "sdf_entropy": float(lr["sdf_entropy"]),
+               "horizon_dependence": float(lr["horizon_dependence"])}
+    if association is not None:
+        payload["association"] = association
     if extra:
         payload.update(extra)
     write_json(path, payload)

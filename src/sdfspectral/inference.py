@@ -12,11 +12,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 import numpy as np
-
-from .pfeig import EigenSolution
 
 
 @dataclass
@@ -26,8 +24,6 @@ class InfluenceSeries:
     psi_rho: np.ndarray
     v_rho: float
     rho: float
-    v_L: Optional[float] = None
-    lr_bandwidth: Optional[int] = None
 
     @property
     def n(self) -> int:
@@ -43,28 +39,6 @@ class InfluenceSeries:
         return math.sqrt(self.v_rho / self.n)
 
 
-def influence_rho(
-    sol: EigenSolution,
-    m: np.ndarray,
-    phi_t: np.ndarray,
-    phi_t1: np.ndarray,
-    phi_star_t: np.ndarray,
-) -> InfluenceSeries:
-    """Influence-function series of the eigenvalue estimator.
-
-    psi_t = phi*(X_t) m_t phi(X_{t+1}) - rho phi*(X_t) phi(X_t), under the
-    unit-norm / unit-inner-product normalization of the eigenfunctions,
-    from the sample values phi(X_t), phi(X_{t+1}) and phi*(X_t) of the
-    normalized solution ``sol`` (as a :class:`pipeline.Fit` holds them).
-    Its sample mean is zero by the eigenvalue first-order condition, and
-    the plug-in variance of rho-hat is mean(psi^2)/n.
-    """
-    if not sol.normalized:
-        raise ValueError("influence functions require a normalized eigen solution")
-    psi, v_rho = influence_stack(np.float64(sol.rho), m, phi_t, phi_t1, phi_star_t)
-    return InfluenceSeries(psi_rho=psi, v_rho=float(v_rho), rho=sol.rho)
-
-
 def influence_stack(
     rho: np.ndarray,
     m: np.ndarray,
@@ -72,10 +46,15 @@ def influence_stack(
     phi_t1: np.ndarray,
     phi_star_t: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Influence series psi of :func:`influence_rho` and the plug-in variance mean(psi^2).
+    """Influence-function series of the eigenvalue estimator, and its plug-in variance.
 
-    Broadcasts over leading axes: with (R,) eigenvalues and (R, n) sample
-    series it gives the (R, n) series and (R,) variances of R fits.
+    psi_t = phi*(X_t) m_t phi(X_{t+1}) - rho phi*(X_t) phi(X_t), from the
+    sample values phi(X_t), phi(X_{t+1}) and phi*(X_t) of eigenfunctions
+    under the unit-norm / unit-inner-product normalization. Its sample
+    mean is zero by the eigenvalue first-order condition, and the plug-in
+    variance of rho-hat is mean(psi^2)/n. Broadcasts over leading axes:
+    with (R,) eigenvalues and (R, n) sample series it gives the (R, n)
+    series and (R,) variances mean(psi^2) of R fits.
     """
     m = np.asarray(m, dtype=float)
     psi = phi_star_t * m * phi_t1 - np.asarray(rho)[..., None] * phi_star_t * phi_t
@@ -105,8 +84,7 @@ def variance_entropy(infl: InfluenceSeries, m: np.ndarray, bandwidth: int) -> fl
     the centered log SDF: psi_L = psi_rho / rho - (log m - mean log m).
     Because the log-SDF term is serially correlated, the variance is a
     Bartlett-kernel long-run variance at the given bandwidth (bandwidth 0
-    degenerates to the sample variance). The result is also stored on
-    ``infl``.
+    degenerates to the sample variance).
     """
     m = np.asarray(m, dtype=float)
     n = infl.n
@@ -116,10 +94,7 @@ def variance_entropy(infl: InfluenceSeries, m: np.ndarray, bandwidth: int) -> fl
         raise ValueError(f"bandwidth {bandwidth} must be below n={n}")
     psi_lm = np.log(m) - np.mean(np.log(m))
     psi_L = infl.psi_rho / infl.rho - psi_lm
-    v = max(_newey_west(psi_L, bandwidth), 0.0)
-    infl.v_L = v
-    infl.lr_bandwidth = bandwidth
-    return v
+    return max(_newey_west(psi_L, bandwidth), 0.0)
 
 
 def stationary_bootstrap_indices(

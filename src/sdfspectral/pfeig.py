@@ -11,7 +11,7 @@ every bootstrap replicate alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -25,18 +25,13 @@ TIE_TOL = 1e-10
 FALLBACK_REASONS = ("no_positive_real", "tie", "left_mismatch", "residual")
 
 
-class DefectivePairError(RuntimeError):
-    """Left/right eigenvectors are G-orthogonal; no biorthogonal scaling exists."""
-
-
 @dataclass(frozen=True)
 class EigenSolution:
-    """Eigenvalue/eigenvector triple with normalization metadata.
+    """Eigenvalue/eigenvector triple of one pencil.
 
     ``right_coeffs`` are the coefficients of the eigenfunction in the
-    basis, ``left_coeffs`` those of the adjoint eigenfunction.
-    ``const_coeffs`` records how the constant function is represented in
-    the basis (used by the fallback and by the sign convention).
+    basis, ``left_coeffs`` those of the adjoint eigenfunction; a fallback
+    holds the coefficients of the constant function in both.
     ``fallback_reason`` is the FALLBACK_REASONS entry of a fallback.
     """
 
@@ -46,8 +41,6 @@ class EigenSolution:
     is_fallback: bool
     residuals: tuple[float, float]
     spectral_gap: Optional[float]
-    const_coeffs: Optional[np.ndarray] = None
-    normalized: bool = False
     fallback_reason: Optional[str] = None
 
 
@@ -189,59 +182,31 @@ def _solve_stack(M: np.ndarray, G: np.ndarray) -> _PencilStack:
     return _PencilStack(rho, right, left, np.column_stack([res_r, res_l]), gap, reason)
 
 
-def _solution(
-    st: _PencilStack, s: int, const_coeffs: np.ndarray, normalized: bool = False
-) -> EigenSolution:
-    """Pencil s of a stack as an :class:`EigenSolution`, the constant fallback where rejected.
-
-    ``normalized`` says whether the stack's coefficients carry the
-    conventions of :func:`normalize`.
-    """
+def _solution(st: _PencilStack, s: int, const_coeffs: np.ndarray) -> EigenSolution:
+    """Pencil s of a stack as an :class:`EigenSolution`, the constant fallback where rejected."""
     c = np.asarray(const_coeffs, dtype=float)
     if st.reason[s]:
         return EigenSolution(
             rho=1.0, right_coeffs=c.copy(), left_coeffs=c.copy(), is_fallback=True,
-            residuals=(np.nan, np.nan), spectral_gap=None, const_coeffs=c.copy(),
-            fallback_reason=str(st.reason[s]),
+            residuals=(np.nan, np.nan), spectral_gap=None, fallback_reason=str(st.reason[s]),
         )
     gap = float(st.gap[s])
     return EigenSolution(
         rho=float(st.rho[s]), right_coeffs=st.right[s], left_coeffs=st.left[s],
         is_fallback=False, residuals=(float(st.residuals[s, 0]), float(st.residuals[s, 1])),
-        spectral_gap=None if np.isnan(gap) else gap, const_coeffs=c.copy(),
-        normalized=normalized,
+        spectral_gap=None if np.isnan(gap) else gap,
     )
-
-
-def solve_generalized(
-    M: np.ndarray,
-    G: np.ndarray,
-    const_coeffs: Optional[np.ndarray] = None,
-) -> EigenSolution:
-    """Solve the generalized eigenproblem of the pair (M, G).
-
-    Computes every generalized eigenvalue, keeps those that are real to
-    rounding, and selects the one with the largest (positive) real part.
-    The adjoint eigenvector comes from the transposed problem, paired by
-    eigenvalue proximity. Falls back to the constant solution with
-    rho = 1 when no real positive eigenvalue exists, the top one is not
-    simple, the adjoint problem has no matching eigenvalue, or the
-    residuals are too large; ``fallback_reason`` names the rule.
-
-    ``const_coeffs`` is the basis representation of the constant function
-    (defaults to a vector of ones); it determines the fallback
-    coefficients and the sign convention applied by :func:`normalize`.
-    """
-    M = np.asarray(M, dtype=float)
-    G = np.asarray(G, dtype=float)
-    c = np.ones(M.shape[0]) if const_coeffs is None else const_coeffs
-    return _solution(_solve_stack(M[None], G[None]), 0, c)
 
 
 def _normalize_stack(
     right: np.ndarray, left: np.ndarray, G: np.ndarray, const: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The conventions of :func:`normalize` applied to (S, k) coefficient rows of S pencils.
+    """Scale and sign conventions for the (S, k) coefficient rows of S pencils.
+
+    Scales each right row c so c'Gc = 1 (unit empirical norm of the
+    eigenfunction), then its left row c* so c*'Gc = 1 (unit empirical
+    inner product), and flips both signs jointly so that the empirical
+    mean of the eigenfunction is non-negative. Idempotent.
 
     Returns the normalized right and left rows, and two (S,) masks of the
     defective rows: a right row with non-positive G-norm, and a left row
@@ -261,35 +226,3 @@ def _normalize_stack(
     flip = form(np.broadcast_to(const, c.shape), c) < 0
     c[flip], cs[flip] = -c[flip], -cs[flip]
     return c, cs, scale <= 0, cross == 0.0
-
-
-def normalize(sol: EigenSolution, G: np.ndarray) -> EigenSolution:
-    """Impose the scale and sign conventions on an eigen solution.
-
-    Scales the right coefficients so c'Gc = 1 (unit empirical norm of the
-    eigenfunction), then the left so c*'Gc = 1 (unit empirical inner
-    product), and finally flips both signs jointly so that the empirical
-    mean of the eigenfunction is non-negative. Idempotent.
-    """
-    if sol.is_fallback:
-        raise ValueError("cannot normalize a fallback solution")
-    const = sol.const_coeffs if sol.const_coeffs is not None else np.ones(sol.right_coeffs.size)
-    c, cs, bad_norm, orthogonal = _normalize_stack(
-        sol.right_coeffs.astype(float)[None],
-        sol.left_coeffs.astype(float)[None],
-        np.asarray(G, dtype=float)[None],
-        const,
-    )
-    if bad_norm[0]:
-        raise DefectivePairError("right eigenvector has non-positive G-norm")
-    if orthogonal[0]:
-        raise DefectivePairError("defective pair: left/right eigenvectors G-orthogonal")
-    return replace(sol, right_coeffs=c[0], left_coeffs=cs[0], normalized=True)
-
-
-def eigenfunction_values(
-    sol: EigenSolution, basis, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the eigenfunction and its adjoint at the given points."""
-    b = basis.evaluate_many(points)
-    return b @ sol.right_coeffs, b @ sol.left_coeffs

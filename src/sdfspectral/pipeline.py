@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .decomp import DecompSeries, pt_association, pt_series
+from .decomp import DecompSeries, long_run_stack, pt_association, pt_series
 from .inference import DISCARD_REASON, InfluenceSeries, influence_stack
 from .pfeig import (
     FALLBACK_REASONS,
@@ -205,7 +205,7 @@ def fit_panel(
         fp = fit.fixed_point.column(0)
     if reason and reason not in FALLBACK_REASONS:
         raise FitFailedError(f"no usable fit: {reason}", fp)
-    sol = _solution(fit.eig, 0, design.const_coeffs, normalized=True)
+    sol = _solution(fit.eig, 0, design.const_coeffs)
     if sol.is_fallback:
         ones = np.ones(design.n)
         return Fit(fit.m[0], sol, ones, ones, ones, fp)
@@ -242,29 +242,16 @@ def bootstrap_statistic(
     The basis (sieve dimension, standardization, knots) is held fixed
     across replicates, so each block of count rows is one :func:`fit_stack`
     call on the design, whose replicate r weights transition pair t by
-    counts[r, t]. Returns arrays of the eigenvalue, yield, the two
-    entropies, horizon dependence, and the value-recursion eigenvalue when
-    preferences are recursive; none of them needs the eigenfunction's
-    sample values. A replicate that :func:`fit_stack` does not keep is
-    discarded (NaN), with its reason as the DISCARD_REASON entry.
+    counts[r, t]. Returns the :func:`long_run_stack` arrays of the count
+    rows, and the value-recursion eigenvalue when preferences are
+    recursive; none of them needs the eigenfunction's sample values. A
+    replicate that :func:`fit_stack` does not keep is discarded (NaN),
+    with its reason as the DISCARD_REASON entry.
     """
-    n = design.n
 
     def stat(counts: np.ndarray) -> dict:
         fit = fit_stack(design, preferences, counts)
-        w = np.asarray(counts, dtype=float)
-        rho = fit.eig.rho
-        mean_log_m = (w * np.log(fit.m)).sum(axis=1) / n
-        sdf_ent = np.log((w * fit.m).sum(axis=1) / n) - mean_log_m
-        entropy_l = np.log(rho) - mean_log_m
-        out = {
-            "rho": rho,
-            "y": -np.log(rho),
-            "L": entropy_l,
-            "sdf_entropy": sdf_ent,
-            "horizon_dependence": entropy_l - sdf_ent,
-            DISCARD_REASON: fit.reason,
-        }
+        out = {**long_run_stack(fit.eig.rho, fit.m, counts), DISCARD_REASON: fit.reason}
         if fit.fixed_point is not None:
             out["lambda"] = np.where(fit.reason == "", fit.fixed_point.lam, np.nan)
         return out

@@ -87,17 +87,6 @@ class StatePanel:
         r = None if returns is None else np.atleast_2d(np.asarray(returns, dtype=float))
         return cls(x0=s[:-1], x1=s[1:], growth=g, sdf_increments=m, returns=r, states=s)
 
-    def with_sdf(self, sdf_increments: np.ndarray) -> "StatePanel":
-        """Copy of the panel with the given SDF increment series attached."""
-        return StatePanel(
-            x0=self.x0,
-            x1=self.x1,
-            growth=self.growth,
-            sdf_increments=np.asarray(sdf_increments, dtype=float).ravel(),
-            returns=self.returns,
-            states=self.states,
-        )
-
 
 class Whitening(NamedTuple):
     """The Gram matrix's Cholesky factor G = L L' and the design rows in its coordinates.

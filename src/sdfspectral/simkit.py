@@ -14,7 +14,6 @@ replicate-averaged function from the truth.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,6 +25,7 @@ from scipy.signal import lfilter
 
 from .basis import BasisSpec
 from .csvout import write_csv, write_json
+from .decomp import long_run_stack
 from .oracle import Ar1Design, quadrature_eig
 from .pfeig import _matvec, _spd_mask
 from .pipeline import fit_stack, sample_values
@@ -226,13 +226,8 @@ def _fit_block(
     ok = fit.reason == ""
     kept = rows[ok]
     failed[kept] = False
-    rho = fit.eig.rho[ok]
-    # math.log, which decomp's long_run_yield and permanent_entropy use: the
-    # records then equal those of single fits bit for bit
-    log_rho = np.array([math.log(r) for r in rho])
-    scalars[kept, 0] = rho
-    scalars[kept, 1] = -log_rho
-    scalars[kept, 2] = log_rho - np.mean(np.log(fit.m[ok]), axis=1)
+    lr = long_run_stack(fit.eig.rho[ok], fit.m[ok])
+    scalars[kept, 0], scalars[kept, 1], scalars[kept, 2] = lr["rho"], lr["y"], lr["L"]
     scalars[kept, 4] = sample_values(stack, fit).se_rho[ok]
     funcs[kept, 0] = _matvec(b_nodes[ok], fit.eig.right[ok])
     funcs[kept, 1] = _matvec(b_nodes[ok], fit.eig.left[ok])

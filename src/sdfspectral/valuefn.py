@@ -340,22 +340,3 @@ def recursive_sdf_stack(
     chi0, chi1 = np.where(use, chi0, 1.0), np.where(use, chi1, 1.0)
     m = (beta / lam) * np.exp(-gamma * np.log(growth)) * chi1**beta / chi0
     return np.where(use, m, 1.0), usable
-
-
-def recursive_sdf_series(design: Design, solution: FixedPointSolution) -> np.ndarray:
-    """SDF increment series implied by a solved continuation value.
-
-    :func:`recursive_sdf_stack` with one column, aligned with the panel's
-    transition pairs. Raises unless the eigenfunction is strictly positive
-    at every sample point.
-    """
-    m, usable = recursive_sdf_stack(
-        design, solution.beta, solution.gamma, solution.lam, solution.chi_coeffs[None]
-    )
-    if not usable[0]:
-        raise ValueError(
-            "eigenfunction not positive on sample; "
-            "the value-recursion solution is unreliable here"
-        )
-    return m[:, 0]
-

@@ -42,10 +42,9 @@ def panel3200(testbed) -> s.StatePanel:
 def power_fit(panel3200, power_prefs):
     """Basis, design, matrices, and normalized eigen solution for the power design."""
     basis = s.BasisSpec(family="hermite", k=8).build(panel3200.states)
-    m = s.power_utility_sdf_series(panel3200, power_prefs.beta, power_prefs.gamma)
-    panel = panel3200.with_sdf(m)
-    design = s.Design(basis, panel)
+    design = s.Design(basis, panel3200)
+    fit = s.fit_panel(design, power_prefs)
     G = s.estimate_gram(design)
-    M = s.estimate_pricing(design, m)
-    sol = s.normalize(s.solve_generalized(M, G, const_coeffs=basis.const_coeffs), G)
-    return {"basis": basis, "panel": panel, "design": design, "G": G, "M": M, "sol": sol, "m": m}
+    M = s.estimate_pricing(design, fit.m)
+    return {"basis": basis, "panel": panel3200, "design": design, "G": G, "M": M, "sol": fit.sol,
+            "m": fit.m, "fit": fit}

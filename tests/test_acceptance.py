@@ -137,32 +137,28 @@ def test_criterion_5_exact_identities(testbed):
     # (a) product identity and (b) entropy identity on a simulated pipeline
     panel = s.simulate_ar1(testbed, 800, np.random.default_rng(5))
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
-    m = s.power_utility_sdf_series(panel, 0.994, 15.0)
     design = s.Design(basis, panel)
-    G = s.estimate_gram(design)
-    M = s.estimate_pricing(design, m)
-    sol = s.normalize(s.solve_generalized(M, G, basis.const_coeffs), G)
+    fit = s.fit_panel(design, s.PowerUtility(0.994, 15.0))
+    sol, m = fit.sol, fit.m
     phi_t = basis.evaluate_many(panel.x0) @ sol.right_coeffs
     phi_t1 = basis.evaluate_many(panel.x1) @ sol.right_coeffs
     series = s.pt_series(sol.rho, phi_t, phi_t1, m)
     prod_err = np.max(np.abs(series.m_perm * series.m_trans / series.m - 1.0))
     tol_msgs.append(f"max|m_perm*m_trans/m - 1|={prod_err:.1e}")
     assert prod_err < 1e-12
-    ident = series.entropy_L + series.yield_y + np.mean(np.log(series.m))
+    lr = s.long_run_stack(sol.rho, series.m)
+    ident = lr["L"] + lr["y"] + np.mean(np.log(series.m))
     tol_msgs.append(f"|L+y+mean log m|={abs(ident):.1e}")
     assert abs(ident) < 1e-10
 
     # (c) mean-zero influence function
-    phi_t, phi_t1 = design.b0 @ sol.right_coeffs, design.b1 @ sol.right_coeffs
-    psi = s.influence_rho(sol, m, phi_t, phi_t1, design.b0 @ sol.left_coeffs).psi_rho
+    psi = fit.influence.psi_rho
     tol_msgs.append(f"|mean psi_rho|={abs(psi.mean()):.1e}")
     assert abs(psi.mean()) < 1e-10
 
     # (d) unit SDF pins the unit eigenvalue when the constant is in span
-    sol_1 = s.solve_generalized(
-        s.estimate_pricing(design, np.ones(panel.n)), s.estimate_gram(design),
-        basis.const_coeffs,
-    )
+    unit_panel = s.StatePanel.from_states(panel.states, sdf_increments=np.ones(panel.n))
+    sol_1 = s.fit_panel(s.Design(basis, unit_panel)).sol
     tol_msgs.append(f"|rho(m=1)-1|={abs(sol_1.rho - 1):.1e}")
     assert abs(sol_1.rho - 1.0) < 1e-10
 
@@ -274,9 +270,7 @@ def test_criterion_8_calibration_pipeline(tmp_path):
     growth = np.exp(g[1:])
     basis = s.BasisSpec(family="sparse", degree=4, cap=5).build(states)
     design0 = s.Design(basis, s.StatePanel.from_states(states, growth=growth))
-    fp = s.solve_value_fixed_point(design0, beta0, gamma0)
-    assert fp.converged
-    m = s.recursive_sdf_series(design0, fp)
+    m = s.fit_panel(design0, s.RecursiveUtility(beta0, gamma0)).m
     returns = np.column_stack([1.0 / m, 1.0 / m])
     panel = s.StatePanel.from_states(states, growth=growth, returns=returns)
 

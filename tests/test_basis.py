@@ -27,7 +27,7 @@ def test_hermite_values_at_mean():
     b = s.build_hermite_basis(DATA, 7)
     expected = [1.0, 0.0, -1 / math.sqrt(2), 0.0, 3 / math.sqrt(24), 0.0,
                 -15 / math.sqrt(720), 0.0]
-    np.testing.assert_allclose(b.evaluate([DATA.mean()]), expected, atol=1e-12)
+    np.testing.assert_allclose(b.evaluate_many([DATA.mean()])[0], expected, atol=1e-12)
 
 
 def test_hermite_matches_reference_recurrence():
@@ -71,15 +71,15 @@ def test_hermite_needs_two_observations():
 def test_evaluate_rejects_non_finite():
     b = s.build_hermite_basis(DATA, 3)
     with pytest.raises(ValueError):
-        b.evaluate([np.nan])
+        b.evaluate_many([np.nan])
 
 
 def test_evaluate_is_pure():
     b = s.build_hermite_basis(DATA, 7)
     x = np.array([0.0123])
-    first = b.evaluate(x).copy()
+    first = b.evaluate_many(x).copy()
     for _ in range(3):
-        assert np.array_equal(b.evaluate(x), first)
+        assert np.array_equal(b.evaluate_many(x), first)
 
 
 def test_constant_representable_all_families():
@@ -113,18 +113,18 @@ def test_bspline_quantile_knots():
 @given(st.floats(min_value=-0.2, max_value=0.2, allow_nan=False))
 def test_bspline_partition_of_unity(x):
     b = s.build_bspline_basis(DATA, 8)
-    vals = b.evaluate([x])  # includes points beyond the data range (clamped)
+    vals = b.evaluate_many([x])[0]  # includes points beyond the data range (clamped)
     assert abs(vals.sum() - 1.0) < 1e-12
     assert (vals >= 0).all()
 
 
 def test_bspline_clamped_boundary():
     b = s.build_bspline_basis(DATA, 8)
-    left = b.evaluate([DATA.min()])
+    left = b.evaluate_many([DATA.min()])[0]
     np.testing.assert_allclose(left, np.eye(8)[0], atol=1e-12)
-    np.testing.assert_allclose(b.evaluate([DATA.min() - 10]), left, atol=1e-14)
-    right = b.evaluate([DATA.max()])
-    np.testing.assert_allclose(b.evaluate([DATA.max() + 10]), right, atol=1e-14)
+    np.testing.assert_allclose(b.evaluate_many([DATA.min() - 10])[0], left, atol=1e-14)
+    right = b.evaluate_many([DATA.max()])[0]
+    np.testing.assert_allclose(b.evaluate_many([DATA.max() + 10])[0], right, atol=1e-14)
     np.testing.assert_allclose(right, np.eye(8)[-1], atol=1e-12)
 
 
@@ -157,7 +157,7 @@ def test_bspline_matches_deboor_reference():
     b = s.build_bspline_basis(DATA, 8)
     for x in np.linspace(DATA.min(), DATA.max(), 23):
         ref = _deboor_reference(x, b.knots, 3)
-        np.testing.assert_allclose(b.evaluate([x]), ref, atol=1e-12)
+        np.testing.assert_allclose(b.evaluate_many([x])[0], ref, atol=1e-12)
 
 
 def test_bspline_duplicate_knots_error():
@@ -210,9 +210,9 @@ def test_sparse_tensor_evaluates_products():
     b2 = s.build_hermite_basis(rng.normal(size=100), 2)
     built = s.build_sparse_tensor([b1, b2], 100)
     x = np.array([0.3, -0.4])
-    v1, v2 = b1.evaluate([x[0]]), b2.evaluate([x[1]])
+    v1, v2 = b1.evaluate_many([x[0]])[0], b2.evaluate_many([x[1]])[0]
     for col, (j1, j2) in enumerate(built.index_tuples):
-        assert built.evaluate(x)[col] == pytest.approx(v1[j1] * v2[j2], rel=1e-13)
+        assert built.evaluate_many(x[None])[0, col] == pytest.approx(v1[j1] * v2[j2], rel=1e-13)
 
 
 def test_sparse_tensor_cap_validation():

@@ -12,10 +12,7 @@ def _euler_exact_panel(testbed, beta, gamma, n=800, seed=41, noise=0.0):
     """Panel whose returns price exactly (R = 1/m) under the fitted SDF."""
     panel = s.simulate_ar1(testbed, n, np.random.default_rng(seed))
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
-    design = s.Design(basis, panel)
-    fp = s.solve_value_fixed_point(design, beta, gamma)
-    assert fp.converged
-    m = s.recursive_sdf_series(design, fp)
+    m = s.fit_panel(s.Design(basis, panel), s.RecursiveUtility(beta, gamma)).m
     rng = np.random.default_rng(seed + 1)
     r1 = 1.0 / m
     r2 = r1 * np.exp(noise * rng.standard_normal(n)) if noise else r1.copy()

@@ -84,10 +84,9 @@ def test_decompose_round_trip(tmp_path, sim_panel):
     mp = np.array([float(r["m_perm"]) for r in rows])
     mt = np.array([float(r["m_trans"]) for r in rows])
     # 17-digit serialization round-trips: identities hold exactly on re-ingest
-    assert s.sdf_entropy(m) == scalars["sdf_entropy"]
-    assert s.permanent_entropy(scalars["rho"], m) == pytest.approx(
-        scalars["entropy_L"], abs=1e-15
-    )
+    lr = s.long_run_stack(scalars["rho"], m)
+    assert lr["sdf_entropy"] == scalars["sdf_entropy"]
+    assert lr["L"] == pytest.approx(scalars["entropy_L"], abs=1e-15)
     np.testing.assert_allclose(mp * mt, m, rtol=1e-12)
     # eigenfunction grid has the change of measure column
     grid_rows = list(csv.DictReader((out / "eigenfunctions.csv").open()))
@@ -213,25 +212,28 @@ def test_config_value_of_wrong_type(tmp_path, sim_panel, capsys, command, config
 
 
 def _setting_values(setting):
-    """A valid value of the setting's kind, its flag text, and a value of the wrong type."""
+    """A valid value of the setting's kind, its flag text, and file values it must not take.
+
+    Those are a value of the wrong type and, of a choice, text that is no choice.
+    """
     kind = setting.kind
     if isinstance(kind, tuple):
-        return kind[-1], kind[-1], 5
+        return kind[-1], kind[-1], [5, kind[0].capitalize()]
     if kind is int:
-        return 3, "3", "3"
+        return 3, "3", ["3"]
     if kind is float:
-        return 0.5, "0.5", "x"
+        return 0.5, "0.5", ["x"]
     if kind == list[int]:
-        return [40, 80], "40,80", "40"
+        return [40, 80], "40,80", ["40"]
     if kind == list[str]:
-        return ["a", "b"], "a,b", "a"
+        return ["a", "b"], "a,b", ["a"]
     assert str in typing.get_args(kind) or kind is str
-    return "other.csv", "other.csv", 5
+    return "other.csv", "other.csv", [5]
 
 
 @pytest.mark.parametrize("setting", SETTINGS, ids=[s.key for s in SETTINGS])
 def test_each_setting_from_flag_or_file(tmp_path, capsys, setting):
-    value, text, wrong = _setting_values(setting)
+    value, text, wrongs = _setting_values(setting)
     section, _, name = setting.key.rpartition(".")
     base = {"input_csv": "panel.csv"}
 
@@ -252,14 +254,27 @@ def test_each_setting_from_flag_or_file(tmp_path, capsys, setting):
         assert build_config(_parser().parse_args(argv(base) + [setting.flag, text])) == by_file
 
     out = tmp_path / "out"
-    assert main(argv({"out_dir": str(out), **from_file(wrong)})) == 1
-    err = capsys.readouterr().err
     # BasisSpec names the basis keys it checks without their section
     shown = name if section == "basis" and setting.kind is int else setting.key
-    assert err.startswith("error:") and repr(shown) in err
+    for wrong in wrongs:
+        assert main(argv({"out_dir": str(out), **from_file(wrong)})) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(shown) in err
     if section and setting.flag is not None:  # a flag sets a key in a section that is no object
         assert main(argv({**base, "out_dir": str(out), section: [1]}) + [setting.flag, text]) == 1
         assert f"config key {section!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key", [("preferences", "Mode"), ("bootstrap", "B"),
+                                          ("mc", "rep")])
+def test_unknown_key_in_a_section_exits_1(tmp_path, capsys, section, key):
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"input_csv": "panel.csv", "out_dir": str(out), section: {key: 10}}))
+    assert main(["bootstrap", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(f"{section}.{key}") in err
     assert not out.exists()
 
 
@@ -410,7 +425,7 @@ def test_console_script_entry_point(tmp_path, sim_panel):
 def test_calibrate_reports_infeasible_counts(tmp_path, testbed, monkeypatch):
     panel = s.simulate_ar1(testbed, 300, np.random.default_rng(41))
     design = s.Design(s.BasisSpec(family="hermite", k=6).build(panel.states), panel)
-    m = s.recursive_sdf_series(design, s.solve_value_fixed_point(design, 0.97, 10.0))
+    m = s.fit_panel(design, s.RecursiveUtility(0.97, 10.0)).m
     csv_path = _write_panel_csv(tmp_path / "panel.csv", panel.states, growth=panel.growth,
                                 returns=np.column_stack([1.0 / m, 1.0 / m]))
     monkeypatch.setattr(s.calibrate, "GRID_SHAPE", (3, 4))

@@ -9,39 +9,70 @@ from sdfspectral.decomp import DecompSeries, scalars_to_json, series_to_csv
 from sdfspectral.pipeline import decompose_panel
 
 RMSE_L_3200 = 0.0124
+EPS = np.finfo(float).eps
+
+
+def _yield(rho):
+    return s.long_run_stack(rho, np.ones(3))["y"]
 
 
 def test_long_run_yield_values():
-    assert s.long_run_yield(1.0) == 0.0
-    assert s.long_run_yield(0.9779) == pytest.approx(0.0223477, abs=5e-7)
-    assert s.long_run_yield(math.exp(-1.0)) == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        s.long_run_yield(0.0)
+    assert _yield(1.0) == 0.0
+    assert _yield(0.9779) == pytest.approx(0.0223477, abs=5e-7)
+    assert _yield(math.exp(-1.0)) == pytest.approx(1.0, rel=1e-14)
+    with pytest.raises(ValueError, match="positive"):
+        _yield(0.0)
+    with pytest.raises(ValueError, match="positive"):
+        s.long_run_stack(0.9, np.array([1.0, 0.0]))
 
 
 def test_permanent_entropy_trivial_and_mc():
     m = np.full(50, 0.97)
-    assert s.permanent_entropy(0.97, m) == pytest.approx(0.0, abs=1e-15)
+    assert s.long_run_stack(0.97, m)["L"] == pytest.approx(0.0, abs=1e-15)
     # iid lognormal: population entropy of the permanent component with
     # rho = E[m] is sigma^2/2
     rng = np.random.default_rng(31)
     sigma = 0.3
     m = np.exp(rng.normal(-0.1, sigma, 40_000))
     rho = m.mean()
-    est = s.permanent_entropy(rho, m)
+    est = s.long_run_stack(rho, m)["L"]
     se = sigma**2 / math.sqrt(2 * m.size) * 3  # rough MC 3-sigma
     assert abs(est - sigma**2 / 2) < 3 * 0.005 + se
 
 
 def test_permanent_entropy_matches_closed_form(power_fit, testbed, power_prefs):
     truth = s.affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
-    est = s.permanent_entropy(power_fit["sol"].rho, power_fit["m"])
+    est = s.long_run_stack(power_fit["sol"].rho, power_fit["m"])["L"]
     assert abs(est - truth.entropy_L) < 3 * RMSE_L_3200
 
 
 def test_sdf_entropy_jensen():
-    assert s.sdf_entropy(np.full(9, 1.3)) == pytest.approx(0.0, abs=1e-15)
-    assert s.sdf_entropy(np.array([0.5, 1.5, 1.0])) > 0
+    assert s.long_run_stack(1.0, np.full(9, 1.3))["sdf_entropy"] == pytest.approx(0.0, abs=1e-15)
+    assert s.long_run_stack(1.0, np.array([0.5, 1.5, 1.0]))["sdf_entropy"] > 0
+
+
+def test_long_run_stack_count_rows():
+    # a count row's scalars are those of the sample that repeats pair t counts[t] times
+    rng = np.random.default_rng(8)
+    n = 50
+    m = np.exp(rng.normal(-0.01, 0.2, (3, n)))
+    rho = np.array([0.97, 0.99, 1.01])
+    counts = np.stack([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(2)]
+                      + [np.ones(n, dtype=int)])
+    rows = s.long_run_stack(rho, m, counts)
+    assert set(rows) == {"rho", "y", "L", "sdf_entropy", "horizon_dependence"}
+    for r in range(3):
+        sample = np.repeat(m[r], counts[r])
+        mean_log_m = np.mean(np.log(sample))
+        plain = {"rho": rho[r], "y": -math.log(rho[r]), "L": math.log(rho[r]) - mean_log_m,
+                 "sdf_entropy": math.log(np.mean(sample)) - mean_log_m}
+        plain["horizon_dependence"] = plain["L"] - plain["sdf_entropy"]
+        for key, value in plain.items():
+            assert rows[key][r] == pytest.approx(value, rel=0, abs=4 * EPS)
+    # a unit-weight row is the plain series' own call, bit for bit
+    one = s.long_run_stack(rho[2], m[2])
+    for key, value in one.items():
+        assert rows[key][2] == value
 
 
 def test_pt_series_trivial_cases():
@@ -78,11 +109,13 @@ def test_product_identity_exact(power_series):
     np.testing.assert_allclose(series.m_perm * series.m_trans, series.m, rtol=1e-12)
 
 
-def test_exact_scalar_identities(power_series):
+def test_exact_scalar_identities(power_fit, power_series):
     series, _, _ = power_series
-    assert series.yield_y == -math.log(series.rho)
-    assert series.horizon_dependence == series.entropy_L - series.sdf_entropy
-    total = series.entropy_L + series.yield_y + np.mean(np.log(series.m))
+    rho = power_fit["sol"].rho
+    lr = s.long_run_stack(rho, series.m)
+    assert lr["y"] == pytest.approx(-math.log(rho), rel=EPS, abs=0)
+    assert lr["horizon_dependence"] == lr["L"] - lr["sdf_entropy"]
+    total = lr["L"] + lr["y"] + np.mean(np.log(series.m))
     assert abs(total) < 1e-12
 
 
@@ -97,7 +130,7 @@ def test_martingale_moment_in_estimated_metric(power_fit, power_series):
 def test_mean_log_transitory_telescopes(power_series, power_fit):
     series, phi_t, phi_t1 = power_series
     n = series.m.size
-    expected = math.log(series.rho) + (
+    expected = math.log(power_fit["sol"].rho) + (
         math.log(phi_t[0]) - math.log(phi_t1[-1])
     ) / n
     assert np.mean(np.log(series.m_trans)) == pytest.approx(expected, abs=1e-12)
@@ -135,17 +168,11 @@ def test_association_statistics(power_series, quad_power, testbed, power_prefs):
 
 def test_association_degenerate_and_antithetic():
     u = np.random.default_rng(5).normal(size=30)
-    anti = DecompSeries(
-        m=np.ones(30), m_perm=np.exp(u), m_trans=np.exp(-u),
-        rho=1.0, yield_y=0.0, entropy_L=0.0, sdf_entropy=0.0, horizon_dependence=0.0,
-    )
+    anti = DecompSeries(m=np.ones(30), m_perm=np.exp(u), m_trans=np.exp(-u))
     stats = s.pt_association(anti)
     assert stats["corr_log"] == pytest.approx(-1.0, abs=1e-12)
     assert stats["kendall_tau"] == pytest.approx(-1.0)
-    flat = DecompSeries(
-        m=np.full(30, 0.9), m_perm=np.full(30, 1.0), m_trans=np.full(30, 0.9),
-        rho=0.9, yield_y=0.2, entropy_L=0.0, sdf_entropy=0.0, horizon_dependence=0.0,
-    )
+    flat = DecompSeries(m=np.full(30, 0.9), m_perm=np.full(30, 1.0), m_trans=np.full(30, 0.9))
     dstats = s.pt_association(flat)
     assert dstats["cov_log"] == 0.0 and dstats["corr_log"] is None
 
@@ -167,18 +194,19 @@ def test_bivariate_recursive_pipeline_horizon_dependence():
     basis = s.BasisSpec(family="sparse", degree=4, cap=5).build(states)
     assert basis.dimension_k == 15
     res = decompose_panel(s.Design(basis, panel), s.RecursiveUtility(beta=0.98, gamma=25.0))
-    series = res.series
-    assert series.horizon_dependence == series.entropy_L - series.sdf_entropy
-    assert 0 < series.horizon_dependence < 0.01
-    assert series.entropy_L > series.sdf_entropy > 0
+    lr = s.long_run_stack(res.fit.sol.rho, res.fit.m)
+    assert lr["horizon_dependence"] == lr["L"] - lr["sdf_entropy"]
+    assert 0 < lr["horizon_dependence"] < 0.01
+    assert lr["L"] > lr["sdf_entropy"] > 0
 
 
-def test_csv_and_json_emission(tmp_path, power_series):
+def test_csv_and_json_emission(tmp_path, power_fit, power_series):
     series, _, _ = power_series
+    rho = power_fit["sol"].rho
     csv_path = tmp_path / "series.csv"
     json_path = tmp_path / "scalars.json"
     series_to_csv(series, csv_path)
-    scalars_to_json(series, json_path, association=s.pt_association(series))
+    scalars_to_json(rho, series.m, json_path, association=s.pt_association(series))
     rows = csv_path.read_text().strip().splitlines()
     assert rows[0] == "t,m,m_perm,m_trans"
     assert len(rows) == series.m.size + 1
@@ -186,5 +214,8 @@ def test_csv_and_json_emission(tmp_path, power_series):
     t, m, mp, mt = rows[1].split(",")
     assert float(m) == series.m[0] and float(mp) == series.m_perm[0]
     payload = json.loads(json_path.read_text())
-    assert payload["rho"] == series.rho
-    assert "association" in payload
+    assert list(payload) == ["rho", "yield_y", "entropy_L", "sdf_entropy", "horizon_dependence",
+                             "association"]
+    lr = s.long_run_stack(rho, series.m)
+    assert payload["rho"] == rho and payload["yield_y"] == lr["y"]
+    assert payload["entropy_L"] == lr["L"] and payload["sdf_entropy"] == lr["sdf_entropy"]

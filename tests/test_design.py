@@ -58,9 +58,8 @@ def test_mc_block_evaluates_the_basis_once(testbed, recursive_prefs, evaluations
 def test_estimate_preferences_evaluates_each_design_once(testbed, evaluations):
     panel = s.simulate_ar1(testbed, 600, np.random.default_rng(41))
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
-    design = s.Design(basis, panel)
-    fp = s.solve_value_fixed_point(design, 0.97, 10.0)
-    returns = np.column_stack([1.0 / s.recursive_sdf_series(design, fp)] * 2)
+    m = s.fit_panel(s.Design(basis, panel), s.RecursiveUtility(0.97, 10.0)).m
+    returns = np.column_stack([1.0 / m] * 2)
     panel = s.StatePanel.from_states(panel.states, growth=panel.growth, returns=returns)
     inst = s.BasisSpec(family="hermite", k=6).build(panel.states)
     del evaluations[:]

@@ -12,28 +12,20 @@ from sdfspectral.inference import (
 )
 
 
-def _const_basis_fit(m):
-    # constant basis: rho-hat is the sample mean of m, phi = phi* = 1
+def _const_basis_influence(m):
+    """Influence series of the fit of an observed SDF column m on the constant basis.
+
+    With the constant basis rho-hat is the sample mean of m and phi = phi* = 1.
+    """
     states = np.linspace(0.0, 1.0, m.size + 1)
     panel = s.StatePanel.from_states(states, sdf_increments=m)
     basis = s.hermite_basis_from_moments([0.0], [1.0], 0)
-    design = s.Design(basis, panel)
-    G = s.estimate_gram(design)
-    M = s.estimate_pricing(design, m)
-    sol = s.normalize(s.solve_generalized(M, G, basis.const_coeffs), G)
-    return design, sol
-
-
-def _influence(sol, design, m):
-    """influence_rho from the design's sample values of the solution's eigenfunctions."""
-    phi_t, phi_t1 = design.b0 @ sol.right_coeffs, design.b1 @ sol.right_coeffs
-    return s.influence_rho(sol, m, phi_t, phi_t1, design.b0 @ sol.left_coeffs)
+    return s.fit_panel(s.Design(basis, panel)).influence
 
 
 def test_influence_zero_for_constant_sdf():
     m = np.full(40, 0.93)
-    design, sol = _const_basis_fit(m)
-    infl = _influence(sol, design, m)
+    infl = _const_basis_influence(m)
     np.testing.assert_allclose(infl.psi_rho, 0.0, atol=1e-14)
     assert infl.v_rho == 0.0
 
@@ -42,16 +34,15 @@ def test_influence_mean_zero_and_delta_method(power_fit):
     sol, panel, m, design = (
         power_fit["sol"], power_fit["panel"], power_fit["m"], power_fit["design"],
     )
-    infl = _influence(sol, design, m)
+    infl = power_fit["fit"].influence
+    # psi_t = phi*(X_t) (m_t phi(X_{t+1}) - rho phi(X_t)), from the solution's coefficients
+    phi_t, phi_t1 = design.b0 @ sol.right_coeffs, design.b1 @ sol.right_coeffs
+    phi_star_t = design.b0 @ sol.left_coeffs
+    np.testing.assert_allclose(infl.psi_rho, phi_star_t * (m * phi_t1 - sol.rho * phi_t),
+                               rtol=0, atol=1e-13)
     assert abs(infl.psi_rho.mean()) < 1e-10
     assert infl.v_y * sol.rho**2 == pytest.approx(infl.v_rho, rel=1e-14)
     assert infl.se_rho() == pytest.approx(math.sqrt(infl.v_rho / panel.n), rel=1e-14)
-
-
-def test_influence_requires_normalized_solution(power_fit):
-    raw = s.solve_generalized(power_fit["M"], power_fit["G"])
-    with pytest.raises(ValueError, match="normalized"):
-        _influence(raw, power_fit["design"], power_fit["m"])
 
 
 def test_plugin_se_estimates_asymptotic_variance(testbed, power_prefs):
@@ -78,32 +69,26 @@ def test_plugin_se_estimates_asymptotic_variance(testbed, power_prefs):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=99, spawn_key=(r,)))
         panel = s.simulate_ar1(testbed, n, rng)
         basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
-        m = s.power_utility_sdf_series(panel, power_prefs.beta, power_prefs.gamma)
-        design = s.Design(basis, panel)
-        G = s.estimate_gram(design)
-        sol = s.solve_generalized(s.estimate_pricing(design, m), G, basis.const_coeffs)
-        if sol.is_fallback:
+        fit = s.fit_panel(s.Design(basis, panel), power_prefs)
+        if fit.sol.is_fallback:
             continue
-        infl = _influence(s.normalize(sol, G), design, m)
-        ses.append(infl.se_rho())
+        ses.append(fit.influence.se_rho())
     median_se = float(np.median(ses))
     assert abs(median_se - math.sqrt(v_true / n)) / math.sqrt(v_true / n) < 0.15
 
 
 def test_variance_entropy_trivial_and_bandwidth_zero(power_fit):
     m = np.full(60, 0.9)
-    design, sol = _const_basis_fit(m)
-    infl = _influence(sol, design, m)
+    infl = _const_basis_influence(m)
     assert s.variance_entropy(infl, m, 4) == pytest.approx(0.0, abs=1e-30)
     # bandwidth 0 degenerates to the sample variance of psi_L
     sol_p = power_fit["sol"]
-    infl_p = _influence(sol_p, power_fit["design"], power_fit["m"])
+    infl_p = power_fit["fit"].influence
     v0 = s.variance_entropy(infl_p, power_fit["m"], 0)
     psi_l = infl_p.psi_rho / sol_p.rho - (
         np.log(power_fit["m"]) - np.mean(np.log(power_fit["m"]))
     )
     assert v0 == pytest.approx(float(np.mean((psi_l - psi_l.mean()) ** 2)), rel=1e-12)
-    assert infl_p.v_L == v0 and infl_p.lr_bandwidth == 0
 
 
 def test_variance_entropy_iid_lognormal_analytic():
@@ -112,15 +97,14 @@ def test_variance_entropy_iid_lognormal_analytic():
     rng = np.random.default_rng(17)
     sigma = 0.4
     m = np.exp(rng.normal(-0.2, sigma, 40_000))
-    design, sol = _const_basis_fit(m)
-    infl = _influence(sol, design, m)
+    infl = _const_basis_influence(m)
     v = s.variance_entropy(infl, m, s.default_bandwidth(m.size))
     analytic = math.exp(sigma**2) - 1.0 - sigma**2
     assert abs(v - analytic) / analytic < 0.20
 
 
 def test_variance_entropy_bandwidth_validation(power_fit):
-    infl = _influence(power_fit["sol"], power_fit["design"], power_fit["m"])
+    infl = power_fit["fit"].influence
     with pytest.raises(ValueError):
         s.variance_entropy(infl, power_fit["m"], -1)
     with pytest.raises(ValueError):

@@ -3,28 +3,31 @@ import pytest
 
 import sdfspectral as s
 from sdfspectral.oracle import population_sieve_matrices
-from sdfspectral.pfeig import DefectivePairError
+from sdfspectral.pfeig import _normalize_stack, _solution, _solve_stack
 
 #: Monte Carlo dispersion of the eigenvalue estimator at n = 3200 on the
 #: power-utility testbed (used as a +-3 sigma acceptance radius)
 RMSE_RHO_3200 = 0.0159
 
 
+def _solve(M, G):
+    """The eigensolve of one pencil: a stack of one."""
+    return _solve_stack(np.asarray(M, dtype=float)[None], np.asarray(G, dtype=float)[None])
+
+
 def test_diagonal_pair():
-    sol = s.solve_generalized(np.diag([2.0, 1.0]), np.eye(2))
-    assert sol.rho == pytest.approx(2.0, abs=1e-12)
-    assert abs(sol.right_coeffs[1]) < 1e-12 and abs(sol.left_coeffs[1]) < 1e-12
-    assert not sol.is_fallback
-    assert sol.spectral_gap == pytest.approx(1.0, abs=1e-10)
+    st = _solve(np.diag([2.0, 1.0]), np.eye(2))
+    assert st.rho[0] == pytest.approx(2.0, abs=1e-12)
+    assert abs(st.right[0, 1]) < 1e-12 and abs(st.left[0, 1]) < 1e-12
+    assert st.reason[0] == ""
+    assert st.gap[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_unit_sdf_gives_unit_eigenvalue(testbed):
     panel = s.simulate_ar1(testbed, 600, np.random.default_rng(1))
+    panel = s.StatePanel.from_states(panel.states, sdf_increments=np.ones(panel.n))
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
-    design = s.Design(basis, panel)
-    G = s.estimate_gram(design)
-    M = s.estimate_pricing(design, np.ones(panel.n))
-    sol = s.normalize(s.solve_generalized(M, G, basis.const_coeffs), G)
+    sol = s.fit_panel(s.Design(basis, panel)).sol
     assert sol.rho == pytest.approx(1.0, abs=1e-10)
     vals = basis.evaluate_many(panel.x0) @ sol.right_coeffs
     np.testing.assert_allclose(vals, np.ones(panel.n), atol=1e-8)
@@ -48,31 +51,30 @@ def test_normalize_scales_and_signs(power_fit):
 
 
 def test_normalize_idempotent_and_scale_invariant(power_fit):
-    from dataclasses import replace
-
-    sol, G = power_fit["sol"], power_fit["G"]
-    again = s.normalize(sol, G)
-    np.testing.assert_allclose(again.right_coeffs, sol.right_coeffs, rtol=1e-14)
-    np.testing.assert_allclose(again.left_coeffs, sol.left_coeffs, rtol=1e-14)
-    scaled = replace(
-        sol, right_coeffs=-3.7 * sol.right_coeffs, left_coeffs=0.2 * sol.left_coeffs
-    )
-    renorm = s.normalize(scaled, G)
-    np.testing.assert_allclose(renorm.right_coeffs, sol.right_coeffs, rtol=1e-12)
-    np.testing.assert_allclose(renorm.left_coeffs, sol.left_coeffs, rtol=1e-12)
+    sol, G, const = power_fit["sol"], power_fit["G"][None], power_fit["basis"].const_coeffs
+    c, cs = sol.right_coeffs[None], sol.left_coeffs[None]
+    again, again_star, _, _ = _normalize_stack(c, cs, G, const)
+    np.testing.assert_allclose(again[0], sol.right_coeffs, rtol=1e-14)
+    np.testing.assert_allclose(again_star[0], sol.left_coeffs, rtol=1e-14)
+    renorm, renorm_star, _, _ = _normalize_stack(-3.7 * c, 0.2 * cs, G, const)
+    np.testing.assert_allclose(renorm[0], sol.right_coeffs, rtol=1e-12)
+    np.testing.assert_allclose(renorm_star[0], sol.left_coeffs, rtol=1e-12)
 
 
 def test_normalize_rejects_fallback_and_defective():
-    fallback = s.solve_generalized(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
-    assert fallback.is_fallback
-    with pytest.raises(ValueError):
-        s.normalize(fallback, np.eye(2))
-    from dataclasses import replace
-
-    good = s.solve_generalized(np.diag([2.0, 1.0]), np.eye(2))
-    broken = replace(good, left_coeffs=np.array([0.0, 1.0]))
-    with pytest.raises(DefectivePairError):
-        s.normalize(broken, np.eye(2))
+    # a rejected pencil is the constant fallback, whatever its coefficients
+    const = np.array([1.0, 0.0])
+    fallback = _solution(_solve(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2)), 0, const)
+    assert fallback.is_fallback and fallback.rho == 1.0
+    np.testing.assert_array_equal(fallback.right_coeffs, const)
+    np.testing.assert_array_equal(fallback.left_coeffs, const)
+    # a right row of zero G-norm, and a left row G-orthogonal to its right row
+    good = _solve(np.diag([2.0, 1.0]), np.eye(2))
+    right = np.stack([np.zeros(2), good.right[0], good.right[0]])
+    left = np.stack([good.left[0], np.array([0.0, 1.0]), good.left[0]])
+    _, _, bad_norm, orthogonal = _normalize_stack(right, left, np.stack([np.eye(2)] * 3), const)
+    assert list(bad_norm) == [True, False, False]
+    assert list(orthogonal) == [False, True, False]
 
 
 def test_eigen_residual_identity(power_fit):
@@ -85,20 +87,20 @@ def test_similarity_invariance(power_fit):
     rng = np.random.default_rng(12)
     G, M = power_fit["G"], power_fit["M"]
     S = rng.normal(size=G.shape) + 3 * np.eye(G.shape[0])
-    sol = s.solve_generalized(M, G)
-    sol_t = s.solve_generalized(S.T @ M @ S, S.T @ G @ S)
-    assert sol_t.rho == pytest.approx(sol.rho, rel=1e-10)
-    mapped = S @ sol_t.right_coeffs
-    cos = mapped @ sol.right_coeffs / np.linalg.norm(mapped) / np.linalg.norm(sol.right_coeffs)
+    st = _solve_stack(np.stack([M, S.T @ M @ S]), np.stack([G, S.T @ G @ S]))
+    assert list(st.reason) == ["", ""]
+    assert st.rho[1] == pytest.approx(st.rho[0], rel=1e-10)
+    mapped = S @ st.right[1]
+    cos = mapped @ st.right[0] / np.linalg.norm(mapped) / np.linalg.norm(st.right[0])
     assert abs(abs(cos) - 1.0) < 1e-8
 
 
 def test_scale_equivariance(power_fit):
     G, M = power_fit["G"], power_fit["M"]
-    sol = s.solve_generalized(M, G)
-    scaled = s.solve_generalized(4.25 * M, G)
-    assert scaled.rho == pytest.approx(4.25 * sol.rho, rel=1e-12)
-    cos = scaled.right_coeffs @ sol.right_coeffs
+    st = _solve_stack(np.stack([M, 4.25 * M]), np.stack([G, G]))
+    assert list(st.reason) == ["", ""]
+    assert st.rho[1] == pytest.approx(4.25 * st.rho[0], rel=1e-12)
+    cos = st.right[1] @ st.right[0]
     assert abs(abs(cos) - 1.0) < 1e-10  # unit-norm eigenvectors from the solver
 
 
@@ -108,33 +110,35 @@ def test_monotone_consistency_in_k(testbed, power_prefs, quad_power):
     for k in (4, 6, 8, 12):
         basis = s.hermite_basis_from_moments([testbed.mu], [testbed.stationary_std], k - 1)
         G, M = population_sieve_matrices(quad_power.operator, basis)
-        sol = s.solve_generalized(M, G, basis.const_coeffs)
-        errs.append(abs(sol.rho - truth.rho))
+        st = _solve(M, G)
+        assert st.reason[0] == ""
+        errs.append(abs(st.rho[0] - truth.rho))
     for lo, hi in zip(errs[1:], errs[:-1]):
         assert lo <= hi + 1e-9  # weakly decreasing, modulo quadrature error
 
 
 def test_fallback_complex_and_tied():
     rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
-    sol = s.solve_generalized(rotation, np.eye(2), const_coeffs=np.array([1.0, 1.0]))
+    sol = _solution(_solve(rotation, np.eye(2)), 0, np.array([1.0, 1.0]))
     assert sol.is_fallback and sol.rho == 1.0
     np.testing.assert_array_equal(sol.right_coeffs, [1.0, 1.0])
-    tied = s.solve_generalized(np.eye(3), np.eye(3))
+    tied = _solution(_solve(np.eye(3), np.eye(3)), 0, np.ones(3))
     assert tied.is_fallback
 
 
 def test_ridge_handles_semidefinite_gram():
     G = np.diag([1.0, 0.0])  # rank-deficient: forces the one-shot ridge
     M = np.diag([0.5, 0.0])
-    sol = s.solve_generalized(M, G)
-    assert np.isfinite(sol.rho)
-    assert sol.rho == pytest.approx(0.5, rel=1e-6)
+    st = _solve(M, G)
+    assert st.reason[0] == "" and np.isfinite(st.rho[0])
+    assert st.rho[0] == pytest.approx(0.5, rel=1e-6)
 
 
 def test_eigenfunction_values_paths(power_fit, testbed, power_prefs, quad_power):
     basis, sol = power_fit["basis"], power_fit["sol"]
     pts = power_fit["panel"].x0
-    phi, phi_star = s.eigenfunction_values(sol, basis, pts)
+    b = basis.evaluate_many(pts)
+    phi, phi_star = b @ sol.right_coeffs, b @ sol.left_coeffs
     # shape comparison with the affine oracle: log phi-hat is an affine
     # function of the state with slope -gamma*kappa/(1-kappa)
     truth = s.affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
@@ -148,9 +152,8 @@ def test_eigenfunction_values_paths(power_fit, testbed, power_prefs, quad_power)
 
 def test_fallback_eigenfunction_values():
     basis = s.hermite_basis_from_moments([0.0], [1.0], 1)
-    sol = s.solve_generalized(
-        np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2), basis.const_coeffs
-    )
-    phi, phi_star = s.eigenfunction_values(sol, basis, np.array([[0.3], [0.9]]))
+    sol = _solution(_solve(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2)), 0, basis.const_coeffs)
+    b = basis.evaluate_many(np.array([[0.3], [0.9]]))
+    phi, phi_star = b @ sol.right_coeffs, b @ sol.left_coeffs
     np.testing.assert_allclose(phi, [1.0, 1.0])
     np.testing.assert_allclose(phi_star, [1.0, 1.0])

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-import sdfspectral as s
-from sdfspectral.pfeig import FALLBACK_REASONS, _solve_stack
+from sdfspectral.pfeig import FALLBACK_REASONS, _solution, _solve_stack
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
 
@@ -33,18 +32,19 @@ def _pencils():
 
 
 def test_stack_matches_single_solves():
+    # each pencil of the stack is solved as a stack of its own, bit for bit
     pencils = _pencils()
     stack = _solve_stack(np.stack([M for M, _ in pencils]), np.stack([G for _, G in pencils]))
     for i, (M, G) in enumerate(pencils):
-        one = s.solve_generalized(M, G)
-        assert one.is_fallback == bool(stack.reason[i])
-        assert one.fallback_reason == (stack.reason[i] or None)
-        if one.is_fallback:
+        one = _solve_stack(M[None], G[None])
+        assert one.reason[0] == stack.reason[i]
+        if one.reason[0]:
             continue
-        assert stack.rho[i] == one.rho
-        np.testing.assert_array_equal(stack.right[i], one.right_coeffs)
-        np.testing.assert_array_equal(stack.left[i], one.left_coeffs)
-        assert tuple(stack.residuals[i]) == one.residuals
+        assert stack.rho[i] == one.rho[0]
+        np.testing.assert_array_equal(stack.right[i], one.right[0])
+        np.testing.assert_array_equal(stack.left[i], one.left[0])
+        np.testing.assert_array_equal(stack.residuals[i], one.residuals[0])
+        np.testing.assert_array_equal(stack.gap[i], one.gap[0])
     # the ridge and the fallbacks act on their own pencils only
     assert stack.rho[0] == pytest.approx(2.0, abs=1e-12)
     assert stack.rho[3] == pytest.approx(0.5, rel=1e-6)
@@ -54,10 +54,11 @@ def test_stack_matches_single_solves():
 
 
 def test_fallback_reasons_are_distinct():
-    rotation = s.solve_generalized(ROTATION, np.eye(2))
-    tied = s.solve_generalized(np.eye(3), np.eye(3))
+    rotation = _solution(_solve_stack(ROTATION[None], np.eye(2)[None]), 0, np.ones(2))
+    tied = _solution(_solve_stack(np.eye(3)[None], np.eye(3)[None]), 0, np.ones(3))
     assert rotation.is_fallback and tied.is_fallback
     assert rotation.fallback_reason == "no_positive_real"
     assert tied.fallback_reason == "tie"
     assert set(FALLBACK_REASONS) >= {rotation.fallback_reason, tied.fallback_reason}
-    assert s.solve_generalized(np.diag([2.0, 1.0]), np.eye(2)).fallback_reason is None
+    diagonal = _solve_stack(np.diag([2.0, 1.0])[None], np.eye(2)[None])
+    assert _solution(diagonal, 0, np.ones(2)).fallback_reason is None

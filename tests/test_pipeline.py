@@ -25,25 +25,15 @@ def _reference_replicate(panel, basis, prefs, idx):
         sdf_increments=None if panel.sdf_increments is None else panel.sdf_increments[idx],
     )
     design = s.Design(basis, rp)
-    lam = None
-    if prefs is None:
-        m = rp.sdf_increments
-    elif isinstance(prefs, s.PowerUtility):
-        m = s.power_utility_sdf_series(rp, prefs.beta, prefs.gamma)
-    else:
-        fp = s.solve_value_fixed_point(design, prefs.beta, prefs.gamma)
-        if not fp.converged:
-            return None
-        try:
-            m = s.recursive_sdf_series(design, fp)
-        except ValueError:
-            return None
-        lam = fp.lam
+    try:
+        fit = s.fit_panel(design, prefs)
+    except FitFailedError:
+        return None
+    if fit.sol.is_fallback:
+        return None
+    m, sol = fit.m, fit.sol
     G = s.estimate_gram(design)
     M = s.estimate_pricing(design, m)
-    sol = s.solve_generalized(M, G, basis.const_coeffs)
-    if sol.is_fallback:
-        return None
     # relative condition number of rho: reordering the moment sums moves
     # rho by a few eps times this
     x, y = sol.right_coeffs, sol.left_coeffs
@@ -63,8 +53,8 @@ def _reference_replicate(panel, basis, prefs, idx):
         "kappa": kappa,
         "cond_gram": np.linalg.cond(G),
     }
-    if lam is not None:
-        rec["lambda"] = lam
+    if fit.fixed_point is not None:
+        rec["lambda"] = fit.fixed_point.lam
     return rec
 
 
@@ -114,7 +104,7 @@ def test_batched_statistic_matches_refits_power(testbed, power_prefs):
 def test_batched_statistic_matches_refits_sdf_column(testbed):
     panel = s.simulate_ar1(testbed, 300, np.random.default_rng(32))
     m = np.exp(-0.01 - 8.0 * (panel.x1[:, 0] - 0.005) + 0.002 * panel.x0[:, 0])
-    _compare(panel.with_sdf(m), None, 150, seed=8)
+    _compare(replace(panel, sdf_increments=m), None, 150, seed=8)
 
 
 def test_batched_statistic_matches_refits_recursive(testbed, recursive_prefs):
@@ -155,15 +145,16 @@ def test_one_positivity_rule_at_every_entry_point(testbed, gamma, positive):
     assert fp.converged and (chi.min() > 0.1 if positive else chi.min() < -0.1)
     reason = "" if positive else "nonpositive_continuation"
 
+    prefs = s.RecursiveUtility(beta=beta, gamma=gamma)
     if positive:
-        assert np.all(s.recursive_sdf_series(design, fp) > 0)
+        assert np.all(s.fit_panel(design, prefs).m > 0)
     else:
-        with pytest.raises(ValueError, match="not positive on sample"):
-            s.recursive_sdf_series(design, fp)
+        with pytest.raises(FitFailedError, match=reason):
+            s.fit_panel(design, prefs)
     instruments = s.Design(s.BasisSpec(family="hermite", k=4).build(panel.states), panel)
     values, reasons = s.criterion_grid(design, instruments, beta, gamma)
     assert list(reasons) == [reason] and np.isfinite(values[0]) == positive
-    stat = bootstrap_statistic(design, s.RecursiveUtility(beta=beta, gamma=gamma))
+    stat = bootstrap_statistic(design, prefs)
     out = stat(np.ones((1, panel.n), dtype=int))
     assert list(out[DISCARD_REASON]) == [reason]
     assert np.isfinite(out["rho"][0]) == np.isfinite(out["lambda"][0]) == positive

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,6 @@ def test_panel_validation_and_resample():
 def test_sieve_matrices_bundle(testbed):
     panel = s.simulate_ar1(testbed, 100, np.random.default_rng(11))
     basis = s.BasisSpec(family="hermite", k=5).build(panel.states)
-    design = s.Design(basis, panel.with_sdf(np.ones(panel.n)))
+    design = s.Design(basis, replace(panel, sdf_increments=np.ones(panel.n)))
     assert design.b0.shape == design.b1.shape == (100, 5) and design.n == 100
     np.testing.assert_allclose(design.gram, design.gram.T, atol=1e-15)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import sdfspectral as s
 from sdfspectral import simkit
+from sdfspectral.pipeline import FitFailedError
 
 
 def test_simulate_stationary_moments(testbed):
@@ -211,37 +213,29 @@ def test_mc_censors_failed_replicates_stage_wise(testbed, recursive_prefs, monke
 
 
 def _reference_record(design, n, rep, nodes):
-    """One replicate's record from its own panel and Design, fitted stage by stage
-    with the public single-fit primitives."""
-    from sdfspectral.decomp import long_run_yield, permanent_entropy
-
+    """One replicate's record from its own panel and Design, fitted by the single-fit
+    pipeline, with the long-run scalars by their plain formulas."""
     panel = s.simulate_ar1(design.ar1, n, simkit._replicate_rng(design.seed, n, rep))
     scalars, funcs = np.full(5, np.nan), np.full((3, nodes.size), np.nan)
-    prefs = design.preferences
     try:
         sieve = s.Design(design.basis_spec.build(panel.states), panel)
         b_nodes = sieve.basis.evaluate_many(nodes)
-        if isinstance(prefs, s.RecursiveUtility):
-            fp = s.solve_value_fixed_point(sieve, prefs.beta, prefs.gamma)
-            if not fp.converged:
-                return True, scalars, funcs
+        fit = s.fit_panel(sieve, design.preferences)
+    except FitFailedError as exc:
+        fp = exc.fixed_point  # the converged value recursion of a later failure
+        if fp is not None:
             scalars[3], funcs[2] = fp.lam, b_nodes @ fp.chi_coeffs
-            m = s.recursive_sdf_series(sieve, fp)
-        else:
-            m = s.power_utility_sdf_series(panel, prefs.beta, prefs.gamma)
-        panel.with_sdf(m)  # rejects non-finite or non-positive increments
-        sol = s.solve_generalized(s.estimate_pricing(sieve, m), sieve.gram, sieve.const_coeffs)
-        if sol.is_fallback:
-            return True, scalars, funcs
-        sol = s.normalize(sol, sieve.gram)
+        return True, scalars, funcs
     except (ValueError, RuntimeError, np.linalg.LinAlgError):
         return True, scalars, funcs
-    phi_t, phi_t1 = sieve.b0 @ sol.right_coeffs, sieve.b1 @ sol.right_coeffs
-    influence = s.influence_rho(sol, m, phi_t, phi_t1, sieve.b0 @ sol.left_coeffs)
-    rho = sol.rho
-    scalars[[0, 1, 2, 4]] = (rho, long_run_yield(rho), permanent_entropy(rho, m),
-                             influence.se_rho())
-    funcs[0], funcs[1] = b_nodes @ sol.right_coeffs, b_nodes @ sol.left_coeffs
+    if fit.fixed_point is not None:
+        scalars[3], funcs[2] = fit.fixed_point.lam, b_nodes @ fit.fixed_point.chi_coeffs
+    if fit.sol.is_fallback:
+        return True, scalars, funcs
+    rho = fit.sol.rho
+    scalars[[0, 1, 2, 4]] = (rho, -math.log(rho), math.log(rho) - np.mean(np.log(fit.m)),
+                             fit.influence.se_rho())
+    funcs[0], funcs[1] = b_nodes @ fit.sol.right_coeffs, b_nodes @ fit.sol.left_coeffs
     return False, scalars, funcs
 
 

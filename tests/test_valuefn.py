@@ -11,6 +11,14 @@ from sdfspectral.oracle import population_nonlinear_map
 RMSE_LAMBDA_3200 = 0.0123
 
 
+def _sdf(design, fp):
+    """The SDF increments of one solved recursion, and whether chi is positive on the sample."""
+    m, usable = s.valuefn.recursive_sdf_stack(
+        design, fp.beta, fp.gamma, fp.lam, fp.chi_coeffs[None]
+    )
+    return m[:, 0], bool(usable[0])
+
+
 @pytest.fixture(scope="module")
 def recursive_fit(testbed, recursive_prefs, panel3200):
     basis = s.BasisSpec(family="hermite", k=8).build(panel3200.states)
@@ -28,7 +36,8 @@ def test_log_utility_degenerates_to_constant(testbed):
     assert fp.lam == pytest.approx(1.0, abs=1e-12)
     chi = basis.evaluate_many(panel.x0) @ fp.chi_coeffs
     np.testing.assert_allclose(chi, np.ones(panel.n), atol=1e-10)
-    m = s.recursive_sdf_series(design, fp)
+    m, usable = _sdf(design, fp)
+    assert usable
     np.testing.assert_allclose(m, 0.994 / panel.growth, rtol=1e-10)
 
 
@@ -43,7 +52,8 @@ def test_constant_growth_closed_form(testbed):
     assert fp.lam == pytest.approx(g ** (1.0 - gamma), rel=1e-10)
     chi = basis.evaluate_many(panel.x0) @ fp.chi_coeffs
     np.testing.assert_allclose(chi, np.ones(panel.n), atol=1e-9)
-    m = s.recursive_sdf_series(design, fp)
+    m, usable = _sdf(design, fp)
+    assert usable
     np.testing.assert_allclose(m, np.full(panel.n, beta / g), rtol=1e-9)
 
 
@@ -110,8 +120,7 @@ def test_sdf_series_positivity_guard(recursive_fit, recursive_prefs):
     fp, design = recursive_fit["fp"], recursive_fit["design"]
     bad = replace(fp, chi_coeffs=-fp.chi_coeffs + 0.5 * np.eye(8)[1])
     assert (bad.beta, bad.gamma) == (recursive_prefs.beta, recursive_prefs.gamma)
-    with pytest.raises(ValueError, match="not positive on sample"):
-        s.recursive_sdf_series(design, bad)
+    assert _sdf(design, fp)[1] and not _sdf(design, bad)[1]
 
 
 def test_parameter_validation(recursive_fit):
@@ -134,14 +143,10 @@ def test_non_convergence_returns_best_iterate(recursive_fit, recursive_prefs):
 
 
 def test_downstream_eigen_residual_with_plugin_sdf(recursive_fit, recursive_prefs):
-    fp, basis, design = recursive_fit["fp"], recursive_fit["basis"], recursive_fit["design"]
-    m = s.recursive_sdf_series(design, fp)
-    G = s.estimate_gram(design)
-    M = s.estimate_pricing(design, m)
-    sol = s.normalize(s.solve_generalized(M, G, basis.const_coeffs), G)
-    phi_t, phi_t1 = design.b0 @ sol.right_coeffs, design.b1 @ sol.right_coeffs
-    psi = s.influence_rho(sol, m, phi_t, phi_t1, design.b0 @ sol.left_coeffs).psi_rho
-    assert abs(psi.mean()) < 1e-10
+    fp, design = recursive_fit["fp"], recursive_fit["design"]
+    fit = s.fit_panel(design, recursive_prefs)
+    np.testing.assert_array_equal(fit.m, _sdf(design, fp)[0])
+    assert abs(fit.influence.psi_rho.mean()) < 1e-10
 
 
 def test_stacked_columns_equal_their_single_solves(testbed):
@@ -240,6 +245,6 @@ def test_design_stack_columns_equal_their_own_designs(testbed, recursive_prefs):
         assert st.lam[r] == fp.lam
         np.testing.assert_array_equal(st.chi_coeffs[r], fp.chi_coeffs)
         assert usable[r]
-        np.testing.assert_array_equal(m[:, r], s.recursive_sdf_series(design, fp))
+        np.testing.assert_array_equal(m[:, r], _sdf(design, fp)[0])
     with pytest.raises(ValueError, match="design stack"):
         s.solve_value_stack(stack, beta, gamma, counts=np.ones((4, 300), dtype=int))

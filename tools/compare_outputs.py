@@ -5,8 +5,9 @@ Usage: python3 tools/compare_outputs.py REV
 Copies REV's src/ to a temporary directory with ``git archive``, writes
 the benchmark inputs at seed 1 with the prepare functions of
 bench/workloads.py, a copy of the bootstrap panel with an observed SDF
-column m = beta G^(-gamma), and the decompose settings as a JSON config
-file, and runs each argument vector below once per tree,
+column m = beta G^(-gamma), the decompose settings as a JSON config
+file, and a power-utility panel whose fitted eigenfunction changes sign
+on the sample, and runs each argument vector below once per tree,
 each in a fresh ``python`` process writing to an empty output directory
 (the same path for both trees, as provenance.json records it). Exit
 statuses and every output file are compared by bytes; JSON files are
@@ -27,6 +28,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -85,6 +88,13 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
         dest.write_text(json.dumps(config))
         return [argv[0], "--config", str(dest), "--cap", opts["--cap"]]
 
+    def sign_change_panel() -> str:
+        """A panel of the bootstrap workload's law on which phi-hat changes sign (Hermite k = 8)."""
+        states = workloads._ar1_states(workloads._rng(4, "bootstrap"), 800)
+        path = work / "panel_sign_change.csv"
+        workloads._write_csv(str(path), {"g": states}, {"G": np.exp(states[1:])})
+        return str(path)
+
     (decompose,), (bootstrap,), (mc,) = (prepared(w) for w in ("decompose", "bootstrap", "mc"))
     cases = {"decompose": decompose, "bootstrap": bootstrap, "mc": mc}
     cases.update({f"calibrate{j}": argv for j, argv in enumerate(prepared("calibrate"))})
@@ -99,6 +109,9 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     cases["decompose_sdf"] = ["decompose", *cases["bootstrap_sdf"][1:]]
     cases["mc_recursive"] = [*mc, "--design", "recursive", "--k", "6", "--reps", "30",
                              "--sizes", "300,600"]
+    # a flagged fit: bootstrap writes its outputs and exits 2, decompose exits 1
+    cases["bootstrap_sign_change"] = [*bootstrap, "--input", sign_change_panel()]
+    cases["decompose_sign_change"] = ["decompose", *cases["bootstrap_sign_change"][1:]]
     return cases
 
 
