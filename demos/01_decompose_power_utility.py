@@ -23,11 +23,11 @@ sieve = s.Design(basis, panel)  # b(X_t) and b(X_{t+1}), evaluated once
 # the SDF m = beta G^(-gamma), the eigenpair of the Gram and pricing matrices,
 # and the permanent/transitory split of m
 res = decompose_panel(sieve, s.PowerUtility(BETA, GAMMA))
-sol, series = res.fit.sol, res.series
-long_run = s.long_run_stack(sol.rho, series.m)
+eig, series = res.fit.eig, res.series  # rho and the right and left coefficients
+long_run = s.long_run_stack(eig.rho, series.m)
 
 truth = s.affine_power_utility_solution(design, BETA, GAMMA)
-print(f"estimated rho = {sol.rho:.5f}   (closed form {truth.rho:.5f})")
+print(f"estimated rho = {eig.rho:.5f}   (closed form {truth.rho:.5f})")
 print(f"long-run yield = {long_run['y']:.5f}")
 
 print(f"entropy of the permanent component = {long_run['L']:.5f} "
@@ -45,7 +45,7 @@ print(f"cov(log m_perm, log m_trans) = {stats['cov_log']:.2e}, "
 # slope -gamma*kappa/(1-kappa) for this design
 grid = np.linspace(panel.x0.min(), panel.x0.max(), 7)[:, None]
 b_grid = basis.evaluate_many(grid)
-phi_g, phi_star_g = b_grid @ sol.right_coeffs, b_grid @ sol.left_coeffs
+phi_g, phi_star_g = b_grid @ eig.right, b_grid @ eig.left
 print("\n   x        phi(x)    phi*(x)   phi*phi*")
 for x, p, q in zip(grid[:, 0], phi_g, phi_star_g):
     print(f"{x:+.4f}   {p:7.4f}   {q:7.4f}   {p * q:7.4f}")

@@ -21,7 +21,7 @@ sieve = s.Design(basis, panel)  # b(X_t) and b(X_{t+1}), evaluated once
 
 # the continuation value, its plug-in SDF, and that SDF's spectral decomposition
 res = decompose_panel(sieve, s.RecursiveUtility(BETA, GAMMA))
-fp, m, sol = res.fit.fixed_point, res.fit.m, res.fit.sol
+fp, m, rho = res.fit.fixed_point, res.fit.m, res.fit.eig.rho
 oracle = s.quadrature_eig(design, s.RecursiveUtility(BETA, GAMMA), 80)
 print(f"lambda = {fp.lam:.5f}  (population value {oracle.lam:.5f}), "
       f"{fp.iterations} iterations, converged={fp.converged}")
@@ -29,8 +29,8 @@ print(f"lambda = {fp.lam:.5f}  (population value {oracle.lam:.5f}), "
 print(f"plug-in SDF increments: mean {m.mean():.4f}, min {m.min():.4f}, "
       f"max {m.max():.4f}")
 
-print(f"rho = {sol.rho:.5f}  (population value {oracle.rho:.5f})")
-print(f"long-run yield = {-np.log(sol.rho):.5f}")
+print(f"rho = {rho:.5f}  (population value {oracle.rho:.5f})")
+print(f"long-run yield = {-np.log(rho):.5f}")
 
 # under recursive preferences phi is nearly flat, so the transitory
 # component barely moves: most SDF variation is permanent

@@ -19,7 +19,7 @@ panel = s.simulate_ar1(design, n=276, seed=137)  # quarterly-panel scale
 sieve = s.Design(s.BasisSpec(family="hermite", k=8).build(panel.states), panel)
 
 res = decompose_panel(sieve, prefs)
-point = s.long_run_stack(res.fit.sol.rho, res.fit.m)
+point = s.long_run_stack(res.fit.eig.rho, res.fit.m)
 
 boot = s.bootstrap_ci(
     bootstrap_statistic(sieve, prefs), panel.n,
@@ -32,10 +32,10 @@ for stat in ("rho", "y", "L", "sdf_entropy", "horizon_dependence"):
     print(f"{stat:>20} {point[stat]:>10.4f}    "
           f"[{boot.ci_lo[stat]:+.4f}, {boot.ci_hi[stat]:+.4f}]")
 
-infl = res.fit.influence
+on = res.fit.sample  # the fit's values on the sample: phi, phi*, psi_rho, se_rho
 bw = s.default_bandwidth(panel.n)
-v_l = s.variance_entropy(infl, res.fit.m, bw)
-print(f"\nplug-in SE(rho) = {infl.se_rho():.4f} "
+v_l = s.variance_entropy(on.psi_rho, res.fit.eig.rho, res.fit.m, bw)
+print(f"\nplug-in SE(rho) = {on.se_rho:.4f} "
       f"(bootstrap sd {np.std(boot.replicates['rho'], ddof=1):.4f})")
 print(f"plug-in SE(L)   = {np.sqrt(v_l / panel.n):.4f} "
       f"(Newey-West bandwidth {bw}; bootstrap sd "

@@ -29,7 +29,7 @@ for gamma in (2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
         print(f"{gamma:>6.0f}   [no decomposition: {exc}]")
         continue
     stats = s.pt_association(res.series)
-    lam, rho = res.fit.fixed_point.lam, res.fit.sol.rho
+    lam, rho = res.fit.fixed_point.lam, res.fit.eig.rho
     print(f"{gamma:>6.0f} {lam:>9.4f} {rho:>9.4f} "
           f"{-np.log(rho):>+9.4f} {stats['cov_log']:>+15.2e} "
           f"{stats['kendall_tau']:>+8.3f}")

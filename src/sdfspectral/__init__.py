@@ -28,7 +28,6 @@ from .decomp import (
 )
 from .inference import (
     BootstrapResult,
-    InfluenceSeries,
     bootstrap_ci,
     default_bandwidth,
     stationary_bootstrap_indices,
@@ -42,13 +41,11 @@ from .oracle import (
     affine_power_utility_solution,
     quadrature_eig,
 )
-from .pfeig import EigenSolution
-from .pipeline import DecompositionResult, Fit, bootstrap_statistic, decompose_panel, fit_panel
+from .pipeline import DecompositionResult, bootstrap_statistic, decompose_panel, fit_panel
 from .preferences import PowerUtility, RecursiveUtility, power_utility_sdf_series
 from .sievemat import Design, StatePanel, estimate_gram, estimate_pricing
 from .simkit import McDesign, McTable, l2_distance, run_mc_study, simulate_ar1
 from .valuefn import (
-    FixedPointSolution,
     FixedPointStack,
     solve_value_fixed_point,
     solve_value_stack,

@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 from .sievemat import Design
 from .valuefn import (
     VALUE_FAILURES,
-    FixedPointSolution,
+    FixedPointStack,
     recursive_sdf_stack,
     solve_value_fixed_point,
     solve_value_stack,
@@ -49,6 +49,8 @@ INFEASIBLE_REASONS = VALUE_FAILURES + ("nonpositive_continuation",)
 class CalibrationResult:
     """The estimate, its criterion and value recursion, and every evaluated point.
 
+    ``inner_solution`` is the value recursion at the estimate, row 0 of
+    its :class:`FixedPointStack`, or None where it did not converge.
     ``infeasible`` counts the infeasible evaluations, grid and simplex
     alike, by their INFEASIBLE_REASONS entry.
     """
@@ -56,7 +58,7 @@ class CalibrationResult:
     beta_hat: float
     gamma_hat: float
     criterion_value: float
-    inner_solution: Optional[FixedPointSolution]
+    inner_solution: Optional[FixedPointStack]
     optimizer_trace: list[tuple[float, float, float]] = field(default_factory=list)
     converged: bool = False
     infeasible: dict[str, int] = field(default_factory=dict)

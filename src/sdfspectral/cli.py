@@ -35,7 +35,7 @@ from .csvout import write_csv, write_json
 from .decomp import change_of_measure, long_run_stack, positive_on_sample, scalars_to_json, series_to_csv
 from .inference import bootstrap_ci, default_bandwidth, variance_entropy
 from .oracle import Ar1Design
-from .pipeline import DISCARD_REASONS, Fit, bootstrap_statistic, decompose_panel, fit_panel
+from .pipeline import DISCARD_REASONS, FitStack, bootstrap_statistic, decompose_panel, fit_panel
 from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import Design, StatePanel
 from .simkit import McDesign, run_mc_study, write_mc_outputs
@@ -365,15 +365,15 @@ def _state_grid(panel: StatePanel, points: int) -> np.ndarray:
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _write_eigenfunction_outputs(cfg, panel, basis, sol) -> None:
+def _write_eigenfunction_outputs(cfg, panel, basis, fit: FitStack) -> None:
     grid = _state_grid(panel, cfg.grid_points)
-    if sol.is_fallback:
+    if fit.reason:  # the constant fallback
         phi = np.ones(grid.shape[0])
         phi_star = np.ones(grid.shape[0])
     else:
         bg = basis.evaluate_many(grid)
-        phi = bg @ sol.right_coeffs
-        phi_star = bg @ sol.left_coeffs
+        phi = bg @ fit.eig.right
+        phi_star = bg @ fit.eig.left
     com = change_of_measure(phi, phi_star)
     write_csv(
         os.path.join(cfg.out_dir, "eigenfunctions.csv"),
@@ -444,11 +444,11 @@ def validate_summary_csv(path) -> list[dict]:
 # ----------------------------------------------------------------- commands
 
 
-def _exit_status(fit: Fit) -> int:
+def _exit_status(fit: FitStack) -> int:
     """Exit status of a command whose outputs are written: 2, with a warning, for a flagged fit."""
-    if fit.sol.is_fallback:
+    if fit.reason:
         why = "no real simple positive eigenvalue; fell back to the constant solution (rho = 1)"
-    elif not positive_on_sample(fit.phi_t, fit.phi_t1):
+    elif not positive_on_sample(fit.sample.phi_t, fit.sample.phi_t1):
         why = "eigenfunction not positive on sample; results are emitted but flagged"
     else:
         return 0
@@ -469,25 +469,26 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     res = decompose_panel(Design(basis, panel), prefs)
     fit = res.fit
 
+    fallback, on = bool(fit.reason), fit.sample
     extra = {"n": panel.n, "basis": basis.family.value, "k": basis.dimension_k,
-             "fallback": fit.sol.is_fallback}
+             "fallback": fallback}
     if fit.fixed_point is not None:
         extra["lambda"] = fit.fixed_point.lam
-    if fit.influence is not None:
+    if not fallback:
         bw = default_bandwidth(panel.n)
-        extra["se_rho"] = fit.influence.se_rho()
-        extra["v_L"] = variance_entropy(fit.influence, fit.m, bw)
+        extra["se_rho"] = on.se_rho
+        extra["v_L"] = variance_entropy(on.psi_rho, fit.eig.rho, fit.m, bw)
         extra["nw_bandwidth"] = bw
     series_to_csv(res.series, os.path.join(cfg.out_dir, "series.csv"))
-    scalars_to_json(fit.sol.rho, fit.m, os.path.join(cfg.out_dir, "scalars.json"),
+    scalars_to_json(fit.eig.rho, fit.m, os.path.join(cfg.out_dir, "scalars.json"),
                     association=res.association, extra=extra)
     # change of measure on the sample points (the grid version sits in
     # eigenfunctions.csv)
     write_csv(
         os.path.join(cfg.out_dir, "change_of_measure_sample.csv"),
         ["t", "phi", "phi_star", "change_of_measure"],
-        zip(range(panel.n), fit.phi_t, fit.phi_star_t,
-            change_of_measure(fit.phi_t, fit.phi_star_t)),
+        zip(range(panel.n), on.phi_t, on.phi_star_t,
+            change_of_measure(on.phi_t, on.phi_star_t)),
     )
     t = np.arange(panel.n)
     line_plot(
@@ -497,8 +498,8 @@ def _cmd_decompose(cfg: RunConfig) -> int:
         title="SDF and permanent/transitory increments",
         xlabel="t",
     )
-    _write_eigenfunction_outputs(cfg, panel, basis, fit.sol)
-    _write_provenance(cfg, {"fallback": fit.sol.is_fallback})
+    _write_eigenfunction_outputs(cfg, panel, basis, fit)
+    _write_provenance(cfg, {"fallback": fallback})
     return _exit_status(fit)
 
 
@@ -511,12 +512,13 @@ def _cmd_value(cfg: RunConfig) -> int:
         raise CliError("the value command needs --preferences recursive with beta and gamma")
     basis = _basis_spec(cfg).build(panel.states)
     fp = solve_value_fixed_point(Design(basis, panel), prefs.beta, prefs.gamma)
+    converged = bool(fp.converged)
     payload = {
         "lambda": fp.lam,
-        "beta": fp.beta,
-        "gamma": fp.gamma,
-        "iterations": fp.iterations,
-        "converged": fp.converged,
+        "beta": prefs.beta,
+        "gamma": prefs.gamma,
+        "iterations": int(fp.iterations),
+        "converged": converged,
         "final_step": fp.final_step,
     }
     write_json(os.path.join(cfg.out_dir, "value.json"), payload)
@@ -530,8 +532,8 @@ def _cmd_value(cfg: RunConfig) -> int:
     if panel.state_dim == 1:
         line_plot(os.path.join(cfg.out_dir, "value_function.svg"), grid[:, 0],
                   {"chi": chi}, title="Continuation-value eigenfunction", xlabel="state")
-    _write_provenance(cfg, {"converged": fp.converged})
-    return 0 if fp.converged else 2
+    _write_provenance(cfg, {"converged": converged})
+    return 0 if converged else 2
 
 
 def _instrument_basis(cfg: RunConfig, panel: StatePanel, solve_basis):
@@ -599,7 +601,7 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
     seed = int(_value(cfg, "bootstrap.seed", cfg.seed))
     boot = bootstrap_ci(bootstrap_statistic(design, prefs), panel.n, b, block, level, seed)
 
-    point = {stat: float(v) for stat, v in long_run_stack(fit.sol.rho, fit.m).items()}
+    point = {stat: float(v) for stat, v in long_run_stack(fit.eig.rho, fit.m).items()}
     if fit.fixed_point is not None:
         point["lambda"] = fit.fixed_point.lam
     if isinstance(prefs, (PowerUtility, RecursiveUtility)):
@@ -611,7 +613,7 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
         "b": b, "expected_block": block, "level": level, "seed": seed,
         "discarded": boot.discarded,
         "discard_reasons": {r: boot.discard_reasons.get(r, 0) for r in DISCARD_REASONS},
-        "fallback_point_estimate": fit.sol.is_fallback,
+        "fallback_point_estimate": bool(fit.reason),
     })
     _write_provenance(cfg, {"discarded": boot.discarded})
     return _exit_status(fit)

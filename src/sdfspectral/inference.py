@@ -17,28 +17,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 
-@dataclass
-class InfluenceSeries:
-    """Influence-function series for the eigenvalue and derived functionals."""
-
-    psi_rho: np.ndarray
-    v_rho: float
-    rho: float
-
-    @property
-    def n(self) -> int:
-        return self.psi_rho.size
-
-    @property
-    def v_y(self) -> float:
-        """Variance of the yield -log(rho), by the delta method."""
-        return self.v_rho / self.rho**2
-
-    def se_rho(self) -> float:
-        """Plug-in standard error of the eigenvalue estimator."""
-        return math.sqrt(self.v_rho / self.n)
-
-
 def influence_stack(
     rho: np.ndarray,
     m: np.ndarray,
@@ -77,23 +55,23 @@ def _newey_west(psi: np.ndarray, bandwidth: int) -> float:
     return v
 
 
-def variance_entropy(infl: InfluenceSeries, m: np.ndarray, bandwidth: int) -> float:
+def variance_entropy(psi_rho: np.ndarray, rho: float, m: np.ndarray, bandwidth: int) -> float:
     """Long-run variance of the permanent-component entropy estimator.
 
-    The entropy influence function combines the eigenvalue influence with
-    the centered log SDF: psi_L = psi_rho / rho - (log m - mean log m).
-    Because the log-SDF term is serially correlated, the variance is a
-    Bartlett-kernel long-run variance at the given bandwidth (bandwidth 0
-    degenerates to the sample variance).
+    The entropy influence function combines the eigenvalue's influence
+    series psi_rho with the centered log SDF: psi_L = psi_rho / rho -
+    (log m - mean log m). Because the log-SDF term is serially correlated,
+    the variance is a Bartlett-kernel long-run variance at the given
+    bandwidth (bandwidth 0 degenerates to the sample variance).
     """
     m = np.asarray(m, dtype=float)
-    n = infl.n
+    n = psi_rho.size
     if bandwidth < 0:
         raise ValueError("bandwidth must be >= 0")
     if bandwidth >= n:
         raise ValueError(f"bandwidth {bandwidth} must be below n={n}")
     psi_lm = np.log(m) - np.mean(np.log(m))
-    psi_L = infl.psi_rho / infl.rho - psi_lm
+    psi_L = psi_rho / rho - psi_lm
     return max(_newey_west(psi_L, bandwidth), 0.0)
 
 
@@ -152,7 +130,6 @@ class BootstrapResult:
     expected_block: float
     discarded: int
     b_total: int = 0
-    point: dict[str, float] = field(default_factory=dict)
     discard_reasons: dict[str, int] = field(default_factory=dict)
 
 

@@ -2,17 +2,16 @@
 
 Solves M c = rho G c together with the adjoint problem c*' M = rho c*' G,
 selects the largest real positive eigenvalue, and normalizes scale and
-sign. When no real simple positive eigenvalue exists the solver falls
-back to the trivial pair (rho, phi, phi*) = (1, 1, 1), flagged so that
-downstream statistics can censor such fits. One stacked solver, which
-whitens each pencil by the Cholesky factor of G, serves a single fit and
-every bootstrap replicate alike.
+sign. A pencil with no real simple positive eigenvalue is flagged with
+the rule it failed, so that downstream statistics can censor such fits;
+a single fit then falls back to the trivial pair (rho, phi, phi*) =
+(1, 1, 1). One stacked solver, which whitens each pencil by the Cholesky
+factor of G, serves a single fit and every bootstrap replicate alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,25 +22,6 @@ TIE_TOL = 1e-10
 #: the acceptance rules in the order they are checked; a rejected
 #: eigenpair records the first rule it failed as its fallback reason
 FALLBACK_REASONS = ("no_positive_real", "tie", "left_mismatch", "residual")
-
-
-@dataclass(frozen=True)
-class EigenSolution:
-    """Eigenvalue/eigenvector triple of one pencil.
-
-    ``right_coeffs`` are the coefficients of the eigenfunction in the
-    basis, ``left_coeffs`` those of the adjoint eigenfunction; a fallback
-    holds the coefficients of the constant function in both.
-    ``fallback_reason`` is the FALLBACK_REASONS entry of a fallback.
-    """
-
-    rho: float
-    right_coeffs: np.ndarray
-    left_coeffs: np.ndarray
-    is_fallback: bool
-    residuals: tuple[float, float]
-    spectral_gap: Optional[float]
-    fallback_reason: Optional[str] = None
 
 
 def _cholesky_stack(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,6 +86,16 @@ class _PencilStack(NamedTuple):
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A @ v[..., None])[..., 0]
+
+
+def _row(record, i: int):
+    """Row i of a stacked record: each array field at i, each nested record's row i, None kept.
+
+    A single fit is row 0 of its stack.
+    """
+    return type(record)._make(
+        f if f is None else _row(f, i) if isinstance(f, tuple) else f[i] for f in record
+    )
 
 
 def _unwhiten_rows(Li: np.ndarray, X: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -180,22 +170,6 @@ def _solve_stack(M: np.ndarray, G: np.ndarray) -> _PencilStack:
         [~pos.any(axis=1), tie, mismatch, bad_residual], FALLBACK_REASONS, default=""
     )
     return _PencilStack(rho, right, left, np.column_stack([res_r, res_l]), gap, reason)
-
-
-def _solution(st: _PencilStack, s: int, const_coeffs: np.ndarray) -> EigenSolution:
-    """Pencil s of a stack as an :class:`EigenSolution`, the constant fallback where rejected."""
-    c = np.asarray(const_coeffs, dtype=float)
-    if st.reason[s]:
-        return EigenSolution(
-            rho=1.0, right_coeffs=c.copy(), left_coeffs=c.copy(), is_fallback=True,
-            residuals=(np.nan, np.nan), spectral_gap=None, fallback_reason=str(st.reason[s]),
-        )
-    gap = float(st.gap[s])
-    return EigenSolution(
-        rho=float(st.rho[s]), right_coeffs=st.right[s], left_coeffs=st.left[s],
-        is_fallback=False, residuals=(float(st.residuals[s, 0]), float(st.residuals[s, 1])),
-        spectral_gap=None if np.isnan(gap) else gap,
-    )
 
 
 def _normalize_stack(

@@ -6,9 +6,8 @@ Design with (R, n) bootstrap count rows, or a :class:`DesignStack` of R
 Monte Carlo designs. A replicate's ``reason`` is "" where its fit is kept
 and otherwise the first stage that failed it, in stage order: a
 VALUE_FAILURES entry, "nonpositive_continuation", "nonpositive_sdf", a
-FALLBACK_REASONS entry or "defective_pair". :func:`fit_panel` reads a
-stack of one, :func:`bootstrap_statistic` stacks of count rows, and
-:func:`sample_values` gives the sample values of a fit on a sample's own rows.
+FALLBACK_REASONS entry or "defective_pair". :func:`fit_panel` is row 0
+of a stack of one, and :func:`bootstrap_statistic` fits stacks of count rows.
 """
 
 from __future__ import annotations
@@ -19,21 +18,19 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .decomp import DecompSeries, long_run_stack, pt_association, pt_series
-from .inference import DISCARD_REASON, InfluenceSeries, influence_stack
+from .inference import DISCARD_REASON, influence_stack
 from .pfeig import (
     FALLBACK_REASONS,
-    EigenSolution,
     _matvec,
     _normalize_stack,
     _PencilStack,
-    _solution,
+    _row,
     _solve_stack,
 )
 from .preferences import PowerUtility, RecursiveUtility, power_utility_sdf
 from .sievemat import Design, DesignStack, estimate_pricing, gram_stack, pricing_stack
 from .valuefn import (
     VALUE_FAILURES,
-    FixedPointSolution,
     FixedPointStack,
     recursive_sdf_stack,
     solve_value_stack,
@@ -43,39 +40,24 @@ from .valuefn import (
 class FitFailedError(RuntimeError):
     """The estimation pipeline could not produce a usable fit.
 
-    ``fixed_point`` is the converged value recursion of a fit that failed
-    at a later stage, so that callers can keep its statistics.
+    ``fixed_point`` is the row-0 value recursion of a fit that failed at a
+    later stage, so that callers can keep its statistics.
     """
 
-    def __init__(self, message: str, fixed_point: Optional[FixedPointSolution] = None):
+    def __init__(self, message: str, fixed_point: Optional[FixedPointStack] = None):
         super().__init__(message)
         self.fixed_point = fixed_point
 
 
-@dataclass
-class Fit:
-    """The eigen fit of one panel design: SDF increments, eigenpair, its values on the sample.
+class SampleValues(NamedTuple):
+    """The fitted eigenfunctions on the sample and the influence series of rho, per replicate."""
 
-    ``sol`` is normalized, or the constant fallback, for which the
-    eigenfunction values are ones and there is no influence series.
-    """
-
-    m: np.ndarray
-    sol: EigenSolution
-    phi_t: np.ndarray
-    phi_t1: np.ndarray
-    phi_star_t: np.ndarray
-    fixed_point: Optional[FixedPointSolution] = None
-    influence: Optional[InfluenceSeries] = None
-
-
-@dataclass
-class DecompositionResult:
-    """A fit with its permanent/transitory series and their association."""
-
-    fit: Fit
-    series: DecompSeries
-    association: dict
+    phi_t: np.ndarray  # (R, n) phi(X_t)
+    phi_t1: np.ndarray  # (R, n) phi(X_{t+1})
+    phi_star_t: np.ndarray  # (R, n) phi*(X_t)
+    psi_rho: np.ndarray  # (R, n) influence series of rho
+    v_rho: np.ndarray  # (R,) its plug-in variance mean(psi^2)
+    se_rho: np.ndarray  # (R,) plug-in standard error of rho
 
 
 class FitStack(NamedTuple):
@@ -86,13 +68,25 @@ class FitStack(NamedTuple):
     coefficients; its ``rho``, ``right`` and ``left`` are NaN where
     ``reason`` is not empty, and its own ``reason`` is that of the
     eigensolve alone. ``fixed_point`` holds the value recursions under
-    recursive preferences (else None).
+    recursive preferences (else None), and ``sample`` the fits' values on
+    their own rows (None for count rows, which have no sample of their
+    own), NaN for the replicates that failed.
     """
 
     reason: np.ndarray  # (R,) str
     m: np.ndarray  # (R, n) SDF increments, ones where they could not be formed
     eig: _PencilStack
     fixed_point: Optional[FixedPointStack]
+    sample: Optional[SampleValues]
+
+
+@dataclass
+class DecompositionResult:
+    """A :func:`fit_panel` fit with its permanent/transitory series and their association."""
+
+    fit: FitStack
+    series: DecompSeries
+    association: dict
 
 
 def fit_stack(
@@ -113,7 +107,8 @@ def fit_stack(
     recursive preferences, the SDF increments (the panel's observed column
     when ``preferences`` is None, the power-utility formula, or the
     continuation SDF of the solved value recursions), their check, the
-    eigensolve of the Gram and pricing stacks, and the normalization. A
+    eigensolve of the Gram and pricing stacks, the normalization, and the
+    eigenfunctions' values on the sample with the influence series. A
     replicate that fails a stage keeps its first ``reason`` and is not
     judged by the later stages; no other replicate is affected. Only
     panel-level faults raise: a missing SDF column or growth series, or a
@@ -158,60 +153,40 @@ def fit_stack(
     kept = reason == ""
     rho = np.where(kept, eig.rho, np.nan)
     right, left = (np.where(kept[:, None], c, np.nan) for c in (right, left))
-    return FitStack(reason, m, eig._replace(rho=rho, right=right, left=left), fp)
-
-
-class SampleValues(NamedTuple):
-    """The fitted eigenfunctions on the sample and the influence series of rho, per replicate."""
-
-    phi_t: np.ndarray  # (R, n) phi(X_t)
-    phi_t1: np.ndarray  # (R, n) phi(X_{t+1})
-    phi_star_t: np.ndarray  # (R, n) phi*(X_t)
-    psi_rho: np.ndarray  # (R, n) influence series of rho
-    v_rho: np.ndarray  # (R,) its plug-in variance mean(psi^2)
-    se_rho: np.ndarray  # (R,) plug-in standard error of rho
-
-
-def sample_values(design: Union[Design, DesignStack], fit: FitStack) -> SampleValues:
-    """Sample values of a :func:`fit_stack` fit on the design's own rows or on a design stack.
-
-    NaN for the replicates that failed. Count-weighted replicates have no
-    sample of their own and are not handled.
-    """
-    right = fit.eig.right
-    phi_t, phi_t1 = _matvec(design.b0, right), _matvec(design.b1, right)
-    phi_star_t = _matvec(design.b0, fit.eig.left)
-    psi, v_rho = influence_stack(fit.eig.rho, fit.m, phi_t, phi_t1, phi_star_t)
-    return SampleValues(phi_t, phi_t1, phi_star_t, psi, v_rho, np.sqrt(v_rho / design.n))
+    sample = None
+    if counts is None:
+        phi_t, phi_t1 = _matvec(design.b0, right), _matvec(design.b1, right)
+        phi_star_t = _matvec(design.b0, left)
+        psi, v_rho = influence_stack(rho, m, phi_t, phi_t1, phi_star_t)
+        sample = SampleValues(phi_t, phi_t1, phi_star_t, psi, v_rho, np.sqrt(v_rho / design.n))
+    return FitStack(reason, m, eig._replace(rho=rho, right=right, left=left), fp, sample)
 
 
 def fit_panel(
     design: Design,
     preferences: Optional[Union[PowerUtility, RecursiveUtility]] = None,
-) -> Fit:
-    """Estimate the eigenpair of one panel design: :func:`fit_stack` with a stack of one.
+) -> FitStack:
+    """Estimate the eigenpair of one panel design: row 0 of :func:`fit_stack` on a stack of one.
 
-    A fallback eigenpair is returned as the constant fallback Fit. Any
-    other failure raises FitFailedError, which carries the converged
-    value recursion of a fit that failed at a later stage.
+    A fallback eigenpair, whose ``reason`` is its FALLBACK_REASONS entry,
+    becomes the constant fallback: rho = 1, the constant function's
+    coefficients as ``right`` and ``left``, and ones as its sample values;
+    its influence series and se_rho stay NaN. Any other failure raises
+    FitFailedError, which carries the value recursion of a fit that
+    failed at a later stage.
     """
     try:
-        fit = fit_stack(design, preferences)
+        fit = _row(fit_stack(design, preferences), 0)
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         raise FitFailedError(str(exc)) from exc
-    reason = fit.reason[0]
-    fp = None
-    if fit.fixed_point is not None and reason not in VALUE_FAILURES:
-        fp = fit.fixed_point.column(0)
-    if reason and reason not in FALLBACK_REASONS:
-        raise FitFailedError(f"no usable fit: {reason}", fp)
-    sol = _solution(fit.eig, 0, design.const_coeffs)
-    if sol.is_fallback:
-        ones = np.ones(design.n)
-        return Fit(fit.m[0], sol, ones, ones, ones, fp)
-    on = sample_values(design, fit)
-    influence = InfluenceSeries(psi_rho=on.psi_rho[0], v_rho=float(on.v_rho[0]), rho=sol.rho)
-    return Fit(fit.m[0], sol, on.phi_t[0], on.phi_t1[0], on.phi_star_t[0], fp, influence)
+    if fit.reason in FALLBACK_REASONS:
+        c, ones = design.const_coeffs, np.ones(design.n)
+        return fit._replace(eig=fit.eig._replace(rho=1.0, right=c, left=c),
+                            sample=fit.sample._replace(phi_t=ones, phi_t1=ones, phi_star_t=ones))
+    if fit.reason:
+        fp = None if fit.reason in VALUE_FAILURES else fit.fixed_point
+        raise FitFailedError(f"no usable fit: {fit.reason}", fp)
+    return fit
 
 
 def decompose_panel(
@@ -220,11 +195,11 @@ def decompose_panel(
 ) -> DecompositionResult:
     """Fit one panel design and split its SDF into permanent and transitory increments.
 
-    A fallback eigen-solution propagates into the result (constant
+    A fallback eigenpair propagates into the result (constant
     eigenfunctions, rho = 1).
     """
     fit = fit_panel(design, preferences)
-    series = pt_series(fit.sol.rho, fit.phi_t, fit.phi_t1, fit.m)
+    series = pt_series(fit.eig.rho, fit.sample.phi_t, fit.sample.phi_t1, fit.m)
     return DecompositionResult(fit=fit, series=series, association=pt_association(series))
 
 

@@ -28,7 +28,7 @@ from .csvout import write_csv, write_json
 from .decomp import long_run_stack
 from .oracle import Ar1Design, quadrature_eig
 from .pfeig import _matvec, _spd_mask
-from .pipeline import fit_stack, sample_values
+from .pipeline import fit_stack
 from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import DesignStack, StatePanel
 
@@ -228,7 +228,7 @@ def _fit_block(
     failed[kept] = False
     lr = long_run_stack(fit.eig.rho[ok], fit.m[ok])
     scalars[kept, 0], scalars[kept, 1], scalars[kept, 2] = lr["rho"], lr["y"], lr["L"]
-    scalars[kept, 4] = sample_values(stack, fit).se_rho[ok]
+    scalars[kept, 4] = fit.sample.se_rho[ok]
     funcs[kept, 0] = _matvec(b_nodes[ok], fit.eig.right[ok])
     funcs[kept, 1] = _matvec(b_nodes[ok], fit.eig.left[ok])
     if fit.fixed_point is not None:

@@ -12,46 +12,25 @@ own count-weighted replicate of the sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .pfeig import _cholesky_stack, _matvec
+from .pfeig import _cholesky_stack, _matvec, _row
 from .sievemat import Design, DesignStack, gram_stack
 
 #: why a column of :func:`solve_value_stack` has no solution ("" where it converged)
 VALUE_FAILURES = ("invalid_parameters", "growth_overflow", "unconverged_value_recursion")
 
 
-@dataclass(frozen=True)
-class FixedPointSolution:
-    """Converged nonlinear eigenpair for the value recursion.
-
-    ``chi_coeffs`` are the coefficients of the unit-empirical-norm
-    eigenfunction; ``h_coeffs = lam**(1/(1-beta)) * chi_coeffs`` are those
-    of the unnormalized fixed point.
-    """
-
-    lam: float
-    chi_coeffs: np.ndarray
-    h_coeffs: np.ndarray
-    beta: float
-    gamma: float
-    iterations: int
-    converged: bool
-    final_step: float
-
-
-@dataclass(frozen=True)
-class FixedPointStack:
+class FixedPointStack(NamedTuple):
     """Per-column results of :func:`solve_value_stack`, P columns.
 
     ``reason`` is "" for a converged column and otherwise its
     VALUE_FAILURES entry. An unconverged column keeps its last iterate
-    and eigenvalue, as :class:`FixedPointSolution` does; a column whose
-    iterate degenerated (vanishing or non-finite G-norm) and the columns
-    of the other two reasons have NaN ``lam`` and ``chi_coeffs``.
+    and eigenvalue; a column whose iterate degenerated (vanishing or
+    non-finite G-norm) and the columns of the other two reasons have NaN
+    ``lam`` and ``chi_coeffs``.
     """
 
     lam: np.ndarray  # (P,)
@@ -62,19 +41,6 @@ class FixedPointStack:
     converged: np.ndarray  # (P,) bool
     final_step: np.ndarray  # (P,)
     reason: np.ndarray  # (P,) str
-
-    def column(self, p: int) -> FixedPointSolution:
-        """Column p as a :class:`FixedPointSolution`."""
-        lam, beta = float(self.lam[p]), float(self.beta[p])
-        # the unnormalized fixed-point scale lam^(1/(1-beta)) can overflow for
-        # beta near one; numpy semantics (inf) keep the eigenpair usable
-        with np.errstate(over="ignore"):
-            h = np.power(np.float64(lam), 1.0 / (1.0 - beta)) * self.chi_coeffs[p]
-        return FixedPointSolution(
-            lam=lam, chi_coeffs=self.chi_coeffs[p], h_coeffs=h, beta=beta,
-            gamma=float(self.gamma[p]), iterations=int(self.iterations[p]),
-            converged=bool(self.converged[p]), final_step=float(self.final_step[p]),
-        )
 
 
 def _growth_weights(growth: Optional[np.ndarray], gamma: np.ndarray) -> np.ndarray:
@@ -275,7 +241,7 @@ def solve_value_fixed_point(
     tol: float = 1e-10,
     max_iter: int = 10_000,
     z0=None,
-) -> FixedPointSolution:
+) -> FixedPointStack:
     """Solve the sample nonlinear eigenproblem for the continuation value.
 
     Iterates z_{j+1} = G^{-1} T(y_j) with y_j the G-normalized z_j, from
@@ -286,8 +252,8 @@ def solve_value_fixed_point(
     Convergence is declared when the G-norm change in y falls below
     ``tol``; non-convergence returns the best iterate flagged
     ``converged=False`` rather than raising, so simulation harnesses can
-    count and discard such fits. This is :func:`solve_value_stack` with
-    one column.
+    count and discard such fits. This is row 0 of :func:`solve_value_stack`
+    with one column.
 
     gamma = 1 is allowed as the degenerate log-utility case, for which the
     solution is the constant function with unit eigenvalue.
@@ -299,8 +265,7 @@ def solve_value_fixed_point(
         value_map(design, beta, gamma)  # raises, naming the parameter or the overflowing period
     if np.isnan(st.lam[0]):
         raise RuntimeError("degenerate iterate: vanishing G-norm")
-    # beta and gamma as given, which value.json records
-    return replace(st.column(0), beta=beta, gamma=gamma)
+    return _row(st, 0)
 
 
 def recursive_sdf_stack(

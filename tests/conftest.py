@@ -40,11 +40,11 @@ def panel3200(testbed) -> s.StatePanel:
 
 @pytest.fixture(scope="session")
 def power_fit(panel3200, power_prefs):
-    """Basis, design, matrices, and normalized eigen solution for the power design."""
+    """Basis, design, matrices, and the normalized eigenpair (a row of the eigensolve) for the power design."""
     basis = s.BasisSpec(family="hermite", k=8).build(panel3200.states)
     design = s.Design(basis, panel3200)
     fit = s.fit_panel(design, power_prefs)
     G = s.estimate_gram(design)
     M = s.estimate_pricing(design, fit.m)
-    return {"basis": basis, "panel": panel3200, "design": design, "G": G, "M": M, "sol": fit.sol,
+    return {"basis": basis, "panel": panel3200, "design": design, "G": G, "M": M, "eig": fit.eig,
             "m": fit.m, "fit": fit}

@@ -139,28 +139,28 @@ def test_criterion_5_exact_identities(testbed):
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
     design = s.Design(basis, panel)
     fit = s.fit_panel(design, s.PowerUtility(0.994, 15.0))
-    sol, m = fit.sol, fit.m
-    phi_t = basis.evaluate_many(panel.x0) @ sol.right_coeffs
-    phi_t1 = basis.evaluate_many(panel.x1) @ sol.right_coeffs
-    series = s.pt_series(sol.rho, phi_t, phi_t1, m)
+    eig, m = fit.eig, fit.m
+    phi_t = basis.evaluate_many(panel.x0) @ eig.right
+    phi_t1 = basis.evaluate_many(panel.x1) @ eig.right
+    series = s.pt_series(eig.rho, phi_t, phi_t1, m)
     prod_err = np.max(np.abs(series.m_perm * series.m_trans / series.m - 1.0))
     tol_msgs.append(f"max|m_perm*m_trans/m - 1|={prod_err:.1e}")
     assert prod_err < 1e-12
-    lr = s.long_run_stack(sol.rho, series.m)
+    lr = s.long_run_stack(eig.rho, series.m)
     ident = lr["L"] + lr["y"] + np.mean(np.log(series.m))
     tol_msgs.append(f"|L+y+mean log m|={abs(ident):.1e}")
     assert abs(ident) < 1e-10
 
     # (c) mean-zero influence function
-    psi = fit.influence.psi_rho
+    psi = fit.sample.psi_rho
     tol_msgs.append(f"|mean psi_rho|={abs(psi.mean()):.1e}")
     assert abs(psi.mean()) < 1e-10
 
     # (d) unit SDF pins the unit eigenvalue when the constant is in span
     unit_panel = s.StatePanel.from_states(panel.states, sdf_increments=np.ones(panel.n))
-    sol_1 = s.fit_panel(s.Design(basis, unit_panel)).sol
-    tol_msgs.append(f"|rho(m=1)-1|={abs(sol_1.rho - 1):.1e}")
-    assert abs(sol_1.rho - 1.0) < 1e-10
+    rho_1 = s.fit_panel(s.Design(basis, unit_panel)).eig.rho
+    tol_msgs.append(f"|rho(m=1)-1|={abs(rho_1 - 1):.1e}")
+    assert abs(rho_1 - 1.0) < 1e-10
 
     # (e) B-spline partition of unity
     bs = s.build_bspline_basis(panel.states[:, 0], 8)

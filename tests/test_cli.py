@@ -154,6 +154,14 @@ def test_decompose_fallback_exit_code(tmp_path, sim_panel, monkeypatch, capsys):
                    "--out", str(tmp_path / "o")])
     assert status == 2
     assert "fell back" in capsys.readouterr().err
+    # the constant fallback: rho = 1, phi = phi* = 1, and no standard errors
+    scalars = json.loads((tmp_path / "o" / "scalars.json").read_text())
+    assert scalars["rho"] == 1.0 and scalars["fallback"] is True
+    assert not {"se_rho", "v_L", "nw_bandwidth"} & set(scalars)
+    for name in ("eigenfunctions.csv", "change_of_measure_sample.csv"):
+        rows = list(csv.DictReader((tmp_path / "o" / name).open()))
+        assert len(rows) > 1
+        assert all(float(r[col]) == 1.0 for r in rows for col in ("phi", "phi_star"))
 
 
 def test_config_file_with_flag_override(tmp_path, sim_panel):
@@ -354,7 +362,8 @@ def test_value_command(tmp_path, testbed, quad_recursive):
                    "--out", str(out)])
     assert status == 0
     payload = json.loads((out / "value.json").read_text())
-    assert payload["converged"]
+    assert payload["converged"] is True and isinstance(payload["iterations"], int)
+    assert (payload["beta"], payload["gamma"]) == (0.994, 15.0)
     assert abs(payload["lambda"] - quad_recursive.lam) < 3 * 0.0123 * np.sqrt(3200 / 2000)
     assert (out / "value_function.csv").exists()
 

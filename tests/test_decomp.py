@@ -42,7 +42,7 @@ def test_permanent_entropy_trivial_and_mc():
 
 def test_permanent_entropy_matches_closed_form(power_fit, testbed, power_prefs):
     truth = s.affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
-    est = s.long_run_stack(power_fit["sol"].rho, power_fit["m"])["L"]
+    est = s.long_run_stack(power_fit["eig"].rho, power_fit["m"])["L"]
     assert abs(est - truth.entropy_L) < 3 * RMSE_L_3200
 
 
@@ -98,10 +98,10 @@ def test_pt_series_validation():
 
 @pytest.fixture(scope="module")
 def power_series(power_fit):
-    basis, panel, sol = power_fit["basis"], power_fit["panel"], power_fit["sol"]
-    phi_t = basis.evaluate_many(panel.x0) @ sol.right_coeffs
-    phi_t1 = basis.evaluate_many(panel.x1) @ sol.right_coeffs
-    return s.pt_series(sol.rho, phi_t, phi_t1, power_fit["m"]), phi_t, phi_t1
+    basis, panel, eig = power_fit["basis"], power_fit["panel"], power_fit["eig"]
+    phi_t = basis.evaluate_many(panel.x0) @ eig.right
+    phi_t1 = basis.evaluate_many(panel.x1) @ eig.right
+    return s.pt_series(eig.rho, phi_t, phi_t1, power_fit["m"]), phi_t, phi_t1
 
 
 def test_product_identity_exact(power_series):
@@ -111,7 +111,7 @@ def test_product_identity_exact(power_series):
 
 def test_exact_scalar_identities(power_fit, power_series):
     series, _, _ = power_series
-    rho = power_fit["sol"].rho
+    rho = power_fit["eig"].rho
     lr = s.long_run_stack(rho, series.m)
     assert lr["y"] == pytest.approx(-math.log(rho), rel=EPS, abs=0)
     assert lr["horizon_dependence"] == lr["L"] - lr["sdf_entropy"]
@@ -121,8 +121,8 @@ def test_exact_scalar_identities(power_fit, power_series):
 
 def test_martingale_moment_in_estimated_metric(power_fit, power_series):
     series, phi_t, _ = power_series
-    basis, panel, sol = power_fit["basis"], power_fit["panel"], power_fit["sol"]
-    phi_star_t = basis.evaluate_many(panel.x0) @ sol.left_coeffs
+    basis, panel, eig = power_fit["basis"], power_fit["panel"], power_fit["eig"]
+    phi_star_t = basis.evaluate_many(panel.x0) @ eig.left
     moment = np.mean(phi_star_t * (series.m_perm * phi_t - phi_t))
     assert abs(moment) < 1e-10
 
@@ -130,18 +130,18 @@ def test_martingale_moment_in_estimated_metric(power_fit, power_series):
 def test_mean_log_transitory_telescopes(power_series, power_fit):
     series, phi_t, phi_t1 = power_series
     n = series.m.size
-    expected = math.log(power_fit["sol"].rho) + (
+    expected = math.log(power_fit["eig"].rho) + (
         math.log(phi_t[0]) - math.log(phi_t1[-1])
     ) / n
     assert np.mean(np.log(series.m_trans)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_change_of_measure(power_fit, quad_power, testbed):
-    basis, panel, sol = power_fit["basis"], power_fit["panel"], power_fit["sol"]
+    basis, panel, eig = power_fit["basis"], power_fit["panel"], power_fit["eig"]
     ones = s.change_of_measure(np.ones(4), np.ones(4))
     np.testing.assert_array_equal(ones, np.ones(4))
     b0 = basis.evaluate_many(panel.x0)
-    com = s.change_of_measure(b0 @ sol.right_coeffs, b0 @ sol.left_coeffs)
+    com = s.change_of_measure(b0 @ eig.right, b0 @ eig.left)
     assert com.mean() == pytest.approx(1.0, abs=1e-10)
     # sample-point correlation with the quadrature density ratio
     phi_o = np.interp(panel.x0[:, 0], quad_power.nodes, quad_power.phi)
@@ -194,7 +194,7 @@ def test_bivariate_recursive_pipeline_horizon_dependence():
     basis = s.BasisSpec(family="sparse", degree=4, cap=5).build(states)
     assert basis.dimension_k == 15
     res = decompose_panel(s.Design(basis, panel), s.RecursiveUtility(beta=0.98, gamma=25.0))
-    lr = s.long_run_stack(res.fit.sol.rho, res.fit.m)
+    lr = s.long_run_stack(res.fit.eig.rho, res.fit.m)
     assert lr["horizon_dependence"] == lr["L"] - lr["sdf_entropy"]
     assert 0 < lr["horizon_dependence"] < 0.01
     assert lr["L"] > lr["sdf_entropy"] > 0
@@ -202,7 +202,7 @@ def test_bivariate_recursive_pipeline_horizon_dependence():
 
 def test_csv_and_json_emission(tmp_path, power_fit, power_series):
     series, _, _ = power_series
-    rho = power_fit["sol"].rho
+    rho = power_fit["eig"].rho
     csv_path = tmp_path / "series.csv"
     json_path = tmp_path / "scalars.json"
     series_to_csv(series, csv_path)

@@ -27,7 +27,7 @@ def test_recursive_decompose_evaluates_the_basis_once_per_point_set(testbed, eva
     panel = s.simulate_ar1(testbed, 400, np.random.default_rng(4))
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
     res = s.decompose_panel(s.Design(basis, panel), s.RecursiveUtility(beta=0.994, gamma=15.0))
-    assert res.fit.fixed_point.converged and not res.fit.sol.is_fallback
+    assert res.fit.fixed_point.converged and not res.fit.reason
     assert evaluations == [panel.n, panel.n]
 
 

@@ -12,37 +12,36 @@ from sdfspectral.inference import (
 )
 
 
-def _const_basis_influence(m):
-    """Influence series of the fit of an observed SDF column m on the constant basis.
+def _const_basis_fit(m):
+    """The fit of an observed SDF column m on the constant basis.
 
     With the constant basis rho-hat is the sample mean of m and phi = phi* = 1.
     """
     states = np.linspace(0.0, 1.0, m.size + 1)
     panel = s.StatePanel.from_states(states, sdf_increments=m)
     basis = s.hermite_basis_from_moments([0.0], [1.0], 0)
-    return s.fit_panel(s.Design(basis, panel)).influence
+    return s.fit_panel(s.Design(basis, panel))
 
 
 def test_influence_zero_for_constant_sdf():
     m = np.full(40, 0.93)
-    infl = _const_basis_influence(m)
-    np.testing.assert_allclose(infl.psi_rho, 0.0, atol=1e-14)
-    assert infl.v_rho == 0.0
+    on = _const_basis_fit(m).sample
+    np.testing.assert_allclose(on.psi_rho, 0.0, atol=1e-14)
+    assert on.v_rho == 0.0
 
 
 def test_influence_mean_zero_and_delta_method(power_fit):
-    sol, panel, m, design = (
-        power_fit["sol"], power_fit["panel"], power_fit["m"], power_fit["design"],
+    eig, panel, m, design = (
+        power_fit["eig"], power_fit["panel"], power_fit["m"], power_fit["design"],
     )
-    infl = power_fit["fit"].influence
+    on = power_fit["fit"].sample
     # psi_t = phi*(X_t) (m_t phi(X_{t+1}) - rho phi(X_t)), from the solution's coefficients
-    phi_t, phi_t1 = design.b0 @ sol.right_coeffs, design.b1 @ sol.right_coeffs
-    phi_star_t = design.b0 @ sol.left_coeffs
-    np.testing.assert_allclose(infl.psi_rho, phi_star_t * (m * phi_t1 - sol.rho * phi_t),
+    phi_t, phi_t1 = design.b0 @ eig.right, design.b1 @ eig.right
+    phi_star_t = design.b0 @ eig.left
+    np.testing.assert_allclose(on.psi_rho, phi_star_t * (m * phi_t1 - eig.rho * phi_t),
                                rtol=0, atol=1e-13)
-    assert abs(infl.psi_rho.mean()) < 1e-10
-    assert infl.v_y * sol.rho**2 == pytest.approx(infl.v_rho, rel=1e-14)
-    assert infl.se_rho() == pytest.approx(math.sqrt(infl.v_rho / panel.n), rel=1e-14)
+    assert abs(on.psi_rho.mean()) < 1e-10
+    assert on.se_rho == pytest.approx(math.sqrt(on.v_rho / panel.n), rel=1e-14)
 
 
 def test_plugin_se_estimates_asymptotic_variance(testbed, power_prefs):
@@ -70,22 +69,22 @@ def test_plugin_se_estimates_asymptotic_variance(testbed, power_prefs):
         panel = s.simulate_ar1(testbed, n, rng)
         basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
         fit = s.fit_panel(s.Design(basis, panel), power_prefs)
-        if fit.sol.is_fallback:
+        if fit.reason:
             continue
-        ses.append(fit.influence.se_rho())
+        ses.append(fit.sample.se_rho)
     median_se = float(np.median(ses))
     assert abs(median_se - math.sqrt(v_true / n)) / math.sqrt(v_true / n) < 0.15
 
 
 def test_variance_entropy_trivial_and_bandwidth_zero(power_fit):
     m = np.full(60, 0.9)
-    infl = _const_basis_influence(m)
-    assert s.variance_entropy(infl, m, 4) == pytest.approx(0.0, abs=1e-30)
+    fit = _const_basis_fit(m)
+    assert s.variance_entropy(fit.sample.psi_rho, fit.eig.rho, m, 4) == pytest.approx(0.0, abs=1e-30)
     # bandwidth 0 degenerates to the sample variance of psi_L
-    sol_p = power_fit["sol"]
-    infl_p = power_fit["fit"].influence
-    v0 = s.variance_entropy(infl_p, power_fit["m"], 0)
-    psi_l = infl_p.psi_rho / sol_p.rho - (
+    rho_p = power_fit["eig"].rho
+    psi_p = power_fit["fit"].sample.psi_rho
+    v0 = s.variance_entropy(psi_p, rho_p, power_fit["m"], 0)
+    psi_l = psi_p / rho_p - (
         np.log(power_fit["m"]) - np.mean(np.log(power_fit["m"]))
     )
     assert v0 == pytest.approx(float(np.mean((psi_l - psi_l.mean()) ** 2)), rel=1e-12)
@@ -97,18 +96,18 @@ def test_variance_entropy_iid_lognormal_analytic():
     rng = np.random.default_rng(17)
     sigma = 0.4
     m = np.exp(rng.normal(-0.2, sigma, 40_000))
-    infl = _const_basis_influence(m)
-    v = s.variance_entropy(infl, m, s.default_bandwidth(m.size))
+    fit = _const_basis_fit(m)
+    v = s.variance_entropy(fit.sample.psi_rho, fit.eig.rho, m, s.default_bandwidth(m.size))
     analytic = math.exp(sigma**2) - 1.0 - sigma**2
     assert abs(v - analytic) / analytic < 0.20
 
 
 def test_variance_entropy_bandwidth_validation(power_fit):
-    infl = power_fit["fit"].influence
+    psi, rho = power_fit["fit"].sample.psi_rho, power_fit["eig"].rho
     with pytest.raises(ValueError):
-        s.variance_entropy(infl, power_fit["m"], -1)
+        s.variance_entropy(psi, rho, power_fit["m"], -1)
     with pytest.raises(ValueError):
-        s.variance_entropy(infl, power_fit["m"], power_fit["panel"].n)
+        s.variance_entropy(psi, rho, power_fit["m"], power_fit["panel"].n)
 
 
 def test_newey_west_matches_direct_formula():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import sdfspectral as s
+from sdfspectral import pipeline
 from sdfspectral.oracle import population_sieve_matrices
-from sdfspectral.pfeig import _normalize_stack, _solution, _solve_stack
+from sdfspectral.pfeig import _normalize_stack, _solve_stack
 
 #: Monte Carlo dispersion of the eigenvalue estimator at n = 3200 on the
 #: power-utility testbed (used as a +-3 sigma acceptance radius)
@@ -13,6 +14,14 @@ RMSE_RHO_3200 = 0.0159
 def _solve(M, G):
     """The eigensolve of one pencil: a stack of one."""
     return _solve_stack(np.asarray(M, dtype=float)[None], np.asarray(G, dtype=float)[None])
+
+
+def _fallback_fit(monkeypatch, basis, reason="no_positive_real"):
+    """fit_panel on an observed-SDF panel of ``basis`` whose eigensolve is rejected by ``reason``."""
+    monkeypatch.setattr(pipeline, "_solve_stack", lambda M, G: _solve_stack(M, G)._replace(
+        reason=np.full(len(M), reason, dtype=object)))
+    panel = s.StatePanel.from_states(np.linspace(-1.0, 1.0, 41), sdf_increments=np.full(40, 0.9))
+    return s.fit_panel(s.Design(basis, panel))
 
 
 def test_diagonal_pair():
@@ -27,20 +36,20 @@ def test_unit_sdf_gives_unit_eigenvalue(testbed):
     panel = s.simulate_ar1(testbed, 600, np.random.default_rng(1))
     panel = s.StatePanel.from_states(panel.states, sdf_increments=np.ones(panel.n))
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
-    sol = s.fit_panel(s.Design(basis, panel)).sol
-    assert sol.rho == pytest.approx(1.0, abs=1e-10)
-    vals = basis.evaluate_many(panel.x0) @ sol.right_coeffs
+    eig = s.fit_panel(s.Design(basis, panel)).eig
+    assert eig.rho == pytest.approx(1.0, abs=1e-10)
+    vals = basis.evaluate_many(panel.x0) @ eig.right
     np.testing.assert_allclose(vals, np.ones(panel.n), atol=1e-8)
 
 
 def test_rho_matches_closed_form(power_fit, testbed, power_prefs):
     truth = s.affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
-    assert abs(power_fit["sol"].rho - truth.rho) < 3 * RMSE_RHO_3200
+    assert abs(power_fit["eig"].rho - truth.rho) < 3 * RMSE_RHO_3200
 
 
 def test_normalize_scales_and_signs(power_fit):
-    sol, G = power_fit["sol"], power_fit["G"]
-    c, cs = sol.right_coeffs, sol.left_coeffs
+    eig, G = power_fit["eig"], power_fit["G"]
+    c, cs = eig.right, eig.left
     assert c @ G @ c == pytest.approx(1.0, abs=1e-10)
     assert cs @ G @ c == pytest.approx(1.0, abs=1e-10)
     c1 = power_fit["basis"].const_coeffs
@@ -51,23 +60,24 @@ def test_normalize_scales_and_signs(power_fit):
 
 
 def test_normalize_idempotent_and_scale_invariant(power_fit):
-    sol, G, const = power_fit["sol"], power_fit["G"][None], power_fit["basis"].const_coeffs
-    c, cs = sol.right_coeffs[None], sol.left_coeffs[None]
+    eig, G, const = power_fit["eig"], power_fit["G"][None], power_fit["basis"].const_coeffs
+    c, cs = eig.right[None], eig.left[None]
     again, again_star, _, _ = _normalize_stack(c, cs, G, const)
-    np.testing.assert_allclose(again[0], sol.right_coeffs, rtol=1e-14)
-    np.testing.assert_allclose(again_star[0], sol.left_coeffs, rtol=1e-14)
+    np.testing.assert_allclose(again[0], eig.right, rtol=1e-14)
+    np.testing.assert_allclose(again_star[0], eig.left, rtol=1e-14)
     renorm, renorm_star, _, _ = _normalize_stack(-3.7 * c, 0.2 * cs, G, const)
-    np.testing.assert_allclose(renorm[0], sol.right_coeffs, rtol=1e-12)
-    np.testing.assert_allclose(renorm_star[0], sol.left_coeffs, rtol=1e-12)
+    np.testing.assert_allclose(renorm[0], eig.right, rtol=1e-12)
+    np.testing.assert_allclose(renorm_star[0], eig.left, rtol=1e-12)
 
 
-def test_normalize_rejects_fallback_and_defective():
+def test_normalize_rejects_fallback_and_defective(monkeypatch):
     # a rejected pencil is the constant fallback, whatever its coefficients
-    const = np.array([1.0, 0.0])
-    fallback = _solution(_solve(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2)), 0, const)
-    assert fallback.is_fallback and fallback.rho == 1.0
-    np.testing.assert_array_equal(fallback.right_coeffs, const)
-    np.testing.assert_array_equal(fallback.left_coeffs, const)
+    basis = s.hermite_basis_from_moments([0.0], [1.0], 1)
+    const = basis.const_coeffs
+    fallback = _fallback_fit(monkeypatch, basis)
+    assert fallback.reason == "no_positive_real" and fallback.eig.rho == 1.0
+    np.testing.assert_array_equal(fallback.eig.right, const)
+    np.testing.assert_array_equal(fallback.eig.left, const)
     # a right row of zero G-norm, and a left row G-orthogonal to its right row
     good = _solve(np.diag([2.0, 1.0]), np.eye(2))
     right = np.stack([np.zeros(2), good.right[0], good.right[0]])
@@ -78,8 +88,8 @@ def test_normalize_rejects_fallback_and_defective():
 
 
 def test_eigen_residual_identity(power_fit):
-    sol, G, M = power_fit["sol"], power_fit["G"], power_fit["M"]
-    resid = sol.left_coeffs @ (M - sol.rho * G) @ sol.right_coeffs
+    eig, G, M = power_fit["eig"], power_fit["G"], power_fit["M"]
+    resid = eig.left @ (M - eig.rho * G) @ eig.right
     assert abs(resid) < 1e-10
 
 
@@ -117,13 +127,15 @@ def test_monotone_consistency_in_k(testbed, power_prefs, quad_power):
         assert lo <= hi + 1e-9  # weakly decreasing, modulo quadrature error
 
 
-def test_fallback_complex_and_tied():
+def test_fallback_complex_and_tied(monkeypatch):
     rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
-    sol = _solution(_solve(rotation, np.eye(2)), 0, np.array([1.0, 1.0]))
-    assert sol.is_fallback and sol.rho == 1.0
-    np.testing.assert_array_equal(sol.right_coeffs, [1.0, 1.0])
-    tied = _solution(_solve(np.eye(3), np.eye(3)), 0, np.ones(3))
-    assert tied.is_fallback
+    assert _solve(rotation, np.eye(2)).reason[0] == "no_positive_real"
+    assert _solve(np.eye(3), np.eye(3)).reason[0] == "tie"
+    basis = s.build_bspline_basis(np.linspace(-1.0, 1.0, 41), 5)
+    for reason in ("no_positive_real", "tie"):
+        fit = _fallback_fit(monkeypatch, basis, reason)
+        assert fit.reason == reason and fit.eig.rho == 1.0
+        np.testing.assert_array_equal(fit.eig.right, np.ones(5))
 
 
 def test_ridge_handles_semidefinite_gram():
@@ -135,10 +147,10 @@ def test_ridge_handles_semidefinite_gram():
 
 
 def test_eigenfunction_values_paths(power_fit, testbed, power_prefs, quad_power):
-    basis, sol = power_fit["basis"], power_fit["sol"]
+    basis, eig = power_fit["basis"], power_fit["eig"]
     pts = power_fit["panel"].x0
     b = basis.evaluate_many(pts)
-    phi, phi_star = b @ sol.right_coeffs, b @ sol.left_coeffs
+    phi, phi_star = b @ eig.right, b @ eig.left
     # shape comparison with the affine oracle: log phi-hat is an affine
     # function of the state with slope -gamma*kappa/(1-kappa)
     truth = s.affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
@@ -150,10 +162,14 @@ def test_eigenfunction_values_paths(power_fit, testbed, power_prefs, quad_power)
     assert np.corrcoef(phi_star, phi_star_o)[0, 1] > 0.95
 
 
-def test_fallback_eigenfunction_values():
+def test_fallback_eigenfunction_values(monkeypatch):
     basis = s.hermite_basis_from_moments([0.0], [1.0], 1)
-    sol = _solution(_solve(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2)), 0, basis.const_coeffs)
+    fit = _fallback_fit(monkeypatch, basis)
     b = basis.evaluate_many(np.array([[0.3], [0.9]]))
-    phi, phi_star = b @ sol.right_coeffs, b @ sol.left_coeffs
+    phi, phi_star = b @ fit.eig.right, b @ fit.eig.left
     np.testing.assert_allclose(phi, [1.0, 1.0])
     np.testing.assert_allclose(phi_star, [1.0, 1.0])
+    # ones on the sample, and no influence series or standard error
+    for values in (fit.sample.phi_t, fit.sample.phi_t1, fit.sample.phi_star_t):
+        np.testing.assert_array_equal(values, np.ones(40))
+    assert np.isnan(fit.sample.psi_rho).all() and np.isnan(fit.sample.se_rho)

@@ -29,24 +29,24 @@ def _reference_replicate(panel, basis, prefs, idx):
         fit = s.fit_panel(design, prefs)
     except FitFailedError:
         return None
-    if fit.sol.is_fallback:
+    if fit.reason:
         return None
-    m, sol = fit.m, fit.sol
+    m, rho = fit.m, fit.eig.rho
     G = s.estimate_gram(design)
     M = s.estimate_pricing(design, m)
     # relative condition number of rho: reordering the moment sums moves
     # rho by a few eps times this
-    x, y = sol.right_coeffs, sol.left_coeffs
+    x, y = fit.eig.right, fit.eig.left
     kappa = (
         np.linalg.norm(x) * np.linalg.norm(y)
-        * (np.linalg.norm(M, 2) + sol.rho * np.linalg.norm(G, 2))
-        / (abs(y @ G @ x) * sol.rho)
+        * (np.linalg.norm(M, 2) + rho * np.linalg.norm(G, 2))
+        / (abs(y @ G @ x) * rho)
     )
-    entropy_l = np.log(sol.rho) - np.mean(np.log(m))
+    entropy_l = np.log(rho) - np.mean(np.log(m))
     sdf_ent = np.log(np.mean(m)) - np.mean(np.log(m))
     rec = {
-        "rho": sol.rho,
-        "y": -np.log(sol.rho),
+        "rho": rho,
+        "y": -np.log(rho),
         "L": entropy_l,
         "sdf_entropy": sdf_ent,
         "horizon_dependence": entropy_l - sdf_ent,
@@ -173,7 +173,7 @@ def _fail_at(monkeypatch, reason, bad):
         def mark(st):
             why = st.reason.astype(object)
             why[bad] = reason
-            return replace(st, reason=why) if reason in VALUE_FAILURES else st._replace(reason=why)
+            return st._replace(reason=why)
     elif reason == "defective_pair":
         attr = "_normalize_stack"
 
@@ -221,14 +221,14 @@ def test_each_fit_failure(reason, testbed, recursive_prefs, monkeypatch, tmp_pat
         np.testing.assert_array_equal(fit.eig.rho[others], ref.eig.rho[others])
         np.testing.assert_array_equal(fit.m[others], ref.m[others])
 
-    # the single fit: the fallback Fit, or FitFailedError with the converged recursion
+    # the single fit: the constant fallback, or FitFailedError with the converged recursion
     monkeypatch.undo()
     _fail_at(monkeypatch, reason, 0)
     if reason in FALLBACK_REASONS:
         fit = pipeline.fit_panel(designs[0], recursive_prefs)
-        assert fit.sol.is_fallback and fit.sol.fallback_reason == reason and fit.sol.rho == 1.0
-        assert fit.fixed_point.converged and fit.influence is None
-        np.testing.assert_array_equal(fit.phi_t, np.ones(n))
+        assert fit.reason == reason and fit.eig.rho == 1.0
+        assert fit.fixed_point.converged and np.isnan(fit.sample.se_rho)
+        np.testing.assert_array_equal(fit.sample.phi_t, np.ones(n))
     else:
         with pytest.raises(FitFailedError, match=reason) as exc:
             pipeline.fit_panel(designs[0], recursive_prefs)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,12 +229,12 @@ def _reference_record(design, n, rep, nodes):
         return True, scalars, funcs
     if fit.fixed_point is not None:
         scalars[3], funcs[2] = fit.fixed_point.lam, b_nodes @ fit.fixed_point.chi_coeffs
-    if fit.sol.is_fallback:
+    if fit.reason:
         return True, scalars, funcs
-    rho = fit.sol.rho
+    rho = fit.eig.rho
     scalars[[0, 1, 2, 4]] = (rho, -math.log(rho), math.log(rho) - np.mean(np.log(fit.m)),
-                             fit.influence.se_rho())
-    funcs[0], funcs[1] = b_nodes @ fit.sol.right_coeffs, b_nodes @ fit.sol.left_coeffs
+                             fit.sample.se_rho)
+    funcs[0], funcs[1] = b_nodes @ fit.eig.right, b_nodes @ fit.eig.left
     return False, scalars, funcs
 
 
@@ -321,7 +320,7 @@ def test_one_failing_replicate_is_censored_alone(stage, testbed, recursive_prefs
             st = original(*args, **kwargs)
             reason = st.reason.copy()
             reason[bad] = reject
-            return st._replace(reason=reason) if stage == "eigen" else replace(st, reason=reason)
+            return st._replace(reason=reason)
 
         monkeypatch.setattr(owner, attr, failing_at_bad)
     failed, scalars, funcs = simkit._run_block((design, 300, 0, 6, nodes))

@@ -66,9 +66,6 @@ def test_solution_invariants(recursive_fit):
     G = s.estimate_gram(design)
     assert fp.converged
     assert fp.chi_coeffs @ G @ fp.chi_coeffs == pytest.approx(1.0, abs=1e-8)
-    np.testing.assert_allclose(
-        fp.h_coeffs, fp.lam ** (1.0 / (1.0 - fp.beta)) * fp.chi_coeffs, rtol=1e-14
-    )
     # the sample eigen relation holds at the solver tolerance
     t_chi = s.value_map(design, fp.beta, fp.gamma)(fp.chi_coeffs)
     resid = np.linalg.solve(G, t_chi) - fp.lam * fp.chi_coeffs
@@ -78,8 +75,10 @@ def test_solution_invariants(recursive_fit):
 def test_residual_certificate(recursive_fit):
     fp, design = recursive_fit["fp"], recursive_fit["design"]
     G = s.estimate_gram(design)
-    t_h = s.value_map(design, fp.beta, fp.gamma)(fp.h_coeffs)
-    r = np.linalg.solve(G, t_h) - fp.h_coeffs
+    # the unnormalized fixed point h = lam^(1/(1-beta)) chi solves G h = T(h)
+    h = fp.lam ** (1.0 / (1.0 - fp.beta)) * fp.chi_coeffs
+    t_h = s.value_map(design, fp.beta, fp.gamma)(h)
+    r = np.linalg.solve(G, t_h) - h
     assert math.sqrt(r @ G @ r) < 1e-10
 
 
@@ -115,10 +114,8 @@ def test_oracle_equivalence_on_population_map(testbed, recursive_prefs, quad_rec
 
 
 def test_sdf_series_positivity_guard(recursive_fit, recursive_prefs):
-    from dataclasses import replace
-
     fp, design = recursive_fit["fp"], recursive_fit["design"]
-    bad = replace(fp, chi_coeffs=-fp.chi_coeffs + 0.5 * np.eye(8)[1])
+    bad = fp._replace(chi_coeffs=-fp.chi_coeffs + 0.5 * np.eye(8)[1])
     assert (bad.beta, bad.gamma) == (recursive_prefs.beta, recursive_prefs.gamma)
     assert _sdf(design, fp)[1] and not _sdf(design, bad)[1]
 
@@ -146,7 +143,7 @@ def test_downstream_eigen_residual_with_plugin_sdf(recursive_fit, recursive_pref
     fp, design = recursive_fit["fp"], recursive_fit["design"]
     fit = s.fit_panel(design, recursive_prefs)
     np.testing.assert_array_equal(fit.m, _sdf(design, fp)[0])
-    assert abs(fit.influence.psi_rho.mean()) < 1e-10
+    assert abs(fit.sample.psi_rho.mean()) < 1e-10
 
 
 def test_stacked_columns_equal_their_single_solves(testbed):

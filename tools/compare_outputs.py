@@ -100,6 +100,8 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     cases.update({f"calibrate{j}": argv for j, argv in enumerate(prepared("calibrate"))})
     # later occurrences of a flag override earlier ones
     cases["value_recursive"] = ["value", *decompose[1:]]
+    # one state (Hermite k = 8), so value_function.svg is written and compared
+    cases["value_univariate"] = ["value", *bootstrap[1:], "--preferences", "recursive"]
     cases["bootstrap_recursive"] = [*bootstrap, "--preferences", "recursive", "--k", "6",
                                     "--boot-b", "200"]
     cases["decompose_bspline"] = ["decompose", *bootstrap[1:], "--basis", "bspline", "--k", "7"]
