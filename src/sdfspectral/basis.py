@@ -19,7 +19,6 @@ from itertools import product
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 
 class BasisFamily(Enum):
@@ -140,6 +139,8 @@ class SieveBasis:
             raise ValueError("basis evaluation requires finite inputs")
 
         if self.family is BasisFamily.BSPLINE:
+            from scipy.interpolate import BSpline  # lazy: importing sdfspectral loads no scipy
+
             t = self.knots
             x = np.clip(pts[:, 0], t[0], t[-1])
             return BSpline.design_matrix(x, t, 3).toarray()

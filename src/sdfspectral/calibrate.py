@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .sievemat import Design
 from .valuefn import (
@@ -163,6 +162,8 @@ def estimate_preferences(
         best = int(np.argmin(np.where(np.isnan(values), math.inf, values)))
         if not math.isfinite(values[best]):
             raise RuntimeError("all grid points infeasible; inner solver failed everywhere")
+        from scipy.optimize import minimize  # lazy: importing sdfspectral loads no scipy
+
         res = minimize(
             objective,
             x0=np.array([betas[best], gammas[best]]),

@@ -10,11 +10,11 @@ written once in :func:`long_run_stack` for one fit or a stack of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .csvout import write_csv, write_json
 
@@ -100,25 +100,86 @@ def change_of_measure(phi_vals: np.ndarray, phi_star_vals: np.ndarray) -> np.nda
     return np.asarray(phi_vals, dtype=float) * np.asarray(phi_star_vals, dtype=float)
 
 
+def _tied_pairs(counts: np.ndarray) -> int:
+    """Number of pairs within groups of the given sizes, as a Python int."""
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _inversions(a: np.ndarray) -> int:
+    """Number of pairs i < j with a[i] > a[j], for non-negative integers a.
+
+    Bottom-up merge sort (Knight, JASA 1966): at width w the array is
+    sorted within runs of w. Offsetting each value by its run index times
+    a bound above max(a) makes the whole array one sorted key vector, so a
+    single searchsorted counts, for every value of every odd run, the
+    values of the run to its left that exceed it.
+    """
+    n = a.size
+    bound = int(a.max()) + 1
+    pos = np.arange(n)
+    runs, count, width = a, 0, 1
+    while width < n:
+        run = pos // width
+        keys = runs + run * bound
+        right = run % 2 == 1
+        # keys[right] - bound keys each right-run value as if it sat in the left run
+        above = run[right] * width - np.searchsorted(keys, keys[right] - bound, side="right")
+        count += int(above.sum())
+        width *= 2
+        offset = pos // width * bound
+        runs = np.sort(runs + offset) - offset
+    return count
+
+
+def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
+    """Kendall's tau-b by the steps of scipy.stats.kendalltau, with its bits; NaN if x or y is constant."""
+    n = x.size
+    tot = n * (n - 1) // 2
+    _, xr, x_counts = np.unique(x, return_inverse=True, return_counts=True)
+    _, yr, y_counts = np.unique(y, return_inverse=True, return_counts=True)
+    xtie, ytie = _tied_pairs(x_counts), _tied_pairs(y_counts)
+    if xtie == tot or ytie == tot:
+        return math.nan
+    order = np.lexsort((yr, xr))
+    xr, yr = xr[order], yr[order]
+    # discordant pairs are the inversions of the y ranks in (x, y) order
+    dis = _inversions(yr)
+    new_pair = np.r_[True, (xr[1:] != xr[:-1]) | (yr[1:] != yr[:-1]), True]
+    ntie = _tied_pairs(np.diff(np.flatnonzero(new_pair)))
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(min(1.0, max(-1.0, tau)))
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of the values of a, tied values sharing the mean of their ranks."""
+    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+
+
+def _spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho as scipy.stats.spearmanr computes it: the Pearson correlation of average ranks."""
+    # entry [1, 0], as scipy reads it: corrcoef divides the two entries in different orders
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])
+
+
 def pt_association(series: DecompSeries) -> dict:
     """Association statistics between the log permanent and log transitory increments.
 
     Returns sample covariance and Pearson correlation of the logs plus the
-    rank-based Kendall tau and Spearman rho. Correlations are None when
-    either series is constant.
+    rank-based Kendall tau-b and Spearman rho. Correlations are None when
+    either series is exactly constant.
     """
     lp = np.log(series.m_perm)
     lt = np.log(series.m_trans)
     if lp.size < 3:
         raise ValueError("need at least 3 periods for association statistics")
     cov = float(np.cov(lp, lt, ddof=1)[0, 1])
-    degenerate = np.std(lp) == 0 or np.std(lt) == 0
-    if degenerate:
+    if lp.min() == lp.max() or lt.min() == lt.max():
         return {"cov_log": cov, "corr_log": None, "kendall_tau": None, "spearman_rho": None}
     corr = float(np.corrcoef(lp, lt)[0, 1])
-    tau = float(stats.kendalltau(lp, lt).statistic)
-    rho_s = float(stats.spearmanr(lp, lt).statistic)
-    return {"cov_log": cov, "corr_log": corr, "kendall_tau": tau, "spearman_rho": rho_s}
+    return {"cov_log": cov, "corr_log": corr, "kendall_tau": _kendall_tau_b(lp, lt),
+            "spearman_rho": _spearman_rho(lp, lt)}
 
 
 def series_to_csv(series: DecompSeries, path) -> None:

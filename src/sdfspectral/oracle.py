@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial.hermite import hermgauss
 
 from .preferences import PowerUtility, RecursiveUtility
@@ -163,7 +162,10 @@ def _positive_eigvec(kernel: np.ndarray, rho: float, weights: np.ndarray) -> np.
 
 def _largest_real_pair(kernel: np.ndarray, weights: np.ndarray):
     """Largest real eigenvalue with positive right/adjoint eigenvectors."""
-    vals = scipy.linalg.eigvals(kernel)
+    # scipy's LAPACK build, not numpy's, whose eigenvalues can differ in the last bits
+    from scipy.linalg import eigvals  # lazy: importing sdfspectral loads no scipy
+
+    vals = eigvals(kernel)
     real = np.flatnonzero(np.abs(vals.imag) <= 1e-10 * (1.0 + np.abs(vals.real)))
     rho = float(np.max(vals.real[real]))
 

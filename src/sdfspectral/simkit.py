@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .basis import BasisSpec
 from .csvout import write_csv, write_json
@@ -69,6 +68,8 @@ def simulate_ar1(
 
 def _ar1_paths(design: Ar1Design, n: int, rngs) -> np.ndarray:
     """(R, n + 1) AR(1) state paths, row r drawn by generator rngs[r] as :func:`simulate_ar1` draws."""
+    from scipy.signal import lfilter  # lazy: importing sdfspectral loads no scipy
+
     draws = np.empty((len(rngs), n + 1))
     for row, rng in zip(draws, rngs):
         row[0] = rng.standard_normal()

@@ -431,6 +431,31 @@ def test_console_script_entry_point(tmp_path, sim_panel):
     assert (tmp_path / "out" / "scalars.json").exists()
 
 
+def test_import_loads_no_scipy():
+    code = ("import sys, sdfspectral, sdfspectral.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_decompose_loads_no_scipy_submodule(tmp_path, sim_panel):
+    """Only the top-level scipy package, whose version provenance.json records."""
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
+                                growth=sim_panel.growth)
+    argv = ["decompose", "--input", str(csv_path), "--state-cols", "x1", "--growth-col", "G",
+            "--basis", "hermite", "--k", "8", "--preferences", "power", "--beta", "0.994",
+            "--gamma", "15", "--out", str(tmp_path / "out")]
+    code = ("import json, sys; from sdfspectral.cli import main; "
+            f"status = main({argv!r}); print(json.dumps([status, sorted(sys.modules)]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    status, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0
+    unused = {"scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.signal"}
+    assert not unused & set(modules)
+
+
 def test_calibrate_reports_infeasible_counts(tmp_path, testbed, monkeypatch):
     panel = s.simulate_ar1(testbed, 300, np.random.default_rng(41))
     design = s.Design(s.BasisSpec(family="hermite", k=6).build(panel.states), panel)

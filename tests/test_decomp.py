@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import sdfspectral as s
-from sdfspectral.decomp import DecompSeries, scalars_to_json, series_to_csv
+from sdfspectral.decomp import (
+    DecompSeries,
+    _kendall_tau_b,
+    _spearman_rho,
+    scalars_to_json,
+    series_to_csv,
+)
 from sdfspectral.pipeline import decompose_panel
 
 RMSE_L_3200 = 0.0124
@@ -166,7 +172,7 @@ def test_association_statistics(power_series, quad_power, testbed, power_prefs):
     assert -1.0 <= stats["kendall_tau"] <= 1.0
 
 
-def test_association_degenerate_and_antithetic():
+def test_association_degenerate_and_antithetic(tmp_path):
     u = np.random.default_rng(5).normal(size=30)
     anti = DecompSeries(m=np.ones(30), m_perm=np.exp(u), m_trans=np.exp(-u))
     stats = s.pt_association(anti)
@@ -175,6 +181,45 @@ def test_association_degenerate_and_antithetic():
     flat = DecompSeries(m=np.full(30, 0.9), m_perm=np.full(30, 1.0), m_trans=np.full(30, 0.9))
     dstats = s.pt_association(flat)
     assert dstats["cov_log"] == 0.0 and dstats["corr_log"] is None
+    # exactly constant, though np.std of these five equal logs is 1.4e-17
+    flat = DecompSeries(m=np.full(5, 0.9), m_perm=np.full(5, math.exp(0.1)),
+                        m_trans=np.full(5, 0.9 / math.exp(0.1)))
+    dstats = s.pt_association(flat)
+    assert dstats["corr_log"] is None
+    assert dstats["kendall_tau"] is None and dstats["spearman_rho"] is None
+    path = tmp_path / "scalars.json"
+    scalars_to_json(0.9, flat.m, path, association=dstats)
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert json.loads(path.read_text(), parse_constant=reject)["association"] == dstats
+
+
+def _rank_cases():
+    """Seeded (x, y) pairs: continuous, rounded to 1 decimal (ties), and of length 3."""
+    rng = np.random.default_rng(1966)
+    for kind in ("continuous", "rounded", "three"):
+        for _ in range(80):
+            n = 3 if kind == "three" else int(rng.integers(4, 2000))
+            x = rng.normal(size=n)
+            y = rng.uniform(-0.5, 0.5) * x + rng.normal(size=n)
+            yield (x, y) if kind != "rounded" else (x.round(1), y.round(1))
+
+
+def test_rank_correlations_equal_scipy():
+    from scipy import stats
+
+    cases = [(x, y) for x, y in _rank_cases() if x.min() < x.max() and y.min() < y.max()]
+    assert len(cases) >= 200
+    for x, y in cases:
+        assert _kendall_tau_b(x, y) == stats.kendalltau(x, y).statistic
+        assert _spearman_rho(x, y) == stats.spearmanr(x, y).statistic
+
+
+def test_kendall_tau_b_all_tied_is_nan():
+    assert math.isnan(_kendall_tau_b(np.full(6, 2.0), np.arange(6.0)))
+    assert math.isnan(_kendall_tau_b(np.arange(6.0), np.full(6, -1.0)))
 
 
 def test_bivariate_recursive_pipeline_horizon_dependence():

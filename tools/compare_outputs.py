@@ -6,8 +6,9 @@ Copies REV's src/ to a temporary directory with ``git archive``, writes
 the benchmark inputs at seed 1 with the prepare functions of
 bench/workloads.py, a copy of the bootstrap panel with an observed SDF
 column m = beta G^(-gamma), the decompose settings as a JSON config
-file, and a power-utility panel whose fitted eigenfunction changes sign
-on the sample, and runs each argument vector below once per tree,
+file, a power-utility panel whose fitted eigenfunction changes sign
+on the sample, and one whose state takes eight distinct values (so the
+log permanent and transitory series are heavily tied), and runs each argument vector below once per tree,
 each in a fresh ``python`` process writing to an empty output directory
 (the same path for both trees, as provenance.json records it). Exit
 statuses and every output file are compared by bytes; JSON files are
@@ -95,6 +96,13 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
         workloads._write_csv(str(path), {"g": states}, {"G": np.exp(states[1:])})
         return str(path)
 
+    def discrete_panel() -> str:
+        """A panel of the bootstrap workload's law, its state rounded to 0.01 (eight values)."""
+        states = np.round(workloads._ar1_states(workloads._rng(1, "bootstrap"), 800), 2)
+        path = work / "panel_discrete.csv"
+        workloads._write_csv(str(path), {"g": states}, {"G": np.exp(states[1:])})
+        return str(path)
+
     (decompose,), (bootstrap,), (mc,) = (prepared(w) for w in ("decompose", "bootstrap", "mc"))
     cases = {"decompose": decompose, "bootstrap": bootstrap, "mc": mc}
     cases.update({f"calibrate{j}": argv for j, argv in enumerate(prepared("calibrate"))})
@@ -114,6 +122,9 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     # a flagged fit: bootstrap writes its outputs and exits 2, decompose exits 1
     cases["bootstrap_sign_change"] = [*bootstrap, "--input", sign_change_panel()]
     cases["decompose_sign_change"] = ["decompose", *cases["bootstrap_sign_change"][1:]]
+    # tied ranks in the association statistics; k = 4 stays below the eight state values
+    cases["decompose_discrete"] = ["decompose", *bootstrap[1:], "--input", discrete_panel(),
+                                   "--k", "4"]
     return cases
 
 
