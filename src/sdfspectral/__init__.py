@@ -42,7 +42,7 @@ from .oracle import (
     quadrature_eig,
 )
 from .pipeline import DecompositionResult, bootstrap_statistic, decompose_panel, fit_panel
-from .preferences import PowerUtility, RecursiveUtility, power_utility_sdf_series
+from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import Design, StatePanel, estimate_gram, estimate_pricing
 from .simkit import McDesign, McTable, l2_distance, run_mc_study, simulate_ar1
 from .valuefn import (

@@ -86,8 +86,6 @@ class SieveBasis:
         Per-coordinate affine standardization (polynomial families).
     knots : ndarray or None
         Full clamped knot vector (univariate B-spline family).
-    degree_caps : (int or None, int or None)
-        Per-coordinate maximum degree and total-degree cap.
     index_tuples : tuple of multi-indices, or None
         Per-function component degrees (polynomial families), in graded
         lexicographic order so the constant function comes first.
@@ -98,7 +96,6 @@ class SieveBasis:
     state_dim: int
     standardization: Optional[tuple[tuple[float, float], ...]] = None
     knots: Optional[np.ndarray] = None
-    degree_caps: tuple[Optional[int], Optional[int]] = (None, None)
     index_tuples: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
@@ -172,7 +169,6 @@ def hermite_basis_from_moments(
         dimension_k=len(tuples),
         state_dim=d,
         standardization=tuple((float(m), float(s)) for m, s in zip(means, sds)),
-        degree_caps=(degree_per_dim, None),
         index_tuples=tuples,
     )
 
@@ -265,7 +261,6 @@ def build_sparse_tensor(bases: list[SieveBasis], total_degree_cap: int) -> Sieve
         dimension_k=len(tuples),
         state_dim=len(bases),
         standardization=tuple(b.standardization[0] for b in bases),
-        degree_caps=(max(b.degree_caps[0] for b in bases), total_degree_cap),
         index_tuples=tuple(tuples),
     )
 
@@ -351,13 +346,6 @@ class BasisSpec:
         values = _polynomial_values(z[..., None], basis.index_tuples)
         values[failed] = np.nan
         return values, basis.const_coeffs, failed
-
-    def to_dict(self) -> dict:
-        out = {"family": self.family}
-        for key in ("k", "degree", "cap"):
-            if getattr(self, key) is not None:
-                out[key] = getattr(self, key)
-        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "BasisSpec":

@@ -285,14 +285,12 @@ def read_panel_csv(cfg: RunConfig) -> StatePanel:
                     f"column {col!r} has a non-numeric value {cell!r} "
                     f"at data row {i + start + 2}"
                 )
+        if not np.all(np.isfinite(out)):
+            i = int(np.argmin(np.isfinite(out)))
+            raise CliError(f"column {col!r} is non-finite at data row {i + start + 2}")
         return out
 
     states = np.column_stack([parse(c) for c in cfg.state_cols])
-    if not np.all(np.isfinite(states)):
-        bad = np.argwhere(~np.isfinite(states))[0]
-        raise CliError(
-            f"state column {cfg.state_cols[bad[1]]!r} is non-finite at data row {bad[0] + 2}"
-        )
     growth = None
     if cfg.growth_col:
         growth = parse(cfg.growth_col, skip_first=True)

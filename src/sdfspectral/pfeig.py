@@ -24,47 +24,51 @@ TIE_TOL = 1e-10
 FALLBACK_REASONS = ("no_positive_real", "tie", "left_mismatch", "residual")
 
 
-def _cholesky_stack(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetrized (S, k, k) Gram stack and its Cholesky factors.
+class GramFactor(NamedTuple):
+    """The SPD factor of an (S, k, k) Gram stack, from :func:`_cholesky_stack`.
 
-    A G that is not positive definite gets one ridge of 1e-10 trace(G)/k
-    and is factored again; if it still fails, LinAlgError is raised. The
-    returned stack holds the ridged matrices.
+    ``G`` holds the symmetrized matrices, ridged where that was needed, with
+    G = L L'. ``ok`` marks the matrices that factored, ridge included; the
+    ``L`` and ``Li`` of the others are NaN.
+    """
+
+    G: np.ndarray  # (S, k, k)
+    L: np.ndarray  # (S, k, k) lower triangular
+    Li: np.ndarray  # (S, k, k) L^-1
+    ok: np.ndarray  # (S,) bool
+
+    def checked(self) -> "GramFactor":
+        """This factor, or LinAlgError where a matrix is not SPD even after the ridge."""
+        if not self.ok.all():
+            raise np.linalg.LinAlgError("Gram matrix not positive definite even after ridge")
+        return self
+
+
+def _cholesky_stack(G: np.ndarray) -> GramFactor:
+    """Symmetrize and Cholesky-factor each matrix of an (S, k, k) Gram stack.
+
+    This is the only code that factors a Gram matrix. A G that is not
+    positive definite gets one ridge of 1e-10 trace(G)/k and is factored
+    again; one that still fails is marked in ``ok``.
     """
     G = np.asarray(G, dtype=float)
     G = 0.5 * (G + np.swapaxes(G, -1, -2))
-    try:
-        return G, np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        pass
-    # some pencil failed: factor each on its own, ridging the ones that fail
-    L = np.empty_like(G)
-    for g, out in zip(G, L):
-        try:
-            out[:] = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            g += 1e-10 * np.trace(g) / len(g) * np.eye(len(g))
-            try:
-                out[:] = np.linalg.cholesky(g)
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    "Gram matrix not positive definite even after ridge"
-                ) from exc
-    return G, L
-
-
-def _spd_mask(G: np.ndarray) -> np.ndarray:
-    """Which matrices of an (S, k, k) Gram stack :func:`_cholesky_stack` factors, ridge included."""
     ok = np.ones(len(G), dtype=bool)
     try:
-        _cholesky_stack(G)
+        L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
+        # some matrix failed: factor each on its own, ridging the ones that fail
+        L = np.empty_like(G)
         for s, g in enumerate(G):
             try:
-                _cholesky_stack(g[None])
+                L[s] = np.linalg.cholesky(g)
             except np.linalg.LinAlgError:
-                ok[s] = False
-    return ok
+                g += 1e-10 * np.trace(g) / len(g) * np.eye(len(g))
+                try:
+                    L[s] = np.linalg.cholesky(g)
+                except np.linalg.LinAlgError:
+                    L[s], ok[s] = np.nan, False
+    return GramFactor(G, L, np.linalg.inv(L), ok)
 
 
 class _PencilStack(NamedTuple):
@@ -118,19 +122,19 @@ def _unwhiten_rows(Li: np.ndarray, X: np.ndarray, vals: np.ndarray) -> np.ndarra
     return out
 
 
-def _solve_stack(M: np.ndarray, G: np.ndarray) -> _PencilStack:
-    """Largest real positive eigenpair of each pencil in a (S, k, k) stack.
+def _solve_stack(M: np.ndarray, factor: GramFactor) -> _PencilStack:
+    """Largest real positive eigenpair of each pencil (M, G) in a (S, k, k) stack.
 
-    Each G gets the SPD ridge of :func:`_cholesky_stack` on its own. With the
-    Cholesky factor G = L L', the pencil (M, G) has the eigenvalues of the
-    whitened matrix A = L^-1 M L^-'; A's eigenvectors v give the right
-    coefficients L^-' v and those of A' the adjoint ones. The acceptance
-    rules (reality, positivity, simplicity, adjoint match, residuals) are
-    applied to every pencil separately.
+    ``factor`` is the :func:`_cholesky_stack` record of the G stack, which
+    raises LinAlgError if some G is not SPD even after the ridge. With
+    G = L L', the pencil (M, G) has the eigenvalues of the whitened matrix
+    A = L^-1 M L^-'; A's eigenvectors v give the right coefficients L^-' v
+    and those of A' the adjoint ones. The acceptance rules (reality,
+    positivity, simplicity, adjoint match, residuals) are applied to every
+    pencil separately.
     """
     M = np.asarray(M, dtype=float)
-    G, L = _cholesky_stack(G)
-    Li = np.linalg.inv(L)
+    G, _, Li, _ = factor.checked()
     Lit = np.swapaxes(Li, -1, -2)
     Mt = np.swapaxes(M, -1, -2)
     vals, vecs = np.linalg.eig(Li @ M @ Lit)

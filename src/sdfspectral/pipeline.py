@@ -21,6 +21,7 @@ from .decomp import DecompSeries, long_run_stack, pt_association, pt_series
 from .inference import DISCARD_REASON, influence_stack
 from .pfeig import (
     FALLBACK_REASONS,
+    _cholesky_stack,
     _matvec,
     _normalize_stack,
     _PencilStack,
@@ -103,7 +104,9 @@ def fit_stack(
     pairs only; a :class:`DesignStack` gives its R designs, each with its
     own rows and growth.
 
-    The stages, each run once over the stack: the value recursions under
+    The Gram stack is factored once, and its factor serves the value
+    recursions and the eigensolve. The stages, each run once over the
+    stack: the value recursions under
     recursive preferences, the SDF increments (the panel's observed column
     when ``preferences`` is None, the power-utility formula, or the
     continuation SDF of the solved value recursions), their check, the
@@ -115,11 +118,18 @@ def fit_stack(
     Gram matrix that is not positive definite even after the ridge
     (LinAlgError).
     """
-    size = len(design.b0) if isinstance(design, DesignStack) else 1
-    reason = np.full(size if counts is None else len(counts), "", dtype=object)
+    stacked = isinstance(design, DesignStack)
+    if counts is not None:
+        w = np.asarray(counts, dtype=float)
+        G = gram_stack(design, w)
+        factor = _cholesky_stack(G)
+    else:
+        G, factor = design.gram if stacked else design.gram[None], design.factor
+    reason = np.full(len(G), "", dtype=object)
     fp = None
     if isinstance(preferences, RecursiveUtility):
-        fp = solve_value_stack(design, preferences.beta, preferences.gamma, counts=counts)
+        rows = None if counts is None else (counts, factor)
+        fp = solve_value_stack(design, preferences.beta, preferences.gamma, rows)
         reason[:] = fp.reason
         solved = fp.reason == ""
         # a count row's continuation value needs to be positive on its drawn pairs only
@@ -138,13 +148,12 @@ def fit_stack(
     m = np.where((reason == "")[:, None], m, 1.0)
 
     if counts is not None:
-        w = np.asarray(counts, dtype=float)
-        G, M = gram_stack(design, w), pricing_stack(design, w, m)
-    elif isinstance(design, DesignStack):
-        G, M = design.gram, estimate_pricing(design, m)
+        M = pricing_stack(design, w, m)
+    elif stacked:
+        M = estimate_pricing(design, m)
     else:
-        G, M = design.gram[None], estimate_pricing(design, m[0])[None]
-    eig = _solve_stack(M, G)
+        M = estimate_pricing(design, m[0])[None]
+    eig = _solve_stack(M, factor)
     right, left, bad_norm, orthogonal = _normalize_stack(
         eig.right, eig.left, G, design.const_coeffs
     )

@@ -7,8 +7,6 @@ from typing import Optional
 
 import numpy as np
 
-from .sievemat import StatePanel
-
 
 @dataclass(frozen=True)
 class PowerUtility:
@@ -28,11 +26,6 @@ class RecursiveUtility:
     gamma: float
 
     kind = "recursive"
-
-
-def power_utility_sdf_series(panel: StatePanel, beta: float, gamma: float) -> np.ndarray:
-    """Realized power-utility SDF increments beta * G^(-gamma) from the panel growth."""
-    return power_utility_sdf(panel.growth, beta, gamma)
 
 
 def power_utility_sdf(growth: Optional[np.ndarray], beta: float, gamma: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .basis import SieveBasis
-from .pfeig import _cholesky_stack
+from .pfeig import GramFactor, _cholesky_stack
 
 #: singular values below this multiple of the largest are truncated in
 #: :attr:`Design.gram_pinv`
@@ -89,7 +89,7 @@ class StatePanel:
 
 
 class Whitening(NamedTuple):
-    """The Gram matrix's Cholesky factor G = L L' and the design rows in its coordinates.
+    """The design rows in the coordinates of the Gram matrix's Cholesky factor G = L L'.
 
     A coefficient vector v has whitened coordinates u = L' v, in which the
     G-norm sqrt(v'Gv) is the Euclidean norm of u; ``w0 = b0 L^-'`` and
@@ -98,8 +98,7 @@ class Whitening(NamedTuple):
     leading replicate axis.
     """
 
-    L: np.ndarray  # (k, k) lower triangular, of the SPD-ridged Gram matrix
-    Li: np.ndarray  # (k, k) its inverse
+    Li: np.ndarray  # (k, k) L^-1, of the SPD-ridged Gram matrix
     w0: np.ndarray  # (n, k)
     w1: np.ndarray  # (n, k)
 
@@ -111,8 +110,8 @@ class Design:
     matrices. Row t of ``b0``/``b1`` belongs to the panel's transition
     pair t, so a bootstrap replicate is a row weighting (:func:`gram_stack`,
     :func:`pricing_stack`).
-    The Gram matrix is formed, and condition-checked, on first use, and so is
-    its whitening.
+    The Gram matrix is formed, and condition-checked, on first use, and so
+    are its SPD factor and its whitening.
     """
 
     def __init__(self, basis: SieveBasis, panel: StatePanel):
@@ -143,8 +142,13 @@ class Design:
         return np.linalg.pinv(self.gram, rcond=PINV_RCOND)
 
     @cached_property
+    def factor(self) -> GramFactor:
+        """The :func:`pfeig._cholesky_stack` factor of the Gram matrix, a stack of one."""
+        return _cholesky_stack(self.gram[None])
+
+    @cached_property
     def whitening(self) -> Whitening:
-        """Cholesky whitening of the Gram matrix (ridged as in :func:`pfeig._cholesky_stack`)."""
+        """The design rows whitened by :attr:`factor`."""
         return _whitening(self)
 
     @cached_property
@@ -164,8 +168,8 @@ class DesignStack:
     Row r of ``b0``/``b1`` holds b_r(X_t) and b_r(X_{t+1}) of replicate r's
     own basis and panel, and row r of the (R, n) ``growth`` its growth
     series; the constant function has the coefficients ``const_coeffs`` in
-    every basis. The (R, k, k) Gram stack and its whitening are formed on
-    first use, each matrix as :class:`Design` forms its own.
+    every basis. The (R, k, k) Gram stack, its factor and its whitening are
+    formed on first use, each matrix as :class:`Design` forms its own.
     """
 
     def __init__(
@@ -182,20 +186,25 @@ class DesignStack:
         return estimate_gram(self)
 
     @cached_property
+    def factor(self) -> GramFactor:
+        """The :func:`pfeig._cholesky_stack` factors of the Gram stack; ``ok`` marks the SPD ones."""
+        return _cholesky_stack(self.gram)
+
+    @cached_property
     def whitening(self) -> Whitening:
-        """Per-replicate Cholesky whitenings, each field stacked over a leading R axis."""
+        """Per-replicate whitened rows, each field stacked over a leading R axis."""
         return _whitening(self)
 
 
 def _whitening(design) -> Whitening:
-    """Whitening of a design's Gram matrix, or of each one of a design stack."""
-    k = design.b0.shape[-1]
-    gram = design.gram
-    L = _cholesky_stack(gram.reshape(-1, k, k))[1].reshape(gram.shape)
-    Li = np.linalg.inv(L)
+    """The rows of a design, or of each one of a design stack, whitened by its cached factor.
+
+    Raises LinAlgError if a Gram matrix is not SPD even after the ridge.
+    """
+    Li = design.factor.checked().Li.reshape(design.gram.shape)
     # w1 is the transpose of a C-ordered (k, n) product: w1.T @ ... runs on contiguous rows
     w1t = Li @ np.swapaxes(design.b1, -1, -2)
-    return Whitening(L, Li, design.b0 @ np.swapaxes(Li, -1, -2), np.swapaxes(w1t, -1, -2))
+    return Whitening(Li, design.b0 @ np.swapaxes(Li, -1, -2), np.swapaxes(w1t, -1, -2))
 
 
 def estimate_gram(design: Design) -> np.ndarray:

@@ -26,7 +26,7 @@ from .basis import BasisSpec
 from .csvout import write_csv, write_json
 from .decomp import long_run_stack
 from .oracle import Ar1Design, quadrature_eig
-from .pfeig import _matvec, _spd_mask
+from .pfeig import _matvec
 from .pipeline import fit_stack
 from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import DesignStack, StatePanel
@@ -216,8 +216,8 @@ def _fit_block(
     rows = np.flatnonzero(~no_basis)
     if rows.size:
         stack, b_nodes = stack_of(rows)
-        spd = _spd_mask(stack.gram)
-        if not spd.all():
+        spd = stack.factor.ok
+        if not spd.all():  # the stack of the others factors its Gram matrices again
             rows = rows[spd]
             stack, b_nodes = stack_of(rows)
     if rows.size == 0:
@@ -246,7 +246,7 @@ def _run_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     basis values within MC_BLOCK_ELEMENTS.
     """
     design, n, rep_lo, rep_hi, nodes = args
-    size = max(1, MC_BLOCK_ELEMENTS // ((n + 1) * _basis_dim_hint(design.basis_spec)))
+    size = max(1, MC_BLOCK_ELEMENTS // ((n + 1) * _sieve_dim(design.basis_spec)))
     records = [
         _fit_block(design, n, range(lo, min(lo + size, rep_hi)), nodes)
         for lo in range(rep_lo, rep_hi, size)
@@ -289,7 +289,7 @@ def run_mc_study(design: McDesign, workers: Optional[int] = None) -> McTable:
     )
 
     for n in design.sample_sizes:
-        if n < 2 * _basis_dim_hint(design.basis_spec):
+        if n < 2 * _sieve_dim(design.basis_spec):
             raise ValueError(f"sample size {n} below twice the sieve dimension")
         blocks = _split_blocks(design.replications, nworkers)
         jobs = [(design, n, lo, hi, truth.nodes) for lo, hi in blocks]
@@ -325,12 +325,13 @@ def run_mc_study(design: McDesign, workers: Optional[int] = None) -> McTable:
     return table
 
 
-def _basis_dim_hint(spec: BasisSpec) -> int:
-    if spec.k is not None:
-        return spec.k
-    if spec.degree is not None:
-        return spec.degree + 1
-    return 1
+def _sieve_dim(spec: BasisSpec) -> int:
+    """The dimension k of the univariate basis that ``spec.build`` returns.
+
+    It is built on max(spec.k, 2) evenly spaced points, enough for any
+    B-spline's distinct quantile knots.
+    """
+    return spec.build(np.linspace(0.0, 1.0, max(spec.k or 0, 2))).dimension_k
 
 
 def _split_blocks(total: int, nworkers: int) -> list[tuple[int, int]]:

@@ -16,9 +16,11 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .pfeig import _cholesky_stack, _matvec, _row
-from .sievemat import Design, DesignStack, gram_stack
+from .pfeig import GramFactor, _matvec, _row
+from .sievemat import Design, DesignStack
 
+#: the G-norm step below which a column of :func:`solve_value_stack` has converged
+TOL = 1e-10
 #: why a column of :func:`solve_value_stack` has no solution ("" where it converged)
 VALUE_FAILURES = ("invalid_parameters", "growth_overflow", "unconverged_value_recursion")
 
@@ -85,10 +87,8 @@ def solve_value_stack(
     design: Union[Design, DesignStack],
     beta,
     gamma,
-    counts: Optional[np.ndarray] = None,
-    tol: float = 1e-10,
+    counts: Optional[tuple[np.ndarray, GramFactor]] = None,
     max_iter: int = 10_000,
-    z0: Optional[np.ndarray] = None,
 ) -> FixedPointStack:
     """Solve the value recursion for P columns at once, each with its own (beta, gamma).
 
@@ -96,16 +96,20 @@ def solve_value_stack(
     either shared, its own count-weighted replicate, or its own design:
 
     - of a :class:`Design`, every column uses the design's :attr:`whitening`;
-    - with ``counts``, an integer (P, n) array, column r solves the
-      count-weighted recursion of replicate r of the design: its map and
-      Gram matrix weight transition pair t by counts[r, t], and its Gram
-      matrix gets its own SPD ridge and Cholesky factor;
+    - with ``counts``, a pair of an integer (P, n) array and the
+      :func:`pfeig._cholesky_stack` factor of its Gram stack
+      (:func:`sievemat.gram_stack`), column r solves the count-weighted
+      recursion of replicate r of the design: its map and Gram matrix weight
+      transition pair t by counts[r, t], and it is whitened by its own factor;
     - of a :class:`DesignStack` of R designs, column r solves the recursion
       of design r, on its whitened rows and growth series (P = R).
 
     Each column runs the iteration of :func:`solve_value_fixed_point` in
     whitened coordinates u = L'z, where the G-norm is Euclidean and
-    G^-1 T(y) is L^-1 T(y), and stops on its own convergence test.
+    G^-1 T(y) is L^-1 T(y), and stops on its own convergence test (a
+    G-norm step below TOL). The reported chi has a positive sample mean
+    const'G chi: it is the normalized G^-1 T(y) of a nonnegative map, or at
+    the first iteration the normalized G^-1 (mean basis vector).
     Columns with beta outside (0, 1) or gamma < 1, or whose G^(1-gamma)
     overflows, are not iterated; their ``reason`` says why. Only
     panel-level faults raise: a missing growth series, or a Gram matrix
@@ -115,7 +119,7 @@ def solve_value_stack(
     shape = np.broadcast_shapes(
         np.shape(beta),
         np.shape(gamma),
-        () if counts is None else (len(counts),),
+        () if counts is None else (len(counts[0]),),
         (len(design.b0),) if stacked else (),
     )
     beta, gamma = (np.broadcast_to(np.asarray(a, float), shape).ravel() for a in (beta, gamma))
@@ -127,43 +131,25 @@ def solve_value_stack(
     reason = np.full(p_cols, "", dtype=object)
     reason[~np.all(np.isfinite(gw), axis=1)] = "growth_overflow"
     reason[~((beta > 0) & (beta < 1) & (gamma >= 1))] = "invalid_parameters"
-    # rows z' of coefficient vectors map to whitened rows u' = z'L and back by
-    # z' = u'L^-1; Li holds per-column factors L^-1 of unwhitened count rows,
-    # None when the rows are whitened already
+    # Li holds per-column factors L^-1 of unwhitened count rows, None when
+    # the rows are whitened already
     product = _row_product if stacked else np.matmul
     if counts is None:
         wh = design.whitening
         # r1t is the C-ordered (k, n) transpose of w1, one per design of a stack
         r0, r1t, Li = wh.w0, np.swapaxes(wh.w1, -1, -2), None
-
-        def whiten(Z: np.ndarray) -> np.ndarray:
-            return product(Z, wh.L)
-
-        def unwhiten(U: np.ndarray) -> np.ndarray:
-            return product(U, wh.Li)
-
         u0 = np.full(n, 1.0 / n) @ r0  # mean whitened row L^-1 mean b(X_t)
     else:
         if stacked:
             raise ValueError("count rows weight the pairs of one design, not of a design stack")
+        counts, factor = counts
         w = np.asarray(counts, dtype=float)
         if w.shape != (p_cols, n):
             raise ValueError(f"counts must have shape ({p_cols}, {n})")
-        _, L = _cholesky_stack(gram_stack(design, w))
-        Li = np.linalg.inv(L)
-        Lt, Lit = np.swapaxes(L, -1, -2), np.swapaxes(Li, -1, -2)
-
-        def whiten(Z: np.ndarray) -> np.ndarray:
-            return _matvec(Lt, Z)
-
-        def unwhiten(U: np.ndarray) -> np.ndarray:
-            return _matvec(Lit, U)
-
+        Li = factor.checked().Li
         r0, r1t = design.b0, np.ascontiguousarray(design.b1.T)
         gw *= w
         u0 = _matvec(Li, w @ r0 / n)
-    if z0 is not None:
-        u0 = whiten(np.asarray(z0, dtype=float))
 
     def g_inv_t(U: np.ndarray, gw_c, beta_c, Li_c, r0_c, r1t_c) -> np.ndarray:
         """L^-1 T(v) of C columns, from their whitened iterates U (C, k)."""
@@ -198,7 +184,7 @@ def solve_value_stack(
             else:
                 D = Y_new + flip * Y_prev  # y_new - y and y_new + y
                 s = np.sqrt(np.einsum("spk,spk->sp", D, D).min(axis=0))
-            done = ~(s >= tol)
+            done = ~(s >= TOL)
             if it == max_iter:
                 done[:] = True
             U = g_inv_t(Y_new, *per_col)
@@ -216,12 +202,10 @@ def solve_value_stack(
                 break
             Y_prev = Y_new
 
-    converged = (step < tol) & ~np.isnan(lam)
+    converged = (step < TOL) & ~np.isnan(lam)
     reason[(reason == "") & ~converged] = "unconverged_value_recursion"
-    # the map is sign-blind; report the positive representative,
-    # const'G chi = (L'const)'u >= 0
-    Y[np.sum(whiten(design.const_coeffs) * Y, axis=1) < 0] *= -1.0
-    chi = unwhiten(Y)
+    # whitened rows u' = z'L map back to coefficient rows z' = u'L^-1
+    chi = product(Y, wh.Li) if Li is None else _matvec(np.swapaxes(Li, -1, -2), Y)
     return FixedPointStack(
         lam=lam,
         chi_coeffs=chi,
@@ -238,19 +222,15 @@ def solve_value_fixed_point(
     design: Design,
     beta: float,
     gamma: float,
-    tol: float = 1e-10,
     max_iter: int = 10_000,
-    z0=None,
 ) -> FixedPointStack:
     """Solve the sample nonlinear eigenproblem for the continuation value.
 
     Iterates z_{j+1} = G^{-1} T(y_j) with y_j the G-normalized z_j, from
-    the starting vector z_1 = G^{-1}(mean basis vector) unless ``z0``
-    overrides it; homogeneity plus the per-step normalization make the
-    result invariant to the scale of the start. On convergence the
+    the starting vector z_1 = G^{-1}(mean basis vector). On convergence the
     eigenvalue is the G-norm of the final pre-normalization iterate.
     Convergence is declared when the G-norm change in y falls below
-    ``tol``; non-convergence returns the best iterate flagged
+    TOL; non-convergence returns the best iterate flagged
     ``converged=False`` rather than raising, so simulation harnesses can
     count and discard such fits. This is row 0 of :func:`solve_value_stack`
     with one column.
@@ -260,7 +240,7 @@ def solve_value_fixed_point(
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    st = solve_value_stack(design, beta, gamma, tol=tol, max_iter=max_iter, z0=z0)
+    st = solve_value_stack(design, beta, gamma, max_iter=max_iter)
     if st.reason[0] in ("invalid_parameters", "growth_overflow"):
         value_map(design, beta, gamma)  # raises, naming the parameter or the overflowing period
     if np.isnan(st.lam[0]):

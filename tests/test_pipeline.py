@@ -250,3 +250,34 @@ def test_each_fit_failure(reason, testbed, recursive_prefs, monkeypatch, tmp_pat
         assert status == 2 and "fell back" in err
     else:
         assert status == 1 and err.startswith("error:") and reason in err
+
+
+def test_each_gram_matrix_is_factored_once(testbed, power_prefs, recursive_prefs, monkeypatch):
+    # one Cholesky factor per Gram matrix per fit serves the value recursion,
+    # the eigensolve and the Monte Carlo SPD screen
+    from sdfspectral import simkit
+
+    nodes = s.quadrature_eig(testbed, power_prefs, simkit.ORACLE_NODES).nodes
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        factored.append(int(np.prod(np.shape(a)[:-2])))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    panel = s.simulate_ar1(testbed, 300, np.random.default_rng(41))
+    design = s.Design(s.BasisSpec(family="hermite", k=6).build(panel.states), panel)
+    s.fit_panel(design, recursive_prefs)
+    assert sum(factored) == 1
+    rng = np.random.default_rng(42)
+    counts = np.array([np.bincount(s.stationary_bootstrap_indices(design.n, 6.0, rng),
+                                   minlength=design.n) for _ in range(7)])
+    bootstrap_statistic(design, recursive_prefs)(counts)
+    assert sum(factored) == 1 + 7
+    for prefs in (power_prefs, recursive_prefs):
+        factored.clear()
+        mc = s.McDesign(ar1=testbed, preferences=prefs, sample_sizes=(300,), replications=5,
+                        basis_spec=s.BasisSpec(family="hermite", k=6), seed=1)
+        simkit._fit_block(mc, 300, range(5), nodes)
+        assert sum(factored) == 5

@@ -133,7 +133,7 @@ def test_large_sample_matches_quadrature_oracle(testbed, power_prefs, quad_power
     basis = s.hermite_basis_from_moments(
         [testbed.mu], [testbed.stationary_std], 3
     )
-    m = s.power_utility_sdf_series(panel, power_prefs.beta, power_prefs.gamma)
+    m = s.preferences.power_utility_sdf(panel.growth, power_prefs.beta, power_prefs.gamma)
     design = s.Design(basis, panel)
     G = s.estimate_gram(design)
     M = s.estimate_pricing(design, m)

@@ -173,6 +173,27 @@ def test_mc_pool_sized_by_jobs(testbed, power_prefs, monkeypatch):
     assert table.cells == s.run_mc_study(design, workers=1).cells
 
 
+@pytest.mark.parametrize("spec, k", [(s.BasisSpec(family="sparse", degree=6, cap=5), 5),
+                                     (s.BasisSpec(family="hermite", k=8, degree=3), 4)])
+def test_mc_sieve_dimension_is_that_of_the_built_basis(spec, k, testbed, power_prefs, monkeypatch):
+    # a sparse sieve drops the degrees at or above its cap, and a Hermite
+    # degree overrides k: n = 12 is at least 2k, and a block holds 3 replicates
+    blocks = []
+    fit_block = simkit._fit_block
+
+    def recorded(design, n, reps, nodes):
+        blocks.append(len(reps))
+        return fit_block(design, n, reps, nodes)
+
+    monkeypatch.setattr(simkit, "_fit_block", recorded)
+    monkeypatch.setattr(simkit, "MC_BLOCK_ELEMENTS", 3 * 13 * k)
+    design = s.McDesign(ar1=testbed, preferences=power_prefs, sample_sizes=(12,),
+                        replications=8, basis_spec=spec, seed=1)
+    assert spec.build(np.arange(5.0)).dimension_k == k
+    s.run_mc_study(design, workers=1)
+    assert blocks == [3, 3, 2]
+
+
 def test_mc_censors_failed_replicates_stage_wise(testbed, recursive_prefs, monkeypatch):
     # every third eigensolve of the stack is rejected after its value
     # recursion converged: the replicate is excluded and loses its eigen
@@ -182,8 +203,8 @@ def test_mc_censors_failed_replicates_stage_wise(testbed, recursive_prefs, monke
     fits, lams = [], []
     solve_stack, solve_value_stack = pipeline._solve_stack, pipeline.solve_value_stack
 
-    def solve_failing_every_third(M, G):
-        st = solve_stack(M, G)
+    def solve_failing_every_third(M, factor):
+        st = solve_stack(M, factor)
         fits.extend(st.rho)
         reason = st.reason.copy()
         reason[2::3] = "residual"
@@ -288,7 +309,7 @@ def test_mc_records_do_not_depend_on_blocks_or_workers(testbed, recursive_prefs,
 
 @pytest.mark.parametrize("stage", ["basis", "gram", "value_recursion", "eigen"])
 def test_one_failing_replicate_is_censored_alone(stage, testbed, recursive_prefs, monkeypatch):
-    from sdfspectral import pipeline
+    from sdfspectral import pipeline, sievemat
 
     design = s.McDesign(
         ar1=testbed, preferences=recursive_prefs, sample_sizes=(300,), replications=6,
@@ -308,8 +329,15 @@ def test_one_failing_replicate_is_censored_alone(stage, testbed, recursive_prefs
 
         monkeypatch.setattr(simkit, "_ar1_paths", one_constant_path)
     elif stage == "gram":  # not positive definite even after the ridge
-        spd_mask = simkit._spd_mask
-        monkeypatch.setattr(simkit, "_spd_mask", lambda G: spd_mask(G) & (np.arange(len(G)) != bad))
+        cholesky_stack = sievemat._cholesky_stack
+
+        def one_not_spd(G):
+            factor = cholesky_stack(G)
+            if len(G) < 6:  # the block's stack of the others
+                return factor
+            return factor._replace(ok=factor.ok & (np.arange(len(G)) != bad))
+
+        monkeypatch.setattr(sievemat, "_cholesky_stack", one_not_spd)
     else:
         owner, attr = ((pipeline, "solve_value_stack") if stage == "value_recursion"
                        else (pipeline, "_solve_stack"))

@@ -5,10 +5,16 @@ import pytest
 
 import sdfspectral as s
 from sdfspectral.oracle import population_nonlinear_map
+from sdfspectral.pfeig import _cholesky_stack
 
 #: Monte Carlo dispersion of the eigenvalue estimator at n = 3200 on the
 #: recursive testbed (+-3 sigma acceptance radius)
 RMSE_LAMBDA_3200 = 0.0123
+
+
+def _count_rows(design, counts):
+    """The (counts, factor) pair of count rows for :func:`solve_value_stack`."""
+    return counts, _cholesky_stack(s.sievemat.gram_stack(design, counts))
 
 
 def _sdf(design, fp):
@@ -80,18 +86,6 @@ def test_residual_certificate(recursive_fit):
     t_h = s.value_map(design, fp.beta, fp.gamma)(h)
     r = np.linalg.solve(G, t_h) - h
     assert math.sqrt(r @ G @ r) < 1e-10
-
-
-def test_start_scaling_invariance(recursive_fit, recursive_prefs):
-    basis, panel, design = recursive_fit["basis"], recursive_fit["panel"], recursive_fit["design"]
-    fp = recursive_fit["fp"]
-    G = s.estimate_gram(design)
-    default_start = np.linalg.solve(G, basis.evaluate_many(panel.x0).mean(axis=0))
-    inflated = s.solve_value_fixed_point(
-        design, recursive_prefs.beta, recursive_prefs.gamma, z0=37.0 * default_start
-    )
-    assert inflated.lam == pytest.approx(fp.lam, rel=1e-12)
-    np.testing.assert_allclose(inflated.chi_coeffs, fp.chi_coeffs, rtol=1e-10)
 
 
 def test_oracle_equivalence_on_population_map(testbed, recursive_prefs, quad_recursive):
@@ -177,7 +171,8 @@ def test_stacked_count_rows_equal_resampled_solves(recursive_fit, recursive_pref
     rng = np.random.default_rng(8)
     counts = np.array([np.bincount(s.stationary_bootstrap_indices(n, 6.0, rng), minlength=n)
                        for _ in range(5)])
-    st = s.solve_value_stack(design, recursive_prefs.beta, recursive_prefs.gamma, counts=counts)
+    st = s.solve_value_stack(design, recursive_prefs.beta, recursive_prefs.gamma,
+                             counts=_count_rows(design, counts))
     for r in range(len(counts)):
         idx = np.repeat(np.arange(n), counts[r])
         panel = s.StatePanel(
@@ -209,16 +204,30 @@ def test_degenerate_column_ends_without_stopping_the_stack(testbed):
         s.solve_value_fixed_point(design, 0.99, 60.0)
 
 
-def test_positive_representative_from_a_negative_start(recursive_fit, recursive_prefs):
-    # after one step from -z0 the iterate still points the negative way;
-    # the reported eigenfunction is the sign-flipped, positive-mean one
-    design = recursive_fit["design"]
-    G = s.estimate_gram(design)
-    z0 = -np.linalg.solve(G, design.b0.mean(axis=0))
-    fp = s.solve_value_fixed_point(
-        design, recursive_prefs.beta, recursive_prefs.gamma, max_iter=1, z0=z0
+def test_reported_chi_has_a_positive_mean(testbed, recursive_fit, recursive_prefs):
+    # from the fixed start every iterate is G^-1 of a positive-mean vector, so
+    # the reported chi has const'G chi > 0 whether or not its column converged
+    design, const = recursive_fit["design"], recursive_fit["basis"].const_coeffs
+    beta, gamma = recursive_prefs.beta, recursive_prefs.gamma
+    for max_iter in (1, 2):
+        fp = s.solve_value_fixed_point(design, beta, gamma, max_iter=max_iter)
+        assert not fp.converged and const @ design.gram @ fp.chi_coeffs > 0
+    rng = np.random.default_rng(9)
+    counts = np.array([np.bincount(s.stationary_bootstrap_indices(design.n, 6.0, rng),
+                                   minlength=design.n) for _ in range(4)])
+    rows = _count_rows(design, counts)
+    st = s.solve_value_stack(design, beta, gamma, counts=rows)
+    assert np.all(np.einsum("k,rkl,rl->r", const, rows[1].G, st.chi_coeffs) > 0)
+    designs = []
+    for seed in range(3):
+        panel = s.simulate_ar1(testbed, 300, np.random.default_rng(70 + seed))
+        designs.append(s.Design(s.BasisSpec(family="hermite", k=8).build(panel.states), panel))
+    stack = s.sievemat.DesignStack(
+        np.stack([d.b0 for d in designs]), np.stack([d.b1 for d in designs]),
+        np.stack([d.growth for d in designs]), const,
     )
-    assert design.basis.const_coeffs @ G @ fp.chi_coeffs > 0
+    st = s.solve_value_stack(stack, beta, gamma)
+    assert np.all(np.einsum("k,rkl,rl->r", const, stack.gram, st.chi_coeffs) > 0)
 
 
 def test_design_stack_columns_equal_their_own_designs(testbed, recursive_prefs):
@@ -244,4 +253,4 @@ def test_design_stack_columns_equal_their_own_designs(testbed, recursive_prefs):
         assert usable[r]
         np.testing.assert_array_equal(m[:, r], _sdf(design, fp)[0])
     with pytest.raises(ValueError, match="design stack"):
-        s.solve_value_stack(stack, beta, gamma, counts=np.ones((4, 300), dtype=int))
+        s.solve_value_stack(stack, beta, gamma, counts=_count_rows(designs[0], np.ones((4, 300))))

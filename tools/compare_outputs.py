@@ -8,7 +8,8 @@ bench/workloads.py, a copy of the bootstrap panel with an observed SDF
 column m = beta G^(-gamma), the decompose settings as a JSON config
 file, a power-utility panel whose fitted eigenfunction changes sign
 on the sample, and one whose state takes eight distinct values (so the
-log permanent and transitory series are heavily tied), and runs each argument vector below once per tree,
+log permanent and transitory series are heavily tied, and a sieve of
+nine functions needs the SPD ridge), and runs each argument vector below once per tree,
 each in a fresh ``python`` process writing to an empty output directory
 (the same path for both trees, as provenance.json records it). Exit
 statuses and every output file are compared by bytes; JSON files are
@@ -123,8 +124,11 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     cases["bootstrap_sign_change"] = [*bootstrap, "--input", sign_change_panel()]
     cases["decompose_sign_change"] = ["decompose", *cases["bootstrap_sign_change"][1:]]
     # tied ranks in the association statistics; k = 4 stays below the eight state values
-    cases["decompose_discrete"] = ["decompose", *bootstrap[1:], "--input", discrete_panel(),
-                                   "--k", "4"]
+    discrete = discrete_panel()
+    cases["decompose_discrete"] = ["decompose", *bootstrap[1:], "--input", discrete, "--k", "4"]
+    # k = 9 exceeds the eight state values: count-row Gram matrices take the SPD ridge
+    cases["bootstrap_ridge"] = [*bootstrap, "--input", discrete, "--preferences", "recursive",
+                                "--k", "9", "--boot-b", "200"]
     return cases
 
 
