@@ -3,9 +3,7 @@
 Runs a seeded, reduced-scale Monte Carlo (300 replications here; the
 acceptance suite uses 2000 and the full study is configurable) for power
 utility with a Hermite sieve, and prints the table. Ground truth comes
-from the quadrature oracle, never from the estimator itself. Set
-SDFSPECTRAL_THREADS to parallelize over replicates without changing any
-numbers.
+from the quadrature oracle, never from the estimator itself.
 """
 
 import sdfspectral as s

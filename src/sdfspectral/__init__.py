@@ -10,7 +10,6 @@ inference via influence functions and the stationary bootstrap.
 __version__ = "0.1.0"
 
 from .basis import (
-    BasisFamily,
     BasisSpec,
     SieveBasis,
     build_bspline_basis,

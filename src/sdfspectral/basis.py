@@ -14,17 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import product
 from typing import Optional
 
 import numpy as np
-
-
-class BasisFamily(Enum):
-    HERMITE = "hermite"
-    BSPLINE = "bspline"
-    SPARSE_TENSOR = "sparse"
 
 
 def _hermite_table(z: np.ndarray, degree: int) -> np.ndarray:
@@ -76,8 +69,8 @@ class SieveBasis:
 
     Attributes
     ----------
-    family : BasisFamily
-        Hermite, B-spline, or sparse tensor product.
+    family : str
+        "hermite", "bspline" or "sparse" (tensor product), as in :class:`BasisSpec`.
     dimension_k : int
         Number of basis functions.
     state_dim : int
@@ -91,7 +84,7 @@ class SieveBasis:
         lexicographic order so the constant function comes first.
     """
 
-    family: BasisFamily
+    family: str
     dimension_k: int
     state_dim: int
     standardization: Optional[tuple[tuple[float, float], ...]] = None
@@ -108,7 +101,7 @@ class SieveBasis:
     @property
     def const_coeffs(self) -> np.ndarray:
         """Coefficient vector c with b(x)'c = 1 for every x."""
-        if self.family is BasisFamily.BSPLINE:
+        if self.family == "bspline":
             return np.ones(self.dimension_k)
         c = np.zeros(self.dimension_k)
         c[self.index_tuples.index(tuple([0] * self.state_dim))] = 1.0
@@ -135,7 +128,7 @@ class SieveBasis:
         if not np.all(np.isfinite(pts)):
             raise ValueError("basis evaluation requires finite inputs")
 
-        if self.family is BasisFamily.BSPLINE:
+        if self.family == "bspline":
             from scipy.interpolate import BSpline  # lazy: importing sdfspectral loads no scipy
 
             t = self.knots
@@ -165,7 +158,7 @@ def hermite_basis_from_moments(
     d = means.size
     tuples = tuple(_graded_tuples([degree_per_dim + 1] * d))
     return SieveBasis(
-        family=BasisFamily.HERMITE,
+        family="hermite",
         dimension_k=len(tuples),
         state_dim=d,
         standardization=tuple((float(m), float(s)) for m, s in zip(means, sds)),
@@ -229,7 +222,7 @@ def build_bspline_basis(data: np.ndarray, k: int) -> SieveBasis:
         )
     t = np.concatenate([[lo] * 3, knots, [hi] * 3])
     return SieveBasis(
-        family=BasisFamily.BSPLINE,
+        family="bspline",
         dimension_k=k,
         state_dim=1,
         knots=t,
@@ -257,7 +250,7 @@ def build_sparse_tensor(bases: list[SieveBasis], total_degree_cap: int) -> Sieve
     ]
     tuples.sort(key=lambda t: (sum(t), t))
     return SieveBasis(
-        family=BasisFamily.SPARSE_TENSOR,
+        family="sparse",
         dimension_k=len(tuples),
         state_dim=len(bases),
         standardization=tuple(b.standardization[0] for b in bases),

@@ -468,7 +468,7 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     fit = res.fit
 
     fallback, on = bool(fit.reason), fit.sample
-    extra = {"n": panel.n, "basis": basis.family.value, "k": basis.dimension_k,
+    extra = {"n": panel.n, "basis": basis.family, "k": basis.dimension_k,
              "fallback": fallback}
     if fit.fixed_point is not None:
         extra["lambda"] = fit.fixed_point.lam
@@ -654,10 +654,7 @@ def run(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         return run(build_config(_parser().parse_args(argv)))
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (CliError, ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

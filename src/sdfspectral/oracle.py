@@ -20,6 +20,11 @@ from numpy.polynomial.hermite import hermgauss
 
 from .preferences import PowerUtility, RecursiveUtility
 
+#: stopping rule of the grid value recursion: a weighted L2 step below
+#: GRID_TOL, else an error after GRID_MAX_ITER iterations
+GRID_TOL = 1e-13
+GRID_MAX_ITER = 100_000
+
 
 @dataclass(frozen=True)
 class Ar1Design:
@@ -186,8 +191,6 @@ def _recursive_grid_solution(
     nodes: np.ndarray,
     weights: np.ndarray,
     transition: np.ndarray,
-    tol: float = 1e-13,
-    max_iter: int = 100_000,
 ) -> tuple[float, np.ndarray]:
     """Unit-norm eigenfunction and eigenvalue of the grid value-recursion operator."""
     growth_w = np.exp((1.0 - gamma) * nodes)
@@ -197,10 +200,10 @@ def _recursive_grid_solution(
         return H @ np.abs(v) ** beta
 
     chi = np.ones(nodes.size)
-    for _ in range(max_iter):
+    for _ in range(GRID_MAX_ITER):
         image = t_apply(chi)
         nxt = image / math.sqrt(float(weights @ image**2))
-        if math.sqrt(float(weights @ (nxt - chi) ** 2)) < tol:
+        if math.sqrt(float(weights @ (nxt - chi) ** 2)) < GRID_TOL:
             chi = nxt
             break
         chi = nxt

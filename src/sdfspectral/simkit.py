@@ -1,11 +1,10 @@
 """Monte Carlo harness: simulate designs, run the full pipeline, tabulate.
 
 Replicates are driven by per-replicate substreams keyed on (seed, size,
-replicate), so tables are bit-identical regardless of how replicates are
-scheduled across workers. Each block of replicates is simulated,
-evaluated on its sieve and fitted as one stack (:func:`pipeline.fit_stack`);
-every array operation on the stack acts on each replicate's rows alone,
-so the records do not depend on how replicates are grouped into blocks.
+replicate). Each block of replicates is simulated, evaluated on its
+sieve and fitted as one stack (:func:`pipeline.fit_stack`); every array
+operation on the stack acts on each replicate's rows alone, so the
+records do not depend on how replicates are grouped into blocks.
 Function-valued statistics are scored by their weighted L2 distance to
 the population truth on the quadrature grid: the per-replicate distances
 average into the RMSE entry, while the bias entry is the distance of the
@@ -16,9 +15,8 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -31,22 +29,11 @@ from .pipeline import fit_stack
 from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import DesignStack, StatePanel
 
-WORKERS_ENV = "SDFSPECTRAL_THREADS"
 #: Gauss-Hermite nodes of the quadrature truth and of the function-valued scores
 ORACLE_NODES = 80
 #: float64 elements of one (replicates, n + 1, k) array of basis values; it
 #: sets how many replicates a block stacks, so peak memory stays flat in n and k
 MC_BLOCK_ELEMENTS = 2**17
-
-
-def resolve_workers(requested: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else the SDFSPECTRAL_THREADS cap, else 1."""
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def simulate_ar1(
@@ -132,6 +119,7 @@ class McTable:
 
     design_kind: str
     basis_family: str
+    k: int  # the fitted sieve dimension
     replications: int
     seed: int
     cells: dict[tuple[int, str], McCell] = field(default_factory=dict)
@@ -162,6 +150,7 @@ class McTable:
         return {
             "design": self.design_kind,
             "basis": self.basis_family,
+            "k": self.k,
             "replications": self.replications,
             "seed": self.seed,
             "excluded": {str(k): v for k, v in self.excluded.items()},
@@ -239,17 +228,17 @@ def _fit_block(
     return failed, scalars, funcs
 
 
-def _run_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked records of one range of replicates, in replicate order (worker entry point).
+def _run_block(
+    design: McDesign, n: int, reps: range, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked records of the replicates ``reps`` at sample size n, in replicate order.
 
     The range is fitted in blocks of as many replicates as keep one block's
     basis values within MC_BLOCK_ELEMENTS.
     """
-    design, n, rep_lo, rep_hi, nodes = args
     size = max(1, MC_BLOCK_ELEMENTS // ((n + 1) * _sieve_dim(design.basis_spec)))
     records = [
-        _fit_block(design, n, range(lo, min(lo + size, rep_hi)), nodes)
-        for lo in range(rep_lo, rep_hi, size)
+        _fit_block(design, n, reps[lo:lo + size], nodes) for lo in range(0, len(reps), size)
     ]
     return tuple(np.concatenate(field) for field in zip(*records))
 
@@ -262,14 +251,12 @@ def _kept(values: np.ndarray) -> np.ndarray:
     return values[~np.isnan(values if values.ndim == 1 else values[:, 0])]
 
 
-def run_mc_study(design: McDesign, workers: Optional[int] = None) -> McTable:
+def run_mc_study(design: McDesign) -> McTable:
     """Run the Monte Carlo experiment and tabulate bias/RMSE.
 
     Fallback eigen-solutions and non-converged value recursions are counted
     and excluded; a cell is flagged when more than 10% of its replicates
-    were excluded. ``workers`` (or the SDFSPECTRAL_THREADS environment
-    variable) enables process-level parallelism over replicates without
-    changing any numbers.
+    were excluded.
     """
     t_start = time.monotonic()
     truth = quadrature_eig(design.ar1, design.preferences, ORACLE_NODES)
@@ -279,26 +266,20 @@ def run_mc_study(design: McDesign, workers: Optional[int] = None) -> McTable:
         truths["lambda"] = truth.lam
     stats = ["rho", "y", "L", "phi", "phi_star"] + (["lambda", "chi"] if recursive else [])
 
-    nworkers = resolve_workers(workers)
+    k = _sieve_dim(design.basis_spec)
     table = McTable(
         design_kind=design.preferences.kind,
         basis_family=design.basis_spec.family,
+        k=k,
         replications=design.replications,
         seed=design.seed,
         truths=truths,
     )
 
     for n in design.sample_sizes:
-        if n < 2 * _sieve_dim(design.basis_spec):
+        if n < 2 * k:
             raise ValueError(f"sample size {n} below twice the sieve dimension")
-        blocks = _split_blocks(design.replications, nworkers)
-        jobs = [(design, n, lo, hi, truth.nodes) for lo, hi in blocks]
-        if len(jobs) == 1:
-            results = [_run_block(job) for job in jobs]
-        else:
-            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-                results = list(pool.map(_run_block, jobs))
-        failed, scalars, funcs = (np.concatenate(parts) for parts in zip(*results))
+        failed, scalars, funcs = _run_block(design, n, range(design.replications), truth.nodes)
         table.excluded[n] = int(failed.sum())
 
         records = dict(zip(_SCALARS, scalars.T)) | dict(zip(_FUNCS, funcs.transpose(1, 0, 2)))
@@ -332,13 +313,6 @@ def _sieve_dim(spec: BasisSpec) -> int:
     B-spline's distinct quantile knots.
     """
     return spec.build(np.linspace(0.0, 1.0, max(spec.k or 0, 2))).dimension_k
-
-
-def _split_blocks(total: int, nworkers: int) -> list[tuple[int, int]]:
-    """Contiguous replicate ranges; one per worker (at least one rep each)."""
-    nblocks = min(nworkers, total)
-    edges = np.linspace(0, total, nblocks + 1, dtype=int)
-    return [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
 
 
 def write_mc_outputs(table: McTable, out_dir, stem: str = "mc_table") -> None:

@@ -11,6 +11,7 @@ import numpy as np
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 _W, _H = 720, 440
 _ML, _MR, _MT, _MB = 64, 16, 34, 44
+_PW, _PH = _W - _ML - _MR, _H - _MT - _MB  # the plot area
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
@@ -21,6 +22,24 @@ def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
 
 def _fmt(v: float) -> str:
     return format(float(v), ".4g")
+
+
+def _write_svg(path, title: str, xlabel: str, ylabel: str, plot, legend=()) -> None:
+    """Write an SVG: the head and title, the ``plot`` parts, the axis labels, the ``legend`` parts."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W/2:.0f}" y="18" text-anchor="middle" font-size="13">{title}</text>',
+        *plot,
+        f'<text x="{_ML+_PW/2:.0f}" y="{_H-8}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="14" y="{_MT+_PH/2:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {_MT+_PH/2:.0f})">{ylabel}</text>',
+        *legend,
+        "</svg>",
+    ]
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def line_plot(path, x, series: dict, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
@@ -34,48 +53,35 @@ def line_plot(path, x, series: dict, title: str = "", xlabel: str = "", ylabel: 
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def sx(v):
-        return _ML + (v - x_lo) / (x_hi - x_lo) * pw
+        return _ML + (v - x_lo) / (x_hi - x_lo) * _PW
 
     def sy(v):
-        return _MT + ph - (v - y_lo) / (y_hi - y_lo) * ph
+        return _MT + _PH - (v - y_lo) / (y_hi - y_lo) * _PH
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W/2:.0f}" y="18" text-anchor="middle" font-size="13">{title}</text>',
-        f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="#444"/>',
-    ]
+    plot = [f'<rect x="{_ML}" y="{_MT}" width="{_PW}" height="{_PH}" fill="none" stroke="#444"/>']
     for tv in _ticks(x_lo, x_hi):
-        parts.append(
-            f'<line x1="{sx(tv):.1f}" y1="{_MT+ph}" x2="{sx(tv):.1f}" y2="{_MT+ph+4}" stroke="#444"/>'
-            f'<text x="{sx(tv):.1f}" y="{_MT+ph+16}" text-anchor="middle">{_fmt(tv)}</text>'
+        plot.append(
+            f'<line x1="{sx(tv):.1f}" y1="{_MT+_PH}" x2="{sx(tv):.1f}" y2="{_MT+_PH+4}" stroke="#444"/>'
+            f'<text x="{sx(tv):.1f}" y="{_MT+_PH+16}" text-anchor="middle">{_fmt(tv)}</text>'
         )
     for tv in _ticks(y_lo, y_hi):
-        parts.append(
+        plot.append(
             f'<line x1="{_ML-4}" y1="{sy(tv):.1f}" x2="{_ML}" y2="{sy(tv):.1f}" stroke="#444"/>'
             f'<text x="{_ML-7}" y="{sy(tv)+3:.1f}" text-anchor="end">{_fmt(tv)}</text>'
         )
-    parts.append(
-        f'<text x="{_ML+pw/2:.0f}" y="{_H-8}" text-anchor="middle">{xlabel}</text>'
-        f'<text x="14" y="{_MT+ph/2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_MT+ph/2:.0f})">{ylabel}</text>'
-    )
+    legend = []
     for i, (name, y) in enumerate(ys.items()):
         color = _COLORS[i % len(_COLORS)]
         pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
-        lx, lyy = _ML + pw - 110, _MT + 14 + 15 * i
-        parts.append(
+        legend.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
+        lx, lyy = _ML + _PW - 110, _MT + 14 + 15 * i
+        legend.append(
             f'<line x1="{lx}" y1="{lyy-4}" x2="{lx+18}" y2="{lyy-4}" stroke="{color}" stroke-width="2"/>'
             f'<text x="{lx+23}" y="{lyy}">{name}</text>'
         )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, title, xlabel, ylabel, plot, legend)
 
 
 def heat_grid(path, x, y, z, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
@@ -87,8 +93,7 @@ def heat_grid(path, x, y, z, title: str = "", xlabel: str = "", ylabel: str = ""
         raise ValueError("z must have shape (len(y), len(x))")
     z_lo, z_hi = float(np.nanmin(z)), float(np.nanmax(z))
     span = z_hi - z_lo or 1.0
-    pw, ph = _W - _ML - _MR, _H - _MT - _MB
-    cw, ch = pw / x.size, ph / y.size
+    cw, ch = _PW / x.size, _PH / y.size
 
     def color(v):
         # white-to-blue ramp
@@ -97,30 +102,18 @@ def heat_grid(path, x, y, z, title: str = "", xlabel: str = "", ylabel: str = ""
         g = int(255 * (1 - 0.55 * t))
         return f"rgb({r},{g},255)"
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W/2:.0f}" y="18" text-anchor="middle" font-size="13">{title}</text>',
-    ]
+    plot = []
     for j in range(y.size):
         for i in range(x.size):
             px = _ML + i * cw
-            py = _MT + ph - (j + 1) * ch
-            parts.append(
+            py = _MT + _PH - (j + 1) * ch
+            plot.append(
                 f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw+0.5:.2f}" height="{ch+0.5:.2f}" '
                 f'fill="{color(z[j, i])}"/>'
             )
-    parts.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="#444"/>')
-    for tv, pos in [(x[0], _ML), (x[-1], _ML + pw)]:
-        parts.append(f'<text x="{pos}" y="{_MT+ph+16}" text-anchor="middle">{_fmt(tv)}</text>')
-    for tv, pos in [(y[0], _MT + ph), (y[-1], _MT)]:
-        parts.append(f'<text x="{_ML-7}" y="{pos+3}" text-anchor="end">{_fmt(tv)}</text>')
-    parts.append(
-        f'<text x="{_ML+pw/2:.0f}" y="{_H-8}" text-anchor="middle">{xlabel}</text>'
-        f'<text x="14" y="{_MT+ph/2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_MT+ph/2:.0f})">{ylabel}</text>'
-    )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    plot.append(f'<rect x="{_ML}" y="{_MT}" width="{_PW}" height="{_PH}" fill="none" stroke="#444"/>')
+    for tv, pos in [(x[0], _ML), (x[-1], _ML + _PW)]:
+        plot.append(f'<text x="{pos}" y="{_MT+_PH+16}" text-anchor="middle">{_fmt(tv)}</text>')
+    for tv, pos in [(y[0], _MT + _PH), (y[-1], _MT)]:
+        plot.append(f'<text x="{_ML-7}" y="{pos+3}" text-anchor="end">{_fmt(tv)}</text>')
+    _write_svg(path, title, xlabel, ylabel, plot)

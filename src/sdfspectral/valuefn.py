@@ -21,6 +21,8 @@ from .sievemat import Design, DesignStack
 
 #: the G-norm step below which a column of :func:`solve_value_stack` has converged
 TOL = 1e-10
+#: the iteration cap of a column of :func:`solve_value_stack`; one that stops here is unconverged
+MAX_ITER = 10_000
 #: why a column of :func:`solve_value_stack` has no solution ("" where it converged)
 VALUE_FAILURES = ("invalid_parameters", "growth_overflow", "unconverged_value_recursion")
 
@@ -88,7 +90,6 @@ def solve_value_stack(
     beta,
     gamma,
     counts: Optional[tuple[np.ndarray, GramFactor]] = None,
-    max_iter: int = 10_000,
 ) -> FixedPointStack:
     """Solve the value recursion for P columns at once, each with its own (beta, gamma).
 
@@ -107,9 +108,10 @@ def solve_value_stack(
     Each column runs the iteration of :func:`solve_value_fixed_point` in
     whitened coordinates u = L'z, where the G-norm is Euclidean and
     G^-1 T(y) is L^-1 T(y), and stops on its own convergence test (a
-    G-norm step below TOL). The reported chi has a positive sample mean
-    const'G chi: it is the normalized G^-1 T(y) of a nonnegative map, or at
-    the first iteration the normalized G^-1 (mean basis vector).
+    G-norm step below TOL) or after MAX_ITER iterations. The reported chi
+    has a positive sample mean const'G chi: it is the normalized G^-1 T(y)
+    of a nonnegative map, or at the first iteration the normalized G^-1
+    (mean basis vector).
     Columns with beta outside (0, 1) or gamma < 1, or whose G^(1-gamma)
     overflows, are not iterated; their ``reason`` says why. Only
     panel-level faults raise: a missing growth series, or a Gram matrix
@@ -124,8 +126,6 @@ def solve_value_stack(
     )
     beta, gamma = (np.broadcast_to(np.asarray(a, float), shape).ravel() for a in (beta, gamma))
     p_cols, n, k = beta.size, design.n, design.b0.shape[-1]
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     gw = _growth_weights(design.growth, gamma)  # (P, n)
     gw /= n
     reason = np.full(p_cols, "", dtype=object)
@@ -176,7 +176,7 @@ def solve_value_stack(
     flip = np.array([-1.0, 1.0])[:, None, None]
     # a vanishing or non-finite G-norm makes a NaN step, which ends its column
     with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             nz = np.sqrt(np.einsum("pk,pk->p", U, U))
             Y_new = U / nz[:, None]
             if Y_prev is None:
@@ -185,7 +185,7 @@ def solve_value_stack(
                 D = Y_new + flip * Y_prev  # y_new - y and y_new + y
                 s = np.sqrt(np.einsum("spk,spk->sp", D, D).min(axis=0))
             done = ~(s >= TOL)
-            if it == max_iter:
+            if it == MAX_ITER:
                 done[:] = True
             U = g_inv_t(Y_new, *per_col)
             if done.any():
@@ -222,7 +222,6 @@ def solve_value_fixed_point(
     design: Design,
     beta: float,
     gamma: float,
-    max_iter: int = 10_000,
 ) -> FixedPointStack:
     """Solve the sample nonlinear eigenproblem for the continuation value.
 
@@ -230,9 +229,9 @@ def solve_value_fixed_point(
     the starting vector z_1 = G^{-1}(mean basis vector). On convergence the
     eigenvalue is the G-norm of the final pre-normalization iterate.
     Convergence is declared when the G-norm change in y falls below
-    TOL; non-convergence returns the best iterate flagged
-    ``converged=False`` rather than raising, so simulation harnesses can
-    count and discard such fits. This is row 0 of :func:`solve_value_stack`
+    TOL; non-convergence within MAX_ITER iterations returns the best
+    iterate flagged ``converged=False`` rather than raising, so simulation
+    harnesses can count and discard such fits. This is row 0 of :func:`solve_value_stack`
     with one column.
 
     gamma = 1 is allowed as the degenerate log-utility case, for which the
@@ -240,7 +239,7 @@ def solve_value_fixed_point(
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    st = solve_value_stack(design, beta, gamma, max_iter=max_iter)
+    st = solve_value_stack(design, beta, gamma)
     if st.reason[0] in ("invalid_parameters", "growth_overflow"):
         value_map(design, beta, gamma)  # raises, naming the parameter or the overflowing period
     if np.isnan(st.lam[0]):

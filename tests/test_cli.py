@@ -450,8 +450,9 @@ def test_console_script_entry_point(tmp_path, sim_panel):
 
 
 def test_import_loads_no_scipy():
-    code = ("import sys, sdfspectral, sdfspectral.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    # nor the process-pool machinery of multiprocessing and concurrent.futures
+    code = ("import sys, sdfspectral, sdfspectral.cli; print([m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

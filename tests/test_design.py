@@ -45,13 +45,13 @@ def test_mc_block_evaluates_the_basis_once(testbed, recursive_prefs, evaluations
         ar1=testbed, preferences=recursive_prefs, sample_sizes=(400,), replications=2,
         basis_spec=s.BasisSpec(family="hermite", k=8), seed=1,
     )
-    table = s.run_mc_study(design, workers=1)
+    table = s.run_mc_study(design)
     assert table.excluded[400] == 0
     # one Hermite table over both replicates' states X_0..X_n and the quadrature nodes
     assert tables == [(2, 401 + s.simkit.ORACLE_NODES)] and evaluations == []
     # a B-spline basis is fitted and evaluated replicate by replicate, at once
     # on the sample and the nodes
-    s.run_mc_study(replace(design, basis_spec=s.BasisSpec(family="bspline", k=8)), workers=1)
+    s.run_mc_study(replace(design, basis_spec=s.BasisSpec(family="bspline", k=8)))
     assert evaluations == [401 + s.simkit.ORACLE_NODES] * 2
 
 

@@ -73,16 +73,6 @@ def small_table(testbed, power_prefs):
     return design, s.run_mc_study(design)
 
 
-def test_mc_table_determinism_across_workers(small_table):
-    design, table = small_table
-    again = s.run_mc_study(design, workers=3)
-    for key, cell in table.cells.items():
-        assert again.cells[key].bias == cell.bias
-        assert again.cells[key].rmse == cell.rmse
-    assert again.excluded == table.excluded
-    assert again.se_summary == table.se_summary
-
-
 def test_mc_rmse_declines_with_sample_size(small_table):
     _, table = small_table
     assert table.rmse(1600, "rho") < table.rmse(400, "rho")
@@ -143,36 +133,6 @@ def test_mc_design_validation(testbed, power_prefs):
         s.run_mc_study(tiny)
 
 
-def test_mc_pool_sized_by_jobs(testbed, power_prefs, monkeypatch):
-    # a pool that records its size and runs the jobs in this process
-    from sdfspectral import simkit
-
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(simkit, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setenv(simkit.WORKERS_ENV, "64")
-    design = s.McDesign(
-        ar1=testbed, preferences=power_prefs, sample_sizes=(400,), replications=2,
-        basis_spec=s.BasisSpec(family="hermite", k=8), seed=1,
-    )
-    table = s.run_mc_study(design)
-    assert sizes == [2]
-    assert table.cells == s.run_mc_study(design, workers=1).cells
-
-
 @pytest.mark.parametrize("spec, k", [(s.BasisSpec(family="sparse", degree=6, cap=5), 5),
                                      (s.BasisSpec(family="hermite", k=8, degree=3), 4)])
 def test_mc_sieve_dimension_is_that_of_the_built_basis(spec, k, testbed, power_prefs, monkeypatch):
@@ -190,7 +150,7 @@ def test_mc_sieve_dimension_is_that_of_the_built_basis(spec, k, testbed, power_p
     design = s.McDesign(ar1=testbed, preferences=power_prefs, sample_sizes=(12,),
                         replications=8, basis_spec=spec, seed=1)
     assert spec.build(np.arange(5.0)).dimension_k == k
-    s.run_mc_study(design, workers=1)
+    assert s.run_mc_study(design).metadata()["k"] == k
     assert blocks == [3, 3, 2]
 
 
@@ -221,7 +181,7 @@ def test_mc_censors_failed_replicates_stage_wise(testbed, recursive_prefs, monke
         ar1=testbed, preferences=recursive_prefs, sample_sizes=(200,), replications=9,
         basis_spec=s.BasisSpec(family="hermite", k=6), seed=1,
     )
-    table = s.run_mc_study(design, workers=1)
+    table = s.run_mc_study(design)
     assert table.excluded == {200: 3} and len(fits) == 9
     rho = np.array([r for i, r in enumerate(fits) if i % 3 != 2])
     lam = np.array(lams)
@@ -280,7 +240,7 @@ def _stack_case(name, testbed, power_prefs, recursive_prefs):
 @pytest.mark.parametrize("name", list(STACK_CASES))
 def test_stacked_records_equal_per_replicate_fits(name, testbed, power_prefs, recursive_prefs):
     design, n, reps, nodes = _stack_case(name, testbed, power_prefs, recursive_prefs)
-    failed, scalars, funcs = simkit._run_block((design, n, 0, reps, nodes))
+    failed, scalars, funcs = simkit._run_block(design, n, range(reps), nodes)
     ref = [_reference_record(design, n, rep, nodes) for rep in range(reps)]
     np.testing.assert_array_equal(failed, [r[0] for r in ref])
     if name == "recursive_hermite":
@@ -289,19 +249,19 @@ def test_stacked_records_equal_per_replicate_fits(name, testbed, power_prefs, re
     np.testing.assert_allclose(funcs, [r[2] for r in ref], rtol=1e-12, atol=0)
 
 
-def test_mc_records_do_not_depend_on_blocks_or_workers(testbed, recursive_prefs, monkeypatch):
+def test_mc_records_do_not_depend_on_blocks(testbed, recursive_prefs, monkeypatch):
     # k = 6 and n = 300: some pencils of a block have complex eigenvalues
     design = s.McDesign(
         ar1=testbed, preferences=recursive_prefs, sample_sizes=(300,), replications=30,
         basis_spec=s.BasisSpec(family="hermite", k=6), seed=3,
     )
     nodes = s.quadrature_eig(testbed, recursive_prefs, simkit.ORACLE_NODES).nodes
-    whole = simkit._run_block((design, 300, 0, 30, nodes))
+    whole = simkit._run_block(design, 300, range(30), nodes)
     assert whole[0].any()
     for block_elements in (1, 4 * 301 * 6, 7 * 301 * 6):
         monkeypatch.setattr(simkit, "MC_BLOCK_ELEMENTS", block_elements)
-        for edges in ((0, 30), (0, 11, 30), (0, 1, 17, 30)):  # ranges of one worker each
-            parts = [simkit._run_block((design, 300, lo, hi, nodes))
+        for edges in ((0, 30), (0, 11, 30), (0, 1, 17, 30)):  # contiguous replicate ranges
+            parts = [simkit._run_block(design, 300, range(lo, hi), nodes)
                      for lo, hi in zip(edges[:-1], edges[1:])]
             for field, joined in zip(whole, (np.concatenate(p) for p in zip(*parts))):
                 np.testing.assert_array_equal(field, joined)
@@ -316,7 +276,7 @@ def test_one_failing_replicate_is_censored_alone(stage, testbed, recursive_prefs
         basis_spec=s.BasisSpec(family="hermite", k=8), seed=1,
     )
     nodes = s.quadrature_eig(testbed, recursive_prefs, simkit.ORACLE_NODES).nodes
-    clean = simkit._run_block((design, 300, 0, 6, nodes))
+    clean = simkit._run_block(design, 300, range(6), nodes)
     assert not clean[0].any()
     bad = 2  # the replicate whose stage fails, in a block of all six
     if stage == "basis":  # a constant state path has zero variance
@@ -351,7 +311,7 @@ def test_one_failing_replicate_is_censored_alone(stage, testbed, recursive_prefs
             return st._replace(reason=reason)
 
         monkeypatch.setattr(owner, attr, failing_at_bad)
-    failed, scalars, funcs = simkit._run_block((design, 300, 0, 6, nodes))
+    failed, scalars, funcs = simkit._run_block(design, 300, range(6), nodes)
     assert list(np.flatnonzero(failed)) == [bad]
     others = np.arange(6) != bad
     for field, ref in zip((failed, scalars, funcs), clean):

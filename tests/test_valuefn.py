@@ -125,9 +125,10 @@ def test_parameter_validation(recursive_fit):
         s.solve_value_fixed_point(s.Design(basis, bare), 0.99, 5.0)
 
 
-def test_non_convergence_returns_best_iterate(recursive_fit, recursive_prefs):
+def test_non_convergence_returns_best_iterate(recursive_fit, recursive_prefs, monkeypatch):
+    monkeypatch.setattr(s.valuefn, "MAX_ITER", 2)
     fp = s.solve_value_fixed_point(
-        recursive_fit["design"], recursive_prefs.beta, recursive_prefs.gamma, max_iter=2
+        recursive_fit["design"], recursive_prefs.beta, recursive_prefs.gamma
     )
     assert not fp.converged
     assert np.isfinite(fp.lam) and np.all(np.isfinite(fp.chi_coeffs))
@@ -140,23 +141,24 @@ def test_downstream_eigen_residual_with_plugin_sdf(recursive_fit, recursive_pref
     assert abs(fit.sample.psi_rho.mean()) < 1e-10
 
 
-def test_stacked_columns_equal_their_single_solves(testbed):
+def test_stacked_columns_equal_their_single_solves(testbed, monkeypatch):
     panel = s.simulate_ar1(testbed, 400, np.random.default_rng(23))
     growth = panel.growth.copy()
     growth[7] = math.exp(-15.0)  # G^(1-gamma) overflows at t = 7 for gamma = 60 only
     panel = s.StatePanel.from_states(panel.states, growth=growth)
     design = s.Design(s.BasisSpec(family="hermite", k=8).build(panel.states), panel)
     betas, gammas = (a.ravel() for a in np.meshgrid([0.9, 0.97, 0.994], [1.0, 5.0, 15.0, 60.0]))
-    max_iter = 2  # gamma = 1 converges in two steps, the larger gammas do not
-    st = s.solve_value_stack(design, betas, gammas, max_iter=max_iter)
+    # gamma = 1 converges in two steps, the larger gammas do not
+    monkeypatch.setattr(s.valuefn, "MAX_ITER", 2)
+    st = s.solve_value_stack(design, betas, gammas)
     assert set(st.reason) == {"", "unconverged_value_recursion", "growth_overflow"}
     for p, (beta, gamma) in enumerate(zip(betas, gammas)):
         if gamma == 60.0:
             assert st.reason[p] == "growth_overflow" and np.isnan(st.lam[p])
             with pytest.raises(ValueError, match="overflows"):
-                s.solve_value_fixed_point(design, beta, gamma, max_iter=max_iter)
+                s.solve_value_fixed_point(design, beta, gamma)
             continue
-        fp = s.solve_value_fixed_point(design, beta, gamma, max_iter=max_iter)
+        fp = s.solve_value_fixed_point(design, beta, gamma)
         assert st.iterations[p] == fp.iterations and st.converged[p] == fp.converged
         assert st.lam[p] == pytest.approx(fp.lam, rel=1e-12, abs=0)
         np.testing.assert_allclose(st.chi_coeffs[p], fp.chi_coeffs, rtol=0, atol=1e-10)
@@ -204,14 +206,16 @@ def test_degenerate_column_ends_without_stopping_the_stack(testbed):
         s.solve_value_fixed_point(design, 0.99, 60.0)
 
 
-def test_reported_chi_has_a_positive_mean(testbed, recursive_fit, recursive_prefs):
+def test_reported_chi_has_a_positive_mean(testbed, recursive_fit, recursive_prefs, monkeypatch):
     # from the fixed start every iterate is G^-1 of a positive-mean vector, so
     # the reported chi has const'G chi > 0 whether or not its column converged
     design, const = recursive_fit["design"], recursive_fit["basis"].const_coeffs
     beta, gamma = recursive_prefs.beta, recursive_prefs.gamma
     for max_iter in (1, 2):
-        fp = s.solve_value_fixed_point(design, beta, gamma, max_iter=max_iter)
+        monkeypatch.setattr(s.valuefn, "MAX_ITER", max_iter)
+        fp = s.solve_value_fixed_point(design, beta, gamma)
         assert not fp.converged and const @ design.gram @ fp.chi_coeffs > 0
+    monkeypatch.undo()
     rng = np.random.default_rng(9)
     counts = np.array([np.bincount(s.stationary_bootstrap_indices(design.n, 6.0, rng),
                                    minlength=design.n) for _ in range(4)])

@@ -39,7 +39,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 SEED = 1
-#: one BLAS thread and one MC worker, as in the benchmark
+#: one BLAS thread, as in the benchmark, and one MC worker for revisions whose
+#: Monte Carlo harness still reads SDFSPECTRAL_THREADS
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
        "SDFSPECTRAL_THREADS": "1"}
 
@@ -120,6 +121,8 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     cases["decompose_sdf"] = ["decompose", *cases["bootstrap_sdf"][1:]]
     cases["mc_recursive"] = [*mc, "--design", "recursive", "--k", "6", "--reps", "30",
                              "--sizes", "300,600"]
+    # a Hermite degree overrides k: the run fits a k = 4 sieve
+    cases["mc_degree"] = [*mc, "--degree", "3"]
     # a flagged fit: bootstrap writes its outputs and exits 2, decompose exits 1
     cases["bootstrap_sign_change"] = [*bootstrap, "--input", sign_change_panel()]
     cases["decompose_sign_change"] = ["decompose", *cases["bootstrap_sign_change"][1:]]
