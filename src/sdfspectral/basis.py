@@ -20,40 +20,56 @@ from typing import Optional
 import numpy as np
 
 
-def _hermite_table(z: np.ndarray, degree: int) -> np.ndarray:
+def _hermite_table(z: np.ndarray, degree: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Values He_j(z)/sqrt(j!) for j = 0..degree (probabilists' Hermite), on a new last axis.
 
     ``z`` may have any shape; the table has shape z.shape + (degree + 1,).
     The sqrt(j!) scaling makes the functions orthonormal under N(0, 1).
+    The table is built degree-major, in ``out`` when given: an array of
+    shape (degree + 1,) + z.shape, of which the table is a view.
     """
     z = np.asarray(z, dtype=float)
     # built degree-major, so that each step of the recurrence runs on contiguous values
-    table = np.empty((degree + 1,) + z.shape)
+    table = np.empty((degree + 1,) + z.shape) if out is None else out
     table[0] = 1.0
     if degree >= 1:
         table[1] = z
     for j in range(1, degree):
-        table[j + 1] = z * table[j] - j * table[j - 1]
+        np.multiply(z, table[j], out=table[j + 1])
+        table[j + 1] -= j * table[j - 1]
     for j in range(2, degree + 1):  # sqrt(0!) = sqrt(1!) = 1
         table[j] /= math.sqrt(math.factorial(j))
     return np.moveaxis(table, 0, -1)
 
 
-def _polynomial_values(z: np.ndarray, index_tuples) -> np.ndarray:
+def _polynomial_values(
+    z: np.ndarray,
+    index_tuples,
+    out: Optional[np.ndarray] = None,
+    table: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Products of per-coordinate Hermite tables over the retained multi-indices.
 
     ``z`` holds standardized points, coordinates on its last axis and any
-    leading shape; the result replaces that axis by one per multi-index.
+    leading shape; the result replaces that axis by one per multi-index,
+    and is written into ``out`` when given. A univariate basis of degrees
+    0..d is the Hermite table itself: it is built in ``table`` when given
+    (see :func:`_hermite_table`) and copied once into the result, which
+    equals the product of its columns with ones bit for bit.
     """
+    values = np.empty(z.shape[:-1] + (len(index_tuples),)) if out is None else out
+    if tuple(index_tuples) == tuple((j,) for j in range(len(index_tuples))):
+        values[...] = _hermite_table(z[..., 0], len(index_tuples) - 1, out=table)
+        return values
     tables = [
         _hermite_table(z[..., d], max(t[d] for t in index_tuples)) for d in range(z.shape[-1])
     ]
-    out = np.ones(z.shape[:-1] + (len(index_tuples),))
+    values[...] = 1.0
     for col, idx in enumerate(index_tuples):
         for d, j in enumerate(idx):
             if j > 0:
-                out[..., col] *= tables[d][..., j]
-    return out
+                values[..., col] *= tables[d][..., j]
+    return values
 
 
 def _graded_tuples(per_dim_sizes: list[int]) -> list[tuple[int, ...]]:
@@ -297,7 +313,11 @@ class BasisSpec:
         raise ValueError(f"unknown basis family {self.family!r}")
 
     def evaluate_stack(
-        self, samples: np.ndarray, points: np.ndarray
+        self,
+        samples: np.ndarray,
+        points: np.ndarray,
+        out: Optional[np.ndarray] = None,
+        table: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fit the basis to each row of a stack of univariate samples; evaluate each there and at ``points``.
 
@@ -309,6 +329,11 @@ class BasisSpec:
         which are NaN. Polynomial bases differ across rows only in their
         standardization, so one Hermite table serves the whole stack;
         B-spline knots are fitted and evaluated row by row.
+
+        The values are written into ``out`` and a polynomial basis's
+        Hermite table into ``table`` when these are given, arrays of
+        shapes (R, m + p, k) and (k, R, m + p), so that a caller can reuse
+        them across stacks.
         """
         samples = np.asarray(samples, dtype=float)
         pts = np.concatenate(
@@ -326,7 +351,8 @@ class BasisSpec:
                 rows.append(basis.evaluate_many(pts[r]))
             if basis is None:
                 return np.full(pts.shape + (0,), np.nan), np.zeros(0), failed
-            values = np.full(pts.shape + (basis.dimension_k,), np.nan)
+            values = np.empty(pts.shape + (basis.dimension_k,)) if out is None else out
+            values[failed] = np.nan
             values[~failed] = rows
             return values, basis.const_coeffs, failed
         sds = samples.std(axis=1, ddof=1)
@@ -336,7 +362,7 @@ class BasisSpec:
         # every row's basis has the index tuples of the first one that builds
         basis = self.build(samples[np.argmin(failed)])
         z = (pts - samples.mean(axis=1)[:, None]) / np.where(failed, 1.0, sds)[:, None]
-        values = _polynomial_values(z[..., None], basis.index_tuples)
+        values = _polynomial_values(z[..., None], basis.index_tuples, out, table)
         values[failed] = np.nan
         return values, basis.const_coeffs, failed
 

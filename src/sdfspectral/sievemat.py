@@ -170,12 +170,21 @@ class DesignStack:
     series; the constant function has the coefficients ``const_coeffs`` in
     every basis. The (R, k, k) Gram stack, its factor and its whitening are
     formed on first use, each matrix as :class:`Design` forms its own.
+    ``work``, if given, is an array of b1's shape that :func:`estimate_pricing`
+    overwrites with its m-weighted b1 rows, so that a caller can reuse it
+    across stacks.
     """
 
     def __init__(
-        self, b0: np.ndarray, b1: np.ndarray, growth: np.ndarray, const_coeffs: np.ndarray
+        self,
+        b0: np.ndarray,
+        b1: np.ndarray,
+        growth: np.ndarray,
+        const_coeffs: np.ndarray,
+        work: Optional[np.ndarray] = None,
     ):
         self.b0, self.b1, self.growth, self.const_coeffs = b0, b1, growth, const_coeffs
+        self.work = work
 
     @property
     def n(self) -> int:
@@ -222,7 +231,11 @@ def estimate_gram(design: Design) -> np.ndarray:
         )
     gram = np.swapaxes(design.b0, -1, -2) @ design.b0 / n
     gram = 0.5 * (gram + np.swapaxes(gram, -1, -2))
-    if np.any(np.linalg.cond(gram) > 1e12):
+    # G is symmetric, so its singular values are the moduli of its eigenvalues
+    modulus = np.abs(np.linalg.eigvalsh(gram))
+    with np.errstate(divide="ignore"):  # an exactly singular G has condition inf
+        cond = modulus.max(axis=-1) / modulus.min(axis=-1)
+    if np.any(cond > 1e12):
         warnings.warn("Gram matrix numerically singular (condition > 1e12)", stacklevel=2)
     return gram
 
@@ -267,4 +280,5 @@ def estimate_pricing(design: Design, m: np.ndarray) -> np.ndarray:
     if m is None or np.shape(m) != design.b0.shape[:-1]:
         raise ValueError(f"need the realized SDF increments m (sdf_increments) as a length-{n} series")
     m = np.asarray(m, dtype=float)
-    return np.swapaxes(design.b0, -1, -2) @ (m[..., None] * design.b1) / n
+    work = design.work if isinstance(design, DesignStack) else None
+    return np.swapaxes(design.b0, -1, -2) @ np.multiply(m[..., None], design.b1, out=work) / n

@@ -32,7 +32,8 @@ from .sievemat import DesignStack, StatePanel
 #: Gauss-Hermite nodes of the quadrature truth and of the function-valued scores
 ORACLE_NODES = 80
 #: float64 elements of one (replicates, n + 1, k) array of basis values; it
-#: sets how many replicates a block stacks, so peak memory stays flat in n and k
+#: sets how many replicates a block stacks, so peak memory stays flat in n and k.
+#: A block fills work buffers sized once per sample size for its largest block
 MC_BLOCK_ELEMENTS = 2**17
 
 
@@ -173,9 +174,13 @@ def _replicate_rng(seed: int, n: int, rep: int) -> np.random.Generator:
 
 
 def _fit_block(
-    design: McDesign, n: int, reps: range, nodes: np.ndarray
+    design: McDesign, n: int, reps: range, nodes: np.ndarray, work: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Records of the replicates ``reps`` at sample size n, simulated and fitted as one stack.
+
+    The basis values, their Hermite table and the pricing product are
+    written into the leading replicates of the ``work`` buffers of
+    :func:`_run_block`; no record is a view of them.
 
     Returns whether each fit failed, the (R, 5) _SCALARS and the
     (R, 3, nodes) _FUNCS records, NaN wherever a value is censored. Each
@@ -191,16 +196,20 @@ def _fit_block(
     growth = np.exp(states[:, 1:])
     if not np.all(np.isfinite(growth) & (growth > 0)):
         raise ValueError("simulated growth is not finite and positive; the AR(1) law is too extreme")
-    failed = np.ones(len(reps), dtype=bool)
-    scalars = np.full((len(reps), len(_SCALARS)), np.nan)
-    funcs = np.full((len(reps), len(_FUNCS), nodes.size), np.nan)
+    R = len(reps)
+    failed = np.ones(R, dtype=bool)
+    scalars = np.full((R, len(_SCALARS)), np.nan)
+    funcs = np.full((R, len(_FUNCS), nodes.size), np.nan)
 
-    values, const, no_basis = design.basis_spec.evaluate_stack(states, nodes)
+    table, values, product = work
+    values, const, no_basis = design.basis_spec.evaluate_stack(
+        states, nodes, values[:R], table[:, :R]
+    )
 
     def stack_of(rows: np.ndarray) -> tuple[DesignStack, np.ndarray]:
         """The design stack of the given replicates, and their basis values at the nodes."""
-        b = values[rows]
-        return DesignStack(b[:, :n], b[:, 1:n + 1], growth[rows], const), b[:, n + 1:]
+        b, g = (values, growth) if rows.size == R else (values[rows], growth[rows])
+        return DesignStack(b[:, :n], b[:, 1:n + 1], g, const, product[:rows.size]), b[:, n + 1:]
 
     rows = np.flatnonzero(~no_basis)
     if rows.size:
@@ -234,11 +243,16 @@ def _run_block(
     """Stacked records of the replicates ``reps`` at sample size n, in replicate order.
 
     The range is fitted in blocks of as many replicates as keep one block's
-    basis values within MC_BLOCK_ELEMENTS.
+    basis values within MC_BLOCK_ELEMENTS. Every block fills the same work
+    buffers, allocated once for the largest block: the Hermite table and
+    the basis values at the sample and the nodes, and the pricing product.
     """
-    size = max(1, MC_BLOCK_ELEMENTS // ((n + 1) * _sieve_dim(design.basis_spec)))
+    k = _sieve_dim(design.basis_spec)
+    size = max(1, min(len(reps), MC_BLOCK_ELEMENTS // ((n + 1) * k)))
+    width = n + 1 + nodes.size  # the states X_0..X_n and the nodes
+    work = (np.empty((k, size, width)), np.empty((size, width, k)), np.empty((size, n, k)))
     records = [
-        _fit_block(design, n, reps[lo:lo + size], nodes) for lo in range(0, len(reps), size)
+        _fit_block(design, n, reps[lo:lo + size], nodes, work) for lo in range(0, len(reps), size)
     ]
     return tuple(np.concatenate(field) for field in zip(*records))
 

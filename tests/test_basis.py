@@ -43,6 +43,23 @@ def test_hermite_matches_reference_recurrence():
         np.testing.assert_allclose(vals[:, j], ref, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("degree", range(11))
+def test_univariate_values_equal_the_product_path(degree):
+    # degrees 0..d of one coordinate take the copy of the Hermite table; the
+    # same degrees paired with degree 0 of a second coordinate take the
+    # product of ones with the table's columns
+    from sdfspectral.basis import _polynomial_values
+
+    gen = np.random.default_rng(degree)
+    tuples = tuple((j,) for j in range(degree + 1))
+    for z in (3.0 * gen.standard_normal(50), 3.0 * gen.standard_normal((4, 30))):
+        products = _polynomial_values(np.stack([z, z], axis=-1), tuple((j, 0) for j, in tuples))
+        np.testing.assert_array_equal(_polynomial_values(z[..., None], tuples), products)
+        out, table = np.empty(z.shape + (degree + 1,)), np.empty((degree + 1,) + z.shape)
+        assert _polynomial_values(z[..., None], tuples, out, table) is out
+        np.testing.assert_array_equal(out, products)
+
+
 def test_hermite_gram_near_identity():
     # the degree-7 diagonal entry has a heavy-tailed summand, so the
     # entrywise 0.05 tolerance needs several million draws

@@ -26,9 +26,12 @@ def evaluations(monkeypatch):
 def test_recursive_decompose_evaluates_the_basis_once_per_point_set(testbed, evaluations):
     panel = s.simulate_ar1(testbed, 400, np.random.default_rng(4))
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
-    res = s.decompose_panel(s.Design(basis, panel), s.RecursiveUtility(beta=0.994, gamma=15.0))
+    design = s.Design(basis, panel)
+    res = s.decompose_panel(design, s.RecursiveUtility(beta=0.994, gamma=15.0))
     assert res.fit.fixed_point.converged and not res.fit.reason
     assert evaluations == [panel.n, panel.n]
+    # each point set's values are an array of their own
+    assert not np.shares_memory(design.b0, design.b1)
 
 
 def test_mc_block_evaluates_the_basis_once(testbed, recursive_prefs, evaluations, monkeypatch):
@@ -36,9 +39,9 @@ def test_mc_block_evaluates_the_basis_once(testbed, recursive_prefs, evaluations
 
     tables, hermite_table = [], basis_module._hermite_table
 
-    def counted_table(z, degree):
+    def counted_table(z, degree, out=None):
         tables.append(np.shape(z))
-        return hermite_table(z, degree)
+        return hermite_table(z, degree, out=out)
 
     monkeypatch.setattr(basis_module, "_hermite_table", counted_table)
     design = s.McDesign(

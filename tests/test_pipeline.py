@@ -279,5 +279,5 @@ def test_each_gram_matrix_is_factored_once(testbed, power_prefs, recursive_prefs
         factored.clear()
         mc = s.McDesign(ar1=testbed, preferences=prefs, sample_sizes=(300,), replications=5,
                         basis_spec=s.BasisSpec(family="hermite", k=6), seed=1)
-        simkit._fit_block(mc, 300, range(5), nodes)
+        simkit._run_block(mc, 300, range(5), nodes)  # one block of five
         assert sum(factored) == 5

@@ -141,9 +141,9 @@ def test_mc_sieve_dimension_is_that_of_the_built_basis(spec, k, testbed, power_p
     blocks = []
     fit_block = simkit._fit_block
 
-    def recorded(design, n, reps, nodes):
+    def recorded(design, n, reps, nodes, work):
         blocks.append(len(reps))
-        return fit_block(design, n, reps, nodes)
+        return fit_block(design, n, reps, nodes, work)
 
     monkeypatch.setattr(simkit, "_fit_block", recorded)
     monkeypatch.setattr(simkit, "MC_BLOCK_ELEMENTS", 3 * 13 * k)
