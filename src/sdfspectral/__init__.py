@@ -51,4 +51,28 @@ from .valuefn import (
     value_map,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # basis
+    "BasisSpec", "SieveBasis", "build_bspline_basis", "build_hermite_basis",
+    "build_sparse_tensor", "hermite_basis_from_moments",
+    # calibrate
+    "CalibrationResult", "criterion", "criterion_grid", "estimate_preferences",
+    # decomp
+    "DecompSeries", "change_of_measure", "long_run_stack", "pt_association", "pt_series",
+    # inference
+    "BootstrapResult", "bootstrap_ci", "default_bandwidth", "stationary_bootstrap_indices",
+    "variance_entropy",
+    # oracle
+    "AffineSolution", "Ar1Design", "QuadratureOperator", "QuadratureSolution",
+    "affine_power_utility_solution", "quadrature_eig",
+    # pipeline
+    "DecompositionResult", "bootstrap_statistic", "decompose_panel", "fit_panel",
+    # preferences
+    "PowerUtility", "RecursiveUtility",
+    # sievemat
+    "Design", "StatePanel", "estimate_gram", "estimate_pricing",
+    # simkit
+    "McDesign", "McTable", "l2_distance", "run_mc_study", "simulate_ar1",
+    # valuefn
+    "FixedPointStack", "solve_value_fixed_point", "solve_value_stack", "value_map",
+]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -142,6 +143,7 @@ def _flag_type(kind):
     return comma_separated_list
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="sdfspectral",
@@ -256,11 +258,12 @@ def read_panel_csv(cfg: RunConfig) -> StatePanel:
         raise CliError("state_cols must name at least one column")
     try:
         with open(cfg.input_csv, newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            rows = list(reader)
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]  # wholly blank lines are skipped
     except FileNotFoundError:
         raise CliError(f"input CSV not found: {cfg.input_csv}")
+    column = {name: j for j, name in enumerate(header)}  # a repeated name: its last column
     needed = list(cfg.state_cols) + cfg.return_cols
     for col in (cfg.growth_col, cfg.sdf_col):
         if col:
@@ -275,16 +278,19 @@ def read_panel_csv(cfg: RunConfig) -> StatePanel:
         # Flow columns (growth/SDF/returns) describe the period ending at
         # each row; the first row's value is unused and may be blank.
         start = 1 if skip_first else 0
-        out = np.empty(len(rows) - start)
-        for i, row in enumerate(rows[start:]):
-            cell = row[col]
-            try:
-                out[i] = float(cell)
-            except (TypeError, ValueError):
-                raise CliError(
-                    f"column {col!r} has a non-numeric value {cell!r} "
-                    f"at data row {i + start + 2}"
-                )
+        j = column[col]
+        cells = [row[j] if j < len(row) else None for row in rows[start:]]  # a short row: None
+        try:
+            out = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        except (TypeError, ValueError):  # find the first cell that failed, to name it
+            for i, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except (TypeError, ValueError):
+                    raise CliError(
+                        f"column {col!r} has a non-numeric value {cell!r} "
+                        f"at data row {i + start + 2}"
+                    )
         if not np.all(np.isfinite(out)):
             i = int(np.argmin(np.isfinite(out)))
             raise CliError(f"column {col!r} is non-finite at data row {i + start + 2}")
@@ -376,7 +382,7 @@ def _write_eigenfunction_outputs(cfg, panel, basis, fit: FitStack) -> None:
     write_csv(
         os.path.join(cfg.out_dir, "eigenfunctions.csv"),
         [f"x{d+1}" for d in range(panel.state_dim)] + ["phi", "phi_star", "change_of_measure"],
-        np.column_stack([grid, phi, phi_star, com]),
+        [*grid.T, phi, phi_star, com],
     )
     if panel.state_dim == 1:
         line_plot(
@@ -401,9 +407,11 @@ def _write_eigenfunction_outputs(cfg, panel, basis, fit: FitStack) -> None:
 def _write_summary_csv(path, rows: list[dict], level: Optional[float]) -> None:
     """Table of point estimates and optional percentile CI columns."""
     write_csv(path, SUMMARY_COLUMNS, [
-        [row["statistic"], row["estimate"], row.get("ci_lo"), row.get("ci_hi"),
-         None if row.get("ci_lo") is None else level]
-        for row in rows
+        [row["statistic"] for row in rows],
+        [row["estimate"] for row in rows],
+        [row.get("ci_lo") for row in rows],
+        [row.get("ci_hi") for row in rows],
+        [None if row.get("ci_lo") is None else level for row in rows],
     ])
 
 
@@ -485,8 +493,8 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     write_csv(
         os.path.join(cfg.out_dir, "change_of_measure_sample.csv"),
         ["t", "phi", "phi_star", "change_of_measure"],
-        zip(range(panel.n), on.phi_t, on.phi_star_t,
-            change_of_measure(on.phi_t, on.phi_star_t)),
+        [np.arange(panel.n), on.phi_t, on.phi_star_t,
+         change_of_measure(on.phi_t, on.phi_star_t)],
     )
     t = np.arange(panel.n)
     line_plot(
@@ -525,7 +533,7 @@ def _cmd_value(cfg: RunConfig) -> int:
     write_csv(
         os.path.join(cfg.out_dir, "value_function.csv"),
         [f"x{d+1}" for d in range(panel.state_dim)] + ["chi"],
-        np.column_stack([grid, chi]),
+        [*grid.T, chi],
     )
     if panel.state_dim == 1:
         line_plot(os.path.join(cfg.out_dir, "value_function.svg"), grid[:, 0],
@@ -571,7 +579,7 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
     }
     write_json(os.path.join(cfg.out_dir, "calibration.json"), payload)
     write_csv(os.path.join(cfg.out_dir, "trace.csv"), ["beta", "gamma", "criterion"],
-              result.optimizer_trace)
+              list(zip(*result.optimizer_trace)))
     rows = [
         {"statistic": "beta", "estimate": result.beta_hat},
         {"statistic": "gamma", "estimate": result.gamma_hat},

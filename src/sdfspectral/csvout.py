@@ -1,31 +1,60 @@
 """The one CSV writer of every output table, and the one JSON writer of every output record.
 
-Header row, comma separator, UTF-8, decimal point. Floats carry 17
-significant digits so they round-trip losslessly, None is an empty cell,
-and ints and strings are written as they are.
+Header row, comma separator, UTF-8, decimal point, ``\\r\\n`` row
+terminators. Floats carry 17 significant digits so they round-trip
+losslessly, None is an empty cell, and ints and strings are written as
+they are.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
+
+import numpy as np
 
 
-def _cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):  # numpy float64 included
-        return format(value, ".17g")
-    return value
+def _text(value) -> str:
+    """A cell as ``csv.writer`` writes it in a row of several: a float to 17 digits, None empty."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", format(value, ".17g") if isinstance(value, float) else value])
+    return buf.getvalue()[1:-2]  # drop the empty first cell's separator and the row terminator
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``header`` and then each row of ``rows`` to ``path``."""
+def _column(values) -> tuple[str, list]:
+    """A column's ``%`` conversion and the cells it converts.
+
+    A float64 column is ``%.17g`` (the same digits as ``format(v, ".17g")``),
+    an integer column ``%d``; any other column is text, each cell quoted by
+    the csv module.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.float64:
+            return "%.17g", values.tolist()
+        if values.dtype.kind in "iu":
+            return "%d", values.tolist()
+    values = list(values)
+    if all(isinstance(v, float) for v in values):  # numpy float64 included
+        return "%.17g", values
+    if all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+        return "%d", values
+    return "%s", [_text(v) for v in values]
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write ``header`` and then the rows of ``columns``, equal-length sequences, to ``path``.
+
+    The table is formatted with one ``%`` template: one conversion per
+    column, built from the column's kind.
+    """
+    kinds, cells = zip(*map(_column, columns))
+    rows = list(zip(*cells))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        csv.writer(fh).writerow(header)
+        fh.write((",".join(kinds) + "\r\n") * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 def write_json(path, payload) -> None:

@@ -187,7 +187,7 @@ def series_to_csv(series: DecompSeries, path) -> None:
     write_csv(
         path,
         ["t", "m", "m_perm", "m_trans"],
-        zip(range(series.m.size), series.m, series.m_perm, series.m_trans),
+        [np.arange(series.m.size), series.m, series.m_perm, series.m_trans],
     )
 
 

@@ -136,14 +136,18 @@ class McTable:
         return self.cells[(n, stat)].rmse
 
     def to_csv(self, path) -> None:
+        keys = sorted(self.cells)
+        cells = [self.cells[key] for key in keys]
         write_csv(
             path,
             ["design", "basis", "n", "statistic", "bias", "rmse",
              "replications", "excluded", "flagged"],
             [
-                [self.design_kind, self.basis_family, n, stat, cell.bias, cell.rmse,
-                 self.replications, self.excluded.get(n, 0), int(cell.flagged)]
-                for (n, stat), cell in sorted(self.cells.items())
+                [self.design_kind] * len(keys), [self.basis_family] * len(keys),
+                [n for n, _ in keys], [stat for _, stat in keys],
+                [cell.bias for cell in cells], [cell.rmse for cell in cells],
+                [self.replications] * len(keys), [self.excluded.get(n, 0) for n, _ in keys],
+                [int(cell.flagged) for cell in cells],
             ],
         )
 

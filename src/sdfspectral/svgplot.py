@@ -72,9 +72,12 @@ def line_plot(path, x, series: dict, title: str = "", xlabel: str = "", ylabel: 
             f'<text x="{_ML-7}" y="{sy(tv)+3:.1f}" text-anchor="end">{_fmt(tv)}</text>'
         )
     legend = []
+    px = sx(x)
     for i, (name, y) in enumerate(ys.items()):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+        # sx and sy round each array element as they round a scalar: same digits per point
+        xy = np.column_stack([px, sy(y)]).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * x.size) % tuple(xy)
         legend.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
         lx, lyy = _ML + _PW - 110, _MT + 14 + 15 * i
         legend.append(

@@ -2,13 +2,18 @@ import csv
 import json
 import subprocess
 import sys
+import types
 import typing
 
 import numpy as np
 import pytest
 
 import sdfspectral as s
-from sdfspectral.cli import SETTINGS, RunConfig, _parser, build_config, main, validate_summary_csv
+from sdfspectral import cli
+from sdfspectral.cli import (
+    SETTINGS, CliError, RunConfig, _parser, build_config, main, read_panel_csv,
+    validate_summary_csv,
+)
 from sdfspectral.pipeline import DISCARD_REASONS
 
 
@@ -136,6 +141,42 @@ def test_non_finite_cell_names_its_column_and_row(column, cell, tmp_path, capsys
                    "--sdf-col", "m", "--return-cols", "r1", "--out", str(tmp_path / "o")])
     assert status == 1
     assert f"column {column!r} is non-finite at data row 4" in capsys.readouterr().err
+
+
+# a three-row panel; row 0's flow cell is blank, as the time alignment allows
+PLAIN_PANEL = "x1,G\n0.01,\n0.02,1.01\n0.015,0.99\n0.03,1.02\n"
+
+
+def _read(tmp_path, text: str, newline: str = "\n"):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.replace("\n", newline).encode())
+    return read_panel_csv(RunConfig(command="decompose", input_csv=str(path),
+                                    state_cols=["x1"], growth_col="G"))
+
+
+@pytest.mark.parametrize("text, message", [
+    # data row 5 is the file's sixth line: the header is line 1
+    (PLAIN_PANEL.replace("1.02", "abc"), "column 'G' has a non-numeric value 'abc' at data row 5"),
+    ("x1,G\n0.01,\n0.02,\n0.03,1.0\n", "column 'G' has a non-numeric value '' at data row 3"),
+    (PLAIN_PANEL + "0.02\n", "column 'G' has a non-numeric value None at data row 6"),
+    (PLAIN_PANEL + "x,1.0\n", "column 'x1' has a non-numeric value 'x' at data row 6"),
+    # a wholly blank line is not a data row
+    ("x1,G\n0.01,\n\n0.02,1.01\n\n0.03,-1.0\n", "must be positive (data row 4)"),
+])
+def test_panel_cell_errors_name_column_and_row(tmp_path, text, message):
+    with pytest.raises(CliError) as exc:
+        _read(tmp_path, text)
+    assert message in str(exc.value)
+
+
+def test_panel_reader_accepts_crlf_padding_blank_lines_and_exponents(tmp_path):
+    plain = _read(tmp_path, PLAIN_PANEL)
+    messy = "x1,G\n 1.0e-02 ,  \n\n0.02 , 1.01e+00\n1.5E-2,0.99\n\n 0.03,1.02 \n\n"
+    for text, newline in [(PLAIN_PANEL, "\r\n"), (messy, "\n"), (messy, "\r\n")]:
+        panel = _read(tmp_path, text, newline)
+        np.testing.assert_array_equal(panel.states, plain.states)
+        np.testing.assert_array_equal(panel.growth, plain.growth)
+    assert plain.growth.tolist() == [1.01, 0.99, 1.02]
 
 
 def test_decompose_three_coordinate_state(tmp_path):
@@ -318,6 +359,30 @@ def test_usage_error_exits_1_naming_the_flag(capsys, argv, flag):
     assert exc.value.code == 0
 
 
+def test_one_parser_serves_successive_calls(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or 0)
+    assert main(["decompose", "--input", "p.csv", "--state-cols", "x1,x2", "--k", "6",
+                 "--beta", "0.9"]) == 0
+    assert main(["bootstrap", "--input", "q.csv", "--state-cols", "y", "--boot-b", "7"]) == 0
+    assert main(["mc", "--reps", "3"]) == 0
+    assert _parser() is _parser()
+    first, second, third = seen
+    assert first.command == "decompose" and first.input_csv == "p.csv"
+    assert first.state_cols == ["x1", "x2"]
+    assert first.basis == {"family": "hermite", "k": 6} and first.preferences == {"beta": 0.9}
+    assert first.bootstrap == {}
+    assert (second.command, second.input_csv, second.state_cols) == ("bootstrap", "q.csv", ["y"])
+    assert second.basis == {"family": "hermite", "k": 8} and second.preferences == {}
+    assert second.bootstrap == {"b": 7}
+    assert third.command == "mc" and third.input_csv is None and third.state_cols == []
+    assert third.mc == {"reps": 3}
+    assert main(["bootstrap", "--input", "q.csv", "--block", "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--block" in err
+    assert len(seen) == 3
+
+
 @pytest.mark.parametrize("command, points", [("decompose", "0"), ("value", "-3")])
 def test_grid_points_below_one(tmp_path, sim_panel, capsys, command, points):
     csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
@@ -456,6 +521,12 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_all_names_public_objects_not_modules():
+    assert len(s.__all__) == len(set(s.__all__)) == 45
+    for name in s.__all__:
+        assert not isinstance(getattr(s, name), types.ModuleType), name
 
 
 def test_decompose_loads_no_scipy_submodule(tmp_path, sim_panel):

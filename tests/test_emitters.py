@@ -1,0 +1,99 @@
+"""Byte-level checks of the table writer and the SVG polylines against per-cell references."""
+
+import csv
+import io
+import math
+import re
+
+import numpy as np
+import pytest
+
+from sdfspectral import svgplot
+from sdfspectral.csvout import write_csv
+
+
+def _reference_csv(header, rows) -> bytes:
+    """The table as csv.writer writes it cell by cell: floats to 17 digits, None empty."""
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return format(value, ".17g")
+        return value
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([cell(v) for v in row] for row in rows)
+    return buf.getvalue().encode()
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, 1 / 3]
+N = len(SPECIAL)
+
+COLUMNS = {
+    "float64": np.array(SPECIAL),
+    "float_list": list(SPECIAL),
+    "float64_scalars": [np.float64(v) for v in SPECIAL],
+    "int64": np.arange(-3, N - 3, dtype=np.int64),
+    "int32": np.arange(N, dtype=np.int32),
+    "int_list": [0, 1, -5, 2**70, 7, 0, 12, -1],
+    "numpy_int_list": [np.int64(v) for v in range(N)],
+    "bool_list": [True, False] * (N // 2),
+    "float_or_none": [None, 1.5, None, -0.0, math.nan, None, 2.0, None],
+    "int_or_float": [1, 2.5, 3, math.inf, 0, -1, 4, 5e-324],
+    "text": ["a,b", 'say "hi"', "plain", "", "line\nbreak", "x", "inf", "€"],
+    "float32": np.array(SPECIAL[:4] + [0.1, 0.25, 1 / 3, 2.5], dtype=np.float32),
+}
+
+
+@pytest.mark.parametrize("names", [
+    list(COLUMNS),
+    ["int64", "float64", "float64", "float64"],  # the layout of series.csv
+    ["text", "float_or_none", "float_or_none", "float_or_none", "float_or_none"],
+])
+def test_write_csv_matches_the_per_cell_writer(tmp_path, names):
+    columns = [COLUMNS[name] for name in names]
+    path = tmp_path / "t.csv"
+    write_csv(path, names, columns)
+    assert path.read_bytes() == _reference_csv(names, zip(*columns))
+
+
+def test_write_csv_empty_table(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["t", "m"], [np.arange(0), np.empty(0)])
+    assert path.read_bytes() == b"t,m\r\n"
+
+
+def _reference_points(x, series: dict) -> list[str]:
+    """The polyline points of line_plot, formatted point by point."""
+    x = np.asarray(x, dtype=float)
+    ys = [np.asarray(v, dtype=float) for v in series.values()]
+    x_lo, x_hi = float(x.min()), float(x.max())
+    all_y = np.concatenate(ys)
+    y_lo, y_hi = float(all_y.min()), float(all_y.max())
+    if y_lo == y_hi:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    ml, mt, pw, ph = svgplot._ML, svgplot._MT, svgplot._PW, svgplot._PH
+
+    def sx(v):
+        return ml + (v - x_lo) / (x_hi - x_lo) * pw
+
+    def sy(v):
+        return mt + ph - (v - y_lo) / (y_hi - y_lo) * ph
+
+    return [" ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y)) for y in ys]
+
+
+@pytest.mark.parametrize("series", [
+    {"neg": -2.0 + 3.0 * np.random.default_rng(7).standard_normal(301),
+     "wide": np.linspace(-1e3, 5e2, 301)},
+    {"constant": np.full(301, 0.7)},
+])
+def test_line_plot_points_match_the_per_point_format(tmp_path, series):
+    x = np.linspace(-0.031, 0.047, 301)
+    path = tmp_path / "p.svg"
+    svgplot.line_plot(path, x, series)
+    points = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+    assert points == _reference_points(x, series)

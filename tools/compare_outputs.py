@@ -7,11 +7,13 @@ the benchmark inputs at seed 1 with the prepare functions of
 bench/workloads.py, a copy of the bootstrap panel with an observed SDF
 column m = beta G^(-gamma), the decompose settings as a JSON config
 file, a power-utility panel whose fitted eigenfunction changes sign
-on the sample, and one whose state takes eight distinct values (so the
+on the sample, one whose state takes eight distinct values (so the
 log permanent and transitory series are heavily tied, and a sieve of
-nine functions needs the SPD ridge), and runs each argument vector below once per tree,
-each in a fresh ``python`` process writing to an empty output directory
-(the same path for both trees, as provenance.json records it). Exit
+nine functions needs the SPD ridge) and a messy copy of the bootstrap
+panel (CRLF rows, a blank line, padded cells, exponent notation). It
+runs each argument vector below once per tree, each in a fresh
+``python`` process writing to an empty output directory (the same path
+for both trees, as provenance.json records it). Exit
 statuses and every output file are compared by bytes; JSON files are
 compared after dropping the top-level ``elapsed_seconds`` key. Prints
 each difference and exits 1 if there is any. For a CSV or JSON file that
@@ -105,6 +107,22 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
         workloads._write_csv(str(path), {"g": states}, {"G": np.exp(states[1:])})
         return str(path)
 
+    def messy_panel() -> str:
+        """The bootstrap workload's panel as a hand-edited file might hold it.
+
+        CRLF rows, one blank line, cells padded with spaces, exponent
+        notation (17 significant digits, so the same values) and a blank
+        row-0 growth cell.
+        """
+        states = workloads._ar1_states(
+            workloads._rng(workloads.BOOTSTRAP_PANEL_SEED, "bootstrap"), workloads.BOOTSTRAP_N)
+        lines = ["g,G", f" {states[0]:.16e} ,"]
+        lines += [f"{x:.16e} , {g:.16e}  " for x, g in zip(states[1:], np.exp(states[1:]))]
+        lines.insert(400, "")
+        path = work / "panel_messy.csv"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        return str(path)
+
     (decompose,), (bootstrap,), (mc,) = (prepared(w) for w in ("decompose", "bootstrap", "mc"))
     cases = {"decompose": decompose, "bootstrap": bootstrap, "mc": mc}
     cases.update({f"calibrate{j}": argv for j, argv in enumerate(prepared("calibrate"))})
@@ -132,6 +150,8 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     # k = 9 exceeds the eight state values: count-row Gram matrices take the SPD ridge
     cases["bootstrap_ridge"] = [*bootstrap, "--input", discrete, "--preferences", "recursive",
                                 "--k", "9", "--boot-b", "200"]
+    # CRLF, a blank line, padded cells and exponent notation read as the plain panel does
+    cases["decompose_messy_csv"] = ["decompose", *bootstrap[1:], "--input", messy_panel()]
     return cases
 
 
