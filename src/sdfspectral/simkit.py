@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -35,6 +36,9 @@ ORACLE_NODES = 80
 #: sets how many replicates a block stacks, so peak memory stays flat in n and k.
 #: A block fills work buffers sized once per sample size for its largest block
 MC_BLOCK_ELEMENTS = 2**17
+#: float64 elements of one chunk of (replicates, n + 1) simulated state paths; a
+#: chunk holds whole fit blocks, so memory stays flat in the replications too
+MC_PATH_ELEMENTS = 2**19
 
 
 def simulate_ar1(
@@ -55,20 +59,33 @@ def simulate_ar1(
 
 
 def _ar1_paths(design: Ar1Design, n: int, rngs) -> np.ndarray:
-    """(R, n + 1) AR(1) state paths, row r drawn by generator rngs[r] as :func:`simulate_ar1` draws."""
-    from scipy.signal import lfilter  # lazy: importing sdfspectral loads no scipy
+    """(R, n + 1) AR(1) state paths, C-ordered, row r drawn by generator rngs[r].
 
-    draws = np.empty((len(rngs), n + 1))
-    for row, rng in zip(draws, rngs):
-        row[0] = rng.standard_normal()
-        row[1:] = rng.standard_normal(n)
-    dev = np.empty_like(draws)
-    dev[:, 0] = design.stationary_std * draws[:, 0]
-    shocks = design.sigma * draws[:, 1:]
-    dev[:, 1:] = lfilter(
-        [1.0], [1.0, -design.kappa], shocks, axis=-1, zi=design.kappa * dev[:, :1]
-    )[0]
-    return design.mu + dev
+    Each generator draws as :func:`simulate_ar1` draws. Each step is
+    fl(fl(kappa * dev[t-1]) + shock[t]), the arithmetic of an order-1
+    ``lfilter`` with b = [1], a = [1, -kappa], bit for bit. Many paths
+    run the recursion over time on one (n + 1, R) array, a replicate per
+    column; a single path runs it on Python floats.
+    """
+    kappa = float(design.kappa)
+    dev = np.empty((n + 1, len(rngs)))
+    for r, rng in enumerate(rngs):
+        dev[0, r] = rng.standard_normal()
+        dev[1:, r] = rng.standard_normal(n)
+    dev[0] *= design.stationary_std
+    dev[1:] *= design.sigma
+    if len(rngs) == 1:  # a numpy step per time point would cost ~3 s per 10^6 steps
+        path = accumulate(dev[1:, 0].tolist(), lambda y, x: x + kappa * y,
+                          initial=float(dev[0, 0]))
+        dev[:, 0] = np.fromiter(path, float, n + 1)
+    else:
+        step = np.empty(len(rngs))
+        for t in range(1, n + 1):
+            np.multiply(dev[t - 1], kappa, out=step)
+            dev[t] += step
+    states = np.empty((len(rngs), n + 1))
+    np.add(dev.T, design.mu, out=states)
+    return states
 
 
 def l2_distance(f_vals, g_vals, weights=None):
@@ -178,9 +195,9 @@ def _replicate_rng(seed: int, n: int, rep: int) -> np.random.Generator:
 
 
 def _fit_block(
-    design: McDesign, n: int, reps: range, nodes: np.ndarray, work: tuple[np.ndarray, ...]
+    design: McDesign, states: np.ndarray, nodes: np.ndarray, work: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Records of the replicates ``reps`` at sample size n, simulated and fitted as one stack.
+    """Records of the replicates whose (R, n + 1) state paths are ``states``, fitted as one stack.
 
     The basis values, their Hermite table and the pricing product are
     written into the leading replicates of the ``work`` buffers of
@@ -196,11 +213,10 @@ def _fit_block(
     statistic on a later-stage failure would bias its distribution); the
     eigen statistics only when the whole fit succeeded.
     """
-    states = _ar1_paths(design.ar1, n, [_replicate_rng(design.seed, n, rep) for rep in reps])
+    R, n = states.shape[0], states.shape[1] - 1
     growth = np.exp(states[:, 1:])
     if not np.all(np.isfinite(growth) & (growth > 0)):
         raise ValueError("simulated growth is not finite and positive; the AR(1) law is too extreme")
-    R = len(reps)
     failed = np.ones(R, dtype=bool)
     scalars = np.full((R, len(_SCALARS)), np.nan)
     funcs = np.full((R, len(_FUNCS), nodes.size), np.nan)
@@ -246,18 +262,24 @@ def _run_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked records of the replicates ``reps`` at sample size n, in replicate order.
 
-    The range is fitted in blocks of as many replicates as keep one block's
-    basis values within MC_BLOCK_ELEMENTS. Every block fills the same work
-    buffers, allocated once for the largest block: the Hermite table and
-    the basis values at the sample and the nodes, and the pricing product.
+    The range is simulated in chunks of as many whole blocks as keep a
+    chunk's state paths within MC_PATH_ELEMENTS, and each chunk is fitted
+    in blocks of as many replicates as keep one block's basis values
+    within MC_BLOCK_ELEMENTS. Every block fills the same work buffers,
+    allocated once for the largest block: the Hermite table and the basis
+    values at the sample and the nodes, and the pricing product.
     """
     k = _sieve_dim(design.basis_spec)
     size = max(1, min(len(reps), MC_BLOCK_ELEMENTS // ((n + 1) * k)))
+    chunk = size * max(1, MC_PATH_ELEMENTS // ((n + 1) * size))
     width = n + 1 + nodes.size  # the states X_0..X_n and the nodes
     work = (np.empty((k, size, width)), np.empty((size, width, k)), np.empty((size, n, k)))
-    records = [
-        _fit_block(design, n, reps[lo:lo + size], nodes, work) for lo in range(0, len(reps), size)
-    ]
+    records = []
+    for lo in range(0, len(reps), chunk):
+        rngs = [_replicate_rng(design.seed, n, rep) for rep in reps[lo:lo + chunk]]
+        states = _ar1_paths(design.ar1, n, rngs)
+        records += [_fit_block(design, states[j:j + size], nodes, work)
+                    for j in range(0, len(states), size)]
     return tuple(np.concatenate(field) for field in zip(*records))
 
 

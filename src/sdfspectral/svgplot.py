@@ -97,23 +97,14 @@ def heat_grid(path, x, y, z, title: str = "", xlabel: str = "", ylabel: str = ""
     z_lo, z_hi = float(np.nanmin(z)), float(np.nanmax(z))
     span = z_hi - z_lo or 1.0
     cw, ch = _PW / x.size, _PH / y.size
-
-    def color(v):
-        # white-to-blue ramp
-        t = (v - z_lo) / span
-        r = int(255 * (1 - 0.85 * t))
-        g = int(255 * (1 - 0.55 * t))
-        return f"rgb({r},{g},255)"
-
-    plot = []
-    for j in range(y.size):
-        for i in range(x.size):
-            px = _ML + i * cw
-            py = _MT + _PH - (j + 1) * ch
-            plot.append(
-                f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw+0.5:.2f}" height="{ch+0.5:.2f}" '
-                f'fill="{color(z[j, i])}"/>'
-            )
+    # a white-to-blue ramp; each cell's scalar ops element-wise, and %d truncates as int() does
+    px = np.broadcast_to(_ML + np.arange(x.size) * cw, z.shape)
+    py = np.broadcast_to((_MT + _PH - np.arange(1, y.size + 1) * ch)[:, None], z.shape)
+    t = (z - z_lo) / span
+    cells = np.stack([px, py, 255 * (1 - 0.85 * t), 255 * (1 - 0.55 * t)], axis=-1)
+    rect = (f'<rect x="%.2f" y="%.2f" width="{cw+0.5:.2f}" height="{ch+0.5:.2f}" '
+            'fill="rgb(%d,%d,255)"/>')
+    plot = ["\n".join([rect] * z.size) % tuple(cells.ravel().tolist())]
     plot.append(f'<rect x="{_ML}" y="{_MT}" width="{_PW}" height="{_PH}" fill="none" stroke="#444"/>')
     for tv, pos in [(x[0], _ML), (x[-1], _ML + _PW)]:
         plot.append(f'<text x="{pos}" y="{_MT+_PH+16}" text-anchor="middle">{_fmt(tv)}</text>')

@@ -529,21 +529,46 @@ def test_all_names_public_objects_not_modules():
         assert not isinstance(getattr(s, name), types.ModuleType), name
 
 
-def test_decompose_loads_no_scipy_submodule(tmp_path, sim_panel):
-    """Only the top-level scipy package, whose version provenance.json records."""
-    csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
-                                growth=sim_panel.growth)
-    argv = ["decompose", "--input", str(csv_path), "--state-cols", "x1", "--growth-col", "G",
-            "--basis", "hermite", "--k", "8", "--preferences", "power", "--beta", "0.994",
-            "--gamma", "15", "--out", str(tmp_path / "out")]
-    code = ("import json, sys; from sdfspectral.cli import main; "
-            f"status = main({argv!r}); print(json.dumps([status, sorted(sys.modules)]))")
+def _scipy_subpackages(code: str) -> set[str]:
+    """The public scipy subpackages in sys.modules after running ``code`` in a fresh process."""
+    code += "; import json, sys; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    status, modules = json.loads(proc.stdout.splitlines()[-1])
-    assert status == 0
-    unused = {"scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.signal"}
-    assert not unused & set(modules)
+    names = {m.split(".")[1] for m in json.loads(proc.stdout.splitlines()[-1])
+             if m.startswith("scipy.")}
+    return {name for name in names if not name.startswith("_") and name != "version"}
+
+
+#: the scipy subpackages each command imports itself; every command reads
+#: the top-level scipy package, whose version provenance.json records
+COMMAND_SCIPY = {"decompose": (), "bootstrap": (), "calibrate": ("optimize",), "mc": ("linalg",)}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_SCIPY))
+def test_command_loads_only_its_scipy_subpackages(command, tmp_path, sim_panel):
+    """A command loads its own scipy subpackages and what they import, nothing more."""
+    rng = np.random.default_rng(3)
+    returns = np.column_stack([1.01 * np.sqrt(sim_panel.growth),
+                               1.0 + 0.001 * rng.standard_normal(sim_panel.n)])
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
+                                growth=sim_panel.growth, returns=returns)
+    panel = ["--input", str(csv_path), "--state-cols", "x1", "--growth-col", "G",
+             "--basis", "hermite", "--k", "6"]
+    power = ["--preferences", "power", "--beta", "0.994", "--gamma", "15"]
+    argv = {
+        "decompose": ["decompose", *panel, *power],
+        "bootstrap": ["bootstrap", *panel, *power, "--boot-b", "20"],
+        "calibrate": ["calibrate", *panel, "--return-cols", "r1,r2"],
+        "mc": ["mc", "--basis", "hermite", "--k", "6", "--reps", "4", "--sizes", "60"],
+    }[command] + ["--out", str(tmp_path / "out")]
+    loaded = _scipy_subpackages(
+        f"from sdfspectral.cli import main; assert main({argv!r}) == 0")
+    own = COMMAND_SCIPY[command]
+    expected = (_scipy_subpackages("; ".join(f"import scipy.{name}" for name in own))
+                if own else set())
+    assert loaded == expected and set(own) <= expected
+    if command == "mc":
+        assert "signal" not in loaded
 
 
 def test_calibrate_reports_infeasible_counts(tmp_path, testbed, monkeypatch):

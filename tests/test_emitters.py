@@ -97,3 +97,35 @@ def test_line_plot_points_match_the_per_point_format(tmp_path, series):
     svgplot.line_plot(path, x, series)
     points = re.findall(r'<polyline points="([^"]*)"', path.read_text())
     assert points == _reference_points(x, series)
+
+
+def _reference_cells(x, y, z) -> list[str]:
+    """The cell rects of heat_grid, formatted cell by cell."""
+    z_lo, z_hi = float(np.nanmin(z)), float(np.nanmax(z))
+    span = z_hi - z_lo or 1.0
+    cw, ch = svgplot._PW / len(x), svgplot._PH / len(y)
+    cells = []
+    for j in range(len(y)):
+        for i in range(len(x)):
+            t = (z[j, i] - z_lo) / span
+            r, g = int(255 * (1 - 0.85 * t)), int(255 * (1 - 0.55 * t))
+            px, py = svgplot._ML + i * cw, svgplot._MT + svgplot._PH - (j + 1) * ch
+            cells.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw+0.5:.2f}" '
+                         f'height="{ch+0.5:.2f}" fill="rgb({r},{g},255)"/>')
+    return cells
+
+
+@pytest.mark.parametrize("shape, z", [
+    ((11, 11), lambda n: np.random.default_rng(5).standard_normal(n) * 1e-3 - 0.2),
+    ((3, 5), lambda n: np.linspace(-7.0, 2.0, n)),
+    ((4, 1), lambda n: np.full(n, 0.3)),
+])
+def test_heat_grid_cells_match_the_per_cell_format(tmp_path, shape, z):
+    x, y = np.linspace(-1.0, 1.0, shape[1]), np.linspace(0.5, 2.5, shape[0])
+    z = z(shape[0] * shape[1]).reshape(shape)
+    path = tmp_path / "h.svg"
+    svgplot.heat_grid(path, x, y, z)
+    cells = re.findall(r'<rect x="[^"]*" y="[^"]*" width="[^"]*" height="[^"]*" '
+                       r'fill="rgb[^"]*"/>', path.read_text())
+    assert cells == _reference_cells(x, y, z)
+    assert path.read_text().count("<rect") == len(cells) + 2  # the background and the frame

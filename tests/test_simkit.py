@@ -34,6 +34,72 @@ def test_simulate_deterministic_and_growth_alignment(testbed):
         s.simulate_ar1(testbed, 0, 1)
 
 
+def _lfilter_paths(design, n, rngs):
+    """The paths by scipy's order-1 filter, drawn as simkit draws them."""
+    from scipy.signal import lfilter
+
+    draws = np.empty((len(rngs), n + 1))
+    for row, rng in zip(draws, rngs):
+        row[0] = rng.standard_normal()
+        row[1:] = rng.standard_normal(n)
+    dev = np.empty_like(draws)
+    dev[:, 0] = design.stationary_std * draws[:, 0]
+    shocks = design.sigma * draws[:, 1:]
+    dev[:, 1:] = lfilter([1.0], [1.0, -design.kappa], shocks, axis=-1,
+                         zi=design.kappa * dev[:, :1])[0]
+    return design.mu + dev
+
+
+@pytest.mark.parametrize("kappa", [-0.7, 0.0, 0.6, 0.95])
+def test_ar1_paths_equal_lfilter_bit_for_bit(kappa):
+    design = s.Ar1Design(mu=0.005, kappa=kappa, sigma=0.01)
+    for R in (1, 2, 300):
+        for n in (1, 2, 1601):
+            def rngs():
+                return [np.random.default_rng((R, n, r)) for r in range(R)]
+
+            paths = simkit._ar1_paths(design, n, rngs())
+            assert paths.shape == (R, n + 1) and paths.flags.c_contiguous
+            np.testing.assert_array_equal(paths, _lfilter_paths(design, n, rngs()))
+    np.testing.assert_array_equal(s.simulate_ar1(design, 1601, 5).states[:, 0],
+                                  _lfilter_paths(design, 1601, [np.random.default_rng(5)])[0])
+
+
+def test_path_chunks_give_the_rows_of_one_chunk(testbed, power_prefs, monkeypatch):
+    # blocks of 3 replicates, and chunks of 2 blocks: 20 replicates make 4 chunks
+    design = s.McDesign(ar1=testbed, preferences=power_prefs, sample_sizes=(60,),
+                        replications=20, basis_spec=s.BasisSpec(family="hermite", k=6), seed=4)
+    nodes = s.quadrature_eig(testbed, power_prefs, simkit.ORACLE_NODES).nodes
+    monkeypatch.setattr(simkit, "MC_BLOCK_ELEMENTS", 3 * 61 * 6)
+    fit_block, paths = simkit._fit_block, simkit._ar1_paths
+
+    def run(path_elements):
+        monkeypatch.setattr(simkit, "MC_PATH_ELEMENTS", path_elements)
+        rows, chunks = [], []
+
+        def recorded_block(design, states, nodes, work):
+            assert states.flags.c_contiguous
+            rows.append(states.copy())
+            return fit_block(design, states, nodes, work)
+
+        def recorded_paths(ar1, n, rngs):
+            chunks.append(len(rngs))
+            return paths(ar1, n, rngs)
+
+        monkeypatch.setattr(simkit, "_fit_block", recorded_block)
+        monkeypatch.setattr(simkit, "_ar1_paths", recorded_paths)
+        records = simkit._run_block(design, 60, range(20), nodes)
+        return records, np.concatenate(rows), chunks, [len(r) for r in rows]
+
+    whole, whole_rows, whole_chunks, whole_blocks = run(simkit.MC_PATH_ELEMENTS)
+    parts, part_rows, part_chunks, part_blocks = run(6 * 61)
+    assert whole_chunks == [20] and part_chunks == [6, 6, 6, 2]
+    assert whole_blocks == part_blocks == [3, 3, 3, 3, 3, 3, 2]
+    np.testing.assert_array_equal(part_rows, whole_rows)
+    for field, joined in zip(whole, parts):
+        np.testing.assert_array_equal(field, joined)
+
+
 def test_l2_distance_contract():
     f = np.array([1.0, 2.0, 3.0])
     assert s.l2_distance(f, f) == 0.0
@@ -141,9 +207,9 @@ def test_mc_sieve_dimension_is_that_of_the_built_basis(spec, k, testbed, power_p
     blocks = []
     fit_block = simkit._fit_block
 
-    def recorded(design, n, reps, nodes, work):
-        blocks.append(len(reps))
-        return fit_block(design, n, reps, nodes, work)
+    def recorded(design, states, nodes, work):
+        blocks.append(len(states))
+        return fit_block(design, states, nodes, work)
 
     monkeypatch.setattr(simkit, "_fit_block", recorded)
     monkeypatch.setattr(simkit, "MC_BLOCK_ELEMENTS", 3 * 13 * k)

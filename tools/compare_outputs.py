@@ -6,8 +6,9 @@ Copies REV's src/ to a temporary directory with ``git archive``, writes
 the benchmark inputs at seed 1 with the prepare functions of
 bench/workloads.py, a copy of the bootstrap panel with an observed SDF
 column m = beta G^(-gamma), the decompose settings as a JSON config
-file, a power-utility panel whose fitted eigenfunction changes sign
-on the sample, one whose state takes eight distinct values (so the
+file, a JSON config file with a negative Monte Carlo persistence, a
+power-utility panel whose fitted eigenfunction changes sign on the
+sample, one whose state takes eight distinct values (so the
 log permanent and transitory series are heavily tied, and a sieve of
 nine functions needs the SPD ridge) and a messy copy of the bootstrap
 panel (CRLF rows, a blank line, padded cells, exponent notation). It
@@ -141,6 +142,11 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
                              "--sizes", "300,600"]
     # a Hermite degree overrides k: the run fits a k = 4 sieve
     cases["mc_degree"] = [*mc, "--degree", "3"]
+    # alternating AR(1) paths; at n = 3200 a replicate range spans several fit blocks
+    mc_config = work / "mc_config.json"
+    mc_config.write_text(json.dumps({"mc": {"kappa": -0.7}}))
+    cases["mc_kappa_negative"] = [*mc, "--config", str(mc_config), "--reps", "60",
+                                  "--sizes", "401,3200"]
     # a flagged fit: bootstrap writes its outputs and exits 2, decompose exits 1
     cases["bootstrap_sign_change"] = [*bootstrap, "--input", sign_change_panel()]
     cases["decompose_sign_change"] = ["decompose", *cases["bootstrap_sign_change"][1:]]
