@@ -14,7 +14,6 @@ from .basis import (
     SieveBasis,
     build_bspline_basis,
     build_hermite_basis,
-    build_sparse_tensor,
     hermite_basis_from_moments,
 )
 from .calibrate import CalibrationResult, criterion, criterion_grid, estimate_preferences
@@ -44,17 +43,12 @@ from .pipeline import DecompositionResult, bootstrap_statistic, decompose_panel,
 from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import Design, StatePanel, estimate_gram, estimate_pricing
 from .simkit import McDesign, McTable, l2_distance, run_mc_study, simulate_ar1
-from .valuefn import (
-    FixedPointStack,
-    solve_value_fixed_point,
-    solve_value_stack,
-    value_map,
-)
+from .valuefn import FixedPointStack, solve_value_stack
 
 __all__ = [
     # basis
     "BasisSpec", "SieveBasis", "build_bspline_basis", "build_hermite_basis",
-    "build_sparse_tensor", "hermite_basis_from_moments",
+    "hermite_basis_from_moments",
     # calibrate
     "CalibrationResult", "criterion", "criterion_grid", "estimate_preferences",
     # decomp
@@ -74,5 +68,5 @@ __all__ = [
     # simkit
     "McDesign", "McTable", "l2_distance", "run_mc_study", "simulate_ar1",
     # valuefn
-    "FixedPointStack", "solve_value_fixed_point", "solve_value_stack", "value_map",
+    "FixedPointStack", "solve_value_stack",
 ]

@@ -108,13 +108,6 @@ class SieveBasis:
     index_tuples: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
-    def function_degrees(self) -> Optional[np.ndarray]:
-        """Total polynomial degree of each function; None for B-splines."""
-        if self.index_tuples is None:
-            return None
-        return np.array([sum(t) for t in self.index_tuples])
-
-    @property
     def const_coeffs(self) -> np.ndarray:
         """Coefficient vector c with b(x)'c = 1 for every x."""
         if self.family == "bspline":
@@ -245,35 +238,6 @@ def build_bspline_basis(data: np.ndarray, k: int) -> SieveBasis:
     )
 
 
-def build_sparse_tensor(bases: list[SieveBasis], total_degree_cap: int) -> SieveBasis:
-    """Tensor products of univariate polynomial bases, truncated by total degree.
-
-    A tensor term is retained iff the sum of its component degrees is
-    strictly below ``total_degree_cap``. A cap exceeding every attainable
-    total degree reproduces the full tensor product.
-    """
-    if total_degree_cap <= 0:
-        raise ValueError("total_degree_cap must be positive")
-    for i, b in enumerate(bases):
-        if b.function_degrees is None:
-            raise ValueError(f"component basis {i} is not polynomial-type")
-        if b.state_dim != 1:
-            raise ValueError(f"component basis {i} must be univariate")
-    tuples = [
-        idx
-        for idx in _graded_tuples([b.dimension_k for b in bases])
-        if sum(b.function_degrees[j] for b, j in zip(bases, idx)) < total_degree_cap
-    ]
-    tuples.sort(key=lambda t: (sum(t), t))
-    return SieveBasis(
-        family="sparse",
-        dimension_k=len(tuples),
-        state_dim=len(bases),
-        standardization=tuple(b.standardization[0] for b in bases),
-        index_tuples=tuple(tuples),
-    )
-
-
 @dataclass(frozen=True)
 class BasisSpec:
     """Serializable basis specification (family, k, degree, cap).
@@ -309,7 +273,16 @@ class BasisSpec:
             if self.degree is None or self.cap is None:
                 raise ValueError("sparse basis needs degree and cap")
             comps = [build_hermite_basis(x[:, j], self.degree) for j in range(d)]
-            return build_sparse_tensor(comps, self.cap)
+            if self.cap <= 0:
+                raise ValueError("sparse basis needs cap > 0")
+            tuples = [t for t in _graded_tuples([self.degree + 1] * d) if sum(t) < self.cap]
+            return SieveBasis(
+                family="sparse",
+                dimension_k=len(tuples),
+                state_dim=d,
+                standardization=tuple(b.standardization[0] for b in comps),
+                index_tuples=tuple(tuples),
+            )
         raise ValueError(f"unknown basis family {self.family!r}")
 
     def evaluate_stack(

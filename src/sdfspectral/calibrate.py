@@ -19,14 +19,9 @@ from typing import Optional
 
 import numpy as np
 
+from .pfeig import _row
 from .sievemat import Design
-from .valuefn import (
-    VALUE_FAILURES,
-    FixedPointStack,
-    recursive_sdf_stack,
-    solve_value_fixed_point,
-    solve_value_stack,
-)
+from .valuefn import VALUE_FAILURES, FixedPointStack, recursive_sdf_stack, solve_value_stack
 
 DEFAULT_BOUNDS = ((0.9, 0.9999), (1.0, 60.0))
 #: (beta, gamma) points of the coarse grid stage
@@ -181,7 +176,7 @@ def estimate_preferences(
 
     inner = None
     if math.isfinite(crit_val):
-        fp = solve_value_fixed_point(design, beta_hat, gamma_hat)
+        fp = _row(solve_value_stack(design, beta_hat, gamma_hat), 0)
         inner = fp if fp.converged else None
     return CalibrationResult(
         beta_hat=beta_hat,

@@ -36,12 +36,13 @@ from .csvout import write_csv, write_json
 from .decomp import change_of_measure, long_run_stack, positive_on_sample, scalars_to_json, series_to_csv
 from .inference import bootstrap_ci, default_bandwidth, variance_entropy
 from .oracle import Ar1Design
+from .pfeig import _row
 from .pipeline import DISCARD_REASONS, FitStack, bootstrap_statistic, decompose_panel, fit_panel
 from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import Design, StatePanel
 from .simkit import McDesign, run_mc_study, write_mc_outputs
 from .svgplot import heat_grid, line_plot
-from .valuefn import solve_value_fixed_point
+from .valuefn import solve_value_stack
 
 SUMMARY_COLUMNS = ["statistic", "estimate", "ci_lo", "ci_hi", "level"]
 SUMMARY_STATISTICS = {
@@ -462,15 +463,22 @@ def _exit_status(fit: FitStack) -> int:
     return 2
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
-    panel = read_panel_csv(cfg)
+def _sdf_source(cfg: RunConfig, panel: StatePanel):
+    """The fixed preferences that imply the SDF of a fit, or None for the panel's SDF column."""
     prefs = _preferences(cfg)
     if prefs == "estimate":
-        raise CliError("decompose needs fixed preferences or an SDF column; run calibrate first")
+        raise CliError(f"{cfg.command} needs fixed preferences or an SDF column; "
+                       "run calibrate first")
     if prefs is None and panel.sdf_increments is None:
-        raise CliError("no SDF column and no preferences; nothing to decompose")
+        raise CliError(f"no SDF column and no preferences; nothing to {cfg.command}")
     if prefs is not None and panel.growth is None:
         raise CliError("preference-implied SDFs need a growth column")
+    return prefs
+
+
+def _cmd_decompose(cfg: RunConfig) -> int:
+    panel = read_panel_csv(cfg)
+    prefs = _sdf_source(cfg, panel)
     basis = _basis_spec(cfg).build(panel.states)
     res = decompose_panel(Design(basis, panel), prefs)
     fit = res.fit
@@ -517,7 +525,9 @@ def _cmd_value(cfg: RunConfig) -> int:
     if not isinstance(prefs, RecursiveUtility):
         raise CliError("the value command needs --preferences recursive with beta and gamma")
     basis = _basis_spec(cfg).build(panel.states)
-    fp = solve_value_fixed_point(Design(basis, panel), prefs.beta, prefs.gamma)
+    fp = _row(solve_value_stack(Design(basis, panel), prefs.beta, prefs.gamma), 0)
+    if np.isnan(fp.lam):
+        raise CliError(f"no value solution at beta={prefs.beta}, gamma={prefs.gamma}: {fp.reason}")
     converged = bool(fp.converged)
     payload = {
         "lambda": fp.lam,
@@ -593,12 +603,7 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
 
 def _cmd_bootstrap(cfg: RunConfig) -> int:
     panel = read_panel_csv(cfg)
-    prefs = _preferences(cfg)
-    if prefs == "estimate":
-        raise CliError("bootstrap with estimated preferences is not wired into the CLI; "
-                       "fix beta and gamma")
-    if prefs is None and panel.sdf_increments is None:
-        raise CliError("no SDF column and no preferences; nothing to bootstrap")
+    prefs = _sdf_source(cfg, panel)
     design = Design(_basis_spec(cfg).build(panel.states), panel)
     fit = fit_panel(design, prefs)
     b = int(_value(cfg, "bootstrap.b"))

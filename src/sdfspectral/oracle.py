@@ -269,32 +269,3 @@ def quadrature_eig(
         entropy_L=math.log(rho) - mean_log_m,
         sdf_entropy=math.log(mean_m) - mean_log_m,
     )
-
-
-def population_sieve_matrices(
-    op: QuadratureOperator, basis
-) -> tuple[np.ndarray, np.ndarray]:
-    """Population Gram and pricing matrices of a basis under the grid operator.
-
-    The counterparts of the sample matrices: G = E[b b'] and
-    M = E[b(X) m b(X')'], both integrated on the quadrature grid.
-    """
-    B = basis.evaluate_many(op.nodes)
-    WB = op.weights[:, None] * B
-    return B.T @ WB, B.T @ (op.weights[:, None] * (op.kernel @ B))
-
-
-def population_nonlinear_map(
-    design: Ar1Design, basis, beta: float, gamma: float, q_nodes: int = 80
-):
-    """Population analogue of the sample value-recursion map on coefficients."""
-    nodes, weights = stationary_grid(design, q_nodes)
-    P = transition_matrix(design, nodes, weights)
-    H = P * np.exp((1.0 - gamma) * nodes)[None, :]
-    B = basis.evaluate_many(nodes)
-
-    def t_map(v: np.ndarray) -> np.ndarray:
-        return B.T @ (weights * (H @ np.abs(B @ v) ** beta))
-
-    gram = B.T @ (weights[:, None] * B)
-    return t_map, gram

@@ -30,24 +30,7 @@ from .pfeig import (
 )
 from .preferences import PowerUtility, RecursiveUtility, power_utility_sdf
 from .sievemat import Design, DesignStack, estimate_pricing, gram_stack, pricing_stack
-from .valuefn import (
-    VALUE_FAILURES,
-    FixedPointStack,
-    recursive_sdf_stack,
-    solve_value_stack,
-)
-
-
-class FitFailedError(RuntimeError):
-    """The estimation pipeline could not produce a usable fit.
-
-    ``fixed_point`` is the row-0 value recursion of a fit that failed at a
-    later stage, so that callers can keep its statistics.
-    """
-
-    def __init__(self, message: str, fixed_point: Optional[FixedPointStack] = None):
-        super().__init__(message)
-        self.fixed_point = fixed_point
+from .valuefn import FixedPointStack, recursive_sdf_stack, solve_value_stack
 
 
 class SampleValues(NamedTuple):
@@ -180,21 +163,17 @@ def fit_panel(
     A fallback eigenpair, whose ``reason`` is its FALLBACK_REASONS entry,
     becomes the constant fallback: rho = 1, the constant function's
     coefficients as ``right`` and ``left``, and ones as its sample values;
-    its influence series and se_rho stay NaN. Any other failure raises
-    FitFailedError, which carries the value recursion of a fit that
-    failed at a later stage.
+    its influence series and se_rho stay NaN. Any other reason raises
+    RuntimeError naming it, and the panel-level faults of
+    :func:`fit_stack` propagate.
     """
-    try:
-        fit = _row(fit_stack(design, preferences), 0)
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
-        raise FitFailedError(str(exc)) from exc
+    fit = _row(fit_stack(design, preferences), 0)
     if fit.reason in FALLBACK_REASONS:
         c, ones = design.const_coeffs, np.ones(design.n)
         return fit._replace(eig=fit.eig._replace(rho=1.0, right=c, left=c),
                             sample=fit.sample._replace(phi_t=ones, phi_t1=ones, phi_star_t=ones))
     if fit.reason:
-        fp = None if fit.reason in VALUE_FAILURES else fit.fixed_point
-        raise FitFailedError(f"no usable fit: {fit.reason}", fp)
+        raise RuntimeError(f"no usable fit: {fit.reason}")
     return fit
 
 

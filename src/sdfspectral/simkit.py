@@ -122,6 +122,8 @@ class McDesign:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if not self.sample_sizes:
+            raise ValueError("need at least one sample size")
 
 
 @dataclass
@@ -299,6 +301,10 @@ def run_mc_study(design: McDesign) -> McTable:
     were excluded.
     """
     t_start = time.monotonic()
+    k = _sieve_dim(design.basis_spec)
+    for n in design.sample_sizes:
+        if n < 2 * k:
+            raise ValueError(f"sample size {n} below twice the sieve dimension")
     truth = quadrature_eig(design.ar1, design.preferences, ORACLE_NODES)
     recursive = isinstance(design.preferences, RecursiveUtility)
     truths = {"rho": truth.rho, "y": truth.yield_y, "L": truth.entropy_L}
@@ -306,7 +312,6 @@ def run_mc_study(design: McDesign) -> McTable:
         truths["lambda"] = truth.lam
     stats = ["rho", "y", "L", "phi", "phi_star"] + (["lambda", "chi"] if recursive else [])
 
-    k = _sieve_dim(design.basis_spec)
     table = McTable(
         design_kind=design.preferences.kind,
         basis_family=design.basis_spec.family,
@@ -317,8 +322,6 @@ def run_mc_study(design: McDesign) -> McTable:
     )
 
     for n in design.sample_sizes:
-        if n < 2 * k:
-            raise ValueError(f"sample size {n} below twice the sieve dimension")
         failed, scalars, funcs = _run_block(design, n, range(design.replications), truth.nodes)
         table.excluded[n] = int(failed.sum())
 

@@ -12,11 +12,11 @@ own count-weighted replicate of the sample.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .pfeig import GramFactor, _matvec, _row
+from .pfeig import GramFactor, _matvec
 from .sievemat import Design, DesignStack
 
 #: the G-norm step below which a column of :func:`solve_value_stack` has converged
@@ -59,27 +59,6 @@ def _growth_weights(growth: Optional[np.ndarray], gamma: np.ndarray) -> np.ndarr
         return np.exp(g, out=g)
 
 
-def value_map(design: Design, beta: float, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Sample value-recursion map v -> (1/n) sum_t b(X_t) G_{t+1}^{1-gamma} |b(X_{t+1})'v|^beta.
-
-    Positively homogeneous of degree beta in v. G^{1-gamma} is computed
-    once per map, as exp((1-gamma) log G) so that large risk aversion does
-    not overflow before the log would.
-    """
-    gw = _growth_weights(design.growth, np.float64(gamma))
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
-    if not np.all(np.isfinite(gw)):
-        t = int(np.argmax(~np.isfinite(gw)))
-        raise ValueError(f"G^(1-gamma) overflows at t={t}; gamma too extreme for the data")
-    b0, b1, n = design.b0, design.b1, design.n
-
-    def t_map(v: np.ndarray) -> np.ndarray:
-        return b0.T @ (gw * np.abs(b1 @ v) ** beta) / n
-
-    return t_map
-
-
 def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows a_p' b_p of a stack of matrices b, one per row."""
     return (a[..., None, :] @ b)[..., 0, :]
@@ -105,10 +84,17 @@ def solve_value_stack(
     - of a :class:`DesignStack` of R designs, column r solves the recursion
       of design r, on its whitened rows and growth series (P = R).
 
-    Each column runs the iteration of :func:`solve_value_fixed_point` in
-    whitened coordinates u = L'z, where the G-norm is Euclidean and
-    G^-1 T(y) is L^-1 T(y), and stops on its own convergence test (a
-    G-norm step below TOL) or after MAX_ITER iterations. The reported chi
+    T(v) = (1/n) sum_t b(X_t) G_{t+1}^{1-gamma} |b(X_{t+1})'v|^beta is the
+    sample value-recursion map, positively homogeneous of degree beta in v.
+    Each column iterates z_{j+1} = G^-1 T(y_j), with y_j the G-normalized
+    z_j, from z_1 = G^-1 (mean basis vector); its eigenvalue is the G-norm
+    of the last pre-normalization iterate. It runs in whitened coordinates
+    u = L'z, where the G-norm is Euclidean and G^-1 T(y) is L^-1 T(y), and
+    stops on its own convergence test (a G-norm step below TOL) or after
+    MAX_ITER iterations, keeping its last iterate. gamma = 1 is the
+    log-utility case, whose solution is the constant function with unit
+    eigenvalue. A single solve is row 0 of a stack of one
+    (:func:`pfeig._row`). The reported chi
     has a positive sample mean const'G chi: it is the normalized G^-1 T(y)
     of a nonnegative map, or at the first iteration the normalized G^-1
     (mean basis vector).
@@ -216,35 +202,6 @@ def solve_value_stack(
         final_step=step,
         reason=reason,
     )
-
-
-def solve_value_fixed_point(
-    design: Design,
-    beta: float,
-    gamma: float,
-) -> FixedPointStack:
-    """Solve the sample nonlinear eigenproblem for the continuation value.
-
-    Iterates z_{j+1} = G^{-1} T(y_j) with y_j the G-normalized z_j, from
-    the starting vector z_1 = G^{-1}(mean basis vector). On convergence the
-    eigenvalue is the G-norm of the final pre-normalization iterate.
-    Convergence is declared when the G-norm change in y falls below
-    TOL; non-convergence within MAX_ITER iterations returns the best
-    iterate flagged ``converged=False`` rather than raising, so simulation
-    harnesses can count and discard such fits. This is row 0 of :func:`solve_value_stack`
-    with one column.
-
-    gamma = 1 is allowed as the degenerate log-utility case, for which the
-    solution is the constant function with unit eigenvalue.
-    """
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    st = solve_value_stack(design, beta, gamma)
-    if st.reason[0] in ("invalid_parameters", "growth_overflow"):
-        value_map(design, beta, gamma)  # raises, naming the parameter or the overflowing period
-    if np.isnan(st.lam[0]):
-        raise RuntimeError("degenerate iterate: vanishing G-norm")
-    return _row(st, 0)
 
 
 def recursive_sdf_stack(

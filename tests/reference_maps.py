@@ -1,0 +1,68 @@
+"""Reference maps that the tests check the estimators against.
+
+The population Gram and pricing matrices and the population value-recursion
+map of a basis on the quadrature grid of the Gaussian AR(1) testbed, and the
+sample value-recursion map of a design, written out one map at a time as the
+plain formula that :func:`sdfspectral.solve_value_stack` iterates in
+whitened, stacked form.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from sdfspectral.oracle import Ar1Design, QuadratureOperator, stationary_grid, transition_matrix
+from sdfspectral.sievemat import Design
+from sdfspectral.valuefn import _growth_weights
+
+
+def population_sieve_matrices(
+    op: QuadratureOperator, basis
+) -> tuple[np.ndarray, np.ndarray]:
+    """Population Gram and pricing matrices of a basis under the grid operator.
+
+    The counterparts of the sample matrices: G = E[b b'] and
+    M = E[b(X) m b(X')'], both integrated on the quadrature grid.
+    """
+    B = basis.evaluate_many(op.nodes)
+    WB = op.weights[:, None] * B
+    return B.T @ WB, B.T @ (op.weights[:, None] * (op.kernel @ B))
+
+
+def population_nonlinear_map(
+    design: Ar1Design, basis, beta: float, gamma: float, q_nodes: int = 80
+):
+    """Population analogue of the sample value-recursion map on coefficients."""
+    nodes, weights = stationary_grid(design, q_nodes)
+    P = transition_matrix(design, nodes, weights)
+    H = P * np.exp((1.0 - gamma) * nodes)[None, :]
+    B = basis.evaluate_many(nodes)
+
+    def t_map(v: np.ndarray) -> np.ndarray:
+        return B.T @ (weights * (H @ np.abs(B @ v) ** beta))
+
+    gram = B.T @ (weights[:, None] * B)
+    return t_map, gram
+
+
+def value_map(design: Design, beta: float, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Sample value-recursion map v -> (1/n) sum_t b(X_t) G_{t+1}^{1-gamma} |b(X_{t+1})'v|^beta.
+
+    Positively homogeneous of degree beta in v. G^{1-gamma} is computed
+    once per map, as exp((1-gamma) log G) so that large risk aversion does
+    not overflow before the log would.
+    """
+    gw = _growth_weights(design.growth, np.float64(gamma))
+    if not 0 < beta < 1:
+        raise ValueError("beta must lie in (0, 1)")
+    if not np.all(np.isfinite(gw)):
+        t = int(np.argmax(~np.isfinite(gw)))
+        raise ValueError(f"G^(1-gamma) overflows at t={t}; gamma too extreme for the data")
+    b0, b1, n = design.b0, design.b1, design.n
+
+    def t_map(v: np.ndarray) -> np.ndarray:
+        return b0.T @ (gw * np.abs(b1 @ v) ** beta) / n
+
+    return t_map

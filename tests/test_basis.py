@@ -104,9 +104,7 @@ def test_constant_representable_all_families():
     bases = [
         s.build_hermite_basis(xs, 5),
         s.build_bspline_basis(xs, 8),
-        s.build_sparse_tensor(
-            [s.build_hermite_basis(xs, 4), s.build_hermite_basis(xs + 1, 4)], 5
-        ),
+        s.BasisSpec(family="sparse", degree=4, cap=5).build(np.column_stack([xs, xs + 1])),
     ]
     for b in bases:
         pts = rng.normal(0.0, 1.0, (20, b.state_dim))
@@ -196,26 +194,23 @@ def test_bspline_preconditions():
 def test_sparse_tensor_total_degree_truncation():
     # two order-5 univariate bases (degrees 0..4): full tensor 25, but
     # keeping total degree below 5 leaves the 15 complete-polynomial terms
-    b1 = s.build_hermite_basis(rng.normal(size=200), 4)
-    b2 = s.build_hermite_basis(rng.normal(size=200), 4)
-    st8 = s.build_sparse_tensor([b1, b2], 5)
+    x = np.column_stack([rng.normal(size=200), rng.normal(size=200)])
+    st8 = s.BasisSpec(family="sparse", degree=4, cap=5).build(x)
     assert st8.dimension_k == 15
-    assert s.build_sparse_tensor([b1, b2], 100).dimension_k == 25
+    assert s.BasisSpec(family="sparse", degree=4, cap=100).build(x).dimension_k == 25
 
 
 def test_sparse_tensor_degree_one_cap_two():
-    b1 = s.build_hermite_basis(rng.normal(size=100), 1)
-    b2 = s.build_hermite_basis(rng.normal(size=100), 1)
-    st2 = s.build_sparse_tensor([b1, b2], 2)
+    x = np.column_stack([rng.normal(size=100), rng.normal(size=100)])
+    st2 = s.BasisSpec(family="sparse", degree=1, cap=2).build(x)
     assert st2.dimension_k == 3
     assert set(st2.index_tuples) == {(0, 0), (0, 1), (1, 0)}
 
 
 @pytest.mark.parametrize("deg,cap", [(2, 3), (3, 4), (4, 5), (5, 6), (3, 100)])
 def test_sparse_tensor_count_law(deg, cap):
-    b1 = s.build_hermite_basis(rng.normal(size=100), deg)
-    b2 = s.build_hermite_basis(rng.normal(size=100), deg)
-    built = s.build_sparse_tensor([b1, b2], cap)
+    x = np.column_stack([rng.normal(size=100), rng.normal(size=100)])
+    built = s.BasisSpec(family="sparse", degree=deg, cap=cap).build(x)
     expected = sum(
         1 for j1 in range(deg + 1) for j2 in range(deg + 1) if j1 + j2 < cap
     )
@@ -223,9 +218,9 @@ def test_sparse_tensor_count_law(deg, cap):
 
 
 def test_sparse_tensor_evaluates_products():
-    b1 = s.build_hermite_basis(rng.normal(size=100), 2)
-    b2 = s.build_hermite_basis(rng.normal(size=100), 2)
-    built = s.build_sparse_tensor([b1, b2], 100)
+    x1, x2 = rng.normal(size=100), rng.normal(size=100)
+    b1, b2 = s.build_hermite_basis(x1, 2), s.build_hermite_basis(x2, 2)
+    built = s.BasisSpec(family="sparse", degree=2, cap=100).build(np.column_stack([x1, x2]))
     x = np.array([0.3, -0.4])
     v1, v2 = b1.evaluate_many([x[0]])[0], b2.evaluate_many([x[1]])[0]
     for col, (j1, j2) in enumerate(built.index_tuples):
@@ -233,12 +228,9 @@ def test_sparse_tensor_evaluates_products():
 
 
 def test_sparse_tensor_cap_validation():
-    b1 = s.build_hermite_basis(rng.normal(size=100), 2)
+    x = rng.normal(size=100)
     with pytest.raises(ValueError):
-        s.build_sparse_tensor([b1, b1], 0)
-    bs = s.build_bspline_basis(DATA, 8)
-    with pytest.raises(ValueError, match="polynomial-type"):
-        s.build_sparse_tensor([b1, bs], 3)
+        s.BasisSpec(family="sparse", degree=2, cap=0).build(np.column_stack([x, x]))
 
 
 # ------------------------------------------------------------------- spec

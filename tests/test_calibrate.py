@@ -176,25 +176,22 @@ def test_criterion_counts_infeasible_reasons(testbed):
 def test_grid_is_one_stacked_solve(testbed, monkeypatch):
     panel, basis = _euler_exact_panel(testbed, 0.97, 10.0, n=300)
     inst = s.BasisSpec(family="hermite", k=5).build(panel.states)
-    single, stacked = [], []
-    solve_single, solve_stack = calibrate.solve_value_fixed_point, calibrate.solve_value_stack
-
-    def counted_single(design, beta, gamma, **kw):
-        single.append((beta, gamma))
-        return solve_single(design, beta, gamma, **kw)
+    stacked = []
+    solve_stack = calibrate.solve_value_stack
 
     def counted_stack(design, beta, gamma, **kw):
-        stacked.append(np.size(beta))
+        stacked.append((np.size(beta), beta, gamma))
         return solve_stack(design, beta, gamma, **kw)
 
-    monkeypatch.setattr(calibrate, "solve_value_fixed_point", counted_single)
     monkeypatch.setattr(calibrate, "solve_value_stack", counted_stack)
     res = s.estimate_preferences(s.Design(basis, panel), s.Design(inst, panel))
     nb, ng = calibrate.GRID_SHAPE
+    sizes = [size for size, _, _ in stacked]
     # one stacked solve for the grid, one column per simplex point, and the
-    # single solve of the reported value recursion
-    assert stacked[0] == nb * ng and stacked[1:] == [1] * (len(res.optimizer_trace) - nb * ng)
-    assert single == [(res.beta_hat, res.gamma_hat)]
+    # one-column solve of the reported value recursion
+    simplex = len(res.optimizer_trace) - nb * ng
+    assert sizes[0] == nb * ng and sizes[1:] == [1] * (simplex + 1)
+    assert stacked[-1][1:] == (res.beta_hat, res.gamma_hat)
 
 
 def test_errors_inside_the_criterion_propagate(testbed, monkeypatch):

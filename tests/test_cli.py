@@ -451,6 +451,63 @@ def test_value_command(tmp_path, testbed, quad_recursive):
     assert (out / "value_function.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["decompose", "bootstrap"])
+@pytest.mark.parametrize("flags, message", [
+    (["--preferences", "estimate"], "needs fixed preferences or an SDF column"),
+    ([], "no SDF column and no preferences"),
+    (["--preferences", "power", "--beta", "0.99", "--gamma", "5"], "need a growth column"),
+])
+def test_sdf_source_errors(tmp_path, sim_panel, capsys, command, flags, message):
+    # one check of where a fit's SDF comes from serves both commands
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states)
+    out = tmp_path / "o"
+    status = main([command, "--input", str(csv_path), "--state-cols", "x1", *flags,
+                   "--out", str(out)])
+    assert status == 1 and message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("beta, gamma, reason", [
+    ("1.2", "5", "invalid_parameters"),
+    ("0.99", "0.5", "invalid_parameters"),
+    ("0.99", "1e5", "growth_overflow"),
+    # the degenerate iterate of test_degenerate_column_ends_without_stopping_the_stack
+    ("0.99", "60", "unconverged_value_recursion"),
+])
+def test_value_without_a_solution_exits_1(tmp_path, testbed, sim_panel, capsys, beta, gamma,
+                                          reason):
+    if gamma == "60":
+        panel = s.simulate_ar1(testbed, 300, np.random.default_rng(5))
+        states, growth = panel.states, np.full(panel.n, np.exp(-12.02))
+    else:
+        states, growth = sim_panel.states, sim_panel.growth
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", states, growth=growth)
+    out = tmp_path / "v"
+    status = main(["value", "--input", str(csv_path), "--state-cols", "x1",
+                   "--growth-col", "G", "--basis", "hermite", "--k", "8",
+                   "--preferences", "recursive", "--beta", beta, "--gamma", gamma,
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert status == 1 and err.startswith("error:") and reason in err
+    assert f"beta={float(beta)}" in err and f"gamma={float(gamma)}" in err
+    assert not (out / "value.json").exists() and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("sizes", ["", "400,5"])
+def test_mc_sample_sizes_are_checked_before_any_simulation(tmp_path, monkeypatch, capsys, sizes):
+    from sdfspectral import simkit
+
+    calls = []
+    for name in ("quadrature_eig", "_run_block"):
+        monkeypatch.setattr(simkit, name, lambda *a, name=name, **kw: calls.append(name))
+    out = tmp_path / "mc"
+    status = main(["mc", "--basis", "hermite", "--k", "8", "--reps", "4", "--sizes", sizes,
+                   "--out", str(out)])
+    assert status == 1 and calls == []
+    assert "sample size" in capsys.readouterr().err
+    assert not (out / "mc_table.csv").exists()
+
+
 def test_mc_command_smoke(tmp_path, testbed):
     out = tmp_path / "mc"
     status = main(["mc", "--design", "power", "--basis", "hermite", "--k", "8",
@@ -524,7 +581,7 @@ def test_import_loads_no_scipy():
 
 
 def test_all_names_public_objects_not_modules():
-    assert len(s.__all__) == len(set(s.__all__)) == 45
+    assert len(s.__all__) == len(set(s.__all__)) == 42
     for name in s.__all__:
         assert not isinstance(getattr(s, name), types.ModuleType), name
 

@@ -3,8 +3,9 @@ import pytest
 
 import sdfspectral as s
 from sdfspectral import pipeline
-from sdfspectral.oracle import population_sieve_matrices
 from sdfspectral.pfeig import _cholesky_stack, _normalize_stack, _solve_stack
+
+from reference_maps import population_sieve_matrices
 
 #: Monte Carlo dispersion of the eigenvalue estimator at n = 3200 on the
 #: power-utility testbed (used as a +-3 sigma acceptance radius)

@@ -5,7 +5,7 @@ import pytest
 
 import sdfspectral as s
 from sdfspectral import simkit
-from sdfspectral.pipeline import FitFailedError
+from sdfspectral.pfeig import _row
 
 
 def test_simulate_stationary_moments(testbed):
@@ -260,22 +260,22 @@ def test_mc_censors_failed_replicates_stage_wise(testbed, recursive_prefs, monke
 
 def _reference_record(design, n, rep, nodes):
     """One replicate's record from its own panel and Design, fitted by the single-fit
-    pipeline, with the long-run scalars by their plain formulas."""
+    pipeline, with the long-run scalars by their plain formulas. Under recursive
+    preferences the value recursion is solved on its own, and kept where it converged
+    whatever the later stages do."""
     panel = s.simulate_ar1(design.ar1, n, simkit._replicate_rng(design.seed, n, rep))
     scalars, funcs = np.full(5, np.nan), np.full((3, nodes.size), np.nan)
+    prefs = design.preferences
     try:
         sieve = s.Design(design.basis_spec.build(panel.states), panel)
         b_nodes = sieve.basis.evaluate_many(nodes)
-        fit = s.fit_panel(sieve, design.preferences)
-    except FitFailedError as exc:
-        fp = exc.fixed_point  # the converged value recursion of a later failure
-        if fp is not None:
-            scalars[3], funcs[2] = fp.lam, b_nodes @ fp.chi_coeffs
-        return True, scalars, funcs
+        if isinstance(prefs, s.RecursiveUtility):
+            fp = _row(s.solve_value_stack(sieve, prefs.beta, prefs.gamma), 0)
+            if not fp.reason:
+                scalars[3], funcs[2] = fp.lam, b_nodes @ fp.chi_coeffs
+        fit = s.fit_panel(sieve, prefs)
     except (ValueError, RuntimeError, np.linalg.LinAlgError):
         return True, scalars, funcs
-    if fit.fixed_point is not None:
-        scalars[3], funcs[2] = fit.fixed_point.lam, b_nodes @ fit.fixed_point.chi_coeffs
     if fit.reason:
         return True, scalars, funcs
     rho = fit.eig.rho

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 import sdfspectral as s
-from sdfspectral.oracle import population_nonlinear_map
-from sdfspectral.pfeig import _cholesky_stack
+from sdfspectral.pfeig import _cholesky_stack, _row
+
+from reference_maps import population_nonlinear_map, value_map
 
 #: Monte Carlo dispersion of the eigenvalue estimator at n = 3200 on the
 #: recursive testbed (+-3 sigma acceptance radius)
 RMSE_LAMBDA_3200 = 0.0123
+
+
+def _solve(design, beta, gamma):
+    """The value recursion of one design at one (beta, gamma): row 0 of a stack of one."""
+    return _row(s.solve_value_stack(design, beta, gamma), 0)
 
 
 def _count_rows(design, counts):
@@ -29,7 +35,7 @@ def _sdf(design, fp):
 def recursive_fit(testbed, recursive_prefs, panel3200):
     basis = s.BasisSpec(family="hermite", k=8).build(panel3200.states)
     design = s.Design(basis, panel3200)
-    fp = s.solve_value_fixed_point(design, recursive_prefs.beta, recursive_prefs.gamma)
+    fp = _solve(design, recursive_prefs.beta, recursive_prefs.gamma)
     return {"basis": basis, "panel": panel3200, "design": design, "fp": fp}
 
 
@@ -37,7 +43,7 @@ def test_log_utility_degenerates_to_constant(testbed):
     panel = s.simulate_ar1(testbed, 400, np.random.default_rng(21))
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
     design = s.Design(basis, panel)
-    fp = s.solve_value_fixed_point(design, 0.994, 1.0)
+    fp = _solve(design, 0.994, 1.0)
     assert fp.converged and fp.iterations <= 2
     assert fp.lam == pytest.approx(1.0, abs=1e-12)
     chi = basis.evaluate_many(panel.x0) @ fp.chi_coeffs
@@ -54,7 +60,7 @@ def test_constant_growth_closed_form(testbed):
     basis = s.BasisSpec(family="hermite", k=6).build(panel.states)
     beta, gamma = 0.95, 8.0
     design = s.Design(basis, panel)
-    fp = s.solve_value_fixed_point(design, beta, gamma)
+    fp = _solve(design, beta, gamma)
     assert fp.lam == pytest.approx(g ** (1.0 - gamma), rel=1e-10)
     chi = basis.evaluate_many(panel.x0) @ fp.chi_coeffs
     np.testing.assert_allclose(chi, np.ones(panel.n), atol=1e-9)
@@ -73,7 +79,7 @@ def test_solution_invariants(recursive_fit):
     assert fp.converged
     assert fp.chi_coeffs @ G @ fp.chi_coeffs == pytest.approx(1.0, abs=1e-8)
     # the sample eigen relation holds at the solver tolerance
-    t_chi = s.value_map(design, fp.beta, fp.gamma)(fp.chi_coeffs)
+    t_chi = value_map(design, fp.beta, fp.gamma)(fp.chi_coeffs)
     resid = np.linalg.solve(G, t_chi) - fp.lam * fp.chi_coeffs
     assert math.sqrt(resid @ G @ resid) < 1e-9
 
@@ -83,7 +89,7 @@ def test_residual_certificate(recursive_fit):
     G = s.estimate_gram(design)
     # the unnormalized fixed point h = lam^(1/(1-beta)) chi solves G h = T(h)
     h = fp.lam ** (1.0 / (1.0 - fp.beta)) * fp.chi_coeffs
-    t_h = s.value_map(design, fp.beta, fp.gamma)(h)
+    t_h = value_map(design, fp.beta, fp.gamma)(h)
     r = np.linalg.solve(G, t_h) - h
     assert math.sqrt(r @ G @ r) < 1e-10
 
@@ -116,18 +122,17 @@ def test_sdf_series_positivity_guard(recursive_fit, recursive_prefs):
 
 def test_parameter_validation(recursive_fit):
     basis, panel, design = recursive_fit["basis"], recursive_fit["panel"], recursive_fit["design"]
-    with pytest.raises(ValueError):
-        s.solve_value_fixed_point(design, 1.2, 5.0)
-    with pytest.raises(ValueError):
-        s.solve_value_fixed_point(design, 0.99, 0.5)
+    for beta, gamma in ((1.2, 5.0), (0.99, 0.5)):
+        fp = _solve(design, beta, gamma)
+        assert fp.reason == "invalid_parameters" and np.isnan(fp.lam)
     bare = s.StatePanel.from_states(panel.states)
     with pytest.raises(ValueError, match="growth"):
-        s.solve_value_fixed_point(s.Design(basis, bare), 0.99, 5.0)
+        _solve(s.Design(basis, bare), 0.99, 5.0)
 
 
 def test_non_convergence_returns_best_iterate(recursive_fit, recursive_prefs, monkeypatch):
     monkeypatch.setattr(s.valuefn, "MAX_ITER", 2)
-    fp = s.solve_value_fixed_point(
+    fp = _solve(
         recursive_fit["design"], recursive_prefs.beta, recursive_prefs.gamma
     )
     assert not fp.converged
@@ -155,10 +160,12 @@ def test_stacked_columns_equal_their_single_solves(testbed, monkeypatch):
     for p, (beta, gamma) in enumerate(zip(betas, gammas)):
         if gamma == 60.0:
             assert st.reason[p] == "growth_overflow" and np.isnan(st.lam[p])
-            with pytest.raises(ValueError, match="overflows"):
-                s.solve_value_fixed_point(design, beta, gamma)
+            fp = _solve(design, beta, gamma)
+            assert fp.reason == "growth_overflow" and np.isnan(fp.lam)
+            with pytest.raises(ValueError, match="overflows at t=7"):
+                value_map(design, beta, gamma)
             continue
-        fp = s.solve_value_fixed_point(design, beta, gamma)
+        fp = _solve(design, beta, gamma)
         assert st.iterations[p] == fp.iterations and st.converged[p] == fp.converged
         assert st.lam[p] == pytest.approx(fp.lam, rel=1e-12, abs=0)
         np.testing.assert_allclose(st.chi_coeffs[p], fp.chi_coeffs, rtol=0, atol=1e-10)
@@ -180,7 +187,7 @@ def test_stacked_count_rows_equal_resampled_solves(recursive_fit, recursive_pref
         panel = s.StatePanel(
             x0=design.panel.x0[idx], x1=design.panel.x1[idx], growth=design.panel.growth[idx]
         )
-        fp = s.solve_value_fixed_point(
+        fp = _solve(
             s.Design(design.basis, panel), recursive_prefs.beta, recursive_prefs.gamma
         )
         assert st.iterations[r] == fp.iterations and st.converged[r] == fp.converged
@@ -201,9 +208,9 @@ def test_degenerate_column_ends_without_stopping_the_stack(testbed):
     st = s.solve_value_stack(design, 0.99, [60.0, 5.0])
     assert list(st.reason) == ["unconverged_value_recursion", ""]
     assert np.isnan(st.lam[0]) and np.isnan(st.chi_coeffs[0]).all() and st.iterations[0] < 10
-    assert st.lam[1] == pytest.approx(s.solve_value_fixed_point(design, 0.99, 5.0).lam, rel=1e-12)
-    with pytest.raises(RuntimeError, match="degenerate"):
-        s.solve_value_fixed_point(design, 0.99, 60.0)
+    assert st.lam[1] == pytest.approx(_solve(design, 0.99, 5.0).lam, rel=1e-12)
+    fp = _solve(design, 0.99, 60.0)
+    assert fp.reason == "unconverged_value_recursion" and np.isnan(fp.lam)
 
 
 def test_reported_chi_has_a_positive_mean(testbed, recursive_fit, recursive_prefs, monkeypatch):
@@ -213,7 +220,7 @@ def test_reported_chi_has_a_positive_mean(testbed, recursive_fit, recursive_pref
     beta, gamma = recursive_prefs.beta, recursive_prefs.gamma
     for max_iter in (1, 2):
         monkeypatch.setattr(s.valuefn, "MAX_ITER", max_iter)
-        fp = s.solve_value_fixed_point(design, beta, gamma)
+        fp = _solve(design, beta, gamma)
         assert not fp.converged and const @ design.gram @ fp.chi_coeffs > 0
     monkeypatch.undo()
     rng = np.random.default_rng(9)
@@ -250,7 +257,7 @@ def test_design_stack_columns_equal_their_own_designs(testbed, recursive_prefs):
     m, usable = s.valuefn.recursive_sdf_stack(stack, st.beta, st.gamma, st.lam, st.chi_coeffs)
     for r, design in enumerate(designs):
         np.testing.assert_array_equal(stack.gram[r], design.gram)
-        fp = s.solve_value_fixed_point(design, beta, gamma)
+        fp = _solve(design, beta, gamma)
         assert st.iterations[r] == fp.iterations and st.reason[r] == ""
         assert st.lam[r] == fp.lam
         np.testing.assert_array_equal(st.chi_coeffs[r], fp.chi_coeffs)

@@ -131,6 +131,11 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     cases["value_recursive"] = ["value", *decompose[1:]]
     # one state (Hermite k = 8), so value_function.svg is written and compared
     cases["value_univariate"] = ["value", *bootstrap[1:], "--preferences", "recursive"]
+    # a value run without a solution exits 1 and writes nothing: invalid parameters,
+    # and a G^(1-gamma) that overflows
+    cases["value_invalid_beta"] = [*cases["value_recursive"], "--beta", "1.2"]
+    cases["value_gamma_below_one"] = [*cases["value_recursive"], "--gamma", "0.5"]
+    cases["value_growth_overflow"] = [*cases["value_recursive"], "--gamma", "1e5"]
     cases["bootstrap_recursive"] = [*bootstrap, "--preferences", "recursive", "--k", "6",
                                     "--boot-b", "200"]
     cases["decompose_bspline"] = ["decompose", *bootstrap[1:], "--basis", "bspline", "--k", "7"]
