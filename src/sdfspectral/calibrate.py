@@ -7,7 +7,9 @@ instrumented with basis functions of the current state. The criterion is
 the trace of the Gram-pseudo-inverse-weighted quadratic form in the
 instrumented moments; a coarse grid stage seeds a Nelder-Mead polish so
 that inner-solver failures surface as infeasible grid points instead of
-silent divergence.
+silent divergence. The polish is a private bounded Nelder-Mead that takes
+scipy's ``minimize(method="Nelder-Mead", bounds=...)`` steps one for one,
+with the same floating-point expressions, so no scipy module is loaded.
 """
 
 from __future__ import annotations
@@ -121,8 +123,9 @@ def estimate_preferences(
     """Minimize the criterion over (beta, gamma) in a box.
 
     A coarse GRID_SHAPE grid, evaluated in one :func:`criterion_grid`
-    call, locates a feasible starting point; Nelder-Mead then polishes
-    within the bounds, one :func:`criterion` call per point. A box
+    call, locates a feasible starting point; :func:`_nelder_mead`, which
+    follows scipy's bounded Nelder-Mead step for step, then polishes within
+    the bounds, one :func:`criterion` call per point. A box
     collapsed to one point is that point, evaluated once. Raises when
     every grid point is infeasible (inner solver failed everywhere).
     """
@@ -157,22 +160,12 @@ def estimate_preferences(
         best = int(np.argmin(np.where(np.isnan(values), math.inf, values)))
         if not math.isfinite(values[best]):
             raise RuntimeError("all grid points infeasible; inner solver failed everywhere")
-        from scipy.optimize import minimize  # lazy: importing sdfspectral loads no scipy
-
-        res = minimize(
-            objective,
-            x0=np.array([betas[best], gammas[best]]),
-            method="Nelder-Mead",
-            bounds=[(b_lo, b_hi), (g_lo, g_hi)],
-            options={
-                "xatol": XATOL,
-                "fatol": FATOL,
-                "maxiter": MAX_ITER,
-            },
+        x, crit_val, success = _nelder_mead(
+            objective, np.array([betas[best], gammas[best]]),
+            np.array([b_lo, g_lo]), np.array([b_hi, g_hi]),
         )
-        beta_hat, gamma_hat = float(res.x[0]), float(res.x[1])
-        crit_val = float(res.fun)
-        success = bool(res.success) and math.isfinite(crit_val)
+        beta_hat, gamma_hat = float(x[0]), float(x[1])
+        success = success and math.isfinite(crit_val)
 
     inner = None
     if math.isfinite(crit_val):
@@ -187,3 +180,85 @@ def estimate_preferences(
         converged=success,
         infeasible=dict(sorted(infeasible.items())),
     )
+
+
+def _nelder_mead(func, x0, lower, upper) -> tuple[np.ndarray, float, bool]:
+    """Bounded Nelder-Mead from ``x0``: the best point, its value, and whether it converged.
+
+    Takes the steps of scipy 1.17.1's ``minimize(method="Nelder-Mead")``
+    with ``bounds`` and the XATOL, FATOL and MAX_ITER options, in the same
+    order and with the same numpy expressions, so it evaluates the same
+    points and returns the same bits. The initial simplex steps each
+    coordinate by 5 % (0.00025 from zero) and reflects vertices above the
+    upper bound back into the box; every trial point is clipped to the
+    box. A coordinate whose bounds coincide stays in the simplex. It
+    converged when XATOL and FATOL were met within MAX_ITER iterations;
+    there is no cap on evaluations.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+
+    def f(x):
+        return func(np.copy(x))
+
+    x0 = np.clip(x0, lower, upper)
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + 0.05) * y[k]
+        else:
+            y[k] = 0.00025
+        sim[k + 1] = y
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = f(sim[k])
+    for _ in range(2):  # scipy sorts the first simplex twice
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < MAX_ITER:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = np.clip((1 + rho) * xbar - rho * sim[-1], lower, upper)
+        fxr = f(xr)
+        doshrink = False
+        if fxr < fsim[0]:
+            xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lower, upper)
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:  # outside contraction
+            xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lower, upper)
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                doshrink = True
+        else:  # inside contraction
+            xcc = np.clip((1 - psi) * xbar + psi * sim[-1], lower, upper)
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                doshrink = True
+        if doshrink:
+            for j in range(1, N + 1):
+                sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lower, upper)
+                fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], float(np.min(fsim)), iterations < MAX_ITER

@@ -88,10 +88,6 @@ class QuadratureOperator:
     transition: np.ndarray
     sdf: Optional[np.ndarray] = None
 
-    def lr_mean(self, vals: np.ndarray) -> float:
-        """Stationary mean of a function given on the nodes."""
-        return float(self.weights @ vals)
-
     def pair_mean(self, vals_ij: np.ndarray) -> float:
         """Stationary mean of a function of the transition pair (x_i, x_j)."""
         return float(self.weights @ np.sum(self.transition * vals_ij, axis=1))

@@ -206,3 +206,115 @@ def test_errors_inside_the_criterion_propagate(testbed, monkeypatch):
         s.criterion(s.Design(basis, panel), s.Design(inst, panel), 0.97, 10.0)
     with pytest.raises(ValueError, match="broadcast"):
         s.estimate_preferences(s.Design(basis, panel), s.Design(inst, panel))
+
+
+def _seeded_objective(seed, case):
+    """A quadratic bowl in (beta, gamma) with a seeded centre, start and box, varied by ``case``."""
+    rng = np.random.default_rng(seed)
+    lower, upper = np.array([0.9, 1.0]), np.array([0.9999, 60.0])
+    if case == "collapsed":
+        lower[0] = upper[0] = rng.uniform(0.9, 0.9999)
+    centre, scale = rng.uniform(lower, upper), np.array([0.01, 5.0]) * rng.uniform(0.5, 2.0, 2)
+    cut = rng.uniform(20.0, 60.0)
+    x0 = upper.copy() if case == "upper" else rng.uniform(lower, upper)
+    noise = np.random.default_rng(seed + 1000)
+
+    def func(x):
+        if case == "infeasible" and x[1] > cut:
+            return math.inf
+        z = (x - centre) / scale
+        value = float(z @ z + 0.3 * z[0] * z[1])
+        # noise far above FATOL: the simplex never meets the tolerances
+        return value + 1e-3 * noise.uniform() if case == "unconverged" else value
+
+    return func, x0, lower, upper
+
+
+def _recorded(func, points):
+    def wrapped(x):
+        points.append(x.copy())
+        return func(x)
+
+    return wrapped
+
+
+def _scipy_nelder_mead(func, x0, bounds):
+    """scipy's bounded Nelder-Mead with calibrate's options, the reference of the port."""
+    from scipy.optimize import minimize
+
+    return minimize(func, x0=x0, method="Nelder-Mead", bounds=bounds,
+                    options={"xatol": calibrate.XATOL, "fatol": calibrate.FATOL,
+                             "maxiter": calibrate.MAX_ITER})
+
+
+@pytest.mark.parametrize("case", ["interior", "infeasible", "upper", "collapsed", "unconverged"])
+def test_nelder_mead_takes_scipys_steps(case):
+    for seed in range(12):
+        ours, theirs = [], []
+        func, x0, lower, upper = _seeded_objective(seed, case)
+        with np.errstate(invalid="ignore"):  # inf - inf in the stopping test
+            x, fun, success = calibrate._nelder_mead(_recorded(func, ours), x0, lower, upper)
+            func, x0, lower, upper = _seeded_objective(seed, case)
+            ref = _scipy_nelder_mead(_recorded(func, theirs), x0, list(zip(lower, upper)))
+        np.testing.assert_array_equal(np.array(ours), np.array(theirs))
+        np.testing.assert_array_equal(x, ref.x)
+        assert np.array_equal(fun, ref.fun) and success == ref.success
+        if case == "upper":  # the first simplex is reflected below the upper bound
+            assert (np.array(ours)[1:3] < upper).any(axis=1).all()
+        if case == "collapsed":
+            assert (np.array(ours)[:, 0] == lower[0]).all()
+        if case == "unconverged":
+            assert not success
+        elif case != "infeasible":
+            assert success
+
+
+def test_nelder_mead_propagates_objective_errors():
+    err = ValueError("operands could not be broadcast together")
+    for run in (
+        lambda f, x0, lo, hi: calibrate._nelder_mead(f, x0, lo, hi),
+        lambda f, x0, lo, hi: _scipy_nelder_mead(f, x0, list(zip(lo, hi))),
+    ):
+        func, x0, lower, upper = _seeded_objective(0, "interior")
+        calls = []
+
+        def broken(x):
+            calls.append(x)
+            if len(calls) == 7:
+                raise err
+            return func(x)
+
+        with pytest.raises(ValueError) as raised:
+            run(broken, x0, lower, upper)
+        assert raised.value is err and len(calls) == 7
+
+
+@pytest.mark.parametrize("bounds", [calibrate.DEFAULT_BOUNDS, ((0.97, 0.97), (1.0, 60.0))])
+def test_polish_equals_scipy_from_the_best_grid_point(testbed, bounds):
+    # the panel of test_cli::test_calibrate_reports_infeasible_counts
+    panel = s.simulate_ar1(testbed, 300, np.random.default_rng(41))
+    design = s.Design(s.BasisSpec(family="hermite", k=6).build(panel.states), panel)
+    m = s.fit_panel(design, s.RecursiveUtility(0.97, 10.0)).m
+    panel = s.StatePanel.from_states(panel.states, growth=panel.growth,
+                                     returns=np.column_stack([1.0 / m, 1.0 / m]))
+    design = s.Design(design.basis, panel)
+    instruments = s.Design(s.BasisSpec(family="hermite", k=6).build(panel.states), panel)
+    res = s.estimate_preferences(design, instruments, bounds=bounds)
+    n_grid = int(np.prod(calibrate.GRID_SHAPE))
+    grid = np.array(res.optimizer_trace[:n_grid])
+    assert not np.isfinite(grid[:, 2]).all()
+    best = grid[int(np.argmin(np.where(np.isnan(grid[:, 2]), math.inf, grid[:, 2])))]
+
+    polish = []
+
+    def objective(point):
+        b, g = float(point[0]), float(point[1])
+        val = s.criterion(design, instruments, b, g)
+        polish.append((b, g, val))
+        return val
+
+    ref = _scipy_nelder_mead(objective, best[:2], bounds)
+    assert polish and res.optimizer_trace[n_grid:] == polish
+    assert (res.beta_hat, res.gamma_hat) == (float(ref.x[0]), float(ref.x[1]))
+    assert res.criterion_value == float(ref.fun)
+    assert res.converged == (bool(ref.success) and math.isfinite(ref.fun))

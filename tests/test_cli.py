@@ -598,7 +598,7 @@ def _scipy_subpackages(code: str) -> set[str]:
 
 #: the scipy subpackages each command imports itself; every command reads
 #: the top-level scipy package, whose version provenance.json records
-COMMAND_SCIPY = {"decompose": (), "bootstrap": (), "calibrate": ("optimize",), "mc": ("linalg",)}
+COMMAND_SCIPY = {"decompose": (), "bootstrap": (), "calibrate": (), "mc": ("linalg",)}
 
 
 @pytest.mark.parametrize("command", list(COMMAND_SCIPY))

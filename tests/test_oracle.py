@@ -112,10 +112,10 @@ def test_long_run_one_factor_approximation(quad_power):
 
 def test_pair_mean_and_lr_mean(quad_power):
     op = quad_power.operator
-    assert op.lr_mean(np.ones(op.nodes.size)) == pytest.approx(1.0, rel=1e-12)
+    assert float(op.weights @ np.ones(op.nodes.size)) == pytest.approx(1.0, rel=1e-12)
     assert op.pair_mean(np.ones((op.nodes.size, op.nodes.size))) == pytest.approx(
         1.0, abs=1e-8
     )
     # stationary mean of x' via pairs equals the stationary mean of x
     pair_vals = np.tile(op.nodes, (op.nodes.size, 1))
-    assert op.pair_mean(pair_vals) == pytest.approx(op.lr_mean(op.nodes), abs=1e-10)
+    assert op.pair_mean(pair_vals) == pytest.approx(float(op.weights @ op.nodes), abs=1e-10)
