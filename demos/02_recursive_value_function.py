@@ -24,7 +24,7 @@ res = decompose_panel(sieve, s.RecursiveUtility(BETA, GAMMA))
 fp, m, rho = res.fit.fixed_point, res.fit.m, res.fit.eig.rho
 oracle = s.quadrature_eig(design, s.RecursiveUtility(BETA, GAMMA), 80)
 print(f"lambda = {fp.lam:.5f}  (population value {oracle.lam:.5f}), "
-      f"{fp.iterations} iterations, converged={fp.converged}")
+      f"{fp.iterations} iterations, converged={fp.reason == ''}")
 
 print(f"plug-in SDF increments: mean {m.mean():.4f}, min {m.min():.4f}, "
       f"max {m.max():.4f}")

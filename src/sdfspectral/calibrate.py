@@ -170,7 +170,7 @@ def estimate_preferences(
     inner = None
     if math.isfinite(crit_val):
         fp = _row(solve_value_stack(design, beta_hat, gamma_hat), 0)
-        inner = fp if fp.converged else None
+        inner = fp if fp.reason == "" else None
     return CalibrationResult(
         beta_hat=beta_hat,
         gamma_hat=gamma_hat,

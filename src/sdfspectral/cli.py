@@ -297,23 +297,17 @@ def read_panel_csv(cfg: RunConfig) -> StatePanel:
             raise CliError(f"column {col!r} is non-finite at data row {i + start + 2}")
         return out
 
+    def positive(label: str, col: Optional[str]) -> Optional[np.ndarray]:
+        if not col:
+            return None
+        out = parse(col, skip_first=True)
+        if np.any(out <= 0):
+            r = int(np.argmax(out <= 0))
+            raise CliError(f"{label} column {col!r} must be positive (data row {r + 3})")
+        return out
+
     states = np.column_stack([parse(c) for c in cfg.state_cols])
-    growth = None
-    if cfg.growth_col:
-        growth = parse(cfg.growth_col, skip_first=True)
-        if np.any(growth <= 0):
-            r = int(np.argmax(growth <= 0))
-            raise CliError(
-                f"growth column {cfg.growth_col!r} must be positive (data row {r + 3})"
-            )
-    sdf = None
-    if cfg.sdf_col:
-        sdf = parse(cfg.sdf_col, skip_first=True)
-        if np.any(sdf <= 0):
-            r = int(np.argmax(sdf <= 0))
-            raise CliError(
-                f"SDF column {cfg.sdf_col!r} must be positive (data row {r + 3})"
-            )
+    growth, sdf = positive("growth", cfg.growth_col), positive("SDF", cfg.sdf_col)
     returns = None
     if cfg.return_cols:
         returns = np.column_stack([parse(c, skip_first=True) for c in cfg.return_cols])
@@ -454,7 +448,7 @@ def validate_summary_csv(path) -> list[dict]:
 def _exit_status(fit: FitStack) -> int:
     """Exit status of a command whose outputs are written: 2, with a warning, for a flagged fit."""
     if fit.reason:
-        why = "no real simple positive eigenvalue; fell back to the constant solution (rho = 1)"
+        why = f"eigenpair failed the {fit.reason} rule; fell back to the constant solution (rho = 1)"
     elif not positive_on_sample(fit.sample.phi_t, fit.sample.phi_t1):
         why = "eigenfunction not positive on sample; results are emitted but flagged"
     else:
@@ -528,7 +522,7 @@ def _cmd_value(cfg: RunConfig) -> int:
     fp = _row(solve_value_stack(Design(basis, panel), prefs.beta, prefs.gamma), 0)
     if np.isnan(fp.lam):
         raise CliError(f"no value solution at beta={prefs.beta}, gamma={prefs.gamma}: {fp.reason}")
-    converged = bool(fp.converged)
+    converged = fp.reason == ""
     payload = {
         "lambda": fp.lam,
         "beta": prefs.beta,

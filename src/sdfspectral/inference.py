@@ -98,9 +98,9 @@ def stationary_bootstrap_indices(
     return (starts[seg_id] + offsets) % n
 
 
-def _replicate_rng(seed: int, r: int) -> np.random.Generator:
-    """Substream generator for replicate r; independent of execution order."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+def _replicate_rng(seed: int, *key: int) -> np.random.Generator:
+    """Substream generator of the replicate that ``key`` names; independent of execution order."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 #: replicates handed to the statistic at once; bounds the (block x n)

@@ -30,6 +30,12 @@ class RecursiveUtility:
 
 def power_utility_sdf(growth: Optional[np.ndarray], beta: float, gamma: float) -> np.ndarray:
     """beta * G^(-gamma) of an array of gross growth rates."""
+    return beta * _growth_power(growth, -gamma)
+
+
+def _growth_power(growth: Optional[np.ndarray], a) -> np.ndarray:
+    """G^a of an array of gross growth rates, as exp(a log G); ``a`` broadcasts against it."""
     if growth is None:
         raise ValueError("panel has no growth series")
-    return beta * np.exp(-gamma * np.log(growth))
+    x = a * np.log(growth)
+    return np.exp(x, out=x)

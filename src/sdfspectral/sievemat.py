@@ -103,15 +103,40 @@ class Whitening(NamedTuple):
     w1: np.ndarray  # (n, k)
 
 
-class Design:
+class _Moments:
+    """The Gram matrix of the rows b0 (one per design of a stack), its factor and its whitening.
+
+    Each is formed on first use.
+    """
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return estimate_gram(self)
+
+    @cached_property
+    def factor(self) -> GramFactor:
+        """The :func:`pfeig._cholesky_stack` record of the Gram matrices (a Design's: a stack of one)."""
+        return _cholesky_stack(self.gram.reshape((-1,) + self.gram.shape[-2:]))
+
+    @cached_property
+    def whitening(self) -> Whitening:
+        """The rows whitened by :attr:`factor`, each field of a stack with a leading R axis.
+
+        Raises LinAlgError if a Gram matrix is not SPD even after the ridge.
+        """
+        Li = self.factor.checked().Li.reshape(self.gram.shape)
+        # w1 is the transpose of a C-ordered (k, n) product: w1.T @ ... runs on contiguous rows
+        w1t = Li @ np.swapaxes(self.b1, -1, -2)
+        return Whitening(Li, self.b0 @ np.swapaxes(Li, -1, -2), np.swapaxes(w1t, -1, -2))
+
+
+class Design(_Moments):
     """One panel's sieve design: b0 = b(X_t) and b1 = b(X_{t+1}), evaluated once.
 
     Every sample object of the estimator is a moment of these two
     matrices. Row t of ``b0``/``b1`` belongs to the panel's transition
     pair t, so a bootstrap replicate is a row weighting (:func:`gram_stack`,
     :func:`pricing_stack`).
-    The Gram matrix is formed, and condition-checked, on first use, and so
-    are its SPD factor and its whitening.
     """
 
     def __init__(self, basis: SieveBasis, panel: StatePanel):
@@ -133,23 +158,9 @@ class Design:
         return self.basis.const_coeffs
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        return estimate_gram(self)
-
-    @cached_property
     def gram_pinv(self) -> np.ndarray:
         """Pseudo-inverse of the Gram matrix, singular values below PINV_RCOND times the largest cut."""
         return np.linalg.pinv(self.gram, rcond=PINV_RCOND)
-
-    @cached_property
-    def factor(self) -> GramFactor:
-        """The :func:`pfeig._cholesky_stack` factor of the Gram matrix, a stack of one."""
-        return _cholesky_stack(self.gram[None])
-
-    @cached_property
-    def whitening(self) -> Whitening:
-        """The design rows whitened by :attr:`factor`."""
-        return _whitening(self)
 
     @cached_property
     def gram_terms(self) -> np.ndarray:
@@ -162,17 +173,16 @@ class Design:
         return rowwise_outer(self.b0, self.b1)
 
 
-class DesignStack:
+class DesignStack(_Moments):
     """The sieve designs of R panels of one length: (R, n, k) row stacks b0 and b1.
 
     Row r of ``b0``/``b1`` holds b_r(X_t) and b_r(X_{t+1}) of replicate r's
     own basis and panel, and row r of the (R, n) ``growth`` its growth
     series; the constant function has the coefficients ``const_coeffs`` in
-    every basis. The (R, k, k) Gram stack, its factor and its whitening are
-    formed on first use, each matrix as :class:`Design` forms its own.
-    ``work``, if given, is an array of b1's shape that :func:`estimate_pricing`
-    overwrites with its m-weighted b1 rows, so that a caller can reuse it
-    across stacks.
+    every basis. Each of its (R, k, k) Gram matrices is formed and factored
+    as :class:`Design` forms its own. ``work``, if given, is an array of b1's
+    shape that :func:`estimate_pricing` overwrites with its m-weighted b1
+    rows, so that a caller can reuse it across stacks.
     """
 
     def __init__(
@@ -189,31 +199,6 @@ class DesignStack:
     @property
     def n(self) -> int:
         return self.b0.shape[1]
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        return estimate_gram(self)
-
-    @cached_property
-    def factor(self) -> GramFactor:
-        """The :func:`pfeig._cholesky_stack` factors of the Gram stack; ``ok`` marks the SPD ones."""
-        return _cholesky_stack(self.gram)
-
-    @cached_property
-    def whitening(self) -> Whitening:
-        """Per-replicate whitened rows, each field stacked over a leading R axis."""
-        return _whitening(self)
-
-
-def _whitening(design) -> Whitening:
-    """The rows of a design, or of each one of a design stack, whitened by its cached factor.
-
-    Raises LinAlgError if a Gram matrix is not SPD even after the ridge.
-    """
-    Li = design.factor.checked().Li.reshape(design.gram.shape)
-    # w1 is the transpose of a C-ordered (k, n) product: w1.T @ ... runs on contiguous rows
-    w1t = Li @ np.swapaxes(design.b1, -1, -2)
-    return Whitening(Li, design.b0 @ np.swapaxes(Li, -1, -2), np.swapaxes(w1t, -1, -2))
 
 
 def estimate_gram(design: Design) -> np.ndarray:

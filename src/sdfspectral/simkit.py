@@ -24,6 +24,7 @@ import numpy as np
 from .basis import BasisSpec
 from .csvout import write_csv, write_json
 from .decomp import long_run_stack
+from .inference import _replicate_rng
 from .oracle import Ar1Design, quadrature_eig
 from .pfeig import _matvec
 from .pipeline import fit_stack
@@ -188,25 +189,17 @@ _SCALARS = ("rho", "y", "L", "lambda", "se_rho")
 _FUNCS = ("phi", "phi_star", "chi")
 
 
-def _replicate_rng(seed: int, n: int, rep: int) -> np.random.Generator:
-    # keyed by the sample size itself so a run's streams do not depend on
-    # which other sizes were requested alongside it
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(n, rep))
-    )
-
-
 def _fit_block(
     design: McDesign, states: np.ndarray, nodes: np.ndarray, work: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Records of the replicates whose (R, n + 1) state paths are ``states``, fitted as one stack.
 
     The basis values, their Hermite table and the pricing product are
     written into the leading replicates of the ``work`` buffers of
     :func:`_run_block`; no record is a view of them.
 
-    Returns whether each fit failed, the (R, 5) _SCALARS and the
-    (R, 3, nodes) _FUNCS records, NaN wherever a value is censored. Each
+    Returns the (R, 5) _SCALARS and the (R, 3, nodes) _FUNCS records,
+    NaN wherever a value is censored, so a failed fit has a NaN rho. Each
     replicate is censored on its own, stage by stage: a basis that cannot
     be built (zero variance, tied knots) or a Gram matrix that is not
     positive definite even after the ridge censors all of its values. The
@@ -219,7 +212,6 @@ def _fit_block(
     growth = np.exp(states[:, 1:])
     if not np.all(np.isfinite(growth) & (growth > 0)):
         raise ValueError("simulated growth is not finite and positive; the AR(1) law is too extreme")
-    failed = np.ones(R, dtype=bool)
     scalars = np.full((R, len(_SCALARS)), np.nan)
     funcs = np.full((R, len(_FUNCS), nodes.size), np.nan)
 
@@ -241,12 +233,11 @@ def _fit_block(
             rows = rows[spd]
             stack, b_nodes = stack_of(rows)
     if rows.size == 0:
-        return failed, scalars, funcs
+        return scalars, funcs
     fit = fit_stack(stack, design.preferences)
 
     ok = fit.reason == ""
     kept = rows[ok]
-    failed[kept] = False
     lr = long_run_stack(fit.eig.rho[ok], fit.m[ok])
     scalars[kept, 0], scalars[kept, 1], scalars[kept, 2] = lr["rho"], lr["y"], lr["L"]
     scalars[kept, 4] = fit.sample.se_rho[ok]
@@ -256,12 +247,12 @@ def _fit_block(
         solved = fit.fixed_point.reason == ""
         scalars[rows[solved], 3] = fit.fixed_point.lam[solved]
         funcs[rows[solved], 2] = _matvec(b_nodes[solved], fit.fixed_point.chi_coeffs[solved])
-    return failed, scalars, funcs
+    return scalars, funcs
 
 
 def _run_block(
     design: McDesign, n: int, reps: range, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Stacked records of the replicates ``reps`` at sample size n, in replicate order.
 
     The range is simulated in chunks of as many whole blocks as keep a
@@ -278,6 +269,7 @@ def _run_block(
     work = (np.empty((k, size, width)), np.empty((size, width, k)), np.empty((size, n, k)))
     records = []
     for lo in range(0, len(reps), chunk):
+        # keyed by n itself: a run's streams do not depend on its other sizes
         rngs = [_replicate_rng(design.seed, n, rep) for rep in reps[lo:lo + chunk]]
         states = _ar1_paths(design.ar1, n, rngs)
         records += [_fit_block(design, states[j:j + size], nodes, work)
@@ -322,8 +314,8 @@ def run_mc_study(design: McDesign) -> McTable:
     )
 
     for n in design.sample_sizes:
-        failed, scalars, funcs = _run_block(design, n, range(design.replications), truth.nodes)
-        table.excluded[n] = int(failed.sum())
+        scalars, funcs = _run_block(design, n, range(design.replications), truth.nodes)
+        table.excluded[n] = int(np.isnan(scalars[:, 0]).sum())  # a failed fit has no rho
 
         records = dict(zip(_SCALARS, scalars.T)) | dict(zip(_FUNCS, funcs.transpose(1, 0, 2)))
         for s in stats:

@@ -17,6 +17,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .pfeig import GramFactor, _matvec
+from .preferences import _growth_power
 from .sievemat import Design, DesignStack
 
 #: the G-norm step below which a column of :func:`solve_value_stack` has converged
@@ -42,7 +43,6 @@ class FixedPointStack(NamedTuple):
     beta: np.ndarray  # (P,)
     gamma: np.ndarray  # (P,)
     iterations: np.ndarray  # (P,) int
-    converged: np.ndarray  # (P,) bool
     final_step: np.ndarray  # (P,)
     reason: np.ndarray  # (P,) str
 
@@ -52,11 +52,8 @@ def _growth_weights(growth: Optional[np.ndarray], gamma: np.ndarray) -> np.ndarr
 
     A growth stack (one row per gamma) gives row r from its own row r.
     """
-    if growth is None:
-        raise ValueError("panel has no growth series")
-    g = np.asarray(1.0 - gamma)[..., None] * np.log(growth)
     with np.errstate(over="ignore"):
-        return np.exp(g, out=g)
+        return _growth_power(growth, np.asarray(1.0 - gamma)[..., None])
 
 
 def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,7 +195,6 @@ def solve_value_stack(
         beta=beta,
         gamma=gamma,
         iterations=iterations,
-        converged=converged,
         final_step=step,
         reason=reason,
     )
@@ -223,21 +219,20 @@ def recursive_sdf_stack(
     formed at those pairs of the usable columns and 1 elsewhere, and the
     (P,) usable mask.
     """
+    stacked = isinstance(design, DesignStack)
     growth = design.growth
-    if growth is None:
-        raise ValueError("panel has no growth series")
-    if isinstance(design, DesignStack):
-        # column r from design r's own rows and growth
+    if growth is not None:  # a missing series is _growth_power's error
+        # (n, P): column r of a stack from design r's own growth
+        growth = growth.T if stacked else growth[:, None]
+    if stacked:
         chi0, chi1 = (_matvec(b, chi_coeffs).T for b in (design.b0, design.b1))
-        growth = growth.T
     else:
         chi0, chi1 = design.b0 @ chi_coeffs.T, design.b1 @ chi_coeffs.T
-        growth = growth[:, None]
     positive = (chi0 > 0) & (chi1 > 0)
     if drawn is not None:
         positive |= ~drawn
     usable = np.all(positive, axis=0)
     use = usable if drawn is None else drawn & usable
     chi0, chi1 = np.where(use, chi0, 1.0), np.where(use, chi1, 1.0)
-    m = (beta / lam) * np.exp(-gamma * np.log(growth)) * chi1**beta / chi0
+    m = (beta / lam) * _growth_power(growth, -gamma) * chi1**beta / chi0
     return np.where(use, m, 1.0), usable

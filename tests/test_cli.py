@@ -212,7 +212,8 @@ def test_decompose_fallback_exit_code(tmp_path, sim_panel, monkeypatch, capsys):
                    "--sdf-col", "m", "--basis", "hermite", "--k", "8",
                    "--out", str(tmp_path / "o")])
     assert status == 2
-    assert "fell back" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "fell back" in err and "no_positive_real" in err  # the warning names the rule
     # the constant fallback: rho = 1, phi = phi* = 1, and no standard errors
     scalars = json.loads((tmp_path / "o" / "scalars.json").read_text())
     assert scalars["rho"] == 1.0 and scalars["fallback"] is True

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import sdfspectral as s
 from sdfspectral.pfeig import FALLBACK_REASONS, _cholesky_stack, _solve_stack
+from sdfspectral.preferences import power_utility_sdf
+from sdfspectral.sievemat import gram_stack, pricing_stack
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
 
@@ -29,6 +34,32 @@ def _pencils():
             Mp[2, 2] = -0.1  # keep every real eigenvalue non-positive
         out.append((Mp, Gp))
     return out
+
+
+def _count_pencils(testbed, k, rounded=False, rows=64):
+    """The pricing and Gram stacks of count rows of the seed-0 testbed panel (n = 800).
+
+    The power SDF has beta = 0.994 and gamma = 15 on a Hermite sieve of k
+    functions; the rows are stationary-bootstrap draws of default_rng(0).
+    ``rounded`` rounds the state to 0.01, which leaves 9 distinct values.
+    """
+    panel = s.simulate_ar1(testbed, 800, 0)
+    if rounded:
+        states = np.round(panel.states, 2)
+        panel = s.StatePanel.from_states(states, growth=np.exp(states[1:]))
+    with warnings.catch_warnings():  # k = 9 on 9 state values: a singular Gram matrix
+        warnings.simplefilter("ignore")
+        design = s.Design(s.BasisSpec(family="hermite", k=k).build(panel.states), panel)
+    rng = np.random.default_rng(0)
+    counts = np.array([np.bincount(s.stationary_bootstrap_indices(panel.n, 6.0, rng),
+                                   minlength=panel.n) for _ in range(rows)])
+    m = np.broadcast_to(power_utility_sdf(panel.growth, 0.994, 15.0), counts.shape)
+    return pricing_stack(design, counts, m), gram_stack(design, counts)
+
+
+def _assert_rows_equal(stack, one, i):
+    for field, a, b in zip(stack._fields, stack, one):
+        np.testing.assert_array_equal(a[i], b[0], err_msg=f"{field} of pencil {i}")
 
 
 def test_stack_matches_single_solves():
@@ -62,3 +93,55 @@ def test_fallback_reasons_are_distinct():
     assert set(FALLBACK_REASONS) >= {rotation, tied}
     diagonal = _solve_stack(np.diag([2.0, 1.0])[None], _cholesky_stack(np.eye(2)[None]))
     assert diagonal.reason[0] == ""
+
+
+@pytest.mark.parametrize("k", [8, 10])
+def test_mixed_layout_stack_matches_single_solves(testbed, k):
+    # eig returns complex vectors for a stack once one pencil has a complex
+    # eigenvalue; each pencil's rows still equal those of its stack of one.
+    # k = 8 catches a single complex-typed solve of all adjoint rows, and
+    # k = 10 a read of every row in one layout
+    M, G = _count_pencils(testbed, k, rows=8)
+    Li = _cholesky_stack(G).Li
+    vals = np.linalg.eigvals(Li @ M @ np.swapaxes(Li, -1, -2))
+    assert np.all(np.any(vals.imag != 0, axis=1))  # every count-row pencil is complex
+    M = np.concatenate([M, 0.5 * (M + np.swapaxes(M, -1, -2))])  # and real copies
+    G = np.concatenate([G, G])
+    stack = _solve_stack(M, _cholesky_stack(G))
+    for i in range(len(M)):
+        _assert_rows_equal(stack, _solve_stack(M[i:i + 1], _cholesky_stack(G[i:i + 1])), i)
+
+
+def test_left_mismatch_catches_what_the_residuals_pass(testbed):
+    # with 9 state values a k = 9 sieve leaves some count-row pencils whose
+    # adjoint eigenvalue nearest rho is another one, with tiny residuals
+    M, G = _count_pencils(testbed, 9, rounded=True)
+    factor = _cholesky_stack(G)
+    stack = _solve_stack(M, factor)
+    norm = np.linalg.norm
+    scale = norm(M, ord=2, axis=(1, 2)) + stack.rho * norm(factor.G, ord=2, axis=(1, 2))
+    passes_residual = np.all(stack.residuals < 1e-8 * scale[:, None], axis=1)
+    assert np.any((stack.reason == "left_mismatch") & passes_residual)
+
+
+def test_left_rows_match_a_40_digit_reference(testbed):
+    mp = pytest.importorskip("mpmath").mp
+    M, G = _count_pencils(testbed, 8, rows=10)
+    checked = 0
+    for Mi, Gi in _pencils() + list(zip(M, G)):
+        factor = _cholesky_stack(Gi[None])
+        st = _solve_stack(Mi[None], factor)
+        if st.reason[0]:
+            continue
+        # the eigenvector of G^-1 M' whose eigenvalue is nearest rho
+        with mp.workdps(40):
+            vals, vecs = mp.eig(mp.inverse(mp.matrix(factor.G[0].tolist()))
+                                * mp.matrix(Mi.T.tolist()))
+        j = min(range(len(vals)), key=lambda i: abs(vals[i] - float(st.rho[0])))
+        ref = np.array([complex(vecs[i, j]) for i in range(len(vals))])
+        ref = (ref / ref[np.argmax(np.abs(ref))]).real
+        ref /= np.linalg.norm(ref)
+        left = st.left[0] * np.sign(st.left[0] @ ref)
+        assert np.max(np.abs(left - ref)) <= 1e-12
+        checked += 1
+    assert checked == 4 + 10

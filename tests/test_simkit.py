@@ -306,8 +306,9 @@ def _stack_case(name, testbed, power_prefs, recursive_prefs):
 @pytest.mark.parametrize("name", list(STACK_CASES))
 def test_stacked_records_equal_per_replicate_fits(name, testbed, power_prefs, recursive_prefs):
     design, n, reps, nodes = _stack_case(name, testbed, power_prefs, recursive_prefs)
-    failed, scalars, funcs = simkit._run_block(design, n, range(reps), nodes)
+    scalars, funcs = simkit._run_block(design, n, range(reps), nodes)
     ref = [_reference_record(design, n, rep, nodes) for rep in range(reps)]
+    failed = np.isnan(scalars[:, 0])  # a failed fit has no rho
     np.testing.assert_array_equal(failed, [r[0] for r in ref])
     if name == "recursive_hermite":
         assert failed.sum() == 2 and not np.isnan(scalars[:, 3]).any()
@@ -323,7 +324,7 @@ def test_mc_records_do_not_depend_on_blocks(testbed, recursive_prefs, monkeypatc
     )
     nodes = s.quadrature_eig(testbed, recursive_prefs, simkit.ORACLE_NODES).nodes
     whole = simkit._run_block(design, 300, range(30), nodes)
-    assert whole[0].any()
+    assert np.isnan(whole[0][:, 0]).any()
     for block_elements in (1, 4 * 301 * 6, 7 * 301 * 6):
         monkeypatch.setattr(simkit, "MC_BLOCK_ELEMENTS", block_elements)
         for edges in ((0, 30), (0, 11, 30), (0, 1, 17, 30)):  # contiguous replicate ranges
@@ -343,7 +344,7 @@ def test_one_failing_replicate_is_censored_alone(stage, testbed, recursive_prefs
     )
     nodes = s.quadrature_eig(testbed, recursive_prefs, simkit.ORACLE_NODES).nodes
     clean = simkit._run_block(design, 300, range(6), nodes)
-    assert not clean[0].any()
+    assert not np.isnan(clean[0][:, 0]).any()
     bad = 2  # the replicate whose stage fails, in a block of all six
     if stage == "basis":  # a constant state path has zero variance
         paths = simkit._ar1_paths
@@ -377,10 +378,10 @@ def test_one_failing_replicate_is_censored_alone(stage, testbed, recursive_prefs
             return st._replace(reason=reason)
 
         monkeypatch.setattr(owner, attr, failing_at_bad)
-    failed, scalars, funcs = simkit._run_block(design, 300, range(6), nodes)
-    assert list(np.flatnonzero(failed)) == [bad]
+    scalars, funcs = simkit._run_block(design, 300, range(6), nodes)
+    assert list(np.flatnonzero(np.isnan(scalars[:, 0]))) == [bad]
     others = np.arange(6) != bad
-    for field, ref in zip((failed, scalars, funcs), clean):
+    for field, ref in zip((scalars, funcs), clean):
         np.testing.assert_array_equal(field[others], ref[others])
     # lambda and chi survive only a failure after the value recursion
     kept = [3] if stage == "eigen" else []

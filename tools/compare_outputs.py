@@ -152,6 +152,11 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     mc_config.write_text(json.dumps({"mc": {"kappa": -0.7}}))
     cases["mc_kappa_negative"] = [*mc, "--config", str(mc_config), "--reps", "60",
                                   "--sizes", "401,3200"]
+    # the B-spline branch of BasisSpec.evaluate_stack
+    cases["mc_bspline"] = [*mc, "--basis", "bspline", "--k", "7", "--reps", "30",
+                           "--sizes", "300,600"]
+    # one replicate: the single-path branch of simkit._ar1_paths
+    cases["mc_one_replicate"] = [*mc, "--reps", "1", "--sizes", "400"]
     # a flagged fit: bootstrap writes its outputs and exits 2, decompose exits 1
     cases["bootstrap_sign_change"] = [*bootstrap, "--input", sign_change_panel()]
     cases["decompose_sign_change"] = ["decompose", *cases["bootstrap_sign_change"][1:]]
