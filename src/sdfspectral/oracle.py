@@ -64,8 +64,6 @@ def affine_power_utility_solution(
     permanent component follow from the Gaussian moment generating
     function.
     """
-    if design.kappa == 1:
-        raise ValueError("kappa = 1 has no stationary solution")
     a = -gamma * design.kappa / (1.0 - design.kappa)
     half_var = gamma**2 * design.sigma**2 / (2.0 * (1.0 - design.kappa) ** 2)
     rho = beta * math.exp(-gamma * design.mu + half_var)

@@ -1,13 +1,14 @@
 """One fit path over a panel's sieve design, shared by the CLI, the bootstrap and the Monte Carlo harness.
 
 :func:`fit_stack` runs each stage of the estimator once over R replicates
-in one of three row layouts: a :class:`Design` alone (a stack of one), a
-Design with (R, n) bootstrap count rows, or a :class:`DesignStack` of R
-Monte Carlo designs. A replicate's ``reason`` is "" where its fit is kept
-and otherwise the first stage that failed it, in stage order: a
-VALUE_FAILURES entry, "nonpositive_continuation", "nonpositive_sdf", a
-FALLBACK_REASONS entry or "defective_pair". :func:`fit_panel` is row 0
-of a stack of one, and :func:`bootstrap_statistic` fits stacks of count rows.
+in one of three row layouts: a :class:`Design` alone (a stack of one),
+the :class:`CountRows` of R bootstrap replicates of a Design, or a
+:class:`DesignStack` of R Monte Carlo designs. A replicate's ``reason``
+is "" where its fit is kept and otherwise the first stage that failed
+it, in stage order: a VALUE_FAILURES entry, "nonpositive_continuation",
+"nonpositive_sdf", a FALLBACK_REASONS entry or "defective_pair".
+:func:`fit_panel` is row 0 of a stack of one, and
+:func:`bootstrap_statistic` fits stacks of count rows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .decomp import DecompSeries, long_run_stack, pt_association, pt_series
 from .inference import DISCARD_REASON, influence_stack
 from .pfeig import (
     FALLBACK_REASONS,
-    _cholesky_stack,
     _matvec,
     _normalize_stack,
     _PencilStack,
@@ -29,7 +29,7 @@ from .pfeig import (
     _solve_stack,
 )
 from .preferences import PowerUtility, RecursiveUtility, power_utility_sdf
-from .sievemat import Design, DesignStack, estimate_pricing, gram_stack, pricing_stack
+from .sievemat import CountRows, Design, DesignStack, estimate_pricing
 from .valuefn import FixedPointStack, recursive_sdf_stack, solve_value_stack
 
 
@@ -74,18 +74,17 @@ class DecompositionResult:
 
 
 def fit_stack(
-    design: Union[Design, DesignStack],
+    design: Union[Design, DesignStack, CountRows],
     preferences: Optional[Union[PowerUtility, RecursiveUtility]] = None,
-    counts: Optional[np.ndarray] = None,
 ) -> FitStack:
     """Estimate the eigenpairs of R replicates as one stack, stage by stage.
 
     The replicates' rows are those that :func:`solve_value_stack` takes:
-    a :class:`Design` alone is the panel's own fit; with an integer (R, n)
-    ``counts`` array, replicate r weights the design's transition pair t
-    by counts[r, t] and needs a positive continuation value on its drawn
-    pairs only; a :class:`DesignStack` gives its R designs, each with its
-    own rows and growth.
+    a :class:`Design` alone is the panel's own fit; of :class:`CountRows`,
+    replicate r weights the design's transition pair t by counts[r, t] and
+    needs a positive continuation value on its drawn pairs only; a
+    :class:`DesignStack` gives its R designs, each with its own rows and
+    growth.
 
     The Gram stack is factored once, and its factor serves the value
     recursions and the eigensolve. The stages, each run once over the
@@ -101,25 +100,15 @@ def fit_stack(
     Gram matrix that is not positive definite even after the ridge
     (LinAlgError).
     """
-    stacked = isinstance(design, DesignStack)
-    if counts is not None:
-        w = np.asarray(counts, dtype=float)
-        G = gram_stack(design, w)
-        factor = _cholesky_stack(G)
-    else:
-        G, factor = design.gram if stacked else design.gram[None], design.factor
+    G = design.gram.reshape((-1,) + design.gram.shape[-2:])
     reason = np.full(len(G), "", dtype=object)
     fp = None
     if isinstance(preferences, RecursiveUtility):
-        rows = None if counts is None else (counts, factor)
-        fp = solve_value_stack(design, preferences.beta, preferences.gamma, rows)
+        fp = solve_value_stack(design, preferences.beta, preferences.gamma)
         reason[:] = fp.reason
-        solved = fp.reason == ""
-        # a count row's continuation value needs to be positive on its drawn pairs only
-        drawn = None if counts is None else (counts > 0).T & solved
-        m, usable = recursive_sdf_stack(design, fp.beta, fp.gamma, fp.lam, fp.chi_coeffs, drawn)
+        m, usable = recursive_sdf_stack(design, fp.beta, fp.gamma, fp.lam, fp.chi_coeffs)
         m = m.T
-        reason[solved & ~usable] = "nonpositive_continuation"
+        reason[(fp.reason == "") & ~usable] = "nonpositive_continuation"
     elif isinstance(preferences, PowerUtility):
         m = power_utility_sdf(design.growth, preferences.beta, preferences.gamma)
     else:
@@ -130,13 +119,8 @@ def fit_stack(
     reason[(reason == "") & ~positive] = "nonpositive_sdf"
     m = np.where((reason == "")[:, None], m, 1.0)
 
-    if counts is not None:
-        M = pricing_stack(design, w, m)
-    elif stacked:
-        M = estimate_pricing(design, m)
-    else:
-        M = estimate_pricing(design, m[0])[None]
-    eig = _solve_stack(M, factor)
+    M = estimate_pricing(design, m)
+    eig = _solve_stack(M, design.factor)
     right, left, bad_norm, orthogonal = _normalize_stack(
         eig.right, eig.left, G, design.const_coeffs
     )
@@ -146,7 +130,7 @@ def fit_stack(
     rho = np.where(kept, eig.rho, np.nan)
     right, left = (np.where(kept[:, None], c, np.nan) for c in (right, left))
     sample = None
-    if counts is None:
+    if not isinstance(design, CountRows):  # count rows have no sample values of their own
         phi_t, phi_t1 = _matvec(design.b0, right), _matvec(design.b1, right)
         phi_star_t = _matvec(design.b0, left)
         psi, v_rho = influence_stack(rho, m, phi_t, phi_t1, phi_star_t)
@@ -204,16 +188,16 @@ def bootstrap_statistic(
 
     The basis (sieve dimension, standardization, knots) is held fixed
     across replicates, so each block of count rows is one :func:`fit_stack`
-    call on the design, whose replicate r weights transition pair t by
-    counts[r, t]. Returns the :func:`long_run_stack` arrays of the count
-    rows, and the value-recursion eigenvalue when preferences are
-    recursive; none of them needs the eigenfunction's sample values. A
+    call on their :class:`CountRows`, whose replicate r weights transition
+    pair t by counts[r, t]. Returns the :func:`long_run_stack` arrays of
+    the count rows, and the value-recursion eigenvalue when preferences
+    are recursive; none of them needs the eigenfunction's sample values. A
     replicate that :func:`fit_stack` does not keep is discarded (NaN),
     with its reason as the DISCARD_REASON entry.
     """
 
     def stat(counts: np.ndarray) -> dict:
-        fit = fit_stack(design, preferences, counts)
+        fit = fit_stack(CountRows(design, counts), preferences)
         out = {**long_run_stack(fit.eig.rho, fit.m, counts), DISCARD_REASON: fit.reason}
         if fit.fixed_point is not None:
             out["lambda"] = np.where(fit.reason == "", fit.fixed_point.lam, np.nan)

@@ -104,7 +104,7 @@ class Whitening(NamedTuple):
 
 
 class _Moments:
-    """The Gram matrix of the rows b0 (one per design of a stack), its factor and its whitening.
+    """The Gram matrix of the rows b0 (one per replicate of a stack), its factor and its whitening.
 
     Each is formed on first use.
     """
@@ -135,8 +135,7 @@ class Design(_Moments):
 
     Every sample object of the estimator is a moment of these two
     matrices. Row t of ``b0``/``b1`` belongs to the panel's transition
-    pair t, so a bootstrap replicate is a row weighting (:func:`gram_stack`,
-    :func:`pricing_stack`).
+    pair t, so a bootstrap replicate is a row weighting (:class:`CountRows`).
     """
 
     def __init__(self, basis: SieveBasis, panel: StatePanel):
@@ -201,6 +200,31 @@ class DesignStack(_Moments):
         return self.b0.shape[1]
 
 
+class CountRows(_Moments):
+    """R count-weighted bootstrap replicates of one :class:`Design`.
+
+    Row r of the (R, n) ``counts`` holds how often each transition pair of
+    the design enters replicate r. The replicates share the design's rows
+    ``b0`` and ``b1`` and its growth series; they have no sample values of
+    their own. Each Gram matrix G_r = sum_t w_rt b(X_t) b(X_t)'/n is formed
+    and factored on first use, without :func:`estimate_gram`'s checks.
+    """
+
+    def __init__(self, design: Design, counts: np.ndarray):
+        if not isinstance(design, Design):
+            raise ValueError("count rows weight the pairs of one design, not of a design stack")
+        self.design, self.counts = design, np.asarray(counts, dtype=float)
+        if self.counts.ndim != 2 or self.counts.shape[1] != design.n:
+            raise ValueError(f"counts must have shape (R, {design.n})")
+        self.b0, self.b1, self.panel, self.n = design.b0, design.b1, design.panel, design.n
+        self.growth, self.const_coeffs = design.growth, design.const_coeffs
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        w, k = self.counts, self.b0.shape[1]
+        return (w @ self.design.gram_terms / self.n).reshape(len(w), k, k)
+
+
 def estimate_gram(design: Design) -> np.ndarray:
     """Sample Gram matrix (1/n) sum_t b(X_t) b(X_t)' over t = 0..n-1.
 
@@ -230,40 +254,22 @@ def rowwise_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
 
 
-def gram_stack(design: Design, counts: np.ndarray) -> np.ndarray:
-    """Gram matrices of count-weighted replicates, G_r = sum_t w_rt b(X_t) b(X_t)'/n.
-
-    ``counts`` is an (R, n) array; row r holds how often each transition
-    pair enters replicate r. Returns an (R, k, k) stack.
-    """
-    w = np.asarray(counts, dtype=float)
-    k = design.b0.shape[1]
-    return (w @ design.gram_terms / design.n).reshape(w.shape[0], k, k)
-
-
-def pricing_stack(design: Design, counts: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Pricing matrices of count-weighted replicates, M_r = sum_t w_rt m_rt b(X_t) b(X_{t+1})'/n.
-
-    ``counts`` is the (R, n) array of :func:`gram_stack`, and row r of the
-    (R, n) ``m`` holds replicate r's SDF increments. Returns an (R, k, k) stack.
-    """
-    w = np.asarray(counts, dtype=float)
-    k = design.b0.shape[1]
-    return ((w * m) @ design.pricing_terms / design.n).reshape(w.shape[0], k, k)
-
-
 def estimate_pricing(design: Design, m: np.ndarray) -> np.ndarray:
     """Sample pricing matrix (1/n) sum_t b(X_t) m_t b(X_{t+1})'.
 
     ``m`` is the realized SDF increment series, one entry per transition
     pair; whether it comes from an observed column, a known formula or a
-    plug-in with estimated components is the caller's concern. Of a
-    :class:`DesignStack`, ``m`` has one row per replicate and the result is
-    the (R, k, k) stack of pricing matrices.
+    plug-in with estimated components is the caller's concern. An (R, n)
+    ``m`` gives the (R, k, k) stack of one pricing matrix per row: of a
+    :class:`Design`, one per series; of a :class:`DesignStack`, one per
+    design; of :class:`CountRows`, M_r = sum_t w_rt m_rt b(X_t) b(X_{t+1})'/n.
     """
     n = design.n
-    if m is None or np.shape(m) != design.b0.shape[:-1]:
+    if m is None or np.shape(m)[-1:] != (n,):
         raise ValueError(f"need the realized SDF increments m (sdf_increments) as a length-{n} series")
     m = np.asarray(m, dtype=float)
+    if isinstance(design, CountRows):
+        w, k = design.counts, design.b0.shape[1]
+        return ((w * m) @ design.design.pricing_terms / n).reshape(len(w), k, k)
     work = design.work if isinstance(design, DesignStack) else None
     return np.swapaxes(design.b0, -1, -2) @ np.multiply(m[..., None], design.b1, out=work) / n

@@ -89,23 +89,20 @@ def _ar1_paths(design: Ar1Design, n: int, rngs) -> np.ndarray:
     return states
 
 
-def l2_distance(f_vals, g_vals, weights=None):
-    """Square root of the (weighted) mean squared difference of two value arrays.
+def l2_distance(f_vals, g_vals, weights):
+    """Square root of the weighted mean squared difference of two value arrays.
 
     Reduces over the last axis: a float for two vectors, one distance per
     row when ``f_vals`` stacks several value arrays.
     """
     f = np.asarray(f_vals, dtype=float)
     g = np.asarray(g_vals, dtype=float)
+    w = np.asarray(weights, dtype=float)
     if f.shape[-1:] != g.shape:
         raise ValueError("value arrays must have matching shapes")
-    if weights is None:
-        d = np.sqrt(np.mean((f - g) ** 2, axis=-1))
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != g.shape:
-            raise ValueError("weights must match the value arrays")
-        d = np.sqrt(np.sum(w * (f - g) ** 2, axis=-1) / np.sum(w))
+    if w.shape != g.shape:
+        raise ValueError("weights must match the value arrays")
+    d = np.sqrt(np.sum(w * (f - g) ** 2, axis=-1) / np.sum(w))
     return float(d) if d.ndim == 0 else d
 
 
@@ -350,8 +347,8 @@ def _sieve_dim(spec: BasisSpec) -> int:
     return spec.build(np.linspace(0.0, 1.0, max(spec.k or 0, 2))).dimension_k
 
 
-def write_mc_outputs(table: McTable, out_dir, stem: str = "mc_table") -> None:
-    """Write the table CSV and a metadata JSON sidecar."""
+def write_mc_outputs(table: McTable, out_dir) -> None:
+    """Write the table as mc_table.csv and its metadata as mc_table_meta.json."""
     os.makedirs(out_dir, exist_ok=True)
-    table.to_csv(os.path.join(out_dir, f"{stem}.csv"))
-    write_json(os.path.join(out_dir, f"{stem}_meta.json"), table.metadata())
+    table.to_csv(os.path.join(out_dir, "mc_table.csv"))
+    write_json(os.path.join(out_dir, "mc_table_meta.json"), table.metadata())

@@ -14,10 +14,11 @@ _ML, _MR, _MT, _MB = 64, 16, 34, 44
 _PW, _PH = _W - _ML - _MR, _H - _MT - _MB  # the plot area
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
+def _ticks(lo: float, hi: float) -> np.ndarray:
+    """Five evenly spaced tick values from lo to hi; lo alone for an empty or non-finite range."""
     if not np.isfinite(lo) or not np.isfinite(hi) or lo == hi:
         return np.array([lo])
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, 5)
 
 
 def _fmt(v: float) -> str:

@@ -16,9 +16,9 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .pfeig import GramFactor, _matvec
+from .pfeig import _matvec
 from .preferences import _growth_power
-from .sievemat import Design, DesignStack
+from .sievemat import CountRows, Design, DesignStack
 
 #: the G-norm step below which a column of :func:`solve_value_stack` has converged
 TOL = 1e-10
@@ -62,10 +62,9 @@ def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def solve_value_stack(
-    design: Union[Design, DesignStack],
+    design: Union[Design, DesignStack, CountRows],
     beta,
     gamma,
-    counts: Optional[tuple[np.ndarray, GramFactor]] = None,
 ) -> FixedPointStack:
     """Solve the value recursion for P columns at once, each with its own (beta, gamma).
 
@@ -73,11 +72,10 @@ def solve_value_stack(
     either shared, its own count-weighted replicate, or its own design:
 
     - of a :class:`Design`, every column uses the design's :attr:`whitening`;
-    - with ``counts``, a pair of an integer (P, n) array and the
-      :func:`pfeig._cholesky_stack` factor of its Gram stack
-      (:func:`sievemat.gram_stack`), column r solves the count-weighted
-      recursion of replicate r of the design: its map and Gram matrix weight
-      transition pair t by counts[r, t], and it is whitened by its own factor;
+    - of the :class:`CountRows` of P replicates, column r solves the
+      count-weighted recursion of replicate r of the design: its map and
+      Gram matrix weight transition pair t by counts[r, t], and it is
+      whitened by its own Gram matrix's factor;
     - of a :class:`DesignStack` of R designs, column r solves the recursion
       of design r, on its whitened rows and growth series (P = R).
 
@@ -100,11 +98,11 @@ def solve_value_stack(
     panel-level faults raise: a missing growth series, or a Gram matrix
     that is not positive definite even after the ridge.
     """
-    stacked = isinstance(design, DesignStack)
+    stacked, rows = isinstance(design, DesignStack), isinstance(design, CountRows)
     shape = np.broadcast_shapes(
         np.shape(beta),
         np.shape(gamma),
-        () if counts is None else (len(counts[0]),),
+        (len(design.counts),) if rows else (),
         (len(design.b0),) if stacked else (),
     )
     beta, gamma = (np.broadcast_to(np.asarray(a, float), shape).ravel() for a in (beta, gamma))
@@ -117,19 +115,16 @@ def solve_value_stack(
     # Li holds per-column factors L^-1 of unwhitened count rows, None when
     # the rows are whitened already
     product = _row_product if stacked else np.matmul
-    if counts is None:
+    if not rows:
         wh = design.whitening
         # r1t is the C-ordered (k, n) transpose of w1, one per design of a stack
         r0, r1t, Li = wh.w0, np.swapaxes(wh.w1, -1, -2), None
         u0 = np.full(n, 1.0 / n) @ r0  # mean whitened row L^-1 mean b(X_t)
     else:
-        if stacked:
-            raise ValueError("count rows weight the pairs of one design, not of a design stack")
-        counts, factor = counts
-        w = np.asarray(counts, dtype=float)
-        if w.shape != (p_cols, n):
-            raise ValueError(f"counts must have shape ({p_cols}, {n})")
-        Li = factor.checked().Li
+        w = design.counts
+        if len(w) != p_cols:
+            raise ValueError(f"{len(w)} count rows for {p_cols} columns")
+        Li = design.factor.checked().Li
         r0, r1t = design.b0, np.ascontiguousarray(design.b1.T)
         gw *= w
         u0 = _matvec(Li, w @ r0 / n)
@@ -201,12 +196,11 @@ def solve_value_stack(
 
 
 def recursive_sdf_stack(
-    design: Design,
+    design: Union[Design, DesignStack, CountRows],
     beta,
     gamma,
     lam,
     chi_coeffs: np.ndarray,
-    drawn: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """SDF increments of P solved value-recursion columns, and which columns are usable.
 
@@ -214,12 +208,13 @@ def recursive_sdf_stack(
     with its own (beta, gamma, lam) and ``chi_coeffs[p]``, on the design's
     rows or, of a :class:`DesignStack`, on design p's own rows and growth. The plug-in
     SDF exists only where chi is positive: a column is usable when chi > 0
-    at both states of every transition pair or, given an (n, P) boolean
-    ``drawn`` mask, of every pair it marks. Returns the (n, P) increments,
+    at both states of every transition pair or, of :class:`CountRows`, of
+    every pair that its replicate p draws. Returns the (n, P) increments,
     formed at those pairs of the usable columns and 1 elsewhere, and the
     (P,) usable mask.
     """
     stacked = isinstance(design, DesignStack)
+    drawn = (design.counts > 0).T if isinstance(design, CountRows) else None
     growth = design.growth
     if growth is not None:  # a missing series is _growth_power's error
         # (n, P): column r of a stack from design r's own growth

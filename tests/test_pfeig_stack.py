@@ -6,7 +6,7 @@ import pytest
 import sdfspectral as s
 from sdfspectral.pfeig import FALLBACK_REASONS, _cholesky_stack, _solve_stack
 from sdfspectral.preferences import power_utility_sdf
-from sdfspectral.sievemat import gram_stack, pricing_stack
+from sdfspectral.sievemat import CountRows
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
 
@@ -54,7 +54,8 @@ def _count_pencils(testbed, k, rounded=False, rows=64):
     counts = np.array([np.bincount(s.stationary_bootstrap_indices(panel.n, 6.0, rng),
                                    minlength=panel.n) for _ in range(rows)])
     m = np.broadcast_to(power_utility_sdf(panel.growth, 0.994, 15.0), counts.shape)
-    return pricing_stack(design, counts, m), gram_stack(design, counts)
+    rows = CountRows(design, counts)
+    return s.estimate_pricing(rows, m), rows.gram
 
 
 def _assert_rows_equal(stack, one, i):

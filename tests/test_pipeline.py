@@ -9,7 +9,7 @@ from sdfspectral.cli import main
 from sdfspectral.inference import BOOTSTRAP_BLOCK, DISCARD_REASON, _replicate_rng
 from sdfspectral.pfeig import FALLBACK_REASONS, _row
 from sdfspectral.pipeline import DISCARD_REASONS, bootstrap_statistic, fit_stack
-from sdfspectral.sievemat import DesignStack
+from sdfspectral.sievemat import CountRows, DesignStack
 from sdfspectral.valuefn import VALUE_FAILURES
 
 EPS = np.finfo(float).eps
@@ -207,19 +207,22 @@ def test_each_fit_failure(reason, testbed, recursive_prefs, monkeypatch, tmp_pat
                         np.stack([p.growth for p in panels]), designs[0].const_coeffs)
     draws = [s.stationary_bootstrap_indices(n, 6.0, _replicate_rng(5, r)) for r in range(4)]
     counts = np.array([np.bincount(idx, minlength=n) for idx in draws])
-    layouts = [(stack, None), (designs[0], counts)]  # Monte Carlo designs, bootstrap rows
-    clean = [fit_stack(d, recursive_prefs, c) for d, c in layouts]
+    layouts = [stack, CountRows(designs[0], counts)]  # Monte Carlo designs, bootstrap rows
+    clean = [fit_stack(d, recursive_prefs) for d in layouts]
 
     # inside a larger stack, the replicate fails alone
     _fail_at(monkeypatch, reason, bad)
     others = np.arange(4) != bad
-    for (design, c), ref in zip(layouts, clean):
+    for design, ref in zip(layouts, clean):
         assert list(ref.reason) == [""] * 4
-        fit = fit_stack(design, recursive_prefs, c)
+        fit = fit_stack(design, recursive_prefs)
         assert list(fit.reason) == ["", "", reason, ""]
         assert np.isnan(fit.eig.rho[bad]) and np.isnan(fit.eig.right[bad]).all()
         np.testing.assert_array_equal(fit.eig.rho[others], ref.eig.rho[others])
         np.testing.assert_array_equal(fit.m[others], ref.m[others])
+        if reason in VALUE_FAILURES or reason.startswith("nonpositive_"):
+            # a replicate's SDF increments are ones where they could not be formed
+            np.testing.assert_array_equal(fit.m[bad], np.ones(n))
 
     # the single fit: the constant fallback, or a RuntimeError naming the reason
     monkeypatch.undo()

@@ -102,14 +102,14 @@ def test_path_chunks_give_the_rows_of_one_chunk(testbed, power_prefs, monkeypatc
 
 def test_l2_distance_contract():
     f = np.array([1.0, 2.0, 3.0])
-    assert s.l2_distance(f, f) == 0.0
+    assert s.l2_distance(f, f, np.ones(3)) == 0.0
     w = np.array([0.2, 0.5, 0.3])
     assert s.l2_distance(f, f - 0.7, w) == pytest.approx(0.7, rel=1e-14)
     # stacked rows: one distance per row, each equal to the row's own
     rows = np.stack([f, f - 0.7, f * 1.3])
     np.testing.assert_array_equal(s.l2_distance(rows, f, w), [s.l2_distance(r, f, w) for r in rows])
     with pytest.raises(ValueError):
-        s.l2_distance(f, np.ones(2))
+        s.l2_distance(f, np.ones(2), np.ones(2))
     with pytest.raises(ValueError):
         s.l2_distance(f, f, np.ones(2))
 

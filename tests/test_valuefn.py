@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import sdfspectral as s
-from sdfspectral.pfeig import _cholesky_stack, _row
+from sdfspectral.pfeig import _row
+from sdfspectral.sievemat import CountRows
 
 from reference_maps import population_nonlinear_map, value_map
 
@@ -16,11 +17,6 @@ RMSE_LAMBDA_3200 = 0.0123
 def _solve(design, beta, gamma):
     """The value recursion of one design at one (beta, gamma): row 0 of a stack of one."""
     return _row(s.solve_value_stack(design, beta, gamma), 0)
-
-
-def _count_rows(design, counts):
-    """The (counts, factor) pair of count rows for :func:`solve_value_stack`."""
-    return counts, _cholesky_stack(s.sievemat.gram_stack(design, counts))
 
 
 def _sdf(design, fp):
@@ -180,8 +176,7 @@ def test_stacked_count_rows_equal_resampled_solves(recursive_fit, recursive_pref
     rng = np.random.default_rng(8)
     counts = np.array([np.bincount(s.stationary_bootstrap_indices(n, 6.0, rng), minlength=n)
                        for _ in range(5)])
-    st = s.solve_value_stack(design, recursive_prefs.beta, recursive_prefs.gamma,
-                             counts=_count_rows(design, counts))
+    st = s.solve_value_stack(CountRows(design, counts), recursive_prefs.beta, recursive_prefs.gamma)
     for r in range(len(counts)):
         idx = np.repeat(np.arange(n), counts[r])
         panel = s.StatePanel(
@@ -226,9 +221,9 @@ def test_reported_chi_has_a_positive_mean(testbed, recursive_fit, recursive_pref
     rng = np.random.default_rng(9)
     counts = np.array([np.bincount(s.stationary_bootstrap_indices(design.n, 6.0, rng),
                                    minlength=design.n) for _ in range(4)])
-    rows = _count_rows(design, counts)
-    st = s.solve_value_stack(design, beta, gamma, counts=rows)
-    assert np.all(np.einsum("k,rkl,rl->r", const, rows[1].G, st.chi_coeffs) > 0)
+    rows = CountRows(design, counts)
+    st = s.solve_value_stack(rows, beta, gamma)
+    assert np.all(np.einsum("k,rkl,rl->r", const, rows.factor.G, st.chi_coeffs) > 0)
     designs = []
     for seed in range(3):
         panel = s.simulate_ar1(testbed, 300, np.random.default_rng(70 + seed))
@@ -264,4 +259,4 @@ def test_design_stack_columns_equal_their_own_designs(testbed, recursive_prefs):
         assert usable[r]
         np.testing.assert_array_equal(m[:, r], _sdf(design, fp)[0])
     with pytest.raises(ValueError, match="design stack"):
-        s.solve_value_stack(stack, beta, gamma, counts=_count_rows(designs[0], np.ones((4, 300))))
+        CountRows(stack, np.ones((4, 300)))

@@ -8,11 +8,12 @@ bench/workloads.py, a copy of the bootstrap panel with an observed SDF
 column m = beta G^(-gamma), the decompose settings as a JSON config
 file, a JSON config file with a negative Monte Carlo persistence, a
 power-utility panel whose fitted eigenfunction changes sign on the
-sample, one whose state takes eight distinct values (so the
-log permanent and transitory series are heavily tied, and a sieve of
-nine functions needs the SPD ridge) and a messy copy of the bootstrap
-panel (CRLF rows, a blank line, padded cells, exponent notation). It
-runs each argument vector below once per tree, each in a fresh
+sample, the first 60 transition pairs of the bootstrap panel, a panel
+whose state takes eight distinct values (so the log permanent and
+transitory series are heavily tied, and a sieve of nine functions needs
+the SPD ridge) and a messy copy of the bootstrap panel (CRLF rows, a
+blank line, padded cells, exponent notation). It runs each argument
+vector below once per tree, each in a fresh
 ``python`` process writing to an empty output directory (the same path
 for both trees, as provenance.json records it). Exit
 statuses and every output file are compared by bytes; JSON files are
@@ -108,6 +109,14 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
         workloads._write_csv(str(path), {"g": states}, {"G": np.exp(states[1:])})
         return str(path)
 
+    def short_panel() -> str:
+        """The first 61 rows (60 transition pairs) of the bootstrap workload's panel."""
+        states = workloads._ar1_states(
+            workloads._rng(workloads.BOOTSTRAP_PANEL_SEED, "bootstrap"), workloads.BOOTSTRAP_N)[:61]
+        path = work / "panel_short.csv"
+        workloads._write_csv(str(path), {"g": states}, {"G": np.exp(states[1:])})
+        return str(path)
+
     def messy_panel() -> str:
         """The bootstrap workload's panel as a hand-edited file might hold it.
 
@@ -138,6 +147,9 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     cases["value_growth_overflow"] = [*cases["value_recursive"], "--gamma", "1e5"]
     cases["bootstrap_recursive"] = [*bootstrap, "--preferences", "recursive", "--k", "6",
                                     "--boot-b", "200"]
+    # 60 pairs: some count rows' value recursions stop unconverged, others have a
+    # continuation value that is not positive on their drawn pairs
+    cases["bootstrap_recursive_short"] = [*cases["bootstrap_recursive"], "--input", short_panel()]
     cases["decompose_bspline"] = ["decompose", *bootstrap[1:], "--basis", "bspline", "--k", "7"]
     cases["decompose_power"] = ["decompose", *bootstrap[1:]]
     cases["decompose_config"] = config_file(decompose)
