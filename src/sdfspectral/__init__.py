@@ -28,7 +28,6 @@ from .inference import (
     BootstrapResult,
     bootstrap_ci,
     default_bandwidth,
-    stationary_bootstrap_indices,
     variance_entropy,
 )
 from .oracle import (
@@ -54,8 +53,7 @@ __all__ = [
     # decomp
     "DecompSeries", "change_of_measure", "long_run_stack", "pt_association", "pt_series",
     # inference
-    "BootstrapResult", "bootstrap_ci", "default_bandwidth", "stationary_bootstrap_indices",
-    "variance_entropy",
+    "BootstrapResult", "bootstrap_ci", "default_bandwidth", "variance_entropy",
     # oracle
     "AffineSolution", "Ar1Design", "QuadratureOperator", "QuadratureSolution",
     "affine_power_utility_solution", "quadrature_eig",

@@ -75,32 +75,46 @@ def variance_entropy(psi_rho: np.ndarray, rho: float, m: np.ndarray, bandwidth: 
     return max(_newey_west(psi_L, bandwidth), 0.0)
 
 
-def stationary_bootstrap_indices(
-    n: int, expected_block: float, rng: np.random.Generator
-) -> np.ndarray:
-    """One stationary-bootstrap index sequence of length n.
-
-    The first index is uniform on {0..n-1}; each subsequent index
-    continues the block (i+1 modulo n, circular wraparound) with
-    probability 1 - 1/expected_block and otherwise restarts uniformly.
-    Block lengths are geometric with the given mean. Fully determined by
-    the generator state.
-    """
-    if expected_block < 1:
-        raise ValueError("expected_block must be >= 1")
-    p_restart = 1.0 / expected_block
-    restart = rng.random(n) < p_restart
-    restart[0] = True
-    seg_id = np.cumsum(restart) - 1
-    seg_start_pos = np.flatnonzero(restart)
-    starts = rng.integers(0, n, size=seg_start_pos.size)
-    offsets = np.arange(n) - seg_start_pos[seg_id]
-    return (starts[seg_id] + offsets) % n
-
-
 def _replicate_rng(seed: int, *key: int) -> np.random.Generator:
     """Substream generator of the replicate that ``key`` names; independent of execution order."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def _block_counts(n: int, expected_block: float, seed: int, rows: range) -> np.ndarray:
+    """The (R, n) stationary-bootstrap count rows of replicates ``rows``.
+
+    Replicate r's generator ``_replicate_rng(seed, r)`` draws n uniforms,
+    of which those below 1/expected_block restart a block (the first
+    draw always does), and then one uniform start on {0..n-1} per block.
+    A block continues i+1 modulo n until the next restart, so its length
+    is the distance to the next head, and row j counts how often each of
+    the n transition pairs falls in one of replicate j's blocks. The
+    blocks are summed as +1/-1 steps of an (R, n + 1) difference array,
+    a block that wraps past n adding a second run from column 0; the
+    counts are integers, so they do not depend on the order of the sums.
+    """
+    R = len(rows)
+    u = np.empty((R, n))
+    gens = [_replicate_rng(seed, r) for r in rows]
+    for g, row in zip(gens, u):
+        g.random(out=row)
+    restart = u < 1.0 / expected_block
+    restart[:, 0] = True
+    starts = np.concatenate([
+        g.integers(0, n, size=size) for g, size in zip(gens, np.count_nonzero(restart, axis=1))
+    ])
+    heads = np.flatnonzero(restart)
+    # every row begins with a head, so a row's last block ends where the next row begins
+    length = np.diff(heads, append=R * n)
+    base = heads // n * (n + 1)
+    end = starts + length
+    wrap = end > n
+    up = np.concatenate([base + starts, base[wrap]])
+    down = np.concatenate([base + np.minimum(end, n), base[wrap] + end[wrap] - n])
+    step = np.zeros(R * (n + 1), dtype=np.intp)
+    np.add.at(step, up, 1)
+    np.subtract.at(step, down, 1)
+    return np.cumsum(step.reshape(R, n + 1)[:, :n], axis=1)
 
 
 #: replicates handed to the statistic at once; bounds the (block x n)
@@ -143,13 +157,14 @@ def bootstrap_ci(
 ) -> BootstrapResult:
     """Stationary-bootstrap percentile intervals for a statistic of n transition pairs.
 
-    Replicate r draws its indices from a substream keyed by (seed, r), so
-    the result does not depend on execution order. The draws are turned
-    into count rows, row r holding how often each of the ``n`` transition
-    pairs was drawn, and handed to ``statistic(counts)`` in blocks of
-    BOOTSTRAP_BLOCK rows. The statistic returns one array per scalar, with
-    one entry per row; a non-finite entry discards that replicate, and an
-    optional DISCARD_REASON array says why. Exceptions raised by the
+    Replicate r draws its blocks from a substream keyed by (seed, r), so
+    the result does not depend on execution order (see
+    :func:`_block_counts`). The draws are turned into count rows, row r
+    holding how often each of the ``n`` transition pairs was drawn, and
+    handed to ``statistic(counts)`` in blocks of BOOTSTRAP_BLOCK rows. The
+    statistic returns one array per scalar, with one entry per row; a
+    non-finite entry discards that replicate, and an optional
+    DISCARD_REASON array says why. Exceptions raised by the
     statistic propagate. Errors out when more than half the replications
     are discarded.
     """
@@ -157,17 +172,13 @@ def bootstrap_ci(
         raise ValueError("need at least one replication")
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
+    if expected_block < 1:
+        raise ValueError("expected_block must be >= 1")
     values: dict[str, list[np.ndarray]] = {}
     reasons: list[np.ndarray] = []
     for lo in range(0, b, BOOTSTRAP_BLOCK):
         rows = range(lo, min(lo + BOOTSTRAP_BLOCK, b))
-        idx = np.array([
-            stationary_bootstrap_indices(n, expected_block, _replicate_rng(seed, r)) for r in rows
-        ])
-        # row j of the block counts replicate j's draws: one bincount over j*n + index
-        flat = (np.arange(len(rows))[:, None] * n + idx).ravel()
-        counts = np.bincount(flat, minlength=len(rows) * n).reshape(len(rows), n)
-        out = dict(statistic(counts))
+        out = dict(statistic(_block_counts(n, expected_block, seed, rows)))
         why = out.pop(DISCARD_REASON, None)
         reasons.append(np.full(len(rows), "", dtype=object) if why is None
                        else np.asarray(why, dtype=object))

@@ -160,9 +160,8 @@ def _solve_stack(M: np.ndarray, factor: GramFactor) -> _PencilStack:
     right /= np.linalg.norm(right, axis=1, keepdims=True)
     left /= np.linalg.norm(left, axis=1, keepdims=True)
 
-    # spectral norms of M and G, from one batched SVD
-    sv = np.linalg.svd(np.stack([M, G], axis=1), compute_uv=False)[..., 0]
-    norm_scale = sv[:, 0] + rho * sv[:, 1]
+    # spectral norms of M and G: the top eigenvalues of the symmetric M'M and G
+    norm_scale = np.sqrt(np.linalg.eigvalsh(Mt @ M)[:, -1]) + rho * np.linalg.eigvalsh(G)[:, -1]
     res_r = np.linalg.norm(_matvec(M, right) - rho[:, None] * _matvec(G, right), axis=1)
     res_l = np.linalg.norm(_matvec(Mt, left) - rho[:, None] * _matvec(G, left), axis=1)
     bad_residual = ~((res_r < 1e-8 * norm_scale) & (res_l < 1e-8 * norm_scale))

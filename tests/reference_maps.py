@@ -1,10 +1,12 @@
 """Reference maps that the tests check the estimators against.
 
 The population Gram and pricing matrices and the population value-recursion
-map of a basis on the quadrature grid of the Gaussian AR(1) testbed, and the
+map of a basis on the quadrature grid of the Gaussian AR(1) testbed, the
 sample value-recursion map of a design, written out one map at a time as the
 plain formula that :func:`sdfspectral.solve_value_stack` iterates in
-whitened, stacked form.
+whitened, stacked form, and one stationary-bootstrap index sequence, whose
+bincount is the count row that :func:`sdfspectral.bootstrap_ci` builds from
+the same generator's draws.
 """
 
 from __future__ import annotations
@@ -66,3 +68,26 @@ def value_map(design: Design, beta: float, gamma: float) -> Callable[[np.ndarray
         return b0.T @ (gw * np.abs(b1 @ v) ** beta) / n
 
     return t_map
+
+
+def stationary_bootstrap_indices(
+    n: int, expected_block: float, rng: np.random.Generator
+) -> np.ndarray:
+    """One stationary-bootstrap index sequence of length n.
+
+    The first index is uniform on {0..n-1}; each subsequent index
+    continues the block (i+1 modulo n, circular wraparound) with
+    probability 1 - 1/expected_block and otherwise restarts uniformly.
+    Block lengths are geometric with the given mean. Fully determined by
+    the generator state.
+    """
+    if expected_block < 1:
+        raise ValueError("expected_block must be >= 1")
+    p_restart = 1.0 / expected_block
+    restart = rng.random(n) < p_restart
+    restart[0] = True
+    seg_id = np.cumsum(restart) - 1
+    seg_start_pos = np.flatnonzero(restart)
+    starts = rng.integers(0, n, size=seg_start_pos.size)
+    offsets = np.arange(n) - seg_start_pos[seg_id]
+    return (starts[seg_id] + offsets) % n

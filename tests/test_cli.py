@@ -582,7 +582,7 @@ def test_import_loads_no_scipy():
 
 
 def test_all_names_public_objects_not_modules():
-    assert len(s.__all__) == len(set(s.__all__)) == 42
+    assert len(s.__all__) == len(set(s.__all__)) == 41
     for name in s.__all__:
         assert not isinstance(getattr(s, name), types.ModuleType), name
 

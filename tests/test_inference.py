@@ -7,9 +7,12 @@ import sdfspectral as s
 from sdfspectral.inference import (
     BOOTSTRAP_BLOCK,
     BootstrapUnstableError,
+    _block_counts,
     _newey_west,
     _replicate_rng,
 )
+
+from reference_maps import stationary_bootstrap_indices
 
 
 def _const_basis_fit(m):
@@ -124,18 +127,18 @@ def test_newey_west_matches_direct_formula():
 
 def test_bootstrap_indices_contract():
     rng = np.random.default_rng(7)
-    idx = s.stationary_bootstrap_indices(500, 6.0, rng)
+    idx = stationary_bootstrap_indices(500, 6.0, rng)
     assert idx.shape == (500,) and idx.min() >= 0 and idx.max() < 500
     # determinism under the same generator state
-    again = s.stationary_bootstrap_indices(500, 6.0, np.random.default_rng(7))
+    again = stationary_bootstrap_indices(500, 6.0, np.random.default_rng(7))
     np.testing.assert_array_equal(idx, again)
     with pytest.raises(ValueError):
-        s.stationary_bootstrap_indices(10, 0.5, rng)
+        stationary_bootstrap_indices(10, 0.5, rng)
 
 
 def test_bootstrap_indices_iid_when_block_one():
     rng = np.random.default_rng(8)
-    idx = s.stationary_bootstrap_indices(20_000, 1.0, rng)
+    idx = stationary_bootstrap_indices(20_000, 1.0, rng)
     # no forced continuations: the fraction of successors equal to i+1 is
     # at chance level 1/n, far below any blocking signature
     cont = np.mean(idx[1:] == (idx[:-1] + 1) % 20_000)
@@ -148,7 +151,7 @@ def test_bootstrap_mean_block_length():
     total_len = 0
     r = 0
     while total_blocks < 100_000:
-        idx = s.stationary_bootstrap_indices(1000, 6.0, _replicate_rng(123, r))
+        idx = stationary_bootstrap_indices(1000, 6.0, _replicate_rng(123, r))
         restarts = np.flatnonzero(
             np.concatenate([[True], idx[1:] != (idx[:-1] + 1) % 1000])
         )
@@ -157,6 +160,33 @@ def test_bootstrap_mean_block_length():
         total_len += lengths.sum()
         r += 1
     assert abs(total_len / total_blocks - 6.0) < 0.1
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 61, 800])
+def test_block_counts_equal_the_bincounts_of_the_reference_indices(n):
+    # the segment-built count rows are the bincounts of the reference index
+    # sequences of the same substreams, bit for bit; the last range is a
+    # partial block
+    for block in (1.0, 1.5, 6.0, 40.0, 1e6):
+        for seed in (0, 5, 907):
+            for rows in (range(0, 128), range(128, 256), range(1000, 1037)):
+                expected = np.array([
+                    np.bincount(stationary_bootstrap_indices(n, block, _replicate_rng(seed, r)),
+                                minlength=n)
+                    for r in rows
+                ])
+                counts = _block_counts(n, block, seed, rows)
+                assert counts.dtype == expected.dtype
+                np.testing.assert_array_equal(counts, expected,
+                                              err_msg=f"block {block}, seed {seed}, {rows}")
+
+
+def test_bootstrap_ci_rejects_blocks_shorter_than_one():
+    def stat(w):
+        raise AssertionError("no replicate is drawn")
+
+    with pytest.raises(ValueError, match="expected_block"):
+        s.bootstrap_ci(stat, 10, 20, 0.5, 0.9, seed=1)
 
 
 def test_bootstrap_ci_constant_statistic(testbed):
@@ -192,7 +222,7 @@ def test_bootstrap_ci_count_rows_are_the_replicate_draws(testbed):
     s.bootstrap_ci(stat, panel.n, b, 6.0, 0.9, seed=21)
     assert [len(w) for w in seen] == [BOOTSTRAP_BLOCK, 7]
     expected = [
-        np.bincount(s.stationary_bootstrap_indices(90, 6.0, _replicate_rng(21, r)), minlength=90)
+        np.bincount(stationary_bootstrap_indices(90, 6.0, _replicate_rng(21, r)), minlength=90)
         for r in range(b)
     ]
     np.testing.assert_array_equal(np.concatenate(seen), expected)

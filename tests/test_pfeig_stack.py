@@ -8,6 +8,8 @@ from sdfspectral.pfeig import FALLBACK_REASONS, _cholesky_stack, _solve_stack
 from sdfspectral.preferences import power_utility_sdf
 from sdfspectral.sievemat import CountRows
 
+from reference_maps import stationary_bootstrap_indices
+
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
 
 
@@ -51,7 +53,7 @@ def _count_pencils(testbed, k, rounded=False, rows=64):
         warnings.simplefilter("ignore")
         design = s.Design(s.BasisSpec(family="hermite", k=k).build(panel.states), panel)
     rng = np.random.default_rng(0)
-    counts = np.array([np.bincount(s.stationary_bootstrap_indices(panel.n, 6.0, rng),
+    counts = np.array([np.bincount(stationary_bootstrap_indices(panel.n, 6.0, rng),
                                    minlength=panel.n) for _ in range(rows)])
     m = np.broadcast_to(power_utility_sdf(panel.growth, 0.994, 15.0), counts.shape)
     rows = CountRows(design, counts)
@@ -123,6 +125,31 @@ def test_left_mismatch_catches_what_the_residuals_pass(testbed):
     scale = norm(M, ord=2, axis=(1, 2)) + stack.rho * norm(factor.G, ord=2, axis=(1, 2))
     passes_residual = np.all(stack.residuals < 1e-8 * scale[:, None], axis=1)
     assert np.any((stack.reason == "left_mismatch") & passes_residual)
+
+
+@pytest.mark.parametrize("count_rows", [None, (8, False), (10, False), (9, True)],
+                         ids=["pencils", "k8", "k10", "rounded_k9"])
+def test_residual_scale_matches_the_svd_norms(testbed, count_rows):
+    # the residual rule's scale |M|_2 + rho |G|_2 takes the spectral norms from
+    # eigvalsh of M'M and G; they agree with the SVD's to 1e-14 relative, and
+    # the rule keeps every pencil's reason under the SVD's scale. rounded_k9
+    # is the stack of test_left_mismatch_catches_what_the_residuals_pass
+    if count_rows is None:
+        M, G = (np.stack(a) for a in zip(*_pencils()))
+    else:
+        k, rounded = count_rows
+        M, G = _count_pencils(testbed, k, rounded=rounded)
+    factor = _cholesky_stack(G)
+    sv = np.linalg.svd(np.stack([M, factor.G], axis=1), compute_uv=False)[..., 0]
+    norm_m = np.sqrt(np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)[:, -1])
+    norm_g = np.linalg.eigvalsh(factor.G)[:, -1]
+    np.testing.assert_allclose(norm_m, sv[:, 0], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(norm_g, sv[:, 1], rtol=1e-14, atol=0)
+
+    st = _solve_stack(M, factor)
+    svd_fails = ~np.all(st.residuals < 1e-8 * (sv[:, 0] + st.rho * sv[:, 1])[:, None], axis=1)
+    reached = np.isin(st.reason, ["", "residual"])  # pencils that passed the earlier rules
+    np.testing.assert_array_equal(st.reason == "residual", reached & svd_fails)
 
 
 def test_left_rows_match_a_40_digit_reference(testbed):

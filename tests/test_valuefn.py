@@ -7,7 +7,7 @@ import sdfspectral as s
 from sdfspectral.pfeig import _row
 from sdfspectral.sievemat import CountRows
 
-from reference_maps import population_nonlinear_map, value_map
+from reference_maps import population_nonlinear_map, stationary_bootstrap_indices, value_map
 
 #: Monte Carlo dispersion of the eigenvalue estimator at n = 3200 on the
 #: recursive testbed (+-3 sigma acceptance radius)
@@ -174,7 +174,7 @@ def test_stacked_count_rows_equal_resampled_solves(recursive_fit, recursive_pref
     design = recursive_fit["design"]
     n = design.n
     rng = np.random.default_rng(8)
-    counts = np.array([np.bincount(s.stationary_bootstrap_indices(n, 6.0, rng), minlength=n)
+    counts = np.array([np.bincount(stationary_bootstrap_indices(n, 6.0, rng), minlength=n)
                        for _ in range(5)])
     st = s.solve_value_stack(CountRows(design, counts), recursive_prefs.beta, recursive_prefs.gamma)
     for r in range(len(counts)):
@@ -219,7 +219,7 @@ def test_reported_chi_has_a_positive_mean(testbed, recursive_fit, recursive_pref
         assert fp.reason == "unconverged_value_recursion" and const @ design.gram @ fp.chi_coeffs > 0
     monkeypatch.undo()
     rng = np.random.default_rng(9)
-    counts = np.array([np.bincount(s.stationary_bootstrap_indices(design.n, 6.0, rng),
+    counts = np.array([np.bincount(stationary_bootstrap_indices(design.n, 6.0, rng),
                                    minlength=design.n) for _ in range(4)])
     rows = CountRows(design, counts)
     st = s.solve_value_stack(rows, beta, gamma)

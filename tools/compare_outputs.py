@@ -154,6 +154,10 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     cases["decompose_power"] = ["decompose", *bootstrap[1:]]
     cases["decompose_config"] = config_file(decompose)
     cases["bootstrap_sdf"] = observed_sdf(bootstrap)
+    # every draw restarts a block; and long blocks on the n = 800 panel, many of
+    # which wrap past its end
+    cases["bootstrap_block1"] = [*bootstrap, "--block", "1"]
+    cases["bootstrap_block_long"] = [*bootstrap, "--block", "400"]
     cases["decompose_sdf"] = ["decompose", *cases["bootstrap_sdf"][1:]]
     cases["mc_recursive"] = [*mc, "--design", "recursive", "--k", "6", "--reps", "30",
                              "--sizes", "300,600"]
