@@ -7,6 +7,8 @@ increments. The closed-form solution for this design is printed alongside
 for reference.
 """
 
+import math
+
 import numpy as np
 
 import sdfspectral as s
@@ -26,12 +28,15 @@ res = decompose_panel(sieve, s.PowerUtility(BETA, GAMMA))
 eig, series = res.fit.eig, res.series  # rho and the right and left coefficients
 long_run = s.long_run_stack(eig.rho, series.m)
 
-truth = s.affine_power_utility_solution(design, BETA, GAMMA)
-print(f"estimated rho = {eig.rho:.5f}   (closed form {truth.rho:.5f})")
+# the closed form: L = gamma^2 sigma^2 / (2 (1 - kappa)^2) from the Gaussian
+# moment generating function, and rho = beta exp(-gamma mu + L)
+entropy_L = GAMMA**2 * design.sigma**2 / (2.0 * (1.0 - design.kappa) ** 2)
+rho = BETA * math.exp(-GAMMA * design.mu + entropy_L)
+print(f"estimated rho = {eig.rho:.5f}   (closed form {rho:.5f})")
 print(f"long-run yield = {long_run['y']:.5f}")
 
 print(f"entropy of the permanent component = {long_run['L']:.5f} "
-      f"(closed form {truth.entropy_L:.5f})")
+      f"(closed form {entropy_L:.5f})")
 print(f"one-period SDF entropy             = {long_run['sdf_entropy']:.5f}")
 print(f"horizon dependence                 = {long_run['horizon_dependence']:.5f}")
 print(f"sd of log m_perm = {np.std(np.log(series.m_perm)):.4f}, "

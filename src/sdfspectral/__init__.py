@@ -30,14 +30,7 @@ from .inference import (
     default_bandwidth,
     variance_entropy,
 )
-from .oracle import (
-    AffineSolution,
-    Ar1Design,
-    QuadratureOperator,
-    QuadratureSolution,
-    affine_power_utility_solution,
-    quadrature_eig,
-)
+from .oracle import Ar1Design, QuadratureOperator, QuadratureSolution, quadrature_eig
 from .pipeline import DecompositionResult, bootstrap_statistic, decompose_panel, fit_panel
 from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import Design, StatePanel, estimate_gram, estimate_pricing
@@ -55,8 +48,7 @@ __all__ = [
     # inference
     "BootstrapResult", "bootstrap_ci", "default_bandwidth", "variance_entropy",
     # oracle
-    "AffineSolution", "Ar1Design", "QuadratureOperator", "QuadratureSolution",
-    "affine_power_utility_solution", "quadrature_eig",
+    "Ar1Design", "QuadratureOperator", "QuadratureSolution", "quadrature_eig",
     # pipeline
     "DecompositionResult", "bootstrap_statistic", "decompose_panel", "fit_panel",
     # preferences

@@ -190,14 +190,24 @@ def build_hermite_basis(data: np.ndarray, degree_per_dim: int) -> SieveBasis:
     x = np.asarray(data, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    if x.shape[0] < 2:
+    return hermite_basis_from_moments(*_sample_moments([x]), degree_per_dim)
+
+
+def _sample_moments(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sample means and sds (ddof 1) of a sample's coordinates, given as (n, d_i) column blocks.
+
+    Each block's moments are its own column reductions, coordinates
+    numbered across the blocks. Raises ValueError on fewer than two
+    observations, or naming the first coordinate with zero sample variance.
+    """
+    if blocks[0].shape[0] < 2:
         raise ValueError("need at least 2 observations to standardize")
-    means = x.mean(axis=0)
-    sds = x.std(axis=0, ddof=1)
+    means = np.concatenate([b.mean(axis=0) for b in blocks])
+    sds = np.concatenate([b.std(axis=0, ddof=1) for b in blocks])
     bad = np.flatnonzero(sds <= 0)
     if bad.size:
         raise ValueError(f"coordinate {bad[0]} has zero sample variance")
-    return hermite_basis_from_moments(means, sds, degree_per_dim)
+    return means, sds
 
 
 def build_bspline_basis(data: np.ndarray, k: int) -> SieveBasis:
@@ -272,7 +282,8 @@ class BasisSpec:
         if self.family == "sparse":
             if self.degree is None or self.cap is None:
                 raise ValueError("sparse basis needs degree and cap")
-            comps = [build_hermite_basis(x[:, j], self.degree) for j in range(d)]
+            # each coordinate standardized by its own column's moments
+            means, sds = _sample_moments([x[:, j:j + 1] for j in range(d)])
             if self.cap <= 0:
                 raise ValueError("sparse basis needs cap > 0")
             tuples = [t for t in _graded_tuples([self.degree + 1] * d) if sum(t) < self.cap]
@@ -280,7 +291,7 @@ class BasisSpec:
                 family="sparse",
                 dimension_k=len(tuples),
                 state_dim=d,
-                standardization=tuple(b.standardization[0] for b in comps),
+                standardization=tuple(zip(means.tolist(), sds.tolist())),
                 index_tuples=tuple(tuples),
             )
         raise ValueError(f"unknown basis family {self.family!r}")

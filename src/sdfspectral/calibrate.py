@@ -81,10 +81,8 @@ def criterion_grid(
     conv = np.flatnonzero(reason == "")
     for lo in range(0, conv.size, MOMENT_BLOCK):
         c = conv[lo:lo + MOMENT_BLOCK]
-        m, usable = recursive_sdf_stack(
-            design, st.beta[c], st.gamma[c], st.lam[c], st.chi_coeffs[c]
-        )
-        reason[c[~usable]] = "nonpositive_continuation"
+        m, reason[c] = recursive_sdf_stack(design, _row(st, c))
+        usable = reason[c] == ""
         ok, m = c[usable], m[:, usable]
         resid = m[:, :, None] * panel.returns[:, None, :] - 1.0  # (n, points, returns)
         A = np.tensordot(instruments.b0, resid, axes=(0, 0)) / panel.n

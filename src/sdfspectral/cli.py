@@ -617,7 +617,8 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
     write_json(os.path.join(cfg.out_dir, "bootstrap.json"), {
         "b": b, "expected_block": block, "level": level, "seed": seed,
         "discarded": boot.discarded,
-        "discard_reasons": {r: boot.discard_reasons.get(r, 0) for r in DISCARD_REASONS},
+        # the reported reasons in their order, then any other reason that occurred
+        "discard_reasons": {**dict.fromkeys(DISCARD_REASONS, 0), **boot.discard_reasons},
         "fallback_point_estimate": bool(fit.reason),
     })
     _write_provenance(cfg, {"discarded": boot.discarded})

@@ -206,7 +206,7 @@ def bootstrap_ci(
     ci_lo = {}
     ci_hi = {}
     for k, arr in replicates.items():
-        lo, hi = np.quantile(np.sort(arr), [alpha, 1.0 - alpha])
+        lo, hi = np.quantile(arr, [alpha, 1.0 - alpha])
         ci_lo[k], ci_hi[k] = float(lo), float(hi)
     return BootstrapResult(
         replicates=replicates,

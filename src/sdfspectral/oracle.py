@@ -1,12 +1,9 @@
 """Independent ground truth for the Gaussian AR(1) testbed.
 
-Two routes that never touch the sample estimators: a closed-form
-exponential-affine solution for power utility (the conditional moment
-generating function of a Gaussian AR(1) is exponentially affine, so the
-eigenfunction is an exponential in the state), and a dense Gauss-Hermite
-discretization of the population operators that works for any of the
-supported preference specifications. Tests compare the two against each
-other and the estimators against either.
+A dense Gauss-Hermite discretization of the population operators that
+never touches the sample estimators and works for any of the supported
+preference specifications; the Monte Carlo harness takes its truths from
+it.
 """
 
 from __future__ import annotations
@@ -43,31 +40,6 @@ class Ar1Design:
     @property
     def stationary_std(self) -> float:
         return self.sigma / math.sqrt(1.0 - self.kappa**2)
-
-
-@dataclass(frozen=True)
-class AffineSolution:
-    """Closed-form eigenvalue, log-eigenfunction slope, and entropy."""
-
-    rho: float
-    slope_a: float
-    entropy_L: float
-
-
-def affine_power_utility_solution(
-    design: Ar1Design, beta: float, gamma: float
-) -> AffineSolution:
-    """Exponential-affine solution of the power-utility eigenproblem.
-
-    The eigenfunction is proportional to exp(a (x - mu)) with
-    a = -gamma kappa / (1 - kappa); the eigenvalue and the entropy of the
-    permanent component follow from the Gaussian moment generating
-    function.
-    """
-    a = -gamma * design.kappa / (1.0 - design.kappa)
-    half_var = gamma**2 * design.sigma**2 / (2.0 * (1.0 - design.kappa) ** 2)
-    rho = beta * math.exp(-gamma * design.mu + half_var)
-    return AffineSolution(rho=rho, slope_a=a, entropy_L=half_var)
 
 
 @dataclass(frozen=True)

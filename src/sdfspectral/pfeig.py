@@ -27,13 +27,13 @@ FALLBACK_REASONS = ("no_positive_real", "tie", "left_mismatch", "residual")
 class GramFactor(NamedTuple):
     """The SPD factor of an (S, k, k) Gram stack, from :func:`_cholesky_stack`.
 
-    ``G`` holds the symmetrized matrices, ridged where that was needed, with
+    ``G`` holds the symmetrized matrices, ridged where that was needed, and
+    ``Li`` the inverses of their lower-triangular Cholesky factors L, with
     G = L L'. ``ok`` marks the matrices that factored, ridge included; the
-    ``L`` and ``Li`` of the others are NaN.
+    ``Li`` of the others is NaN.
     """
 
     G: np.ndarray  # (S, k, k)
-    L: np.ndarray  # (S, k, k) lower triangular
     Li: np.ndarray  # (S, k, k) L^-1
     ok: np.ndarray  # (S,) bool
 
@@ -68,7 +68,7 @@ def _cholesky_stack(G: np.ndarray) -> GramFactor:
                     L[s] = np.linalg.cholesky(g)
                 except np.linalg.LinAlgError:
                     L[s], ok[s] = np.nan, False
-    return GramFactor(G, L, np.linalg.inv(L), ok)
+    return GramFactor(G, np.linalg.inv(L), ok)
 
 
 class _PencilStack(NamedTuple):
@@ -134,7 +134,7 @@ def _solve_stack(M: np.ndarray, factor: GramFactor) -> _PencilStack:
     pencil separately.
     """
     M = np.asarray(M, dtype=float)
-    G, _, Li, _ = factor.checked()
+    G, Li, _ = factor.checked()
     Lit = np.swapaxes(Li, -1, -2)
     Mt = np.swapaxes(M, -1, -2)
     vals, vecs = np.linalg.eig(Li @ M @ Lit)

@@ -105,10 +105,8 @@ def fit_stack(
     fp = None
     if isinstance(preferences, RecursiveUtility):
         fp = solve_value_stack(design, preferences.beta, preferences.gamma)
-        reason[:] = fp.reason
-        m, usable = recursive_sdf_stack(design, fp.beta, fp.gamma, fp.lam, fp.chi_coeffs)
+        m, reason = recursive_sdf_stack(design, fp)
         m = m.T
-        reason[(fp.reason == "") & ~usable] = "nonpositive_continuation"
     elif isinstance(preferences, PowerUtility):
         m = power_utility_sdf(design.growth, preferences.beta, preferences.gamma)
     else:
@@ -175,7 +173,7 @@ def decompose_panel(
     return DecompositionResult(fit=fit, series=series, association=pt_association(series))
 
 
-#: the discard reasons that ``bootstrap`` reports: a fallback eigenpair, or under
+#: the discard reasons that ``bootstrap`` always reports: a fallback eigenpair, or under
 #: recursive preferences an unconverged value recursion or a nonpositive continuation value
 DISCARD_REASONS = FALLBACK_REASONS + ("unconverged_value_recursion", "nonpositive_continuation")
 

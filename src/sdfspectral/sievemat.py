@@ -93,14 +93,14 @@ class Whitening(NamedTuple):
 
     A coefficient vector v has whitened coordinates u = L' v, in which the
     G-norm sqrt(v'Gv) is the Euclidean norm of u; ``w0 = b0 L^-'`` and
-    ``w1 = b1 L^-'`` give the sample values b(X_t)'v = w0 u and
-    b(X_{t+1})'v = w1 u. Of a :class:`DesignStack`, each field has a
+    ``w1t = L^-1 b1'`` give the sample values b(X_t)'v = w0 u and
+    b(X_{t+1})'v = u' w1t. Of a :class:`DesignStack`, each field has a
     leading replicate axis.
     """
 
     Li: np.ndarray  # (k, k) L^-1, of the SPD-ridged Gram matrix
     w0: np.ndarray  # (n, k)
-    w1: np.ndarray  # (n, k)
+    w1t: np.ndarray  # (k, n), C-ordered
 
 
 class _Moments:
@@ -125,9 +125,7 @@ class _Moments:
         Raises LinAlgError if a Gram matrix is not SPD even after the ridge.
         """
         Li = self.factor.checked().Li.reshape(self.gram.shape)
-        # w1 is the transpose of a C-ordered (k, n) product: w1.T @ ... runs on contiguous rows
-        w1t = Li @ np.swapaxes(self.b1, -1, -2)
-        return Whitening(Li, self.b0 @ np.swapaxes(Li, -1, -2), np.swapaxes(w1t, -1, -2))
+        return Whitening(Li, self.b0 @ np.swapaxes(Li, -1, -2), Li @ np.swapaxes(self.b1, -1, -2))
 
 
 class Design(_Moments):

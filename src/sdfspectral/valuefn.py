@@ -32,10 +32,11 @@ class FixedPointStack(NamedTuple):
     """Per-column results of :func:`solve_value_stack`, P columns.
 
     ``reason`` is "" for a converged column and otherwise its
-    VALUE_FAILURES entry. An unconverged column keeps its last iterate
-    and eigenvalue; a column whose iterate degenerated (vanishing or
-    non-finite G-norm) and the columns of the other two reasons have NaN
-    ``lam`` and ``chi_coeffs``.
+    VALUE_FAILURES entry. ``final_step`` is the G-norm distance between a
+    column's last two normalized iterates. An unconverged column keeps its
+    last iterate and eigenvalue; a column whose iterate degenerated
+    (vanishing or non-finite G-norm) and the columns of the other two
+    reasons have NaN ``lam`` and ``chi_coeffs``.
     """
 
     lam: np.ndarray  # (P,)
@@ -117,8 +118,7 @@ def solve_value_stack(
     product = _row_product if stacked else np.matmul
     if not rows:
         wh = design.whitening
-        # r1t is the C-ordered (k, n) transpose of w1, one per design of a stack
-        r0, r1t, Li = wh.w0, np.swapaxes(wh.w1, -1, -2), None
+        r0, r1t, Li = wh.w0, wh.w1t, None
         u0 = np.full(n, 1.0 / n) @ r0  # mean whitened row L^-1 mean b(X_t)
     else:
         w = design.counts
@@ -151,7 +151,6 @@ def solve_value_stack(
     if cols.size < p_cols:
         per_col = [a[cols] if v else a for a, v in zip(per_col, varies)]
     U, Y_prev = np.broadcast_to(u0, (p_cols, k))[cols], None
-    flip = np.array([-1.0, 1.0])[:, None, None]
     # a vanishing or non-finite G-norm makes a NaN step, which ends its column
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, MAX_ITER + 1):
@@ -160,8 +159,8 @@ def solve_value_stack(
             if Y_prev is None:
                 s = np.where(np.isfinite(nz) & (nz > 0), np.inf, np.nan)
             else:
-                D = Y_new + flip * Y_prev  # y_new - y and y_new + y
-                s = np.sqrt(np.einsum("spk,spk->sp", D, D).min(axis=0))
+                D = Y_new - Y_prev
+                s = np.sqrt(np.einsum("pk,pk->p", D, D))
             done = ~(s >= TOL)
             if it == MAX_ITER:
                 done[:] = True
@@ -197,21 +196,19 @@ def solve_value_stack(
 
 def recursive_sdf_stack(
     design: Union[Design, DesignStack, CountRows],
-    beta,
-    gamma,
-    lam,
-    chi_coeffs: np.ndarray,
+    fp: FixedPointStack,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """SDF increments of P solved value-recursion columns, and which columns are usable.
+    """SDF increments of P solved value-recursion columns, and each column's reason.
 
     Column p holds m_t = (beta/lam) G_{t+1}^{-gamma} chi(X_{t+1})^beta / chi(X_t)
-    with its own (beta, gamma, lam) and ``chi_coeffs[p]``, on the design's
-    rows or, of a :class:`DesignStack`, on design p's own rows and growth. The plug-in
-    SDF exists only where chi is positive: a column is usable when chi > 0
-    at both states of every transition pair or, of :class:`CountRows`, of
-    every pair that its replicate p draws. Returns the (n, P) increments,
-    formed at those pairs of the usable columns and 1 elsewhere, and the
-    (P,) usable mask.
+    with its own (beta, gamma, lam) and ``chi_coeffs[p]`` of ``fp``, on the
+    design's rows or, of a :class:`DesignStack`, on design p's own rows and
+    growth. The plug-in SDF exists only where chi is positive: a column is
+    usable when chi > 0 at both states of every transition pair or, of
+    :class:`CountRows`, of every pair that its replicate p draws. Returns
+    the (n, P) increments, formed at those pairs of the usable columns and
+    1 elsewhere, and the (P,) reasons: ``fp.reason``, with
+    "nonpositive_continuation" for a solved column that is not usable.
     """
     stacked = isinstance(design, DesignStack)
     drawn = (design.counts > 0).T if isinstance(design, CountRows) else None
@@ -220,14 +217,16 @@ def recursive_sdf_stack(
         # (n, P): column r of a stack from design r's own growth
         growth = growth.T if stacked else growth[:, None]
     if stacked:
-        chi0, chi1 = (_matvec(b, chi_coeffs).T for b in (design.b0, design.b1))
+        chi0, chi1 = (_matvec(b, fp.chi_coeffs).T for b in (design.b0, design.b1))
     else:
-        chi0, chi1 = design.b0 @ chi_coeffs.T, design.b1 @ chi_coeffs.T
+        chi0, chi1 = design.b0 @ fp.chi_coeffs.T, design.b1 @ fp.chi_coeffs.T
     positive = (chi0 > 0) & (chi1 > 0)
     if drawn is not None:
         positive |= ~drawn
     usable = np.all(positive, axis=0)
+    reason = fp.reason.astype(object)
+    reason[(reason == "") & ~usable] = "nonpositive_continuation"
     use = usable if drawn is None else drawn & usable
     chi0, chi1 = np.where(use, chi0, 1.0), np.where(use, chi1, 1.0)
-    m = (beta / lam) * _growth_power(growth, -gamma) * chi1**beta / chi0
-    return np.where(use, m, 1.0), usable
+    m = (fp.beta / fp.lam) * _growth_power(growth, -fp.gamma) * chi1**fp.beta / chi0
+    return np.where(use, m, 1.0), reason

@@ -1,7 +1,10 @@
 """Reference maps that the tests check the estimators against.
 
-The population Gram and pricing matrices and the population value-recursion
-map of a basis on the quadrature grid of the Gaussian AR(1) testbed, the
+The closed-form solution of the power-utility eigenproblem on the
+Gaussian AR(1) testbed (its conditional moment generating function is
+exponentially affine, so the eigenfunction is an exponential in the
+state), the population Gram and pricing matrices and the population
+value-recursion map of a basis on the testbed's quadrature grid, the
 sample value-recursion map of a design, written out one map at a time as the
 plain formula that :func:`sdfspectral.solve_value_stack` iterates in
 whitened, stacked form, and one stationary-bootstrap index sequence, whose
@@ -11,6 +14,8 @@ the same generator's draws.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,6 +23,31 @@ import numpy as np
 from sdfspectral.oracle import Ar1Design, QuadratureOperator, stationary_grid, transition_matrix
 from sdfspectral.sievemat import Design
 from sdfspectral.valuefn import _growth_weights
+
+
+@dataclass(frozen=True)
+class AffineSolution:
+    """Closed-form eigenvalue, log-eigenfunction slope, and entropy."""
+
+    rho: float
+    slope_a: float
+    entropy_L: float
+
+
+def affine_power_utility_solution(
+    design: Ar1Design, beta: float, gamma: float
+) -> AffineSolution:
+    """Exponential-affine solution of the power-utility eigenproblem.
+
+    The eigenfunction is proportional to exp(a (x - mu)) with
+    a = -gamma kappa / (1 - kappa); the eigenvalue and the entropy of the
+    permanent component follow from the Gaussian moment generating
+    function.
+    """
+    a = -gamma * design.kappa / (1.0 - design.kappa)
+    half_var = gamma**2 * design.sigma**2 / (2.0 * (1.0 - design.kappa) ** 2)
+    rho = beta * math.exp(-gamma * design.mu + half_var)
+    return AffineSolution(rho=rho, slope_a=a, entropy_L=half_var)
 
 
 def population_sieve_matrices(

@@ -18,7 +18,7 @@ from sdfspectral.inference import _replicate_rng
 from sdfspectral.pfeig import _row
 from sdfspectral.pipeline import bootstrap_statistic
 
-from reference_maps import stationary_bootstrap_indices, value_map
+from reference_maps import affine_power_utility_solution, stationary_bootstrap_indices, value_map
 
 # Profile seeds for the seeded Monte Carlo criteria. The sampling error of
 # the eigenvalue estimators is heavy-tailed at these sample sizes, so
@@ -107,7 +107,7 @@ def test_criterion_3_bspline_function_table(testbed, power_prefs):
 
 
 def test_criterion_4_oracle_agreement(testbed, power_prefs, quad_power):
-    aff = s.affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
+    aff = affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
     rel = abs(quad_power.rho - aff.rho) / aff.rho
     op = quad_power.operator
     w, rho = op.weights, quad_power.rho
@@ -231,7 +231,7 @@ def test_criterion_7_bootstrap_contract(testbed, power_prefs):
     block_ok = abs(mean_block - 6.0) < 0.1
 
     # CI coverage of the oracle eigenvalue across meta-replications
-    rho_true = s.affine_power_utility_solution(
+    rho_true = affine_power_utility_solution(
         testbed, power_prefs.beta, power_prefs.gamma
     ).rho
     covered = 0

@@ -14,6 +14,7 @@ from sdfspectral.cli import (
     SETTINGS, CliError, RunConfig, _parser, build_config, main, read_panel_csv,
     validate_summary_csv,
 )
+from sdfspectral.inference import DISCARD_REASON
 from sdfspectral.pipeline import DISCARD_REASONS
 
 
@@ -194,6 +195,24 @@ def test_decompose_three_coordinate_state(tmp_path):
     assert rows[0] == "x1,x2,x3,phi,phi_star,change_of_measure" and len(rows) == 1 + 11**3
     # heat maps are drawn for two-coordinate states only
     assert not list(out.glob("eigenfunctions_*.svg"))
+
+
+@pytest.mark.parametrize("family", ["hermite", "sparse"])
+@pytest.mark.parametrize("constant", [0, 1])
+def test_constant_state_coordinate_is_named(family, constant, tmp_path, capsys):
+    # both polynomial families name the state coordinate without sample variance
+    rng = np.random.default_rng(34)
+    states = 0.005 + 0.01 * rng.standard_normal((201, 2))
+    states[:, constant] = 1.0
+    message = f"coordinate {constant} has zero sample variance"
+    with pytest.raises(ValueError, match=message):
+        s.BasisSpec(family=family, degree=2, cap=3).build(states)
+    csv_path = _write_panel_csv(tmp_path / "p.csv", states, growth=np.exp(states[1:, 1 - constant]))
+    status = main(["decompose", "--input", str(csv_path), "--state-cols", "x1,x2",
+                   "--growth-col", "G", "--preferences", "power", "--beta", "0.994",
+                   "--gamma", "15", "--basis", family, "--degree", "2", "--cap", "3",
+                   "--out", str(tmp_path / "o")])
+    assert status == 1 and message in capsys.readouterr().err
 
 
 def test_decompose_fallback_exit_code(tmp_path, sim_panel, monkeypatch, capsys):
@@ -436,6 +455,39 @@ def test_bootstrap_deterministic_outputs(tmp_path, sim_panel):
             assert r["ci_lo"] is not None and r["ci_lo"] <= r["ci_hi"]
 
 
+def test_bootstrap_json_counts_every_discard_reason(tmp_path, sim_panel, monkeypatch):
+    # count rows discarded at a stage outside DISCARD_REASONS are counted under
+    # their own reasons, after the reported ones
+    statistic = cli.bootstrap_statistic
+
+    def marking(design, prefs):
+        stat = statistic(design, prefs)
+
+        def marked(counts):
+            out = dict(stat(counts))
+            r = np.arange(len(counts))
+            why = np.where(r % 7 == 0, "defective_pair",
+                           np.where(r % 11 == 3, "nonpositive_sdf", out.pop(DISCARD_REASON)))
+            return {**{k: np.where(why == "", v, np.nan) for k, v in out.items()},
+                    DISCARD_REASON: why}
+
+        return marked
+
+    monkeypatch.setattr(cli, "bootstrap_statistic", marking)
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
+                                growth=sim_panel.growth)
+    out = tmp_path / "b"
+    assert main(["bootstrap", "--input", str(csv_path), "--state-cols", "x1",
+                 "--growth-col", "G", "--basis", "hermite", "--k", "8",
+                 "--preferences", "power", "--beta", "0.994", "--gamma", "15",
+                 "--boot-b", "100", "--seed", "31", "--out", str(out)]) == 0
+    boot = json.loads((out / "bootstrap.json").read_text())
+    reasons = boot["discard_reasons"]
+    assert list(reasons) == [*DISCARD_REASONS, "defective_pair", "nonpositive_sdf"]
+    assert reasons["defective_pair"] == 15 and reasons["nonpositive_sdf"] == 7
+    assert sum(reasons.values()) == boot["discarded"]
+
+
 def test_value_command(tmp_path, testbed, quad_recursive):
     panel = s.simulate_ar1(testbed, 2000, np.random.default_rng(99))
     csv_path = _write_panel_csv(tmp_path / "panel.csv", panel.states, growth=panel.growth)
@@ -582,7 +634,7 @@ def test_import_loads_no_scipy():
 
 
 def test_all_names_public_objects_not_modules():
-    assert len(s.__all__) == len(set(s.__all__)) == 41
+    assert len(s.__all__) == len(set(s.__all__)) == 39
     for name in s.__all__:
         assert not isinstance(getattr(s, name), types.ModuleType), name
 

@@ -14,6 +14,8 @@ from sdfspectral.decomp import (
 )
 from sdfspectral.pipeline import decompose_panel
 
+from reference_maps import affine_power_utility_solution
+
 RMSE_L_3200 = 0.0124
 EPS = np.finfo(float).eps
 
@@ -47,7 +49,7 @@ def test_permanent_entropy_trivial_and_mc():
 
 
 def test_permanent_entropy_matches_closed_form(power_fit, testbed, power_prefs):
-    truth = s.affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
+    truth = affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
     est = s.long_run_stack(power_fit["eig"].rho, power_fit["m"])["L"]
     assert abs(est - truth.entropy_L) < 3 * RMSE_L_3200
 
@@ -161,7 +163,7 @@ def test_association_statistics(power_series, quad_power, testbed, power_prefs):
     assert set(stats) == {"cov_log", "corr_log", "kendall_tau", "spearman_rho"}
     # population sign of the log-components covariance for the affine
     # design, computed from the joint normality of (x_t, x_{t+1})
-    aff = s.affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
+    aff = affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
     a, g = aff.slope_a, power_prefs.gamma
     sx2, k = testbed.stationary_std**2, testbed.kappa
     # log m_trans = const + a(d0 - d1); log m_perm = const - g*d1 - a(d0 - d1)

@@ -12,7 +12,7 @@ from sdfspectral.inference import (
     _replicate_rng,
 )
 
-from reference_maps import stationary_bootstrap_indices
+from reference_maps import affine_power_utility_solution, stationary_bootstrap_indices
 
 
 def _const_basis_fit(m):
@@ -53,7 +53,7 @@ def test_plugin_se_estimates_asymptotic_variance(testbed, power_prefs):
     sx2, k, g = testbed.stationary_std**2, testbed.kappa, power_prefs.gamma
     a = -g * k / (1.0 - k)
     b = -g / (1.0 - k)
-    rho = s.affine_power_utility_solution(testbed, power_prefs.beta, g).rho
+    rho = affine_power_utility_solution(testbed, power_prefs.beta, g).rho
 
     def mgf(p, q):
         return math.exp(sx2 * (p * p + q * q + 2 * k * p * q) / 2.0)

@@ -5,21 +5,23 @@ import pytest
 
 import sdfspectral as s
 
+from reference_maps import affine_power_utility_solution
+
 
 def test_affine_solution_frozen_values(testbed):
     # closed form at the testbed parameters: worked by hand from the
     # Gaussian moment generating function
-    sol = s.affine_power_utility_solution(testbed, 0.994, 15.0)
+    sol = affine_power_utility_solution(testbed, 0.994, 15.0)
     assert sol.slope_a == pytest.approx(-22.5, abs=1e-12)
     assert sol.entropy_L == pytest.approx(0.0703125, abs=1e-12)
     assert sol.rho == pytest.approx(0.98935152836699, abs=1e-11)
 
 
 def test_affine_degenerate_cases(testbed):
-    risk_neutral = s.affine_power_utility_solution(testbed, 0.98, 0.0)
+    risk_neutral = affine_power_utility_solution(testbed, 0.98, 0.0)
     assert risk_neutral.rho == 0.98 and risk_neutral.slope_a == 0.0
     assert risk_neutral.entropy_L == 0.0
-    no_vol = s.affine_power_utility_solution(
+    no_vol = affine_power_utility_solution(
         s.Ar1Design(mu=0.004, kappa=0.5, sigma=0.0), 0.99, 7.0
     )
     assert no_vol.rho == pytest.approx(0.99 * math.exp(-7.0 * 0.004), rel=1e-14)
@@ -33,7 +35,7 @@ def test_design_validation():
 
 
 def test_quadrature_matches_affine(testbed, quad_power):
-    aff = s.affine_power_utility_solution(testbed, 0.994, 15.0)
+    aff = affine_power_utility_solution(testbed, 0.994, 15.0)
     assert abs(quad_power.rho - aff.rho) / aff.rho < 1e-6
     assert quad_power.entropy_L == pytest.approx(aff.entropy_L, abs=1e-8)
     # eigenfunction shape: log phi is affine with slope a

@@ -5,7 +5,7 @@ import sdfspectral as s
 from sdfspectral import pipeline
 from sdfspectral.pfeig import _cholesky_stack, _normalize_stack, _solve_stack
 
-from reference_maps import population_sieve_matrices
+from reference_maps import affine_power_utility_solution, population_sieve_matrices
 
 #: Monte Carlo dispersion of the eigenvalue estimator at n = 3200 on the
 #: power-utility testbed (used as a +-3 sigma acceptance radius)
@@ -44,7 +44,7 @@ def test_unit_sdf_gives_unit_eigenvalue(testbed):
 
 
 def test_rho_matches_closed_form(power_fit, testbed, power_prefs):
-    truth = s.affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
+    truth = affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
     assert abs(power_fit["eig"].rho - truth.rho) < 3 * RMSE_RHO_3200
 
 
@@ -116,7 +116,7 @@ def test_scale_equivariance(power_fit):
 
 
 def test_monotone_consistency_in_k(testbed, power_prefs, quad_power):
-    truth = s.affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
+    truth = affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
     errs = []
     for k in (4, 6, 8, 12):
         basis = s.hermite_basis_from_moments([testbed.mu], [testbed.stationary_std], k - 1)
@@ -154,7 +154,7 @@ def test_eigenfunction_values_paths(power_fit, testbed, power_prefs, quad_power)
     phi, phi_star = b @ eig.right, b @ eig.left
     # shape comparison with the affine oracle: log phi-hat is an affine
     # function of the state with slope -gamma*kappa/(1-kappa)
-    truth = s.affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
+    truth = affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
     target = truth.slope_a * (pts[:, 0] - testbed.mu)
     corr = np.corrcoef(np.log(np.abs(phi)), target)[0, 1]
     assert corr > 0.99

@@ -188,12 +188,12 @@ def _fail_at(monkeypatch, reason, bad):
         attr = "recursive_sdf_stack"
 
         def mark(out):
-            m, usable = (a.copy() for a in out)
+            m, why = (a.copy() for a in out)
             if reason == "nonpositive_continuation":
-                usable[bad] = False
+                why[bad] = reason
             else:
                 m[:, bad] = 0.0
-            return m, usable
+            return m, why
 
     original = getattr(pipeline, attr)
     monkeypatch.setattr(pipeline, attr, lambda *args, **kwargs: mark(original(*args, **kwargs)))

@@ -20,11 +20,9 @@ def _solve(design, beta, gamma):
 
 
 def _sdf(design, fp):
-    """The SDF increments of one solved recursion, and whether chi is positive on the sample."""
-    m, usable = s.valuefn.recursive_sdf_stack(
-        design, fp.beta, fp.gamma, fp.lam, fp.chi_coeffs[None]
-    )
-    return m[:, 0], bool(usable[0])
+    """The SDF increments of one converged recursion, and whether chi is positive on the sample."""
+    m, reason = s.valuefn.recursive_sdf_stack(design, type(fp)._make(np.asarray(f)[None] for f in fp))
+    return m[:, 0], reason[0] == ""
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +131,25 @@ def test_non_convergence_returns_best_iterate(recursive_fit, recursive_prefs, mo
     )
     assert fp.reason == "unconverged_value_recursion"
     assert np.isfinite(fp.lam) and np.all(np.isfinite(fp.chi_coeffs))
+
+
+def test_final_step_is_the_g_norm_step(recursive_fit, recursive_prefs, monkeypatch):
+    # an unconverged column reports the G-norm distance between its last two
+    # normalized iterates y_j = z_j / |z_j|_G, z_{j+1} = G^-1 T(y_j)
+    design = recursive_fit["design"]
+    G = design.gram
+    monkeypatch.setattr(s.valuefn, "MAX_ITER", 3)
+    beta, gammas = recursive_prefs.beta, [recursive_prefs.gamma, 5.0]
+    st = s.solve_value_stack(design, beta, gammas)
+    for p, gamma in enumerate(gammas):
+        t_map = value_map(design, beta, gamma)
+        z, ys = np.linalg.solve(G, design.b0.mean(axis=0)), []
+        for _ in range(3):
+            ys.append(z / math.sqrt(z @ G @ z))
+            z = np.linalg.solve(G, t_map(ys[-1]))
+        d = ys[-1] - ys[-2]
+        assert st.reason[p] == "unconverged_value_recursion" and st.iterations[p] == 3
+        assert st.final_step[p] == pytest.approx(math.sqrt(d @ G @ d), rel=1e-10)
 
 
 def test_downstream_eigen_residual_with_plugin_sdf(recursive_fit, recursive_prefs):
@@ -249,14 +266,14 @@ def test_design_stack_columns_equal_their_own_designs(testbed, recursive_prefs):
     )
     beta, gamma = recursive_prefs.beta, recursive_prefs.gamma
     st = s.solve_value_stack(stack, beta, gamma)
-    m, usable = s.valuefn.recursive_sdf_stack(stack, st.beta, st.gamma, st.lam, st.chi_coeffs)
+    m, reason = s.valuefn.recursive_sdf_stack(stack, st)
     for r, design in enumerate(designs):
         np.testing.assert_array_equal(stack.gram[r], design.gram)
         fp = _solve(design, beta, gamma)
         assert st.iterations[r] == fp.iterations and st.reason[r] == ""
         assert st.lam[r] == fp.lam
         np.testing.assert_array_equal(st.chi_coeffs[r], fp.chi_coeffs)
-        assert usable[r]
+        assert reason[r] == ""
         np.testing.assert_array_equal(m[:, r], _sdf(design, fp)[0])
     with pytest.raises(ValueError, match="design stack"):
         CountRows(stack, np.ones((4, 300)))

@@ -153,6 +153,8 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     cases["decompose_bspline"] = ["decompose", *bootstrap[1:], "--basis", "bspline", "--k", "7"]
     cases["decompose_power"] = ["decompose", *bootstrap[1:]]
     cases["decompose_config"] = config_file(decompose)
+    # the full tensor Hermite basis of the two-coordinate state
+    cases["decompose_hermite2"] = [*decompose, "--basis", "hermite", "--degree", "2"]
     cases["bootstrap_sdf"] = observed_sdf(bootstrap)
     # every draw restarts a block; and long blocks on the n = 800 panel, many of
     # which wrap past its end
