@@ -72,6 +72,31 @@ def _polynomial_values(
     return values
 
 
+def _bspline_values(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Cubic B-spline values at points ``x`` in [t[3], t[-4]] on knots ``t``, an (m, len(t) - 4) array.
+
+    The de Boor recursion of scipy's ``BSpline.design_matrix``, step for
+    step and so with its bits, run on all points at once. Row i is zero
+    outside the four functions that are nonzero on x[i]'s knot interval.
+    """
+    x = x + 0.0  # a -0.0 point becomes +0.0, as in scipy
+    ell = np.clip(np.searchsorted(t, x, "right") - 1, 3, t.size - 5)
+    h = np.zeros((4, x.size))
+    h[0] = 1.0
+    for j in range(1, 4):
+        hh = h[:j].copy()
+        h[0] = 0.0
+        for n in range(1, j + 1):
+            xb, xa = t[ell + n], t[ell + n - j]
+            # w = 0 leaves h[n - 1] as it is and sets h[n] = 0 where the knots coincide
+            w = np.divide(hh[n - 1], xb - xa, out=np.zeros_like(x), where=xb != xa)
+            h[n - 1] += w * (xb - x)
+            h[n] = w * (x - xa)
+    values = np.zeros((x.size, t.size - 4))
+    values[np.arange(x.size)[:, None], (ell - 3)[:, None] + np.arange(4)] = h.T
+    return values
+
+
 def _graded_tuples(per_dim_sizes: list[int]) -> list[tuple[int, ...]]:
     """All index tuples, sorted by total degree then lexicographically."""
     tuples = list(product(*[range(s) for s in per_dim_sizes]))
@@ -138,11 +163,8 @@ class SieveBasis:
             raise ValueError("basis evaluation requires finite inputs")
 
         if self.family == "bspline":
-            from scipy.interpolate import BSpline  # lazy: importing sdfspectral loads no scipy
-
             t = self.knots
-            x = np.clip(pts[:, 0], t[0], t[-1])
-            return BSpline.design_matrix(x, t, 3).toarray()
+            return _bspline_values(np.clip(pts[:, 0], t[0], t[-1]), t)
 
         # Polynomial families: per-coordinate Hermite tables, then products
         # over the retained multi-indices.
@@ -204,10 +226,19 @@ def _sample_moments(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least 2 observations to standardize")
     means = np.concatenate([b.mean(axis=0) for b in blocks])
     sds = np.concatenate([b.std(axis=0, ddof=1) for b in blocks])
-    bad = np.flatnonzero(sds <= 0)
+    bad = np.flatnonzero(_constant(means, sds))
     if bad.size:
         raise ValueError(f"coordinate {bad[0]} has zero sample variance")
     return means, sds
+
+
+def _constant(means: np.ndarray, sds: np.ndarray) -> np.ndarray:
+    """Mask of the coordinates whose sample sd is rounding error: sd <= 4 eps |mean|.
+
+    The sd of n copies of one double need not be 0: 201 copies of 0.005
+    have a sample sd of 8.7e-19.
+    """
+    return sds <= 4 * np.finfo(float).eps * np.abs(means)
 
 
 def build_bspline_basis(data: np.ndarray, k: int) -> SieveBasis:
@@ -339,13 +370,13 @@ class BasisSpec:
             values[failed] = np.nan
             values[~failed] = rows
             return values, basis.const_coeffs, failed
-        sds = samples.std(axis=1, ddof=1)
-        failed = sds <= 0
+        means, sds = samples.mean(axis=1), samples.std(axis=1, ddof=1)
+        failed = _constant(means, sds)
         if failed.all():
             return np.full(pts.shape + (0,), np.nan), np.zeros(0), failed
         # every row's basis has the index tuples of the first one that builds
         basis = self.build(samples[np.argmin(failed)])
-        z = (pts - samples.mean(axis=1)[:, None]) / np.where(failed, 1.0, sds)[:, None]
+        z = (pts - means[:, None]) / np.where(failed, 1.0, sds)[:, None]
         values = _polynomial_values(z[..., None], basis.index_tuples, out, table)
         values[failed] = np.nan
         return values, basis.const_coeffs, failed

@@ -342,11 +342,7 @@ def _write_provenance(cfg: RunConfig, extra: Optional[dict] = None) -> None:
         "config": json.loads(cfg.canonical()),
         "config_sha256": hashlib.sha256(cfg.canonical().encode()).hexdigest(),
         "seed": cfg.seed,
-        "versions": {
-            "sdfspectral": __version__,
-            "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
-        },
+        "versions": {"sdfspectral": __version__, "numpy": np.__version__},
     }
     if extra:
         payload.update(extra)

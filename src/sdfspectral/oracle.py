@@ -113,8 +113,8 @@ class QuadratureSolution:
         return self.operator.weights
 
 
-def _positive_eigvec(kernel: np.ndarray, rho: float, weights: np.ndarray) -> np.ndarray:
-    """Positive dominant eigenvector by power iteration.
+def _positive_eigvec(kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Positive dominant eigenvector by power iteration, of unit weighted norm.
 
     The grid kernel is entrywise non-negative, so power iteration from the
     constant vector keeps every component non-negative; a QZ eigenvector
@@ -123,7 +123,7 @@ def _positive_eigvec(kernel: np.ndarray, rho: float, weights: np.ndarray) -> np.
     """
     v = np.ones(kernel.shape[0])
     for _ in range(2000):
-        nxt = kernel @ v / rho
+        nxt = kernel @ v
         nxt = nxt / math.sqrt(float(weights @ nxt**2))
         if math.sqrt(float(weights @ (nxt - v) ** 2)) < 1e-14:
             return nxt
@@ -132,21 +132,18 @@ def _positive_eigvec(kernel: np.ndarray, rho: float, weights: np.ndarray) -> np.
 
 
 def _largest_real_pair(kernel: np.ndarray, weights: np.ndarray):
-    """Largest real eigenvalue with positive right/adjoint eigenvectors."""
-    # scipy's LAPACK build, not numpy's, whose eigenvalues can differ in the last bits
-    from scipy.linalg import eigvals  # lazy: importing sdfspectral loads no scipy
+    """Perron root with positive right/adjoint eigenvectors, all from one power iteration.
 
-    vals = eigvals(kernel)
-    real = np.flatnonzero(np.abs(vals.imag) <= 1e-10 * (1.0 + np.abs(vals.real)))
-    rho = float(np.max(vals.real[real]))
-
-    phi = _positive_eigvec(kernel, rho, weights)
+    The root is the two-sided quotient u'K phi / u'phi of the right and
+    left iterates, whose error is the product of theirs.
+    """
+    phi = _positive_eigvec(kernel, weights)
     # The grid adjoint in the weighted inner product is D^-1 K' D, so the
     # adjoint eigenfunction solves the transposed problem reweighted by D.
-    u = _positive_eigvec(kernel.T, rho, weights)
+    u = _positive_eigvec(kernel.T, weights)
+    rho = float(u @ (kernel @ phi)) / float(u @ phi)
     phi_star = u / weights
 
-    phi = phi / math.sqrt(float(weights @ phi**2))
     phi_star = phi_star / float(weights @ (phi * phi_star))
     return rho, phi, phi_star
 
@@ -187,10 +184,14 @@ def quadrature_eig(
     """Population eigenvalue/eigenfunctions via dense quadrature.
 
     Discretizes the pricing operator on a Gauss-Hermite grid under the
-    stationary law and solves the dense eigenproblem. For recursive
-    preferences the continuation-value eigenpair is solved first on the
-    same grid and the implied SDF plugged into the pricing operator.
+    stationary law and finds the Perron pair of the positive kernel by
+    power iteration. For recursive preferences the continuation-value
+    eigenpair is solved first on the same grid and the implied SDF
+    plugged into the pricing operator.
     Growth is exp of the (next-period) state throughout.
+
+    Raises ValueError when the kernel is not finite, as where the grid
+    continuation value underflows under a too persistent AR(1) law.
     """
     if q_nodes < 40:
         raise ValueError("use at least 40 quadrature nodes")
@@ -216,6 +217,8 @@ def quadrature_eig(
         raise TypeError(f"unsupported SDF specification {sdf_spec!r}")
 
     kernel = m_pair * P
+    if not np.all(np.isfinite(kernel)):
+        raise ValueError("the oracle's quadrature kernel is not finite; the AR(1) law is too extreme")
     op = QuadratureOperator(
         nodes=nodes, weights=weights, kernel=kernel, transition=P, sdf=m_pair
     )

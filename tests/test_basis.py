@@ -80,6 +80,15 @@ def test_hermite_degenerate_data_names_coordinate():
         s.build_hermite_basis(data, 3)
 
 
+def test_stack_rows_without_sample_variance_fail():
+    samples = np.random.default_rng(5).normal(0.005, 0.01, (3, 201))
+    samples[1] = 0.005  # a sample sd of 8.7e-19: rounding error, not variance
+    samples[2] = 1.0
+    values, _, failed = BasisSpec(family="hermite", k=4).evaluate_stack(samples, np.zeros(2))
+    assert failed.tolist() == [False, True, True]
+    assert np.isnan(values[1:]).all() and np.isfinite(values[0]).all()
+
+
 def test_hermite_needs_two_observations():
     with pytest.raises(ValueError):
         s.build_hermite_basis(np.array([1.0]), 3)
@@ -173,6 +182,27 @@ def test_bspline_matches_deboor_reference():
     for x in np.linspace(DATA.min(), DATA.max(), 23):
         ref = _deboor_reference(x, b.knots, 3)
         np.testing.assert_allclose(b.evaluate_many([x])[0], ref, atol=1e-12)
+
+
+def test_bspline_values_equal_scipys_bit_for_bit():
+    BSpline = pytest.importorskip("scipy.interpolate").BSpline
+    # the first sample has an interior knot at exactly 0, where a -0.0 point
+    # gives scipy a +0.0 value; a third of the seeded samples are rounded
+    samples = [(np.arange(-50, 51) / 100, 5)]
+    for seed in range(200):
+        draw = np.random.default_rng(seed)
+        k, n = int(draw.integers(5, 16)), int(draw.integers(20, 3001))
+        x = draw.standard_normal(n) * draw.uniform(0.001, 3) + draw.uniform(-1, 1)
+        samples.append((x.round(2) if seed % 3 == 0 else x, k))
+    for x, k in samples:
+        b = s.build_bspline_basis(x, k)
+        t = b.knots
+        # the sample, a grid beyond both ends (clamped), every knot and its negative
+        points = np.concatenate([x, np.linspace(t[0] - 1, t[-1] + 1, 101), t, -t])
+        ours = b.evaluate_many(points)
+        theirs = BSpline.design_matrix(np.clip(points, t[0], t[-1]), t, 3).toarray()
+        assert np.array_equal(ours, theirs), (k, x.size)
+        assert np.array_equal(np.signbit(ours), np.signbit(theirs)), (k, x.size)
 
 
 def test_bspline_duplicate_knots_error():

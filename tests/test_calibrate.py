@@ -240,7 +240,7 @@ def _recorded(func, points):
 
 def _scipy_nelder_mead(func, x0, bounds):
     """scipy's bounded Nelder-Mead with calibrate's options, the reference of the port."""
-    from scipy.optimize import minimize
+    minimize = pytest.importorskip("scipy.optimize").minimize
 
     return minimize(func, x0=x0, method="Nelder-Mead", bounds=bounds,
                     options={"xatol": calibrate.XATOL, "fatol": calibrate.FATOL,

@@ -200,19 +200,24 @@ def test_decompose_three_coordinate_state(tmp_path):
 @pytest.mark.parametrize("family", ["hermite", "sparse"])
 @pytest.mark.parametrize("constant", [0, 1])
 def test_constant_state_coordinate_is_named(family, constant, tmp_path, capsys):
-    # both polynomial families name the state coordinate without sample variance
+    # both polynomial families name the state coordinate without sample variance,
+    # also where rounding leaves the sd of 201 copies of 0.005 at 8.7e-19
     rng = np.random.default_rng(34)
     states = 0.005 + 0.01 * rng.standard_normal((201, 2))
-    states[:, constant] = 1.0
     message = f"coordinate {constant} has zero sample variance"
-    with pytest.raises(ValueError, match=message):
-        s.BasisSpec(family=family, degree=2, cap=3).build(states)
-    csv_path = _write_panel_csv(tmp_path / "p.csv", states, growth=np.exp(states[1:, 1 - constant]))
-    status = main(["decompose", "--input", str(csv_path), "--state-cols", "x1,x2",
-                   "--growth-col", "G", "--preferences", "power", "--beta", "0.994",
-                   "--gamma", "15", "--basis", family, "--degree", "2", "--cap", "3",
-                   "--out", str(tmp_path / "o")])
-    assert status == 1 and message in capsys.readouterr().err
+    for level in (1.0, 0.005):
+        states[:, constant] = level
+        with pytest.raises(ValueError, match=message):
+            s.BasisSpec(family=family, degree=2, cap=3).build(states)
+        csv_path = _write_panel_csv(tmp_path / "p.csv", states,
+                                    growth=np.exp(states[1:, 1 - constant]))
+        out = tmp_path / f"o{level}"
+        status = main(["decompose", "--input", str(csv_path), "--state-cols", "x1,x2",
+                       "--growth-col", "G", "--preferences", "power", "--beta", "0.994",
+                       "--gamma", "15", "--basis", family, "--degree", "2", "--cap", "3",
+                       "--out", str(out)])
+        assert status == 1 and message in capsys.readouterr().err
+        assert not list(out.glob("*"))  # nothing is written before the basis is built
 
 
 def test_decompose_fallback_exit_code(tmp_path, sim_panel, monkeypatch, capsys):
@@ -639,46 +644,33 @@ def test_all_names_public_objects_not_modules():
         assert not isinstance(getattr(s, name), types.ModuleType), name
 
 
-def _scipy_subpackages(code: str) -> set[str]:
-    """The public scipy subpackages in sys.modules after running ``code`` in a fresh process."""
-    code += "; import json, sys; print(json.dumps(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    names = {m.split(".")[1] for m in json.loads(proc.stdout.splitlines()[-1])
-             if m.startswith("scipy.")}
-    return {name for name in names if not name.startswith("_") and name != "version"}
-
-
-#: the scipy subpackages each command imports itself; every command reads
-#: the top-level scipy package, whose version provenance.json records
-COMMAND_SCIPY = {"decompose": (), "bootstrap": (), "calibrate": (), "mc": ("linalg",)}
-
-
-@pytest.mark.parametrize("command", list(COMMAND_SCIPY))
-def test_command_loads_only_its_scipy_subpackages(command, tmp_path, sim_panel):
-    """A command loads its own scipy subpackages and what they import, nothing more."""
+@pytest.mark.parametrize("command", ["decompose", "value", "calibrate", "bootstrap", "mc",
+                                     "decompose-bspline", "mc-bspline"])
+def test_command_loads_no_scipy(command, tmp_path, sim_panel):
+    """Each command runs in a process where scipy cannot be imported, and loads no scipy module."""
     rng = np.random.default_rng(3)
     returns = np.column_stack([1.01 * np.sqrt(sim_panel.growth),
                                1.0 + 0.001 * rng.standard_normal(sim_panel.n)])
     csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
                                 growth=sim_panel.growth, returns=returns)
-    panel = ["--input", str(csv_path), "--state-cols", "x1", "--growth-col", "G",
-             "--basis", "hermite", "--k", "6"]
+    name, _, family = command.partition("-")
+    basis = ["--basis", "bspline", "--k", "7"] if family else ["--basis", "hermite", "--k", "6"]
+    panel = ["--input", str(csv_path), "--state-cols", "x1", "--growth-col", "G", *basis]
     power = ["--preferences", "power", "--beta", "0.994", "--gamma", "15"]
     argv = {
         "decompose": ["decompose", *panel, *power],
-        "bootstrap": ["bootstrap", *panel, *power, "--boot-b", "20"],
+        "value": ["value", *panel, "--preferences", "recursive", "--beta", "0.994",
+                  "--gamma", "15"],
         "calibrate": ["calibrate", *panel, "--return-cols", "r1,r2"],
-        "mc": ["mc", "--basis", "hermite", "--k", "6", "--reps", "4", "--sizes", "60"],
-    }[command] + ["--out", str(tmp_path / "out")]
-    loaded = _scipy_subpackages(
-        f"from sdfspectral.cli import main; assert main({argv!r}) == 0")
-    own = COMMAND_SCIPY[command]
-    expected = (_scipy_subpackages("; ".join(f"import scipy.{name}" for name in own))
-                if own else set())
-    assert loaded == expected and set(own) <= expected
-    if command == "mc":
-        assert "signal" not in loaded
+        "bootstrap": ["bootstrap", *panel, *power, "--boot-b", "20"],
+        "mc": ["mc", *basis, "--reps", "4", "--sizes", "60"],
+    }[name] + ["--out", str(tmp_path / "out")]
+    code = ("import sys; sys.modules['scipy'] = None; from sdfspectral.cli import main; "
+            f"status = main({argv!r}); print(status, sorted(m for m in sys.modules "
+            "if m.startswith('scipy') and sys.modules[m] is not None))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
 def test_calibrate_reports_infeasible_counts(tmp_path, testbed, monkeypatch):

@@ -90,6 +90,45 @@ def test_unsupported_sdf_spec(testbed):
         s.quadrature_eig(testbed, object(), 80)
 
 
+def test_non_finite_kernel_is_named():
+    # at kappa = 0.99 the grid continuation value underflows at far-tail
+    # nodes, so the recursive SDF chi'^beta / chi is not finite there
+    design = s.Ar1Design(mu=0.005, kappa=0.99, sigma=0.01)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="kernel is not finite"):
+        s.quadrature_eig(design, s.RecursiveUtility(0.994, 15.0), 80)
+
+
+def _longdouble_perron_root(kernel: np.ndarray) -> np.longdouble:
+    """The Perron root of a double kernel by a two-sided power iteration in long double."""
+    K = kernel.astype(np.longdouble)
+
+    def iterate(A):
+        v = np.ones(A.shape[0], dtype=np.longdouble)
+        for _ in range(100_000):
+            nxt = A @ v
+            nxt /= np.sqrt(nxt @ nxt)
+            if np.sqrt(np.sum((nxt - v) ** 2)) < 1e-19:
+                return nxt
+            v = nxt
+        raise AssertionError("the reference power iteration did not converge")
+
+    phi, u = iterate(K), iterate(K.T)
+    return (u @ (K @ phi)) / (u @ phi)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is not extended")
+@pytest.mark.parametrize("kappa", [0.6, 0.3, 0.9, -0.5, 0.0])
+def test_perron_root_within_4_eps_of_extended_precision(kappa):
+    # the reference iterates on the same double kernel, so this measures the
+    # arithmetic error of rho alone; LAPACK's eigvals misses 4 eps on 7 of these 15
+    design = s.Ar1Design(mu=0.005, kappa=kappa, sigma=0.01)
+    for prefs in (s.PowerUtility(0.994, 15.0), s.PowerUtility(0.994, 5.0),
+                  s.RecursiveUtility(0.994, 15.0)):
+        sol = s.quadrature_eig(design, prefs, 80)
+        ref = _longdouble_perron_root(sol.operator.kernel)
+        assert abs(np.longdouble(sol.rho) - ref) <= 4 * np.finfo(float).eps * ref, prefs
+
+
 def test_long_run_one_factor_approximation(quad_power):
     # rho^-t M^t psi converges to E[psi phi*] phi geometrically in t
     op = quad_power.operator

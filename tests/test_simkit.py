@@ -36,7 +36,7 @@ def test_simulate_deterministic_and_growth_alignment(testbed):
 
 def _lfilter_paths(design, n, rngs):
     """The paths by scipy's order-1 filter, drawn as simkit draws them."""
-    from scipy.signal import lfilter
+    lfilter = pytest.importorskip("scipy.signal").lfilter
 
     draws = np.empty((len(rngs), n + 1))
     for row, rng in zip(draws, rngs):
