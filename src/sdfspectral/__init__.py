@@ -9,13 +9,7 @@ inference via influence functions and the stationary bootstrap.
 
 __version__ = "0.1.0"
 
-from .basis import (
-    BasisSpec,
-    SieveBasis,
-    build_bspline_basis,
-    build_hermite_basis,
-    hermite_basis_from_moments,
-)
+from .basis import BasisSpec, SieveBasis
 from .calibrate import CalibrationResult, criterion, criterion_grid, estimate_preferences
 from .decomp import (
     DecompSeries,
@@ -39,8 +33,7 @@ from .valuefn import FixedPointStack, solve_value_stack
 
 __all__ = [
     # basis
-    "BasisSpec", "SieveBasis", "build_bspline_basis", "build_hermite_basis",
-    "hermite_basis_from_moments",
+    "BasisSpec", "SieveBasis",
     # calibrate
     "CalibrationResult", "criterion", "criterion_grid", "estimate_preferences",
     # decomp

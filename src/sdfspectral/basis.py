@@ -172,66 +172,6 @@ class SieveBasis:
         return _polynomial_values((pts - means) / sds, self.index_tuples)
 
 
-def hermite_basis_from_moments(
-    means, sds, degree_per_dim: int
-) -> SieveBasis:
-    """Hermite basis standardized by known per-coordinate moments.
-
-    Used where the standardization is fixed externally (e.g. population
-    calculations on quadrature grids) rather than fitted to a sample.
-    """
-    means = np.atleast_1d(np.asarray(means, dtype=float))
-    sds = np.atleast_1d(np.asarray(sds, dtype=float))
-    if degree_per_dim < 0:
-        raise ValueError("degree_per_dim must be non-negative")
-    if np.any(sds <= 0):
-        raise ValueError("standardization scales must be positive")
-    d = means.size
-    tuples = tuple(_graded_tuples([degree_per_dim + 1] * d))
-    return SieveBasis(
-        family="hermite",
-        dimension_k=len(tuples),
-        state_dim=d,
-        standardization=tuple((float(m), float(s)) for m, s in zip(means, sds)),
-        index_tuples=tuples,
-    )
-
-
-def build_hermite_basis(data: np.ndarray, degree_per_dim: int) -> SieveBasis:
-    """Hermite basis standardized by the sample mean/sd of each coordinate.
-
-    For a univariate state this returns ``degree_per_dim + 1`` functions
-    He_j((x - mean)/sd) / sqrt(j!); for d > 1 the full tensor product.
-
-    Raises
-    ------
-    ValueError
-        If any coordinate has zero sample variance (the offending
-        coordinate is named), or fewer than two observations are supplied.
-    """
-    x = np.asarray(data, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    return hermite_basis_from_moments(*_sample_moments([x]), degree_per_dim)
-
-
-def _sample_moments(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Sample means and sds (ddof 1) of a sample's coordinates, given as (n, d_i) column blocks.
-
-    Each block's moments are its own column reductions, coordinates
-    numbered across the blocks. Raises ValueError on fewer than two
-    observations, or naming the first coordinate with zero sample variance.
-    """
-    if blocks[0].shape[0] < 2:
-        raise ValueError("need at least 2 observations to standardize")
-    means = np.concatenate([b.mean(axis=0) for b in blocks])
-    sds = np.concatenate([b.std(axis=0, ddof=1) for b in blocks])
-    bad = np.flatnonzero(_constant(means, sds))
-    if bad.size:
-        raise ValueError(f"coordinate {bad[0]} has zero sample variance")
-    return means, sds
-
-
 def _constant(means: np.ndarray, sds: np.ndarray) -> np.ndarray:
     """Mask of the coordinates whose sample sd is rounding error: sd <= 4 eps |mean|.
 
@@ -241,50 +181,13 @@ def _constant(means: np.ndarray, sds: np.ndarray) -> np.ndarray:
     return sds <= 4 * np.finfo(float).eps * np.abs(means)
 
 
-def build_bspline_basis(data: np.ndarray, k: int) -> SieveBasis:
-    """Cubic B-spline basis with clamped ends and quantile interior knots.
-
-    Boundary knots sit at the data min/max (multiplicity 4); the k - 4
-    interior knots sit at evenly spaced sample quantiles (levels i/(k-3),
-    linear-interpolation quantiles). Evaluation clamps points outside the
-    knot range to the boundary, so the basis stays a partition of unity on
-    all of R.
-
-    Raises
-    ------
-    ValueError
-        If k < 5, n < k, or ties in the data leave fewer distinct knots
-        than required after collapsing duplicates.
-    """
-    x = np.asarray(data, dtype=float).ravel()
-    if k < 5:
-        raise ValueError("cubic B-spline basis needs k >= 5")
-    if x.size < k:
-        raise ValueError(f"need at least k={k} observations, got {x.size}")
-    lo, hi = x.min(), x.max()
-    levels = np.arange(1, k - 3) / (k - 3)
-    interior = np.quantile(x, levels)
-    knots = np.concatenate([[lo], interior, [hi]])
-    if np.unique(knots).size != knots.size:
-        raise ValueError(
-            "tied data produce duplicate knots; "
-            f"only {np.unique(knots).size} distinct of {knots.size} required"
-        )
-    t = np.concatenate([[lo] * 3, knots, [hi] * 3])
-    return SieveBasis(
-        family="bspline",
-        dimension_k=k,
-        state_dim=1,
-        knots=t,
-    )
-
-
 @dataclass(frozen=True)
 class BasisSpec:
     """Serializable basis specification (family, k, degree, cap).
 
     ``build`` fits the data-dependent pieces (standardization or knots) to
-    a sample; the spec itself carries only the configuration.
+    a sample, and is the one place a :class:`SieveBasis` is made; the spec
+    itself carries only the configuration.
     """
 
     family: str
@@ -293,39 +196,81 @@ class BasisSpec:
     cap: Optional[int] = None
 
     def build(self, data: np.ndarray) -> SieveBasis:
+        """Fit the basis to a sample, an (n, d) array or (n,) when d == 1.
+
+        B-spline (univariate, cubic, ``k`` functions): the boundary knots
+        sit at the data min/max with multiplicity 4, and the k - 4 interior
+        knots at the linear-interpolation quantiles of levels i/(k-3).
+        Evaluation clamps points outside the knot range to the boundary,
+        so the basis stays a partition of unity on all of R.
+
+        Polynomial families: each coordinate is standardized by its sample
+        mean and sd (ddof 1), and a function is a product of per-coordinate
+        Hermite polynomials He_j(z)/sqrt(j!) of degree at most ``degree``
+        (``k - 1`` for Hermite when only k is given), in graded
+        lexicographic order. Hermite keeps the full tensor product; sparse
+        keeps the tuples of total degree below ``cap``, and reduces each
+        column alone for its moments.
+
+        Raises ValueError on a spec its family cannot build, fewer than two
+        observations or than k (B-spline), a coordinate with zero sample
+        variance (named), or ties that leave duplicate knots.
+        """
         x = np.asarray(data, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        d = x.shape[1]
+        n, d = x.shape
+        if self.family == "bspline":
+            if d != 1:
+                raise ValueError("bspline basis is univariate")
+            if self.k is None:
+                raise ValueError("bspline basis needs k")
+            k = self.k
+            if k < 5:
+                raise ValueError("cubic B-spline basis needs k >= 5")
+            if n < k:
+                raise ValueError(f"need at least k={k} observations, got {n}")
+            lo, hi = x.min(), x.max()
+            interior = np.quantile(x[:, 0], np.arange(1, k - 3) / (k - 3))
+            knots = np.concatenate([[lo], interior, [hi]])
+            distinct = np.unique(knots).size
+            if distinct != knots.size:
+                raise ValueError(
+                    f"tied data produce duplicate knots; only {distinct} distinct of {k - 2} required"
+                )
+            return SieveBasis("bspline", k, 1, knots=np.concatenate([[lo] * 3, knots, [hi] * 3]))
         if self.family == "hermite":
             if self.degree is None and self.k is None:
                 raise ValueError("hermite basis needs k or degree")
             degree = self.degree if self.degree is not None else (self.k - 1)
             if degree < 0:
                 raise ValueError("hermite basis needs k >= 1 or degree >= 0")
-            return build_hermite_basis(x if d > 1 else x[:, 0], degree)
-        if self.family == "bspline":
-            if d != 1:
-                raise ValueError("bspline basis is univariate")
-            if self.k is None:
-                raise ValueError("bspline basis needs k")
-            return build_bspline_basis(x[:, 0], self.k)
-        if self.family == "sparse":
+            blocks = [x]
+        elif self.family == "sparse":
             if self.degree is None or self.cap is None:
                 raise ValueError("sparse basis needs degree and cap")
-            # each coordinate standardized by its own column's moments
-            means, sds = _sample_moments([x[:, j:j + 1] for j in range(d)])
+            degree, blocks = self.degree, [x[:, j:j + 1] for j in range(d)]
+        else:
+            raise ValueError(f"unknown basis family {self.family!r}")
+        # Hermite reduces the whole sample at once and sparse each column alone;
+        # the two reductions can differ in the last bit, so each keeps its own
+        if n < 2:
+            raise ValueError("need at least 2 observations to standardize")
+        means = np.concatenate([b.mean(axis=0) for b in blocks])
+        sds = np.concatenate([b.std(axis=0, ddof=1) for b in blocks])
+        bad = np.flatnonzero(_constant(means, sds))
+        if bad.size:
+            raise ValueError(f"coordinate {bad[0]} has zero sample variance")
+        tuples = _graded_tuples([degree + 1] * d)
+        if self.family == "sparse":
             if self.cap <= 0:
                 raise ValueError("sparse basis needs cap > 0")
-            tuples = [t for t in _graded_tuples([self.degree + 1] * d) if sum(t) < self.cap]
-            return SieveBasis(
-                family="sparse",
-                dimension_k=len(tuples),
-                state_dim=d,
-                standardization=tuple(zip(means.tolist(), sds.tolist())),
-                index_tuples=tuple(tuples),
-            )
-        raise ValueError(f"unknown basis family {self.family!r}")
+            tuples = [t for t in tuples if sum(t) < self.cap]
+        return SieveBasis(
+            self.family, len(tuples), d,
+            standardization=tuple(zip(means.tolist(), sds.tolist())),
+            index_tuples=tuple(tuples),
+        )
 
     def evaluate_stack(
         self,

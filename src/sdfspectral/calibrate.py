@@ -123,9 +123,9 @@ def estimate_preferences(
     A coarse GRID_SHAPE grid, evaluated in one :func:`criterion_grid`
     call, locates a feasible starting point; :func:`_nelder_mead`, which
     follows scipy's bounded Nelder-Mead step for step, then polishes within
-    the bounds, one :func:`criterion` call per point. A box
-    collapsed to one point is that point, evaluated once. Raises when
-    every grid point is infeasible (inner solver failed everywhere).
+    the bounds, one :func:`criterion` call per point; a box collapsed to
+    one point returns that point. Raises when every grid point is
+    infeasible (inner solver failed everywhere).
     """
     (b_lo, b_hi), (g_lo, g_hi) = bounds
     if not (b_lo <= b_hi and g_lo <= g_hi):
@@ -139,31 +139,25 @@ def estimate_preferences(
         trace.append((b, g, val))
         return val
 
-    if b_lo == b_hi and g_lo == g_hi:
-        beta_hat, gamma_hat, crit_val = b_lo, g_lo, objective((b_lo, g_lo))
-        if not math.isfinite(crit_val):
-            raise RuntimeError("the only point is infeasible; inner solver failed there")
-        success = True
-    else:
-        nb, ng = GRID_SHAPE
-        betas, gammas = (
-            a.ravel() for a in np.meshgrid(
-                np.linspace(b_lo, b_hi, nb), np.linspace(g_lo, g_hi, ng), indexing="ij"
-            )
+    nb, ng = GRID_SHAPE
+    betas, gammas = (
+        a.ravel() for a in np.meshgrid(
+            np.linspace(b_lo, b_hi, nb), np.linspace(g_lo, g_hi, ng), indexing="ij"
         )
-        values, reasons = criterion_grid(design, instruments, betas, gammas)
-        infeasible.update(reasons[reasons != ""].tolist())
-        trace.extend((float(b), float(g), float(v)) for b, g, v in zip(betas, gammas, values))
-        # the first grid point of least value; NaN never wins
-        best = int(np.argmin(np.where(np.isnan(values), math.inf, values)))
-        if not math.isfinite(values[best]):
-            raise RuntimeError("all grid points infeasible; inner solver failed everywhere")
-        x, crit_val, success = _nelder_mead(
-            objective, np.array([betas[best], gammas[best]]),
-            np.array([b_lo, g_lo]), np.array([b_hi, g_hi]),
-        )
-        beta_hat, gamma_hat = float(x[0]), float(x[1])
-        success = success and math.isfinite(crit_val)
+    )
+    values, reasons = criterion_grid(design, instruments, betas, gammas)
+    infeasible.update(reasons[reasons != ""].tolist())
+    trace.extend((float(b), float(g), float(v)) for b, g, v in zip(betas, gammas, values))
+    # the first grid point of least value; NaN never wins
+    best = int(np.argmin(np.where(np.isnan(values), math.inf, values)))
+    if not math.isfinite(values[best]):
+        raise RuntimeError("all grid points infeasible; inner solver failed everywhere")
+    x, crit_val, success = _nelder_mead(
+        objective, np.array([betas[best], gammas[best]]),
+        np.array([b_lo, g_lo]), np.array([b_hi, g_hi]),
+    )
+    beta_hat, gamma_hat = float(x[0]), float(x[1])
+    success = success and math.isfinite(crit_val)
 
     inner = None
     if math.isfinite(crit_val):

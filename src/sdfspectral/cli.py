@@ -349,19 +349,23 @@ def _write_provenance(cfg: RunConfig, extra: Optional[dict] = None) -> None:
     write_json(os.path.join(cfg.out_dir, "provenance.json"), payload)
 
 
-def _state_grid(panel: StatePanel, points: int) -> np.ndarray:
+def _state_grid(panel: StatePanel, points: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Points spanning the sample's states, one per row, and the axes they are the mesh of.
+
+    A univariate state gets one axis of ``points`` values; each coordinate
+    of a multivariate one gets max(11, sqrt(points)) values, meshed in ij
+    order.
+    """
     lo = panel.x0.min(axis=0)
     hi = panel.x0.max(axis=0)
-    if panel.state_dim == 1:
-        return np.linspace(lo[0], hi[0], points)[:, None]
-    side = max(11, int(math.sqrt(points)))
+    side = points if panel.state_dim == 1 else max(11, int(math.sqrt(points)))
     axes = [np.linspace(lo[d], hi[d], side) for d in range(panel.state_dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    return np.column_stack([m.ravel() for m in mesh]), axes
 
 
 def _write_eigenfunction_outputs(cfg, panel, basis, fit: FitStack) -> None:
-    grid = _state_grid(panel, cfg.grid_points)
+    grid, axes = _state_grid(panel, cfg.grid_points)
     if fit.reason:  # the constant fallback
         phi = np.ones(grid.shape[0])
         phi_star = np.ones(grid.shape[0])
@@ -384,13 +388,11 @@ def _write_eigenfunction_outputs(cfg, panel, basis, fit: FitStack) -> None:
             xlabel="state",
         )
     elif panel.state_dim == 2:
-        side = int(round(math.sqrt(grid.shape[0])))
-        xs = np.unique(grid[:, 0])
-        ys = np.unique(grid[:, 1])
+        xs, ys = axes
         for name, vals in [("phi", phi), ("phi_star", phi_star), ("change_of_measure", com)]:
             heat_grid(
                 os.path.join(cfg.out_dir, f"eigenfunctions_{name}.svg"),
-                ys, xs, vals.reshape(side, side),
+                ys, xs, vals.reshape(xs.size, ys.size),
                 title=name, xlabel="state 2", ylabel="state 1",
             )
 
@@ -528,7 +530,7 @@ def _cmd_value(cfg: RunConfig) -> int:
         "final_step": fp.final_step,
     }
     write_json(os.path.join(cfg.out_dir, "value.json"), payload)
-    grid = _state_grid(panel, cfg.grid_points)
+    grid, _ = _state_grid(panel, cfg.grid_points)
     chi = basis.evaluate_many(grid) @ fp.chi_coeffs
     write_csv(
         os.path.join(cfg.out_dir, "value_function.csv"),

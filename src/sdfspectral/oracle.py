@@ -113,34 +113,37 @@ class QuadratureSolution:
         return self.operator.weights
 
 
-def _positive_eigvec(kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Positive dominant eigenvector by power iteration, of unit weighted norm.
+def _power_iteration(step, weights, tol: float, max_iter: int, what: str) -> np.ndarray:
+    """Normalized power iteration v -> step(v) / ||step(v)|| from the constant vector.
 
-    The grid kernel is entrywise non-negative, so power iteration from the
-    constant vector keeps every component non-negative; a QZ eigenvector
-    would instead carry rounding noise of arbitrary sign at far-tail nodes
-    whose weight has underflowed.
+    The norm is the weighted L2 norm of the grid. Returns the first iterate
+    whose step from the last is below ``tol`` in that norm, and raises
+    RuntimeError naming ``what`` when none is within ``max_iter`` iterations.
     """
-    v = np.ones(kernel.shape[0])
-    for _ in range(2000):
-        nxt = kernel @ v
-        nxt = nxt / math.sqrt(float(weights @ nxt**2))
-        if math.sqrt(float(weights @ (nxt - v) ** 2)) < 1e-14:
+    v = np.ones(weights.size)
+    for _ in range(max_iter):
+        image = step(v)
+        nxt = image / math.sqrt(float(weights @ image**2))
+        if math.sqrt(float(weights @ (nxt - v) ** 2)) < tol:
             return nxt
         v = nxt
-    return v
+    raise RuntimeError(f"the oracle's {what} did not converge on the grid in {max_iter} iterations")
 
 
 def _largest_real_pair(kernel: np.ndarray, weights: np.ndarray):
     """Perron root with positive right/adjoint eigenvectors, all from one power iteration.
 
-    The root is the two-sided quotient u'K phi / u'phi of the right and
-    left iterates, whose error is the product of theirs.
+    The grid kernel is entrywise non-negative, so power iteration from the
+    constant vector keeps every component non-negative; a QZ eigenvector
+    would instead carry rounding noise of arbitrary sign at far-tail nodes
+    whose weight has underflowed. The root is the two-sided quotient
+    u'K phi / u'phi of the right and left iterates, whose error is the
+    product of theirs.
     """
-    phi = _positive_eigvec(kernel, weights)
+    phi = _power_iteration(lambda v: kernel @ v, weights, 1e-14, 2000, "Perron vector")
     # The grid adjoint in the weighted inner product is D^-1 K' D, so the
     # adjoint eigenfunction solves the transposed problem reweighted by D.
-    u = _positive_eigvec(kernel.T, weights)
+    u = _power_iteration(lambda v: kernel.T @ v, weights, 1e-14, 2000, "adjoint Perron vector")
     rho = float(u @ (kernel @ phi)) / float(u @ phi)
     phi_star = u / weights
 
@@ -162,16 +165,7 @@ def _recursive_grid_solution(
     def t_apply(v):
         return H @ np.abs(v) ** beta
 
-    chi = np.ones(nodes.size)
-    for _ in range(GRID_MAX_ITER):
-        image = t_apply(chi)
-        nxt = image / math.sqrt(float(weights @ image**2))
-        if math.sqrt(float(weights @ (nxt - chi) ** 2)) < GRID_TOL:
-            chi = nxt
-            break
-        chi = nxt
-    else:
-        raise RuntimeError("value-recursion iteration did not converge on the grid")
+    chi = _power_iteration(t_apply, weights, GRID_TOL, GRID_MAX_ITER, "value recursion")
     lam = math.sqrt(float(weights @ t_apply(chi) ** 2))
     return lam, chi
 
@@ -191,7 +185,9 @@ def quadrature_eig(
     Growth is exp of the (next-period) state throughout.
 
     Raises ValueError when the kernel is not finite, as where the grid
-    continuation value underflows under a too persistent AR(1) law.
+    continuation value underflows under a too persistent AR(1) law, and
+    RuntimeError when a power iteration does not converge, as under a
+    strongly alternating one.
     """
     if q_nodes < 40:
         raise ValueError("use at least 40 quadrature nodes")

@@ -1,15 +1,17 @@
 """Reference maps that the tests check the estimators against.
 
-The closed-form solution of the power-utility eigenproblem on the
-Gaussian AR(1) testbed (its conditional moment generating function is
-exponentially affine, so the eigenfunction is an exponential in the
-state), the population Gram and pricing matrices and the population
-value-recursion map of a basis on the testbed's quadrature grid, the
-sample value-recursion map of a design, written out one map at a time as the
-plain formula that :func:`sdfspectral.solve_value_stack` iterates in
-whitened, stacked form, and one stationary-bootstrap index sequence, whose
-bincount is the count row that :func:`sdfspectral.bootstrap_ci` builds from
-the same generator's draws.
+A univariate Hermite basis standardized by fixed (population) moments
+rather than fitted to a sample, the closed-form solution of the
+power-utility eigenproblem on the Gaussian AR(1) testbed (its
+conditional moment generating function is exponentially affine, so the
+eigenfunction is an exponential in the state), the population Gram and
+pricing matrices and the population value-recursion map of a basis on
+the testbed's quadrature grid, the sample value-recursion map of a
+design, written out one map at a time as the plain formula that
+:func:`sdfspectral.solve_value_stack` iterates in whitened, stacked
+form, and one stationary-bootstrap index sequence, whose bincount is the
+count row that :func:`sdfspectral.bootstrap_ci` builds from the same
+generator's draws.
 """
 
 from __future__ import annotations
@@ -20,9 +22,21 @@ from typing import Callable
 
 import numpy as np
 
+from sdfspectral.basis import SieveBasis
 from sdfspectral.oracle import Ar1Design, QuadratureOperator, stationary_grid, transition_matrix
 from sdfspectral.sievemat import Design
 from sdfspectral.valuefn import _growth_weights
+
+
+def hermite_basis(mean: float, sd: float, degree: int) -> SieveBasis:
+    """Hermite functions He_j((x - mean)/sd)/sqrt(j!), j = 0..degree, of a univariate state."""
+    return SieveBasis(
+        family="hermite",
+        dimension_k=degree + 1,
+        state_dim=1,
+        standardization=((float(mean), float(sd)),),
+        index_tuples=tuple((j,) for j in range(degree + 1)),
+    )
 
 
 @dataclass(frozen=True)

@@ -166,7 +166,7 @@ def test_criterion_5_exact_identities(testbed):
     assert abs(rho_1 - 1.0) < 1e-10
 
     # (e) B-spline partition of unity
-    bs = s.build_bspline_basis(panel.states[:, 0], 8)
+    bs = s.BasisSpec(family="bspline", k=8).build(panel.states[:, 0])
     xs = np.linspace(panel.states.min(), panel.states.max(), 101)
     pou = np.max(np.abs(bs.evaluate_many(xs).sum(axis=1) - 1.0))
     tol_msgs.append(f"max|sum b_i - 1|={pou:.1e}")

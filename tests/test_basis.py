@@ -9,6 +9,8 @@ from numpy.polynomial.hermite_e import hermeval
 import sdfspectral as s
 from sdfspectral.basis import BasisSpec
 
+from reference_maps import hermite_basis
+
 rng = np.random.default_rng(0)
 DATA = rng.normal(0.005, 0.0125, 400)
 
@@ -17,14 +19,14 @@ DATA = rng.normal(0.005, 0.0125, 400)
 
 
 def test_hermite_dimension_and_order():
-    b = s.build_hermite_basis(DATA, 7)
+    b = BasisSpec(family="hermite", degree=7).build(DATA)
     assert b.dimension_k == 8
     assert b.index_tuples[0] == (0,)
 
 
 def test_hermite_values_at_mean():
     # He_j(0)/sqrt(j!) pattern: 1, 0, -1/sqrt(2), 0, 3/sqrt(24), 0, -15/sqrt(720), 0
-    b = s.build_hermite_basis(DATA, 7)
+    b = BasisSpec(family="hermite", degree=7).build(DATA)
     expected = [1.0, 0.0, -1 / math.sqrt(2), 0.0, 3 / math.sqrt(24), 0.0,
                 -15 / math.sqrt(720), 0.0]
     np.testing.assert_allclose(b.evaluate_many([DATA.mean()])[0], expected, atol=1e-12)
@@ -32,7 +34,7 @@ def test_hermite_values_at_mean():
 
 def test_hermite_matches_reference_recurrence():
     # independent oracle: numpy's probabilists' Hermite evaluation
-    b = s.build_hermite_basis(DATA, 7)
+    b = BasisSpec(family="hermite", degree=7).build(DATA)
     mean, sd = b.standardization[0]
     xs = rng.normal(0.005, 0.03, 50)
     vals = b.evaluate_many(xs)
@@ -64,7 +66,7 @@ def test_hermite_gram_near_identity():
     # the degree-7 diagonal entry has a heavy-tailed summand, so the
     # entrywise 0.05 tolerance needs several million draws
     gen = np.random.default_rng(1)
-    b = s.hermite_basis_from_moments([0.0], [1.0], 7)
+    b = hermite_basis(0.0, 1.0, 7)
     gram = np.zeros((8, 8))
     n = 0
     for _ in range(8):
@@ -77,7 +79,7 @@ def test_hermite_gram_near_identity():
 def test_hermite_degenerate_data_names_coordinate():
     data = np.column_stack([rng.normal(size=10), np.ones(10)])
     with pytest.raises(ValueError, match="coordinate 1"):
-        s.build_hermite_basis(data, 3)
+        BasisSpec(family="hermite", degree=3).build(data)
 
 
 def test_stack_rows_without_sample_variance_fail():
@@ -91,17 +93,17 @@ def test_stack_rows_without_sample_variance_fail():
 
 def test_hermite_needs_two_observations():
     with pytest.raises(ValueError):
-        s.build_hermite_basis(np.array([1.0]), 3)
+        BasisSpec(family="hermite", degree=3).build(np.array([1.0]))
 
 
 def test_evaluate_rejects_non_finite():
-    b = s.build_hermite_basis(DATA, 3)
+    b = BasisSpec(family="hermite", degree=3).build(DATA)
     with pytest.raises(ValueError):
         b.evaluate_many([np.nan])
 
 
 def test_evaluate_is_pure():
-    b = s.build_hermite_basis(DATA, 7)
+    b = BasisSpec(family="hermite", degree=7).build(DATA)
     x = np.array([0.0123])
     first = b.evaluate_many(x).copy()
     for _ in range(3):
@@ -111,8 +113,8 @@ def test_evaluate_is_pure():
 def test_constant_representable_all_families():
     xs = rng.normal(0.0, 1.0, 300)
     bases = [
-        s.build_hermite_basis(xs, 5),
-        s.build_bspline_basis(xs, 8),
+        BasisSpec(family="hermite", degree=5).build(xs),
+        BasisSpec(family="bspline", k=8).build(xs),
         s.BasisSpec(family="sparse", degree=4, cap=5).build(np.column_stack([xs, xs + 1])),
     ]
     for b in bases:
@@ -126,7 +128,7 @@ def test_constant_representable_all_families():
 
 
 def test_bspline_quantile_knots():
-    b = s.build_bspline_basis(DATA, 8)
+    b = BasisSpec(family="bspline", k=8).build(DATA)
     np.testing.assert_allclose(
         b.knots[4:-4], np.quantile(DATA, [0.2, 0.4, 0.6, 0.8]), rtol=1e-14
     )
@@ -136,14 +138,14 @@ def test_bspline_quantile_knots():
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=-0.2, max_value=0.2, allow_nan=False))
 def test_bspline_partition_of_unity(x):
-    b = s.build_bspline_basis(DATA, 8)
+    b = BasisSpec(family="bspline", k=8).build(DATA)
     vals = b.evaluate_many([x])[0]  # includes points beyond the data range (clamped)
     assert abs(vals.sum() - 1.0) < 1e-12
     assert (vals >= 0).all()
 
 
 def test_bspline_clamped_boundary():
-    b = s.build_bspline_basis(DATA, 8)
+    b = BasisSpec(family="bspline", k=8).build(DATA)
     left = b.evaluate_many([DATA.min()])[0]
     np.testing.assert_allclose(left, np.eye(8)[0], atol=1e-12)
     np.testing.assert_allclose(b.evaluate_many([DATA.min() - 10])[0], left, atol=1e-14)
@@ -178,7 +180,7 @@ def _deboor_reference(x, t, k):
 
 
 def test_bspline_matches_deboor_reference():
-    b = s.build_bspline_basis(DATA, 8)
+    b = BasisSpec(family="bspline", k=8).build(DATA)
     for x in np.linspace(DATA.min(), DATA.max(), 23):
         ref = _deboor_reference(x, b.knots, 3)
         np.testing.assert_allclose(b.evaluate_many([x])[0], ref, atol=1e-12)
@@ -195,7 +197,7 @@ def test_bspline_values_equal_scipys_bit_for_bit():
         x = draw.standard_normal(n) * draw.uniform(0.001, 3) + draw.uniform(-1, 1)
         samples.append((x.round(2) if seed % 3 == 0 else x, k))
     for x, k in samples:
-        b = s.build_bspline_basis(x, k)
+        b = BasisSpec(family="bspline", k=k).build(x)
         t = b.knots
         # the sample, a grid beyond both ends (clamped), every knot and its negative
         points = np.concatenate([x, np.linspace(t[0] - 1, t[-1] + 1, 101), t, -t])
@@ -208,14 +210,14 @@ def test_bspline_values_equal_scipys_bit_for_bit():
 def test_bspline_duplicate_knots_error():
     tied = np.concatenate([np.zeros(50), np.ones(50)])
     with pytest.raises(ValueError, match="duplicate knots"):
-        s.build_bspline_basis(tied, 8)
+        BasisSpec(family="bspline", k=8).build(tied)
 
 
 def test_bspline_preconditions():
     with pytest.raises(ValueError):
-        s.build_bspline_basis(DATA, 4)
+        BasisSpec(family="bspline", k=4).build(DATA)
     with pytest.raises(ValueError):
-        s.build_bspline_basis(DATA[:5], 8)
+        BasisSpec(family="bspline", k=8).build(DATA[:5])
 
 
 # ------------------------------------------------------------- sparse tensor
@@ -249,7 +251,8 @@ def test_sparse_tensor_count_law(deg, cap):
 
 def test_sparse_tensor_evaluates_products():
     x1, x2 = rng.normal(size=100), rng.normal(size=100)
-    b1, b2 = s.build_hermite_basis(x1, 2), s.build_hermite_basis(x2, 2)
+    spec = BasisSpec(family="hermite", degree=2)
+    b1, b2 = spec.build(x1), spec.build(x2)
     built = s.BasisSpec(family="sparse", degree=2, cap=100).build(np.column_stack([x1, x2]))
     x = np.array([0.3, -0.4])
     v1, v2 = b1.evaluate_many([x[0]])[0], b2.evaluate_many([x[1]])[0]

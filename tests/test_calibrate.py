@@ -7,6 +7,8 @@ import pytest
 import sdfspectral as s
 from sdfspectral import calibrate
 
+from reference_maps import hermite_basis
+
 
 def _euler_exact_panel(testbed, beta, gamma, n=800, seed=41, noise=0.0):
     """Panel whose returns price exactly (R = 1/m) under the fitted SDF."""
@@ -37,8 +39,8 @@ def test_criterion_invariant_to_instrument_reparameterization(testbed):
     beta0, gamma0 = 0.97, 10.0
     panel, basis = _euler_exact_panel(testbed, beta0, gamma0, noise=0.02)
     mu, sd = float(panel.x0.mean()), float(panel.x0.std())
-    inst_a = s.hermite_basis_from_moments([mu], [sd], 4)
-    inst_b = s.hermite_basis_from_moments([mu + 0.4 * sd], [1.8 * sd], 4)
+    inst_a = hermite_basis(mu, sd, 4)
+    inst_b = hermite_basis(mu + 0.4 * sd, 1.8 * sd, 4)
     design = s.Design(basis, panel)
     va = s.criterion(design, s.Design(inst_a, panel), 0.96, 12.0)
     vb = s.criterion(design, s.Design(inst_b, panel), 0.96, 12.0)

@@ -220,6 +220,25 @@ def test_constant_state_coordinate_is_named(family, constant, tmp_path, capsys):
         assert not list(out.glob("*"))  # nothing is written before the basis is built
 
 
+@pytest.mark.parametrize("family", ["hermite", "sparse"])
+def test_heat_grids_take_the_built_axes(family, tmp_path):
+    # x2 alternates 1.0 and 1.0 + 9 ulp: its sd of 1.0e-15 passes the
+    # zero-variance rule, and its 11-point grid axis has 10 distinct values
+    rng = np.random.default_rng(34)
+    states = 0.005 + 0.01 * rng.standard_normal((201, 2))
+    states[:, 1] = np.where(np.arange(201) % 2, 1.0 + 9 * np.finfo(float).eps, 1.0)
+    assert np.unique(np.linspace(1.0, states[:, 1].max(), 11)).size == 10
+    csv_path = _write_panel_csv(tmp_path / "p.csv", states, growth=np.exp(states[1:, 0]))
+    out = tmp_path / "o"
+    status = main(["decompose", "--input", str(csv_path), "--state-cols", "x1,x2",
+                   "--growth-col", "G", "--preferences", "power", "--beta", "0.994",
+                   "--gamma", "15", "--basis", family, "--degree", "2", "--cap", "3",
+                   "--out", str(out)])
+    assert status == 0
+    assert len(list(out.glob("eigenfunctions_*.svg"))) == 3
+    assert len(list(out.iterdir())) == 9
+
+
 def test_decompose_fallback_exit_code(tmp_path, sim_panel, monkeypatch, capsys):
     import sdfspectral.pipeline as pipeline_mod
 
@@ -639,7 +658,7 @@ def test_import_loads_no_scipy():
 
 
 def test_all_names_public_objects_not_modules():
-    assert len(s.__all__) == len(set(s.__all__)) == 39
+    assert len(s.__all__) == len(set(s.__all__)) == 36
     for name in s.__all__:
         assert not isinstance(getattr(s, name), types.ModuleType), name
 

@@ -12,7 +12,11 @@ from sdfspectral.inference import (
     _replicate_rng,
 )
 
-from reference_maps import affine_power_utility_solution, stationary_bootstrap_indices
+from reference_maps import (
+    affine_power_utility_solution,
+    hermite_basis,
+    stationary_bootstrap_indices,
+)
 
 
 def _const_basis_fit(m):
@@ -22,7 +26,7 @@ def _const_basis_fit(m):
     """
     states = np.linspace(0.0, 1.0, m.size + 1)
     panel = s.StatePanel.from_states(states, sdf_increments=m)
-    basis = s.hermite_basis_from_moments([0.0], [1.0], 0)
+    basis = hermite_basis(0.0, 1.0, 0)
     return s.fit_panel(s.Design(basis, panel))
 
 

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import sdfspectral as s
+from sdfspectral.cli import main
 
 from reference_maps import affine_power_utility_solution
 
@@ -96,6 +98,23 @@ def test_non_finite_kernel_is_named():
     design = s.Ar1Design(mu=0.005, kappa=0.99, sigma=0.01)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="kernel is not finite"):
         s.quadrature_eig(design, s.RecursiveUtility(0.994, 15.0), 80)
+
+
+def test_unconverged_power_iteration_is_named(tmp_path, capsys):
+    # at kappa = -0.99 the grid kernel's two largest eigenvalues are +-1.27, so
+    # its power iterates alternate and never settle; the closed-form rho is 0.9248
+    design = s.Ar1Design(mu=0.005, kappa=-0.99, sigma=0.01)
+    assert affine_power_utility_solution(design, 0.994, 15.0).rho == pytest.approx(0.9248, abs=1e-4)
+    with pytest.raises(RuntimeError, match="the oracle's Perron vector did not converge"):
+        s.quadrature_eig(design, s.PowerUtility(0.994, 15.0), 80)
+    config = tmp_path / "mc.json"
+    config.write_text(json.dumps({"mc": {"kappa": -0.99}}))
+    out = tmp_path / "o"
+    status = main(["mc", "--config", str(config), "--reps", "20", "--sizes", "400",
+                   "--out", str(out)])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert status == 1 and len(errors) == 1 and "oracle" in errors[0]
+    assert not (out / "mc_table.csv").exists()
 
 
 def _longdouble_perron_root(kernel: np.ndarray) -> np.longdouble:

@@ -5,7 +5,11 @@ import sdfspectral as s
 from sdfspectral import pipeline
 from sdfspectral.pfeig import _cholesky_stack, _normalize_stack, _solve_stack
 
-from reference_maps import affine_power_utility_solution, population_sieve_matrices
+from reference_maps import (
+    affine_power_utility_solution,
+    hermite_basis,
+    population_sieve_matrices,
+)
 
 #: Monte Carlo dispersion of the eigenvalue estimator at n = 3200 on the
 #: power-utility testbed (used as a +-3 sigma acceptance radius)
@@ -73,7 +77,7 @@ def test_normalize_idempotent_and_scale_invariant(power_fit):
 
 def test_normalize_rejects_fallback_and_defective(monkeypatch):
     # a rejected pencil is the constant fallback, whatever its coefficients
-    basis = s.hermite_basis_from_moments([0.0], [1.0], 1)
+    basis = hermite_basis(0.0, 1.0, 1)
     const = basis.const_coeffs
     fallback = _fallback_fit(monkeypatch, basis)
     assert fallback.reason == "no_positive_real" and fallback.eig.rho == 1.0
@@ -119,7 +123,7 @@ def test_monotone_consistency_in_k(testbed, power_prefs, quad_power):
     truth = affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
     errs = []
     for k in (4, 6, 8, 12):
-        basis = s.hermite_basis_from_moments([testbed.mu], [testbed.stationary_std], k - 1)
+        basis = hermite_basis(testbed.mu, testbed.stationary_std, k - 1)
         G, M = population_sieve_matrices(quad_power.operator, basis)
         st = _solve(M, G)
         assert st.reason[0] == ""
@@ -132,7 +136,7 @@ def test_fallback_complex_and_tied(monkeypatch):
     rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
     assert _solve(rotation, np.eye(2)).reason[0] == "no_positive_real"
     assert _solve(np.eye(3), np.eye(3)).reason[0] == "tie"
-    basis = s.build_bspline_basis(np.linspace(-1.0, 1.0, 41), 5)
+    basis = s.BasisSpec(family="bspline", k=5).build(np.linspace(-1.0, 1.0, 41))
     for reason in ("no_positive_real", "tie"):
         fit = _fallback_fit(monkeypatch, basis, reason)
         assert fit.reason == reason and fit.eig.rho == 1.0
@@ -164,7 +168,7 @@ def test_eigenfunction_values_paths(power_fit, testbed, power_prefs, quad_power)
 
 
 def test_fallback_eigenfunction_values(monkeypatch):
-    basis = s.hermite_basis_from_moments([0.0], [1.0], 1)
+    basis = hermite_basis(0.0, 1.0, 1)
     fit = _fallback_fit(monkeypatch, basis)
     b = basis.evaluate_many(np.array([[0.3], [0.9]]))
     phi, phi_star = b @ fit.eig.right, b @ fit.eig.left

@@ -7,16 +7,21 @@ from hypothesis import strategies as st
 
 import sdfspectral as s
 
-from reference_maps import population_nonlinear_map, population_sieve_matrices, value_map
+from reference_maps import (
+    hermite_basis,
+    population_nonlinear_map,
+    population_sieve_matrices,
+    value_map,
+)
 
 
 def _linear_basis():
     # b(x) = (1, x): probabilists' Hermite with identity standardization
-    return s.hermite_basis_from_moments([0.0], [1.0], 1)
+    return hermite_basis(0.0, 1.0, 1)
 
 
 def _const_basis():
-    return s.hermite_basis_from_moments([0.0], [1.0], 0)
+    return hermite_basis(0.0, 1.0, 0)
 
 
 def test_gram_constant_basis():
@@ -32,7 +37,7 @@ def test_gram_hand_sum():
 
 def test_gram_warns_when_underdetermined():
     panel = s.StatePanel.from_states(np.linspace(0.0, 1.0, 4))
-    basis = s.hermite_basis_from_moments([0.5], [0.3], 4)
+    basis = hermite_basis(0.5, 0.3, 4)
     with pytest.warns(UserWarning) as records:
         s.estimate_gram(s.Design(basis, panel))
     messages = [str(r.message) for r in records]
@@ -72,7 +77,7 @@ def test_pricing_linearity_exact():
     m1 = rng.uniform(0.5, 1.5, 39)
     m2 = rng.uniform(0.5, 1.5, 39)
     a, b = 0.7, 1.9
-    basis = s.hermite_basis_from_moments([0.0], [1.0], 3)
+    basis = hermite_basis(0.0, 1.0, 3)
     design = s.Design(basis, base)
     lhs = s.estimate_pricing(design, a * m1 + b * m2)
     rhs = a * s.estimate_pricing(design, m1) + b * s.estimate_pricing(design, m2)
@@ -102,7 +107,7 @@ def test_apply_nonlinear_homogeneity(a):
     rng = np.random.default_rng(8)
     states = rng.normal(0.0, 1.0, 31)
     panel = s.StatePanel.from_states(states, growth=np.exp(states[1:]))
-    basis = s.hermite_basis_from_moments([0.0], [1.0], 3)
+    basis = hermite_basis(0.0, 1.0, 3)
     beta = 0.97
     v = rng.normal(size=4)
     t_map = value_map(s.Design(basis, panel), beta, 5.0)
@@ -131,9 +136,7 @@ def test_large_sample_matches_quadrature_oracle(testbed, power_prefs, quad_power
     # degree kept low: the variance of squared high-degree Hermite summands
     # makes tight entrywise agreement need astronomically many draws
     panel = s.simulate_ar1(testbed, 2_000_000, np.random.default_rng(10))
-    basis = s.hermite_basis_from_moments(
-        [testbed.mu], [testbed.stationary_std], 3
-    )
+    basis = hermite_basis(testbed.mu, testbed.stationary_std, 3)
     m = s.preferences.power_utility_sdf(panel.growth, power_prefs.beta, power_prefs.gamma)
     design = s.Design(basis, panel)
     G = s.estimate_gram(design)

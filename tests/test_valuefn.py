@@ -7,7 +7,12 @@ import sdfspectral as s
 from sdfspectral.pfeig import _row
 from sdfspectral.sievemat import CountRows
 
-from reference_maps import population_nonlinear_map, stationary_bootstrap_indices, value_map
+from reference_maps import (
+    hermite_basis,
+    population_nonlinear_map,
+    stationary_bootstrap_indices,
+    value_map,
+)
 
 #: Monte Carlo dispersion of the eigenvalue estimator at n = 3200 on the
 #: recursive testbed (+-3 sigma acceptance radius)
@@ -93,7 +98,7 @@ def test_oracle_equivalence_on_population_map(testbed, recursive_prefs, quad_rec
     # reproduces the projected eigenpair: solver error is isolated from
     # sampling error
     beta, gamma = recursive_prefs.beta, recursive_prefs.gamma
-    basis = s.hermite_basis_from_moments([testbed.mu], [testbed.stationary_std], 7)
+    basis = hermite_basis(testbed.mu, testbed.stationary_std, 7)
     t_map, G = population_nonlinear_map(testbed, basis, beta, gamma, 80)
     z = basis.const_coeffs.astype(float)
     for _ in range(500):

@@ -136,6 +136,9 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     (decompose,), (bootstrap,), (mc,) = (prepared(w) for w in ("decompose", "bootstrap", "mc"))
     cases = {"decompose": decompose, "bootstrap": bootstrap, "mc": mc}
     cases.update({f"calibrate{j}": argv for j, argv in enumerate(prepared("calibrate"))})
+    # one state: the univariate Hermite solve basis and the Hermite branch of the instruments
+    cases["calibrate_univariate"] = [*cases["calibrate0"], "--state-cols", "g", "--basis", "hermite",
+                                     "--degree", "7"]
     # later occurrences of a flag override earlier ones
     cases["value_recursive"] = ["value", *decompose[1:]]
     # one state (Hermite k = 8), so value_function.svg is written and compared
