@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 import sdfspectral as s
-from sdfspectral.pipeline import decompose_panel
 
 BETA, GAMMA = 0.994, 15.0
 
@@ -24,8 +23,9 @@ sieve = s.Design(basis, panel)  # b(X_t) and b(X_{t+1}), evaluated once
 
 # the SDF m = beta G^(-gamma), the eigenpair of the Gram and pricing matrices,
 # and the permanent/transitory split of m
-res = decompose_panel(sieve, s.PowerUtility(BETA, GAMMA))
-eig, series = res.fit.eig, res.series  # rho and the right and left coefficients
+fit = s.fit_panel(sieve, s.PowerUtility(BETA, GAMMA))
+eig = fit.eig  # rho and the right and left coefficients
+series = s.pt_series(eig.rho, fit.sample.phi_t, fit.sample.phi_t1, fit.m)
 long_run = s.long_run_stack(eig.rho, series.m)
 
 # the closed form: L = gamma^2 sigma^2 / (2 (1 - kappa)^2) from the Gaussian
@@ -42,7 +42,7 @@ print(f"horizon dependence                 = {long_run['horizon_dependence']:.5f
 print(f"sd of log m_perm = {np.std(np.log(series.m_perm)):.4f}, "
       f"sd of log m_trans = {np.std(np.log(series.m_trans)):.4f}")
 
-stats = res.association
+stats = s.pt_association(series)
 print(f"cov(log m_perm, log m_trans) = {stats['cov_log']:.2e}, "
       f"Kendall tau = {stats['kendall_tau']:.3f}")
 

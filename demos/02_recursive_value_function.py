@@ -10,7 +10,6 @@ an observable SDF would.
 import numpy as np
 
 import sdfspectral as s
-from sdfspectral.pipeline import decompose_panel
 
 BETA, GAMMA = 0.994, 15.0
 
@@ -20,8 +19,8 @@ basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
 sieve = s.Design(basis, panel)  # b(X_t) and b(X_{t+1}), evaluated once
 
 # the continuation value, its plug-in SDF, and that SDF's spectral decomposition
-res = decompose_panel(sieve, s.RecursiveUtility(BETA, GAMMA))
-fp, m, rho = res.fit.fixed_point, res.fit.m, res.fit.eig.rho
+fit = s.fit_panel(sieve, s.RecursiveUtility(BETA, GAMMA))
+fp, m, rho = fit.fixed_point, fit.m, fit.eig.rho
 oracle = s.quadrature_eig(design, s.RecursiveUtility(BETA, GAMMA), 80)
 print(f"lambda = {fp.lam:.5f}  (population value {oracle.lam:.5f}), "
       f"{fp.iterations} iterations, converged={fp.reason == ''}")
@@ -34,7 +33,7 @@ print(f"long-run yield = {-np.log(rho):.5f}")
 
 # under recursive preferences phi is nearly flat, so the transitory
 # component barely moves: most SDF variation is permanent
-series = res.series
+series = s.pt_series(rho, fit.sample.phi_t, fit.sample.phi_t1, m)
 print(f"sd(log m)       = {np.std(np.log(series.m)):.4f}")
 print(f"sd(log m_perm)  = {np.std(np.log(series.m_perm)):.4f}")
 print(f"sd(log m_trans) = {np.std(np.log(series.m_trans)):.4f}")

@@ -9,7 +9,7 @@ standard errors from the influence function are shown alongside.
 import numpy as np
 
 import sdfspectral as s
-from sdfspectral.pipeline import bootstrap_statistic, decompose_panel
+from sdfspectral.pipeline import bootstrap_statistic
 
 BETA, GAMMA = 0.994, 15.0
 prefs = s.PowerUtility(beta=BETA, gamma=GAMMA)
@@ -18,8 +18,8 @@ design = s.Ar1Design(mu=0.005, kappa=0.6, sigma=0.01)
 panel = s.simulate_ar1(design, n=276, seed=137)  # quarterly-panel scale
 sieve = s.Design(s.BasisSpec(family="hermite", k=8).build(panel.states), panel)
 
-res = decompose_panel(sieve, prefs)
-point = s.long_run_stack(res.fit.eig.rho, res.fit.m)
+fit = s.fit_panel(sieve, prefs)
+point = s.long_run_stack(fit.eig.rho, fit.m)
 
 boot = s.bootstrap_ci(
     bootstrap_statistic(sieve, prefs), panel.n,
@@ -32,9 +32,9 @@ for stat in ("rho", "y", "L", "sdf_entropy", "horizon_dependence"):
     print(f"{stat:>20} {point[stat]:>10.4f}    "
           f"[{boot.ci_lo[stat]:+.4f}, {boot.ci_hi[stat]:+.4f}]")
 
-on = res.fit.sample  # the fit's values on the sample: phi, phi*, psi_rho, se_rho
+on = fit.sample  # the fit's values on the sample: phi, phi*, psi_rho, se_rho
 bw = s.default_bandwidth(panel.n)
-v_l = s.variance_entropy(on.psi_rho, res.fit.eig.rho, res.fit.m, bw)
+v_l = s.variance_entropy(on.psi_rho, fit.eig.rho, fit.m, bw)
 print(f"\nplug-in SE(rho) = {on.se_rho:.4f} "
       f"(bootstrap sd {np.std(boot.replicates['rho'], ddof=1):.4f})")
 print(f"plug-in SE(L)   = {np.sqrt(v_l / panel.n):.4f} "

@@ -10,7 +10,6 @@ association can switch sign as risk aversion grows.
 import numpy as np
 
 import sdfspectral as s
-from sdfspectral.pipeline import decompose_panel
 
 BETA = 0.994
 
@@ -22,14 +21,15 @@ print(f"{'gamma':>6} {'lambda':>9} {'rho':>9} {'yield':>9} "
       f"{'cov(logP,logT)':>15} {'kendall':>8}")
 for gamma in (2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
     try:
-        res = decompose_panel(sieve, s.RecursiveUtility(beta=BETA, gamma=gamma))
+        fit = s.fit_panel(sieve, s.RecursiveUtility(beta=BETA, gamma=gamma))
+        series = s.pt_series(fit.eig.rho, fit.sample.phi_t, fit.sample.phi_t1, fit.m)
     except (ValueError, RuntimeError) as exc:
         # very high risk aversion can push the estimated continuation value
         # through zero at extreme sample points; report and move on
         print(f"{gamma:>6.0f}   [no decomposition: {exc}]")
         continue
-    stats = s.pt_association(res.series)
-    lam, rho = res.fit.fixed_point.lam, res.fit.eig.rho
+    stats = s.pt_association(series)
+    lam, rho = fit.fixed_point.lam, fit.eig.rho
     print(f"{gamma:>6.0f} {lam:>9.4f} {rho:>9.4f} "
           f"{-np.log(rho):>+9.4f} {stats['cov_log']:>+15.2e} "
           f"{stats['kendall_tau']:>+8.3f}")

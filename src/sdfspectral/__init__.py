@@ -25,7 +25,7 @@ from .inference import (
     variance_entropy,
 )
 from .oracle import Ar1Design, QuadratureOperator, QuadratureSolution, quadrature_eig
-from .pipeline import DecompositionResult, bootstrap_statistic, decompose_panel, fit_panel
+from .pipeline import bootstrap_statistic, fit_panel
 from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import Design, StatePanel, estimate_gram, estimate_pricing
 from .simkit import McDesign, McTable, l2_distance, run_mc_study, simulate_ar1
@@ -43,7 +43,7 @@ __all__ = [
     # oracle
     "Ar1Design", "QuadratureOperator", "QuadratureSolution", "quadrature_eig",
     # pipeline
-    "DecompositionResult", "bootstrap_statistic", "decompose_panel", "fit_panel",
+    "bootstrap_statistic", "fit_panel",
     # preferences
     "PowerUtility", "RecursiveUtility",
     # sievemat

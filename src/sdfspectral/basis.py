@@ -325,15 +325,3 @@ class BasisSpec:
         values = _polynomial_values(z[..., None], basis.index_tuples, out, table)
         values[failed] = np.nan
         return values, basis.const_coeffs, failed
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BasisSpec":
-        allowed = {"family", "k", "degree", "cap"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown basis spec keys: {sorted(unknown)}")
-        for key in ("k", "degree", "cap"):
-            val = d.get(key)
-            if val is not None and (not isinstance(val, int) or isinstance(val, bool)):
-                raise TypeError(f"{key!r} must be an integer, got {val!r}")
-        return cls(**d)

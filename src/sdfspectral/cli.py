@@ -33,14 +33,14 @@ from . import __version__
 from .basis import BasisSpec
 from .calibrate import estimate_preferences
 from .csvout import write_csv, write_json
-from .decomp import change_of_measure, long_run_stack, positive_on_sample, scalars_to_json, series_to_csv
+from .decomp import change_of_measure, long_run_stack, positive_on_sample, pt_association, pt_series
 from .inference import bootstrap_ci, default_bandwidth, variance_entropy
 from .oracle import Ar1Design
 from .pfeig import _row
-from .pipeline import DISCARD_REASONS, FitStack, bootstrap_statistic, decompose_panel, fit_panel
+from .pipeline import DISCARD_REASONS, FitStack, bootstrap_statistic, fit_panel
 from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import Design, StatePanel
-from .simkit import McDesign, run_mc_study, write_mc_outputs
+from .simkit import McDesign, run_mc_study
 from .svgplot import heat_grid, line_plot
 from .valuefn import solve_value_stack
 
@@ -230,7 +230,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise CliError("an input CSV is required (--input or config input_csv)")
     elif cfg.input_csv is not None:
         raise CliError("the mc command takes a design, not an input CSV")
-    _basis_spec(cfg)  # checks the basis section first, naming its keys its own way
     # a section holds the settings of the table and nothing else
     keys = {s.key for s in SETTINGS}
     unknown = [f"{section}.{name}" for section, hint in _CONFIG_TYPES.items() if hint is dict
@@ -238,6 +237,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
     _check_types(cfg, [(s.key, s.kind) for s in SETTINGS])
+    if "family" not in cfg.basis:  # the one key of a section that has no default
+        raise CliError("config key 'basis.family' is missing")
     if cfg.grid_points < 1:
         raise CliError(f"config key 'grid_points' must be at least 1, not {cfg.grid_points}")
     return cfg
@@ -327,10 +328,7 @@ def _preferences(cfg: RunConfig):
 
 
 def _basis_spec(cfg: RunConfig) -> BasisSpec:
-    try:
-        return BasisSpec.from_dict(cfg.basis)
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"bad basis spec: {exc}")
+    return BasisSpec(**cfg.basis)
 
 
 # ----------------------------------------------------------------- output
@@ -472,35 +470,36 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     panel = read_panel_csv(cfg)
     prefs = _sdf_source(cfg, panel)
     basis = _basis_spec(cfg).build(panel.states)
-    res = decompose_panel(Design(basis, panel), prefs)
-    fit = res.fit
-
+    fit = fit_panel(Design(basis, panel), prefs)  # a fallback fit has constant eigenfunctions
     fallback, on = bool(fit.reason), fit.sample
-    extra = {"n": panel.n, "basis": basis.family, "k": basis.dimension_k,
-             "fallback": fallback}
+    series = pt_series(fit.eig.rho, on.phi_t, on.phi_t1, fit.m)
+    lr = {stat: float(v) for stat, v in long_run_stack(fit.eig.rho, fit.m).items()}
+    scalars = {"rho": lr["rho"], "yield_y": lr["y"], "entropy_L": lr["L"],
+               "sdf_entropy": lr["sdf_entropy"], "horizon_dependence": lr["horizon_dependence"],
+               "association": pt_association(series), "n": panel.n, "basis": basis.family,
+               "k": basis.dimension_k, "fallback": fallback}
     if fit.fixed_point is not None:
-        extra["lambda"] = fit.fixed_point.lam
+        scalars["lambda"] = fit.fixed_point.lam
     if not fallback:
         bw = default_bandwidth(panel.n)
-        extra["se_rho"] = on.se_rho
-        extra["v_L"] = variance_entropy(on.psi_rho, fit.eig.rho, fit.m, bw)
-        extra["nw_bandwidth"] = bw
-    series_to_csv(res.series, os.path.join(cfg.out_dir, "series.csv"))
-    scalars_to_json(fit.eig.rho, fit.m, os.path.join(cfg.out_dir, "scalars.json"),
-                    association=res.association, extra=extra)
+        scalars["se_rho"] = on.se_rho
+        scalars["v_L"] = variance_entropy(on.psi_rho, fit.eig.rho, fit.m, bw)
+        scalars["nw_bandwidth"] = bw
+    t = np.arange(panel.n)
+    write_csv(os.path.join(cfg.out_dir, "series.csv"), ["t", "m", "m_perm", "m_trans"],
+              [t, series.m, series.m_perm, series.m_trans])
+    write_json(os.path.join(cfg.out_dir, "scalars.json"), scalars)
     # change of measure on the sample points (the grid version sits in
     # eigenfunctions.csv)
     write_csv(
         os.path.join(cfg.out_dir, "change_of_measure_sample.csv"),
         ["t", "phi", "phi_star", "change_of_measure"],
-        [np.arange(panel.n), on.phi_t, on.phi_star_t,
-         change_of_measure(on.phi_t, on.phi_star_t)],
+        [t, on.phi_t, on.phi_star_t, change_of_measure(on.phi_t, on.phi_star_t)],
     )
-    t = np.arange(panel.n)
     line_plot(
         os.path.join(cfg.out_dir, "series.svg"),
         t,
-        {"m": res.series.m, "m_perm": res.series.m_perm, "m_trans": res.series.m_trans},
+        {"m": series.m, "m_perm": series.m_perm, "m_trans": series.m_trans},
         title="SDF and permanent/transitory increments",
         xlabel="t",
     )
@@ -637,7 +636,22 @@ def _cmd_mc(cfg: RunConfig) -> int:
         seed=cfg.seed,
     )
     table = run_mc_study(design)
-    write_mc_outputs(table, cfg.out_dir)
+    keys = sorted(table.cells)
+    cells = [table.cells[key] for key in keys]
+    write_csv(os.path.join(cfg.out_dir, "mc_table.csv"),
+              ["design", "basis", "n", "statistic", "bias", "rmse", "replications", "excluded",
+               "flagged"],
+              [[table.design_kind] * len(keys), [table.basis_family] * len(keys),
+               [n for n, _ in keys], [stat for _, stat in keys],
+               [cell.bias for cell in cells], [cell.rmse for cell in cells],
+               [table.replications] * len(keys), [table.excluded.get(n, 0) for n, _ in keys],
+               [int(cell.flagged) for cell in cells]])
+    write_json(os.path.join(cfg.out_dir, "mc_table_meta.json"), {
+        "design": table.design_kind, "basis": table.basis_family, "k": table.k,
+        "replications": table.replications, "seed": table.seed,
+        "excluded": {str(n): count for n, count in table.excluded.items()},
+        "truths": table.truths, "elapsed_seconds": table.elapsed_seconds,
+    })
     _write_provenance(cfg, {"elapsed_seconds": table.elapsed_seconds})
     return 0
 

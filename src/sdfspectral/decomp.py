@@ -16,8 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from .csvout import write_csv, write_json
-
 
 @dataclass(frozen=True)
 class DecompSeries:
@@ -180,28 +178,3 @@ def pt_association(series: DecompSeries) -> dict:
     corr = float(np.corrcoef(lp, lt)[0, 1])
     return {"cov_log": cov, "corr_log": corr, "kendall_tau": _kendall_tau_b(lp, lt),
             "spearman_rho": _spearman_rho(lp, lt)}
-
-
-def series_to_csv(series: DecompSeries, path) -> None:
-    """Write the tidy per-period series: columns (t, m, m_perm, m_trans)."""
-    write_csv(
-        path,
-        ["t", "m", "m_perm", "m_trans"],
-        [np.arange(series.m.size), series.m, series.m_perm, series.m_trans],
-    )
-
-
-def scalars_to_json(
-    rho: float, m: np.ndarray, path, association: Optional[dict] = None,
-    extra: Optional[dict] = None,
-) -> None:
-    """Write the long-run scalars of rho and m (and optional association stats) as sidecar JSON."""
-    lr = long_run_stack(rho, m)
-    payload = {"rho": float(lr["rho"]), "yield_y": float(lr["y"]), "entropy_L": float(lr["L"]),
-               "sdf_entropy": float(lr["sdf_entropy"]),
-               "horizon_dependence": float(lr["horizon_dependence"])}
-    if association is not None:
-        payload["association"] = association
-    if extra:
-        payload.update(extra)
-    write_json(path, payload)

@@ -13,12 +13,11 @@ it, in stage order: a VALUE_FAILURES entry, "nonpositive_continuation",
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .decomp import DecompSeries, long_run_stack, pt_association, pt_series
+from .decomp import long_run_stack
 from .inference import DISCARD_REASON, influence_stack
 from .pfeig import (
     FALLBACK_REASONS,
@@ -62,15 +61,6 @@ class FitStack(NamedTuple):
     eig: _PencilStack
     fixed_point: Optional[FixedPointStack]
     sample: Optional[SampleValues]
-
-
-@dataclass
-class DecompositionResult:
-    """A :func:`fit_panel` fit with its permanent/transitory series and their association."""
-
-    fit: FitStack
-    series: DecompSeries
-    association: dict
 
 
 def fit_stack(
@@ -157,20 +147,6 @@ def fit_panel(
     if fit.reason:
         raise RuntimeError(f"no usable fit: {fit.reason}")
     return fit
-
-
-def decompose_panel(
-    design: Design,
-    preferences: Optional[Union[PowerUtility, RecursiveUtility]] = None,
-) -> DecompositionResult:
-    """Fit one panel design and split its SDF into permanent and transitory increments.
-
-    A fallback eigenpair propagates into the result (constant
-    eigenfunctions, rho = 1).
-    """
-    fit = fit_panel(design, preferences)
-    series = pt_series(fit.eig.rho, fit.sample.phi_t, fit.sample.phi_t1, fit.m)
-    return DecompositionResult(fit=fit, series=series, association=pt_association(series))
 
 
 #: the discard reasons that ``bootstrap`` always reports: a fallback eigenpair, or under

@@ -13,7 +13,6 @@ replicate-averaged function from the truth.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -22,7 +21,6 @@ from typing import Union
 import numpy as np
 
 from .basis import BasisSpec
-from .csvout import write_csv, write_json
 from .decomp import long_run_stack
 from .inference import _replicate_rng
 from .oracle import Ar1Design, quadrature_eig
@@ -151,34 +149,6 @@ class McTable:
 
     def rmse(self, n: int, stat: str) -> float:
         return self.cells[(n, stat)].rmse
-
-    def to_csv(self, path) -> None:
-        keys = sorted(self.cells)
-        cells = [self.cells[key] for key in keys]
-        write_csv(
-            path,
-            ["design", "basis", "n", "statistic", "bias", "rmse",
-             "replications", "excluded", "flagged"],
-            [
-                [self.design_kind] * len(keys), [self.basis_family] * len(keys),
-                [n for n, _ in keys], [stat for _, stat in keys],
-                [cell.bias for cell in cells], [cell.rmse for cell in cells],
-                [self.replications] * len(keys), [self.excluded.get(n, 0) for n, _ in keys],
-                [int(cell.flagged) for cell in cells],
-            ],
-        )
-
-    def metadata(self) -> dict:
-        return {
-            "design": self.design_kind,
-            "basis": self.basis_family,
-            "k": self.k,
-            "replications": self.replications,
-            "seed": self.seed,
-            "excluded": {str(k): v for k, v in self.excluded.items()},
-            "truths": self.truths,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
 
 
 #: a replicate's record, in this order: its scalars, and its functions on the quadrature nodes
@@ -346,9 +316,3 @@ def _sieve_dim(spec: BasisSpec) -> int:
     """
     return spec.build(np.linspace(0.0, 1.0, max(spec.k or 0, 2))).dimension_k
 
-
-def write_mc_outputs(table: McTable, out_dir) -> None:
-    """Write the table as mc_table.csv and its metadata as mc_table_meta.json."""
-    os.makedirs(out_dir, exist_ok=True)
-    table.to_csv(os.path.join(out_dir, "mc_table.csv"))
-    write_json(os.path.join(out_dir, "mc_table_meta.json"), table.metadata())

@@ -239,7 +239,7 @@ def test_heat_grids_take_the_built_axes(family, tmp_path):
     assert len(list(out.iterdir())) == 9
 
 
-def test_decompose_fallback_exit_code(tmp_path, sim_panel, monkeypatch, capsys):
+def test_decompose_fallback_exit_code(tmp_path, testbed, sim_panel, monkeypatch, capsys):
     import sdfspectral.pipeline as pipeline_mod
 
     solve_stack = pipeline_mod._solve_stack
@@ -265,6 +265,22 @@ def test_decompose_fallback_exit_code(tmp_path, sim_panel, monkeypatch, capsys):
         rows = list(csv.DictReader((tmp_path / "o" / name).open()))
         assert len(rows) > 1
         assert all(float(r[col]) == 1.0 for r in rows for col in ("phi", "phi_star"))
+
+    # a pencil with no positive real eigenvalue (its largest real one is -0.053)
+    monkeypatch.undo()
+    panel = s.simulate_ar1(testbed, 30, np.random.default_rng(71))
+    prefs = s.PowerUtility(beta=0.994, gamma=15.0)
+    basis = s.BasisSpec(family="hermite", k=12).build(panel.states)
+    assert s.fit_panel(s.Design(basis, panel), prefs).reason == "no_positive_real"
+    csv_path = _write_panel_csv(tmp_path / "p30.csv", panel.states, growth=panel.growth)
+    status = main(["decompose", "--input", str(csv_path), "--state-cols", "x1",
+                   "--growth-col", "G", "--preferences", "power", "--beta", "0.994",
+                   "--gamma", "15", "--basis", "hermite", "--k", "12",
+                   "--out", str(tmp_path / "o30")])
+    assert status == 2
+    assert "no_positive_real" in capsys.readouterr().err
+    scalars = json.loads((tmp_path / "o30" / "scalars.json").read_text())
+    assert scalars["rho"] == 1.0 and scalars["fallback"] is True and "se_rho" not in scalars
 
 
 def test_config_file_with_flag_override(tmp_path, sim_panel):
@@ -294,7 +310,7 @@ def test_config_file_with_flag_override(tmp_path, sim_panel):
     "command, config, key",
     [
         ("decompose", {"grid_points": "many"}, "grid_points"),
-        ("decompose", {"basis": {"family": "hermite", "k": "3"}}, "k"),
+        ("decompose", {"basis": {"family": "hermite", "k": "3"}}, "basis.k"),
         ("decompose", {"preferences": {"mode": "power", "beta": "0.994", "gamma": 15}},
          "preferences.beta"),
         ("mc", {"seed": "5"}, "seed"),
@@ -304,6 +320,7 @@ def test_config_file_with_flag_override(tmp_path, sim_panel):
         ("mc", {"mc": {"design": "Power", "reps": 2, "sizes": [40]}}, "mc.design"),
         ("calibrate", {"preferences": {"instrument_k": 6.5}}, "preferences.instrument_k"),
         ("calibrate", {"preferences": {"instrument_k": "x"}}, "preferences.instrument_k"),
+        ("decompose", {"basis": {"k": 3}}, "basis.family"),  # a section given without it
     ],
 )
 def test_config_value_of_wrong_type(tmp_path, sim_panel, capsys, command, config, key):
@@ -365,12 +382,10 @@ def test_each_setting_from_flag_or_file(tmp_path, capsys, setting):
         assert build_config(_parser().parse_args(argv(base) + [setting.flag, text])) == by_file
 
     out = tmp_path / "out"
-    # BasisSpec names the basis keys it checks without their section
-    shown = name if section == "basis" and setting.kind is int else setting.key
     for wrong in wrongs:
         assert main(argv({"out_dir": str(out), **from_file(wrong)})) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and repr(shown) in err
+        assert err.startswith("error:") and repr(setting.key) in err
     if section and setting.flag is not None:  # a flag sets a key in a section that is no object
         assert main(argv({**base, "out_dir": str(out), section: [1]}) + [setting.flag, text]) == 1
         assert f"config key {section!r}" in capsys.readouterr().err
@@ -378,7 +393,7 @@ def test_each_setting_from_flag_or_file(tmp_path, capsys, setting):
 
 
 @pytest.mark.parametrize("section, key", [("preferences", "Mode"), ("bootstrap", "B"),
-                                          ("mc", "rep")])
+                                          ("mc", "rep"), ("basis", "bogus")])
 def test_unknown_key_in_a_section_exits_1(tmp_path, capsys, section, key):
     out = tmp_path / "out"
     path = tmp_path / "cfg.json"
@@ -658,7 +673,7 @@ def test_import_loads_no_scipy():
 
 
 def test_all_names_public_objects_not_modules():
-    assert len(s.__all__) == len(set(s.__all__)) == 36
+    assert len(s.__all__) == len(set(s.__all__)) == 34
     for name in s.__all__:
         assert not isinstance(getattr(s, name), types.ModuleType), name
 

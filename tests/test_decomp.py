@@ -5,14 +5,9 @@ import numpy as np
 import pytest
 
 import sdfspectral as s
-from sdfspectral.decomp import (
-    DecompSeries,
-    _kendall_tau_b,
-    _spearman_rho,
-    scalars_to_json,
-    series_to_csv,
-)
-from sdfspectral.pipeline import decompose_panel
+from sdfspectral import cli
+from sdfspectral.csvout import write_json
+from sdfspectral.decomp import DecompSeries, _kendall_tau_b, _spearman_rho
 
 from reference_maps import affine_power_utility_solution
 
@@ -190,7 +185,7 @@ def test_association_degenerate_and_antithetic(tmp_path):
     assert dstats["corr_log"] is None
     assert dstats["kendall_tau"] is None and dstats["spearman_rho"] is None
     path = tmp_path / "scalars.json"
-    scalars_to_json(0.9, flat.m, path, association=dstats)
+    write_json(path, {"association": dstats})
 
     def reject(name):
         raise ValueError(f"{name} is not JSON")
@@ -240,29 +235,37 @@ def test_bivariate_recursive_pipeline_horizon_dependence():
     panel = s.StatePanel.from_states(states, growth=np.exp(g[1:]))
     basis = s.BasisSpec(family="sparse", degree=4, cap=5).build(states)
     assert basis.dimension_k == 15
-    res = decompose_panel(s.Design(basis, panel), s.RecursiveUtility(beta=0.98, gamma=25.0))
-    lr = s.long_run_stack(res.fit.eig.rho, res.fit.m)
+    fit = s.fit_panel(s.Design(basis, panel), s.RecursiveUtility(beta=0.98, gamma=25.0))
+    lr = s.long_run_stack(fit.eig.rho, fit.m)
     assert lr["horizon_dependence"] == lr["L"] - lr["sdf_entropy"]
     assert 0 < lr["horizon_dependence"] < 0.01
     assert lr["L"] > lr["sdf_entropy"] > 0
 
 
-def test_csv_and_json_emission(tmp_path, power_fit, power_series):
-    series, _, _ = power_series
-    rho = power_fit["eig"].rho
-    csv_path = tmp_path / "series.csv"
-    json_path = tmp_path / "scalars.json"
-    series_to_csv(series, csv_path)
-    scalars_to_json(rho, series.m, json_path, association=s.pt_association(series))
-    rows = csv_path.read_text().strip().splitlines()
-    assert rows[0] == "t,m,m_perm,m_trans"
-    assert len(rows) == series.m.size + 1
+def test_csv_and_json_emission(tmp_path, power_fit, power_prefs):
+    panel, fit = power_fit["panel"], power_fit["fit"]
+    # the panel as the CLI reads it: row t holds X_t and the growth realized over (t-1, t]
+    growth = [""] + [repr(float(g)) for g in panel.growth]
+    rows = [f"{float(x)!r},{g}" for x, g in zip(np.ravel(panel.states), growth)]
+    csv_path = tmp_path / "panel.csv"
+    csv_path.write_text("\n".join(["x1,G", *rows]) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["decompose", "--input", str(csv_path), "--state-cols", "x1",
+                     "--growth-col", "G", "--basis", "hermite", "--k", "8",
+                     "--preferences", "power", "--beta", repr(power_prefs.beta),
+                     "--gamma", repr(power_prefs.gamma), "--out", str(out)]) == 0
+    series = s.pt_series(fit.eig.rho, fit.sample.phi_t, fit.sample.phi_t1, fit.m)
+    lines = (out / "series.csv").read_text().strip().splitlines()
+    assert lines[0] == "t,m,m_perm,m_trans"
+    assert len(lines) == series.m.size + 1
     # 17 significant digits round-trip losslessly
-    t, m, mp, mt = rows[1].split(",")
-    assert float(m) == series.m[0] and float(mp) == series.m_perm[0]
-    payload = json.loads(json_path.read_text())
+    _, m0, mp0, _ = lines[1].split(",")
+    assert float(m0) == series.m[0] and float(mp0) == series.m_perm[0]
+    payload = json.loads((out / "scalars.json").read_text())
     assert list(payload) == ["rho", "yield_y", "entropy_L", "sdf_entropy", "horizon_dependence",
-                             "association"]
-    lr = s.long_run_stack(rho, series.m)
-    assert payload["rho"] == rho and payload["yield_y"] == lr["y"]
+                             "association", "n", "basis", "k", "fallback", "se_rho", "v_L",
+                             "nw_bandwidth"]
+    lr = s.long_run_stack(fit.eig.rho, series.m)
+    assert payload["rho"] == fit.eig.rho and payload["yield_y"] == lr["y"]
     assert payload["entropy_L"] == lr["L"] and payload["sdf_entropy"] == lr["sdf_entropy"]
+    assert payload["association"] == s.pt_association(series)

@@ -27,8 +27,8 @@ def test_recursive_decompose_evaluates_the_basis_once_per_point_set(testbed, eva
     panel = s.simulate_ar1(testbed, 400, np.random.default_rng(4))
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
     design = s.Design(basis, panel)
-    res = s.decompose_panel(design, s.RecursiveUtility(beta=0.994, gamma=15.0))
-    assert res.fit.fixed_point.reason == "" and not res.fit.reason
+    fit = s.fit_panel(design, s.RecursiveUtility(beta=0.994, gamma=15.0))
+    assert fit.fixed_point.reason == "" and not fit.reason
     assert evaluations == [panel.n, panel.n]
     # each point set's values are an array of their own
     assert not np.shares_memory(design.b0, design.b1)

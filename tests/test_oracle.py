@@ -117,6 +117,25 @@ def test_unconverged_power_iteration_is_named(tmp_path, capsys):
     assert not (out / "mc_table.csv").exists()
 
 
+def test_long_run_measure_off_the_grid_is_named(tmp_path, capsys):
+    # at kappa = 0.95 the eigenfunction exp(a x), a = -gamma kappa / (1 - kappa),
+    # puts nearly all of the long-run measure on the outermost nodes: the
+    # 80-node rho is 100.5 against 83.0 on 160 nodes
+    power = s.PowerUtility(0.994, 15.0)
+    with pytest.raises(ValueError, match="runs off its quadrature grid"):
+        s.quadrature_eig(s.Ar1Design(mu=0.005, kappa=0.95, sigma=0.01), power, 80)
+    sol = s.quadrature_eig(s.Ar1Design(mu=0.005, kappa=0.9, sigma=0.01), power, 80)
+    assert sol.rho == pytest.approx(2.84051, rel=1e-5)
+    config = tmp_path / "mc.json"
+    config.write_text(json.dumps({"mc": {"kappa": 0.95}}))
+    out = tmp_path / "o"
+    status = main(["mc", "--config", str(config), "--reps", "20", "--sizes", "400",
+                   "--out", str(out)])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert status == 1 and len(errors) == 1 and "quadrature grid" in errors[0]
+    assert not (out / "mc_table.csv").exists()
+
+
 def _longdouble_perron_root(kernel: np.ndarray) -> np.longdouble:
     """The Perron root of a double kernel by a two-sided power iteration in long double."""
     K = kernel.astype(np.longdouble)

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import sdfspectral as s
-from sdfspectral import simkit
+from sdfspectral import cli, simkit
 from sdfspectral.pfeig import _row
 
 
@@ -172,15 +173,17 @@ def test_mc_half_sample_stability(small_table, testbed, power_prefs):
 
 
 def test_mc_csv_and_metadata(tmp_path, small_table):
-    _, table = small_table
-    from sdfspectral.simkit import write_mc_outputs
-
-    write_mc_outputs(table, tmp_path)
+    design, table = small_table
+    # the mc command's defaults are the small table's design
+    assert cli.main(["mc", "--design", "power", "--basis", "hermite", "--k", "8",
+                     "--reps", str(design.replications), "--sizes", "400,1600",
+                     "--seed", str(design.seed), "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "mc_table.csv").read_text().strip().splitlines()
     assert lines[0] == "design,basis,n,statistic,bias,rmse,replications,excluded,flagged"
     assert len(lines) == 1 + len(table.cells)
-    import json
-
+    rows = [line.split(",") for line in lines[1:]]
+    rmse = {(int(row[2]), row[3]): float(row[5]) for row in rows}
+    assert rmse == {key: cell.rmse for key, cell in table.cells.items()}
     meta = json.loads((tmp_path / "mc_table_meta.json").read_text())
     assert meta["seed"] == 1 and meta["replications"] == 200
 
@@ -216,7 +219,7 @@ def test_mc_sieve_dimension_is_that_of_the_built_basis(spec, k, testbed, power_p
     design = s.McDesign(ar1=testbed, preferences=power_prefs, sample_sizes=(12,),
                         replications=8, basis_spec=spec, seed=1)
     assert spec.build(np.arange(5.0)).dimension_k == k
-    assert s.run_mc_study(design).metadata()["k"] == k
+    assert s.run_mc_study(design).k == k
     assert blocks == [3, 3, 2]
 
 

@@ -8,14 +8,16 @@ bench/workloads.py, a copy of the bootstrap panel with an observed SDF
 column m = beta G^(-gamma), the decompose settings as a JSON config
 file, a JSON config file with a negative Monte Carlo persistence, a
 power-utility panel whose fitted eigenfunction changes sign on the
-sample, the first 60 transition pairs of the bootstrap panel, a panel
-whose state takes eight distinct values (so the log permanent and
-transitory series are heavily tied, and a sieve of nine functions needs
-the SPD ridge) and a messy copy of the bootstrap panel (CRLF rows, a
-blank line, padded cells, exponent notation). It runs each argument
-vector below once per tree, each in a fresh
-``python`` process writing to an empty output directory (the same path
-for both trees, as provenance.json records it). Exit
+sample, a 30-pair panel whose k = 12 pencil has no positive real
+eigenvalue (so decompose takes the constant fallback), the first 60
+transition pairs of the bootstrap panel, a panel whose state takes
+eight distinct values (so the log permanent and transitory series are
+heavily tied, and a sieve of nine functions needs the SPD ridge) and a
+messy copy of the bootstrap panel (CRLF rows, a blank line, padded
+cells, exponent notation). It runs each argument vector below once per
+tree, each in a fresh ``python`` process writing to an empty output
+directory (the same path for both trees, as provenance.json records
+it). Exit
 statuses and every output file are compared by bytes; JSON files are
 compared after dropping the top-level ``elapsed_seconds`` key. Prints
 each difference and exits 1 if there is any. For a CSV or JSON file that
@@ -102,6 +104,13 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
         workloads._write_csv(str(path), {"g": states}, {"G": np.exp(states[1:])})
         return str(path)
 
+    def fallback_panel() -> str:
+        """31 states of the bootstrap workload's law whose k = 12 pencil has no positive real eigenvalue."""
+        states = workloads._ar1_states(workloads._rng(39, "bootstrap"), 800)[:31]
+        path = work / "panel_fallback.csv"
+        workloads._write_csv(str(path), {"g": states}, {"G": np.exp(states[1:])})
+        return str(path)
+
     def discrete_panel() -> str:
         """A panel of the bootstrap workload's law, its state rounded to 0.01 (eight values)."""
         states = np.round(workloads._ar1_states(workloads._rng(1, "bootstrap"), 800), 2)
@@ -181,6 +190,9 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     # a flagged fit: bootstrap writes its outputs and exits 2, decompose exits 1
     cases["bootstrap_sign_change"] = [*bootstrap, "--input", sign_change_panel()]
     cases["decompose_sign_change"] = ["decompose", *cases["bootstrap_sign_change"][1:]]
+    # the constant fallback: decompose writes its outputs with rho = 1 and exits 2
+    cases["decompose_fallback"] = ["decompose", *bootstrap[1:], "--input", fallback_panel(),
+                                   "--k", "12"]
     # tied ranks in the association statistics; k = 4 stays below the eight state values
     discrete = discrete_panel()
     cases["decompose_discrete"] = ["decompose", *bootstrap[1:], "--input", discrete, "--k", "4"]
