@@ -18,8 +18,8 @@ design = s.McDesign(
 )
 table = s.run_mc_study(design)
 
-print(f"design: {table.design_kind}, basis: {table.basis_family}, "
-      f"replications: {table.replications}")
+print(f"design: {design.preferences.kind}, basis: {design.basis_spec.family}, "
+      f"replications: {design.replications}")
 print(f"truths: rho={table.truths['rho']:.5f}, y={table.truths['y']:.5f}, "
       f"L={table.truths['L']:.5f}\n")
 print(f"{'n':>6} {'stat':>9} {'bias':>10} {'rmse':>10}")

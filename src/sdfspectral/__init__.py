@@ -24,7 +24,7 @@ from .inference import (
     default_bandwidth,
     variance_entropy,
 )
-from .oracle import Ar1Design, QuadratureOperator, QuadratureSolution, quadrature_eig
+from .oracle import Ar1Design, QuadratureSolution, quadrature_eig
 from .pipeline import bootstrap_statistic, fit_panel
 from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import Design, StatePanel, estimate_gram, estimate_pricing
@@ -41,7 +41,7 @@ __all__ = [
     # inference
     "BootstrapResult", "bootstrap_ci", "default_bandwidth", "variance_entropy",
     # oracle
-    "Ar1Design", "QuadratureOperator", "QuadratureSolution", "quadrature_eig",
+    "Ar1Design", "QuadratureSolution", "quadrature_eig",
     # pipeline
     "bootstrap_statistic", "fit_panel",
     # preferences

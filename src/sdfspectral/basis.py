@@ -212,7 +212,8 @@ class BasisSpec:
         keeps the tuples of total degree below ``cap``, and reduces each
         column alone for its moments.
 
-        Raises ValueError on a spec its family cannot build, fewer than two
+        Raises ValueError on a spec its family cannot build (a polynomial
+        degree above 170 among them), fewer than two
         observations or than k (B-spline), a coordinate with zero sample
         variance (named), or ties that leave duplicate knots.
         """
@@ -252,6 +253,9 @@ class BasisSpec:
             degree, blocks = self.degree, [x[:, j:j + 1] for j in range(d)]
         else:
             raise ValueError(f"unknown basis family {self.family!r}")
+        if degree > 170:  # sqrt(j!) is a float up to j = 170
+            raise ValueError(f"{self.family} basis degree {degree} is above 170, "
+                             "the largest whose scale sqrt(degree!) is a float")
         # Hermite reduces the whole sample at once and sparse each column alone;
         # the two reductions can differ in the last bit, so each keeps its own
         if n < 2:

@@ -110,7 +110,6 @@ SETTINGS = (
     Setting("--boot-b", "bootstrap.b", int, 1000, "bootstrap replications"),
     Setting("--block", "bootstrap.expected_block", float, 6.0, "expected bootstrap block length"),
     Setting("--level", "bootstrap.level", float, 0.90, "confidence level, e.g. 0.90"),
-    Setting(None, "bootstrap.seed", int, help="resampling seed; seed when absent"),
     Setting("--seed", "seed", int),
     Setting("--out", "out_dir", str, help="output directory"),
     Setting("--reps", "mc.reps", int, 2000, "MC replications"),
@@ -600,8 +599,7 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
     b = int(_value(cfg, "bootstrap.b"))
     block = float(_value(cfg, "bootstrap.expected_block"))
     level = float(_value(cfg, "bootstrap.level"))
-    seed = int(_value(cfg, "bootstrap.seed", cfg.seed))
-    boot = bootstrap_ci(bootstrap_statistic(design, prefs), panel.n, b, block, level, seed)
+    boot = bootstrap_ci(bootstrap_statistic(design, prefs), panel.n, b, block, level, cfg.seed)
 
     point = {stat: float(v) for stat, v in long_run_stack(fit.eig.rho, fit.m).items()}
     if fit.fixed_point is not None:
@@ -612,7 +610,7 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
              "ci_hi": boot.ci_hi.get(stat)} for stat, estimate in point.items()]
     _write_summary_csv(os.path.join(cfg.out_dir, "summary.csv"), rows, level=level)
     write_json(os.path.join(cfg.out_dir, "bootstrap.json"), {
-        "b": b, "expected_block": block, "level": level, "seed": seed,
+        "b": b, "expected_block": block, "level": level, "seed": cfg.seed,
         "discarded": boot.discarded,
         # the reported reasons in their order, then any other reason that occurred
         "discard_reasons": {**dict.fromkeys(DISCARD_REASONS, 0), **boot.discard_reasons},
@@ -641,14 +639,14 @@ def _cmd_mc(cfg: RunConfig) -> int:
     write_csv(os.path.join(cfg.out_dir, "mc_table.csv"),
               ["design", "basis", "n", "statistic", "bias", "rmse", "replications", "excluded",
                "flagged"],
-              [[table.design_kind] * len(keys), [table.basis_family] * len(keys),
+              [[design.preferences.kind] * len(keys), [design.basis_spec.family] * len(keys),
                [n for n, _ in keys], [stat for _, stat in keys],
                [cell.bias for cell in cells], [cell.rmse for cell in cells],
-               [table.replications] * len(keys), [table.excluded.get(n, 0) for n, _ in keys],
+               [design.replications] * len(keys), [table.excluded.get(n, 0) for n, _ in keys],
                [int(cell.flagged) for cell in cells]])
     write_json(os.path.join(cfg.out_dir, "mc_table_meta.json"), {
-        "design": table.design_kind, "basis": table.basis_family, "k": table.k,
-        "replications": table.replications, "seed": table.seed,
+        "design": design.preferences.kind, "basis": design.basis_spec.family, "k": table.k,
+        "replications": design.replications, "seed": design.seed,
         "excluded": {str(n): count for n, count in table.excluded.items()},
         "truths": table.truths, "elapsed_seconds": table.elapsed_seconds,
     })

@@ -140,8 +140,6 @@ class BootstrapResult:
     replicates: dict[str, np.ndarray]
     ci_lo: dict[str, float]
     ci_hi: dict[str, float]
-    level: float
-    expected_block: float
     discarded: int
     b_total: int = 0
     discard_reasons: dict[str, int] = field(default_factory=dict)
@@ -212,8 +210,6 @@ def bootstrap_ci(
         replicates=replicates,
         ci_lo=ci_lo,
         ci_hi=ci_hi,
-        level=level,
-        expected_block=expected_block,
         discarded=discarded,
         b_total=b,
         discard_reasons=discard_reasons,

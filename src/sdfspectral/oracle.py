@@ -42,27 +42,6 @@ class Ar1Design:
         return self.sigma / math.sqrt(1.0 - self.kappa**2)
 
 
-@dataclass(frozen=True)
-class QuadratureOperator:
-    """Dense discretization of the pricing operator on a stationary grid.
-
-    ``kernel[i, j]`` approximates the operator so that (K psi)(x_i) is
-    kernel @ psi; ``weights`` integrate against the stationary law and sum
-    to one. ``transition`` is the plain conditional-expectation matrix and
-    ``sdf`` the per-pair SDF values m(x_i, x_j).
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    kernel: np.ndarray
-    transition: np.ndarray
-    sdf: Optional[np.ndarray] = None
-
-    def pair_mean(self, vals_ij: np.ndarray) -> float:
-        """Stationary mean of a function of the transition pair (x_i, x_j)."""
-        return float(self.weights @ np.sum(self.transition * vals_ij, axis=1))
-
-
 def stationary_grid(design: Ar1Design, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes/weights for the stationary law N(mu, sigma_x^2)."""
     u, w = hermgauss(q)
@@ -92,25 +71,26 @@ def transition_matrix(
 
 @dataclass(frozen=True)
 class QuadratureSolution:
-    """Population eigen objects on the quadrature grid."""
+    """The discretized pricing operator and its population eigen objects on a stationary grid.
 
+    ``kernel[i, j]`` approximates the operator so that (K psi)(x_i) is
+    kernel @ psi; ``weights`` integrate against the stationary law and sum
+    to one; ``transition`` is the plain conditional-expectation matrix.
+    ``lam`` and ``chi`` are the value-recursion eigenpair of recursive
+    preferences, None under power utility.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    kernel: np.ndarray
+    transition: np.ndarray
     rho: float
     phi: np.ndarray
     phi_star: np.ndarray
-    operator: QuadratureOperator
+    yield_y: float
+    entropy_L: float
     lam: Optional[float] = None
     chi: Optional[np.ndarray] = None
-    yield_y: float = 0.0
-    entropy_L: float = 0.0
-    sdf_entropy: float = 0.0
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.operator.nodes
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.operator.weights
 
 
 def _power_iteration(step, weights, tol: float, max_iter: int, what: str) -> np.ndarray:
@@ -198,9 +178,7 @@ def quadrature_eig(
     lam = None
     chi = None
     if isinstance(sdf_spec, PowerUtility):
-        m_pair = sdf_spec.beta * np.exp(-sdf_spec.gamma * nodes)[None, :] * np.ones(
-            (q_nodes, 1)
-        )
+        m_pair = sdf_spec.beta * np.exp(-sdf_spec.gamma * nodes)[None, :]
     elif isinstance(sdf_spec, RecursiveUtility):
         lam, chi = _recursive_grid_solution(
             sdf_spec.beta, sdf_spec.gamma, nodes, weights, P
@@ -216,9 +194,6 @@ def quadrature_eig(
     kernel = m_pair * P
     if not np.all(np.isfinite(kernel)):
         raise ValueError("the oracle's quadrature kernel is not finite; the AR(1) law is too extreme")
-    op = QuadratureOperator(
-        nodes=nodes, weights=weights, kernel=kernel, transition=P, sdf=m_pair
-    )
     rho, phi, phi_star = _largest_real_pair(kernel, weights)
     # The long-run density w phi phi* sums to one on the grid. Where the grid
     # carries it, the two outermost nodes at each end hold far below 1e-12 of
@@ -230,17 +205,18 @@ def quadrature_eig(
         raise ValueError("the oracle's long-run measure runs off its quadrature grid; "
                          "the AR(1) law is too persistent")
 
-    log_m = np.log(m_pair)
-    mean_log_m = op.pair_mean(log_m)
-    mean_m = op.pair_mean(m_pair)
+    # the stationary mean of log m over transition pairs (x_i, x_j)
+    mean_log_m = float(weights @ np.sum(P * np.log(m_pair), axis=1))
     return QuadratureSolution(
+        nodes=nodes,
+        weights=weights,
+        kernel=kernel,
+        transition=P,
         rho=rho,
         phi=phi,
         phi_star=phi_star,
-        operator=op,
-        lam=lam,
-        chi=chi,
         yield_y=-math.log(rho),
         entropy_L=math.log(rho) - mean_log_m,
-        sdf_entropy=math.log(mean_m) - mean_log_m,
+        lam=lam,
+        chi=chi,
     )

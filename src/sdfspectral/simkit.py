@@ -133,22 +133,12 @@ class McCell:
 class McTable:
     """Bias/RMSE per (sample size, statistic), with exclusion counts."""
 
-    design_kind: str
-    basis_family: str
     k: int  # the fitted sieve dimension
-    replications: int
-    seed: int
     cells: dict[tuple[int, str], McCell] = field(default_factory=dict)
     excluded: dict[int, int] = field(default_factory=dict)
     truths: dict[str, float] = field(default_factory=dict)
     se_summary: dict[int, dict[str, float]] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
-
-    def bias(self, n: int, stat: str) -> float:
-        return self.cells[(n, stat)].bias
-
-    def rmse(self, n: int, stat: str) -> float:
-        return self.cells[(n, stat)].rmse
 
 
 #: a replicate's record, in this order: its scalars, and its functions on the quadrature nodes
@@ -271,14 +261,7 @@ def run_mc_study(design: McDesign) -> McTable:
         truths["lambda"] = truth.lam
     stats = ["rho", "y", "L", "phi", "phi_star"] + (["lambda", "chi"] if recursive else [])
 
-    table = McTable(
-        design_kind=design.preferences.kind,
-        basis_family=design.basis_spec.family,
-        k=k,
-        replications=design.replications,
-        seed=design.seed,
-        truths=truths,
-    )
+    table = McTable(k=k, truths=truths)
 
     for n in design.sample_sizes:
         scalars, funcs = _run_block(design, n, range(design.replications), truth.nodes)
@@ -299,9 +282,11 @@ def run_mc_study(design: McDesign) -> McTable:
             table.cells[(n, s)] = McCell(
                 bias=bias, rmse=rmse, flagged=len(vals) < 0.90 * design.replications
             )
+        rho = _kept(records["rho"])
         table.se_summary[n] = {
             "median_plugin_se_rho": float(np.median(_kept(records["se_rho"]))),
-            "mc_sd_rho": float(np.std(_kept(records["rho"]), ddof=1)),
+            # a sample standard deviation needs two replicates
+            "mc_sd_rho": float(np.std(rho, ddof=1)) if rho.size > 1 else np.nan,
         }
 
     table.elapsed_seconds = time.monotonic() - t_start

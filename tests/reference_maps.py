@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from sdfspectral.basis import SieveBasis
-from sdfspectral.oracle import Ar1Design, QuadratureOperator, stationary_grid, transition_matrix
+from sdfspectral.oracle import Ar1Design, QuadratureSolution, stationary_grid, transition_matrix
 from sdfspectral.sievemat import Design
 from sdfspectral.valuefn import _growth_weights
 
@@ -65,16 +65,16 @@ def affine_power_utility_solution(
 
 
 def population_sieve_matrices(
-    op: QuadratureOperator, basis
+    sol: QuadratureSolution, basis
 ) -> tuple[np.ndarray, np.ndarray]:
     """Population Gram and pricing matrices of a basis under the grid operator.
 
     The counterparts of the sample matrices: G = E[b b'] and
     M = E[b(X) m b(X')'], both integrated on the quadrature grid.
     """
-    B = basis.evaluate_many(op.nodes)
-    WB = op.weights[:, None] * B
-    return B.T @ WB, B.T @ (op.weights[:, None] * (op.kernel @ B))
+    B = basis.evaluate_many(sol.nodes)
+    WB = sol.weights[:, None] * B
+    return B.T @ WB, B.T @ (sol.weights[:, None] * (sol.kernel @ B))
 
 
 def population_nonlinear_map(

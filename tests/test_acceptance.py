@@ -55,9 +55,9 @@ def mc_recursive(testbed, recursive_prefs):
 
 
 def test_criterion_1_power_utility_table(mc_power):
-    rmse_400 = mc_power.rmse(400, "rho")
-    rmse_3200 = mc_power.rmse(3200, "rho")
-    bias_400 = mc_power.bias(400, "rho")
+    rmse_400 = mc_power.cells[(400, "rho")].rmse
+    rmse_3200 = mc_power.cells[(3200, "rho")].rmse
+    bias_400 = mc_power.cells[(400, "rho")].bias
     ok = (
         0.030 <= rmse_400 <= 0.042
         and 0.013 <= rmse_3200 <= 0.019
@@ -76,8 +76,8 @@ def test_criterion_1_power_utility_table(mc_power):
 
 
 def test_criterion_2_recursive_table(mc_recursive):
-    rmse_800 = mc_recursive.rmse(800, "lambda")
-    rmse_3200 = mc_recursive.rmse(3200, "lambda")
+    rmse_800 = mc_recursive.cells[(800, "lambda")].rmse
+    rmse_3200 = mc_recursive.cells[(3200, "lambda")].rmse
     ok = 0.024 <= rmse_800 <= 0.040 and 0.010 <= rmse_3200 <= 0.015
     _report(
         "2 (recursive-preference eigenvalue table)",
@@ -96,7 +96,7 @@ def test_criterion_3_bspline_function_table(testbed, power_prefs):
         basis_spec=s.BasisSpec(family="bspline", k=8), seed=SEED_BSPLINE,
     )
     table = s.run_mc_study(design)
-    rmse_phi = table.rmse(400, "phi")
+    rmse_phi = table.cells[(400, "phi")].rmse
     ok = 0.09 <= rmse_phi <= 0.14
     _report(
         "3 (B-spline eigenfunction recovery)",
@@ -109,14 +109,13 @@ def test_criterion_3_bspline_function_table(testbed, power_prefs):
 def test_criterion_4_oracle_agreement(testbed, power_prefs, quad_power):
     aff = affine_power_utility_solution(testbed, power_prefs.beta, power_prefs.gamma)
     rel = abs(quad_power.rho - aff.rho) / aff.rho
-    op = quad_power.operator
-    w, rho = op.weights, quad_power.rho
-    psi = op.nodes.copy()
+    w, rho = quad_power.weights, quad_power.rho
+    psi = quad_power.nodes.copy()
     target = float(w @ (psi * quad_power.phi_star)) * quad_power.phi
     cur = psi.copy()
     errs = []
     for t in range(1, 41):
-        cur = op.kernel @ cur
+        cur = quad_power.kernel @ cur
         errs.append(math.sqrt(float(w @ (cur / rho**t - target) ** 2)))
     logs = np.log(errs)
     t_grid = np.arange(1, 41)

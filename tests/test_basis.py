@@ -92,6 +92,16 @@ def test_stack_rows_without_sample_variance_fail():
     assert np.isnan(values[1:]).all() and np.isfinite(values[0]).all()
 
 
+def test_polynomial_degree_above_170_is_named():
+    # the scale sqrt(171!) of He_171 is no float
+    with pytest.raises(ValueError, match="degree 171"):
+        BasisSpec(family="hermite", k=172).build(DATA)
+    with pytest.raises(ValueError, match="degree 171"):
+        BasisSpec(family="sparse", degree=171, cap=3).build(DATA)
+    assert BasisSpec(family="hermite", degree=170).build(DATA).dimension_k == 171
+    assert BasisSpec(family="sparse", degree=170, cap=3).build(DATA).dimension_k == 3
+
+
 def test_hermite_needs_two_observations():
     with pytest.raises(ValueError):
         BasisSpec(family="hermite", degree=3).build(np.array([1.0]))

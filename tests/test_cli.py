@@ -102,6 +102,20 @@ def test_decompose_round_trip(tmp_path, sim_panel):
     np.testing.assert_allclose(com, phi * phs, rtol=1e-12)
 
 
+def test_degree_above_170_exits_1_without_traceback(tmp_path, sim_panel):
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states, growth=sim_panel.growth)
+    out = tmp_path / "out"
+    argv = ["decompose", "--input", str(csv_path), "--state-cols", "x1", "--growth-col", "G",
+            "--basis", "hermite", "--k", "172", "--preferences", "power", "--beta", "0.994",
+            "--gamma", "15", "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "sdfspectral.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "degree 171" in lines[0]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_decompose_errors(tmp_path, sim_panel, capsys):
     csv_path = _write_panel_csv(tmp_path / "p.csv", sim_panel.states,
                                 growth=sim_panel.growth)
@@ -393,7 +407,8 @@ def test_each_setting_from_flag_or_file(tmp_path, capsys, setting):
 
 
 @pytest.mark.parametrize("section, key", [("preferences", "Mode"), ("bootstrap", "B"),
-                                          ("mc", "rep"), ("basis", "bogus")])
+                                          ("mc", "rep"), ("basis", "bogus"),
+                                          ("bootstrap", "seed")])
 def test_unknown_key_in_a_section_exits_1(tmp_path, capsys, section, key):
     out = tmp_path / "out"
     path = tmp_path / "cfg.json"
@@ -619,8 +634,8 @@ def test_mc_command_smoke(tmp_path, testbed):
     table = s.run_mc_study(design)
     by_stat = {r["statistic"]: r for r in rows}
     for stat in ("rho", "y", "L"):
-        assert float(by_stat[stat]["rmse"]) == table.rmse(400, stat)
-        assert float(by_stat[stat]["bias"]) == table.bias(400, stat)
+        assert float(by_stat[stat]["rmse"]) == table.cells[(400, stat)].rmse
+        assert float(by_stat[stat]["bias"]) == table.cells[(400, stat)].bias
     # mc refuses an input CSV
     assert main(["mc", "--input", "x.csv", "--out", str(out)]) == 1
 
@@ -673,7 +688,7 @@ def test_import_loads_no_scipy():
 
 
 def test_all_names_public_objects_not_modules():
-    assert len(s.__all__) == len(set(s.__all__)) == 34
+    assert len(s.__all__) == len(set(s.__all__)) == 33
     for name in s.__all__:
         assert not isinstance(getattr(s, name), types.ModuleType), name
 

@@ -53,7 +53,7 @@ def test_quadrature_normalizations_and_positivity(quad_power):
     assert w @ (quad_power.phi * quad_power.phi_star) == pytest.approx(1.0, rel=1e-12)
     assert (quad_power.phi > 0).all() and (quad_power.phi_star > 0).all()
     # transition rows integrate the constant function to one
-    rows = quad_power.operator.transition.sum(axis=1)
+    rows = quad_power.transition.sum(axis=1)
     np.testing.assert_allclose(rows, 1.0, atol=1e-8)
 
 
@@ -163,20 +163,19 @@ def test_perron_root_within_4_eps_of_extended_precision(kappa):
     for prefs in (s.PowerUtility(0.994, 15.0), s.PowerUtility(0.994, 5.0),
                   s.RecursiveUtility(0.994, 15.0)):
         sol = s.quadrature_eig(design, prefs, 80)
-        ref = _longdouble_perron_root(sol.operator.kernel)
+        ref = _longdouble_perron_root(sol.kernel)
         assert abs(np.longdouble(sol.rho) - ref) <= 4 * np.finfo(float).eps * ref, prefs
 
 
 def test_long_run_one_factor_approximation(quad_power):
     # rho^-t M^t psi converges to E[psi phi*] phi geometrically in t
-    op = quad_power.operator
-    w, rho = op.weights, quad_power.rho
-    psi = op.nodes.copy()  # psi(x) = x
+    w, rho = quad_power.weights, quad_power.rho
+    psi = quad_power.nodes.copy()  # psi(x) = x
     target = float(w @ (psi * quad_power.phi_star)) * quad_power.phi
     cur = psi.copy()
     errs = []
     for t in range(1, 41):
-        cur = op.kernel @ cur
+        cur = quad_power.kernel @ cur
         errs.append(math.sqrt(float(w @ (cur / rho**t - target) ** 2)))
     errs = np.array(errs)
     assert errs[-1] < 1e-6 * errs[0]
@@ -190,11 +189,14 @@ def test_long_run_one_factor_approximation(quad_power):
 
 
 def test_pair_mean_and_lr_mean(quad_power):
-    op = quad_power.operator
-    assert float(op.weights @ np.ones(op.nodes.size)) == pytest.approx(1.0, rel=1e-12)
-    assert op.pair_mean(np.ones((op.nodes.size, op.nodes.size))) == pytest.approx(
-        1.0, abs=1e-8
-    )
+    w, nodes = quad_power.weights, quad_power.nodes
+
+    def pair_mean(vals_ij):
+        """Stationary mean of a function of the transition pair (x_i, x_j)."""
+        return float(w @ np.sum(quad_power.transition * vals_ij, axis=1))
+
+    assert float(w @ np.ones(nodes.size)) == pytest.approx(1.0, rel=1e-12)
+    assert pair_mean(np.ones((nodes.size, nodes.size))) == pytest.approx(1.0, abs=1e-8)
     # stationary mean of x' via pairs equals the stationary mean of x
-    pair_vals = np.tile(op.nodes, (op.nodes.size, 1))
-    assert op.pair_mean(pair_vals) == pytest.approx(float(op.weights @ op.nodes), abs=1e-10)
+    pair_vals = np.tile(nodes, (nodes.size, 1))
+    assert pair_mean(pair_vals) == pytest.approx(float(w @ nodes), abs=1e-10)

@@ -124,7 +124,7 @@ def test_monotone_consistency_in_k(testbed, power_prefs, quad_power):
     errs = []
     for k in (4, 6, 8, 12):
         basis = hermite_basis(testbed.mu, testbed.stationary_std, k - 1)
-        G, M = population_sieve_matrices(quad_power.operator, basis)
+        G, M = population_sieve_matrices(quad_power, basis)
         st = _solve(M, G)
         assert st.reason[0] == ""
         errs.append(abs(st.rho[0] - truth.rho))

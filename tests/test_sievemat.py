@@ -141,7 +141,7 @@ def test_large_sample_matches_quadrature_oracle(testbed, power_prefs, quad_power
     design = s.Design(basis, panel)
     G = s.estimate_gram(design)
     M = s.estimate_pricing(design, m)
-    G_pop, M_pop = population_sieve_matrices(quad_power.operator, basis)
+    G_pop, M_pop = population_sieve_matrices(quad_power, basis)
     np.testing.assert_allclose(G, G_pop, atol=0.02)
     np.testing.assert_allclose(M, M_pop, atol=0.05)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,8 +143,8 @@ def small_table(testbed, power_prefs):
 
 def test_mc_rmse_declines_with_sample_size(small_table):
     _, table = small_table
-    assert table.rmse(1600, "rho") < table.rmse(400, "rho")
-    assert table.rmse(1600, "phi") < table.rmse(400, "phi")
+    assert table.cells[(1600, "rho")].rmse < table.cells[(400, "rho")].rmse
+    assert table.cells[(1600, "phi")].rmse < table.cells[(400, "phi")].rmse
 
 
 def test_mc_table_contents(small_table):
@@ -168,8 +169,8 @@ def test_mc_half_sample_stability(small_table, testbed, power_prefs):
     )
     half_table = s.run_mc_study(half)
     # jackknife scale for the RMSE of a mean-square statistic
-    full = table.rmse(400, "rho")
-    assert abs(half_table.rmse(400, "rho") - full) < 0.5 * full
+    full = table.cells[(400, "rho")].rmse
+    assert abs(half_table.cells[(400, "rho")].rmse - full) < 0.5 * full
 
 
 def test_mc_csv_and_metadata(tmp_path, small_table):
@@ -186,6 +187,20 @@ def test_mc_csv_and_metadata(tmp_path, small_table):
     assert rmse == {key: cell.rmse for key, cell in table.cells.items()}
     meta = json.loads((tmp_path / "mc_table_meta.json").read_text())
     assert meta["seed"] == 1 and meta["replications"] == 200
+
+
+def test_one_replicate_has_no_mc_sd_and_no_warning(testbed, power_prefs):
+    # a sample standard deviation needs two replicates
+    design = s.McDesign(
+        ar1=testbed, preferences=power_prefs, sample_sizes=(400,), replications=1,
+        basis_spec=s.BasisSpec(family="hermite", k=6), seed=1,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = s.run_mc_study(design)
+    assert table.excluded == {400: 0}
+    assert math.isnan(table.se_summary[400]["mc_sd_rho"])
+    assert math.isfinite(table.se_summary[400]["median_plugin_se_rho"])
 
 
 def test_mc_design_validation(testbed, power_prefs):
@@ -254,8 +269,8 @@ def test_mc_censors_failed_replicates_stage_wise(testbed, recursive_prefs, monke
     assert table.excluded == {200: 3} and len(fits) == 9
     rho = np.array([r for i, r in enumerate(fits) if i % 3 != 2])
     lam = np.array(lams)
-    assert table.bias(200, "rho") == np.mean(rho - table.truths["rho"])
-    assert table.bias(200, "lambda") == np.mean(lam - table.truths["lambda"])
+    assert table.cells[(200, "rho")].bias == np.mean(rho - table.truths["rho"])
+    assert table.cells[(200, "lambda")].bias == np.mean(lam - table.truths["lambda"])
     # 3 of 9 excluded is more than 10%, but only for the eigen statistics
     assert all(table.cells[(200, st)].flagged for st in ("rho", "y", "L", "phi", "phi_star"))
     assert not any(table.cells[(200, st)].flagged for st in ("lambda", "chi"))

@@ -19,7 +19,9 @@ tree, each in a fresh ``python`` process writing to an empty output
 directory (the same path for both trees, as provenance.json records
 it). Exit
 statuses and every output file are compared by bytes; JSON files are
-compared after dropping the top-level ``elapsed_seconds`` key. Prints
+compared after dropping the top-level ``elapsed_seconds`` key. A vector
+whose stderr holds a Python traceback on one tree and not the other is
+a difference too. Prints
 each difference and exits 1 if there is any. For a CSV or JSON file that
 differs, it also prints the largest relative difference |a - b| / max(|a|, |b|)
 over the numeric fields, or says that the two files' layouts differ.
@@ -201,14 +203,18 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
                                 "--k", "9", "--boot-b", "200"]
     # CRLF, a blank line, padded cells and exponent notation read as the plain panel does
     cases["decompose_messy_csv"] = ["decompose", *bootstrap[1:], "--input", messy_panel()]
+    # a Hermite degree of 171, whose sqrt(171!) is no float: exits 1 naming the degree
+    cases["decompose_high_degree"] = ["decompose", *bootstrap[1:], "--k", "172"]
     return cases
 
 
-def run(src: Path, argv: list[str], out: Path) -> int:
+def run(src: Path, argv: list[str], out: Path) -> tuple[int, bool]:
+    """The exit status of one run, and whether its stderr holds a traceback."""
     env = {**os.environ, **ENV, "PYTHONPATH": str(src)}
     cmd = [sys.executable, "-m", "sdfspectral.cli", *argv, "--out", str(out)]
-    return subprocess.run(cmd, env=env, cwd=out.parent, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    proc = subprocess.run(cmd, env=env, cwd=out.parent, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    return proc.returncode, "Traceback (most recent call last)" in proc.stderr
 
 
 def content(path: Path) -> bytes:
@@ -272,10 +278,14 @@ def numeric_report(a: Path, b: Path) -> str:
     return report + ("; text fields differ" if text_differs else "")
 
 
-def differences(name: str, status: tuple[int, int], outs: tuple[Path, Path]) -> list[str]:
+def differences(name: str, runs: tuple[tuple[int, bool], tuple[int, bool]],
+                outs: tuple[Path, Path]) -> list[str]:
     diffs = []
-    if status[0] != status[1]:
-        diffs.append(f"{name}: exit status {status[0]} at REV, {status[1]} here")
+    (status_rev, trace_rev), (status, trace) = runs
+    if status_rev != status:
+        diffs.append(f"{name}: exit status {status_rev} at REV, {status} here")
+    if trace_rev != trace:
+        diffs.append(f"{name}: a traceback on stderr {'at REV only' if trace_rev else 'here only'}")
     files = [{p.relative_to(out) for p in out.rglob("*") if p.is_file()} for out in outs]
     for f in sorted(files[0] ^ files[1]):
         diffs.append(f"{name}: {f} written {'at REV only' if f in files[0] else 'here only'}")
@@ -305,15 +315,15 @@ def main() -> int:
             # both trees write to the same path, which provenance.json records
             out = tmp / "out" / name
             outs = (tmp / "rev" / name, tmp / "here" / name)
-            status = []
+            runs = []
             for src, dest in zip(trees, outs):
                 out.mkdir(parents=True)
-                status.append(run(src, argv, out))
+                runs.append(run(src, argv, out))
                 dest.parent.mkdir(exist_ok=True)
                 out.rename(dest)
-            found = differences(name, tuple(status), outs)
+            found = differences(name, tuple(runs), outs)
             n_files += sum(1 for p in outs[1].rglob("*") if p.is_file())
-            print(f"{name}: exit {status[1]}, {'differs' if found else 'identical'}", flush=True)
+            print(f"{name}: exit {runs[1][0]}, {'differs' if found else 'identical'}", flush=True)
             diffs += found
     for d in diffs:
         print(d)
