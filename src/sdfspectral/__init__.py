@@ -10,7 +10,7 @@ inference via influence functions and the stationary bootstrap.
 __version__ = "0.1.0"
 
 from .basis import BasisSpec, SieveBasis
-from .calibrate import CalibrationResult, criterion, criterion_grid, estimate_preferences
+from .calibrate import CalibrationResult, criterion_grid, estimate_preferences
 from .decomp import (
     DecompSeries,
     change_of_measure,
@@ -35,7 +35,7 @@ __all__ = [
     # basis
     "BasisSpec", "SieveBasis",
     # calibrate
-    "CalibrationResult", "criterion", "criterion_grid", "estimate_preferences",
+    "CalibrationResult", "criterion_grid", "estimate_preferences",
     # decomp
     "DecompSeries", "change_of_measure", "long_run_stack", "pt_association", "pt_series",
     # inference

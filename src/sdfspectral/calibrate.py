@@ -65,8 +65,14 @@ def criterion_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Criterion values at P (beta, gamma) points, from one stacked value-recursion solve.
 
-    Returns the values and each point's INFEASIBLE_REASONS entry ("" where
-    feasible); an infeasible point has value +inf. The SDF series and the
+    ``design`` is the panel's solve design and ``instruments`` the design
+    of the instrument basis on the same panel; the criterion weights the
+    instrumented moments by the pseudo-inverse of the instruments' Gram
+    matrix. ``beta`` and ``gamma`` broadcast to the P points, so a single
+    point is P = 1. Returns the values and each point's
+    INFEASIBLE_REASONS entry ("" where feasible); an infeasible point, one
+    whose value recursion fails or whose continuation value is not
+    positive on the sample, has value +inf. The SDF series and the
     instrumented moments are formed as (n, points) arrays, MOMENT_BLOCK
     points at a time.
     """
@@ -90,29 +96,6 @@ def criterion_grid(
     return values, reason
 
 
-def criterion(
-    design: Design,
-    instruments: Design,
-    beta: float,
-    gamma: float,
-    infeasible: Optional[Counter] = None,
-) -> float:
-    """Instrumented Euler-equation criterion at fixed preferences.
-
-    ``design`` is the panel's solve design and ``instruments`` the design
-    of the instrument basis on the same panel; the criterion weights the
-    instrumented moments by the pseudo-inverse of the instruments' Gram
-    matrix. Returns +inf at an infeasible point, one whose value
-    recursion fails or whose continuation value is not positive on the
-    sample, and counts its reason into ``infeasible`` when given. This is
-    :func:`criterion_grid` at one point.
-    """
-    values, reason = criterion_grid(design, instruments, beta, gamma)
-    if infeasible is not None and reason[0]:
-        infeasible[reason[0]] += 1
-    return float(values[0])
-
-
 def estimate_preferences(
     design: Design,
     instruments: Design,
@@ -120,11 +103,12 @@ def estimate_preferences(
 ) -> CalibrationResult:
     """Minimize the criterion over (beta, gamma) in a box.
 
-    A coarse GRID_SHAPE grid, evaluated in one :func:`criterion_grid`
-    call, locates a feasible starting point; :func:`_nelder_mead`, which
-    follows scipy's bounded Nelder-Mead step for step, then polishes within
-    the bounds, one :func:`criterion` call per point; a box collapsed to
-    one point returns that point. Raises when every grid point is
+    A coarse GRID_SHAPE grid locates a feasible starting point;
+    :func:`_nelder_mead`, which follows scipy's bounded Nelder-Mead step
+    for step, then polishes within the bounds; a box collapsed to one
+    point returns that point. The grid is one :func:`criterion_grid` call
+    and each simplex point a one-point call, and every evaluated point is
+    traced and its reason counted alike. Raises when every grid point is
     infeasible (inner solver failed everywhere).
     """
     (b_lo, b_hi), (g_lo, g_hi) = bounds
@@ -133,11 +117,11 @@ def estimate_preferences(
     infeasible: Counter = Counter()
     trace: list[tuple[float, float, float]] = []
 
-    def objective(point) -> float:
-        b, g = float(point[0]), float(point[1])
-        val = criterion(design, instruments, b, g, infeasible)
-        trace.append((b, g, val))
-        return val
+    def evaluate(betas, gammas) -> np.ndarray:
+        values, reasons = criterion_grid(design, instruments, betas, gammas)
+        infeasible.update(reasons[reasons != ""].tolist())
+        trace.extend(zip(np.ravel(betas).tolist(), np.ravel(gammas).tolist(), values.tolist()))
+        return values
 
     nb, ng = GRID_SHAPE
     betas, gammas = (
@@ -145,15 +129,14 @@ def estimate_preferences(
             np.linspace(b_lo, b_hi, nb), np.linspace(g_lo, g_hi, ng), indexing="ij"
         )
     )
-    values, reasons = criterion_grid(design, instruments, betas, gammas)
-    infeasible.update(reasons[reasons != ""].tolist())
-    trace.extend((float(b), float(g), float(v)) for b, g, v in zip(betas, gammas, values))
+    values = evaluate(betas, gammas)
     # the first grid point of least value; NaN never wins
     best = int(np.argmin(np.where(np.isnan(values), math.inf, values)))
     if not math.isfinite(values[best]):
         raise RuntimeError("all grid points infeasible; inner solver failed everywhere")
     x, crit_val, success = _nelder_mead(
-        objective, np.array([betas[best], gammas[best]]),
+        lambda point: float(evaluate(*point)[0]),
+        np.array([betas[best], gammas[best]]),
         np.array([b_lo, g_lo]), np.array([b_hi, g_hi]),
     )
     beta_hat, gamma_hat = float(x[0]), float(x[1])

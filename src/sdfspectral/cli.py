@@ -105,8 +105,8 @@ SETTINGS = (
     Setting("--cap", "basis.cap", int, help="total-degree cap (sparse)"),
     Setting("--beta", "preferences.beta", float),
     Setting("--gamma", "preferences.gamma", float),
-    Setting("--preferences", "preferences.mode", ("power", "recursive", "estimate")),
-    Setting("--instrument-k", "preferences.instrument_k", int, help="instrument basis dimension"),
+    Setting("--preferences", "preferences.mode", ("power", "recursive")),
+    Setting("--instrument-k", "preferences.instrument_k", int, help="univariate instrument basis dimension"),
     Setting("--boot-b", "bootstrap.b", int, 1000, "bootstrap replications"),
     Setting("--block", "bootstrap.expected_block", float, 6.0, "expected bootstrap block length"),
     Setting("--level", "bootstrap.level", float, 0.90, "confidence level, e.g. 0.90"),
@@ -315,9 +315,10 @@ def read_panel_csv(cfg: RunConfig) -> StatePanel:
 
 
 def _preferences(cfg: RunConfig):
+    """The configured utility, or None where no preferences mode is set."""
     mode = cfg.preferences.get("mode")
-    if mode in (None, "estimate"):
-        return mode
+    if mode is None:
+        return None
     beta = cfg.preferences.get("beta")
     gamma = cfg.preferences.get("gamma")
     if beta is None or gamma is None:
@@ -455,9 +456,6 @@ def _exit_status(fit: FitStack) -> int:
 def _sdf_source(cfg: RunConfig, panel: StatePanel):
     """The fixed preferences that imply the SDF of a fit, or None for the panel's SDF column."""
     prefs = _preferences(cfg)
-    if prefs == "estimate":
-        raise CliError(f"{cfg.command} needs fixed preferences or an SDF column; "
-                       "run calibrate first")
     if prefs is None and panel.sdf_increments is None:
         raise CliError(f"no SDF column and no preferences; nothing to {cfg.command}")
     if prefs is not None and panel.growth is None:
@@ -543,18 +541,20 @@ def _cmd_value(cfg: RunConfig) -> int:
 
 
 def _instrument_basis(cfg: RunConfig, panel: StatePanel, solve_basis):
-    k_inst = _value(cfg, "preferences.instrument_k", min(6, solve_basis.dimension_k))
-    degree = max(0, k_inst - 1) if panel.state_dim == 1 else cfg.basis.get("degree", 2)
+    """Hermite instruments of instrument_k functions for a univariate state, else sparse ones."""
     if panel.state_dim == 1:
-        spec = BasisSpec(family="hermite", k=k_inst)
+        k_inst = _value(cfg, "preferences.instrument_k", min(6, solve_basis.dimension_k))
+        spec, advice = BasisSpec(family="hermite", k=k_inst), "lower instrument_k"
     else:
         # lower-order sparse instruments for multivariate states
-        spec = BasisSpec(family="sparse", degree=min(2, degree), cap=3)
+        spec = BasisSpec(family="sparse", degree=min(2, cfg.basis.get("degree", 2)), cap=3)
+        advice = (f"a multivariate state takes sparse instruments of degree {spec.degree} "
+                  "and cap 3, so raise the solve basis's degree or cap")
     b = spec.build(panel.states)
     if b.dimension_k > solve_basis.dimension_k:
         raise CliError(
             f"instrument dimension {b.dimension_k} exceeds solve dimension "
-            f"{solve_basis.dimension_k}; lower instrument_k"
+            f"{solve_basis.dimension_k}; {advice}"
         )
     return b
 
@@ -604,7 +604,7 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
     point = {stat: float(v) for stat, v in long_run_stack(fit.eig.rho, fit.m).items()}
     if fit.fixed_point is not None:
         point["lambda"] = fit.fixed_point.lam
-    if isinstance(prefs, (PowerUtility, RecursiveUtility)):
+    if prefs is not None:
         point.update(beta=prefs.beta, gamma=prefs.gamma)
     rows = [{"statistic": stat, "estimate": estimate, "ci_lo": boot.ci_lo.get(stat),
              "ci_hi": boot.ci_hi.get(stat)} for stat, estimate in point.items()]

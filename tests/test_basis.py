@@ -92,6 +92,36 @@ def test_stack_rows_without_sample_variance_fail():
     assert np.isnan(values[1:]).all() and np.isfinite(values[0]).all()
 
 
+def test_bspline_stack_censors_the_row_whose_knots_tie():
+    gen = np.random.default_rng(6)
+    samples = gen.normal(size=(3, 60))
+    samples[1, :50] = 0.0  # its interior knots, quantiles of the sample, coincide
+    points = np.linspace(-1.0, 1.0, 5)
+    spec = BasisSpec(family="bspline", k=7)
+    values, const, failed = spec.evaluate_stack(samples, points)
+    assert failed.tolist() == [False, True, False] and values.shape == (3, 65, 7)
+    assert np.isnan(values[1]).all()
+    for r in (0, 2):
+        basis = spec.build(samples[r])
+        at = np.concatenate([samples[r], points])
+        np.testing.assert_array_equal(values[r], basis.evaluate_many(at))
+        np.testing.assert_array_equal(const, basis.const_coeffs)
+
+
+@pytest.mark.parametrize("spec", [BasisSpec(family="bspline", k=7),
+                                  BasisSpec(family="hermite", k=4)],
+                         ids=["bspline_tied", "hermite_constant"])
+def test_stack_where_no_row_builds_has_no_columns(spec):
+    samples = np.zeros((3, 60))
+    if spec.family == "bspline":  # ties in every row, not constant ones
+        samples[:, 50:] = np.random.default_rng(7).normal(size=(3, 10))
+    else:
+        samples += np.arange(3.0)[:, None]
+    values, const, failed = spec.evaluate_stack(samples, np.zeros(2))
+    assert values.shape == (3, 62, 0) and const.shape == (0,)
+    assert failed.all()
+
+
 def test_polynomial_degree_above_170_is_named():
     # the scale sqrt(171!) of He_171 is no float
     with pytest.raises(ValueError, match="degree 171"):

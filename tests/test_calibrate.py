@@ -28,9 +28,10 @@ def test_criterion_zero_at_generating_parameters(testbed):
     panel, basis = _euler_exact_panel(testbed, beta0, gamma0)
     inst = s.BasisSpec(family="hermite", k=6).build(panel.states)
     design, instruments = s.Design(basis, panel), s.Design(inst, panel)
-    val = s.criterion(design, instruments, beta0, gamma0)
+    (val,), _ = s.criterion_grid(design, instruments, beta0, gamma0)
     assert val == pytest.approx(0.0, abs=1e-16)
-    assert s.criterion(design, instruments, beta0 + 0.01, gamma0 + 3.0) > 1e-6
+    (off,), _ = s.criterion_grid(design, instruments, beta0 + 0.01, gamma0 + 3.0)
+    assert off > 1e-6
 
 
 def test_criterion_invariant_to_instrument_reparameterization(testbed):
@@ -42,8 +43,8 @@ def test_criterion_invariant_to_instrument_reparameterization(testbed):
     inst_a = hermite_basis(mu, sd, 4)
     inst_b = hermite_basis(mu + 0.4 * sd, 1.8 * sd, 4)
     design = s.Design(basis, panel)
-    va = s.criterion(design, s.Design(inst_a, panel), 0.96, 12.0)
-    vb = s.criterion(design, s.Design(inst_b, panel), 0.96, 12.0)
+    (va,), _ = s.criterion_grid(design, s.Design(inst_a, panel), 0.96, 12.0)
+    (vb,), _ = s.criterion_grid(design, s.Design(inst_b, panel), 0.96, 12.0)
     assert va == pytest.approx(vb, rel=1e-10)
 
 
@@ -51,13 +52,13 @@ def test_criterion_needs_returns_and_small_instruments(testbed):
     panel = s.simulate_ar1(testbed, 100, np.random.default_rng(3))
     basis = s.BasisSpec(family="hermite", k=6).build(panel.states)
     with pytest.raises(ValueError, match="returns"):
-        s.criterion(s.Design(basis, panel), s.Design(basis, panel), 0.97, 5.0)
+        s.criterion_grid(s.Design(basis, panel), s.Design(basis, panel), 0.97, 5.0)
     with_r = s.StatePanel.from_states(
         panel.states, growth=panel.growth, returns=np.ones((panel.n, 1))
     )
     big_inst = s.BasisSpec(family="hermite", k=8).build(panel.states)
     with pytest.raises(ValueError, match="instrument"):
-        s.criterion(s.Design(basis, with_r), s.Design(big_inst, with_r), 0.97, 5.0)
+        s.criterion_grid(s.Design(basis, with_r), s.Design(big_inst, with_r), 0.97, 5.0)
 
 
 def test_criterion_nonnegative(testbed):
@@ -65,7 +66,8 @@ def test_criterion_nonnegative(testbed):
     inst = s.BasisSpec(family="hermite", k=5).build(panel.states)
     design, instruments = s.Design(basis, panel), s.Design(inst, panel)
     for beta, gamma in [(0.92, 3.0), (0.97, 10.0), (0.999, 40.0)]:
-        assert s.criterion(design, instruments, beta, gamma) >= 0.0
+        (val,), _ = s.criterion_grid(design, instruments, beta, gamma)
+        assert val >= 0.0
 
 
 def test_estimate_recovers_generating_parameters(testbed, monkeypatch):
@@ -80,7 +82,7 @@ def test_estimate_recovers_generating_parameters(testbed, monkeypatch):
     assert abs(res.gamma_hat - gamma0) < 1e-2
     assert res.inner_solution is not None and res.inner_solution.reason == ""
     # profiling consistency: the stored solution reproduces the criterion
-    again = s.criterion(design, instruments, res.beta_hat, res.gamma_hat)
+    (again,), _ = s.criterion_grid(design, instruments, res.beta_hat, res.gamma_hat)
     assert again == res.criterion_value
 
 
@@ -90,7 +92,8 @@ def test_collapsed_bounds_return_the_point(testbed):
     design, instruments = s.Design(basis, panel), s.Design(inst, panel)
     res = s.estimate_preferences(design, instruments, bounds=((0.95, 0.95), (7.0, 7.0)))
     assert res.beta_hat == 0.95 and res.gamma_hat == 7.0
-    assert res.criterion_value == s.criterion(design, instruments, 0.95, 7.0)
+    (val,), _ = s.criterion_grid(design, instruments, 0.95, 7.0)
+    assert res.criterion_value == val
 
 
 def test_all_infeasible_raises(monkeypatch):
@@ -145,7 +148,7 @@ def test_grid_values_equal_pointwise_criterion(testbed, monkeypatch):
     monkeypatch.setattr(calibrate, "GRID_SHAPE", (4, 5))
     res = s.estimate_preferences(design, instruments, bounds=((0.9, 0.9999), (1.0, 60.0)))
     grid = res.optimizer_trace[:20]
-    pointwise = np.array([s.criterion(design, instruments, b, g) for b, g, _ in grid])
+    pointwise = np.array([s.criterion_grid(design, instruments, b, g)[0][0] for b, g, _ in grid])
     values = np.array([v for _, _, v in grid])
     np.testing.assert_array_equal(np.isfinite(values), np.isfinite(pointwise))
     assert not np.isfinite(values).all() and np.isfinite(values).any()
@@ -161,8 +164,12 @@ def test_criterion_counts_infeasible_reasons(testbed):
     design, instruments = _overflowing_panel(testbed)
     counts = Counter()
     for beta, gamma in [(1.2, 5.0), (0.97, 55.0), (0.97, 40.0), (0.97, 10.0)]:
-        assert s.criterion(design, instruments, beta, gamma, counts) == math.inf
-    assert math.isfinite(s.criterion(design, instruments, 0.97, 1.0, counts))
+        (val,), reasons = s.criterion_grid(design, instruments, beta, gamma)
+        assert val == math.inf
+        counts.update(reasons[reasons != ""].tolist())
+    (val,), reasons = s.criterion_grid(design, instruments, 0.97, 1.0)
+    assert math.isfinite(val)
+    counts.update(reasons[reasons != ""].tolist())
     assert counts == {
         "invalid_parameters": 1, "growth_overflow": 1, "unconverged_value_recursion": 1,
         "nonpositive_continuation": 1,
@@ -205,7 +212,7 @@ def test_errors_inside_the_criterion_propagate(testbed, monkeypatch):
 
     monkeypatch.setattr(calibrate, "recursive_sdf_stack", broken)
     with pytest.raises(ValueError, match="broadcast"):
-        s.criterion(s.Design(basis, panel), s.Design(inst, panel), 0.97, 10.0)
+        s.criterion_grid(s.Design(basis, panel), s.Design(inst, panel), 0.97, 10.0)
     with pytest.raises(ValueError, match="broadcast"):
         s.estimate_preferences(s.Design(basis, panel), s.Design(inst, panel))
 
@@ -311,9 +318,9 @@ def test_polish_equals_scipy_from_the_best_grid_point(testbed, bounds):
 
     def objective(point):
         b, g = float(point[0]), float(point[1])
-        val = s.criterion(design, instruments, b, g)
-        polish.append((b, g, val))
-        return val
+        (val,), _ = s.criterion_grid(design, instruments, b, g)
+        polish.append((b, g, float(val)))
+        return float(val)
 
     ref = _scipy_nelder_mead(objective, best[:2], bounds)
     assert polish and res.optimizer_trace[n_grid:] == polish

@@ -335,6 +335,7 @@ def test_config_file_with_flag_override(tmp_path, sim_panel):
         ("calibrate", {"preferences": {"instrument_k": 6.5}}, "preferences.instrument_k"),
         ("calibrate", {"preferences": {"instrument_k": "x"}}, "preferences.instrument_k"),
         ("decompose", {"basis": {"k": 3}}, "basis.family"),  # a section given without it
+        ("decompose", {"preferences": {"mode": "estimate"}}, "preferences.mode"),
     ],
 )
 def test_config_value_of_wrong_type(tmp_path, sim_panel, capsys, command, config, key):
@@ -423,6 +424,8 @@ def test_unknown_key_in_a_section_exits_1(tmp_path, capsys, section, key):
     (["mc", "--k", "x"], "--k"),
     (["mc", "--sizes", "400,x"], "--sizes"),
     (["mc", "--design", "Power"], "--design"),
+    (["decompose", "--preferences", "estimate"], "--preferences"),
+    (["calibrate", "--preferences", "estimate"], "--preferences"),
 ])
 def test_usage_error_exits_1_naming_the_flag(capsys, argv, flag):
     assert main(argv) == 1
@@ -431,6 +434,53 @@ def test_usage_error_exits_1_naming_the_flag(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv[:1] + ["--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("case, message", [
+    ("config_missing", "config file not found"),
+    ("config_not_json", "config file is not valid JSON"),
+    ("config_bool_seed", "config key 'seed' has a value of the wrong type: True"),
+    ("no_input", "an input CSV is required"),
+    ("input_missing", "input CSV not found"),
+    ("no_state_cols", "state_cols must name at least one column"),
+    ("one_data_row", "need at least two data rows"),
+    ("power_without_gamma", "needs beta and gamma"),
+    ("value_without_growth", "the value command needs a growth column"),
+    ("value_power", "needs --preferences recursive"),
+    ("calibrate_without_returns", "calibrate needs return columns"),
+    ("calibrate_without_growth", "calibrate needs a growth column"),
+])
+def test_user_error_exits_1_with_one_line(tmp_path, sim_panel, capsys, case, message):
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
+                                growth=sim_panel.growth, returns=sim_panel.growth[:, None])
+    (tmp_path / "not_json.json").write_text("{")
+    (tmp_path / "bool_seed.json").write_text(json.dumps({"seed": True}))
+    (tmp_path / "one_row.csv").write_text("x1,G\n0.1,\n")
+    panel = ["--input", str(csv_path), "--state-cols", "x1"]
+    recursive = ["--preferences", "recursive", "--beta", "0.994", "--gamma", "15"]
+    argv = {
+        "config_missing": ["decompose", "--config", str(tmp_path / "missing.json")],
+        "config_not_json": ["decompose", "--config", str(tmp_path / "not_json.json"), *panel],
+        "config_bool_seed": ["decompose", "--config", str(tmp_path / "bool_seed.json"), *panel],
+        "no_input": ["decompose", "--state-cols", "x1", "--sdf-col", "m"],
+        "input_missing": ["decompose", "--input", str(tmp_path / "missing.csv"),
+                          "--state-cols", "x1", "--sdf-col", "m"],
+        "no_state_cols": ["decompose", "--input", str(csv_path), "--state-cols", ""],
+        "one_data_row": ["decompose", "--input", str(tmp_path / "one_row.csv"),
+                         "--state-cols", "x1", "--growth-col", "G", *recursive],
+        "power_without_gamma": ["decompose", *panel, "--growth-col", "G",
+                                "--preferences", "power", "--beta", "0.994"],
+        "value_without_growth": ["value", *panel, *recursive],
+        "value_power": ["value", *panel, "--growth-col", "G", "--preferences", "power",
+                        "--beta", "0.994", "--gamma", "15"],
+        "calibrate_without_returns": ["calibrate", *panel, "--growth-col", "G"],
+        "calibrate_without_growth": ["calibrate", *panel, "--return-cols", "r1"],
+    }[case]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_one_parser_serves_successive_calls(monkeypatch, capsys):
@@ -560,7 +610,7 @@ def test_value_command(tmp_path, testbed, quad_recursive):
 
 @pytest.mark.parametrize("command", ["decompose", "bootstrap"])
 @pytest.mark.parametrize("flags, message", [
-    (["--preferences", "estimate"], "needs fixed preferences or an SDF column"),
+    (["--preferences", "recursive", "--beta", "0.99", "--gamma", "5"], "need a growth column"),
     ([], "no SDF column and no preferences"),
     (["--preferences", "power", "--beta", "0.99", "--gamma", "5"], "need a growth column"),
 ])
@@ -688,7 +738,7 @@ def test_import_loads_no_scipy():
 
 
 def test_all_names_public_objects_not_modules():
-    assert len(s.__all__) == len(set(s.__all__)) == 33
+    assert len(s.__all__) == len(set(s.__all__)) == 32
     for name in s.__all__:
         assert not isinstance(getattr(s, name), types.ModuleType), name
 
@@ -739,3 +789,30 @@ def test_calibrate_reports_infeasible_counts(tmp_path, testbed, monkeypatch):
     assert payload["infeasible"].get("nonpositive_continuation", 0) > 0
     assert sum(payload["infeasible"].values()) == sum(r["criterion"] == "inf" for r in trace)
     assert set(payload["infeasible"]) <= set(s.calibrate.INFEASIBLE_REASONS)
+
+
+@pytest.mark.parametrize("state_cols, flags, advice", [
+    # a univariate state takes instrument_k Hermite instruments
+    ("x1", ["--basis", "hermite", "--k", "4", "--instrument-k", "6"],
+     "instrument dimension 6 exceeds solve dimension 4; lower instrument_k"),
+    # a multivariate state takes sparse instruments that instrument_k does not set
+    ("x1,x2", ["--basis", "sparse", "--degree", "1", "--cap", "2"],
+     "instrument dimension 4 exceeds solve dimension 3; a multivariate state takes sparse "
+     "instruments of degree 1 and cap 3, so raise the solve basis's degree or cap"),
+    ("x1,x2", ["--basis", "sparse", "--degree", "1", "--cap", "2", "--instrument-k", "1"],
+     "raise the solve basis's degree or cap"),
+], ids=["univariate", "bivariate", "bivariate_instrument_k"])
+def test_instrument_dimension_error_gives_advice_that_applies(tmp_path, sim_panel, capsys,
+                                                              state_cols, flags, advice):
+    second = np.random.default_rng(8).normal(size=sim_panel.n + 1)
+    states = np.column_stack([sim_panel.states, second])
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", states, growth=sim_panel.growth,
+                                returns=sim_panel.growth[:, None])
+    out = tmp_path / "out"
+    assert main(["calibrate", "--input", str(csv_path), "--state-cols", state_cols,
+                 "--growth-col", "G", "--return-cols", "r1", *flags, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and advice in lines[0]
+    if "," in state_cols:
+        assert "instrument_k" not in lines[0]
+    assert not any(out.iterdir())

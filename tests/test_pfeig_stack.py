@@ -88,6 +88,16 @@ def test_stack_matches_single_solves():
     assert list(stack.reason) == ["", "no_positive_real", "tie", "", "", ""]
 
 
+def test_gram_matrix_the_ridge_cannot_rescue_is_marked():
+    # diag(1, -1) has trace 0, so its ridge is 0 and its second factoring fails too
+    factor = _cholesky_stack(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+    assert factor.ok.tolist() == [True, False]
+    assert np.isnan(factor.Li[1]).all()
+    np.testing.assert_array_equal(factor.Li[0], np.linalg.inv(np.linalg.cholesky(np.eye(2))))
+    with pytest.raises(np.linalg.LinAlgError, match="even after ridge"):
+        factor.checked()
+
+
 def test_fallback_reasons_are_distinct():
     rotation = _solve_stack(ROTATION[None], _cholesky_stack(np.eye(2)[None])).reason[0]
     tied = _solve_stack(np.eye(3)[None], _cholesky_stack(np.eye(3)[None])).reason[0]

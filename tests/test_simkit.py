@@ -238,6 +238,21 @@ def test_mc_sieve_dimension_is_that_of_the_built_basis(spec, k, testbed, power_p
     assert blocks == [3, 3, 2]
 
 
+@pytest.mark.parametrize("spec", [s.BasisSpec(family="hermite", k=6),
+                                  s.BasisSpec(family="bspline", k=6)], ids=["hermite", "bspline"])
+def test_block_where_no_basis_builds_is_censored_whole(spec, testbed, power_prefs):
+    design = s.McDesign(ar1=testbed, preferences=power_prefs, sample_sizes=(40,),
+                        replications=3, basis_spec=spec, seed=1)
+    nodes = np.linspace(-0.02, 0.03, 5)
+    states = np.full((3, 41), 0.005)  # constant paths: no sample variance, tied knots
+    width = 41 + nodes.size
+    work = (np.empty((6, 3, width)), np.empty((3, width, 6)), np.empty((3, 40, 6)))
+    scalars, funcs = simkit._fit_block(design, states, nodes, work)
+    assert scalars.shape == (3, len(simkit._SCALARS))
+    assert funcs.shape == (3, len(simkit._FUNCS), nodes.size)
+    assert np.isnan(scalars).all() and np.isnan(funcs).all()
+
+
 def test_mc_censors_failed_replicates_stage_wise(testbed, recursive_prefs, monkeypatch):
     # every third eigensolve of the stack is rejected after its value
     # recursion converged: the replicate is excluded and loses its eigen
