@@ -240,6 +240,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise CliError("config key 'basis.family' is missing")
     if cfg.grid_points < 1:
         raise CliError(f"config key 'grid_points' must be at least 1, not {cfg.grid_points}")
+    if cfg.seed < 0:
+        raise CliError(f"config key 'seed' must be non-negative, not {cfg.seed}")
+    sizes = _value(cfg, "mc.sizes")
+    repeated = sorted({n for n in sizes if sizes.count(n) > 1})
+    if repeated:  # a repeated size would draw the same substreams twice
+        raise CliError(f"config key 'mc.sizes' repeats {', '.join(map(str, repeated))}")
     return cfg
 
 

@@ -10,6 +10,7 @@ of transition pairs with geometric lengths and circular wraparound.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -75,27 +76,90 @@ def variance_entropy(psi_rho: np.ndarray, rho: float, m: np.ndarray, bandwidth: 
     return max(_newey_west(psi_L, bandwidth), 0.0)
 
 
-def _replicate_rng(seed: int, *key: int) -> np.random.Generator:
-    """Substream generator of the replicate that ``key`` names; independent of execution order."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+_MASK32 = 0xFFFFFFFF
+# the hash constants of numpy's SeedSequence: A mixes entropy into the
+# pool, B draws the state words from it
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose ``generate_state(4, np.uint64)`` words are given.
+
+    ``PCG64`` reads those four words from its seed sequence and nothing else.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 words under hash constant ``const``, and the next constant."""
+    following = const * mult & _MASK32
+    value = (value ^ np.uint32(const)) * np.uint32(following)
+    return value ^ value >> np.uint32(16), following
+
+
+def _replicate_rngs(seed: int, keys) -> list[np.random.Generator]:
+    """Substream generators of the replicates that the (N, K) integer ``keys`` name.
+
+    Row j's generator is ``default_rng(SeedSequence(entropy=seed,
+    spawn_key=keys[j]))`` bit for bit, so each replicate's draws do not
+    depend on execution order, but the N seed sequences are formed in one
+    vectorized uint32 pass. ``SeedSequence(seed).pool`` is the state of
+    the seed's own mixing; with w 32-bit seed words it has advanced the
+    hash constant 16 + 4 max(0, w - 4) steps (4 to fill the pool, 12 to
+    mix its words pairwise, 4 for each seed word past the fourth). A key
+    is mixed in after the seed, and a zero pad of the seed to 4 words
+    hashes as the pool's empty slots do. Each key word is then mixed
+    into each of the 4 pool words, and the pool yields the 4 uint64 words
+    that seed each ``PCG64``. Every key word must lie in [0, 2**32): a
+    larger one is two words of a SeedSequence key.
+    """
+    seed = operator.index(seed)
+    words = np.asarray(keys)
+    if (words.ndim != 2 or words.dtype.kind not in "iu"
+            or np.any(words < 0) or np.any(words > _MASK32)):
+        raise ValueError("keys must be an (N, K) array of integers in [0, 2**32)")
+    pool = np.tile(np.random.SeedSequence(seed).pool, (len(words), 1))
+    w = max(1, -(-seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, w - 4), 1 << 32) & _MASK32
+    for word in words.astype(np.uint32).T:
+        for dst in range(4):
+            value, const = _hashmix(word, const, _MULT_A)
+            mixed = _MIX_MULT_L * pool[:, dst] - _MIX_MULT_R * value
+            pool[:, dst] = mixed ^ mixed >> np.uint32(16)
+    state = np.empty((len(words), 8), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(8):
+        state[:, i], const = _hashmix(pool[:, i % 4], const, _MULT_B)
+    seeds = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in seeds]
 
 
 def _block_counts(n: int, expected_block: float, seed: int, rows: range) -> np.ndarray:
     """The (R, n) stationary-bootstrap count rows of replicates ``rows``.
 
-    Replicate r's generator ``_replicate_rng(seed, r)`` draws n uniforms,
-    of which those below 1/expected_block restart a block (the first
-    draw always does), and then one uniform start on {0..n-1} per block.
-    A block continues i+1 modulo n until the next restart, so its length
-    is the distance to the next head, and row j counts how often each of
-    the n transition pairs falls in one of replicate j's blocks. The
-    blocks are summed as +1/-1 steps of an (R, n + 1) difference array,
-    a block that wraps past n adding a second run from column 0; the
-    counts are integers, so they do not depend on the order of the sums.
+    Replicate r's generator, keyed by (r,) (:func:`_replicate_rngs`),
+    draws n uniforms, of which those below 1/expected_block restart a
+    block (the first draw always does), and then one uniform start on
+    {0..n-1} per block. A block continues i+1 modulo n until the next
+    restart, so its length is the distance to the next head, and row j
+    counts how often each of the n transition pairs falls in one of
+    replicate j's blocks. The blocks are summed as +1/-1 steps of an
+    (R, n + 1) difference array, a block that wraps past n adding a
+    second run from column 0, and one cumulative sum runs over the whole
+    flat array: each row's steps net to zero within its own n + 1 slots,
+    so no row carries into the next. The counts are integers, so they do
+    not depend on the order of the sums.
     """
     R = len(rows)
     u = np.empty((R, n))
-    gens = [_replicate_rng(seed, r) for r in rows]
+    gens = _replicate_rngs(seed, np.array(rows)[:, None])
     for g, row in zip(gens, u):
         g.random(out=row)
     restart = u < 1.0 / expected_block
@@ -114,7 +178,7 @@ def _block_counts(n: int, expected_block: float, seed: int, rows: range) -> np.n
     step = np.zeros(R * (n + 1), dtype=np.intp)
     np.add.at(step, up, 1)
     np.subtract.at(step, down, 1)
-    return np.cumsum(step.reshape(R, n + 1)[:, :n], axis=1)
+    return np.cumsum(step).reshape(R, n + 1)[:, :n]
 
 
 #: replicates handed to the statistic at once; bounds the (block x n)

@@ -122,6 +122,32 @@ def _unwhiten_rows(Li: np.ndarray, X: np.ndarray, vals: np.ndarray) -> np.ndarra
     return out
 
 
+def _residuals_pass(
+    M: np.ndarray, G: np.ndarray, rho: np.ndarray, residuals: np.ndarray
+) -> np.ndarray:
+    """Whether both (S, 2) residuals of each pencil lie below 1e-8 (|M|_2 + rho |G|_2).
+
+    The spectral norms are the square root of the top eigenvalue of the
+    symmetric M'M and the top eigenvalue of G, from ``eigvalsh``. M's
+    largest column norm plus rho times G's largest diagonal entry is a
+    lower bound of that scale where rho > 0, so a pencil whose residuals
+    lie below 1e-8 (1 - 1e-6) times the bound passes without them; the
+    margin covers the rounding of both scales. Only the other pencils get
+    the two ``eigvalsh`` calls, and every pencil gets the decision of the
+    exact scale.
+    """
+    bound = (np.sqrt(np.max(np.einsum("sij,sij->sj", M, M), axis=1))
+             + rho * np.max(np.diagonal(G, axis1=1, axis2=2), axis=1))
+    ok = (rho > 0) & np.all(residuals < (1e-8 * (1.0 - 1e-6) * bound)[:, None], axis=1)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        Mr = M[rest]
+        scale = (np.sqrt(np.linalg.eigvalsh(np.swapaxes(Mr, -1, -2) @ Mr)[:, -1])
+                 + rho[rest] * np.linalg.eigvalsh(G[rest])[:, -1])
+        ok[rest] = np.all(residuals[rest] < 1e-8 * scale[:, None], axis=1)
+    return ok
+
+
 def _solve_stack(M: np.ndarray, factor: GramFactor) -> _PencilStack:
     """Largest real positive eigenpair of each pencil (M, G) in a (S, k, k) stack.
 
@@ -160,19 +186,18 @@ def _solve_stack(M: np.ndarray, factor: GramFactor) -> _PencilStack:
     right /= np.linalg.norm(right, axis=1, keepdims=True)
     left /= np.linalg.norm(left, axis=1, keepdims=True)
 
-    # spectral norms of M and G: the top eigenvalues of the symmetric M'M and G
-    norm_scale = np.sqrt(np.linalg.eigvalsh(Mt @ M)[:, -1]) + rho * np.linalg.eigvalsh(G)[:, -1]
     res_r = np.linalg.norm(_matvec(M, right) - rho[:, None] * _matvec(G, right), axis=1)
     res_l = np.linalg.norm(_matvec(Mt, left) - rho[:, None] * _matvec(G, left), axis=1)
-    bad_residual = ~((res_r < 1e-8 * norm_scale) & (res_l < 1e-8 * norm_scale))
+    residuals = np.column_stack([res_r, res_l])
 
     real_sorted = np.sort(np.where(real, vals.real, -np.inf), axis=1)
     second = real_sorted[:, -2] if real_sorted.shape[1] > 1 else np.nan
     gap = np.where(real.sum(axis=1) >= 2, rho - second, np.nan)
     reason = np.select(
-        [~pos.any(axis=1), tie, mismatch, bad_residual], FALLBACK_REASONS, default=""
+        [~pos.any(axis=1), tie, mismatch, ~_residuals_pass(M, G, rho, residuals)],
+        FALLBACK_REASONS, default="",
     )
-    return _PencilStack(rho, right, left, np.column_stack([res_r, res_l]), gap, reason)
+    return _PencilStack(rho, right, left, residuals, gap, reason)
 
 
 def _normalize_stack(

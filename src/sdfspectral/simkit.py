@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import BasisSpec
 from .decomp import long_run_stack
-from .inference import _replicate_rng
+from .inference import _replicate_rngs
 from .oracle import Ar1Design, quadrature_eig
 from .pfeig import _matvec
 from .pipeline import fit_stack
@@ -227,7 +227,7 @@ def _run_block(
     records = []
     for lo in range(0, len(reps), chunk):
         # keyed by n itself: a run's streams do not depend on its other sizes
-        rngs = [_replicate_rng(design.seed, n, rep) for rep in reps[lo:lo + chunk]]
+        rngs = _replicate_rngs(design.seed, [(n, rep) for rep in reps[lo:lo + chunk]])
         states = _ar1_paths(design.ar1, n, rngs)
         records += [_fit_block(design, states[j:j + size], nodes, work)
                     for j in range(0, len(states), size)]

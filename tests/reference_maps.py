@@ -9,9 +9,10 @@ pricing matrices and the population value-recursion map of a basis on
 the testbed's quadrature grid, the sample value-recursion map of a
 design, written out one map at a time as the plain formula that
 :func:`sdfspectral.solve_value_stack` iterates in whitened, stacked
-form, and one stationary-bootstrap index sequence, whose bincount is the
-count row that :func:`sdfspectral.bootstrap_ci` builds from the same
-generator's draws.
+form, one replicate's substream generator as numpy's own
+``SeedSequence`` builds it, and one stationary-bootstrap index sequence,
+whose bincount is the count row that :func:`sdfspectral.bootstrap_ci`
+builds from the same generator's draws.
 """
 
 from __future__ import annotations
@@ -112,6 +113,15 @@ def value_map(design: Design, beta: float, gamma: float) -> Callable[[np.ndarray
         return b0.T @ (gw * np.abs(b1 @ v) ** beta) / n
 
     return t_map
+
+
+def replicate_rng(seed: int, *key: int) -> np.random.Generator:
+    """Substream generator of the replicate that ``key`` names, from numpy's SeedSequence.
+
+    The reference for ``inference._replicate_rngs``, which forms the same
+    generators for many keys at once.
+    """
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def stationary_bootstrap_indices(

@@ -14,11 +14,15 @@ import pytest
 
 import sdfspectral as s
 from sdfspectral.cli import main, validate_summary_csv
-from sdfspectral.inference import _replicate_rng
 from sdfspectral.pfeig import _row
 from sdfspectral.pipeline import bootstrap_statistic
 
-from reference_maps import affine_power_utility_solution, stationary_bootstrap_indices, value_map
+from reference_maps import (
+    affine_power_utility_solution,
+    replicate_rng,
+    stationary_bootstrap_indices,
+    value_map,
+)
 
 # Profile seeds for the seeded Monte Carlo criteria. The sampling error of
 # the eigenvalue estimators is heavy-tailed at these sample sizes, so
@@ -218,7 +222,7 @@ def test_criterion_7_bootstrap_contract(testbed, power_prefs):
     total_len = 0
     r = 0
     while total_blocks < 100_000:
-        idx = stationary_bootstrap_indices(1000, 6.0, _replicate_rng(777, r))
+        idx = stationary_bootstrap_indices(1000, 6.0, replicate_rng(777, r))
         restarts = np.flatnonzero(
             np.concatenate([[True], idx[1:] != (idx[:-1] + 1) % 1000])
         )

@@ -449,6 +449,10 @@ def test_usage_error_exits_1_naming_the_flag(capsys, argv, flag):
     ("value_power", "needs --preferences recursive"),
     ("calibrate_without_returns", "calibrate needs return columns"),
     ("calibrate_without_growth", "calibrate needs a growth column"),
+    ("bootstrap_negative_seed", "config key 'seed' must be non-negative, not -1"),
+    ("mc_negative_seed", "config key 'seed' must be non-negative, not -1"),
+    ("mc_repeated_size", "config key 'mc.sizes' repeats 200"),
+    ("mc_repeated_sizes", "config key 'mc.sizes' repeats 400, 800"),
 ])
 def test_user_error_exits_1_with_one_line(tmp_path, sim_panel, capsys, case, message):
     csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
@@ -475,6 +479,11 @@ def test_user_error_exits_1_with_one_line(tmp_path, sim_panel, capsys, case, mes
                         "--beta", "0.994", "--gamma", "15"],
         "calibrate_without_returns": ["calibrate", *panel, "--growth-col", "G"],
         "calibrate_without_growth": ["calibrate", *panel, "--return-cols", "r1"],
+        "bootstrap_negative_seed": ["bootstrap", *panel, "--growth-col", "G", "--preferences",
+                                    "power", "--beta", "0.994", "--gamma", "15", "--seed", "-1"],
+        "mc_negative_seed": ["mc", "--reps", "2", "--sizes", "40", "--seed", "-1"],
+        "mc_repeated_size": ["mc", "--reps", "2", "--sizes", "200,200"],
+        "mc_repeated_sizes": ["mc", "--reps", "2", "--sizes", "400,800,400,800,90"],
     }[case]
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 1

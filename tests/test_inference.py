@@ -9,12 +9,13 @@ from sdfspectral.inference import (
     BootstrapUnstableError,
     _block_counts,
     _newey_west,
-    _replicate_rng,
+    _replicate_rngs,
 )
 
 from reference_maps import (
     affine_power_utility_solution,
     hermite_basis,
+    replicate_rng,
     stationary_bootstrap_indices,
 )
 
@@ -155,7 +156,7 @@ def test_bootstrap_mean_block_length():
     total_len = 0
     r = 0
     while total_blocks < 100_000:
-        idx = stationary_bootstrap_indices(1000, 6.0, _replicate_rng(123, r))
+        idx = stationary_bootstrap_indices(1000, 6.0, replicate_rng(123, r))
         restarts = np.flatnonzero(
             np.concatenate([[True], idx[1:] != (idx[:-1] + 1) % 1000])
         )
@@ -164,6 +165,32 @@ def test_bootstrap_mean_block_length():
         total_len += lengths.sum()
         r += 1
     assert abs(total_len / total_blocks - 6.0) < 0.1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 907, 2**32, 2**64 + 3, 2**128, 2**200 + 12345])
+@pytest.mark.parametrize("keys", [[(0,), (1,), (999,), (2**32 - 1,)],
+                                  [(400, 0), (1600, 299), (0, 2**32 - 1), (2**32 - 1, 7)]],
+                         ids=["r", "n_rep"])
+def test_replicate_rngs_are_the_seed_sequence_generators(seed, keys):
+    # the seed words of one to seven 32-bit words, and keys of one and two
+    # words up to the largest one word holds
+    gens = _replicate_rngs(seed, keys)
+    assert len(gens) == len(keys)
+    for key, gen in zip(keys, gens):
+        words = np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(gen.bit_generator.seed_seq.generate_state(4, np.uint64),
+                                      words, err_msg=f"key {key}")
+        ref = replicate_rng(seed, *key)
+        for draw in (lambda g: g.random(9), lambda g: g.integers(0, 800, size=9),
+                     lambda g: g.standard_normal(9), lambda g: g.random(3)):
+            np.testing.assert_array_equal(draw(gen), draw(ref), err_msg=f"key {key}")
+
+
+@pytest.mark.parametrize("keys", [[(2**32,)], [(0,), (2**32 + 5,)], [(400, 2**40)], [(-1,)],
+                                  [(2**64,)], [1, 2], [(0.5,)]])
+def test_replicate_rngs_reject_a_key_word_outside_32_bits(keys):
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _replicate_rngs(1, keys)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 61, 800])
@@ -175,7 +202,7 @@ def test_block_counts_equal_the_bincounts_of_the_reference_indices(n):
         for seed in (0, 5, 907):
             for rows in (range(0, 128), range(128, 256), range(1000, 1037)):
                 expected = np.array([
-                    np.bincount(stationary_bootstrap_indices(n, block, _replicate_rng(seed, r)),
+                    np.bincount(stationary_bootstrap_indices(n, block, replicate_rng(seed, r)),
                                 minlength=n)
                     for r in rows
                 ])
@@ -226,7 +253,7 @@ def test_bootstrap_ci_count_rows_are_the_replicate_draws(testbed):
     s.bootstrap_ci(stat, panel.n, b, 6.0, 0.9, seed=21)
     assert [len(w) for w in seen] == [BOOTSTRAP_BLOCK, 7]
     expected = [
-        np.bincount(stationary_bootstrap_indices(90, 6.0, _replicate_rng(21, r)), minlength=90)
+        np.bincount(stationary_bootstrap_indices(90, 6.0, replicate_rng(21, r)), minlength=90)
         for r in range(b)
     ]
     np.testing.assert_array_equal(np.concatenate(seen), expected)

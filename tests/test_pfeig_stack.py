@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sdfspectral as s
-from sdfspectral.pfeig import FALLBACK_REASONS, _cholesky_stack, _solve_stack
+from sdfspectral.pfeig import FALLBACK_REASONS, _cholesky_stack, _residuals_pass, _solve_stack
 from sdfspectral.preferences import power_utility_sdf
 from sdfspectral.sievemat import CountRows
 
@@ -141,9 +141,11 @@ def test_left_mismatch_catches_what_the_residuals_pass(testbed):
                          ids=["pencils", "k8", "k10", "rounded_k9"])
 def test_residual_scale_matches_the_svd_norms(testbed, count_rows):
     # the residual rule's scale |M|_2 + rho |G|_2 takes the spectral norms from
-    # eigvalsh of M'M and G; they agree with the SVD's to 1e-14 relative, and
-    # the rule keeps every pencil's reason under the SVD's scale. rounded_k9
-    # is the stack of test_left_mismatch_catches_what_the_residuals_pass
+    # eigvalsh of M'M and G, for the pencils whose residuals its lower bound
+    # does not pass (test_residual_bound_keeps_the_eigvalsh_decision); they
+    # agree with the SVD's to 1e-14 relative, and the rule keeps every
+    # pencil's reason under the SVD's scale. rounded_k9 is the stack of
+    # test_left_mismatch_catches_what_the_residuals_pass
     if count_rows is None:
         M, G = (np.stack(a) for a in zip(*_pencils()))
     else:
@@ -160,6 +162,44 @@ def test_residual_scale_matches_the_svd_norms(testbed, count_rows):
     svd_fails = ~np.all(st.residuals < 1e-8 * (sv[:, 0] + st.rho * sv[:, 1])[:, None], axis=1)
     reached = np.isin(st.reason, ["", "residual"])  # pencils that passed the earlier rules
     np.testing.assert_array_equal(st.reason == "residual", reached & svd_fails)
+
+
+def _eigvalsh_scale(M, G, rho):
+    """|M|_2 + rho |G|_2, the norms from eigvalsh of M'M and G."""
+    return np.sqrt(np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)[:, -1]) + rho * np.linalg.eigvalsh(G)[:, -1]
+
+
+def test_residual_bound_keeps_the_eigvalsh_decision(testbed, monkeypatch):
+    # residuals at and around the exact threshold and the lower bound's, on
+    # the test_pfeig pencils and 16 count-row pencils, with rho from the
+    # solve, zero, negative or NaN: the bounded rule decides as eigvalsh does
+    pairs = _pencils()
+    M_count, G_count = _count_pencils(testbed, 3, rows=16)
+    M = np.concatenate([np.stack([M for M, _ in pairs]), M_count])
+    G = _cholesky_stack(np.concatenate([np.stack([G for _, G in pairs]), G_count])).G
+    rho = _solve_stack(M, _cholesky_stack(G)).rho
+    exact = _eigvalsh_scale(M, G, rho)
+    bound = np.linalg.norm(M, axis=1).max(axis=1) + rho * np.diagonal(G, axis1=1, axis2=2).max(axis=1)
+    pos = rho > 0
+    assert pos[len(pairs):].all() and np.all(bound[pos] <= exact[pos])
+    edge = 1e-8 * (1.0 - 1e-6) * bound
+    levels = [c * 1e-8 * exact for c in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0)]
+    levels += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+    seen = set()
+    for rho_case in (rho, np.zeros_like(rho), -rho, np.full_like(rho, np.nan)):
+        for a in levels:
+            for b in levels[:1] + [a, np.full_like(a, np.nan)]:
+                for res in (np.column_stack([a, b]), np.column_stack([b, a])):
+                    got = _residuals_pass(M, G, rho_case, res)
+                    scale = _eigvalsh_scale(M, G, rho_case)
+                    np.testing.assert_array_equal(got, np.all(res < 1e-8 * scale[:, None], axis=1))
+                    seen.update(got.tolist())
+    assert seen == {True, False}
+
+    # the residuals that the bound passes need no spectrum
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    assert _residuals_pass(M_count, G[len(pairs):], rho[len(pairs):],
+                           np.column_stack([edge, edge])[len(pairs):] / 2).all()
 
 
 def test_left_rows_match_a_40_digit_reference(testbed):

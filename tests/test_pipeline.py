@@ -6,13 +6,13 @@ import pytest
 import sdfspectral as s
 from sdfspectral import pipeline
 from sdfspectral.cli import main
-from sdfspectral.inference import BOOTSTRAP_BLOCK, DISCARD_REASON, _replicate_rng
+from sdfspectral.inference import BOOTSTRAP_BLOCK, DISCARD_REASON
 from sdfspectral.pfeig import FALLBACK_REASONS, _row
 from sdfspectral.pipeline import DISCARD_REASONS, bootstrap_statistic, fit_stack
 from sdfspectral.sievemat import CountRows, DesignStack
 from sdfspectral.valuefn import VALUE_FAILURES
 
-from reference_maps import stationary_bootstrap_indices
+from reference_maps import replicate_rng, stationary_bootstrap_indices
 
 EPS = np.finfo(float).eps
 LOG_SCALE = ("y", "L", "sdf_entropy", "horizon_dependence")
@@ -70,7 +70,7 @@ def _compare(panel, prefs, b, seed, lambda_cond=False):
     """
     basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
     n = panel.n
-    draws = [stationary_bootstrap_indices(n, 6.0, _replicate_rng(seed, r)) for r in range(b)]
+    draws = [stationary_bootstrap_indices(n, 6.0, replicate_rng(seed, r)) for r in range(b)]
     counts = np.array([np.bincount(idx, minlength=n) for idx in draws])
     stat = bootstrap_statistic(s.Design(basis, panel), prefs)
     blocks = [stat(counts[lo:lo + BOOTSTRAP_BLOCK]) for lo in range(0, b, BOOTSTRAP_BLOCK)]
@@ -207,7 +207,7 @@ def test_each_fit_failure(reason, testbed, recursive_prefs, monkeypatch, tmp_pat
     designs = [s.Design(spec.build(p.states), p) for p in panels]
     stack = DesignStack(np.stack([d.b0 for d in designs]), np.stack([d.b1 for d in designs]),
                         np.stack([p.growth for p in panels]), designs[0].const_coeffs)
-    draws = [stationary_bootstrap_indices(n, 6.0, _replicate_rng(5, r)) for r in range(4)]
+    draws = [stationary_bootstrap_indices(n, 6.0, replicate_rng(5, r)) for r in range(4)]
     counts = np.array([np.bincount(idx, minlength=n) for idx in draws])
     layouts = [stack, CountRows(designs[0], counts)]  # Monte Carlo designs, bootstrap rows
     clean = [fit_stack(d, recursive_prefs) for d in layouts]

@@ -9,6 +9,8 @@ import sdfspectral as s
 from sdfspectral import cli, simkit
 from sdfspectral.pfeig import _row
 
+from reference_maps import replicate_rng
+
 
 def test_simulate_stationary_moments(testbed):
     panel = s.simulate_ar1(testbed, 1_000_000, np.random.default_rng(1))
@@ -296,7 +298,7 @@ def _reference_record(design, n, rep, nodes):
     pipeline, with the long-run scalars by their plain formulas. Under recursive
     preferences the value recursion is solved on its own, and kept where it converged
     whatever the later stages do."""
-    panel = s.simulate_ar1(design.ar1, n, simkit._replicate_rng(design.seed, n, rep))
+    panel = s.simulate_ar1(design.ar1, n, replicate_rng(design.seed, n, rep))
     scalars, funcs = np.full(5, np.nan), np.full((3, nodes.size), np.nan)
     prefs = design.preferences
     try:

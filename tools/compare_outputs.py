@@ -205,6 +205,11 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     cases["decompose_messy_csv"] = ["decompose", *bootstrap[1:], "--input", messy_panel()]
     # a Hermite degree of 171, whose sqrt(171!) is no float: exits 1 naming the degree
     cases["decompose_high_degree"] = ["decompose", *bootstrap[1:], "--k", "172"]
+    # a seed of five 32-bit words, past the four of a SeedSequence pool: its words
+    # advance the hash constant before the replicate keys are mixed in
+    wide_seed = str(2**130 + 7)
+    cases["bootstrap_wide_seed"] = [*bootstrap, "--seed", wide_seed]
+    cases["mc_wide_seed"] = [*mc, "--seed", wide_seed, "--reps", "20"]
     return cases
 
 
