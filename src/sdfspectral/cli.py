@@ -7,6 +7,10 @@ output directory together with a provenance record (config hash, seed,
 versions). CSV conventions: header row, comma separator, UTF-8, decimal
 point; floats carry 17 significant digits so they round-trip losslessly.
 
+Each command computes the text of its files and writes none; ``run``
+alone then makes the output directory and writes them. So a command that
+exits 1 makes no output directory and touches no file in an existing one.
+
 Time alignment of input CSVs: each row is one period; state columns hold
 X_t for that row, while growth/SDF/return columns hold the increment or
 return realized over the period ending at that row. Row 0 of the flow
@@ -246,6 +250,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     repeated = sorted({n for n in sizes if sizes.count(n) > 1})
     if repeated:  # a repeated size would draw the same substreams twice
         raise CliError(f"config key 'mc.sizes' repeats {', '.join(map(str, repeated))}")
+    if os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
+        raise CliError(f"config key 'out_dir' must name a directory, not the file {cfg.out_dir}")
     return cfg
 
 
@@ -333,24 +339,7 @@ def _preferences(cfg: RunConfig):
     return utility(beta=beta, gamma=gamma)
 
 
-def _basis_spec(cfg: RunConfig) -> BasisSpec:
-    return BasisSpec(**cfg.basis)
-
-
 # ----------------------------------------------------------------- output
-
-
-def _write_provenance(cfg: RunConfig, extra: Optional[dict] = None) -> None:
-    payload = {
-        "command": cfg.command,
-        "config": json.loads(cfg.canonical()),
-        "config_sha256": hashlib.sha256(cfg.canonical().encode()).hexdigest(),
-        "seed": cfg.seed,
-        "versions": {"sdfspectral": __version__, "numpy": np.__version__},
-    }
-    if extra:
-        payload.update(extra)
-    write_json(os.path.join(cfg.out_dir, "provenance.json"), payload)
 
 
 def _state_grid(panel: StatePanel, points: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -368,7 +357,8 @@ def _state_grid(panel: StatePanel, points: int) -> tuple[np.ndarray, list[np.nda
     return np.column_stack([m.ravel() for m in mesh]), axes
 
 
-def _write_eigenfunction_outputs(cfg, panel, basis, fit: FitStack) -> None:
+def _eigenfunction_files(cfg, panel, basis, fit: FitStack) -> dict[str, str]:
+    """eigenfunctions.csv on the state grid, and its plots for a state of one or two coordinates."""
     grid, axes = _state_grid(panel, cfg.grid_points)
     if fit.reason:  # the constant fallback
         phi = np.ones(grid.shape[0])
@@ -378,32 +368,27 @@ def _write_eigenfunction_outputs(cfg, panel, basis, fit: FitStack) -> None:
         phi = bg @ fit.eig.right
         phi_star = bg @ fit.eig.left
     com = change_of_measure(phi, phi_star)
-    write_csv(
-        os.path.join(cfg.out_dir, "eigenfunctions.csv"),
+    files = {"eigenfunctions.csv": write_csv(
         [f"x{d+1}" for d in range(panel.state_dim)] + ["phi", "phi_star", "change_of_measure"],
         [*grid.T, phi, phi_star, com],
-    )
+    )}
     if panel.state_dim == 1:
-        line_plot(
-            os.path.join(cfg.out_dir, "eigenfunctions.svg"),
-            grid[:, 0],
-            {"phi": phi, "phi_star": phi_star, "phi*phi_star": com},
-            title="Eigenfunctions and change of measure",
-            xlabel="state",
-        )
+        files["eigenfunctions.svg"] = line_plot(
+            grid[:, 0], {"phi": phi, "phi_star": phi_star, "phi*phi_star": com},
+            title="Eigenfunctions and change of measure", xlabel="state")
     elif panel.state_dim == 2:
         xs, ys = axes
         for name, vals in [("phi", phi), ("phi_star", phi_star), ("change_of_measure", com)]:
-            heat_grid(
-                os.path.join(cfg.out_dir, f"eigenfunctions_{name}.svg"),
+            files[f"eigenfunctions_{name}.svg"] = heat_grid(
                 ys, xs, vals.reshape(xs.size, ys.size),
                 title=name, xlabel="state 2", ylabel="state 1",
             )
+    return files
 
 
-def _write_summary_csv(path, rows: list[dict], level: Optional[float]) -> None:
+def _summary_csv(rows: list[dict], level: Optional[float]) -> str:
     """Table of point estimates and optional percentile CI columns."""
-    write_csv(path, SUMMARY_COLUMNS, [
+    return write_csv(SUMMARY_COLUMNS, [
         [row["statistic"] for row in rows],
         [row["estimate"] for row in rows],
         [row.get("ci_lo") for row in rows],
@@ -448,7 +433,7 @@ def validate_summary_csv(path) -> list[dict]:
 
 
 def _exit_status(fit: FitStack) -> int:
-    """Exit status of a command whose outputs are written: 2, with a warning, for a flagged fit."""
+    """Exit status of a command that made its outputs from ``fit``: 2, with a warning, if flagged."""
     if fit.reason:
         why = f"eigenpair failed the {fit.reason} rule; fell back to the constant solution (rho = 1)"
     elif not positive_on_sample(fit.sample.phi_t, fit.sample.phi_t1):
@@ -469,10 +454,10 @@ def _sdf_source(cfg: RunConfig, panel: StatePanel):
     return prefs
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
+def _cmd_decompose(cfg: RunConfig) -> tuple[int, dict, dict]:
     panel = read_panel_csv(cfg)
     prefs = _sdf_source(cfg, panel)
-    basis = _basis_spec(cfg).build(panel.states)
+    basis = BasisSpec(**cfg.basis).build(panel.states)
     fit = fit_panel(Design(basis, panel), prefs)  # a fallback fit has constant eigenfunctions
     fallback, on = bool(fit.reason), fit.sample
     series = pt_series(fit.eig.rho, on.phi_t, on.phi_t1, fit.m)
@@ -489,61 +474,53 @@ def _cmd_decompose(cfg: RunConfig) -> int:
         scalars["v_L"] = variance_entropy(on.psi_rho, fit.eig.rho, fit.m, bw)
         scalars["nw_bandwidth"] = bw
     t = np.arange(panel.n)
-    write_csv(os.path.join(cfg.out_dir, "series.csv"), ["t", "m", "m_perm", "m_trans"],
-              [t, series.m, series.m_perm, series.m_trans])
-    write_json(os.path.join(cfg.out_dir, "scalars.json"), scalars)
-    # change of measure on the sample points (the grid version sits in
-    # eigenfunctions.csv)
-    write_csv(
-        os.path.join(cfg.out_dir, "change_of_measure_sample.csv"),
-        ["t", "phi", "phi_star", "change_of_measure"],
-        [t, on.phi_t, on.phi_star_t, change_of_measure(on.phi_t, on.phi_star_t)],
-    )
-    line_plot(
-        os.path.join(cfg.out_dir, "series.svg"),
-        t,
-        {"m": series.m, "m_perm": series.m_perm, "m_trans": series.m_trans},
-        title="SDF and permanent/transitory increments",
-        xlabel="t",
-    )
-    _write_eigenfunction_outputs(cfg, panel, basis, fit)
-    _write_provenance(cfg, {"fallback": fallback})
-    return _exit_status(fit)
+    files = {
+        "series.csv": write_csv(["t", "m", "m_perm", "m_trans"],
+                                [t, series.m, series.m_perm, series.m_trans]),
+        "scalars.json": write_json(scalars),
+        # change of measure on the sample points (the grid version sits in
+        # eigenfunctions.csv)
+        "change_of_measure_sample.csv": write_csv(
+            ["t", "phi", "phi_star", "change_of_measure"],
+            [t, on.phi_t, on.phi_star_t, change_of_measure(on.phi_t, on.phi_star_t)],
+        ),
+        "series.svg": line_plot(t, {"m": series.m, "m_perm": series.m_perm, "m_trans": series.m_trans},
+                                title="SDF and permanent/transitory increments", xlabel="t"),
+        **_eigenfunction_files(cfg, panel, basis, fit),
+    }
+    return _exit_status(fit), files, {"fallback": fallback}
 
 
-def _cmd_value(cfg: RunConfig) -> int:
+def _cmd_value(cfg: RunConfig) -> tuple[int, dict, dict]:
     panel = read_panel_csv(cfg)
     if panel.growth is None:
         raise CliError("the value command needs a growth column")
     prefs = _preferences(cfg)
     if not isinstance(prefs, RecursiveUtility):
         raise CliError("the value command needs --preferences recursive with beta and gamma")
-    basis = _basis_spec(cfg).build(panel.states)
+    basis = BasisSpec(**cfg.basis).build(panel.states)
     fp = _row(solve_value_stack(Design(basis, panel), prefs.beta, prefs.gamma), 0)
     if np.isnan(fp.lam):
         raise CliError(f"no value solution at beta={prefs.beta}, gamma={prefs.gamma}: {fp.reason}")
     converged = fp.reason == ""
-    payload = {
-        "lambda": fp.lam,
-        "beta": prefs.beta,
-        "gamma": prefs.gamma,
-        "iterations": int(fp.iterations),
-        "converged": converged,
-        "final_step": fp.final_step,
-    }
-    write_json(os.path.join(cfg.out_dir, "value.json"), payload)
     grid, _ = _state_grid(panel, cfg.grid_points)
     chi = basis.evaluate_many(grid) @ fp.chi_coeffs
-    write_csv(
-        os.path.join(cfg.out_dir, "value_function.csv"),
-        [f"x{d+1}" for d in range(panel.state_dim)] + ["chi"],
-        [*grid.T, chi],
-    )
+    files = {
+        "value.json": write_json({
+            "lambda": fp.lam,
+            "beta": prefs.beta,
+            "gamma": prefs.gamma,
+            "iterations": int(fp.iterations),
+            "converged": converged,
+            "final_step": fp.final_step,
+        }),
+        "value_function.csv": write_csv(
+            [f"x{d+1}" for d in range(panel.state_dim)] + ["chi"], [*grid.T, chi]),
+    }
     if panel.state_dim == 1:
-        line_plot(os.path.join(cfg.out_dir, "value_function.svg"), grid[:, 0],
-                  {"chi": chi}, title="Continuation-value eigenfunction", xlabel="state")
-    _write_provenance(cfg, {"converged": converged})
-    return 0 if converged else 2
+        files["value_function.svg"] = line_plot(
+            grid[:, 0], {"chi": chi}, title="Continuation-value eigenfunction", xlabel="state")
+    return (0 if converged else 2), files, {"converged": converged}
 
 
 def _instrument_basis(cfg: RunConfig, panel: StatePanel, solve_basis):
@@ -565,42 +542,41 @@ def _instrument_basis(cfg: RunConfig, panel: StatePanel, solve_basis):
     return b
 
 
-def _cmd_calibrate(cfg: RunConfig) -> int:
+def _cmd_calibrate(cfg: RunConfig) -> tuple[int, dict, dict]:
     panel = read_panel_csv(cfg)
     if panel.returns is None:
         raise CliError("calibrate needs return columns")
     if panel.growth is None:
         raise CliError("calibrate needs a growth column")
-    solve_basis = _basis_spec(cfg).build(panel.states)
+    solve_basis = BasisSpec(**cfg.basis).build(panel.states)
     inst_basis = _instrument_basis(cfg, panel, solve_basis)
     result = estimate_preferences(Design(solve_basis, panel), Design(inst_basis, panel))
-    payload = {
-        "beta_hat": result.beta_hat,
-        "gamma_hat": result.gamma_hat,
-        "criterion_value": result.criterion_value,
-        "converged": result.converged,
-        "lambda": None if result.inner_solution is None else result.inner_solution.lam,
-        "evaluations": len(result.optimizer_trace),
-        "infeasible": result.infeasible,
-    }
-    write_json(os.path.join(cfg.out_dir, "calibration.json"), payload)
-    write_csv(os.path.join(cfg.out_dir, "trace.csv"), ["beta", "gamma", "criterion"],
-              list(zip(*result.optimizer_trace)))
     rows = [
         {"statistic": "beta", "estimate": result.beta_hat},
         {"statistic": "gamma", "estimate": result.gamma_hat},
     ]
     if result.inner_solution is not None:
         rows.append({"statistic": "lambda", "estimate": result.inner_solution.lam})
-    _write_summary_csv(os.path.join(cfg.out_dir, "estimates.csv"), rows, level=None)
-    _write_provenance(cfg, {"converged": result.converged})
-    return 0 if result.converged else 2
+    files = {
+        "calibration.json": write_json({
+            "beta_hat": result.beta_hat,
+            "gamma_hat": result.gamma_hat,
+            "criterion_value": result.criterion_value,
+            "converged": result.converged,
+            "lambda": None if result.inner_solution is None else result.inner_solution.lam,
+            "evaluations": len(result.optimizer_trace),
+            "infeasible": result.infeasible,
+        }),
+        "trace.csv": write_csv(["beta", "gamma", "criterion"], list(zip(*result.optimizer_trace))),
+        "estimates.csv": _summary_csv(rows, level=None),
+    }
+    return (0 if result.converged else 2), files, {"converged": result.converged}
 
 
-def _cmd_bootstrap(cfg: RunConfig) -> int:
+def _cmd_bootstrap(cfg: RunConfig) -> tuple[int, dict, dict]:
     panel = read_panel_csv(cfg)
     prefs = _sdf_source(cfg, panel)
-    design = Design(_basis_spec(cfg).build(panel.states), panel)
+    design = Design(BasisSpec(**cfg.basis).build(panel.states), panel)
     fit = fit_panel(design, prefs)
     b = int(_value(cfg, "bootstrap.b"))
     block = float(_value(cfg, "bootstrap.expected_block"))
@@ -614,19 +590,20 @@ def _cmd_bootstrap(cfg: RunConfig) -> int:
         point.update(beta=prefs.beta, gamma=prefs.gamma)
     rows = [{"statistic": stat, "estimate": estimate, "ci_lo": boot.ci_lo.get(stat),
              "ci_hi": boot.ci_hi.get(stat)} for stat, estimate in point.items()]
-    _write_summary_csv(os.path.join(cfg.out_dir, "summary.csv"), rows, level=level)
-    write_json(os.path.join(cfg.out_dir, "bootstrap.json"), {
-        "b": b, "expected_block": block, "level": level, "seed": cfg.seed,
-        "discarded": boot.discarded,
-        # the reported reasons in their order, then any other reason that occurred
-        "discard_reasons": {**dict.fromkeys(DISCARD_REASONS, 0), **boot.discard_reasons},
-        "fallback_point_estimate": bool(fit.reason),
-    })
-    _write_provenance(cfg, {"discarded": boot.discarded})
-    return _exit_status(fit)
+    files = {
+        "summary.csv": _summary_csv(rows, level=level),
+        "bootstrap.json": write_json({
+            "b": b, "expected_block": block, "level": level, "seed": cfg.seed,
+            "discarded": boot.discarded,
+            # the reported reasons in their order, then any other reason that occurred
+            "discard_reasons": {**dict.fromkeys(DISCARD_REASONS, 0), **boot.discard_reasons},
+            "fallback_point_estimate": bool(fit.reason),
+        }),
+    }
+    return _exit_status(fit), files, {"discarded": boot.discarded}
 
 
-def _cmd_mc(cfg: RunConfig) -> int:
+def _cmd_mc(cfg: RunConfig) -> tuple[int, dict, dict]:
     preferences = PowerUtility if _value(cfg, "mc.design") == "power" else RecursiveUtility
     beta = float(_value(cfg, "mc.beta", cfg.preferences.get("beta")))
     gamma = float(_value(cfg, "mc.gamma", cfg.preferences.get("gamma")))
@@ -636,33 +613,38 @@ def _cmd_mc(cfg: RunConfig) -> int:
         preferences=preferences(beta=beta, gamma=gamma),
         sample_sizes=tuple(_value(cfg, "mc.sizes")),
         replications=int(_value(cfg, "mc.reps")),
-        basis_spec=_basis_spec(cfg),
+        basis_spec=BasisSpec(**cfg.basis),
         seed=cfg.seed,
     )
     table = run_mc_study(design)
     keys = sorted(table.cells)
     cells = [table.cells[key] for key in keys]
-    write_csv(os.path.join(cfg.out_dir, "mc_table.csv"),
-              ["design", "basis", "n", "statistic", "bias", "rmse", "replications", "excluded",
-               "flagged"],
-              [[design.preferences.kind] * len(keys), [design.basis_spec.family] * len(keys),
-               [n for n, _ in keys], [stat for _, stat in keys],
-               [cell.bias for cell in cells], [cell.rmse for cell in cells],
-               [design.replications] * len(keys), [table.excluded.get(n, 0) for n, _ in keys],
-               [int(cell.flagged) for cell in cells]])
-    write_json(os.path.join(cfg.out_dir, "mc_table_meta.json"), {
-        "design": design.preferences.kind, "basis": design.basis_spec.family, "k": table.k,
-        "replications": design.replications, "seed": design.seed,
-        "excluded": {str(n): count for n, count in table.excluded.items()},
-        "truths": table.truths, "elapsed_seconds": table.elapsed_seconds,
-    })
-    _write_provenance(cfg, {"elapsed_seconds": table.elapsed_seconds})
-    return 0
+    files = {
+        "mc_table.csv": write_csv(
+            ["design", "basis", "n", "statistic", "bias", "rmse", "replications", "excluded",
+             "flagged"],
+            [[design.preferences.kind] * len(keys), [design.basis_spec.family] * len(keys),
+             [n for n, _ in keys], [stat for _, stat in keys],
+             [cell.bias for cell in cells], [cell.rmse for cell in cells],
+             [design.replications] * len(keys), [table.excluded.get(n, 0) for n, _ in keys],
+             [int(cell.flagged) for cell in cells]]),
+        "mc_table_meta.json": write_json({
+            "design": design.preferences.kind, "basis": design.basis_spec.family, "k": table.k,
+            "replications": design.replications, "seed": design.seed,
+            "excluded": {str(n): count for n, count in table.excluded.items()},
+            "truths": table.truths, "elapsed_seconds": table.elapsed_seconds,
+        }),
+    }
+    return 0, files, {"elapsed_seconds": table.elapsed_seconds}
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one configured command; returns the process exit status."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    """Execute one configured command, then write its files; returns the process exit status.
+
+    A command returns its exit status, its files as {name: text} in write
+    order, and its extra provenance keys. Each file is rewritten in place,
+    provenance.json last.
+    """
     handlers = {
         "decompose": _cmd_decompose,
         "value": _cmd_value,
@@ -672,7 +654,20 @@ def run(cfg: RunConfig) -> int:
     }
     if cfg.command not in handlers:
         raise CliError(f"unknown command {cfg.command!r}")
-    return handlers[cfg.command](cfg)
+    status, files, extra = handlers[cfg.command](cfg)
+    files["provenance.json"] = write_json({
+        "command": cfg.command,
+        "config": json.loads(cfg.canonical()),
+        "config_sha256": hashlib.sha256(cfg.canonical().encode()).hexdigest(),
+        "seed": cfg.seed,
+        "versions": {"sdfspectral": __version__, "numpy": np.__version__},
+        **extra,
+    })
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(cfg.out_dir, name), "w", newline="") as fh:
+            fh.write(text)
+    return status
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,9 @@
-"""The one CSV writer of every output table, and the one JSON writer of every output record.
+"""The one CSV formatter of every output table, and the one JSON formatter of every output record.
 
-Header row, comma separator, UTF-8, decimal point, ``\\r\\n`` row
-terminators. Floats carry 17 significant digits so they round-trip
-losslessly, None is an empty cell, and ints and strings are written as
-they are.
+Each returns a file's text, which ``cli.run`` alone writes. Header row,
+comma separator, UTF-8, decimal point, ``\\r\\n`` row terminators.
+Floats carry 17 significant digits so they round-trip losslessly, None
+is an empty cell, and ints and strings are written as they are.
 """
 
 from __future__ import annotations
@@ -44,21 +44,19 @@ def _column(values) -> tuple[str, list]:
     return "%s", [_text(v) for v in values]
 
 
-def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
-    """Write ``header`` and then the rows of ``columns``, equal-length sequences, to ``path``.
+def write_csv(header: Sequence[str], columns: Sequence) -> str:
+    """The text of ``header`` and then the rows of ``columns``, equal-length sequences.
 
     The table is formatted with one ``%`` template: one conversion per
     column, built from the column's kind.
     """
     kinds, cells = zip(*map(_column, columns))
     rows = list(zip(*cells))
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.write((",".join(kinds) + "\r\n") * len(rows) % tuple(chain.from_iterable(rows)))
+    buf = io.StringIO()
+    csv.writer(buf).writerow(header)
+    return buf.getvalue() + (",".join(kinds) + "\r\n") * len(rows) % tuple(chain.from_iterable(rows))
 
 
-def write_json(path, payload) -> None:
-    """Write ``payload`` to ``path`` as JSON indented by two spaces, with a final newline."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def write_json(payload) -> str:
+    """``payload`` as JSON indented by two spaces, with a final newline."""
+    return json.dumps(payload, indent=2) + "\n"

@@ -1,7 +1,7 @@
 """Minimal SVG emitters: line plots and heat grids, no external renderer.
 
-Plots are a convenience; the CSVs next to them are the contract. Output
-is deterministic for identical inputs.
+Plots are a convenience; the CSVs next to them are the contract. Each
+emitter returns its SVG text, deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ def _fmt(v: float) -> str:
     return format(float(v), ".4g")
 
 
-def _write_svg(path, title: str, xlabel: str, ylabel: str, plot, legend=()) -> None:
-    """Write an SVG: the head and title, the ``plot`` parts, the axis labels, the ``legend`` parts."""
+def _write_svg(title: str, xlabel: str, ylabel: str, plot, legend=()) -> str:
+    """An SVG's text: the head and title, the ``plot`` parts, the axis labels, the ``legend`` parts."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="11">',
@@ -39,12 +39,11 @@ def _write_svg(path, title: str, xlabel: str, ylabel: str, plot, legend=()) -> N
         *legend,
         "</svg>",
     ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
-def line_plot(path, x, series: dict, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
-    """Write an SVG with one polyline per named series over a shared x axis."""
+def line_plot(x, series: dict, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
+    """An SVG with one polyline per named series over a shared x axis."""
     x = np.asarray(x, dtype=float)
     ys = {name: np.asarray(v, dtype=float) for name, v in series.items()}
     x_lo, x_hi = float(x.min()), float(x.max())
@@ -85,11 +84,11 @@ def line_plot(path, x, series: dict, title: str = "", xlabel: str = "", ylabel: 
             f'<line x1="{lx}" y1="{lyy-4}" x2="{lx+18}" y2="{lyy-4}" stroke="{color}" stroke-width="2"/>'
             f'<text x="{lx+23}" y="{lyy}">{name}</text>'
         )
-    _write_svg(path, title, xlabel, ylabel, plot, legend)
+    return _write_svg(title, xlabel, ylabel, plot, legend)
 
 
-def heat_grid(path, x, y, z, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
-    """Write an SVG heat grid of z (len(y) rows by len(x) columns)."""
+def heat_grid(x, y, z, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
+    """An SVG heat grid of z (len(y) rows by len(x) columns)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -111,4 +110,4 @@ def heat_grid(path, x, y, z, title: str = "", xlabel: str = "", ylabel: str = ""
         plot.append(f'<text x="{pos}" y="{_MT+_PH+16}" text-anchor="middle">{_fmt(tv)}</text>')
     for tv, pos in [(y[0], _MT + _PH), (y[-1], _MT)]:
         plot.append(f'<text x="{_ML-7}" y="{pos+3}" text-anchor="end">{_fmt(tv)}</text>')
-    _write_svg(path, title, xlabel, ylabel, plot)
+    return _write_svg(title, xlabel, ylabel, plot)

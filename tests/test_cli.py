@@ -113,7 +113,7 @@ def test_degree_above_170_exits_1_without_traceback(tmp_path, sim_panel):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "degree 171" in lines[0]
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_decompose_errors(tmp_path, sim_panel, capsys):
@@ -231,7 +231,7 @@ def test_constant_state_coordinate_is_named(family, constant, tmp_path, capsys):
                        "--gamma", "15", "--basis", family, "--degree", "2", "--cap", "3",
                        "--out", str(out)])
         assert status == 1 and message in capsys.readouterr().err
-        assert not list(out.glob("*"))  # nothing is written before the basis is built
+        assert not out.exists()  # nothing is written when the basis cannot be built
 
 
 @pytest.mark.parametrize("family", ["hermite", "sparse"])
@@ -351,7 +351,7 @@ def test_config_value_of_wrong_type(tmp_path, sim_panel, capsys, command, config
     assert main([command, "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def _setting_values(setting):
@@ -489,7 +489,48 @@ def test_user_error_exits_1_with_one_line(tmp_path, sim_panel, capsys, case, mes
     assert main([*argv, "--out", str(out)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_out_naming_a_file_exits_1_before_any_work(tmp_path, monkeypatch, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    calls = []
+    monkeypatch.setattr(cli, "run_mc_study", calls.append)
+    assert main(["mc", "--basis", "hermite", "--k", "8", "--reps", "2", "--sizes", "400",
+                 "--out", str(afile)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "'out_dir'" in lines[0]
+    assert calls == [] and afile.read_text() == "kept\n"
+
+
+def test_a_failure_after_the_tables_are_computed_writes_nothing(tmp_path, sim_panel,
+                                                                monkeypatch, capsys):
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
+                                growth=sim_panel.growth)
+
+    def decompose(out, k):
+        return main(["decompose", "--input", str(csv_path), "--state-cols", "x1",
+                     "--growth-col", "G", "--basis", "hermite", "--k", k,
+                     "--preferences", "power", "--beta", "0.994", "--gamma", "15",
+                     "--out", str(out)])
+
+    kept = tmp_path / "kept"
+    assert decompose(kept, "8") == 0
+    before = {p.name: p.read_bytes() for p in kept.iterdir()}
+    assert len(before) == 7
+
+    def failing_plot(*args, **kwargs):
+        raise ValueError("the plot failed")
+
+    # series.csv, scalars.json and change_of_measure_sample.csv come before the first plot
+    monkeypatch.setattr(cli, "line_plot", failing_plot)
+    for out in (tmp_path / "new", kept):  # k = 6 would change every table of kept
+        assert decompose(out, "6") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: the plot failed"]
+    assert not (tmp_path / "new").exists()
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
 
 
 def test_one_parser_serves_successive_calls(monkeypatch, capsys):
@@ -630,7 +671,7 @@ def test_sdf_source_errors(tmp_path, sim_panel, capsys, command, flags, message)
     status = main([command, "--input", str(csv_path), "--state-cols", "x1", *flags,
                    "--out", str(out)])
     assert status == 1 and message in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("beta, gamma, reason", [
@@ -656,7 +697,7 @@ def test_value_without_a_solution_exits_1(tmp_path, testbed, sim_panel, capsys, 
     err = capsys.readouterr().err
     assert status == 1 and err.startswith("error:") and reason in err
     assert f"beta={float(beta)}" in err and f"gamma={float(gamma)}" in err
-    assert not (out / "value.json").exists() and list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sizes", ["", "400,5"])
@@ -671,7 +712,7 @@ def test_mc_sample_sizes_are_checked_before_any_simulation(tmp_path, monkeypatch
                    "--out", str(out)])
     assert status == 1 and calls == []
     assert "sample size" in capsys.readouterr().err
-    assert not (out / "mc_table.csv").exists()
+    assert not out.exists()
 
 
 def test_mc_command_smoke(tmp_path, testbed):
@@ -824,4 +865,4 @@ def test_instrument_dimension_error_gives_advice_that_applies(tmp_path, sim_pane
     assert len(lines) == 1 and lines[0].startswith("error:") and advice in lines[0]
     if "," in state_cols:
         assert "instrument_k" not in lines[0]
-    assert not any(out.iterdir())
+    assert not out.exists()

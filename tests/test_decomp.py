@@ -169,7 +169,7 @@ def test_association_statistics(power_series, quad_power, testbed, power_prefs):
     assert -1.0 <= stats["kendall_tau"] <= 1.0
 
 
-def test_association_degenerate_and_antithetic(tmp_path):
+def test_association_degenerate_and_antithetic():
     u = np.random.default_rng(5).normal(size=30)
     anti = DecompSeries(m=np.ones(30), m_perm=np.exp(u), m_trans=np.exp(-u))
     stats = s.pt_association(anti)
@@ -184,13 +184,12 @@ def test_association_degenerate_and_antithetic(tmp_path):
     dstats = s.pt_association(flat)
     assert dstats["corr_log"] is None
     assert dstats["kendall_tau"] is None and dstats["spearman_rho"] is None
-    path = tmp_path / "scalars.json"
-    write_json(path, {"association": dstats})
+    text = write_json({"association": dstats})
 
     def reject(name):
         raise ValueError(f"{name} is not JSON")
 
-    assert json.loads(path.read_text(), parse_constant=reject)["association"] == dstats
+    assert json.loads(text, parse_constant=reject)["association"] == dstats
 
 
 def _rank_cases():

@@ -1,4 +1,4 @@
-"""Byte-level checks of the table writer and the SVG polylines against per-cell references."""
+"""Character-level checks of the table text and the SVG polylines against per-cell references."""
 
 import csv
 import io
@@ -12,7 +12,7 @@ from sdfspectral import svgplot
 from sdfspectral.csvout import write_csv
 
 
-def _reference_csv(header, rows) -> bytes:
+def _reference_csv(header, rows) -> str:
     """The table as csv.writer writes it cell by cell: floats to 17 digits, None empty."""
 
     def cell(value):
@@ -26,7 +26,7 @@ def _reference_csv(header, rows) -> bytes:
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows([cell(v) for v in row] for row in rows)
-    return buf.getvalue().encode()
+    return buf.getvalue()
 
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, 1 / 3]
@@ -53,17 +53,13 @@ COLUMNS = {
     ["int64", "float64", "float64", "float64"],  # the layout of series.csv
     ["text", "float_or_none", "float_or_none", "float_or_none", "float_or_none"],
 ])
-def test_write_csv_matches_the_per_cell_writer(tmp_path, names):
+def test_write_csv_matches_the_per_cell_writer(names):
     columns = [COLUMNS[name] for name in names]
-    path = tmp_path / "t.csv"
-    write_csv(path, names, columns)
-    assert path.read_bytes() == _reference_csv(names, zip(*columns))
+    assert write_csv(names, columns) == _reference_csv(names, zip(*columns))
 
 
-def test_write_csv_empty_table(tmp_path):
-    path = tmp_path / "t.csv"
-    write_csv(path, ["t", "m"], [np.arange(0), np.empty(0)])
-    assert path.read_bytes() == b"t,m\r\n"
+def test_write_csv_empty_table():
+    assert write_csv(["t", "m"], [np.arange(0), np.empty(0)]) == "t,m\r\n"
 
 
 def _reference_points(x, series: dict) -> list[str]:
@@ -91,11 +87,9 @@ def _reference_points(x, series: dict) -> list[str]:
      "wide": np.linspace(-1e3, 5e2, 301)},
     {"constant": np.full(301, 0.7)},
 ])
-def test_line_plot_points_match_the_per_point_format(tmp_path, series):
+def test_line_plot_points_match_the_per_point_format(series):
     x = np.linspace(-0.031, 0.047, 301)
-    path = tmp_path / "p.svg"
-    svgplot.line_plot(path, x, series)
-    points = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+    points = re.findall(r'<polyline points="([^"]*)"', svgplot.line_plot(x, series))
     assert points == _reference_points(x, series)
 
 
@@ -120,12 +114,11 @@ def _reference_cells(x, y, z) -> list[str]:
     ((3, 5), lambda n: np.linspace(-7.0, 2.0, n)),
     ((4, 1), lambda n: np.full(n, 0.3)),
 ])
-def test_heat_grid_cells_match_the_per_cell_format(tmp_path, shape, z):
+def test_heat_grid_cells_match_the_per_cell_format(shape, z):
     x, y = np.linspace(-1.0, 1.0, shape[1]), np.linspace(0.5, 2.5, shape[0])
     z = z(shape[0] * shape[1]).reshape(shape)
-    path = tmp_path / "h.svg"
-    svgplot.heat_grid(path, x, y, z)
+    text = svgplot.heat_grid(x, y, z)
     cells = re.findall(r'<rect x="[^"]*" y="[^"]*" width="[^"]*" height="[^"]*" '
-                       r'fill="rgb[^"]*"/>', path.read_text())
+                       r'fill="rgb[^"]*"/>', text)
     assert cells == _reference_cells(x, y, z)
-    assert path.read_text().count("<rect") == len(cells) + 2  # the background and the frame
+    assert text.count("<rect") == len(cells) + 2  # the background and the frame
