@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pfeig import _row
+from .pfeig import GRAM_NOT_SPD, _row
 from .sievemat import Design
 from .valuefn import VALUE_FAILURES, FixedPointStack, recursive_sdf_stack, solve_value_stack
 
@@ -36,9 +36,9 @@ FATOL = 1e-12
 MAX_ITER = 500
 
 
-#: why a (beta, gamma) point is infeasible: a failed value recursion
+#: why a (beta, gamma) point is infeasible: GRAM_NOT_SPD, a failed value recursion
 #: (VALUE_FAILURES), or a continuation value that is not positive on the sample
-INFEASIBLE_REASONS = VALUE_FAILURES + ("nonpositive_continuation",)
+INFEASIBLE_REASONS = (GRAM_NOT_SPD,) + VALUE_FAILURES + ("nonpositive_continuation",)
 
 
 @dataclass
@@ -109,7 +109,7 @@ def estimate_preferences(
     point returns that point. The grid is one :func:`criterion_grid` call
     and each simplex point a one-point call, and every evaluated point is
     traced and its reason counted alike. Raises when every grid point is
-    infeasible (inner solver failed everywhere).
+    infeasible (inner solver failed everywhere), naming the reasons counted.
     """
     (b_lo, b_hi), (g_lo, g_hi) = bounds
     if not (b_lo <= b_hi and g_lo <= g_hi):
@@ -133,7 +133,8 @@ def estimate_preferences(
     # the first grid point of least value; NaN never wins
     best = int(np.argmin(np.where(np.isnan(values), math.inf, values)))
     if not math.isfinite(values[best]):
-        raise RuntimeError("all grid points infeasible; inner solver failed everywhere")
+        raise RuntimeError("all grid points infeasible; inner solver failed everywhere "
+                           f"({dict(sorted(infeasible.items()))})")
     x, crit_val, success = _nelder_mead(
         lambda point: float(evaluate(*point)[0]),
         np.array([betas[best], gammas[best]]),

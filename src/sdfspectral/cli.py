@@ -250,8 +250,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     repeated = sorted({n for n in sizes if sizes.count(n) > 1})
     if repeated:  # a repeated size would draw the same substreams twice
         raise CliError(f"config key 'mc.sizes' repeats {', '.join(map(str, repeated))}")
-    if os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
-        raise CliError(f"config key 'out_dir' must name a directory, not the file {cfg.out_dir}")
+    above = cfg.out_dir  # the nearest existing path at or above out_dir
+    while not os.path.exists(above):
+        above = os.path.dirname(above) or "."
+    if not os.path.isdir(above):
+        raise CliError(f"config key 'out_dir' must name a directory, but {above} is a file")
     return cfg
 
 
@@ -432,16 +435,13 @@ def validate_summary_csv(path) -> list[dict]:
 # ----------------------------------------------------------------- commands
 
 
-def _exit_status(fit: FitStack) -> int:
-    """Exit status of a command that made its outputs from ``fit``: 2, with a warning, if flagged."""
+def _flag(fit: FitStack) -> Optional[str]:
+    """Why the outputs made from ``fit`` are flagged, or None."""
     if fit.reason:
-        why = f"eigenpair failed the {fit.reason} rule; fell back to the constant solution (rho = 1)"
-    elif not positive_on_sample(fit.sample.phi_t, fit.sample.phi_t1):
-        why = "eigenfunction not positive on sample; results are emitted but flagged"
-    else:
-        return 0
-    print(f"warning: {why}", file=sys.stderr)
-    return 2
+        return f"eigenpair failed the {fit.reason} rule; fell back to the constant solution (rho = 1)"
+    if not positive_on_sample(fit.sample.phi_t, fit.sample.phi_t1):
+        return "eigenfunction not positive on sample; results are emitted but flagged"
+    return None
 
 
 def _sdf_source(cfg: RunConfig, panel: StatePanel):
@@ -454,7 +454,7 @@ def _sdf_source(cfg: RunConfig, panel: StatePanel):
     return prefs
 
 
-def _cmd_decompose(cfg: RunConfig) -> tuple[int, dict, dict]:
+def _cmd_decompose(cfg: RunConfig) -> tuple[Optional[str], dict, dict]:
     panel = read_panel_csv(cfg)
     prefs = _sdf_source(cfg, panel)
     basis = BasisSpec(**cfg.basis).build(panel.states)
@@ -488,10 +488,10 @@ def _cmd_decompose(cfg: RunConfig) -> tuple[int, dict, dict]:
                                 title="SDF and permanent/transitory increments", xlabel="t"),
         **_eigenfunction_files(cfg, panel, basis, fit),
     }
-    return _exit_status(fit), files, {"fallback": fallback}
+    return _flag(fit), files, {"fallback": fallback}
 
 
-def _cmd_value(cfg: RunConfig) -> tuple[int, dict, dict]:
+def _cmd_value(cfg: RunConfig) -> tuple[Optional[str], dict, dict]:
     panel = read_panel_csv(cfg)
     if panel.growth is None:
         raise CliError("the value command needs a growth column")
@@ -520,7 +520,8 @@ def _cmd_value(cfg: RunConfig) -> tuple[int, dict, dict]:
     if panel.state_dim == 1:
         files["value_function.svg"] = line_plot(
             grid[:, 0], {"chi": chi}, title="Continuation-value eigenfunction", xlabel="state")
-    return (0 if converged else 2), files, {"converged": converged}
+    return (None if converged else f"{fp.reason} after {fp.iterations} iterations, final step "
+            f"{fp.final_step:.3g}; results are emitted but flagged"), files, {"converged": converged}
 
 
 def _instrument_basis(cfg: RunConfig, panel: StatePanel, solve_basis):
@@ -542,7 +543,7 @@ def _instrument_basis(cfg: RunConfig, panel: StatePanel, solve_basis):
     return b
 
 
-def _cmd_calibrate(cfg: RunConfig) -> tuple[int, dict, dict]:
+def _cmd_calibrate(cfg: RunConfig) -> tuple[Optional[str], dict, dict]:
     panel = read_panel_csv(cfg)
     if panel.returns is None:
         raise CliError("calibrate needs return columns")
@@ -570,10 +571,11 @@ def _cmd_calibrate(cfg: RunConfig) -> tuple[int, dict, dict]:
         "trace.csv": write_csv(["beta", "gamma", "criterion"], list(zip(*result.optimizer_trace))),
         "estimates.csv": _summary_csv(rows, level=None),
     }
-    return (0 if result.converged else 2), files, {"converged": result.converged}
+    return (None if result.converged else "the Nelder-Mead polish did not converge; results are "
+            "emitted but flagged"), files, {"converged": result.converged}
 
 
-def _cmd_bootstrap(cfg: RunConfig) -> tuple[int, dict, dict]:
+def _cmd_bootstrap(cfg: RunConfig) -> tuple[Optional[str], dict, dict]:
     panel = read_panel_csv(cfg)
     prefs = _sdf_source(cfg, panel)
     design = Design(BasisSpec(**cfg.basis).build(panel.states), panel)
@@ -600,10 +602,10 @@ def _cmd_bootstrap(cfg: RunConfig) -> tuple[int, dict, dict]:
             "fallback_point_estimate": bool(fit.reason),
         }),
     }
-    return _exit_status(fit), files, {"discarded": boot.discarded}
+    return _flag(fit), files, {"discarded": boot.discarded}
 
 
-def _cmd_mc(cfg: RunConfig) -> tuple[int, dict, dict]:
+def _cmd_mc(cfg: RunConfig) -> tuple[Optional[str], dict, dict]:
     preferences = PowerUtility if _value(cfg, "mc.design") == "power" else RecursiveUtility
     beta = float(_value(cfg, "mc.beta", cfg.preferences.get("beta")))
     gamma = float(_value(cfg, "mc.gamma", cfg.preferences.get("gamma")))
@@ -635,15 +637,16 @@ def _cmd_mc(cfg: RunConfig) -> tuple[int, dict, dict]:
             "truths": table.truths, "elapsed_seconds": table.elapsed_seconds,
         }),
     }
-    return 0, files, {"elapsed_seconds": table.elapsed_seconds}
+    return None, files, {"elapsed_seconds": table.elapsed_seconds}
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one configured command, then write its files; returns the process exit status.
 
-    A command returns its exit status, its files as {name: text} in write
-    order, and its extra provenance keys. Each file is rewritten in place,
-    provenance.json last.
+    A command returns why its outputs are flagged (None if they are not),
+    its files as {name: text} in write order, and its extra provenance
+    keys. A flag is printed as a warning and makes the exit status 2. Each
+    file is rewritten in place, provenance.json last.
     """
     handlers = {
         "decompose": _cmd_decompose,
@@ -654,7 +657,9 @@ def run(cfg: RunConfig) -> int:
     }
     if cfg.command not in handlers:
         raise CliError(f"unknown command {cfg.command!r}")
-    status, files, extra = handlers[cfg.command](cfg)
+    flag, files, extra = handlers[cfg.command](cfg)
+    if flag is not None:
+        print(f"warning: {flag}", file=sys.stderr)
     files["provenance.json"] = write_json({
         "command": cfg.command,
         "config": json.loads(cfg.canonical()),
@@ -667,7 +672,7 @@ def run(cfg: RunConfig) -> int:
     for name, text in files.items():
         with open(os.path.join(cfg.out_dir, name), "w", newline="") as fh:
             fh.write(text)
-    return status
+    return 0 if flag is None else 2
 
 
 def main(argv=None) -> int:

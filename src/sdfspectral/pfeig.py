@@ -5,8 +5,9 @@ selects the largest real positive eigenvalue, and normalizes scale and
 sign. A pencil with no real simple positive eigenvalue is flagged with
 the rule it failed, so that downstream statistics can censor such fits;
 a single fit then falls back to the trivial pair (rho, phi, phi*) =
-(1, 1, 1). One stacked solver, which whitens each pencil by the Cholesky
-factor of G, serves a single fit and every bootstrap replicate alike.
+(1, 1, 1); one whose G cannot be factored fails its own fit as GRAM_NOT_SPD.
+One stacked solver, which whitens each pencil by the Cholesky factor of
+G, serves a single fit and every bootstrap replicate alike.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ TIE_TOL = 1e-10
 #: the acceptance rules in the order they are checked; a rejected
 #: eigenpair records the first rule it failed as its fallback reason
 FALLBACK_REASONS = ("no_positive_real", "tie", "left_mismatch", "residual")
+#: the reason, checked first and no fallback, of a G not finite or not SPD after the ridge
+GRAM_NOT_SPD = "gram_not_spd"
 
 
 class GramFactor(NamedTuple):
@@ -30,18 +33,12 @@ class GramFactor(NamedTuple):
     ``G`` holds the symmetrized matrices, ridged where that was needed, and
     ``Li`` the inverses of their lower-triangular Cholesky factors L, with
     G = L L'. ``ok`` marks the matrices that factored, ridge included; the
-    ``Li`` of the others is NaN.
+    others' ``G`` and ``Li`` are the identity, a finite placeholder.
     """
 
     G: np.ndarray  # (S, k, k)
     Li: np.ndarray  # (S, k, k) L^-1
     ok: np.ndarray  # (S,) bool
-
-    def checked(self) -> "GramFactor":
-        """This factor, or LinAlgError where a matrix is not SPD even after the ridge."""
-        if not self.ok.all():
-            raise np.linalg.LinAlgError("Gram matrix not positive definite even after ridge")
-        return self
 
 
 def _cholesky_stack(G: np.ndarray) -> GramFactor:
@@ -49,11 +46,13 @@ def _cholesky_stack(G: np.ndarray) -> GramFactor:
 
     This is the only code that factors a Gram matrix. A G that is not
     positive definite gets one ridge of 1e-10 trace(G)/k and is factored
-    again; one that still fails is marked in ``ok``.
+    again; one that still fails or is not finite is marked in ``ok``.
     """
     G = np.asarray(G, dtype=float)
     G = 0.5 * (G + np.swapaxes(G, -1, -2))
-    ok = np.ones(len(G), dtype=bool)
+    eye = np.eye(G.shape[-1])
+    ok = np.all(np.isfinite(G), axis=(1, 2))  # cholesky does not raise on these
+    G[~ok] = eye
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
@@ -63,21 +62,21 @@ def _cholesky_stack(G: np.ndarray) -> GramFactor:
             try:
                 L[s] = np.linalg.cholesky(g)
             except np.linalg.LinAlgError:
-                g += 1e-10 * np.trace(g) / len(g) * np.eye(len(g))
+                g += 1e-10 * np.trace(g) / len(g) * eye
                 try:
                     L[s] = np.linalg.cholesky(g)
                 except np.linalg.LinAlgError:
-                    L[s], ok[s] = np.nan, False
+                    g[...], L[s], ok[s] = eye, eye, False
     return GramFactor(G, np.linalg.inv(L), ok)
 
 
 class _PencilStack(NamedTuple):
     """Per-pencil results of :func:`_solve_stack`.
 
-    ``reason`` is "" for an accepted pencil and otherwise names the first
-    rule of FALLBACK_REASONS it failed; the other fields of a rejected
-    pencil are meaningless. ``gap`` is NaN with fewer than two real
-    eigenvalues.
+    ``reason`` is "" for an accepted pencil and otherwise GRAM_NOT_SPD or
+    the first rule of FALLBACK_REASONS it failed; the other fields of a
+    rejected pencil are meaningless. ``gap`` is NaN with fewer than two
+    real eigenvalues.
     """
 
     rho: np.ndarray  # (S,)
@@ -151,16 +150,16 @@ def _residuals_pass(
 def _solve_stack(M: np.ndarray, factor: GramFactor) -> _PencilStack:
     """Largest real positive eigenpair of each pencil (M, G) in a (S, k, k) stack.
 
-    ``factor`` is the :func:`_cholesky_stack` record of the G stack, which
-    raises LinAlgError if some G is not SPD even after the ridge. With
+    ``factor`` is the :func:`_cholesky_stack` record of the G stack. With
     G = L L', the pencil (M, G) has the eigenvalues of the whitened matrix
     A = L^-1 M L^-'; A's eigenvectors v give the right coefficients L^-' v
-    and those of A' the adjoint ones. The acceptance rules (reality,
-    positivity, simplicity, adjoint match, residuals) are applied to every
-    pencil separately.
+    and those of A' the adjoint ones. A pencil whose G did not factor is
+    GRAM_NOT_SPD, solved with M = 0 so that eig sees finite input; the
+    acceptance rules (reality, positivity, simplicity, adjoint match,
+    residuals) are applied to every other pencil separately.
     """
-    M = np.asarray(M, dtype=float)
-    G, Li, _ = factor.checked()
+    G, Li, ok = factor
+    M = np.where(ok[:, None, None], M, 0.0)
     Lit = np.swapaxes(Li, -1, -2)
     Mt = np.swapaxes(M, -1, -2)
     vals, vecs = np.linalg.eig(Li @ M @ Lit)
@@ -194,8 +193,8 @@ def _solve_stack(M: np.ndarray, factor: GramFactor) -> _PencilStack:
     second = real_sorted[:, -2] if real_sorted.shape[1] > 1 else np.nan
     gap = np.where(real.sum(axis=1) >= 2, rho - second, np.nan)
     reason = np.select(
-        [~pos.any(axis=1), tie, mismatch, ~_residuals_pass(M, G, rho, residuals)],
-        FALLBACK_REASONS, default="",
+        [~ok, ~pos.any(axis=1), tie, mismatch, ~_residuals_pass(M, G, rho, residuals)],
+        (GRAM_NOT_SPD,) + FALLBACK_REASONS, default="",
     )
     return _PencilStack(rho, right, left, residuals, gap, reason)
 
@@ -223,8 +222,8 @@ def _normalize_stack(
         c = right / np.sqrt(scale)[:, None]
         cross = form(left, c)
         cs = left / cross[:, None]
-    # With the constant function in the basis span, const'Gc is exactly the
-    # sample mean of the eigenfunction.
-    flip = form(np.broadcast_to(const, c.shape), c) < 0
+        # With the constant function in the basis span, const'Gc is exactly
+        # the sample mean of the eigenfunction.
+        flip = form(np.broadcast_to(const, c.shape), c) < 0
     c[flip], cs[flip] = -c[flip], -cs[flip]
     return c, cs, scale <= 0, cross == 0.0

@@ -3,9 +3,9 @@
 :func:`fit_stack` runs each stage of the estimator once over R replicates
 in one of three row layouts: a :class:`Design` alone (a stack of one),
 the :class:`CountRows` of R bootstrap replicates of a Design, or a
-:class:`DesignStack` of R Monte Carlo designs. A replicate's ``reason``
-is "" where its fit is kept and otherwise the first stage that failed
-it, in stage order: a VALUE_FAILURES entry, "nonpositive_continuation",
+:class:`DesignStack` of R Monte Carlo designs. A replicate's ``reason`` is
+"" where its fit is kept and otherwise the first stage that failed it, in
+stage order: GRAM_NOT_SPD, a VALUE_FAILURES entry, "nonpositive_continuation",
 "nonpositive_sdf", a FALLBACK_REASONS entry or "defective_pair".
 :func:`fit_panel` is row 0 of a stack of one, and
 :func:`bootstrap_statistic` fits stacks of count rows.
@@ -21,6 +21,7 @@ from .decomp import long_run_stack
 from .inference import DISCARD_REASON, influence_stack
 from .pfeig import (
     FALLBACK_REASONS,
+    GRAM_NOT_SPD,
     _matvec,
     _normalize_stack,
     _PencilStack,
@@ -78,7 +79,7 @@ def fit_stack(
 
     The Gram stack is factored once, and its factor serves the value
     recursions and the eigensolve. The stages, each run once over the
-    stack: the value recursions under
+    stack: the Gram factor, the value recursions under
     recursive preferences, the SDF increments (the panel's observed column
     when ``preferences`` is None, the power-utility formula, or the
     continuation SDF of the solved value recursions), their check, the
@@ -86,12 +87,10 @@ def fit_stack(
     eigenfunctions' values on the sample with the influence series. A
     replicate that fails a stage keeps its first ``reason`` and is not
     judged by the later stages; no other replicate is affected. Only
-    panel-level faults raise: a missing SDF column or growth series, or a
-    Gram matrix that is not positive definite even after the ridge
-    (LinAlgError).
+    panel-level faults raise: a missing SDF column or growth series.
     """
     G = design.gram.reshape((-1,) + design.gram.shape[-2:])
-    reason = np.full(len(G), "", dtype=object)
+    reason = np.where(design.factor.ok, "", GRAM_NOT_SPD).astype(object)
     fp = None
     if isinstance(preferences, RecursiveUtility):
         fp = solve_value_stack(design, preferences.beta, preferences.gamma)
@@ -136,8 +135,8 @@ def fit_panel(
     becomes the constant fallback: rho = 1, the constant function's
     coefficients as ``right`` and ``left``, and ones as its sample values;
     its influence series and se_rho stay NaN. Any other reason raises
-    RuntimeError naming it, and the panel-level faults of
-    :func:`fit_stack` propagate.
+    RuntimeError naming it (GRAM_NOT_SPD among them), and the panel-level
+    faults of :func:`fit_stack` propagate.
     """
     fit = _row(fit_stack(design, preferences), 0)
     if fit.reason in FALLBACK_REASONS:

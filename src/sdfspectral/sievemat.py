@@ -120,11 +120,8 @@ class _Moments:
 
     @cached_property
     def whitening(self) -> Whitening:
-        """The rows whitened by :attr:`factor`, each field of a stack with a leading R axis.
-
-        Raises LinAlgError if a Gram matrix is not SPD even after the ridge.
-        """
-        Li = self.factor.checked().Li.reshape(self.gram.shape)
+        """The rows whitened by :attr:`factor`, each field of a stack with a leading R axis."""
+        Li = self.factor.Li.reshape(self.gram.shape)
         return Whitening(Li, self.b0 @ np.swapaxes(Li, -1, -2), Li @ np.swapaxes(self.b1, -1, -2))
 
 
@@ -227,8 +224,8 @@ def estimate_gram(design: Design) -> np.ndarray:
     """Sample Gram matrix (1/n) sum_t b(X_t) b(X_t)' over t = 0..n-1.
 
     The final observation X_n enters only the pricing matrix. Warns when
-    n < k (underdetermined) or the result is numerically singular. Of a
-    :class:`DesignStack`, returns the (R, k, k) stack of its Gram matrices.
+    n < k (underdetermined) or a finite result is numerically singular. Of
+    a :class:`DesignStack`, returns the (R, k, k) stack of its Gram matrices.
     """
     n, k = design.b0.shape[-2:]
     if n < k:
@@ -238,8 +235,9 @@ def estimate_gram(design: Design) -> np.ndarray:
         )
     gram = np.swapaxes(design.b0, -1, -2) @ design.b0 / n
     gram = 0.5 * (gram + np.swapaxes(gram, -1, -2))
-    # G is symmetric, so its singular values are the moduli of its eigenvalues
-    modulus = np.abs(np.linalg.eigvalsh(gram))
+    # G is symmetric, so its singular values are the moduli of its eigenvalues;
+    # a non-finite G fails its factor instead
+    modulus = np.abs(np.linalg.eigvalsh(gram[np.all(np.isfinite(gram), axis=(-2, -1))]))
     with np.errstate(divide="ignore"):  # an exactly singular G has condition inf
         cond = modulus.max(axis=-1) / modulus.min(axis=-1)
     if np.any(cond > 1e12):

@@ -158,9 +158,9 @@ def _fit_block(
     Returns the (R, 5) _SCALARS and the (R, 3, nodes) _FUNCS records,
     NaN wherever a value is censored, so a failed fit has a NaN rho. Each
     replicate is censored on its own, stage by stage: a basis that cannot
-    be built (zero variance, tied knots) or a Gram matrix that is not
-    positive definite even after the ridge censors all of its values. The
-    value-recursion statistics are kept whenever the value recursion
+    be built (zero variance, tied knots) or a Gram matrix that cannot be
+    factored (:func:`fit_stack`'s GRAM_NOT_SPD) censors all of its values.
+    The value-recursion statistics are kept whenever the value recursion
     converged, also when a later stage failed (censoring a first-stage
     statistic on a later-stage failure would bias its distribution); the
     eigen statistics only when the whole fit succeeded.
@@ -176,22 +176,13 @@ def _fit_block(
     values, const, no_basis = design.basis_spec.evaluate_stack(
         states, nodes, values[:R], table[:, :R]
     )
-
-    def stack_of(rows: np.ndarray) -> tuple[DesignStack, np.ndarray]:
-        """The design stack of the given replicates, and their basis values at the nodes."""
-        b, g = (values, growth) if rows.size == R else (values[rows], growth[rows])
-        return DesignStack(b[:, :n], b[:, 1:n + 1], g, const, product[:rows.size]), b[:, n + 1:]
-
     rows = np.flatnonzero(~no_basis)
-    if rows.size:
-        stack, b_nodes = stack_of(rows)
-        spd = stack.factor.ok
-        if not spd.all():  # the stack of the others factors its Gram matrices again
-            rows = rows[spd]
-            stack, b_nodes = stack_of(rows)
     if rows.size == 0:
         return scalars, funcs
-    fit = fit_stack(stack, design.preferences)
+    b, g = (values, growth) if rows.size == R else (values[rows], growth[rows])
+    b_nodes = b[:, n + 1:]
+    fit = fit_stack(DesignStack(b[:, :n], b[:, 1:n + 1], g, const, product[:rows.size]),
+                    design.preferences)
 
     ok = fit.reason == ""
     kept = rows[ok]

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .pfeig import _matvec
+from .pfeig import GRAM_NOT_SPD, _matvec
 from .preferences import _growth_power
 from .sievemat import CountRows, Design, DesignStack
 
@@ -31,12 +31,12 @@ VALUE_FAILURES = ("invalid_parameters", "growth_overflow", "unconverged_value_re
 class FixedPointStack(NamedTuple):
     """Per-column results of :func:`solve_value_stack`, P columns.
 
-    ``reason`` is "" for a converged column and otherwise its
-    VALUE_FAILURES entry. ``final_step`` is the G-norm distance between a
-    column's last two normalized iterates. An unconverged column keeps its
+    ``reason`` is "" for a converged column and otherwise GRAM_NOT_SPD or
+    its VALUE_FAILURES entry. ``final_step`` is the G-norm distance between
+    a column's last two normalized iterates. An unconverged column keeps its
     last iterate and eigenvalue; a column whose iterate degenerated
-    (vanishing or non-finite G-norm) and the columns of the other two
-    reasons have NaN ``lam`` and ``chi_coeffs``.
+    (vanishing or non-finite G-norm) and the columns of the other reasons
+    have NaN ``lam`` and ``chi_coeffs``.
     """
 
     lam: np.ndarray  # (P,)
@@ -94,10 +94,10 @@ def solve_value_stack(
     has a positive sample mean const'G chi: it is the normalized G^-1 T(y)
     of a nonnegative map, or at the first iteration the normalized G^-1
     (mean basis vector).
-    Columns with beta outside (0, 1) or gamma < 1, or whose G^(1-gamma)
-    overflows, are not iterated; their ``reason`` says why. Only
-    panel-level faults raise: a missing growth series, or a Gram matrix
-    that is not positive definite even after the ridge.
+    Columns whose Gram matrix did not factor (GRAM_NOT_SPD, which comes
+    first), with beta outside (0, 1) or gamma < 1, or whose G^(1-gamma)
+    overflows, are not iterated; their ``reason`` says why. Only a
+    missing growth series raises.
     """
     stacked, rows = isinstance(design, DesignStack), isinstance(design, CountRows)
     shape = np.broadcast_shapes(
@@ -124,10 +124,11 @@ def solve_value_stack(
         w = design.counts
         if len(w) != p_cols:
             raise ValueError(f"{len(w)} count rows for {p_cols} columns")
-        Li = design.factor.checked().Li
+        Li = design.factor.Li
         r0, r1t = design.b0, np.ascontiguousarray(design.b1.T)
         gw *= w
         u0 = _matvec(Li, w @ r0 / n)
+    reason[~np.broadcast_to(design.factor.ok, (p_cols,))] = GRAM_NOT_SPD
 
     def g_inv_t(U: np.ndarray, gw_c, beta_c, Li_c, r0_c, r1t_c) -> np.ndarray:
         """L^-1 T(v) of C columns, from their whitened iterates U (C, k)."""

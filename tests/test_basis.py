@@ -321,3 +321,21 @@ def test_basis_spec_builds_families():
     assert BasisSpec(family="hermite", k=8).build(DATA).dimension_k == 8
     assert BasisSpec(family="bspline", k=8).build(DATA).dimension_k == 8
     assert BasisSpec(family="sparse", degree=4, cap=5).build(xs2).dimension_k == 15
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BasisSpec("bspline", k=8).build(np.column_stack([DATA, DATA])),
+     "bspline basis is univariate"),
+    (lambda: BasisSpec("bspline").build(DATA), "bspline basis needs k"),
+    (lambda: BasisSpec("hermite").build(DATA), "hermite basis needs k or degree"),
+    (lambda: BasisSpec("hermite", k=0).build(DATA), r"hermite basis needs k >= 1 or degree >= 0"),
+    (lambda: BasisSpec("sparse", cap=3).build(DATA), "sparse basis needs degree and cap"),
+    (lambda: BasisSpec("sparse", degree=2).build(DATA), "sparse basis needs degree and cap"),
+    (lambda: BasisSpec("fourier", k=4).build(DATA), "unknown basis family 'fourier'"),
+    (lambda: BasisSpec("hermite", k=4).build(DATA).evaluate_many(np.zeros((3, 2))),
+     r"expected points with 1 column\(s\), got 2"),
+], ids=["bspline_bivariate", "bspline_without_k", "hermite_without_k_or_degree", "hermite_k_0",
+        "sparse_without_degree", "sparse_without_cap", "unknown_family", "evaluate_columns"])
+def test_basis_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -177,7 +177,7 @@ def test_criterion_counts_infeasible_reasons(testbed):
     values, reasons = s.criterion_grid(design, instruments, [0.97, 1.0], [1.0, 55.0])
     assert list(reasons) == ["", "invalid_parameters"] and values[1] == math.inf
     assert set(calibrate.INFEASIBLE_REASONS) == {
-        "invalid_parameters", "growth_overflow", "unconverged_value_recursion",
+        "gram_not_spd", "invalid_parameters", "growth_overflow", "unconverged_value_recursion",
         "nonpositive_continuation",
     }
 
@@ -327,3 +327,30 @@ def test_polish_equals_scipy_from_the_best_grid_point(testbed, bounds):
     assert (res.beta_hat, res.gamma_hat) == (float(ref.x[0]), float(ref.x[1]))
     assert res.criterion_value == float(ref.fun)
     assert res.converged == (bool(ref.success) and math.isfinite(ref.fun))
+
+
+def test_unordered_bounds_are_refused(testbed):
+    design, instruments = _overflowing_panel(testbed)
+    for bounds in (((0.99, 0.9), (1.0, 60.0)), ((0.9, 0.99), (60.0, 1.0))):
+        with pytest.raises(ValueError, match="^bounds must be ordered$"):
+            s.estimate_preferences(design, instruments, bounds=bounds)
+
+
+@pytest.mark.parametrize("reason", ["unconverged_value_recursion", "gram_not_spd"])
+def test_all_grid_points_infeasible_names_the_reasons(reason, testbed, monkeypatch):
+    from sdfspectral import sievemat, valuefn
+
+    panel, basis = _euler_exact_panel(testbed, 0.97, 10.0, n=300)
+    inst = s.BasisSpec(family="hermite", k=5).build(panel.states)
+    monkeypatch.setattr(calibrate, "GRID_SHAPE", (3, 4))
+    if reason == "unconverged_value_recursion":
+        monkeypatch.setattr(valuefn, "MAX_ITER", 1)
+    else:  # no Gram matrix of the solve design factors
+        cholesky_stack = sievemat._cholesky_stack
+        monkeypatch.setattr(sievemat, "_cholesky_stack",
+                            lambda G: cholesky_stack(G)._replace(ok=np.zeros(len(G), bool)))
+    message = ("all grid points infeasible; inner solver failed everywhere "
+               f"({{'{reason}': 12}})")
+    with pytest.raises(RuntimeError) as info:
+        s.estimate_preferences(s.Design(basis, panel), s.Design(inst, panel))
+    assert str(info.value) == message

@@ -504,6 +504,44 @@ def test_out_naming_a_file_exits_1_before_any_work(tmp_path, monkeypatch, capsys
     assert calls == [] and afile.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+def test_out_below_a_file_exits_1_before_any_work(tmp_path, monkeypatch, capsys, below):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    calls = []
+    monkeypatch.setattr(cli, "run_mc_study", calls.append)
+    assert main(["mc", "--basis", "hermite", "--k", "4", "--reps", "2", "--sizes", "100",
+                 "--out", str(afile / below)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "'out_dir'" in lines[0]
+    assert str(afile) in lines[0]
+    assert calls == [] and afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("decompose", ["--preferences", "power"], "error: no usable fit: gram_not_spd"),
+    ("bootstrap", ["--preferences", "power"], "error: no usable fit: gram_not_spd"),
+    ("value", ["--preferences", "recursive"],
+     "error: no value solution at beta=0.994, gamma=15.0: gram_not_spd"),
+], ids=["decompose", "bootstrap", "value"])
+def test_gram_matrix_that_overflows_exits_1_naming_it(tmp_path, testbed, command, flags, message):
+    # k = 171 Hermite values overflow at the outlying state, so the Gram matrix is not finite
+    states = s.simulate_ar1(testbed, 5000, np.random.default_rng(1)).states[:, 0]
+    states[2500] = 10.0
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", states, growth=np.exp(states[1:]))
+    out = tmp_path / "out"
+    argv = [command, "--input", str(csv_path), "--state-cols", "x1", "--growth-col", "G", *flags,
+            "--beta", "0.994", "--gamma", "15", "--basis", "hermite", "--k", "171",
+            "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "sdfspectral.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    # numpy's overflow warnings may come first; the error is the last line
+    assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [message]
+    assert proc.stderr.splitlines()[-1] == message
+    assert not out.exists()
+
+
 def test_a_failure_after_the_tables_are_computed_writes_nothing(tmp_path, sim_panel,
                                                                 monkeypatch, capsys):
     csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
@@ -700,6 +738,23 @@ def test_value_without_a_solution_exits_1(tmp_path, testbed, sim_panel, capsys, 
     assert not out.exists()
 
 
+def test_unconverged_value_recursion_exits_2_with_a_warning(tmp_path, sim_panel, monkeypatch,
+                                                            capsys):
+    from sdfspectral import valuefn
+
+    monkeypatch.setattr(valuefn, "MAX_ITER", 3)
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states, growth=sim_panel.growth)
+    out = tmp_path / "v"
+    status = main(["value", "--input", str(csv_path), "--state-cols", "x1", "--growth-col", "G",
+                   "--basis", "hermite", "--k", "8", "--preferences", "recursive",
+                   "--beta", "0.994", "--gamma", "15", "--out", str(out)])
+    payload = json.loads((out / "value.json").read_text())
+    assert status == 2 and payload["converged"] is False and payload["iterations"] == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"warning: unconverged_value_recursion after 3 iterations, final step "
+                     f"{payload['final_step']:.3g}; results are emitted but flagged"]
+
+
 @pytest.mark.parametrize("sizes", ["", "400,5"])
 def test_mc_sample_sizes_are_checked_before_any_simulation(tmp_path, monkeypatch, capsys, sizes):
     from sdfspectral import simkit
@@ -841,6 +896,24 @@ def test_calibrate_reports_infeasible_counts(tmp_path, testbed, monkeypatch):
     assert set(payload["infeasible"]) <= set(s.calibrate.INFEASIBLE_REASONS)
 
 
+def test_unconverged_polish_exits_2_with_a_warning(tmp_path, testbed, monkeypatch, capsys):
+    panel = s.simulate_ar1(testbed, 300, np.random.default_rng(41))
+    design = s.Design(s.BasisSpec(family="hermite", k=6).build(panel.states), panel)
+    m = s.fit_panel(design, s.RecursiveUtility(0.97, 10.0)).m
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", panel.states, growth=panel.growth,
+                                returns=np.column_stack([1.0 / m, 1.0 / m]))
+    monkeypatch.setattr(s.calibrate, "GRID_SHAPE", (3, 4))
+    monkeypatch.setattr(s.calibrate, "MAX_ITER", 2)
+    out = tmp_path / "cal"
+    status = main(["calibrate", "--input", str(csv_path), "--state-cols", "x1",
+                   "--growth-col", "G", "--return-cols", "r1,r2", "--basis", "hermite",
+                   "--k", "6", "--out", str(out)])
+    assert status == 2
+    assert json.loads((out / "calibration.json").read_text())["converged"] is False
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: the Nelder-Mead polish did not converge; results are emitted but flagged"]
+
+
 @pytest.mark.parametrize("state_cols, flags, advice", [
     # a univariate state takes instrument_k Hermite instruments
     ("x1", ["--basis", "hermite", "--k", "4", "--instrument-k", "6"],
@@ -866,3 +939,16 @@ def test_instrument_dimension_error_gives_advice_that_applies(tmp_path, sim_pane
     if "," in state_cols:
         assert "instrument_k" not in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("rho,0.98,0.97,,0.9", "half-specified CI at row 2"),
+    ("rho,0.98,,0.99,0.9", "half-specified CI at row 2"),
+    ("rho,0.98,0.97,0.99,1.5", r"level outside \(0,1\) at row 2"),
+    ("rho,0.98,0.97,0.99,0", r"level outside \(0,1\) at row 2"),
+], ids=["ci_hi_missing", "ci_lo_missing", "level_above_1", "level_0"])
+def test_summary_schema_input_checks(tmp_path, row, message):
+    path = tmp_path / "summary.csv"
+    path.write_text(f"statistic,estimate,ci_lo,ci_hi,level\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        validate_summary_csv(path)

@@ -268,3 +268,16 @@ def test_csv_and_json_emission(tmp_path, power_fit, power_prefs):
     assert payload["rho"] == fit.eig.rho and payload["yield_y"] == lr["y"]
     assert payload["entropy_L"] == lr["L"] and payload["sdf_entropy"] == lr["sdf_entropy"]
     assert payload["association"] == s.pt_association(series)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: s.pt_series(1.0, np.ones(3), np.ones(3), np.array([1.0, 0.0, 1.0])),
+     "SDF increments must be strictly positive"),
+    (lambda: s.pt_series(1.0, np.ones(3), np.ones(3), np.array([1.0, -2.0, 1.0])),
+     "SDF increments must be strictly positive"),
+    (lambda: s.pt_association(DecompSeries(np.ones(2), np.ones(2), np.ones(2))),
+     "need at least 3 periods for association statistics"),
+], ids=["m_zero", "m_negative", "two_periods"])
+def test_decomposition_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -122,3 +122,10 @@ def test_heat_grid_cells_match_the_per_cell_format(shape, z):
                        r'fill="rgb[^"]*"/>', text)
     assert cells == _reference_cells(x, y, z)
     assert text.count("<rect") == len(cells) + 2  # the background and the frame
+
+
+@pytest.mark.parametrize("z", [np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(6)],
+                         ids=["transposed", "too_few_rows", "flat"])
+def test_heat_grid_refuses_a_z_of_the_wrong_shape(z):
+    with pytest.raises(ValueError, match=r"^z must have shape \(len\(y\), len\(x\)\)$"):
+        svgplot.heat_grid([0.0, 1.0, 2.0], [0.0, 1.0], z)

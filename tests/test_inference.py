@@ -300,3 +300,17 @@ def test_bootstrap_ci_discards_nonfinite(testbed):
     assert res.discarded == 30
     assert res.replicates["v"].size == 60
     assert res.discard_reasons == {"non_finite": 30}
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"b": 0}, "need at least one replication"),
+    ({"level": 1.0}, r"level must lie in \(0, 1\)"),
+    ({"level": 0.0}, r"level must lie in \(0, 1\)"),
+    ({"statistic": lambda counts: {"rho": np.zeros(len(counts) + 1)}},
+     r"statistic returned shape \(3,\) for 'rho'; expected \(2,\)"),
+], ids=["b_below_1", "level_1", "level_0", "statistic_shape"])
+def test_bootstrap_ci_input_checks(kwargs, message):
+    args = {"statistic": lambda counts: {"rho": np.ones(len(counts))}, "n": 20, "b": 2,
+            "expected_block": 2.0, "level": 0.9, "seed": 0, **kwargs}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        s.bootstrap_ci(**args)

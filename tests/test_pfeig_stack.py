@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import sdfspectral as s
-from sdfspectral.pfeig import FALLBACK_REASONS, _cholesky_stack, _residuals_pass, _solve_stack
+from sdfspectral.pfeig import (FALLBACK_REASONS, GRAM_NOT_SPD, _cholesky_stack, _residuals_pass,
+                               _solve_stack)
 from sdfspectral.preferences import power_utility_sdf
 from sdfspectral.sievemat import CountRows
 
@@ -89,13 +90,23 @@ def test_stack_matches_single_solves():
 
 
 def test_gram_matrix_the_ridge_cannot_rescue_is_marked():
-    # diag(1, -1) has trace 0, so its ridge is 0 and its second factoring fails too
-    factor = _cholesky_stack(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
-    assert factor.ok.tolist() == [True, False]
-    assert np.isnan(factor.Li[1]).all()
+    # diag(1, -1) has trace 0, so its ridge is 0 and its second factoring fails too;
+    # cholesky returns a factor of a non-finite matrix without raising
+    G = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.diag([np.inf, 1.0]),
+                  np.array([[1.0, np.nan], [np.nan, 1.0]])])
+    factor = _cholesky_stack(G)
+    assert factor.ok.tolist() == [True, False, False, False]
     np.testing.assert_array_equal(factor.Li[0], np.linalg.inv(np.linalg.cholesky(np.eye(2))))
-    with pytest.raises(np.linalg.LinAlgError, match="even after ridge"):
-        factor.checked()
+    # the others get the identity as a finite placeholder factor
+    np.testing.assert_array_equal(factor.G[1:], np.broadcast_to(np.eye(2), (3, 2, 2)))
+    np.testing.assert_array_equal(factor.Li[1:], np.broadcast_to(np.eye(2), (3, 2, 2)))
+    # their pencils fail as gram_not_spd, also with a non-finite M, and the first is solved
+    M = np.stack([np.diag([2.0, 1.0]), np.diag([2.0, 1.0]), np.full((2, 2), np.inf),
+                  np.full((2, 2), np.nan)])
+    stack = _solve_stack(M, factor)
+    assert list(stack.reason) == ["", GRAM_NOT_SPD, GRAM_NOT_SPD, GRAM_NOT_SPD]
+    assert GRAM_NOT_SPD not in FALLBACK_REASONS
+    assert stack.rho[0] == 2.0
 
 
 def test_fallback_reasons_are_distinct():

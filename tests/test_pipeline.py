@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import sdfspectral as s
-from sdfspectral import pipeline
+from sdfspectral import pipeline, sievemat
 from sdfspectral.cli import main
 from sdfspectral.inference import BOOTSTRAP_BLOCK, DISCARD_REASON
-from sdfspectral.pfeig import FALLBACK_REASONS, _row
+from sdfspectral.pfeig import FALLBACK_REASONS, GRAM_NOT_SPD, _row
 from sdfspectral.pipeline import DISCARD_REASONS, bootstrap_statistic, fit_stack
 from sdfspectral.sievemat import CountRows, DesignStack
 from sdfspectral.valuefn import VALUE_FAILURES
@@ -163,12 +163,25 @@ def test_one_positivity_rule_at_every_entry_point(testbed, gamma, positive):
 
 
 #: every reason of fit_stack, in stage order
-FIT_REASONS = (VALUE_FAILURES + ("nonpositive_continuation", "nonpositive_sdf")
+FIT_REASONS = ((GRAM_NOT_SPD,) + VALUE_FAILURES + ("nonpositive_continuation", "nonpositive_sdf")
                + FALLBACK_REASONS + ("defective_pair",))
 
 
 def _fail_at(monkeypatch, reason, bad):
-    """Make replicate ``bad`` of every fit_stack call fail at the stage that ``reason`` names."""
+    """Make replicate ``bad`` of every fit_stack call fail at the stage that ``reason`` names.
+
+    A Gram factor is marked as it is formed, so only the designs built after this call fail
+    at GRAM_NOT_SPD.
+    """
+    if reason == GRAM_NOT_SPD:  # the matrix did not factor
+        cholesky_stack = sievemat._cholesky_stack
+
+        def marked(G):
+            factor = cholesky_stack(G)
+            return factor._replace(ok=factor.ok & (np.arange(len(G)) != bad))
+
+        monkeypatch.setattr(sievemat, "_cholesky_stack", marked)
+        return
     if reason in VALUE_FAILURES or reason in FALLBACK_REASONS:
         attr = "solve_value_stack" if reason in VALUE_FAILURES else "_solve_stack"
 
@@ -205,38 +218,49 @@ def test_each_fit_failure(reason, testbed, recursive_prefs, monkeypatch, tmp_pat
     panels = [s.simulate_ar1(testbed, n, np.random.default_rng(60 + r)) for r in range(4)]
     spec = s.BasisSpec(family="hermite", k=6)
     designs = [s.Design(spec.build(p.states), p) for p in panels]
-    stack = DesignStack(np.stack([d.b0 for d in designs]), np.stack([d.b1 for d in designs]),
-                        np.stack([p.growth for p in panels]), designs[0].const_coeffs)
     draws = [stationary_bootstrap_indices(n, 6.0, replicate_rng(5, r)) for r in range(4)]
     counts = np.array([np.bincount(idx, minlength=n) for idx in draws])
-    layouts = [stack, CountRows(designs[0], counts)]  # Monte Carlo designs, bootstrap rows
-    clean = [fit_stack(d, recursive_prefs) for d in layouts]
+
+    def layouts(rows):  # Monte Carlo designs and bootstrap rows, factoring their Gram matrices anew
+        stack = DesignStack(*(np.stack([getattr(designs[r], a) for r in rows]) for a in ("b0", "b1")),
+                            np.stack([panels[r].growth for r in rows]), designs[0].const_coeffs)
+        return [stack, CountRows(designs[0], counts[rows])]
+
+    clean = [fit_stack(d, recursive_prefs) for d in layouts(range(4))]
+    assert all(list(ref.reason) == [""] * 4 for ref in clean)
+    others = np.arange(4) != bad
+    expected = [(ref.eig.rho[others], ref.m[others]) for ref in clean]
+    if reason == GRAM_NOT_SPD:
+        # a replicate that is never solved leaves the others as the stack without it fits
+        # them: the value recursion's count-row products are not row for row once a single
+        # column iterates (gemv against gemm), so the whole stack is no bitwise reference
+        expected = [(ref.eig.rho, ref.m)
+                    for ref in (fit_stack(d, recursive_prefs) for d in layouts(np.flatnonzero(others)))]
 
     # inside a larger stack, the replicate fails alone
     _fail_at(monkeypatch, reason, bad)
-    others = np.arange(4) != bad
-    for design, ref in zip(layouts, clean):
-        assert list(ref.reason) == [""] * 4
+    for design, (rho, m) in zip(layouts(range(4)), expected):
         fit = fit_stack(design, recursive_prefs)
         assert list(fit.reason) == ["", "", reason, ""]
         assert np.isnan(fit.eig.rho[bad]) and np.isnan(fit.eig.right[bad]).all()
-        np.testing.assert_array_equal(fit.eig.rho[others], ref.eig.rho[others])
-        np.testing.assert_array_equal(fit.m[others], ref.m[others])
-        if reason in VALUE_FAILURES or reason.startswith("nonpositive_"):
+        np.testing.assert_array_equal(fit.eig.rho[others], rho)
+        np.testing.assert_array_equal(fit.m[others], m)
+        if reason in VALUE_FAILURES or reason.startswith("nonpositive_") or reason == GRAM_NOT_SPD:
             # a replicate's SDF increments are ones where they could not be formed
             np.testing.assert_array_equal(fit.m[bad], np.ones(n))
 
     # the single fit: the constant fallback, or a RuntimeError naming the reason
     monkeypatch.undo()
     _fail_at(monkeypatch, reason, 0)
+    design = s.Design(designs[0].basis, panels[0])
     if reason in FALLBACK_REASONS:
-        fit = pipeline.fit_panel(designs[0], recursive_prefs)
+        fit = pipeline.fit_panel(design, recursive_prefs)
         assert fit.reason == reason and fit.eig.rho == 1.0
         assert fit.fixed_point.reason == "" and np.isnan(fit.sample.se_rho)
         np.testing.assert_array_equal(fit.sample.phi_t, np.ones(n))
     else:
         with pytest.raises(RuntimeError, match=reason):
-            pipeline.fit_panel(designs[0], recursive_prefs)
+            pipeline.fit_panel(design, recursive_prefs)
 
     # the decompose command exits 2 on a fallback and 1 on any other failure
     csv_path = tmp_path / "panel.csv"
@@ -256,8 +280,8 @@ def test_each_fit_failure(reason, testbed, recursive_prefs, monkeypatch, tmp_pat
 
 
 def test_each_gram_matrix_is_factored_once(testbed, power_prefs, recursive_prefs, monkeypatch):
-    # one Cholesky factor per Gram matrix per fit serves the value recursion,
-    # the eigensolve and the Monte Carlo SPD screen
+    # one Cholesky factor per Gram matrix per fit serves the value recursion
+    # and the eigensolve
     from sdfspectral import simkit
 
     nodes = s.quadrature_eig(testbed, power_prefs, simkit.ORACLE_NODES).nodes
@@ -284,3 +308,11 @@ def test_each_gram_matrix_is_factored_once(testbed, power_prefs, recursive_prefs
                         basis_spec=s.BasisSpec(family="hermite", k=6), seed=1)
         simkit._run_block(mc, 300, range(5), nodes)  # one block of five
         assert sum(factored) == 5
+
+
+def test_fit_without_an_sdf_column_or_preferences(testbed):
+    panel = s.simulate_ar1(testbed, 60, np.random.default_rng(3))
+    design = s.Design(s.BasisSpec(family="hermite", k=4).build(panel.states), panel)
+    for layout in (design, CountRows(design, np.ones((2, panel.n)))):
+        with pytest.raises(ValueError, match="^panel has no SDF column and no preferences were given$"):
+            fit_stack(layout)

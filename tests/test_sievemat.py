@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdfspectral as s
+from sdfspectral.sievemat import CountRows
 
 from reference_maps import (
     hermite_basis,
@@ -165,3 +166,23 @@ def test_sieve_matrices_bundle(testbed):
     design = s.Design(basis, replace(panel, sdf_increments=np.ones(panel.n)))
     assert design.b0.shape == design.b1.shape == (100, 5) and design.n == 100
     np.testing.assert_allclose(design.gram, design.gram.T, atol=1e-15)
+
+
+def _five_states_design():
+    panel = s.StatePanel.from_states(np.linspace(0.0, 0.4, 5), growth=np.ones(4))
+    return s.Design(s.BasisSpec(family="hermite", k=2).build(panel.states), panel)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: s.StatePanel(x0=np.zeros((3, 1)), x1=np.zeros((4, 1))),
+     "x0 and x1 must have identical shapes"),
+    (lambda: s.StatePanel.from_states(np.zeros(5), returns=np.ones((3, 1))),
+     "returns must have n=4 rows"),
+    (lambda: s.StatePanel.from_states(np.zeros(1)), "need at least two observations of the state"),
+    (lambda: CountRows(_five_states_design(), np.ones((2, 5))),
+     r"counts must have shape \(R, 4\)"),
+    (lambda: CountRows(_five_states_design(), np.ones(4)), r"counts must have shape \(R, 4\)"),
+], ids=["x0_x1_shapes", "returns_rows", "one_observation", "counts_columns", "counts_1d"])
+def test_panel_and_count_row_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -390,13 +390,11 @@ def test_one_failing_replicate_is_censored_alone(stage, testbed, recursive_prefs
             return states
 
         monkeypatch.setattr(simkit, "_ar1_paths", one_constant_path)
-    elif stage == "gram":  # not positive definite even after the ridge
+    elif stage == "gram":  # not positive definite even after the ridge, in the block's one stack
         cholesky_stack = sievemat._cholesky_stack
 
         def one_not_spd(G):
             factor = cholesky_stack(G)
-            if len(G) < 6:  # the block's stack of the others
-                return factor
             return factor._replace(ok=factor.ok & (np.arange(len(G)) != bad))
 
         monkeypatch.setattr(sievemat, "_cholesky_stack", one_not_spd)
@@ -422,3 +420,12 @@ def test_one_failing_replicate_is_censored_alone(stage, testbed, recursive_prefs
     kept = [3] if stage == "eigen" else []
     assert list(np.flatnonzero(~np.isnan(scalars[bad]))) == kept
     assert np.isnan(funcs[bad, :2]).all() and np.isnan(funcs[bad, 2]).all() != (stage == "eigen")
+
+
+def test_non_finite_simulated_growth_is_refused():
+    design = s.McDesign(ar1=s.Ar1Design(mu=1000.0, kappa=0.6, sigma=0.01),
+                        preferences=s.PowerUtility(0.994, 15.0), sample_sizes=(40,),
+                        replications=2, basis_spec=s.BasisSpec(family="hermite", k=4))
+    message = "^simulated growth is not finite and positive; the AR\\(1\\) law is too extreme$"
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+        simkit._run_block(design, 40, range(2), np.linspace(-1.0, 1.0, 5))

@@ -282,3 +282,14 @@ def test_design_stack_columns_equal_their_own_designs(testbed, recursive_prefs):
         np.testing.assert_array_equal(m[:, r], _sdf(design, fp)[0])
     with pytest.raises(ValueError, match="design stack"):
         CountRows(stack, np.ones((4, 300)))
+
+
+@pytest.mark.parametrize("beta, message", [
+    (np.full((3, 2), 0.99), "2 count rows for 6 columns"),
+    (np.full((2, 1), 0.99), "2 count rows for 4 columns"),
+], ids=["beta_3x2", "beta_2x1"])
+def test_count_rows_must_match_the_columns(testbed, beta, message):
+    panel = s.simulate_ar1(testbed, 60, np.random.default_rng(3))
+    design = s.Design(s.BasisSpec(family="hermite", k=4).build(panel.states), panel)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        s.solve_value_stack(CountRows(design, np.ones((2, panel.n))), beta, 15.0)

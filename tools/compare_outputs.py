@@ -12,9 +12,11 @@ sample, a 30-pair panel whose k = 12 pencil has no positive real
 eigenvalue (so decompose takes the constant fallback), the first 60
 transition pairs of the bootstrap panel, a panel whose state takes
 eight distinct values (so the log permanent and transitory series are
-heavily tied, and a sieve of nine functions needs the SPD ridge) and a
+heavily tied, and a sieve of nine functions needs the SPD ridge), a
 messy copy of the bootstrap panel (CRLF rows, a blank line, padded
-cells, exponent notation). It runs each argument vector below once per
+cells, exponent notation) and a 5000-pair panel of the bootstrap law
+whose state 2500 is set to 10.0, so that a k = 171 Hermite sieve
+overflows and its Gram matrix is not finite. It runs each argument vector below once per
 tree, each in a fresh ``python`` process writing to an empty output
 directory (the same path for both trees, as provenance.json records
 it). Exit
@@ -128,6 +130,14 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
         workloads._write_csv(str(path), {"g": states}, {"G": np.exp(states[1:])})
         return str(path)
 
+    def overflow_panel() -> str:
+        """5001 states of the bootstrap workload's law at seed 1, state 2500 set to 10.0."""
+        states = workloads._ar1_states(workloads._rng(1, "bootstrap"), 5000)
+        states[2500] = 10.0
+        path = work / "panel_overflow.csv"
+        workloads._write_csv(str(path), {"g": states}, {"G": np.exp(states[1:])})
+        return str(path)
+
     def messy_panel() -> str:
         """The bootstrap workload's panel as a hand-edited file might hold it.
 
@@ -210,6 +220,10 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     wide_seed = str(2**130 + 7)
     cases["bootstrap_wide_seed"] = [*bootstrap, "--seed", wide_seed]
     cases["mc_wide_seed"] = [*mc, "--seed", wide_seed, "--reps", "20"]
+    # Hermite values that overflow at the outlying state: a Gram matrix that is not
+    # finite fails the point fit, which exits 1 and writes nothing
+    cases["decompose_gram_overflow"] = ["decompose", *bootstrap[1:], "--input", overflow_panel(),
+                                        "--k", "171"]
     return cases
 
 
