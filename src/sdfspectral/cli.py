@@ -242,10 +242,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     _check_types(cfg, [(s.key, s.kind) for s in SETTINGS])
     if "family" not in cfg.basis:  # the one key of a section that has no default
         raise CliError("config key 'basis.family' is missing")
-    if cfg.grid_points < 1:
-        raise CliError(f"config key 'grid_points' must be at least 1, not {cfg.grid_points}")
-    if cfg.seed < 0:
-        raise CliError(f"config key 'seed' must be non-negative, not {cfg.seed}")
+    for key, holds, rule in (("grid_points", lambda v: v >= 1, "at least 1"),
+                             ("seed", lambda v: v >= 0, "non-negative"),
+                             ("bootstrap.b", lambda v: v >= 1, "at least 1"),
+                             ("bootstrap.expected_block", lambda v: v >= 1, "at least 1"),
+                             ("bootstrap.level", lambda v: 0 < v < 1, "in (0, 1)")):
+        value = _value(cfg, key)
+        if not holds(value):
+            raise CliError(f"config key {key!r} must be {rule}, not {value}")
     sizes = _value(cfg, "mc.sizes")
     repeated = sorted({n for n in sizes if sizes.count(n) > 1})
     if repeated:  # a repeated size would draw the same substreams twice

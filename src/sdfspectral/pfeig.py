@@ -5,7 +5,8 @@ selects the largest real positive eigenvalue, and normalizes scale and
 sign. A pencil with no real simple positive eigenvalue is flagged with
 the rule it failed, so that downstream statistics can censor such fits;
 a single fit then falls back to the trivial pair (rho, phi, phi*) =
-(1, 1, 1); one whose G cannot be factored fails its own fit as GRAM_NOT_SPD.
+(1, 1, 1). A pencil whose G cannot be factored fails its own fit as
+GRAM_NOT_SPD, and one whose M is not finite as PRICING_NOT_FINITE.
 One stacked solver, which whitens each pencil by the Cholesky factor of
 G, serves a single fit and every bootstrap replicate alike.
 """
@@ -25,6 +26,8 @@ TIE_TOL = 1e-10
 FALLBACK_REASONS = ("no_positive_real", "tie", "left_mismatch", "residual")
 #: the reason, checked first and no fallback, of a G not finite or not SPD after the ridge
 GRAM_NOT_SPD = "gram_not_spd"
+#: the reason, checked second and no fallback, of an M with a non-finite entry
+PRICING_NOT_FINITE = "pricing_not_finite"
 
 
 class GramFactor(NamedTuple):
@@ -73,10 +76,10 @@ def _cholesky_stack(G: np.ndarray) -> GramFactor:
 class _PencilStack(NamedTuple):
     """Per-pencil results of :func:`_solve_stack`.
 
-    ``reason`` is "" for an accepted pencil and otherwise GRAM_NOT_SPD or
-    the first rule of FALLBACK_REASONS it failed; the other fields of a
-    rejected pencil are meaningless. ``gap`` is NaN with fewer than two
-    real eigenvalues.
+    ``reason`` is "" for an accepted pencil and otherwise GRAM_NOT_SPD,
+    PRICING_NOT_FINITE or the first rule of FALLBACK_REASONS it failed;
+    the other fields of a rejected pencil are meaningless. ``gap`` is NaN
+    with fewer than two real eigenvalues.
     """
 
     rho: np.ndarray  # (S,)
@@ -154,12 +157,14 @@ def _solve_stack(M: np.ndarray, factor: GramFactor) -> _PencilStack:
     G = L L', the pencil (M, G) has the eigenvalues of the whitened matrix
     A = L^-1 M L^-'; A's eigenvectors v give the right coefficients L^-' v
     and those of A' the adjoint ones. A pencil whose G did not factor is
-    GRAM_NOT_SPD, solved with M = 0 so that eig sees finite input; the
-    acceptance rules (reality, positivity, simplicity, adjoint match,
-    residuals) are applied to every other pencil separately.
+    GRAM_NOT_SPD, one whose M is not finite PRICING_NOT_FINITE; both are
+    solved with M = 0, so eig sees finite input. The acceptance rules
+    (reality, positivity, simplicity, adjoint match, residuals) judge
+    every other pencil on its own.
     """
     G, Li, ok = factor
-    M = np.where(ok[:, None, None], M, 0.0)
+    finite = np.all(np.isfinite(M), axis=(1, 2))
+    M = np.where((ok & finite)[:, None, None], M, 0.0)
     Lit = np.swapaxes(Li, -1, -2)
     Mt = np.swapaxes(M, -1, -2)
     vals, vecs = np.linalg.eig(Li @ M @ Lit)
@@ -193,8 +198,8 @@ def _solve_stack(M: np.ndarray, factor: GramFactor) -> _PencilStack:
     second = real_sorted[:, -2] if real_sorted.shape[1] > 1 else np.nan
     gap = np.where(real.sum(axis=1) >= 2, rho - second, np.nan)
     reason = np.select(
-        [~ok, ~pos.any(axis=1), tie, mismatch, ~_residuals_pass(M, G, rho, residuals)],
-        (GRAM_NOT_SPD,) + FALLBACK_REASONS, default="",
+        [~ok, ~finite, ~pos.any(axis=1), tie, mismatch, ~_residuals_pass(M, G, rho, residuals)],
+        (GRAM_NOT_SPD, PRICING_NOT_FINITE) + FALLBACK_REASONS, default="",
     )
     return _PencilStack(rho, right, left, residuals, gap, reason)
 

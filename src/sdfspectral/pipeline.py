@@ -6,7 +6,7 @@ the :class:`CountRows` of R bootstrap replicates of a Design, or a
 :class:`DesignStack` of R Monte Carlo designs. A replicate's ``reason`` is
 "" where its fit is kept and otherwise the first stage that failed it, in
 stage order: GRAM_NOT_SPD, a VALUE_FAILURES entry, "nonpositive_continuation",
-"nonpositive_sdf", a FALLBACK_REASONS entry or "defective_pair".
+"nonpositive_sdf", PRICING_NOT_FINITE, a FALLBACK_REASONS entry or "defective_pair".
 :func:`fit_panel` is row 0 of a stack of one, and
 :func:`bootstrap_statistic` fits stacks of count rows.
 """
@@ -135,8 +135,8 @@ def fit_panel(
     becomes the constant fallback: rho = 1, the constant function's
     coefficients as ``right`` and ``left``, and ones as its sample values;
     its influence series and se_rho stay NaN. Any other reason raises
-    RuntimeError naming it (GRAM_NOT_SPD among them), and the panel-level
-    faults of :func:`fit_stack` propagate.
+    RuntimeError naming it (GRAM_NOT_SPD and PRICING_NOT_FINITE among
+    them), and the panel-level faults of :func:`fit_stack` propagate.
     """
     fit = _row(fit_stack(design, preferences), 0)
     if fit.reason in FALLBACK_REASONS:

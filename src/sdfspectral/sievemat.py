@@ -76,7 +76,7 @@ class StatePanel:
         sdf_increments: Optional[np.ndarray] = None,
         returns: Optional[np.ndarray] = None,
     ) -> "StatePanel":
-        """Build a panel from a path X_0..X_n (n+1 rows, d columns)."""
+        """Build a panel from a path X_0..X_n (n+1 rows, d columns); 1-D returns are one column."""
         s = np.asarray(states, dtype=float)
         if s.ndim == 1:
             s = s[:, None]
@@ -84,7 +84,7 @@ class StatePanel:
             raise ValueError("need at least two observations of the state")
         g = None if growth is None else np.asarray(growth, dtype=float).ravel()
         m = None if sdf_increments is None else np.asarray(sdf_increments, dtype=float).ravel()
-        r = None if returns is None else np.atleast_2d(np.asarray(returns, dtype=float))
+        r = None if returns is None else np.column_stack([np.asarray(returns, dtype=float)])
         return cls(x0=s[:-1], x1=s[1:], growth=g, sdf_increments=m, returns=r, states=s)
 
 

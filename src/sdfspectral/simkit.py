@@ -3,8 +3,9 @@
 Replicates are driven by per-replicate substreams keyed on (seed, size,
 replicate). Each block of replicates is simulated, evaluated on its
 sieve and fitted as one stack (:func:`pipeline.fit_stack`); every array
-operation on the stack acts on each replicate's rows alone, so the
-records do not depend on how replicates are grouped into blocks.
+operation on the stack acts on each replicate's rows alone, so a failed
+replicate is censored alone and the records, keyed by statistic, do not
+depend on how replicates are grouped into blocks.
 Function-valued statistics are scored by their weighted L2 distance to
 the population truth on the quadrature grid: the per-replicate distances
 average into the RMSE entry, while the bias entry is the distance of the
@@ -141,67 +142,60 @@ class McTable:
     elapsed_seconds: float = 0.0
 
 
-#: a replicate's record, in this order: its scalars, and its functions on the quadrature nodes
+#: a replicate's record: its scalars, and its functions on the quadrature nodes
 _SCALARS = ("rho", "y", "L", "lambda", "se_rho")
 _FUNCS = ("phi", "phi_star", "chi")
 
 
 def _fit_block(
     design: McDesign, states: np.ndarray, nodes: np.ndarray, work: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> dict[str, np.ndarray]:
     """Records of the replicates whose (R, n + 1) state paths are ``states``, fitted as one stack.
 
     The basis values, their Hermite table and the pricing product are
     written into the leading replicates of the ``work`` buffers of
     :func:`_run_block`; no record is a view of them.
 
-    Returns the (R, 5) _SCALARS and the (R, 3, nodes) _FUNCS records,
-    NaN wherever a value is censored, so a failed fit has a NaN rho. Each
-    replicate is censored on its own, stage by stage: a basis that cannot
-    be built (zero variance, tied knots) or a Gram matrix that cannot be
-    factored (:func:`fit_stack`'s GRAM_NOT_SPD) censors all of its values.
-    The value-recursion statistics are kept whenever the value recursion
-    converged, also when a later stage failed (censoring a first-stage
-    statistic on a later-stage failure would bias its distribution); the
-    eigen statistics only when the whole fit succeeded.
+    Returns {statistic: values}, an (R,) array per _SCALARS entry and an
+    (R, nodes) array per _FUNCS entry, NaN wherever a value is censored,
+    so a failed fit has a NaN rho. Each replicate is censored on its own
+    in the stack, stage by stage: a basis that cannot be built (zero
+    variance, tied knots) has NaN values, so its Gram matrix fails as
+    GRAM_NOT_SPD and all of its values are censored. The value-recursion
+    statistics are kept whenever the value recursion converged, also when
+    a later stage failed (censoring a first-stage statistic on a
+    later-stage failure would bias its distribution); the eigen statistics
+    only when the whole fit succeeded.
     """
     R, n = states.shape[0], states.shape[1] - 1
     growth = np.exp(states[:, 1:])
     if not np.all(np.isfinite(growth) & (growth > 0)):
         raise ValueError("simulated growth is not finite and positive; the AR(1) law is too extreme")
-    scalars = np.full((R, len(_SCALARS)), np.nan)
-    funcs = np.full((R, len(_FUNCS), nodes.size), np.nan)
-
+    records = {s: np.full(R, np.nan) for s in _SCALARS}
+    records |= {f: np.full((R, nodes.size), np.nan) for f in _FUNCS}
     table, values, product = work
     values, const, no_basis = design.basis_spec.evaluate_stack(
         states, nodes, values[:R], table[:, :R]
     )
-    rows = np.flatnonzero(~no_basis)
-    if rows.size == 0:
-        return scalars, funcs
-    b, g = (values, growth) if rows.size == R else (values[rows], growth[rows])
-    b_nodes = b[:, n + 1:]
-    fit = fit_stack(DesignStack(b[:, :n], b[:, 1:n + 1], g, const, product[:rows.size]),
+    if no_basis.all():  # no basis to fit: the values have no columns
+        return records
+    b_nodes = values[:, n + 1:]
+    fit = fit_stack(DesignStack(values[:, :n], values[:, 1:n + 1], growth, const, product[:R]),
                     design.preferences)
-
-    ok = fit.reason == ""
-    kept = rows[ok]
-    lr = long_run_stack(fit.eig.rho[ok], fit.m[ok])
-    scalars[kept, 0], scalars[kept, 1], scalars[kept, 2] = lr["rho"], lr["y"], lr["L"]
-    scalars[kept, 4] = fit.sample.se_rho[ok]
-    funcs[kept, 0] = _matvec(b_nodes[ok], fit.eig.right[ok])
-    funcs[kept, 1] = _matvec(b_nodes[ok], fit.eig.left[ok])
+    lr = long_run_stack(fit.eig.rho, fit.m)  # NaN where the fit failed, as its rho and sample are
+    records |= {"rho": lr["rho"], "y": lr["y"], "L": lr["L"], "se_rho": fit.sample.se_rho,
+                "phi": _matvec(b_nodes, fit.eig.right), "phi_star": _matvec(b_nodes, fit.eig.left)}
     if fit.fixed_point is not None:
         solved = fit.fixed_point.reason == ""
-        scalars[rows[solved], 3] = fit.fixed_point.lam[solved]
-        funcs[rows[solved], 2] = _matvec(b_nodes[solved], fit.fixed_point.chi_coeffs[solved])
-    return scalars, funcs
+        records["lambda"][solved] = fit.fixed_point.lam[solved]
+        records["chi"][solved] = _matvec(b_nodes[solved], fit.fixed_point.chi_coeffs[solved])
+    return records
 
 
 def _run_block(
     design: McDesign, n: int, reps: range, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked records of the replicates ``reps`` at sample size n, in replicate order.
+) -> dict[str, np.ndarray]:
+    """The :func:`_fit_block` records of the replicates ``reps`` at size n, in replicate order.
 
     The range is simulated in chunks of as many whole blocks as keep a
     chunk's state paths within MC_PATH_ELEMENTS, and each chunk is fitted
@@ -215,14 +209,14 @@ def _run_block(
     chunk = size * max(1, MC_PATH_ELEMENTS // ((n + 1) * size))
     width = n + 1 + nodes.size  # the states X_0..X_n and the nodes
     work = (np.empty((k, size, width)), np.empty((size, width, k)), np.empty((size, n, k)))
-    records = []
+    blocks = []
     for lo in range(0, len(reps), chunk):
         # keyed by n itself: a run's streams do not depend on its other sizes
         rngs = _replicate_rngs(design.seed, [(n, rep) for rep in reps[lo:lo + chunk]])
         states = _ar1_paths(design.ar1, n, rngs)
-        records += [_fit_block(design, states[j:j + size], nodes, work)
-                    for j in range(0, len(states), size)]
-    return tuple(np.concatenate(field) for field in zip(*records))
+        blocks += [_fit_block(design, states[j:j + size], nodes, work)
+                   for j in range(0, len(states), size)]
+    return {s: np.concatenate([block[s] for block in blocks]) for s in _SCALARS + _FUNCS}
 
 
 def _kept(values: np.ndarray) -> np.ndarray:
@@ -255,10 +249,8 @@ def run_mc_study(design: McDesign) -> McTable:
     table = McTable(k=k, truths=truths)
 
     for n in design.sample_sizes:
-        scalars, funcs = _run_block(design, n, range(design.replications), truth.nodes)
-        table.excluded[n] = int(np.isnan(scalars[:, 0]).sum())  # a failed fit has no rho
-
-        records = dict(zip(_SCALARS, scalars.T)) | dict(zip(_FUNCS, funcs.transpose(1, 0, 2)))
+        records = _run_block(design, n, range(design.replications), truth.nodes)
+        table.excluded[n] = int(np.isnan(records["rho"]).sum())  # a failed fit has no rho
         for s in stats:
             vals = _kept(records[s])
             if len(vals) == 0:

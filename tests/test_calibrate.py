@@ -48,6 +48,21 @@ def test_criterion_invariant_to_instrument_reparameterization(testbed):
     assert va == pytest.approx(vb, rel=1e-10)
 
 
+def test_a_returns_series_is_one_column(testbed):
+    full, basis = _euler_exact_panel(testbed, 0.97, 10.0, noise=0.02)
+    r = full.returns[:, 1]
+    series, column = (s.StatePanel.from_states(full.states, growth=full.growth, returns=x)
+                      for x in (r, r[:, None]))
+    assert series.returns.shape == (full.n, 1)
+    for name in ("x0", "x1", "growth", "returns", "states"):
+        np.testing.assert_array_equal(getattr(series, name), getattr(column, name))
+    inst = s.BasisSpec(family="hermite", k=6).build(full.states)
+    beta, gamma = [0.96, 0.97, 0.98], [8.0, 10.0, 12.0]
+    values = [s.criterion_grid(s.Design(basis, p), s.Design(inst, p), beta, gamma)[0]
+              for p in (series, column)]
+    np.testing.assert_array_equal(values[0], values[1])
+
+
 def test_criterion_needs_returns_and_small_instruments(testbed):
     panel = s.simulate_ar1(testbed, 100, np.random.default_rng(3))
     basis = s.BasisSpec(family="hermite", k=6).build(panel.states)

@@ -364,8 +364,9 @@ def _setting_values(setting):
         return kind[-1], kind[-1], [5, kind[0].capitalize()]
     if kind is int:
         return 3, "3", ["3"]
-    if kind is float:
-        return 0.5, "0.5", ["x"]
+    if kind is float:  # an expected block is at least 1
+        value = 1.5 if setting.key == "bootstrap.expected_block" else 0.5
+        return value, str(value), ["x"]
     if kind == list[int]:
         return [40, 80], "40,80", ["40"]
     if kind == list[str]:
@@ -453,6 +454,9 @@ def test_usage_error_exits_1_naming_the_flag(capsys, argv, flag):
     ("mc_negative_seed", "config key 'seed' must be non-negative, not -1"),
     ("mc_repeated_size", "config key 'mc.sizes' repeats 200"),
     ("mc_repeated_sizes", "config key 'mc.sizes' repeats 400, 800"),
+    ("bootstrap_no_replications", "config key 'bootstrap.b' must be at least 1, not 0"),
+    ("bootstrap_level_one", "config key 'bootstrap.level' must be in (0, 1), not 1.0"),
+    ("bootstrap_short_block", "config key 'bootstrap.expected_block' must be at least 1, not 0.5"),
 ])
 def test_user_error_exits_1_with_one_line(tmp_path, sim_panel, capsys, case, message):
     csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
@@ -484,6 +488,11 @@ def test_user_error_exits_1_with_one_line(tmp_path, sim_panel, capsys, case, mes
         "mc_negative_seed": ["mc", "--reps", "2", "--sizes", "40", "--seed", "-1"],
         "mc_repeated_size": ["mc", "--reps", "2", "--sizes", "200,200"],
         "mc_repeated_sizes": ["mc", "--reps", "2", "--sizes", "400,800,400,800,90"],
+        # checked before the input is read: the missing CSV is not reported
+        "bootstrap_no_replications": ["bootstrap", "--input", "nope.csv", "--state-cols", "x1",
+                                      "--boot-b", "0"],
+        "bootstrap_level_one": ["bootstrap", *panel, "--growth-col", "G", "--level", "1"],
+        "bootstrap_short_block": ["decompose", *panel, "--growth-col", "G", "--block", "0.5"],
     }[case]
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 1
@@ -526,11 +535,24 @@ def test_out_below_a_file_exits_1_before_any_work(tmp_path, monkeypatch, capsys,
 ], ids=["decompose", "bootstrap", "value"])
 def test_gram_matrix_that_overflows_exits_1_naming_it(tmp_path, testbed, command, flags, message):
     # k = 171 Hermite values overflow at the outlying state, so the Gram matrix is not finite
+    _exits_1_on_an_overflow_panel(tmp_path, testbed, 2500, [command, *flags], message)
+
+
+@pytest.mark.parametrize("command", ["decompose", "bootstrap"])
+def test_pricing_matrix_that_overflows_exits_1_naming_it(tmp_path, testbed, command):
+    # the last state enters only b(X_{t+1}): G is finite and factors, while M is not finite
+    _exits_1_on_an_overflow_panel(tmp_path, testbed, -1, [command, "--preferences", "power"],
+                                  "error: no usable fit: pricing_not_finite")
+
+
+def _exits_1_on_an_overflow_panel(tmp_path, testbed, outlier, argv, message):
+    """Run argv in a subprocess at k = 171 on 5001 simulated states whose state ``outlier``
+    is 10.0; it exits 1 with ``message`` as its one error line, no traceback and no --out."""
     states = s.simulate_ar1(testbed, 5000, np.random.default_rng(1)).states[:, 0]
-    states[2500] = 10.0
+    states[outlier] = 10.0
     csv_path = _write_panel_csv(tmp_path / "panel.csv", states, growth=np.exp(states[1:]))
     out = tmp_path / "out"
-    argv = [command, "--input", str(csv_path), "--state-cols", "x1", "--growth-col", "G", *flags,
+    argv = [*argv, "--input", str(csv_path), "--state-cols", "x1", "--growth-col", "G",
             "--beta", "0.994", "--gamma", "15", "--basis", "hermite", "--k", "171",
             "--out", str(out)]
     proc = subprocess.run([sys.executable, "-m", "sdfspectral.cli", *argv],

@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sdfspectral as s
-from sdfspectral.pipeline import fit_stack
+from sdfspectral.inference import DISCARD_REASON, _block_counts
+from sdfspectral.pipeline import bootstrap_statistic, fit_stack
 
 EPS = np.finfo(float).eps
 SEEDS = st.integers(0, 2**32 - 1)
@@ -70,6 +71,44 @@ def test_scaling_the_sdf_by_four_to_the_i_scales_rho_exactly(seed, n, j):
     assert scaled.eig.rho[0] == base.eig.rho[0] * 2.0**j
     np.testing.assert_array_equal(scaled.sample.phi_t, base.sample.phi_t)
     np.testing.assert_array_equal(scaled.sample.phi_star_t, base.sample.phi_star_t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=SIZES, j=st.sampled_from([-2, 2, 4]))
+def test_scaling_the_sdf_scales_each_bootstrap_rho_exactly(seed, n, j):
+    """Scaling an observed SDF column by 2^j, j even, scales each kept count row's rho by 2^j.
+
+    The relation of the single fit above holds per bootstrap replicate.
+    Count row r's pricing matrix sums the terms w_rt m_t b(X_t) b(X_{t+1})'
+    with integer counts w_rt, so scaling m by a power of two scales every
+    term, every sum and M_r itself exactly, while G_r and its factor do not
+    depend on m. The eigensolve of each pencil is then homogeneous as
+    argued above, so rho scales by 2^j and the unit eigenvectors, the
+    normalized coefficients and their defects do not change. Of the
+    acceptance rules, the tie and residual rules compare quantities that
+    scale by 2^j on both sides (the residual bound's square roots are of
+    quantities scaled by 4^j, whose roots scale by 2^j exactly). Reality
+    and the adjoint match add an absolute 1e-8 to their relative test, but
+    what they test is either exactly zero or a few ulps (the imaginary
+    part of a real eigenvalue, the adjoint's copy of rho) or of the order
+    of the eigenvalue spacing, on either side of 1e-8 by far more than
+    the factor of at most 16 that the scaling moves it; so every row keeps
+    its DISCARD_REASON entry.
+    """
+    rng = np.random.default_rng(seed)
+    panel = s.simulate_ar1(TESTBED, n, rng)
+    m = BETA * panel.growth ** -GAMMA
+    basis = s.BasisSpec(family="hermite", k=8).build(panel.states)
+    counts = _block_counts(n, 6.0, seed, range(64))
+
+    def stat(scale):
+        panel_m = s.StatePanel.from_states(panel.states, sdf_increments=m * scale)
+        return bootstrap_statistic(s.Design(basis, panel_m), None)(counts)
+
+    base, scaled = stat(1.0), stat(2.0**j)
+    np.testing.assert_array_equal(scaled[DISCARD_REASON], base[DISCARD_REASON])
+    kept = base[DISCARD_REASON] == ""
+    np.testing.assert_array_equal(scaled["rho"][kept], base["rho"][kept] * 2.0**j)
 
 
 #: the bound on the relative move of rho-hat, in units of eps * kappa(rho)

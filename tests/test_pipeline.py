@@ -7,7 +7,7 @@ import sdfspectral as s
 from sdfspectral import pipeline, sievemat
 from sdfspectral.cli import main
 from sdfspectral.inference import BOOTSTRAP_BLOCK, DISCARD_REASON
-from sdfspectral.pfeig import FALLBACK_REASONS, GRAM_NOT_SPD, _row
+from sdfspectral.pfeig import FALLBACK_REASONS, GRAM_NOT_SPD, PRICING_NOT_FINITE, _row
 from sdfspectral.pipeline import DISCARD_REASONS, bootstrap_statistic, fit_stack
 from sdfspectral.sievemat import CountRows, DesignStack
 from sdfspectral.valuefn import VALUE_FAILURES
@@ -164,7 +164,7 @@ def test_one_positivity_rule_at_every_entry_point(testbed, gamma, positive):
 
 #: every reason of fit_stack, in stage order
 FIT_REASONS = ((GRAM_NOT_SPD,) + VALUE_FAILURES + ("nonpositive_continuation", "nonpositive_sdf")
-               + FALLBACK_REASONS + ("defective_pair",))
+               + (PRICING_NOT_FINITE,) + FALLBACK_REASONS + ("defective_pair",))
 
 
 def _fail_at(monkeypatch, reason, bad):
@@ -189,6 +189,13 @@ def _fail_at(monkeypatch, reason, bad):
             why = st.reason.astype(object)
             why[bad] = reason
             return st._replace(reason=why)
+    elif reason == PRICING_NOT_FINITE:  # an entry of the pricing matrix overflowed
+        attr = "estimate_pricing"
+
+        def mark(M):
+            M = M.copy()
+            M[bad, 0, -1] = np.inf
+            return M
     elif reason == "defective_pair":
         attr = "_normalize_stack"
 

@@ -178,11 +178,14 @@ def _five_states_design():
      "x0 and x1 must have identical shapes"),
     (lambda: s.StatePanel.from_states(np.zeros(5), returns=np.ones((3, 1))),
      "returns must have n=4 rows"),
+    (lambda: s.StatePanel.from_states(np.zeros(5), returns=np.ones(3)),
+     "returns must have n=4 rows"),
     (lambda: s.StatePanel.from_states(np.zeros(1)), "need at least two observations of the state"),
     (lambda: CountRows(_five_states_design(), np.ones((2, 5))),
      r"counts must have shape \(R, 4\)"),
     (lambda: CountRows(_five_states_design(), np.ones(4)), r"counts must have shape \(R, 4\)"),
-], ids=["x0_x1_shapes", "returns_rows", "one_observation", "counts_columns", "counts_1d"])
+], ids=["x0_x1_shapes", "returns_rows", "returns_series_rows", "one_observation",
+        "counts_columns", "counts_1d"])
 def test_panel_and_count_row_input_checks(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

@@ -69,6 +69,14 @@ def test_ar1_paths_equal_lfilter_bit_for_bit(kappa):
                                   _lfilter_paths(design, 1601, [np.random.default_rng(5)])[0])
 
 
+def _arrays(records):
+    """The (R, 5) scalars and the (R, 3, nodes) functions of keyed records, in _SCALARS and
+    _FUNCS order, after checking that the records hold exactly those keys."""
+    assert list(records) == [*simkit._SCALARS, *simkit._FUNCS]
+    return (np.column_stack([records[s] for s in simkit._SCALARS]),
+            np.stack([records[f] for f in simkit._FUNCS], axis=1))
+
+
 def test_path_chunks_give_the_rows_of_one_chunk(testbed, power_prefs, monkeypatch):
     # blocks of 3 replicates, and chunks of 2 blocks: 20 replicates make 4 chunks
     design = s.McDesign(ar1=testbed, preferences=power_prefs, sample_sizes=(60,),
@@ -100,7 +108,7 @@ def test_path_chunks_give_the_rows_of_one_chunk(testbed, power_prefs, monkeypatc
     assert whole_chunks == [20] and part_chunks == [6, 6, 6, 2]
     assert whole_blocks == part_blocks == [3, 3, 3, 3, 3, 3, 2]
     np.testing.assert_array_equal(part_rows, whole_rows)
-    for field, joined in zip(whole, parts):
+    for field, joined in zip(_arrays(whole), _arrays(parts)):
         np.testing.assert_array_equal(field, joined)
 
 
@@ -249,7 +257,7 @@ def test_block_where_no_basis_builds_is_censored_whole(spec, testbed, power_pref
     states = np.full((3, 41), 0.005)  # constant paths: no sample variance, tied knots
     width = 41 + nodes.size
     work = (np.empty((6, 3, width)), np.empty((3, width, 6)), np.empty((3, 40, 6)))
-    scalars, funcs = simkit._fit_block(design, states, nodes, work)
+    scalars, funcs = _arrays(simkit._fit_block(design, states, nodes, work))
     assert scalars.shape == (3, len(simkit._SCALARS))
     assert funcs.shape == (3, len(simkit._FUNCS), nodes.size)
     assert np.isnan(scalars).all() and np.isnan(funcs).all()
@@ -341,7 +349,7 @@ def _stack_case(name, testbed, power_prefs, recursive_prefs):
 @pytest.mark.parametrize("name", list(STACK_CASES))
 def test_stacked_records_equal_per_replicate_fits(name, testbed, power_prefs, recursive_prefs):
     design, n, reps, nodes = _stack_case(name, testbed, power_prefs, recursive_prefs)
-    scalars, funcs = simkit._run_block(design, n, range(reps), nodes)
+    scalars, funcs = _arrays(simkit._run_block(design, n, range(reps), nodes))
     ref = [_reference_record(design, n, rep, nodes) for rep in range(reps)]
     failed = np.isnan(scalars[:, 0])  # a failed fit has no rho
     np.testing.assert_array_equal(failed, [r[0] for r in ref])
@@ -358,12 +366,12 @@ def test_mc_records_do_not_depend_on_blocks(testbed, recursive_prefs, monkeypatc
         basis_spec=s.BasisSpec(family="hermite", k=6), seed=3,
     )
     nodes = s.quadrature_eig(testbed, recursive_prefs, simkit.ORACLE_NODES).nodes
-    whole = simkit._run_block(design, 300, range(30), nodes)
+    whole = _arrays(simkit._run_block(design, 300, range(30), nodes))
     assert np.isnan(whole[0][:, 0]).any()
     for block_elements in (1, 4 * 301 * 6, 7 * 301 * 6):
         monkeypatch.setattr(simkit, "MC_BLOCK_ELEMENTS", block_elements)
         for edges in ((0, 30), (0, 11, 30), (0, 1, 17, 30)):  # contiguous replicate ranges
-            parts = [simkit._run_block(design, 300, range(lo, hi), nodes)
+            parts = [_arrays(simkit._run_block(design, 300, range(lo, hi), nodes))
                      for lo, hi in zip(edges[:-1], edges[1:])]
             for field, joined in zip(whole, (np.concatenate(p) for p in zip(*parts))):
                 np.testing.assert_array_equal(field, joined)
@@ -378,7 +386,7 @@ def test_one_failing_replicate_is_censored_alone(stage, testbed, recursive_prefs
         basis_spec=s.BasisSpec(family="hermite", k=8), seed=1,
     )
     nodes = s.quadrature_eig(testbed, recursive_prefs, simkit.ORACLE_NODES).nodes
-    clean = simkit._run_block(design, 300, range(6), nodes)
+    clean = _arrays(simkit._run_block(design, 300, range(6), nodes))
     assert not np.isnan(clean[0][:, 0]).any()
     bad = 2  # the replicate whose stage fails, in a block of all six
     if stage == "basis":  # a constant state path has zero variance
@@ -411,7 +419,7 @@ def test_one_failing_replicate_is_censored_alone(stage, testbed, recursive_prefs
             return st._replace(reason=reason)
 
         monkeypatch.setattr(owner, attr, failing_at_bad)
-    scalars, funcs = simkit._run_block(design, 300, range(6), nodes)
+    scalars, funcs = _arrays(simkit._run_block(design, 300, range(6), nodes))
     assert list(np.flatnonzero(np.isnan(scalars[:, 0]))) == [bad]
     others = np.arange(6) != bad
     for field, ref in zip((scalars, funcs), clean):

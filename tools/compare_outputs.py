@@ -14,17 +14,18 @@ transition pairs of the bootstrap panel, a panel whose state takes
 eight distinct values (so the log permanent and transitory series are
 heavily tied, and a sieve of nine functions needs the SPD ridge), a
 messy copy of the bootstrap panel (CRLF rows, a blank line, padded
-cells, exponent notation) and a 5000-pair panel of the bootstrap law
+cells, exponent notation), a 5000-pair panel of the bootstrap law
 whose state 2500 is set to 10.0, so that a k = 171 Hermite sieve
-overflows and its Gram matrix is not finite. It runs each argument vector below once per
-tree, each in a fresh ``python`` process writing to an empty output
-directory (the same path for both trees, as provenance.json records
-it). Exit
-statuses and every output file are compared by bytes; JSON files are
-compared after dropping the top-level ``elapsed_seconds`` key. A vector
-whose stderr holds a Python traceback on one tree and not the other is
-a difference too. Prints
-each difference and exits 1 if there is any. For a CSV or JSON file that
+overflows and its Gram matrix is not finite, and the same 5001 states
+with the last one instead set to 10.0, so that the Gram matrix is
+finite but the pricing matrix is not. It runs each argument vector
+below once per tree, each in a fresh ``python`` process writing to an
+empty output directory (the same path for both trees, as
+provenance.json records it). Exit statuses and every output file are
+compared by bytes; JSON files are compared after dropping the top-level
+``elapsed_seconds`` key. A vector whose stderr holds a Python traceback
+on one tree and not the other is a difference too. Prints each
+difference and exits 1 if there is any. For a CSV or JSON file that
 differs, it also prints the largest relative difference |a - b| / max(|a|, |b|)
 over the numeric fields, or says that the two files' layouts differ.
 """
@@ -130,11 +131,11 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
         workloads._write_csv(str(path), {"g": states}, {"G": np.exp(states[1:])})
         return str(path)
 
-    def overflow_panel() -> str:
-        """5001 states of the bootstrap workload's law at seed 1, state 2500 set to 10.0."""
+    def overflow_panel(t: int) -> str:
+        """5001 states of the bootstrap workload's law at seed 1, state t set to 10.0."""
         states = workloads._ar1_states(workloads._rng(1, "bootstrap"), 5000)
-        states[2500] = 10.0
-        path = work / "panel_overflow.csv"
+        states[t] = 10.0
+        path = work / f"panel_overflow_{t}.csv"
         workloads._write_csv(str(path), {"g": states}, {"G": np.exp(states[1:])})
         return str(path)
 
@@ -222,8 +223,12 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     cases["mc_wide_seed"] = [*mc, "--seed", wide_seed, "--reps", "20"]
     # Hermite values that overflow at the outlying state: a Gram matrix that is not
     # finite fails the point fit, which exits 1 and writes nothing
-    cases["decompose_gram_overflow"] = ["decompose", *bootstrap[1:], "--input", overflow_panel(),
-                                        "--k", "171"]
+    cases["decompose_gram_overflow"] = ["decompose", *bootstrap[1:], "--input",
+                                        overflow_panel(2500), "--k", "171"]
+    # the last state enters only b(X_{t+1}): G is finite and factors, but the pricing
+    # matrix is not finite, which fails the point fit too
+    cases["decompose_pricing_overflow"] = ["decompose", *bootstrap[1:], "--input",
+                                           overflow_panel(5000), "--k", "171"]
     return cases
 
 
