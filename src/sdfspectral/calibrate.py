@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pfeig import GRAM_NOT_SPD, _row
+from .pfeig import GRAM_NOT_SPD, PRICING_NOT_FINITE, _row
 from .sievemat import Design
 from .valuefn import VALUE_FAILURES, FixedPointStack, recursive_sdf_stack, solve_value_stack
 
@@ -36,9 +36,10 @@ FATOL = 1e-12
 MAX_ITER = 500
 
 
-#: why a (beta, gamma) point is infeasible: GRAM_NOT_SPD, a failed value recursion
-#: (VALUE_FAILURES), or a continuation value that is not positive on the sample
-INFEASIBLE_REASONS = (GRAM_NOT_SPD,) + VALUE_FAILURES + ("nonpositive_continuation",)
+#: why a (beta, gamma) point is infeasible: GRAM_NOT_SPD, PRICING_NOT_FINITE, a failed
+#: value recursion (VALUE_FAILURES), or a continuation value that is not positive on the sample
+INFEASIBLE_REASONS = ((GRAM_NOT_SPD, PRICING_NOT_FINITE) + VALUE_FAILURES
+                      + ("nonpositive_continuation",))
 
 
 @dataclass
@@ -87,11 +88,16 @@ def criterion_grid(
     conv = np.flatnonzero(reason == "")
     for lo in range(0, conv.size, MOMENT_BLOCK):
         c = conv[lo:lo + MOMENT_BLOCK]
-        m, reason[c] = recursive_sdf_stack(design, _row(st, c))
+        # a block of every point is the stack itself
+        m, reason[c] = recursive_sdf_stack(design, st if c.size == reason.size else _row(st, c))
         usable = reason[c] == ""
         ok, m = c[usable], m[:, usable]
-        resid = m[:, :, None] * panel.returns[:, None, :] - 1.0  # (n, points, returns)
-        A = np.tensordot(instruments.b0, resid, axes=(0, 0)) / panel.n
+        resid = m[:, :, None] * panel.returns[:, None, :]  # (n, points, returns)
+        resid -= 1.0
+        # the instrumented moments b0' resid / n, (instruments, points, returns)
+        n, points, returns = resid.shape
+        A = np.dot(instruments.b0.T, resid.reshape(n, points * returns)) / n
+        A = A.reshape(len(A), points, returns)
         values[ok] = np.einsum("ipq,ij,jpq->p", A, instruments.gram_pinv, A)
     return values, reason
 

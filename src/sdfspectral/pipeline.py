@@ -7,6 +7,8 @@ the :class:`CountRows` of R bootstrap replicates of a Design, or a
 "" where its fit is kept and otherwise the first stage that failed it, in
 stage order: GRAM_NOT_SPD, a VALUE_FAILURES entry, "nonpositive_continuation",
 "nonpositive_sdf", PRICING_NOT_FINITE, a FALLBACK_REASONS entry or "defective_pair".
+Under recursive preferences the value recursion names PRICING_NOT_FINITE
+before its VALUE_FAILURES, since an overflowing b(X_{t+1}) is its input too.
 :func:`fit_panel` is row 0 of a stack of one, and
 :func:`bootstrap_statistic` fits stacks of count rows.
 """

@@ -94,13 +94,15 @@ class Whitening(NamedTuple):
     A coefficient vector v has whitened coordinates u = L' v, in which the
     G-norm sqrt(v'Gv) is the Euclidean norm of u; ``w0 = b0 L^-'`` and
     ``w1t = L^-1 b1'`` give the sample values b(X_t)'v = w0 u and
-    b(X_{t+1})'v = u' w1t. Of a :class:`DesignStack`, each field has a
-    leading replicate axis.
+    b(X_{t+1})'v = u' w1t, and ``mean`` is the mean row of w0, the
+    whitened mean basis vector L^-1 mean b(X_t). Of a :class:`DesignStack`,
+    each field has a leading replicate axis.
     """
 
     Li: np.ndarray  # (k, k) L^-1, of the SPD-ridged Gram matrix
     w0: np.ndarray  # (n, k)
     w1t: np.ndarray  # (k, n), C-ordered
+    mean: np.ndarray  # (k,)
 
 
 class _Moments:
@@ -122,7 +124,18 @@ class _Moments:
     def whitening(self) -> Whitening:
         """The rows whitened by :attr:`factor`, each field of a stack with a leading R axis."""
         Li = self.factor.Li.reshape(self.gram.shape)
-        return Whitening(Li, self.b0 @ np.swapaxes(Li, -1, -2), Li @ np.swapaxes(self.b1, -1, -2))
+        w0 = self.b0 @ np.swapaxes(Li, -1, -2)
+        w1t = Li @ np.swapaxes(self.b1, -1, -2)
+        return Whitening(Li, w0, w1t, np.full(self.n, 1.0 / self.n) @ w0)
+
+    @cached_property
+    def b1_finite(self) -> np.ndarray:
+        """Whether the rows b1 = b(X_{t+1}) are finite, of a stack one bool per replicate.
+
+        They enter the pricing matrix and the value-recursion map but not
+        the Gram matrix, so a factor that succeeded says nothing of them.
+        """
+        return np.all(np.isfinite(self.b1), axis=(-2, -1))
 
 
 class Design(_Moments):

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .pfeig import GRAM_NOT_SPD, _matvec
+from .pfeig import GRAM_NOT_SPD, PRICING_NOT_FINITE, _matvec
 from .preferences import _growth_power
 from .sievemat import CountRows, Design, DesignStack
 
@@ -31,12 +31,12 @@ VALUE_FAILURES = ("invalid_parameters", "growth_overflow", "unconverged_value_re
 class FixedPointStack(NamedTuple):
     """Per-column results of :func:`solve_value_stack`, P columns.
 
-    ``reason`` is "" for a converged column and otherwise GRAM_NOT_SPD or
-    its VALUE_FAILURES entry. ``final_step`` is the G-norm distance between
-    a column's last two normalized iterates. An unconverged column keeps its
-    last iterate and eigenvalue; a column whose iterate degenerated
-    (vanishing or non-finite G-norm) and the columns of the other reasons
-    have NaN ``lam`` and ``chi_coeffs``.
+    ``reason`` is "" for a converged column and otherwise GRAM_NOT_SPD,
+    PRICING_NOT_FINITE or its VALUE_FAILURES entry. ``final_step`` is the
+    G-norm distance between a column's last two normalized iterates. An
+    unconverged column keeps its last iterate and eigenvalue; a column
+    whose iterate degenerated (vanishing or non-finite G-norm) and the
+    columns of the other reasons have NaN ``lam`` and ``chi_coeffs``.
     """
 
     lam: np.ndarray  # (P,)
@@ -94,51 +94,44 @@ def solve_value_stack(
     has a positive sample mean const'G chi: it is the normalized G^-1 T(y)
     of a nonnegative map, or at the first iteration the normalized G^-1
     (mean basis vector).
-    Columns whose Gram matrix did not factor (GRAM_NOT_SPD, which comes
-    first), with beta outside (0, 1) or gamma < 1, or whose G^(1-gamma)
-    overflows, are not iterated; their ``reason`` says why. Only a
-    missing growth series raises.
+    Columns whose Gram matrix did not factor (GRAM_NOT_SPD), whose rows
+    b(X_{t+1}) are not finite (PRICING_NOT_FINITE: they enter the map and
+    the pricing matrix but not G), with beta outside (0, 1) or gamma < 1,
+    or whose G^(1-gamma) overflows, are not iterated; their ``reason``
+    names the first of these checks that they fail. Only a missing growth
+    series raises.
     """
     stacked, rows = isinstance(design, DesignStack), isinstance(design, CountRows)
-    shape = np.broadcast_shapes(
-        np.shape(beta),
-        np.shape(gamma),
-        (len(design.counts),) if rows else (),
-        (len(design.b0),) if stacked else (),
-    )
-    beta, gamma = (np.broadcast_to(np.asarray(a, float), shape).ravel() for a in (beta, gamma))
+    replicates = (len(design.b0),) if stacked else (len(design.counts),) if rows else ()
+    shape = np.broadcast(beta, gamma, np.empty(replicates)).shape
+    beta, gamma = (np.full(shape, a, dtype=float).ravel() for a in (beta, gamma))
     p_cols, n, k = beta.size, design.n, design.b0.shape[-1]
+    if rows and len(design.counts) != p_cols:
+        raise ValueError(f"{len(design.counts)} count rows for {p_cols} columns")
     gw = _growth_weights(design.growth, gamma)  # (P, n)
     gw /= n
+    gram_ok = design.factor.ok if stacked or rows else design.factor.ok[0]
+    valid = (beta > 0) & (beta < 1) & (gamma >= 1)
+    finite = np.isfinite(gw).all(axis=1)
+    iterate = gram_ok & design.b1_finite & valid & finite
     reason = np.full(p_cols, "", dtype=object)
-    reason[~np.all(np.isfinite(gw), axis=1)] = "growth_overflow"
-    reason[~((beta > 0) & (beta < 1) & (gamma >= 1))] = "invalid_parameters"
+    if not iterate.all():
+        # a column that fails several checks is named by the first
+        for why, passed in (("growth_overflow", finite), ("invalid_parameters", valid),
+                            (PRICING_NOT_FINITE, design.b1_finite), (GRAM_NOT_SPD, gram_ok)):
+            reason[~passed] = why
     # Li holds per-column factors L^-1 of unwhitened count rows, None when
     # the rows are whitened already
     product = _row_product if stacked else np.matmul
     if not rows:
         wh = design.whitening
-        r0, r1t, Li = wh.w0, wh.w1t, None
-        u0 = np.full(n, 1.0 / n) @ r0  # mean whitened row L^-1 mean b(X_t)
+        r0, r1t, Li, u0 = wh.w0, wh.w1t, None, wh.mean
     else:
         w = design.counts
-        if len(w) != p_cols:
-            raise ValueError(f"{len(w)} count rows for {p_cols} columns")
         Li = design.factor.Li
         r0, r1t = design.b0, np.ascontiguousarray(design.b1.T)
         gw *= w
         u0 = _matvec(Li, w @ r0 / n)
-    reason[~np.broadcast_to(design.factor.ok, (p_cols,))] = GRAM_NOT_SPD
-
-    def g_inv_t(U: np.ndarray, gw_c, beta_c, Li_c, r0_c, r1t_c) -> np.ndarray:
-        """L^-1 T(v) of C columns, from their whitened iterates U (C, k)."""
-        V = U if Li_c is None else _matvec(np.swapaxes(Li_c, -1, -2), U)
-        A = product(V, r1t_c)
-        np.abs(A, out=A)
-        np.power(A, beta_c, out=A)
-        A *= gw_c
-        T = product(A, r0_c)
-        return T if Li_c is None else _matvec(Li_c, T)
 
     lam = np.full(p_cols, np.nan)
     Y = np.full((p_cols, k), np.nan)  # each column's last normalized iterate
@@ -146,12 +139,13 @@ def solve_value_stack(
     step = np.full(p_cols, np.inf)
     # the iterating columns and their data: growth weights, beta, and where
     # they differ across columns, L^-1 and the rows
-    cols = np.flatnonzero(reason == "")
+    cols = np.flatnonzero(iterate)
     per_col = [gw, beta[:, None], Li, r0, r1t]
     varies = [True, True, Li is not None, stacked, stacked]
     if cols.size < p_cols:
         per_col = [a[cols] if v else a for a, v in zip(per_col, varies)]
-    U, Y_prev = np.broadcast_to(u0, (p_cols, k))[cols], None
+    U = u0[cols] if u0.ndim > 1 else np.repeat(u0[None], cols.size, axis=0)
+    Y_prev = None
     # a vanishing or non-finite G-norm makes a NaN step, which ends its column
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, MAX_ITER + 1):
@@ -162,26 +156,35 @@ def solve_value_stack(
             else:
                 D = Y_new - Y_prev
                 s = np.sqrt(np.einsum("pk,pk->p", D, D))
-            done = ~(s >= TOL)
-            if it == MAX_ITER:
-                done[:] = True
-            U = g_inv_t(Y_new, *per_col)
-            if done.any():
-                fin = cols[done]
-                bad = ~((nz > 0) & (nz < np.inf))
-                iterations[fin], step[fin] = it, s[done]
-                # lam is the G-norm of the last pre-normalization iterate
-                ok = done & ~bad
-                Y[cols[ok]], lam[cols[ok]] = Y_new[ok], np.sqrt(np.einsum("pk,pk->p", U[ok], U[ok]))
-                keep = ~done
-                cols, U, Y_new = cols[keep], U[keep], Y_new[keep]
-                per_col = [a[keep] if v else a for a, v in zip(per_col, varies)]
-            if cols.size == 0:
+            # U = L^-1 T(v) of the columns' iterates
+            gw_c, beta_c, Li_c, r0_c, r1t_c = per_col
+            V = Y_new if Li_c is None else _matvec(np.swapaxes(Li_c, -1, -2), Y_new)
+            A = product(V, r1t_c)
+            np.abs(A, out=A)
+            np.power(A, beta_c, out=A)
+            A *= gw_c
+            U = product(A, r0_c)
+            del A  # the next iteration's (C, n) product can take its memory
+            if Li_c is not None:
+                U = _matvec(Li_c, U)
+            going = s >= TOL
+            if it < MAX_ITER and np.count_nonzero(going) == going.size:
+                Y_prev = Y_new
+                continue
+            done = ~going if it < MAX_ITER else np.ones(cols.size, dtype=bool)
+            fin = cols[done]
+            iterations[fin], step[fin] = it, s[done]
+            # lam is the G-norm of the last pre-normalization iterate
+            ok = done & (nz > 0) & (nz < np.inf)
+            U_ok = U[ok]
+            Y[cols[ok]], lam[cols[ok]] = Y_new[ok], np.sqrt(np.einsum("pk,pk->p", U_ok, U_ok))
+            if done.all():
                 break
-            Y_prev = Y_new
+            keep = ~done
+            cols, U, Y_prev = cols[keep], U[keep], Y_new[keep]
+            per_col = [a[keep] if v else a for a, v in zip(per_col, varies)]
 
-    converged = (step < TOL) & ~np.isnan(lam)
-    reason[(reason == "") & ~converged] = "unconverged_value_recursion"
+    reason[iterate & ~((step < TOL) & ~np.isnan(lam))] = "unconverged_value_recursion"
     # whitened rows u' = z'L map back to coefficient rows z' = u'L^-1
     chi = product(Y, wh.Li) if Li is None else _matvec(np.swapaxes(Li, -1, -2), Y)
     return FixedPointStack(
@@ -224,10 +227,12 @@ def recursive_sdf_stack(
     positive = (chi0 > 0) & (chi1 > 0)
     if drawn is not None:
         positive |= ~drawn
-    usable = np.all(positive, axis=0)
+    usable = positive.all(axis=0)
     reason = fp.reason.astype(object)
-    reason[(reason == "") & ~usable] = "nonpositive_continuation"
     use = usable if drawn is None else drawn & usable
-    chi0, chi1 = np.where(use, chi0, 1.0), np.where(use, chi1, 1.0)
+    every = use.all()
+    if not every:
+        reason[(reason == "") & ~usable] = "nonpositive_continuation"
+        chi0, chi1 = np.where(use, chi0, 1.0), np.where(use, chi1, 1.0)
     m = (fp.beta / fp.lam) * _growth_power(growth, -fp.gamma) * chi1**fp.beta / chi0
-    return np.where(use, m, 1.0), reason
+    return (m if every else np.where(use, m, 1.0)), reason

@@ -192,8 +192,8 @@ def test_criterion_counts_infeasible_reasons(testbed):
     values, reasons = s.criterion_grid(design, instruments, [0.97, 1.0], [1.0, 55.0])
     assert list(reasons) == ["", "invalid_parameters"] and values[1] == math.inf
     assert set(calibrate.INFEASIBLE_REASONS) == {
-        "gram_not_spd", "invalid_parameters", "growth_overflow", "unconverged_value_recursion",
-        "nonpositive_continuation",
+        "gram_not_spd", "pricing_not_finite", "invalid_parameters", "growth_overflow",
+        "unconverged_value_recursion", "nonpositive_continuation",
     }
 
 

@@ -538,11 +538,19 @@ def test_gram_matrix_that_overflows_exits_1_naming_it(tmp_path, testbed, command
     _exits_1_on_an_overflow_panel(tmp_path, testbed, 2500, [command, *flags], message)
 
 
-@pytest.mark.parametrize("command", ["decompose", "bootstrap"])
-def test_pricing_matrix_that_overflows_exits_1_naming_it(tmp_path, testbed, command):
-    # the last state enters only b(X_{t+1}): G is finite and factors, while M is not finite
-    _exits_1_on_an_overflow_panel(tmp_path, testbed, -1, [command, "--preferences", "power"],
-                                  "error: no usable fit: pricing_not_finite")
+@pytest.mark.parametrize("command, flags, message", [
+    ("decompose", ["--preferences", "power"], "error: no usable fit: pricing_not_finite"),
+    ("bootstrap", ["--preferences", "power"], "error: no usable fit: pricing_not_finite"),
+    ("decompose", ["--preferences", "recursive"], "error: no usable fit: pricing_not_finite"),
+    ("bootstrap", ["--preferences", "recursive"], "error: no usable fit: pricing_not_finite"),
+    ("value", ["--preferences", "recursive"],
+     "error: no value solution at beta=0.994, gamma=15.0: pricing_not_finite"),
+], ids=["decompose", "bootstrap", "decompose_recursive", "bootstrap_recursive", "value"])
+def test_pricing_matrix_that_overflows_exits_1_naming_it(tmp_path, testbed, command, flags,
+                                                         message):
+    # the last state enters only b(X_{t+1}): G is finite and factors, while M and the
+    # value-recursion map are not finite
+    _exits_1_on_an_overflow_panel(tmp_path, testbed, -1, [command, *flags], message)
 
 
 def _exits_1_on_an_overflow_panel(tmp_path, testbed, outlier, argv, message):

@@ -286,6 +286,52 @@ def test_each_fit_failure(reason, testbed, recursive_prefs, monkeypatch, tmp_pat
         assert status == 1 and err.startswith("error:") and reason in err
 
 
+def test_rows_that_overflow_fail_the_value_recursion_alone(testbed, recursive_prefs):
+    # b(X_{t+1}) enters the value-recursion map and the pricing matrix but not G: under
+    # recursive preferences a replicate whose b1 is not finite is never iterated and
+    # fails as PRICING_NOT_FINITE, not as an unconverged recursion
+    n, bad = 300, 2
+    panels = [s.simulate_ar1(testbed, n, np.random.default_rng(60 + r)) for r in range(4)]
+    spec = s.BasisSpec(family="hermite", k=6)
+    designs = [s.Design(spec.build(p.states), p) for p in panels]
+    b1 = np.stack([d.b1 for d in designs])
+    b1[bad, -1, 0] = np.inf
+
+    def stack(rows):
+        return DesignStack(np.stack([designs[r].b0 for r in rows]), b1[rows],
+                           np.stack([panels[r].growth for r in rows]), designs[0].const_coeffs)
+
+    fit = fit_stack(stack(np.arange(4)), recursive_prefs)
+    assert list(fit.reason) == ["", "", PRICING_NOT_FINITE, ""]
+    fp = fit.fixed_point
+    assert fp.reason[bad] == PRICING_NOT_FINITE and fp.iterations[bad] == 0
+    assert np.isnan(fp.lam[bad]) and np.isnan(fit.eig.rho[bad])
+    np.testing.assert_array_equal(fit.m[bad], np.ones(n))
+    # the others fit as the stack without it fits them
+    others = np.flatnonzero(np.arange(4) != bad)
+    ref = fit_stack(stack(others), recursive_prefs)
+    assert list(ref.reason) == ["", "", ""]
+    np.testing.assert_array_equal(fit.eig.rho[others], ref.eig.rho)
+    np.testing.assert_array_equal(fit.fixed_point.lam[others], ref.fixed_point.lam)
+    np.testing.assert_array_equal(fit.m[others], ref.m)
+
+    # one design: the point fit, a calibration point and every count row name it
+    panel = s.StatePanel.from_states(panels[0].states, growth=panels[0].growth,
+                                     returns=1.0 / panels[0].growth[:, None])
+    design = s.Design(designs[0].basis, panel)
+    design.b1 = design.b1.copy()
+    design.b1[-1, 0] = np.inf
+    with pytest.raises(RuntimeError, match=f"no usable fit: {PRICING_NOT_FINITE}$"):
+        pipeline.fit_panel(design, recursive_prefs)
+    instruments = s.Design(s.BasisSpec(family="hermite", k=4).build(panel.states), panel)
+    values, reasons = s.criterion_grid(design, instruments, recursive_prefs.beta,
+                                       [recursive_prefs.gamma, 5.0])
+    assert list(reasons) == [PRICING_NOT_FINITE] * 2 and np.all(values == np.inf)
+    out = bootstrap_statistic(design, recursive_prefs)(np.ones((3, n), dtype=int))
+    assert list(out[DISCARD_REASON]) == [PRICING_NOT_FINITE] * 3
+    assert np.isnan(out["rho"]).all() and np.isnan(out["lambda"]).all()
+
+
 def test_each_gram_matrix_is_factored_once(testbed, power_prefs, recursive_prefs, monkeypatch):
     # one Cholesky factor per Gram matrix per fit serves the value recursion
     # and the eigensolve

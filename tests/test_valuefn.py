@@ -293,3 +293,68 @@ def test_count_rows_must_match_the_columns(testbed, beta, message):
     design = s.Design(s.BasisSpec(family="hermite", k=4).build(panel.states), panel)
     with pytest.raises(ValueError, match=f"^{message}$"):
         s.solve_value_stack(CountRows(design, np.ones((2, panel.n))), beta, 15.0)
+
+
+def _failing_design(testbed, *fails):
+    """A k = 8 design on 300 pairs, with its rows made to fail the value recursion's checks ``fails``.
+
+    Its growth at t = 7 is exp(-15), so that G^(1-gamma) overflows for gamma = 60 only.
+    """
+    panel = s.simulate_ar1(testbed, 300, np.random.default_rng(23))
+    growth = panel.growth.copy()
+    growth[7] = math.exp(-15.0)
+    panel = s.StatePanel.from_states(panel.states, growth=growth)
+    design = s.Design(s.BasisSpec(family="hermite", k=8).build(panel.states), panel)
+    if "gram_not_spd" in fails:  # a b(X_t) that is not finite: G is not finite
+        design.b0 = design.b0.copy()
+        design.b0[3, 1] = np.nan
+    if "pricing_not_finite" in fails:  # b(X_n) overflows: G factors, the map's rows do not
+        design.b1 = design.b1.copy()
+        design.b1[-1, 1] = np.inf
+    return design
+
+
+@pytest.mark.parametrize("reason", ["invalid_parameters", "growth_overflow", "gram_not_spd",
+                                    "pricing_not_finite", "unconverged_value_recursion"])
+def test_a_one_point_solve_keeps_the_books_of_a_stacked_column(testbed, monkeypatch, reason):
+    # a one-point solve names each reason, and reports the iterations, the final step and
+    # the eigenvalue of its column, as column 0 of a stack of two does
+    design = _failing_design(testbed, reason)
+    beta, gamma = {"invalid_parameters": (1.2, 5.0), "growth_overflow": (0.97, 60.0)}.get(
+        reason, (0.97, 5.0))
+    if reason == "unconverged_value_recursion":
+        monkeypatch.setattr(s.valuefn, "MAX_ITER", 2)
+    one = s.solve_value_stack(design, beta, gamma)
+    two = s.solve_value_stack(design, [beta, 0.97], [gamma, 5.0])
+    assert list(one.reason) == [reason] and two.reason[0] == reason
+    if reason == "unconverged_value_recursion":
+        # iterated: its last iterate is kept; a stack's products differ from the single
+        # column's in the last bits (gemm against gemv)
+        assert one.iterations[0] == two.iterations[0] == 2
+        assert one.final_step[0] == pytest.approx(two.final_step[0], rel=1e-12, abs=0)
+        assert one.final_step[0] >= s.valuefn.TOL
+        assert one.lam[0] == pytest.approx(two.lam[0], rel=1e-12, abs=0)
+        np.testing.assert_allclose(one.chi_coeffs[0], two.chi_coeffs[0], rtol=0, atol=1e-10)
+    else:
+        # never iterated
+        assert one.iterations[0] == two.iterations[0] == 0
+        assert one.final_step[0] == two.final_step[0] == np.inf
+        assert np.isnan(one.lam[0]) and np.isnan(two.lam[0])
+        assert np.isnan(one.chi_coeffs).all() and np.isnan(two.chi_coeffs[0]).all()
+    # the other column fails with it where the whole design fails, and converges elsewhere
+    shared = reason in ("gram_not_spd", "pricing_not_finite", "unconverged_value_recursion")
+    assert two.reason[1] == (reason if shared else "")
+    assert np.isnan(two.lam[1]) == (reason in ("gram_not_spd", "pricing_not_finite"))
+
+
+@pytest.mark.parametrize("fails, expected", [
+    (("gram_not_spd", "pricing_not_finite", "invalid_parameters"), "gram_not_spd"),
+    (("pricing_not_finite", "invalid_parameters", "growth_overflow"), "pricing_not_finite"),
+    (("invalid_parameters", "growth_overflow"), "invalid_parameters"),
+], ids=["gram_not_spd", "pricing_not_finite", "invalid_parameters"])
+def test_a_column_failing_several_checks_is_named_by_the_first(testbed, fails, expected):
+    design = _failing_design(testbed, *fails)
+    beta = 1.2 if "invalid_parameters" in fails else 0.97
+    gamma = 60.0 if "growth_overflow" in fails else 5.0
+    st = s.solve_value_stack(design, beta, gamma)
+    assert list(st.reason) == [expected] and st.iterations[0] == 0 and np.isnan(st.lam[0])

@@ -24,7 +24,8 @@ empty output directory (the same path for both trees, as
 provenance.json records it). Exit statuses and every output file are
 compared by bytes; JSON files are compared after dropping the top-level
 ``elapsed_seconds`` key. A vector whose stderr holds a Python traceback
-on one tree and not the other is a difference too. Prints each
+on one tree and not the other is a difference too, and so is one whose
+stderr lines that start with ``error:`` or ``warning:`` differ. Prints each
 difference and exits 1 if there is any. For a CSV or JSON file that
 differs, it also prints the largest relative difference |a - b| / max(|a|, |b|)
 over the numeric fields, or says that the two files' layouts differ.
@@ -229,16 +230,25 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     # matrix is not finite, which fails the point fit too
     cases["decompose_pricing_overflow"] = ["decompose", *bootstrap[1:], "--input",
                                            overflow_panel(5000), "--k", "171"]
+    # under recursive preferences b(X_{t+1}) is the value recursion's input too, which
+    # names the same reason before it iterates
+    cases["value_pricing_overflow"] = ["value", *cases["decompose_pricing_overflow"][1:],
+                                       "--preferences", "recursive"]
+    cases["decompose_recursive_pricing_overflow"] = [*cases["decompose_pricing_overflow"],
+                                                     "--preferences", "recursive"]
     return cases
 
 
-def run(src: Path, argv: list[str], out: Path) -> tuple[int, bool]:
-    """The exit status of one run, and whether its stderr holds a traceback."""
+def run(src: Path, argv: list[str], out: Path) -> tuple[int, bool, list[str]]:
+    """The exit status of one run, whether its stderr holds a traceback, and its
+    stderr lines that start with ``error:`` or ``warning:``."""
     env = {**os.environ, **ENV, "PYTHONPATH": str(src)}
     cmd = [sys.executable, "-m", "sdfspectral.cli", *argv, "--out", str(out)]
     proc = subprocess.run(cmd, env=env, cwd=out.parent, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True)
-    return proc.returncode, "Traceback (most recent call last)" in proc.stderr
+    messages = [line for line in proc.stderr.splitlines()
+                if line.startswith(("error:", "warning:"))]
+    return proc.returncode, "Traceback (most recent call last)" in proc.stderr, messages
 
 
 def content(path: Path) -> bytes:
@@ -305,11 +315,13 @@ def numeric_report(a: Path, b: Path) -> str:
 def differences(name: str, runs: tuple[tuple[int, bool], tuple[int, bool]],
                 outs: tuple[Path, Path]) -> list[str]:
     diffs = []
-    (status_rev, trace_rev), (status, trace) = runs
+    (status_rev, trace_rev, said_rev), (status, trace, said) = runs
     if status_rev != status:
         diffs.append(f"{name}: exit status {status_rev} at REV, {status} here")
     if trace_rev != trace:
         diffs.append(f"{name}: a traceback on stderr {'at REV only' if trace_rev else 'here only'}")
+    if said_rev != said:
+        diffs.append(f"{name}: stderr says {said_rev} at REV, {said} here")
     files = [{p.relative_to(out) for p in out.rglob("*") if p.is_file()} for out in outs]
     for f in sorted(files[0] ^ files[1]):
         diffs.append(f"{name}: {f} written {'at REV only' if f in files[0] else 'here only'}")
