@@ -237,8 +237,10 @@ def estimate_gram(design: Design) -> np.ndarray:
     """Sample Gram matrix (1/n) sum_t b(X_t) b(X_t)' over t = 0..n-1.
 
     The final observation X_n enters only the pricing matrix. Warns when
-    n < k (underdetermined) or a finite result is numerically singular. Of
-    a :class:`DesignStack`, returns the (R, k, k) stack of its Gram matrices.
+    n < k (underdetermined), and, of a single :class:`Design`, when a
+    finite result is numerically singular. Of a :class:`DesignStack`,
+    returns the (R, k, k) stack of its Gram matrices, without the
+    condition check: a singular one fails its own replicate's factor.
     """
     n, k = design.b0.shape[-2:]
     if n < k:
@@ -248,13 +250,13 @@ def estimate_gram(design: Design) -> np.ndarray:
         )
     gram = np.swapaxes(design.b0, -1, -2) @ design.b0 / n
     gram = 0.5 * (gram + np.swapaxes(gram, -1, -2))
-    # G is symmetric, so its singular values are the moduli of its eigenvalues;
-    # a non-finite G fails its factor instead
-    modulus = np.abs(np.linalg.eigvalsh(gram[np.all(np.isfinite(gram), axis=(-2, -1))]))
-    with np.errstate(divide="ignore"):  # an exactly singular G has condition inf
-        cond = modulus.max(axis=-1) / modulus.min(axis=-1)
-    if np.any(cond > 1e12):
-        warnings.warn("Gram matrix numerically singular (condition > 1e12)", stacklevel=2)
+    if isinstance(design, Design) and np.all(np.isfinite(gram)):
+        # G is symmetric, so its singular values are the moduli of its eigenvalues;
+        # a non-finite G fails its factor instead
+        modulus = np.abs(np.linalg.eigvalsh(gram))
+        with np.errstate(divide="ignore"):  # an exactly singular G has condition inf
+            if modulus.max() / modulus.min() > 1e12:
+                warnings.warn("Gram matrix numerically singular (condition > 1e12)", stacklevel=2)
     return gram
 
 

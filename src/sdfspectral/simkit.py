@@ -34,8 +34,8 @@ from .sievemat import DesignStack, StatePanel
 ORACLE_NODES = 80
 #: float64 elements of one (replicates, n + 1, k) array of basis values; it
 #: sets how many replicates a block stacks, so peak memory stays flat in n and k.
-#: A block fills work buffers sized once per sample size for its largest block
-MC_BLOCK_ELEMENTS = 2**17
+#: A block fills two work buffers sized once per sample size for its largest block
+MC_BLOCK_ELEMENTS = 2**18
 #: float64 elements of one chunk of (replicates, n + 1) simulated state paths; a
 #: chunk holds whole fit blocks, so memory stays flat in the replications too
 MC_PATH_ELEMENTS = 2**19
@@ -152,9 +152,11 @@ def _fit_block(
 ) -> dict[str, np.ndarray]:
     """Records of the replicates whose (R, n + 1) state paths are ``states``, fitted as one stack.
 
-    The basis values, their Hermite table and the pricing product are
-    written into the leading replicates of the ``work`` buffers of
-    :func:`_run_block`; no record is a view of them.
+    The Hermite table and the basis values are written into the leading
+    replicates of the two ``work`` buffers of :func:`_run_block`, and the
+    pricing product into the first R·n·k elements of the table's buffer:
+    nothing reads the table once its values are copied. No record is a
+    view of either buffer.
 
     Returns {statistic: values}, an (R,) array per _SCALARS entry and an
     (R, nodes) array per _FUNCS entry, NaN wherever a value is censored,
@@ -173,15 +175,15 @@ def _fit_block(
         raise ValueError("simulated growth is not finite and positive; the AR(1) law is too extreme")
     records = {s: np.full(R, np.nan) for s in _SCALARS}
     records |= {f: np.full((R, nodes.size), np.nan) for f in _FUNCS}
-    table, values, product = work
+    table, values = work
     values, const, no_basis = design.basis_spec.evaluate_stack(
         states, nodes, values[:R], table[:, :R]
     )
     if no_basis.all():  # no basis to fit: the values have no columns
         return records
-    b_nodes = values[:, n + 1:]
-    fit = fit_stack(DesignStack(values[:, :n], values[:, 1:n + 1], growth, const, product[:R]),
-                    design.preferences)
+    b1, b_nodes = values[:, 1:n + 1], values[:, n + 1:]
+    product = table.reshape(-1)[:b1.size].reshape(b1.shape)
+    fit = fit_stack(DesignStack(values[:, :n], b1, growth, const, product), design.preferences)
     lr = long_run_stack(fit.eig.rho, fit.m)  # NaN where the fit failed, as its rho and sample are
     records |= {"rho": lr["rho"], "y": lr["y"], "L": lr["L"], "se_rho": fit.sample.se_rho,
                 "phi": _matvec(b_nodes, fit.eig.right), "phi_star": _matvec(b_nodes, fit.eig.left)}
@@ -200,15 +202,16 @@ def _run_block(
     The range is simulated in chunks of as many whole blocks as keep a
     chunk's state paths within MC_PATH_ELEMENTS, and each chunk is fitted
     in blocks of as many replicates as keep one block's basis values
-    within MC_BLOCK_ELEMENTS. Every block fills the same work buffers,
-    allocated once for the largest block: the Hermite table and the basis
-    values at the sample and the nodes, and the pricing product.
+    within MC_BLOCK_ELEMENTS. Every block fills the same two work
+    buffers, allocated once for the largest block: the Hermite table,
+    whose memory then holds the pricing product, and the basis values at
+    the sample and the nodes.
     """
     k = _sieve_dim(design.basis_spec)
     size = max(1, min(len(reps), MC_BLOCK_ELEMENTS // ((n + 1) * k)))
     chunk = size * max(1, MC_PATH_ELEMENTS // ((n + 1) * size))
     width = n + 1 + nodes.size  # the states X_0..X_n and the nodes
-    work = (np.empty((k, size, width)), np.empty((size, width, k)), np.empty((size, n, k)))
+    work = (np.empty((k, size, width)), np.empty((size, width, k)))
     blocks = []
     for lo in range(0, len(reps), chunk):
         # keyed by n itself: a run's streams do not depend on its other sizes

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +45,28 @@ def test_gram_warns_when_underdetermined():
     messages = [str(r.message) for r in records]
     assert any("below basis dimension" in msg for msg in messages)
     assert any("numerically singular" in msg for msg in messages)
+
+
+def test_stack_gram_makes_no_condition_check(monkeypatch):
+    # a stack's singular Gram matrices fail their own factors: no eigvalsh and no
+    # condition warning, while n < k still warns
+    def no_eigvalsh(a):
+        raise AssertionError("eigvalsh called on a design stack")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    rows = np.random.default_rng(7).normal(size=(3, 1, 4))
+    for n, underdetermined in ((2, True), (6, False)):  # repeated rows: rank 1 either way
+        b0 = np.repeat(rows, n, axis=1)
+        stack = s.sievemat.DesignStack(b0, b0, np.ones((3, n)), np.eye(4)[0])
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("always")
+            G = s.estimate_gram(stack)
+        assert G.shape == (3, 4, 4)
+        assert np.all(np.linalg.matrix_rank(G) == 1)
+        messages = [str(r.message) for r in records]
+        assert not any("numerically singular" in msg for msg in messages)
+        assert any("below basis dimension" in msg for msg in messages) == underdetermined
+        assert len(messages) == underdetermined
 
 
 def test_pricing_requires_sdf():

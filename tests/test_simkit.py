@@ -256,7 +256,7 @@ def test_block_where_no_basis_builds_is_censored_whole(spec, testbed, power_pref
     nodes = np.linspace(-0.02, 0.03, 5)
     states = np.full((3, 41), 0.005)  # constant paths: no sample variance, tied knots
     width = 41 + nodes.size
-    work = (np.empty((6, 3, width)), np.empty((3, width, 6)), np.empty((3, 40, 6)))
+    work = (np.empty((6, 3, width)), np.empty((3, width, 6)))
     scalars, funcs = _arrays(simkit._fit_block(design, states, nodes, work))
     assert scalars.shape == (3, len(simkit._SCALARS))
     assert funcs.shape == (3, len(simkit._FUNCS), nodes.size)
@@ -357,6 +357,39 @@ def test_stacked_records_equal_per_replicate_fits(name, testbed, power_prefs, re
         assert failed.sum() == 2 and not np.isnan(scalars[:, 3]).any()
     np.testing.assert_allclose(scalars, [r[1] for r in ref], rtol=1e-12, atol=0)
     np.testing.assert_allclose(funcs, [r[2] for r in ref], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind, k", [("power", 8), ("recursive", 6)])
+def test_records_do_not_read_stale_work_buffers(kind, k, testbed, power_prefs, recursive_prefs,
+                                                 monkeypatch):
+    # blocks of 4, 4 and 2 replicates: each block finds its two work buffers all
+    # zeros or all NaN/inf, and no record reads what a block did not write
+    prefs = power_prefs if kind == "power" else recursive_prefs
+    design = s.McDesign(ar1=testbed, preferences=prefs, sample_sizes=(300,), replications=10,
+                        basis_spec=s.BasisSpec(family="hermite", k=k), seed=2)
+    nodes = s.quadrature_eig(testbed, prefs, simkit.ORACLE_NODES).nodes
+    monkeypatch.setattr(simkit, "MC_BLOCK_ELEMENTS", 4 * 301 * k)
+    fit_block = simkit._fit_block
+
+    def run(fill):
+        blocks = []
+
+        def filled(design, states, nodes, work):
+            assert len(work) == 2
+            for buf in work:
+                buf[...] = np.resize(fill, buf.shape)
+            blocks.append(len(states))
+            return fit_block(design, states, nodes, work)
+
+        monkeypatch.setattr(simkit, "_fit_block", filled)
+        records = _arrays(simkit._run_block(design, 300, range(10), nodes))
+        assert blocks == [4, 4, 2]
+        return records
+
+    zeros, garbage = run([0.0]), run([np.nan, np.inf, -np.inf])
+    assert not np.isnan(zeros[0][:, 0]).all()
+    for field, ref in zip(garbage, zeros):
+        np.testing.assert_array_equal(field, ref)
 
 
 def test_mc_records_do_not_depend_on_blocks(testbed, recursive_prefs, monkeypatch):

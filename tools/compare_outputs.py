@@ -189,6 +189,10 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     cases["decompose_sdf"] = ["decompose", *cases["bootstrap_sdf"][1:]]
     cases["mc_recursive"] = [*mc, "--design", "recursive", "--k", "6", "--reps", "30",
                              "--sizes", "300,600"]
+    # at n = 1600, k = 8 the 45 replicates span several fit blocks: recursive
+    # records that cross block edges
+    cases["mc_recursive_blocks"] = [*mc, "--design", "recursive", "--k", "8", "--sizes", "1600",
+                                    "--reps", "45"]
     # a Hermite degree overrides k: the run fits a k = 4 sieve
     cases["mc_degree"] = [*mc, "--degree", "3"]
     # alternating AR(1) paths; at n = 3200 a replicate range spans several fit blocks
