@@ -21,14 +21,15 @@ sieve = s.Design(basis, panel)  # b(X_t) and b(X_{t+1}), evaluated once
 # the continuation value, its plug-in SDF, and that SDF's spectral decomposition
 fit = s.fit_panel(sieve, s.RecursiveUtility(BETA, GAMMA))
 fp, m, rho = fit.fixed_point, fit.m, fit.eig.rho
-oracle = s.quadrature_eig(design, s.RecursiveUtility(BETA, GAMMA), 80)
-print(f"lambda = {fp.lam:.5f}  (population value {oracle.lam:.5f}), "
+nodes, weights = s.oracle.stationary_grid(design, 80)
+truth = s.closed_form_truth(design, s.RecursiveUtility(BETA, GAMMA), nodes, weights)
+print(f"lambda = {fp.lam:.5f}  (population value {truth['lambda']:.5f}), "
       f"{fp.iterations} iterations, converged={fp.reason == ''}")
 
 print(f"plug-in SDF increments: mean {m.mean():.4f}, min {m.min():.4f}, "
       f"max {m.max():.4f}")
 
-print(f"rho = {rho:.5f}  (population value {oracle.rho:.5f})")
+print(f"rho = {rho:.5f}  (population value {truth['rho']:.5f})")
 print(f"long-run yield = {-np.log(rho):.5f}")
 
 # under recursive preferences phi is nearly flat, so the transitory

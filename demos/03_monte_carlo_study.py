@@ -2,8 +2,8 @@
 
 Runs a seeded, reduced-scale Monte Carlo (300 replications here; the
 acceptance suite uses 2000 and the full study is configurable) for power
-utility with a Hermite sieve, and prints the table. Ground truth comes
-from the quadrature oracle, never from the estimator itself.
+utility with a Hermite sieve, and prints the table. Ground truth is the
+closed-form population solution of the testbed, never the estimator itself.
 """
 
 import sdfspectral as s

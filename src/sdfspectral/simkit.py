@@ -7,7 +7,8 @@ operation on the stack acts on each replicate's rows alone, so a failed
 replicate is censored alone and the records, keyed by statistic, do not
 depend on how replicates are grouped into blocks.
 Function-valued statistics are scored by their weighted L2 distance to
-the population truth on the quadrature grid: the per-replicate distances
+the closed-form population truth on the Gauss-Hermite nodes of the
+stationary law: the per-replicate distances
 average into the RMSE entry, while the bias entry is the distance of the
 replicate-averaged function from the truth.
 """
@@ -24,13 +25,13 @@ import numpy as np
 from .basis import BasisSpec
 from .decomp import long_run_stack
 from .inference import _replicate_rngs
-from .oracle import Ar1Design, quadrature_eig
+from .oracle import Ar1Design, closed_form_truth, stationary_grid
 from .pfeig import _matvec
 from .pipeline import fit_stack
 from .preferences import PowerUtility, RecursiveUtility
 from .sievemat import DesignStack, StatePanel
 
-#: Gauss-Hermite nodes of the quadrature truth and of the function-valued scores
+#: Gauss-Hermite nodes of the function-valued truths and scores
 ORACLE_NODES = 80
 #: float64 elements of one (replicates, n + 1, k) array of basis values; it
 #: sets how many replicates a block stacks, so peak memory stays flat in n and k.
@@ -142,7 +143,7 @@ class McTable:
     elapsed_seconds: float = 0.0
 
 
-#: a replicate's record: its scalars, and its functions on the quadrature nodes
+#: a replicate's record: its scalars, and its functions on the Gauss-Hermite nodes
 _SCALARS = ("rho", "y", "L", "lambda", "se_rho")
 _FUNCS = ("phi", "phi_star", "chi")
 
@@ -242,29 +243,23 @@ def run_mc_study(design: McDesign) -> McTable:
     for n in design.sample_sizes:
         if n < 2 * k:
             raise ValueError(f"sample size {n} below twice the sieve dimension")
-    truth = quadrature_eig(design.ar1, design.preferences, ORACLE_NODES)
-    recursive = isinstance(design.preferences, RecursiveUtility)
-    truths = {"rho": truth.rho, "y": truth.yield_y, "L": truth.entropy_L}
-    if recursive:
-        truths["lambda"] = truth.lam
-    stats = ["rho", "y", "L", "phi", "phi_star"] + (["lambda", "chi"] if recursive else [])
-
-    table = McTable(k=k, truths=truths)
+    nodes, weights = stationary_grid(design.ar1, ORACLE_NODES)
+    truth = closed_form_truth(design.ar1, design.preferences, nodes, weights)
+    table = McTable(k=k, truths={s: v for s, v in truth.items() if s in _SCALARS})
 
     for n in design.sample_sizes:
-        records = _run_block(design, n, range(design.replications), truth.nodes)
+        records = _run_block(design, n, range(design.replications), nodes)
         table.excluded[n] = int(np.isnan(records["rho"]).sum())  # a failed fit has no rho
-        for s in stats:
+        for s in truth:
             vals = _kept(records[s])
             if len(vals) == 0:
                 raise RuntimeError(f"all replicates failed for {s!r} at n={n}")
-            if s in truths:
-                err = vals - truths[s]
+            if s in table.truths:
+                err = vals - truth[s]
                 bias, rmse = float(np.mean(err)), float(np.sqrt(np.mean(err**2)))
             else:
-                f_true = getattr(truth, s)
-                bias = l2_distance(vals.mean(axis=0), f_true, truth.weights)
-                rmse = float(np.mean(l2_distance(vals, f_true, truth.weights)))
+                bias = l2_distance(vals.mean(axis=0), truth[s], weights)
+                rmse = float(np.mean(l2_distance(vals, truth[s], weights)))
             table.cells[(n, s)] = McCell(
                 bias=bias, rmse=rmse, flagged=len(vals) < 0.90 * design.replications
             )

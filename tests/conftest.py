@@ -1,9 +1,10 @@
-"""Shared fixtures: the Gaussian AR(1) testbed and its oracle solutions."""
+"""Shared fixtures: the Gaussian AR(1) testbed and its quadrature solutions."""
 
 import numpy as np
 import pytest
 
 import sdfspectral as s
+from reference_maps import QuadratureSolution, quadrature_eig
 
 BETA, GAMMA = 0.994, 15.0
 
@@ -24,13 +25,13 @@ def recursive_prefs() -> s.RecursiveUtility:
 
 
 @pytest.fixture(scope="session")
-def quad_power(testbed, power_prefs) -> s.QuadratureSolution:
-    return s.quadrature_eig(testbed, power_prefs, 80)
+def quad_power(testbed, power_prefs) -> QuadratureSolution:
+    return quadrature_eig(testbed, power_prefs, 80)
 
 
 @pytest.fixture(scope="session")
-def quad_recursive(testbed, recursive_prefs) -> s.QuadratureSolution:
-    return s.quadrature_eig(testbed, recursive_prefs, 80)
+def quad_recursive(testbed, recursive_prefs) -> QuadratureSolution:
+    return quadrature_eig(testbed, recursive_prefs, 80)
 
 
 @pytest.fixture(scope="session")

@@ -790,7 +790,7 @@ def test_mc_sample_sizes_are_checked_before_any_simulation(tmp_path, monkeypatch
     from sdfspectral import simkit
 
     calls = []
-    for name in ("quadrature_eig", "_run_block"):
+    for name in ("closed_form_truth", "_run_block"):
         monkeypatch.setattr(simkit, name, lambda *a, name=name, **kw: calls.append(name))
     out = tmp_path / "mc"
     status = main(["mc", "--basis", "hermite", "--k", "8", "--reps", "4", "--sizes", sizes,
@@ -873,7 +873,7 @@ def test_import_loads_no_scipy():
 
 
 def test_all_names_public_objects_not_modules():
-    assert len(s.__all__) == len(set(s.__all__)) == 32
+    assert len(s.__all__) == len(set(s.__all__)) == 31
     for name in s.__all__:
         assert not isinstance(getattr(s, name), types.ModuleType), name
 

@@ -6,8 +6,10 @@ import pytest
 
 import sdfspectral as s
 from sdfspectral.cli import main
+from sdfspectral.oracle import stationary_grid
 
-from reference_maps import affine_power_utility_solution
+from reference_maps import (GRID_TOL, affine_power_utility_solution, quadrature_eig,
+                            transition_matrix)
 
 
 def test_affine_solution_frozen_values(testbed):
@@ -59,7 +61,7 @@ def test_quadrature_normalizations_and_positivity(quad_power):
 
 def test_quadrature_requires_enough_nodes(testbed, power_prefs):
     with pytest.raises(ValueError):
-        s.quadrature_eig(testbed, power_prefs, 10)
+        quadrature_eig(testbed, power_prefs, 10)
 
 
 def test_recursive_quadrature_closed_form(testbed, quad_recursive):
@@ -82,14 +84,14 @@ def test_recursive_quadrature_closed_form(testbed, quad_recursive):
 
 
 def test_recursive_quadrature_q_doubling(testbed, recursive_prefs, quad_recursive):
-    finer = s.quadrature_eig(testbed, recursive_prefs, 160)
+    finer = quadrature_eig(testbed, recursive_prefs, 160)
     assert finer.lam == pytest.approx(quad_recursive.lam, rel=1e-8)
     assert finer.rho == pytest.approx(quad_recursive.rho, rel=1e-8)
 
 
 def test_unsupported_sdf_spec(testbed):
     with pytest.raises(TypeError):
-        s.quadrature_eig(testbed, object(), 80)
+        quadrature_eig(testbed, object(), 80)
 
 
 def test_non_finite_kernel_is_named():
@@ -97,7 +99,20 @@ def test_non_finite_kernel_is_named():
     # nodes, so the recursive SDF chi'^beta / chi is not finite there
     design = s.Ar1Design(mu=0.005, kappa=0.99, sigma=0.01)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="kernel is not finite"):
-        s.quadrature_eig(design, s.RecursiveUtility(0.994, 15.0), 80)
+        quadrature_eig(design, s.RecursiveUtility(0.994, 15.0), 80)
+
+
+def _run_mc(tmp_path, capsys, settings: dict) -> tuple[int, dict, str]:
+    """mc with 20 replicates at n = 400 under the ``mc`` config settings: its
+    exit status, the truths of its mc_table_meta.json and its stderr."""
+    config = tmp_path / "mc.json"
+    config.write_text(json.dumps({"mc": settings}))
+    out = tmp_path / "o"
+    status = main(["mc", "--config", str(config), "--reps", "20", "--sizes", "400",
+                   "--out", str(out)])
+    meta = json.loads((out / "mc_table_meta.json").read_text())
+    assert (out / "mc_table.csv").exists()
+    return status, meta["truths"], capsys.readouterr().err
 
 
 def test_unconverged_power_iteration_is_named(tmp_path, capsys):
@@ -106,15 +121,13 @@ def test_unconverged_power_iteration_is_named(tmp_path, capsys):
     design = s.Ar1Design(mu=0.005, kappa=-0.99, sigma=0.01)
     assert affine_power_utility_solution(design, 0.994, 15.0).rho == pytest.approx(0.9248, abs=1e-4)
     with pytest.raises(RuntimeError, match="the oracle's Perron vector did not converge"):
-        s.quadrature_eig(design, s.PowerUtility(0.994, 15.0), 80)
-    config = tmp_path / "mc.json"
-    config.write_text(json.dumps({"mc": {"kappa": -0.99}}))
-    out = tmp_path / "o"
-    status = main(["mc", "--config", str(config), "--reps", "20", "--sizes", "400",
-                   "--out", str(out)])
-    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-    assert status == 1 and len(errors) == 1 and "oracle" in errors[0]
-    assert not (out / "mc_table.csv").exists()
+        quadrature_eig(design, s.PowerUtility(0.994, 15.0), 80)
+    # mc takes the closed-form truths, which no grid iteration carries
+    status, truths, err = _run_mc(tmp_path, capsys, {"kappa": -0.99})
+    assert status == 0 and err == ""
+    aff = affine_power_utility_solution(design, 0.994, 15.0)
+    assert truths["rho"] == pytest.approx(aff.rho, rel=1e-12)
+    assert truths["L"] == pytest.approx(aff.entropy_L, rel=1e-12)
 
 
 def test_long_run_measure_off_the_grid_is_named(tmp_path, capsys):
@@ -123,17 +136,16 @@ def test_long_run_measure_off_the_grid_is_named(tmp_path, capsys):
     # 80-node rho is 100.5 against 83.0 on 160 nodes
     power = s.PowerUtility(0.994, 15.0)
     with pytest.raises(ValueError, match="runs off its quadrature grid"):
-        s.quadrature_eig(s.Ar1Design(mu=0.005, kappa=0.95, sigma=0.01), power, 80)
-    sol = s.quadrature_eig(s.Ar1Design(mu=0.005, kappa=0.9, sigma=0.01), power, 80)
+        quadrature_eig(s.Ar1Design(mu=0.005, kappa=0.95, sigma=0.01), power, 80)
+    sol = quadrature_eig(s.Ar1Design(mu=0.005, kappa=0.9, sigma=0.01), power, 80)
     assert sol.rho == pytest.approx(2.84051, rel=1e-5)
-    config = tmp_path / "mc.json"
-    config.write_text(json.dumps({"mc": {"kappa": 0.95}}))
-    out = tmp_path / "o"
-    status = main(["mc", "--config", str(config), "--reps", "20", "--sizes", "400",
-                   "--out", str(out)])
-    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-    assert status == 1 and len(errors) == 1 and "quadrature grid" in errors[0]
-    assert not (out / "mc_table.csv").exists()
+    # mc takes the closed-form truths, which need no grid to carry the measure
+    status, truths, err = _run_mc(tmp_path, capsys, {"kappa": 0.95})
+    assert status == 0 and err == ""
+    aff = affine_power_utility_solution(s.Ar1Design(mu=0.005, kappa=0.95, sigma=0.01), 0.994, 15.0)
+    assert aff.rho == pytest.approx(83.0117, rel=1e-6)
+    assert truths["rho"] == pytest.approx(aff.rho, rel=1e-12)
+    assert truths["L"] == pytest.approx(aff.entropy_L, rel=1e-12)
 
 
 def _longdouble_perron_root(kernel: np.ndarray) -> np.longdouble:
@@ -162,7 +174,7 @@ def test_perron_root_within_4_eps_of_extended_precision(kappa):
     design = s.Ar1Design(mu=0.005, kappa=kappa, sigma=0.01)
     for prefs in (s.PowerUtility(0.994, 15.0), s.PowerUtility(0.994, 5.0),
                   s.RecursiveUtility(0.994, 15.0)):
-        sol = s.quadrature_eig(design, prefs, 80)
+        sol = quadrature_eig(design, prefs, 80)
         ref = _longdouble_perron_root(sol.kernel)
         assert abs(np.longdouble(sol.rho) - ref) <= 4 * np.finfo(float).eps * ref, prefs
 
@@ -200,3 +212,179 @@ def test_pair_mean_and_lr_mean(quad_power):
     # stationary mean of x' via pairs equals the stationary mean of x
     pair_vals = np.tile(nodes, (nodes.size, 1))
     assert pair_mean(pair_vals) == pytest.approx(float(w @ nodes), abs=1e-10)
+
+
+# ------------------------------------------------------ the closed-form truths
+
+EPS = np.finfo(float).eps
+KAPPAS = [float(k) for k in np.linspace(-0.9, 0.9, 19)]
+
+
+def _nystrom(design, prefs, sol, x: np.ndarray) -> dict[str, np.ndarray]:
+    """A grid solution's phi, phi* and chi at the points x, by one step of their own equations.
+
+    chi(x) = E[G'^(1-gamma) chi(X')^beta | x] / lambda and phi(x) = E[m phi(X') | x] / rho
+    integrate over the grid from any x. The adjoint integrates backwards,
+    phi*(x) = E[phi*(X) m(X, x) | X' = x] / rho, and the stationary AR(1) law is
+    reversible, so the same transition matrix serves.
+    """
+    P = transition_matrix(design, sol.nodes, sol.weights, x)
+    log_m = np.log(prefs.beta) - prefs.gamma * sol.nodes[None, :]
+    log_m_back = np.log(prefs.beta) - prefs.gamma * x[:, None]
+    out = {}
+    if sol.lam is not None:
+        out["chi"] = P @ (np.exp((1 - prefs.gamma) * sol.nodes) * sol.chi**prefs.beta) / sol.lam
+        log_chi, log_chi_x = np.log(sol.chi)[None, :], np.log(out["chi"])[:, None]
+        log_m = log_m + prefs.beta * log_chi - log_chi_x - np.log(sol.lam)
+        log_m_back = log_m_back + prefs.beta * log_chi_x - log_chi - np.log(sol.lam)
+    out["phi"] = (np.exp(log_m) * P) @ sol.phi / sol.rho
+    out["phi_star"] = (np.exp(log_m_back) * P) @ sol.phi_star / sol.rho
+    return out
+
+
+@pytest.mark.parametrize("gamma", [2.0, 5.0, 15.0])
+@pytest.mark.parametrize("prefs_type", [s.PowerUtility, s.RecursiveUtility],
+                         ids=["power", "recursive"])
+def test_closed_form_is_within_the_quadratures_grid_gap(prefs_type, gamma):
+    # The 80-node quadrature may differ from the closed form by as much as it
+    # differs from the 160-node one, plus the error its iterations stop with:
+    # up to GRID_TOL in the log-scale scalars, and in the functions up to
+    # 100 GRID_TOL relative (6.1e-12 measured, at recursive kappa 0.9, gamma 5).
+    # The 160-node functions are carried to the 80 nodes by their own equations.
+    for kappa in KAPPAS:
+        design = s.Ar1Design(mu=0.005, kappa=kappa, sigma=0.01)
+        prefs = prefs_type(0.994, gamma)
+        coarse, fine = quadrature_eig(design, prefs, 80), quadrature_eig(design, prefs, 160)
+        truth = s.closed_form_truth(design, prefs, coarse.nodes, coarse.weights)
+        scalars = [(truth["y"], coarse.yield_y, fine.yield_y),
+                   (truth["L"], coarse.entropy_L, fine.entropy_L)]
+        if coarse.lam is not None:
+            scalars.append((np.log(truth["lambda"]), np.log(coarse.lam), np.log(fine.lam)))
+        for value, v80, v160 in scalars:
+            assert abs(value - v80) <= abs(v80 - v160) + GRID_TOL, kappa
+        keep = coarse.weights > 1e-12
+        carried = _nystrom(design, prefs, fine, coarse.nodes)
+        for key in carried:
+            v80 = getattr(coarse, key)[keep]
+            err = np.abs(truth[key][keep] - v80) / v80
+            gap = np.abs(carried[key][keep] - v80) / v80
+            assert np.all(err <= gap + 100 * GRID_TOL), (kappa, key, np.max(err - gap))
+
+
+def test_power_truth_is_the_affine_solution():
+    for gamma in (0.0, 2.0, 5.0, 15.0):
+        for kappa in KAPPAS:
+            design = s.Ar1Design(mu=0.005, kappa=kappa, sigma=0.01)
+            nodes, weights = stationary_grid(design, 80)
+            truth = s.closed_form_truth(design, s.PowerUtility(0.994, gamma), nodes, weights)
+            aff = affine_power_utility_solution(design, 0.994, gamma)
+            assert set(truth) == {"rho", "y", "L", "phi", "phi_star"}
+            assert abs(truth["rho"] - aff.rho) <= 4 * EPS * aff.rho
+            assert abs(truth["L"] - aff.entropy_L) <= 4 * EPS * aff.entropy_L
+            assert truth["y"] == pytest.approx(-math.log(truth["rho"]), abs=2 * EPS)
+            slopes = np.diff(np.log(truth["phi"])) / np.diff(nodes)
+            np.testing.assert_allclose(slopes, aff.slope_a, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("prefs_type", [s.PowerUtility, s.RecursiveUtility],
+                         ids=["power", "recursive"])
+def test_closed_form_normalizations_and_positivity(testbed, prefs_type):
+    # unit norms and E[phi phi*] = 1 under the stationary law, which the
+    # 80-node rule integrates to rounding for these exponentials
+    nodes, weights = stationary_grid(testbed, 80)
+    truth = s.closed_form_truth(testbed, prefs_type(0.994, 15.0), nodes, weights)
+    assert weights @ truth["phi"] ** 2 == pytest.approx(1.0, rel=1e-13)
+    assert weights @ (truth["phi"] * truth["phi_star"]) == pytest.approx(1.0, rel=1e-13)
+    assert (truth["phi"] > 0).all() and (truth["phi_star"] > 0).all()
+    if prefs_type is s.RecursiveUtility:
+        assert weights @ truth["chi"] ** 2 == pytest.approx(1.0, rel=1e-13)
+        assert (truth["chi"] > 0).all()
+
+
+def _forty_digits(design, prefs, nodes) -> dict:
+    """The closed-form truths in 40-digit arithmetic, written as the formulas read."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    beta, gamma, mu, kappa, sigma = (mp.mpf(v) for v in (prefs.beta, prefs.gamma, design.mu,
+                                                          design.kappa, design.sigma))
+    var_x = sigma**2 / (1 - kappa**2)
+    c = kappa * (1 - gamma) / (1 - beta * kappa) if prefs.kind == "recursive" else mp.mpf(0)
+    a = (kappa * (beta * c - gamma) - c) / (1 - kappa)
+    b = (beta * c - gamma - kappa * c) / (1 - kappa)
+    q = a + beta * c - gamma
+    A = mp.exp(-c**2 * var_x)
+    lam = A ** (beta - 1) * mp.exp((1 - gamma) * mu + (1 - gamma + beta * c) ** 2 * sigma**2 / 2)
+    C = beta * A ** (beta - 1) / lam if prefs.kind == "recursive" else beta
+    rho = C * mp.exp(-gamma * mu + q**2 * sigma**2 / 2)
+    out = {"rho": rho, "y": -mp.log(rho), "L": mp.log(rho) - mp.log(C) + gamma * mu}
+    u = [mp.mpf(float(x)) - mu for x in nodes]
+    out["phi"] = [mp.exp(a * x - a**2 * var_x) for x in u]
+    out["phi_star"] = [mp.exp(b * x + (a**2 - (a + b) ** 2 / 2) * var_x) for x in u]
+    if prefs.kind == "recursive":
+        out["lambda"] = lam
+        out["chi"] = [mp.exp(c * x - c**2 * var_x) for x in u]
+    return out
+
+
+@pytest.mark.parametrize("kappa, prefs", [
+    (0.6, s.PowerUtility(0.994, 15.0)), (0.6, s.RecursiveUtility(0.994, 15.0)),
+    (-0.7, s.PowerUtility(0.994, 15.0)), (0.95, s.PowerUtility(0.994, 5.0)),
+    (0.95, s.PowerUtility(0.994, 15.0)), (0.9, s.RecursiveUtility(0.994, 2.0)),
+])
+def test_closed_form_is_within_rounding_of_forty_digits(kappa, prefs):
+    # the truths of the mc designs compared between versions, a few eps
+    # from the same formulas in 40 digits (the 80-node quadrature was up to
+    # 4.1e-12 off, and 1.8e-6 at kappa 0.95, gamma 5)
+    design = s.Ar1Design(mu=0.005, kappa=kappa, sigma=0.01)
+    nodes, weights = stationary_grid(design, 80)
+    truth = s.closed_form_truth(design, prefs, nodes, weights)
+    exact = _forty_digits(design, prefs, nodes)
+    assert set(truth) == set(exact)
+    for key, value in truth.items():
+        _assert_within_rounding(key, value, exact[key])
+
+
+def _assert_within_rounding(key: str, value, exact) -> None:
+    """value lies within 16 eps of exact, scaled by the condition of the exponential or
+    logarithm it takes: 1 + |log v| for rho, lambda and the functions (their largest
+    |log| over the nodes), and 1 + |v| for y and L."""
+    if key in ("y", "L"):
+        assert abs(value - float(exact)) <= 16 * EPS * (1 + abs(float(exact))), key
+        return
+    f = np.array([float(v) for v in np.atleast_1d(exact)])
+    cond = 1 + np.max(np.abs(np.log(f)))
+    assert np.all(np.abs(value - f) <= 16 * EPS * cond * f), key
+
+
+def test_persistent_recursive_truth_is_formed_from_logarithms():
+    # at kappa 0.99, gamma 15 the scale A = exp(-c^2 sigma_x^2) of chi underflows,
+    # and A^(beta - 1) would divide by zero; the logarithms keep lambda and rho,
+    # and the functions, which underflow on the grid, fail by name
+    design, prefs = s.Ar1Design(mu=0.005, kappa=0.99, sigma=0.01), s.RecursiveUtility(0.994, 15.0)
+    nodes, weights = stationary_grid(design, 80)
+    with pytest.raises(ValueError, match="not finite and positive on the grid"):
+        s.closed_form_truth(design, prefs, nodes, weights)
+    # with no node of positive weight only the scalars are checked
+    truth = s.closed_form_truth(design, prefs, nodes, np.zeros_like(weights))
+    exact = _forty_digits(design, prefs, nodes[:1])
+    for key in ("rho", "y", "L", "lambda"):
+        _assert_within_rounding(key, truth[key], exact[key])
+
+
+def test_truth_of_a_too_extreme_law_is_named():
+    # sigma^2 overflows: the scalars are not finite
+    design = s.Ar1Design(mu=0.005, kappa=0.5, sigma=1e200)
+    nodes, weights = stationary_grid(s.Ar1Design(mu=0.005, kappa=0.5, sigma=0.01), 80)
+    with pytest.raises(ValueError, match="the closed-form rho is not finite"):
+        s.closed_form_truth(design, s.PowerUtility(0.994, 15.0), nodes, weights)
+
+
+def test_mc_truths_are_the_closed_form_at_high_persistence(tmp_path, capsys):
+    # at kappa 0.95, gamma 5 the 80-node quadrature's rho of 1.59837 was off by
+    # 1.8e-6, with no sign that it was
+    status, truths, err = _run_mc(tmp_path, capsys, {"kappa": 0.95, "gamma": 5.0})
+    aff = affine_power_utility_solution(s.Ar1Design(mu=0.005, kappa=0.95, sigma=0.01), 0.994, 5.0)
+    assert status == 0 and err == ""
+    assert truths["rho"] == pytest.approx(aff.rho, rel=1e-12)
+    assert truths["y"] == pytest.approx(-math.log(aff.rho), abs=1e-12)
+    assert truths["L"] == pytest.approx(aff.entropy_L, abs=1e-12)

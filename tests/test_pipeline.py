@@ -7,6 +7,7 @@ import sdfspectral as s
 from sdfspectral import pipeline, sievemat
 from sdfspectral.cli import main
 from sdfspectral.inference import BOOTSTRAP_BLOCK, DISCARD_REASON
+from sdfspectral.oracle import stationary_grid
 from sdfspectral.pfeig import FALLBACK_REASONS, GRAM_NOT_SPD, PRICING_NOT_FINITE, _row
 from sdfspectral.pipeline import DISCARD_REASONS, bootstrap_statistic, fit_stack
 from sdfspectral.sievemat import CountRows, DesignStack
@@ -337,7 +338,7 @@ def test_each_gram_matrix_is_factored_once(testbed, power_prefs, recursive_prefs
     # and the eigensolve
     from sdfspectral import simkit
 
-    nodes = s.quadrature_eig(testbed, power_prefs, simkit.ORACLE_NODES).nodes
+    nodes = stationary_grid(testbed, simkit.ORACLE_NODES)[0]
     factored = []
     cholesky = np.linalg.cholesky
 

@@ -7,6 +7,7 @@ import pytest
 
 import sdfspectral as s
 from sdfspectral import cli, simkit
+from sdfspectral.oracle import stationary_grid
 from sdfspectral.pfeig import _row
 
 from reference_maps import replicate_rng
@@ -81,7 +82,7 @@ def test_path_chunks_give_the_rows_of_one_chunk(testbed, power_prefs, monkeypatc
     # blocks of 3 replicates, and chunks of 2 blocks: 20 replicates make 4 chunks
     design = s.McDesign(ar1=testbed, preferences=power_prefs, sample_sizes=(60,),
                         replications=20, basis_spec=s.BasisSpec(family="hermite", k=6), seed=4)
-    nodes = s.quadrature_eig(testbed, power_prefs, simkit.ORACLE_NODES).nodes
+    nodes = stationary_grid(testbed, simkit.ORACLE_NODES)[0]
     monkeypatch.setattr(simkit, "MC_BLOCK_ELEMENTS", 3 * 61 * 6)
     fit_block, paths = simkit._fit_block, simkit._ar1_paths
 
@@ -129,8 +130,6 @@ def test_l2_distance_contract():
 def test_l2_distance_polynomial_exactness():
     # Gauss-Hermite quadrature integrates (f-g)^2 exactly for polynomials:
     # with f - g = x^2 under N(0,1), the distance is sqrt(E[x^4]) = sqrt(3)
-    from sdfspectral.oracle import stationary_grid
-
     design = s.Ar1Design(mu=0.0, kappa=0.0, sigma=1.0)
     nodes, weights = stationary_grid(design, 40)
     assert s.l2_distance(nodes**2, np.zeros_like(nodes), weights) == pytest.approx(
@@ -343,7 +342,7 @@ def _stack_case(name, testbed, power_prefs, recursive_prefs):
     prefs = power_prefs if kind == "power" else recursive_prefs
     design = s.McDesign(ar1=testbed, preferences=prefs, sample_sizes=(n,), replications=reps,
                         basis_spec=spec, seed=seed)
-    return design, n, reps, s.quadrature_eig(testbed, prefs, simkit.ORACLE_NODES).nodes
+    return design, n, reps, stationary_grid(testbed, simkit.ORACLE_NODES)[0]
 
 
 @pytest.mark.parametrize("name", list(STACK_CASES))
@@ -367,7 +366,7 @@ def test_records_do_not_read_stale_work_buffers(kind, k, testbed, power_prefs, r
     prefs = power_prefs if kind == "power" else recursive_prefs
     design = s.McDesign(ar1=testbed, preferences=prefs, sample_sizes=(300,), replications=10,
                         basis_spec=s.BasisSpec(family="hermite", k=k), seed=2)
-    nodes = s.quadrature_eig(testbed, prefs, simkit.ORACLE_NODES).nodes
+    nodes = stationary_grid(testbed, simkit.ORACLE_NODES)[0]
     monkeypatch.setattr(simkit, "MC_BLOCK_ELEMENTS", 4 * 301 * k)
     fit_block = simkit._fit_block
 
@@ -398,7 +397,7 @@ def test_mc_records_do_not_depend_on_blocks(testbed, recursive_prefs, monkeypatc
         ar1=testbed, preferences=recursive_prefs, sample_sizes=(300,), replications=30,
         basis_spec=s.BasisSpec(family="hermite", k=6), seed=3,
     )
-    nodes = s.quadrature_eig(testbed, recursive_prefs, simkit.ORACLE_NODES).nodes
+    nodes = stationary_grid(testbed, simkit.ORACLE_NODES)[0]
     whole = _arrays(simkit._run_block(design, 300, range(30), nodes))
     assert np.isnan(whole[0][:, 0]).any()
     for block_elements in (1, 4 * 301 * 6, 7 * 301 * 6):
@@ -418,7 +417,7 @@ def test_one_failing_replicate_is_censored_alone(stage, testbed, recursive_prefs
         ar1=testbed, preferences=recursive_prefs, sample_sizes=(300,), replications=6,
         basis_spec=s.BasisSpec(family="hermite", k=8), seed=1,
     )
-    nodes = s.quadrature_eig(testbed, recursive_prefs, simkit.ORACLE_NODES).nodes
+    nodes = stationary_grid(testbed, simkit.ORACLE_NODES)[0]
     clean = _arrays(simkit._run_block(design, 300, range(6), nodes))
     assert not np.isnan(clean[0][:, 0]).any()
     bad = 2  # the replicate whose stage fails, in a block of all six

@@ -6,11 +6,12 @@ Copies REV's src/ to a temporary directory with ``git archive``, writes
 the benchmark inputs at seed 1 with the prepare functions of
 bench/workloads.py, a copy of the bootstrap panel with an observed SDF
 column m = beta G^(-gamma), the decompose settings as a JSON config
-file, a JSON config file with a negative Monte Carlo persistence, a
-power-utility panel whose fitted eigenfunction changes sign on the
-sample, a 30-pair panel whose k = 12 pencil has no positive real
-eigenvalue (so decompose takes the constant fallback), the first 60
-transition pairs of the bootstrap panel, a panel whose state takes
+file, a JSON config file with a negative Monte Carlo persistence, two
+with a persistence of 0.95 (at gamma 5 and 15), a power-utility panel
+whose fitted eigenfunction changes sign on the sample, a 30-pair panel
+whose k = 12 pencil has no positive real eigenvalue (so decompose
+takes the constant fallback), the first 60 transition pairs of the
+bootstrap panel, a panel whose state takes
 eight distinct values (so the log permanent and transitory series are
 heavily tied, and a sieve of nine functions needs the SPD ridge), a
 messy copy of the bootstrap panel (CRLF rows, a blank line, padded
@@ -51,10 +52,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 SEED = 1
-#: one BLAS thread, as in the benchmark, and one MC worker for revisions whose
-#: Monte Carlo harness still reads SDFSPECTRAL_THREADS
-ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-       "SDFSPECTRAL_THREADS": "1"}
+#: one BLAS thread, as in the benchmark
+ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def argument_vectors(work: Path) -> dict[str, list[str]]:
@@ -200,6 +199,14 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     mc_config.write_text(json.dumps({"mc": {"kappa": -0.7}}))
     cases["mc_kappa_negative"] = [*mc, "--config", str(mc_config), "--reps", "60",
                                   "--sizes", "401,3200"]
+    # a persistent AR(1) law, whose truths an 80-node quadrature got wrong before they
+    # were closed forms: at gamma 5 its rho of 1.59837 was off by 1.8e-6, and at
+    # gamma 15 its long-run measure ran off the grid, so mc exited 1 (the rho is 83.0117)
+    for name, settings in (("mc_persistent_gamma5", {"kappa": 0.95, "gamma": 5.0}),
+                           ("mc_persistent", {"kappa": 0.95})):
+        config = work / f"{name}.json"
+        config.write_text(json.dumps({"mc": settings}))
+        cases[name] = [*mc, "--config", str(config), "--reps", "20", "--sizes", "400"]
     # the B-spline branch of BasisSpec.evaluate_stack
     cases["mc_bspline"] = [*mc, "--basis", "bspline", "--k", "7", "--reps", "30",
                            "--sizes", "300,600"]
