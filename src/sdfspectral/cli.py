@@ -118,9 +118,7 @@ SETTINGS = (
     Setting("--out", "out_dir", str, help="output directory"),
     Setting("--reps", "mc.reps", int, 2000, "MC replications"),
     Setting("--sizes", "mc.sizes", list[int], (400, 800, 1600, 3200), "comma-separated MC sample sizes"),
-    Setting("--design", "mc.design", ("power", "recursive"), "power", "MC design"),
-    Setting(None, "mc.beta", float, 0.994, "MC beta; preferences.beta when present"),
-    Setting(None, "mc.gamma", float, 15.0, "MC gamma; preferences.gamma when present"),
+    Setting("--design", "mc.design", ("power", "recursive"), "power", "MC design, else --preferences"),
     Setting(None, "mc.mu", float, 0.005, "MC mean of the AR(1) state"),
     Setting(None, "mc.kappa", float, 0.6, "MC persistence of the AR(1) state"),
     Setting(None, "mc.sigma", float, 0.01, "MC shock standard deviation of the AR(1) state"),
@@ -610,9 +608,10 @@ def _cmd_bootstrap(cfg: RunConfig) -> tuple[Optional[str], dict, dict]:
 
 
 def _cmd_mc(cfg: RunConfig) -> tuple[Optional[str], dict, dict]:
-    preferences = PowerUtility if _value(cfg, "mc.design") == "power" else RecursiveUtility
-    beta = float(_value(cfg, "mc.beta", cfg.preferences.get("beta")))
-    gamma = float(_value(cfg, "mc.gamma", cfg.preferences.get("gamma")))
+    mode = _value(cfg, "mc.design", cfg.preferences.get("mode"))
+    preferences = PowerUtility if mode == "power" else RecursiveUtility
+    beta = float(_value(cfg, "preferences.beta", 0.994))
+    gamma = float(_value(cfg, "preferences.gamma", 15.0))
     ar1 = Ar1Design(**{k: float(_value(cfg, f"mc.{k}")) for k in ("mu", "kappa", "sigma")})
     design = McDesign(
         ar1=ar1,

@@ -46,11 +46,8 @@ def long_run_stack(rho, m: np.ndarray, counts: Optional[np.ndarray] = None) -> d
     m = np.asarray(m, dtype=float)
     if np.any(rho <= 0) or np.any(m <= 0):
         raise ValueError("rho and the SDF increments must be positive")
-    if counts is None:
-        mean_m, mean_log_m = np.mean(m, axis=-1), np.mean(np.log(m), axis=-1)
-    else:
-        w, n = np.asarray(counts, dtype=float), m.shape[-1]
-        mean_m, mean_log_m = (w * m).sum(axis=-1) / n, (w * np.log(m)).sum(axis=-1) / n
+    w, n = 1.0 if counts is None else np.asarray(counts, dtype=float), m.shape[-1]
+    mean_m, mean_log_m = (w * m).sum(axis=-1) / n, (w * np.log(m)).sum(axis=-1) / n
     log_rho = np.log(rho)
     entropy_l = log_rho - mean_log_m
     sdf_ent = np.log(mean_m) - mean_log_m

@@ -408,9 +408,10 @@ def test_each_setting_from_flag_or_file(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+# the Monte Carlo takes beta and gamma from the preferences section, not from its own
 @pytest.mark.parametrize("section, key", [("preferences", "Mode"), ("bootstrap", "B"),
                                           ("mc", "rep"), ("basis", "bogus"),
-                                          ("bootstrap", "seed")])
+                                          ("bootstrap", "seed"), ("mc", "beta"), ("mc", "gamma")])
 def test_unknown_key_in_a_section_exits_1(tmp_path, capsys, section, key):
     out = tmp_path / "out"
     path = tmp_path / "cfg.json"
@@ -823,6 +824,16 @@ def test_mc_command_smoke(tmp_path, testbed):
         assert float(by_stat[stat]["bias"]) == table.cells[(400, stat)].bias
     # mc refuses an input CSV
     assert main(["mc", "--input", "x.csv", "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("flags, design", [
+    (["--preferences", "recursive"], "recursive"),
+    (["--design", "power", "--preferences", "recursive"], "power"),
+], ids=["recursive_mode", "design_over_mode"])
+def test_mc_design_defaults_to_the_preferences_mode(tmp_path, flags, design):
+    out = tmp_path / "mc"
+    assert main(["mc", *flags, "--reps", "2", "--sizes", "40", "--out", str(out)]) == 0
+    assert json.loads((out / "mc_table_meta.json").read_text())["design"] == design
 
 
 def test_summary_schema_validation(tmp_path):

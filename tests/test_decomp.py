@@ -78,6 +78,24 @@ def test_long_run_stack_count_rows():
         assert rows[key][2] == value
 
 
+@pytest.mark.parametrize("layout", ["series", "C", "F"])
+def test_long_run_stack_without_counts_weighs_every_pair_1(layout):
+    # one mean formula: no counts is counts of 1, and both give np.mean's bits. The
+    # (40, 1000) rows pass 256 KiB, where numpy may reuse a temporary; F is the
+    # transposed layout of fit_stack's recursive SDF rows
+    rng = np.random.default_rng(9)
+    rho = rng.uniform(0.9, 1.1, 40)
+    m = np.exp(rng.normal(-0.01, 0.2, (1000, 40) if layout == "F" else (40, 1000)))
+    m = {"series": m[0], "C": m, "F": m.T}[layout]
+    rho = rho[0] if layout == "series" else rho
+    plain = s.long_run_stack(rho, m)
+    for key, value in s.long_run_stack(rho, m, np.ones_like(m)).items():
+        assert np.array_equal(plain[key], value)
+    mean_log_m = np.mean(np.log(m), axis=-1)
+    assert np.array_equal(plain["L"], np.log(rho) - mean_log_m)
+    assert np.array_equal(plain["sdf_entropy"], np.log(np.mean(m, axis=-1)) - mean_log_m)
+
+
 def test_pt_series_trivial_cases():
     m = np.array([0.9, 1.1, 1.0])
     ones = np.ones(3)

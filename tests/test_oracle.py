@@ -102,11 +102,11 @@ def test_non_finite_kernel_is_named():
         quadrature_eig(design, s.RecursiveUtility(0.994, 15.0), 80)
 
 
-def _run_mc(tmp_path, capsys, settings: dict) -> tuple[int, dict, str]:
-    """mc with 20 replicates at n = 400 under the ``mc`` config settings: its
-    exit status, the truths of its mc_table_meta.json and its stderr."""
+def _run_mc(tmp_path, capsys, settings: dict, preferences: dict | None = None) -> tuple[int, dict, str]:
+    """mc with 20 replicates at n = 400 under the ``mc`` and ``preferences`` config
+    settings: its exit status, the truths of its mc_table_meta.json and its stderr."""
     config = tmp_path / "mc.json"
-    config.write_text(json.dumps({"mc": settings}))
+    config.write_text(json.dumps({"mc": settings, "preferences": preferences or {}}))
     out = tmp_path / "o"
     status = main(["mc", "--config", str(config), "--reps", "20", "--sizes", "400",
                    "--out", str(out)])
@@ -382,7 +382,7 @@ def test_truth_of_a_too_extreme_law_is_named():
 def test_mc_truths_are_the_closed_form_at_high_persistence(tmp_path, capsys):
     # at kappa 0.95, gamma 5 the 80-node quadrature's rho of 1.59837 was off by
     # 1.8e-6, with no sign that it was
-    status, truths, err = _run_mc(tmp_path, capsys, {"kappa": 0.95, "gamma": 5.0})
+    status, truths, err = _run_mc(tmp_path, capsys, {"kappa": 0.95}, {"gamma": 5.0})
     aff = affine_power_utility_solution(s.Ar1Design(mu=0.005, kappa=0.95, sigma=0.01), 0.994, 5.0)
     assert status == 0 and err == ""
     assert truths["rho"] == pytest.approx(aff.rho, rel=1e-12)

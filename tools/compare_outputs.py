@@ -7,8 +7,9 @@ the benchmark inputs at seed 1 with the prepare functions of
 bench/workloads.py, a copy of the bootstrap panel with an observed SDF
 column m = beta G^(-gamma), the decompose settings as a JSON config
 file, a JSON config file with a negative Monte Carlo persistence, two
-with a persistence of 0.95 (at gamma 5 and 15), a power-utility panel
-whose fitted eigenfunction changes sign on the sample, a 30-pair panel
+with a persistence of 0.95 (one of them with preferences.gamma 5), a
+power-utility panel whose fitted eigenfunction changes sign on the
+sample, a 30-pair panel
 whose k = 12 pencil has no positive real eigenvalue (so decompose
 takes the constant fallback), the first 60 transition pairs of the
 bootstrap panel, a panel whose state takes
@@ -201,12 +202,20 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
                                   "--sizes", "401,3200"]
     # a persistent AR(1) law, whose truths an 80-node quadrature got wrong before they
     # were closed forms: at gamma 5 its rho of 1.59837 was off by 1.8e-6, and at
-    # gamma 15 its long-run measure ran off the grid, so mc exited 1 (the rho is 83.0117)
-    for name, settings in (("mc_persistent_gamma5", {"kappa": 0.95, "gamma": 5.0}),
-                           ("mc_persistent", {"kappa": 0.95})):
-        config = work / f"{name}.json"
-        config.write_text(json.dumps({"mc": settings}))
-        cases[name] = [*mc, "--config", str(config), "--reps", "20", "--sizes", "400"]
+    # gamma 15 its long-run measure ran off the grid, so mc exited 1 (the rho is 83.0117).
+    # The config's gamma 5 holds where the argv's --gamma is dropped
+    i = mc.index("--gamma")
+    for name, argv, config in (
+            ("mc_persistent_gamma5", mc[:i] + mc[i + 2:],
+             {"mc": {"kappa": 0.95}, "preferences": {"gamma": 5.0}}),
+            ("mc_persistent", mc, {"mc": {"kappa": 0.95}})):
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(config))
+        cases[name] = [*argv, "--config", str(path), "--reps", "20", "--sizes", "400"]
+    # no --design: the Monte Carlo design is the preferences mode
+    i = mc.index("--design")
+    cases["mc_preferences_mode"] = [*mc[:i], *mc[i + 2:], "--preferences", "recursive",
+                                    "--k", "6", "--reps", "20", "--sizes", "300"]
     # the B-spline branch of BasisSpec.evaluate_stack
     cases["mc_bspline"] = [*mc, "--basis", "bspline", "--k", "7", "--reps", "30",
                            "--sizes", "300,600"]
