@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: decompose, value, calibrate, bootstrap, mc. Configuration
-comes from a JSON file (--config) with individual flags taking
-precedence. Outputs are CSVs/JSON plus small SVG plots, written to the
-output directory together with a provenance record (config hash, seed,
-versions). CSV conventions: header row, comma separator, UTF-8, decimal
-point; floats carry 17 significant digits so they round-trip losslessly.
+The five commands, held in ``COMMANDS``, share one parser and take their
+flags before or after the command name; flags override a JSON config
+file (--config). Outputs are CSVs/JSON plus small SVG plots, written to
+the output directory together with a provenance record (config hash,
+seed, versions). CSV conventions: header row, comma separator, UTF-8,
+decimal point; floats carry 17 significant digits so they round-trip
+losslessly.
 
 Each command computes the text of its files and writes none; ``run``
 alone then makes the output directory and writes them. So a command that
@@ -151,20 +152,13 @@ def _parser() -> argparse.ArgumentParser:
         prog="sdfspectral",
         description="Long-run spectral decomposition of stochastic discount factors",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("decompose", "estimate the eigenpair and permanent/transitory series"),
-        ("value", "solve the recursive-preference continuation value"),
-        ("calibrate", "estimate (beta, gamma) from Euler-equation moments"),
-        ("bootstrap", "decompose with stationary-bootstrap confidence intervals"),
-        ("mc", "run the Monte Carlo study and emit bias/RMSE tables"),
-    ]:
-        sp = sub.add_parser(name, help=doc)
-        sp.add_argument("--config", help="JSON config file; flags override it")
-        for s in SETTINGS:
-            if s.flag is not None:
-                choices = s.kind if isinstance(s.kind, tuple) else None
-                sp.add_argument(s.flag, type=_flag_type(s.kind), choices=choices, help=s.help)
+    p.add_argument("command", choices=COMMANDS,
+                   help="; ".join(f"{name}: {doc}" for name, (_, doc) in COMMANDS.items()))
+    p.add_argument("--config", help="JSON config file; flags override it")
+    for s in SETTINGS:
+        if s.flag is not None:
+            choices = s.kind if isinstance(s.kind, tuple) else None
+            p.add_argument(s.flag, type=_flag_type(s.kind), choices=choices, help=s.help)
     return p
 
 
@@ -244,7 +238,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                              ("seed", lambda v: v >= 0, "non-negative"),
                              ("bootstrap.b", lambda v: v >= 1, "at least 1"),
                              ("bootstrap.expected_block", lambda v: v >= 1, "at least 1"),
-                             ("bootstrap.level", lambda v: 0 < v < 1, "in (0, 1)")):
+                             ("bootstrap.level", lambda v: 0 < v < 1, "in (0, 1)"),
+                             ("mc.reps", lambda v: v >= 1, "at least 1")):
         value = _value(cfg, key)
         if not holds(value):
             raise CliError(f"config key {key!r} must be {rule}, not {value}")
@@ -456,20 +451,30 @@ def _sdf_source(cfg: RunConfig, panel: StatePanel):
     return prefs
 
 
-def _cmd_decompose(cfg: RunConfig) -> tuple[Optional[str], dict, dict]:
+def _point_fit(cfg: RunConfig):
+    """The configured panel's design, its SDF's preferences, their fit, and the fit's point
+    estimates: its long-run scalars as floats, then lambda under recursive preferences."""
     panel = read_panel_csv(cfg)
     prefs = _sdf_source(cfg, panel)
-    basis = BasisSpec(**cfg.basis).build(panel.states)
-    fit = fit_panel(Design(basis, panel), prefs)  # a fallback fit has constant eigenfunctions
+    design = Design(BasisSpec(**cfg.basis).build(panel.states), panel)
+    fit = fit_panel(design, prefs)  # a fallback fit has constant eigenfunctions
+    point = {stat: float(v) for stat, v in long_run_stack(fit.eig.rho, fit.m).items()}
+    if fit.fixed_point is not None:
+        point["lambda"] = fit.fixed_point.lam
+    return design, prefs, fit, point
+
+
+def _cmd_decompose(cfg: RunConfig) -> tuple[Optional[str], dict, dict]:
+    design, _, fit, lr = _point_fit(cfg)
+    panel, basis = design.panel, design.basis
     fallback, on = bool(fit.reason), fit.sample
     series = pt_series(fit.eig.rho, on.phi_t, on.phi_t1, fit.m)
-    lr = {stat: float(v) for stat, v in long_run_stack(fit.eig.rho, fit.m).items()}
     scalars = {"rho": lr["rho"], "yield_y": lr["y"], "entropy_L": lr["L"],
                "sdf_entropy": lr["sdf_entropy"], "horizon_dependence": lr["horizon_dependence"],
                "association": pt_association(series), "n": panel.n, "basis": basis.family,
                "k": basis.dimension_k, "fallback": fallback}
-    if fit.fixed_point is not None:
-        scalars["lambda"] = fit.fixed_point.lam
+    if "lambda" in lr:
+        scalars["lambda"] = lr["lambda"]
     if not fallback:
         bw = default_bandwidth(panel.n)
         scalars["se_rho"] = on.se_rho
@@ -578,18 +583,11 @@ def _cmd_calibrate(cfg: RunConfig) -> tuple[Optional[str], dict, dict]:
 
 
 def _cmd_bootstrap(cfg: RunConfig) -> tuple[Optional[str], dict, dict]:
-    panel = read_panel_csv(cfg)
-    prefs = _sdf_source(cfg, panel)
-    design = Design(BasisSpec(**cfg.basis).build(panel.states), panel)
-    fit = fit_panel(design, prefs)
+    design, prefs, fit, point = _point_fit(cfg)
     b = int(_value(cfg, "bootstrap.b"))
     block = float(_value(cfg, "bootstrap.expected_block"))
     level = float(_value(cfg, "bootstrap.level"))
-    boot = bootstrap_ci(bootstrap_statistic(design, prefs), panel.n, b, block, level, cfg.seed)
-
-    point = {stat: float(v) for stat, v in long_run_stack(fit.eig.rho, fit.m).items()}
-    if fit.fixed_point is not None:
-        point["lambda"] = fit.fixed_point.lam
+    boot = bootstrap_ci(bootstrap_statistic(design, prefs), design.n, b, block, level, cfg.seed)
     if prefs is not None:
         point.update(beta=prefs.beta, gamma=prefs.gamma)
     rows = [{"statistic": stat, "estimate": estimate, "ci_lo": boot.ci_lo.get(stat),
@@ -643,6 +641,16 @@ def _cmd_mc(cfg: RunConfig) -> tuple[Optional[str], dict, dict]:
     return None, files, {"elapsed_seconds": table.elapsed_seconds}
 
 
+#: each command's handler and its help, in the order that --help lists them
+COMMANDS = {
+    "decompose": (_cmd_decompose, "estimate the eigenpair and permanent/transitory series"),
+    "value": (_cmd_value, "solve the recursive-preference continuation value"),
+    "calibrate": (_cmd_calibrate, "estimate (beta, gamma) from Euler-equation moments"),
+    "bootstrap": (_cmd_bootstrap, "decompose with stationary-bootstrap confidence intervals"),
+    "mc": (_cmd_mc, "run the Monte Carlo study and emit bias/RMSE tables"),
+}
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one configured command, then write its files; returns the process exit status.
 
@@ -651,16 +659,9 @@ def run(cfg: RunConfig) -> int:
     keys. A flag is printed as a warning and makes the exit status 2. Each
     file is rewritten in place, provenance.json last.
     """
-    handlers = {
-        "decompose": _cmd_decompose,
-        "value": _cmd_value,
-        "calibrate": _cmd_calibrate,
-        "bootstrap": _cmd_bootstrap,
-        "mc": _cmd_mc,
-    }
-    if cfg.command not in handlers:
+    if cfg.command not in COMMANDS:
         raise CliError(f"unknown command {cfg.command!r}")
-    flag, files, extra = handlers[cfg.command](cfg)
+    flag, files, extra = COMMANDS[cfg.command][0](cfg)
     if flag is not None:
         print(f"warning: {flag}", file=sys.stderr)
     files["provenance.json"] = write_json({

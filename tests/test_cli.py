@@ -11,7 +11,7 @@ import pytest
 import sdfspectral as s
 from sdfspectral import cli
 from sdfspectral.cli import (
-    SETTINGS, CliError, RunConfig, _parser, build_config, main, read_panel_csv,
+    COMMANDS, SETTINGS, CliError, RunConfig, _parser, build_config, main, read_panel_csv,
     validate_summary_csv,
 )
 from sdfspectral.inference import DISCARD_REASON
@@ -458,6 +458,7 @@ def test_usage_error_exits_1_naming_the_flag(capsys, argv, flag):
     ("bootstrap_no_replications", "config key 'bootstrap.b' must be at least 1, not 0"),
     ("bootstrap_level_one", "config key 'bootstrap.level' must be in (0, 1), not 1.0"),
     ("bootstrap_short_block", "config key 'bootstrap.expected_block' must be at least 1, not 0.5"),
+    ("mc_no_replications", "config key 'mc.reps' must be at least 1, not 0"),
 ])
 def test_user_error_exits_1_with_one_line(tmp_path, sim_panel, capsys, case, message):
     csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
@@ -494,6 +495,7 @@ def test_user_error_exits_1_with_one_line(tmp_path, sim_panel, capsys, case, mes
                                       "--boot-b", "0"],
         "bootstrap_level_one": ["bootstrap", *panel, "--growth-col", "G", "--level", "1"],
         "bootstrap_short_block": ["decompose", *panel, "--growth-col", "G", "--block", "0.5"],
+        "mc_no_replications": ["mc", "--reps", "0", "--sizes", "40"],
     }[case]
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 1
@@ -624,6 +626,49 @@ def test_one_parser_serves_successive_calls(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--block" in err
     assert len(seen) == 3
+
+
+def test_flags_before_the_command_build_the_same_config(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": 4, "mc": {"kappa": 0.5}}))
+    for command, flags in [
+        ("decompose", ["--input", "p.csv", "--state-cols", "x1,x2", "--k", "6", "--beta", "0.9",
+                       "--preferences", "recursive", "--config", str(tmp_path / "cfg.json")]),
+        ("mc", ["--reps", "3", "--sizes", "40,80", "--design", "recursive", "--seed", "2"]),
+    ]:
+        after = build_config(_parser().parse_args([command, *flags]))
+        assert build_config(_parser().parse_args([*flags, command])) == after
+        assert build_config(_parser().parse_args([*flags[:2], command, *flags[2:]])) == after
+
+
+def test_help_names_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per entry: no help text is wrapped
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, (_, doc) in COMMANDS.items():
+        assert f"{name}: {doc}" in out
+
+
+@pytest.mark.parametrize("preferences", ["power", "recursive"])
+def test_decompose_and_bootstrap_report_one_point_fit(tmp_path, sim_panel, preferences):
+    csv_path = _write_panel_csv(tmp_path / "panel.csv", sim_panel.states,
+                                growth=sim_panel.growth)
+    flags = ["--input", str(csv_path), "--state-cols", "x1", "--growth-col", "G",
+             "--basis", "hermite", "--k", "6", "--preferences", preferences,
+             "--beta", "0.994", "--gamma", "15", "--boot-b", "20"]
+    assert main(["decompose", *flags, "--out", str(tmp_path / "d")]) == 0
+    assert main(["bootstrap", *flags, "--out", str(tmp_path / "b")]) == 0
+    scalars = json.loads((tmp_path / "d" / "scalars.json").read_text())
+    summary = {row["statistic"]: row["estimate"]
+               for row in validate_summary_csv(tmp_path / "b" / "summary.csv")}
+    names = {"rho": "rho", "yield_y": "y", "entropy_L": "L", "sdf_entropy": "sdf_entropy",
+             "horizon_dependence": "horizon_dependence", "lambda": "lambda"}
+    if preferences == "power":
+        del names["lambda"]
+        assert "lambda" not in scalars and "lambda" not in summary
+    for key, statistic in names.items():
+        assert scalars[key] == summary[statistic], key
 
 
 @pytest.mark.parametrize("command, points", [("decompose", "0"), ("value", "-3")])

@@ -179,6 +179,8 @@ def argument_vectors(work: Path) -> dict[str, list[str]]:
     cases["decompose_bspline"] = ["decompose", *bootstrap[1:], "--basis", "bspline", "--k", "7"]
     cases["decompose_power"] = ["decompose", *bootstrap[1:]]
     cases["decompose_config"] = config_file(decompose)
+    # the command after its flags: one parser takes flags on either side of it
+    cases["decompose_flags_first"] = [*decompose[1:], "decompose"]
     # the full tensor Hermite basis of the two-coordinate state
     cases["decompose_hermite2"] = [*decompose, "--basis", "hermite", "--degree", "2"]
     cases["bootstrap_sdf"] = observed_sdf(bootstrap)
